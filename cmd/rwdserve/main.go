@@ -66,10 +66,6 @@ func main() {
 	analyzeWorkers := flag.Int("analyze-workers", 0, "worker pool bound for /v1/analyze; 0 = one per CPU")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second,
 		"how long a graceful shutdown waits for in-flight requests")
-	slowOpThreshold := flag.Duration("slow-op-threshold", 500*time.Millisecond,
-		"span duration above which a structured slow-op line is logged")
-	slowOpSample := flag.Int64("slow-op-sample", 1,
-		"log 1 of every N slow spans (the rest are only counted)")
 	debugAddr := flag.String("debug-addr", "",
 		"optional private address for the pprof debug server (e.g. localhost:6060); empty disables")
 	storeDir := flag.String("store-dir", "",
@@ -108,8 +104,6 @@ func main() {
 		MaxDeadline:     *maxDeadline,
 		CacheSize:       *cacheSize,
 		AnalyzeWorkers:  *analyzeWorkers,
-		SlowOpThreshold: *slowOpThreshold,
-		SlowOpSample:    *slowOpSample,
 		TraceCapacity:   *traceCapacity,
 		TraceMaxBytes:   *traceMaxBytes,
 		TraceLog:        traceLog,

@@ -10,7 +10,7 @@ import (
 
 // TestContainsCtxRecordsSpans drives a containment check under a traced
 // context and checks that the span tree carries the cost counters the
-// explain mode and the slow-op log rely on. The instance is blowup-
+// explain mode and the flight recorder rely on. The instance is blowup-
 // family self-containment: the verdict is true (no early counterexample
 // exit), every subset-state is lazily interned, and the subsumption
 // order actually fires, so all three engine counters are nonzero.

@@ -17,7 +17,6 @@ func TestConcurrentWriteWhileRendering(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("hammer_total", "h.", "worker", "kind")
 	gv := r.GaugeVec("hammer_gauge", "h.", "worker")
-	h := r.Histogram("hammer_seconds", "h.", DefBuckets)
 	hv := r.HistogramVec("hammer_vec_seconds", "h.", []float64{0.1, 1}, "worker")
 	r.GaugeFunc("hammer_func", "h.", func() float64 { return 42 })
 
@@ -34,6 +33,7 @@ func TestConcurrentWriteWhileRendering(t *testing.T) {
 			c := cv.With(id, "steady")
 			g := gv.With(id)
 			hw := hv.With(id)
+			h := hv.With("shared") // one child every worker hits
 			for i := 0; i < iters; i++ {
 				c.Inc()
 				// a fresh label value every few iterations exercises

@@ -1,9 +1,9 @@
 // Package metrics is a lightweight, dependency-free counter / gauge /
 // histogram registry rendered in the Prometheus text exposition format.
 // It covers exactly what the rwdserve observability surface needs:
-// labeled counters (requests by endpoint and code), gauges and gauge
-// callbacks (in-flight requests, cache occupancy), and latency histograms
-// with cumulative buckets. All metric operations are safe for concurrent
+// labeled counters (span cost by span and counter), labeled gauges and
+// gauge callbacks (build info; in-flight requests, cache occupancy), and
+// labeled latency histograms with cumulative buckets. All metric operations are safe for concurrent
 // use and lock-free on the hot path (atomics only).
 package metrics
 
@@ -126,12 +126,6 @@ func (c *Counter) Add(n int64) { c.c.val.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.c.val.Load() }
 
-// Counter registers a new unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(name, help, kindCounter, nil)
-	return &Counter{f.child(nil)}
-}
-
 // CounterVec is a counter family with labels.
 type CounterVec struct{ f *family }
 
@@ -155,12 +149,6 @@ func (g *Gauge) Add(delta int64) { g.c.val.Add(delta) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.c.val.Load() }
-
-// Gauge registers a new unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, kindGauge, nil)
-	return &Gauge{f.child(nil)}
-}
 
 // GaugeVec is a gauge family with labels (e.g. a build-info metric whose
 // constant value 1 carries its information in the labels).
@@ -204,17 +192,11 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Histogram registers a new unlabeled histogram with the given upper
-// bucket bounds (must be sorted ascending; +Inf is implicit).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(name, help, kindHistogram, append([]float64(nil), buckets...))
-	return &Histogram{f.child(nil), f.buckets}
-}
-
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 
-// HistogramVec registers a new labeled histogram family.
+// HistogramVec registers a new labeled histogram family with the given
+// upper bucket bounds (must be sorted ascending; +Inf is implicit).
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	return &HistogramVec{r.register(name, help, kindHistogram, append([]float64(nil), buckets...), labels...)}
 }

@@ -35,12 +35,12 @@ func TestCounterVecText(t *testing.T) {
 
 func TestGaugeAndGaugeFunc(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("inflight", "In-flight requests.")
+	g := r.GaugeVec("inflight", "In-flight requests.", "pool").With("main")
 	g.Add(2)
 	g.Add(-1)
 	r.GaugeFunc("cache_size", "Entries.", func() float64 { return 42 })
 	out := render(t, r)
-	if !strings.Contains(out, "inflight 1\n") {
+	if !strings.Contains(out, `inflight{pool="main"} 1`+"\n") {
 		t.Fatalf("gauge missing:\n%s", out)
 	}
 	if !strings.Contains(out, "cache_size 42\n") {
@@ -76,19 +76,19 @@ func TestHistogramCumulativeBuckets(t *testing.T) {
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dup", "x")
+	r.CounterVec("dup", "x", "l")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic on duplicate registration")
 		}
 	}()
-	r.Counter("dup", "y")
+	r.HistogramVec("dup", "y", DefBuckets, "l")
 }
 
 func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("c", "x", "l")
-	h := r.Histogram("h", "x", DefBuckets)
+	h := r.HistogramVec("h", "x", DefBuckets, "l").With("a")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -106,7 +106,7 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatalf("counter a = %d, want 8000", got)
 	}
 	out := render(t, r)
-	if !strings.Contains(out, "h_count 8000") {
+	if !strings.Contains(out, `h_count{l="a"} 8000`) {
 		t.Fatalf("histogram count wrong:\n%s", out)
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the repository: a
-// context-carried span tracer with per-span cost accounting, a
-// process-wide sampled slow-operation log, and process-wide cost
-// counters for code paths that do not carry a context.
+// context-carried span tracer with per-span cost accounting, and
+// process-wide cost counters for code paths that do not carry a
+// context.
 //
 // The paper's central empirical move is instrumenting real workloads
 // (850M queries, ~120 analytical tests each); obs turns our own
@@ -49,8 +49,6 @@ type Tracer struct {
 	// uses it to feed span-duration histograms and cost counters into
 	// the metrics registry). It may be called concurrently.
 	OnFinish func(*Span)
-	// Slow, when non-nil, receives finished spans for slow-op logging.
-	Slow *SlowLog
 
 	ids atomic.Uint64
 }
@@ -257,8 +255,8 @@ func (s *Span) newChild(name string) *Span {
 
 // Finish records the span's duration (monotonic, via the runtime's
 // monotonic clock reading embedded in start) and reports it to the
-// tracer's OnFinish hook and slow-op log. Finish is idempotent; on a
-// nil span it is a no-op.
+// tracer's OnFinish hook. Finish is idempotent; on a nil span it is a
+// no-op.
 func (s *Span) Finish() {
 	if s == nil {
 		return
@@ -271,13 +269,8 @@ func (s *Span) Finish() {
 	s.finished = true
 	s.dur = time.Since(s.start)
 	s.mu.Unlock()
-	if s.tracer != nil {
-		if s.tracer.OnFinish != nil {
-			s.tracer.OnFinish(s)
-		}
-		if s.tracer.Slow != nil {
-			s.tracer.Slow.observe(s)
-		}
+	if s.tracer != nil && s.tracer.OnFinish != nil {
+		s.tracer.OnFinish(s)
 	}
 }
 

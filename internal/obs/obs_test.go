@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"log"
 	"strings"
 	"sync"
 	"testing"
@@ -145,100 +144,6 @@ func TestFinishIdempotentAndOnFinish(t *testing.T) {
 	}
 	if len(finished) != 1 || finished[0] != "op" {
 		t.Fatalf("OnFinish calls = %v, want exactly one", finished)
-	}
-}
-
-func TestSlowLogThresholdAndSampling(t *testing.T) {
-	var buf bytes.Buffer
-	sl := &SlowLog{Threshold: 0, Sample: 3, Logger: log.New(&buf, "", 0)}
-	tr := &Tracer{Slow: sl}
-	for i := 0; i < 9; i++ {
-		_, s := tr.StartRoot(context.Background(), "slow")
-		s.Counter("states_expanded").Add(int64(i))
-		s.SetAttr("engine", "regex")
-		s.Finish()
-	}
-	if sl.Seen() != 9 {
-		t.Fatalf("seen = %d, want 9", sl.Seen())
-	}
-	if sl.Logged() != 3 {
-		t.Fatalf("logged = %d, want 3 (1-in-3 sampling)", sl.Logged())
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("log lines = %d, want 3:\n%s", len(lines), buf.String())
-	}
-	for _, ln := range lines {
-		for _, want := range []string{"msg=slow_op", `span="slow"`, "trace=", "dur_ms=", "states_expanded=", `engine="regex"`} {
-			if !strings.Contains(ln, want) {
-				t.Fatalf("line %q missing %q", ln, want)
-			}
-		}
-	}
-}
-
-// TestSlowLogConcurrentInvariants finishes slow spans from many
-// goroutines and checks the sampling accounting: every slow span is
-// seen, and logged == ceil(seen/sample) — the 1-in-N guarantee holds
-// exactly even under contention because the sample decision is driven
-// by the atomic seen counter, not a racy local.
-func TestSlowLogConcurrentInvariants(t *testing.T) {
-	const (
-		goroutines = 8
-		perG       = 250
-		sample     = 7
-	)
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	lockedBuf := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	})
-	sl := &SlowLog{Threshold: 0, Sample: sample, Logger: log.New(lockedBuf, "", 0)}
-	tr := &Tracer{Slow: sl}
-
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				_, s := tr.StartRoot(context.Background(), "slow")
-				s.Count("states_expanded", 1)
-				s.Finish()
-			}
-		}()
-	}
-	wg.Wait()
-
-	total := int64(goroutines * perG)
-	if sl.Seen() != total {
-		t.Fatalf("seen = %d, want %d", sl.Seen(), total)
-	}
-	wantLogged := (total + sample - 1) / sample // ceil
-	if sl.Logged() != wantLogged {
-		t.Fatalf("logged = %d, want ceil(%d/%d) = %d", sl.Logged(), total, sample, wantLogged)
-	}
-	mu.Lock()
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	mu.Unlock()
-	if int64(len(lines)) != wantLogged {
-		t.Fatalf("emitted lines = %d, want %d", len(lines), wantLogged)
-	}
-}
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-func TestSlowLogFastSpansIgnored(t *testing.T) {
-	sl := &SlowLog{Threshold: time.Hour}
-	tr := &Tracer{Slow: sl}
-	_, s := tr.StartRoot(context.Background(), "fast")
-	s.Finish()
-	if sl.Seen() != 0 {
-		t.Fatalf("seen = %d, want 0", sl.Seen())
 	}
 }
 

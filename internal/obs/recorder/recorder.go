@@ -9,8 +9,7 @@
 // performance. The spans of internal/obs record exactly those counters
 // on every request, but before the recorder the evidence evaporated
 // with the response: a span tree was visible only to a client that
-// passed "explain": true, or as a sampled slow-op log line. The
-// recorder retains the trees, so "the 20 slowest containment calls of
+// passed "explain": true. The recorder retains the trees, so "the 20 slowest containment calls of
 // the last hour and the counters that blew up" is a query
 // (GET /v1/traces?sort=slowest), not a reconstruction.
 //

@@ -278,8 +278,9 @@ type Report struct {
 	Endpoints map[string]*EndpointStats `json:"endpoints"`
 
 	// Timeouts counts 504s the client saw; ServerTimeouts and
-	// ClientClosed are the server's own counters over the run — after the
-	// middleware classification fix the two timeout views agree.
+	// ClientClosed are the server's own view over the run, the
+	// rwd_op_duration_seconds_count deltas of status 504 and 408 — the
+	// two timeout views agree.
 	Timeouts       int     `json:"timeouts"`
 	ServerTimeouts float64 `json:"server_timeouts"`
 	ClientClosed   float64 `json:"client_closed"`
@@ -519,8 +520,8 @@ func buildReport(cfg Config, elapsed time.Duration, all []sample, before, after 
 		Retained: after["rwd_traces_retained"],
 		Bytes:    after["rwd_trace_bytes"],
 	}
-	rep.ServerTimeouts = sumPrefixDelta(before, after, "rwdserve_timeouts_total")
-	rep.ClientClosed = sumPrefixDelta(before, after, "rwdserve_client_closed_total")
+	rep.ServerTimeouts = statusDelta(before, after, "504")
+	rep.ClientClosed = statusDelta(before, after, "408")
 	for series := range after {
 		if !strings.HasPrefix(series, "rwd_span_cost_total{") {
 			continue
@@ -536,12 +537,15 @@ func buildReport(cfg Config, elapsed time.Duration, all []sample, before, after 
 	return rep
 }
 
-// sumPrefixDelta sums the after-minus-before deltas of every series of a
-// family (all label combinations).
-func sumPrefixDelta(before, after map[string]float64, family string) float64 {
+// statusDelta sums the after-minus-before deltas of the server's request
+// counts (rwd_op_duration_seconds_count, every op) for one HTTP status.
+func statusDelta(before, after map[string]float64, status string) float64 {
 	var total float64
 	for series, v := range after {
-		if series == family || strings.HasPrefix(series, family+"{") {
+		if !strings.HasPrefix(series, "rwd_op_duration_seconds_count{") {
+			continue
+		}
+		if st, _ := metrics.SeriesLabel(series, "status"); st == status {
 			total += v - before[series]
 		}
 	}

@@ -121,6 +121,10 @@ func TestRunAgainstService(t *testing.T) {
 	if rep.Cache.Hits+rep.Cache.Misses == 0 {
 		t.Fatal("cache counters never scraped")
 	}
+	if rep.ServerTimeouts != float64(rep.Timeouts) || rep.ClientClosed != 0 {
+		t.Fatalf("server timeouts %v / client closed %v, want %d / 0 (the client's 504s)",
+			rep.ServerTimeouts, rep.ClientClosed, rep.Timeouts)
+	}
 
 	// The profile block mirrors the server's /v1/stats lifetime view;
 	// for the private in-process server it covers exactly this run.

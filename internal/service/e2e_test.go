@@ -73,12 +73,12 @@ func TestEndToEndMixedWorkload(t *testing.T) {
 	m := scrapeMetrics(t, ts.URL)
 	total := 0
 	for k, v := range m {
-		if strings.HasPrefix(k, "rwdserve_requests_total{") {
+		if strings.HasPrefix(k, "rwd_op_duration_seconds_count{") {
 			total += int(v)
 		}
 	}
 	if want := len(specs)*perWorker + warmed; total != want {
-		t.Fatalf("requests_total sums to %d, want %d", total, want)
+		t.Fatalf("rwd_op_duration_seconds_count sums to %d, want %d", total, want)
 	}
 	// every concurrent containment request hits the warmed cache
 	if hits := m["rwdserve_cache_hits_total"]; hits < float64(2*perWorker) {

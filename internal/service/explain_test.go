@@ -2,13 +2,19 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"log"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/automata"
 	"repro/internal/obs"
+	"repro/internal/obs/recorder"
+	"repro/internal/store"
 )
 
 // findSpan walks the exported tree for the first span with the given
@@ -113,6 +119,70 @@ func TestExplainOtherEndpoints(t *testing.T) {
 	if findSpan(analyze.Trace, "core.shard") == nil {
 		t.Fatalf("no core.shard span: %+v", analyze.Trace)
 	}
+}
+
+// TestWithTraceMatchesMapMerge pins the single-marshal splice of
+// withTrace against the merge it replaced (marshal, unmarshal into a
+// map, set "trace", marshal again) on every op's explain response:
+// clients must see the same JSON value; only key order may change.
+func TestWithTraceMatchesMapMerge(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	s := New(Config{Logger: discardLogger()})
+	s.AttachStore(st)
+
+	decode := func(v any) any {
+		t.Helper()
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out any
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatalf("%v in %s", err, raw)
+		}
+		return out
+	}
+	var tree *obs.Node
+	check := func(name string, out any) {
+		t.Helper()
+		merged := decode(out).(map[string]any)
+		merged["trace"] = tree
+		if got, want := decode(withTrace(out, tree)), decode(merged); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: withTrace = %v, want %v", name, got, want)
+		}
+	}
+
+	for _, c := range []struct {
+		op, body, query string
+		h               handlerFunc
+	}{
+		{"containment", `{"engine":"regex","left":"a b","right":"a (b|c)","explain":true}`, "", s.handleContainment},
+		{"membership", `{"expr":"(a|b)* a","word":["b","a"],"explain":true}`, "", s.handleMembership},
+		{"validate", `{"kind":"dtd","schema":"<!ELEMENT r (a*)> <!ELEMENT a EMPTY>","docs":["r(a, a)","r(r)"],"explain":true}`, "", s.handleValidate},
+		{"infer", `{"algorithm":"sore","words":[["a","b"],["b"]],"explain":true}`, "", s.handleInfer},
+		{"analyze", `{"name":"mix","queries":["SELECT ?x WHERE { ?x ?p ?y }","ASK { ?a ?b ?c }"],"explain":true}`, "", s.handleAnalyze},
+		{"analyze", "SELECT ?x WHERE { ?x ?p ?y }\nnot sparql\n", "name=log&workers=1&explain=true", s.handleAnalyze},
+		{"batch", `{"explain":true,` + batchBody(t)[1:], "", s.handleBatch},
+		{"corpora_ingest", `{"name":"g","triples":[["a","p","b"]],"explain":true}`, "", s.handleCorporaIngest},
+		{"corpora", "", "", s.handleCorporaList},
+	} {
+		ctx, root := s.tracer.StartRoot(context.Background(), "http."+c.op)
+		q, _ := url.ParseQuery(c.query)
+		req := &request{body: []byte(c.body), ndjson: c.query != "", query: q}
+		req.env = parseEnvelope(req)
+		out, aerr := c.h(ctx, req)
+		if aerr != nil {
+			t.Fatalf("%s: %d %s", c.op, aerr.status, aerr.msg)
+		}
+		root.SetAttr(recorder.StatusAttr, "200")
+		tree = root.Tree()
+		check(c.op, out)
+	}
+	check("empty object", struct{}{})
 }
 
 // TestSpanMetricsExposed checks that engine spans feed the rwd_span_*

@@ -149,56 +149,27 @@ func (g *slotGuard) maybeReleaseLocked() {
 // endpoint wraps h in the shared middleware stack: root span (with the
 // trace id echoed in the X-Trace-Id response header), admission control,
 // request-size cap, one envelope parse, per-request deadline, response
-// rendering (with the span tree merged in for "explain": true), latency
-// histogram, request/timeout/client-closed counters, and a structured
-// access log line.
+// rendering (with the span tree merged in for "explain": true), and the
+// shared tail of finishRequest.
 func (s *Server) endpoint(name string, h handlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		code := http.StatusOK
 
 		// Every request — including the ones admission control or the
 		// body cap rejects — runs under a root span: its id goes out in
 		// the X-Trace-Id header so any client error report can be joined
-		// to the recorded trace, and its finish feeds the rwd_span_*
-		// metrics, the slow-op log, and the flight recorder whether or
+		// to the recorded trace, and its finish, after the response is
+		// written, records the request's latency and status whether or
 		// not the client asked for explain mode.
 		rctx, span := s.tracer.StartRoot(r.Context(), "http."+name)
-		traceID := span.TraceID()
-		w.Header().Set("X-Trace-Id", traceID)
-		finished := false
-		finish := func() {
-			if !finished {
-				finished = true
-				span.SetAttr(recorder.StatusAttr, strconv.Itoa(code))
-				span.Finish()
-			}
-		}
-
-		defer func() {
-			finish()
-			elapsed := time.Since(start)
-			s.reqTotal.With(name, fmt.Sprintf("%d", code)).Inc()
-			s.latency.With(name).Observe(elapsed.Seconds())
-			switch code {
-			case http.StatusGatewayTimeout:
-				s.timeouts.With(name).Inc()
-			case http.StatusRequestTimeout:
-				s.clientClosed.With(name).Inc()
-			}
-			// path and remote are attacker-controlled: %q-quote them so a
-			// crafted URL cannot inject fake key=value pairs or newlines
-			// into the log stream.
-			s.log.Printf("level=info method=%s path=%q endpoint=%s code=%d dur_ms=%.2f remote=%q trace=%s",
-				r.Method, r.URL.Path, name, code, float64(elapsed.Microseconds())/1000, r.RemoteAddr, traceID)
-		}()
+		w.Header().Set("X-Trace-Id", span.TraceID())
+		defer func() { s.finishRequest(r, name, span, code) }()
 
 		// Admission control: shed load before reading the body so an
 		// overloaded server spends no work on requests it will not serve.
 		select {
 		case s.sem <- struct{}{}:
 		default:
-			s.rejected.With("overload").Inc()
 			code = http.StatusTooManyRequests
 			writeJSON(w, code, map[string]string{"error": "server overloaded, retry later"})
 			return
@@ -210,7 +181,6 @@ func (s *Server) endpoint(name string, h handlerFunc) http.Handler {
 		if err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
-				s.rejected.With("too_large").Inc()
 				code = http.StatusRequestEntityTooLarge
 				writeJSON(w, code, map[string]string{
 					"error": fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
@@ -232,16 +202,34 @@ func (s *Server) endpoint(name string, h handlerFunc) http.Handler {
 		out, aerr := h(ctx, req)
 		if aerr != nil {
 			code = aerr.status
-			finish()
 			writeJSON(w, code, map[string]string{"error": aerr.msg})
 			return
 		}
-		finish()
 		if req.env.Explain {
+			// The tree is exported from the live root span, so it carries
+			// the status now; its duration runs up to this point.
+			span.SetAttr(recorder.StatusAttr, strconv.Itoa(code))
 			out = withTrace(out, span.Tree())
 		}
 		writeJSON(w, http.StatusOK, out)
 	})
+}
+
+// finishRequest is the shared tail of endpoint and traceEndpoint: it
+// stamps the HTTP status on the root span, finishes it — the one place a
+// request's latency and status are recorded (Tracer.OnFinish in New) —
+// and writes the access-log line. It runs after the response is
+// written; net/http ends the response only once the handler returns, so
+// a client that has read the whole body always finds its trace in
+// /v1/traces/{id}.
+func (s *Server) finishRequest(r *http.Request, name string, span *obs.Span, code int) {
+	span.SetAttr(recorder.StatusAttr, strconv.Itoa(code))
+	span.Finish()
+	// path and remote are attacker-controlled: %q-quote them so a
+	// crafted URL cannot inject fake key=value pairs or newlines into
+	// the log stream.
+	s.log.Printf("level=info method=%s path=%q endpoint=%s code=%d dur_ms=%.2f remote=%q trace=%s",
+		r.Method, r.URL.Path, name, code, float64(span.Duration().Microseconds())/1000, r.RemoteAddr, span.TraceID())
 }
 
 // streamingBody reports whether the request body is an NDJSON / plain
@@ -277,21 +265,27 @@ func parseEnvelope(req *request) envelope {
 	return env
 }
 
-// withTrace merges the span tree into the response object under a
-// "trace" key. Responses are structs or maps that marshal to JSON
-// objects; if re-marshaling fails the verdict is returned untouched
-// rather than lost.
+// withTrace splices the span tree into the marshaled response object
+// under a "trace" key, marshaling the response once. Responses are
+// structs or maps that marshal to JSON objects; anything else (or a
+// marshal failure) returns the response untouched rather than losing
+// the verdict.
 func withTrace(out any, tree *obs.Node) any {
 	raw, err := json.Marshal(out)
+	if err != nil || raw[0] != '{' {
+		return out
+	}
+	t, err := json.Marshal(tree)
 	if err != nil {
 		return out
 	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return out
+	sep := ","
+	if len(raw) == 2 { // "{}": no field to separate from
+		sep = ""
 	}
-	m["trace"] = tree
-	return m
+	merged := append(raw[:len(raw)-1], sep+`"trace":`...)
+	merged = append(merged, t...)
+	return json.RawMessage(append(merged, '}'))
 }
 
 // deadline applies the default to the envelope's deadline and clamps to

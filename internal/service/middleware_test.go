@@ -6,9 +6,12 @@ import (
 	"log"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 func discardLogger() *log.Logger { return log.New(io.Discard, "", 0) }
@@ -27,10 +30,15 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+const (
+	containment408 = `rwd_op_duration_seconds_count{op="containment",status="408"}`
+	containment504 = `rwd_op_duration_seconds_count{op="containment",status="504"}`
+)
+
 // TestClientClosedCounts408 is the regression test for the timeout-vs-
-// disconnect split: a client that abandons an in-flight request must
-// increment rwdserve_client_closed_total, not rwdserve_timeouts_total —
-// before the fix both paths landed on 504 and the timeout counter.
+// disconnect split: a client that abandons an in-flight request must be
+// counted with status 408, not 504 — before the fix both paths landed on
+// 504 and the timeout count.
 func TestClientClosedCounts408(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -49,11 +57,10 @@ func TestClientClosedCounts408(t *testing.T) {
 		t.Fatal("expected the canceled request to fail client-side")
 	}
 
-	waitFor(t, "client_closed counter", func() bool {
-		m := scrapeMetrics(t, ts.URL)
-		return m[`rwdserve_client_closed_total{endpoint="containment"}`] == 1
+	waitFor(t, "408 count", func() bool {
+		return scrapeMetrics(t, ts.URL)[containment408] == 1
 	})
-	if v := scrapeMetrics(t, ts.URL)[`rwdserve_timeouts_total{endpoint="containment"}`]; v != 0 {
+	if v := scrapeMetrics(t, ts.URL)[containment504]; v != 0 {
 		t.Fatalf("disconnect was counted as a server timeout (%v)", v)
 	}
 	waitFor(t, "admission slot release", func() bool {
@@ -62,8 +69,8 @@ func TestClientClosedCounts408(t *testing.T) {
 }
 
 // TestDeadlineStillCounts504 pins the other half of the split: a real
-// deadline expiry stays 504 + timeouts counter, with client_closed
-// untouched.
+// deadline expiry stays 504 in both the response and the request count,
+// with the 408 count untouched.
 func TestDeadlineStillCounts504(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var e map[string]string
@@ -71,11 +78,126 @@ func TestDeadlineStillCounts504(t *testing.T) {
 		t.Fatalf("code=%d, want 504", code)
 	}
 	m := scrapeMetrics(t, ts.URL)
-	if m[`rwdserve_timeouts_total{endpoint="containment"}`] != 1 {
-		t.Fatalf("timeouts counter = %v, want 1", m[`rwdserve_timeouts_total{endpoint="containment"}`])
+	if m[containment504] != 1 {
+		t.Fatalf("504 count = %v, want 1", m[containment504])
 	}
-	if m[`rwdserve_client_closed_total{endpoint="containment"}`] != 0 {
-		t.Fatalf("client_closed = %v, want 0", m[`rwdserve_client_closed_total{endpoint="containment"}`])
+	if m[containment408] != 0 {
+		t.Fatalf("408 count = %v, want 0", m[containment408])
+	}
+}
+
+// TestRequestCountsReconcile drives one request per outcome the
+// middleware can produce and checks that rwd_op_duration_seconds_count
+// — the one request histogram, fed at root-span finish — holds exactly
+// what the client saw, per (op, status). The retired per-endpoint
+// families are its rows: requests_total is every row, timeouts the 504
+// rows, client_closed the 408 rows, rejected{overload|too_large} the
+// 429|413 rows. The request's root span feeds no rwd_span_seconds row.
+func TestRequestCountsReconcile(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxInFlight: 1, MaxBodyBytes: 1024})
+	type key struct{ op, status string }
+	sent := map[key]int{}
+	do := func(op, path, body string) {
+		t.Helper()
+		sent[key{op, strconv.Itoa(post(t, ts.URL, path, body, nil))}]++
+	}
+
+	do("membership", "/v1/membership", `{"expr":"a","word":["a"]}`)
+	do("containment", "/v1/containment", `not json`)
+	do("containment", "/v1/containment", `{"left":"`+strings.Repeat("a ", 1000)+`"}`)
+
+	// 504 while it holds the only admission slot, so a second request
+	// meanwhile is shed with 429.
+	slow := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/containment", "application/json",
+			strings.NewReader(adversarialContainment(500)))
+		if err != nil {
+			t.Error(err)
+			slow <- 0
+			return
+		}
+		resp.Body.Close()
+		slow <- resp.StatusCode
+	}()
+	waitFor(t, "the slow request to hold the slot", func() bool {
+		return scrapeMetrics(t, ts.URL)["rwdserve_inflight"] == 1
+	})
+	do("infer", "/v1/infer", `{"algorithm":"sore","words":[["a"]]}`)
+	sent[key{"containment", strconv.Itoa(<-slow)}]++
+	waitFor(t, "slot release", func() bool {
+		return scrapeMetrics(t, ts.URL)["rwdserve_inflight"] == 0
+	})
+
+	// 408: the client hangs up mid-engine and so never reads a status.
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		ts.URL+"/v1/containment", strings.NewReader(adversarialContainment(60000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(50*time.Millisecond, cancel)
+	if _, err := http.DefaultClient.Do(req); err == nil {
+		t.Fatal("expected the canceled request to fail client-side")
+	}
+	sent[key{"containment", "408"}]++
+
+	resp, err := http.Get(ts.URL + "/v1/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	sent[key{"traces", strconv.Itoa(resp.StatusCode)}]++
+
+	for _, want := range []key{{"membership", "200"}, {"containment", "400"}, {"containment", "413"},
+		{"containment", "504"}, {"infer", "429"}, {"containment", "408"}, {"traces", "200"}} {
+		if sent[want] != 1 {
+			t.Fatalf("client saw %v %d times, want once (all: %v)", want, sent[want], sent)
+		}
+	}
+	waitFor(t, "408 count", func() bool { return scrapeMetrics(t, ts.URL)[containment408] == 1 })
+
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(raw)
+	m, err := metrics.ParseText(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := 0
+	for series, v := range m {
+		if !strings.HasPrefix(series, "rwd_op_duration_seconds_count{") {
+			continue
+		}
+		op, _ := metrics.SeriesLabel(series, "op")
+		status, _ := metrics.SeriesLabel(series, "status")
+		if int(v) != sent[key{op, status}] {
+			t.Errorf("%s = %v, client saw %d", series, v, sent[key{op, status}])
+		}
+		counted++
+	}
+	if counted != len(sent) {
+		t.Errorf("%d (op, status) rows, client saw %d distinct outcomes", counted, len(sent))
+	}
+	if strings.Contains(text, `rwd_span_seconds_count{span="http.`) {
+		t.Error("a request's root span fed rwd_span_seconds")
+	}
+	for _, family := range []string{
+		"rwdserve_requests_total", "rwdserve_request_seconds", "rwdserve_timeouts_total",
+		"rwdserve_client_closed_total", "rwdserve_rejected_total",
+		"rwd_store_flush_seconds", "rwd_store_compactions_total",
+		"rwd_slow_ops_seen_total", "rwd_slow_ops_logged_total",
+	} {
+		if strings.Contains(text, family) {
+			t.Errorf("retired family %s is still on /metrics", family)
+		}
 	}
 }
 

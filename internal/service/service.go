@@ -19,9 +19,12 @@
 //   - verdict cache: containment verdicts are cached under canonical
 //     renderings of the parsed inputs, so syntactically different but
 //     identical requests hit;
-//   - observability: per-endpoint latency histograms, request/timeout/
-//     rejection counters, in-flight and cache gauges on GET /metrics in
-//     Prometheus text format, plus structured access logs.
+//   - observability: every request runs under a root span whose finish
+//     is the one place its latency and status are recorded — the
+//     rwd_op_duration_seconds{op,status} histogram on GET /metrics
+//     (Prometheus text format), the flight recorder behind /v1/traces,
+//     and the workload profile behind /v1/stats — plus span, in-flight
+//     and cache metrics and structured access logs.
 package service
 
 import (
@@ -61,13 +64,6 @@ type Config struct {
 	// AnalyzeWorkers bounds the worker pool of /v1/analyze;
 	// <= 0 means GOMAXPROCS.
 	AnalyzeWorkers int
-	// SlowOpThreshold is the span duration above which the slow-op log
-	// emits a structured line; <= 0 means 500ms. Set very high to
-	// effectively disable.
-	SlowOpThreshold time.Duration
-	// SlowOpSample emits 1 of every SlowOpSample slow spans (the rest
-	// are counted, not logged); <= 1 emits all.
-	SlowOpSample int64
 	// TraceCapacity bounds the flight-recorder ring (retained root
 	// span trees, queryable via GET /v1/traces); 0 means 1024, < 0
 	// disables the recorder entirely.
@@ -108,9 +104,6 @@ func (c Config) withDefaults() Config {
 	if c.AnalyzeWorkers <= 0 {
 		c.AnalyzeWorkers = runtime.GOMAXPROCS(0)
 	}
-	if c.SlowOpThreshold <= 0 {
-		c.SlowOpThreshold = 500 * time.Millisecond
-	}
 	if c.ProfileWindow <= 0 {
 		c.ProfileWindow = time.Minute
 	}
@@ -144,17 +137,9 @@ type Server struct {
 	// means the corpus endpoints answer 503.
 	store *store.Store
 
-	reqTotal     *metrics.CounterVec   // endpoint, code
-	latency      *metrics.HistogramVec // endpoint
-	rejected     *metrics.CounterVec   // reason
-	timeouts     *metrics.CounterVec   // endpoint
-	clientClosed *metrics.CounterVec   // endpoint
-	spanSecs     *metrics.HistogramVec // span
-	spanCost     *metrics.CounterVec   // span, counter
-	opDur        *metrics.HistogramVec // op, status: rwd_op_duration_seconds
-
-	storeFlushSecs   *metrics.Histogram // store.flush span durations
-	storeCompactions *metrics.Counter   // store.compact spans finished
+	spanSecs *metrics.HistogramVec // span
+	spanCost *metrics.CounterVec   // span, counter
+	opDur    *metrics.HistogramVec // op, status: rwd_op_duration_seconds
 
 	// detached counts engine goroutines that outlived their request and
 	// still hold their admission slot (see slotGuard).
@@ -173,16 +158,6 @@ func New(cfg Config) *Server {
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		started: time.Now(),
 	}
-	s.reqTotal = s.reg.CounterVec("rwdserve_requests_total",
-		"Requests served, by endpoint and HTTP status code.", "endpoint", "code")
-	s.latency = s.reg.HistogramVec("rwdserve_request_seconds",
-		"Request latency in seconds, by endpoint.", metrics.DefBuckets, "endpoint")
-	s.rejected = s.reg.CounterVec("rwdserve_rejected_total",
-		"Requests rejected before reaching an engine, by reason.", "reason")
-	s.timeouts = s.reg.CounterVec("rwdserve_timeouts_total",
-		"Requests that exceeded their deadline, by endpoint.", "endpoint")
-	s.clientClosed = s.reg.CounterVec("rwdserve_client_closed_total",
-		"Requests whose client disconnected before the verdict, by endpoint.", "endpoint")
 	s.reg.GaugeFunc("rwdserve_inflight",
 		"Requests currently admitted past the admission gate.",
 		func() float64 { return float64(len(s.sem)) })
@@ -198,24 +173,16 @@ func New(cfg Config) *Server {
 	s.reg.GaugeFunc("rwdserve_cache_entries",
 		"Verdict-cache occupancy.", func() float64 { return float64(s.cache.Stats().Len) })
 
-	// Span telemetry: every finished span of every request feeds a
-	// duration histogram and its cost counters, keyed by span name, so
-	// the cost of determinization vs. product search vs. shard merge is
-	// visible on /metrics even when no client asks for explain mode.
+	// Span telemetry: every finished span below a request's root feeds a
+	// duration histogram, and every span its cost counters, keyed by span
+	// name, so the cost of determinization vs. product search vs. shard
+	// merge (or store flush vs. compaction) is visible on /metrics even
+	// when no client asks for explain mode.
 	s.spanSecs = s.reg.HistogramVec("rwd_span_seconds",
-		"Span durations in seconds, by span name.", metrics.DefBuckets, "span")
+		"Durations in seconds of spans below a request's root span, by span name.", metrics.DefBuckets, "span")
 	s.spanCost = s.reg.CounterVec("rwd_span_cost_total",
 		"Accumulated span cost counters (states expanded, queries ingested, ...), by span name and counter.",
 		"span", "counter")
-
-	// Store maintenance telemetry: the store.flush / store.compact spans
-	// recorded by internal/store feed dedicated metric families, so
-	// flush latency and compaction counts are visible without parsing
-	// span metrics.
-	s.storeFlushSecs = s.reg.Histogram("rwd_store_flush_seconds",
-		"store.flush span durations in seconds (memtable commit to a segment).", metrics.DefBuckets)
-	s.storeCompactions = s.reg.Counter("rwd_store_compactions_total",
-		"store.compact spans finished (segment merges).")
 
 	// The flight recorder retains every finished root span tree in a
 	// bounded ring, queryable via GET /v1/traces; the queries' own
@@ -234,44 +201,38 @@ func New(cfg Config) *Server {
 		BucketWidth:   cfg.ProfileWindow / 10,
 		WindowBuckets: 10,
 	})
-	// rwd_op_duration_seconds mirrors the profile engine's per-op view
-	// onto /metrics as conventional histogram series.
+	// rwd_op_duration_seconds is the one request histogram: every
+	// request, whatever its outcome (429, 413, 504, 408 included), is
+	// counted once, at its root span's finish. The per-endpoint request,
+	// timeout, client-closed and rejection counts are its _count rows
+	// filtered on op and status.
 	s.opDur = s.reg.HistogramVec("rwd_op_duration_seconds",
-		"Finished-request durations in seconds, by trace op and HTTP status.",
+		"Request durations in seconds, from root-span start to the end of the response write, by op and HTTP status.",
 		metrics.DefBuckets, "op", "status")
 	s.tracer = &obs.Tracer{
 		OnFinish: func(sp *obs.Span) {
-			s.spanSecs.With(sp.Name()).Observe(sp.Duration().Seconds())
 			for name, v := range sp.Counters() {
 				if v != 0 {
 					s.spanCost.With(sp.Name(), name).Add(v)
 				}
 			}
-			switch sp.Name() {
-			case "store.flush":
-				s.storeFlushSecs.Observe(sp.Duration().Seconds())
-			case "store.compact":
-				s.storeCompactions.Inc()
+			if sp.Parent() != nil {
+				s.spanSecs.With(sp.Name()).Observe(sp.Duration().Seconds())
+				return
 			}
-			// Diagnostic reads (/v1/traces*, /v1/stats) are excluded so
-			// observing the observability surfaces never pollutes them.
-			if sp.Parent() == nil && !strings.HasPrefix(sp.Name(), "http.trace") &&
-				sp.Name() != "http.stats" {
-				if tr := recorder.FromSpan(sp); tr != nil {
-					s.flight.Record(tr)
-					s.profile.Observe(tr)
-					status := tr.Status
-					if status == "" {
-						status = "unknown"
-					}
-					s.opDur.With(tr.Op, status).Observe(sp.Duration().Seconds())
-				}
+			tr := recorder.FromSpan(sp)
+			status := tr.Status
+			if status == "" {
+				status = "unknown"
 			}
-		},
-		Slow: &obs.SlowLog{
-			Threshold: cfg.SlowOpThreshold,
-			Sample:    cfg.SlowOpSample,
-			Logger:    cfg.Logger,
+			s.opDur.With(tr.Op, status).Observe(sp.Duration().Seconds())
+			// Diagnostic reads (/v1/traces*, /v1/stats) are counted above
+			// but kept out of the recorder and the profile, so observing
+			// the observability surfaces never pollutes them.
+			if !strings.HasPrefix(sp.Name(), "http.trace") && sp.Name() != "http.stats" {
+				s.flight.Record(tr)
+				s.profile.Observe(tr)
+			}
 		},
 	}
 	if s.flight != nil {
@@ -297,12 +258,6 @@ func New(cfg Config) *Server {
 	s.reg.GaugeFunc("rwd_profile_anomalies_total",
 		"Traces flagged by the profile engine's cost-model residual scoring.",
 		func() float64 { return float64(s.profile.AnomalyCount()) })
-	s.reg.GaugeFunc("rwd_slow_ops_seen_total",
-		"Spans that exceeded the slow-op threshold.",
-		func() float64 { return float64(s.tracer.Slow.Seen()) })
-	s.reg.GaugeFunc("rwd_slow_ops_logged_total",
-		"Slow spans actually emitted to the log (the rest were sampled out).",
-		func() float64 { return float64(s.tracer.Slow.Logged()) })
 
 	// Process-wide cost counters for context-free code paths (the regex
 	// derivative engine is pure recursion with no ctx parameter).
@@ -358,7 +313,8 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Tracer exposes the server's tracer so embedders (cmd/rwdserve) can
 // run startup work — store open/recovery — under a root span that
-// lands in the flight recorder and the span metrics like any request.
+// lands in the flight recorder and rwd_op_duration_seconds like any
+// request.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // FlightStats exposes the flight recorder's accounting (zero when the

@@ -367,8 +367,8 @@ func TestMetricsExposition(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	text := string(raw)
 	for _, want := range []string{
-		`rwdserve_requests_total{endpoint="membership",code="200"} 1`,
-		"# TYPE rwdserve_request_seconds histogram",
+		`rwd_op_duration_seconds_count{op="membership",status="200"} 1`,
+		"# TYPE rwd_op_duration_seconds histogram",
 		"rwdserve_inflight",
 		"rwdserve_cache_entries",
 	} {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/obs/recorder"
@@ -17,14 +16,14 @@ import (
 // as Chrome trace-event JSON loadable in Perfetto.
 
 // traceEndpoint is the lightweight middleware of the trace query
-// endpoints: a root span (excluded from the recorder so reading it
-// never pollutes it), the X-Trace-Id header, request accounting, and
-// the access log line — but no admission gate, body cap, or deadline:
-// the recorder exists to diagnose a saturated server, so its reads
-// must not be shed by the very saturation under diagnosis.
+// endpoints: a root span (counted in rwd_op_duration_seconds but
+// excluded from the recorder so reading it never pollutes it), the
+// X-Trace-Id header, and the shared tail of finishRequest — but no
+// admission gate, body cap, or deadline: the recorder exists to
+// diagnose a saturated server, so its reads must not be shed by the
+// very saturation under diagnosis.
 func (s *Server) traceEndpoint(name string, h func(ctx context.Context, w http.ResponseWriter, r *http.Request) *apiError) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		code := http.StatusOK
 		ctx, span := s.tracer.StartRoot(r.Context(), "http."+name)
 		w.Header().Set("X-Trace-Id", span.TraceID())
@@ -32,13 +31,7 @@ func (s *Server) traceEndpoint(name string, h func(ctx context.Context, w http.R
 			code = aerr.status
 			writeJSON(w, code, map[string]string{"error": aerr.msg})
 		}
-		span.SetAttr(recorder.StatusAttr, strconv.Itoa(code))
-		span.Finish()
-		elapsed := time.Since(start)
-		s.reqTotal.With(name, fmt.Sprintf("%d", code)).Inc()
-		s.latency.With(name).Observe(elapsed.Seconds())
-		s.log.Printf("level=info method=%s path=%q endpoint=%s code=%d dur_ms=%.2f remote=%q trace=%s",
-			r.Method, r.URL.Path, name, code, float64(elapsed.Microseconds())/1000, r.RemoteAddr, span.TraceID())
+		s.finishRequest(r, name, span, code)
 	})
 }
 
