@@ -15,12 +15,14 @@
 // (built by rwdstore or POST /v1/corpora) instead of a file: kind
 // sparql reads a log corpus's committed lines, and kind rdf runs the
 // Section 7.1 RDF analyses over a triples corpus. A missing or corrupt
-// store is exit code 3 — distinct from usage errors (2) and I/O errors
-// (1) — and never silently falls back to regeneration.
+// store is exit code 3 — distinct from usage errors (2), which include
+// a corpus of the wrong kind for -kind, and I/O errors (1) — and never
+// silently falls back to regeneration.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,6 +47,16 @@ var kinds = map[string]bool{
 // callers scripting the CLI can tell "fix the store" (3) apart from
 // "fix the invocation" (2) and ordinary I/O failures (1).
 const exitBadStore = 3
+
+// corpusExit is the exit code for an error opening a stored corpus: a
+// corpus of the other kind (-kind rdf on a log corpus, -kind sparql on
+// a triples corpus) is a usage error, anything else a bad store.
+func corpusExit(err error) int {
+	if errors.Is(err, store.ErrWrongKind) {
+		return 2
+	}
+	return exitBadStore
+}
 
 func main() {
 	kind := flag.String("kind", "sparql", "corpus kind: sparql|xml|dtd|jsonschema|xpath|rdf")
@@ -100,7 +112,7 @@ func main() {
 		case "sparql":
 			if lines, err = st.LogLines(ctx, *corpusName); err != nil {
 				fmt.Fprintf(os.Stderr, "rwdanalyze: reading corpus %q: %v\n", *corpusName, err)
-				os.Exit(exitBadStore)
+				os.Exit(corpusExit(err))
 			}
 		default:
 			fmt.Fprintf(os.Stderr, "kind %q cannot read from a store (only sparql and rdf corpora persist)\n", *kind)
@@ -164,7 +176,7 @@ func analyzeStoredGraph(ctx context.Context, st *store.Store, corpus string) {
 	sg, err := st.Graph(ctx, corpus)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rwdanalyze: corpus %q: %v\n", corpus, err)
-		os.Exit(exitBadStore)
+		os.Exit(corpusExit(err))
 	}
 	stats := rdf.ComputeStats(sg)
 	if err := sg.Err(); err != nil {

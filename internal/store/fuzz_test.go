@@ -2,6 +2,9 @@ package store
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -63,6 +66,81 @@ func FuzzTermCodec(f *testing.F) {
 				if raw[0] == kindInline {
 					t.Fatalf("inline bytes %v decode to %q which re-encodes to %v", raw[:encodedTermSize], term, re)
 				}
+			}
+		}
+	})
+}
+
+// FuzzSegmentOpen flips bytes of a committed three-block segment and
+// truncates its tail. edits is read as (position hi, position lo, xor)
+// triples. As written to disk the CRCs must catch any damage: open
+// returns a CorruptError or the segment serves exactly the committed
+// rows. With reseal the CRCs are recomputed over the damaged bytes, so
+// only the structural checks — offset table, block index, record
+// bounds — stand between them and a read: open may then succeed, but
+// open and every read must end in an error or data, never a panic.
+func FuzzSegmentOpen(f *testing.F) {
+	committed := testRecords(2*blockRecords + 1)
+	path := filepath.Join(f.TempDir(), "seg-000001.seg")
+	if err := writeSegment(path, committed); err != nil {
+		f.Fatal(err)
+	}
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	table := len(orig) - 8*len(committed)
+	at := func(pos int, xor byte) []byte { return []byte{byte(pos >> 8), byte(pos), xor} }
+	f.Add([]byte{}, uint16(0), false)
+	f.Add([]byte{}, uint16(3), false)
+	f.Add(at(15, 0x01), uint16(0), false)                        // record count
+	f.Add(at(15, 0x01), uint16(0), true)                         // ... resealed
+	f.Add(at(segHeaderSize+1, 0x40), uint16(0), true)            // first key length
+	f.Add(at(segHeaderSize+400, 0x10), uint16(0), true)          // a block interior
+	f.Add(at(table+8*blockRecords+7, 0x02), uint16(0), true)     // second block's offset
+	f.Add(at(table+8*blockRecords+6, 0x80), uint16(0), true)     // ... pushed past the records
+	f.Add(at(table+8*(2*blockRecords)+7, 0x01), uint16(0), true) // last block's offset
+	f.Add(at(table+8*5+7, 0x03), uint16(0), true)                // an offset inside a block
+	f.Add([]byte{}, uint16(8*(2*blockRecords+1)), true)          // the offset table cut off
+	f.Fuzz(func(t *testing.T, edits []byte, cut uint16, reseal bool) {
+		data := append([]byte(nil), orig...)
+		for ; len(edits) >= 3; edits = edits[3:] {
+			pos := int(edits[0])<<8 | int(edits[1])
+			data[pos%len(data)] ^= edits[2]
+		}
+		data = data[:len(data)-int(cut)%len(data)]
+		if reseal && len(data) >= segHeaderSize {
+			resealSegment(data)
+		}
+		p := filepath.Join(t.TempDir(), "seg-000001.seg")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := openSegment(p)
+		if err != nil {
+			if !IsCorrupt(err) {
+				t.Fatalf("open of a damaged segment: want CorruptError, got %v", err)
+			}
+			return
+		}
+		defer seg.close()
+
+		var rows []string
+		scanErr := seg.scanPrefix(nil, nil, nil, func(k, v []byte) bool {
+			rows = append(rows, string(k)+"="+string(v))
+			return true
+		})
+		for _, r := range committed {
+			seg.get(r.key, nil)
+			seg.rangeSize(r.key[:2], nil)
+		}
+		for i := 0; i < seg.count; i++ {
+			seg.readKey(i)
+		}
+		if !reseal {
+			if want := committed.withPrefix(nil); scanErr != nil || !reflect.DeepEqual(rows, want) {
+				t.Fatalf("damaged segment opened and served %d rows (err %v), want the %d committed",
+					len(rows), scanErr, len(want))
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync"
 
@@ -47,7 +48,7 @@ func (s *Store) Graph(ctx context.Context, name string) (*StoredGraph, error) {
 		return nil, err
 	}
 	if c.Kind != KindTriples {
-		return nil, &CorruptError{Path: s.dir, Reason: "corpus " + name + " is not a triples corpus"}
+		return nil, fmt.Errorf("store: corpus %q is kind %q, want %q: %w", name, c.Kind, KindTriples, ErrWrongKind)
 	}
 	if err := s.Flush(ctx); err != nil {
 		return nil, err

@@ -24,7 +24,8 @@ import (
 //	data region (dataLen bytes):
 //	  records, sorted by key:  [keyLen uint16 BE][key][valLen uint32 BE][val]
 //	  offset table:            count × uint64 BE (record offsets into the
-//	                           data region), for O(log n) binary search
+//	                           data region); open keeps every
+//	                           blockRecords-th entry as the block index
 //
 // Segments are written to a ".tmp" name, synced, and renamed into
 // place: the rename is the commit. openSegment verifies the magic,
@@ -120,19 +121,30 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
+// blockRecords is the stride of the in-memory block index: every
+// blockRecords-th record starts a block, and a read fetches one whole
+// block with a single ReadAt.
+const blockRecords = 32
+
 // segment is an open, validated segment file. Reads go through the OS
-// page cache via ReadAt; only the offset table lives on the heap, so a
-// store much larger than RAM stays scannable.
+// page cache via ReadAt; only a sparse block index lives on the heap —
+// the offset and first key of every blockRecords-th record, plus the
+// last key — so a store much larger than RAM stays scannable. A key
+// outside [first key, last key] is answered from the index alone.
 type segment struct {
-	path    string
-	f       *os.File
-	count   int
-	offsets []uint64
-	dataLen uint64
+	path       string
+	f          *os.File
+	count      int
+	dataLen    uint64
+	recEnd     uint64   // end of the records region (start of the offset table)
+	blockOff   []uint64 // data-region offset of record b*blockRecords
+	blockFirst [][]byte // key of record b*blockRecords
+	last       []byte   // key of record count-1
 }
 
 // openSegment validates and opens path. Any mismatch — bad magic, bad
-// CRC, wrong length — returns a *CorruptError: a committed segment is
+// CRC, wrong length, a block index that does not fit the records
+// region — returns a *CorruptError: a committed segment is
 // all-or-nothing.
 func openSegment(path string) (*segment, error) {
 	f, err := os.Open(path)
@@ -176,91 +188,219 @@ func openSegment(path string) (*segment, error) {
 	if crc32.ChecksumIEEE(data) != binary.BigEndian.Uint32(hdr[24:28]) {
 		return corrupt("data crc mismatch")
 	}
-	offsets := make([]uint64, count)
-	tbl := data[dataLen-uint64(count)*8:]
 	recEnd := dataLen - uint64(count)*8
-	for i := range offsets {
-		offsets[i] = binary.BigEndian.Uint64(tbl[i*8:])
-		if offsets[i] >= recEnd && count > 0 {
-			return corrupt(fmt.Sprintf("record offset %d beyond records region", offsets[i]))
+	tbl := data[recEnd:]
+	s := &segment{path: path, f: f, count: count, dataLen: dataLen, recEnd: recEnd,
+		blockOff: make([]uint64, (count+blockRecords-1)/blockRecords)}
+	for i := 0; i < count; i++ {
+		off := binary.BigEndian.Uint64(tbl[i*8:])
+		if off >= recEnd {
+			return corrupt(fmt.Sprintf("record offset %d beyond records region", off))
+		}
+		if b := i / blockRecords; i%blockRecords == 0 {
+			// Every record is at least 6 bytes, so block starts strictly increase.
+			if b > 0 && off <= s.blockOff[b-1] {
+				return corrupt(fmt.Sprintf("block %d offset %d does not follow block %d offset %d", b, off, b-1, s.blockOff[b-1]))
+			}
+			s.blockOff[b] = off
 		}
 	}
-	return &segment{path: path, f: f, count: count, offsets: offsets, dataLen: dataLen}, nil
+	// The data region is in memory for the CRC check: take the block
+	// first keys from it, and walk the last block for the last key.
+	s.blockFirst = make([][]byte, len(s.blockOff))
+	for b := range s.blockOff {
+		key, _, _, ok := decodeRecord(s.blockBytes(data, b))
+		if !ok {
+			return corrupt(fmt.Sprintf("block %d: record overruns its block", b))
+		}
+		s.blockFirst[b] = bytes.Clone(key)
+	}
+	if b := len(s.blockOff) - 1; b >= 0 {
+		err := s.walkBlock(s.blockBytes(data, b), b, func(key, _ []byte) bool {
+			s.last = key
+			return true
+		})
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+		s.last = bytes.Clone(s.last)
+	}
+	return s, nil
 }
 
 func (s *segment) close() error { return s.f.Close() }
 
-// readKey returns the i-th record's key.
-func (s *segment) readKey(i int) ([]byte, error) {
-	var lb [2]byte
-	off := int64(segHeaderSize) + int64(s.offsets[i])
-	if _, err := s.f.ReadAt(lb[:], off); err != nil {
-		return nil, err
-	}
-	key := make([]byte, binary.BigEndian.Uint16(lb[:]))
-	if _, err := s.f.ReadAt(key, off+2); err != nil {
-		return nil, err
-	}
-	return key, nil
+// blockLen returns the number of records in block b.
+func (s *segment) blockLen(b int) int {
+	return min(blockRecords, s.count-b*blockRecords)
 }
 
-// readRecord returns the i-th record's key and value.
-func (s *segment) readRecord(i int) (key, val []byte, err error) {
-	key, err = s.readKey(i)
-	if err != nil {
-		return nil, nil, err
+// blockSpan returns the data-region byte range [lo, hi) of block b.
+func (s *segment) blockSpan(b int) (lo, hi uint64) {
+	hi = s.recEnd
+	if b+1 < len(s.blockOff) {
+		hi = s.blockOff[b+1]
 	}
-	off := int64(segHeaderSize) + int64(s.offsets[i]) + 2 + int64(len(key))
-	var lb [4]byte
-	if _, err := s.f.ReadAt(lb[:], off); err != nil {
-		return nil, nil, err
+	return s.blockOff[b], hi
+}
+
+// blockBytes returns block b's bytes within an in-memory data region.
+func (s *segment) blockBytes(data []byte, b int) []byte {
+	lo, hi := s.blockSpan(b)
+	return data[lo:hi]
+}
+
+// readBlock reads block b with one ReadAt, reusing buf's capacity.
+func (s *segment) readBlock(b int, buf []byte) ([]byte, error) {
+	lo, hi := s.blockSpan(b)
+	n := int(hi - lo)
+	if cap(buf) < n {
+		buf = make([]byte, n)
 	}
-	n := binary.BigEndian.Uint32(lb[:])
-	if n == 0 {
-		return key, nil, nil
+	buf = buf[:n]
+	if _, err := s.f.ReadAt(buf, segHeaderSize+int64(lo)); err != nil {
+		return nil, fmt.Errorf("store: %s: reading block %d: %w", s.path, b, err)
 	}
-	val = make([]byte, n)
-	if _, err := s.f.ReadAt(val, off+4); err != nil {
-		return nil, nil, err
+	return buf, nil
+}
+
+// decodeRecord splits the record at the start of buf into its key and
+// value and the bytes after it; ok is false when the record overruns
+// buf. key and val are capped so appending to them cannot clobber buf.
+func decodeRecord(buf []byte) (key, val, rest []byte, ok bool) {
+	if len(buf) < 2 {
+		return nil, nil, nil, false
 	}
-	return key, val, nil
+	k := 2 + int(binary.BigEndian.Uint16(buf))
+	if len(buf) < k+4 {
+		return nil, nil, nil, false
+	}
+	v := uint64(k+4) + uint64(binary.BigEndian.Uint32(buf[k:]))
+	if uint64(len(buf)) < v {
+		return nil, nil, nil, false
+	}
+	return buf[2:k:k], buf[k+4 : v : v], buf[v:], true
+}
+
+// walkBlock decodes block b's records from buf, its bytes, calling fn
+// on each in key order until fn returns false. A record that overruns
+// the block, or bytes left over after its last record, are corruption.
+func (s *segment) walkBlock(buf []byte, b int, fn func(key, val []byte) bool) error {
+	for n := s.blockLen(b); n > 0; n-- {
+		key, val, rest, ok := decodeRecord(buf)
+		if !ok {
+			return &CorruptError{Path: s.path, Reason: fmt.Sprintf("block %d: record overruns its block", b)}
+		}
+		if !fn(key, val) {
+			return nil
+		}
+		buf = rest
+	}
+	if len(buf) != 0 {
+		return &CorruptError{Path: s.path, Reason: fmt.Sprintf("block %d: %d bytes after its last record", b, len(buf))}
+	}
+	return nil
+}
+
+// seek returns the index of the first record with key >= target and,
+// when fn is non-nil, calls fn on that record and each one after it in
+// key order until fn returns false. The block index finds the block
+// with no I/O; then each block costs one ReadAt. key and val passed to
+// fn are valid only until fn returns. Comparisons against block first
+// keys and records are counted into compared (nil-safe); the range
+// check against the first and last key is not.
+func (s *segment) seek(target []byte, compared *int64, fn func(key, val []byte) bool) (int, error) {
+	if s.count == 0 || bytes.Compare(target, s.last) > 0 {
+		return s.count, nil
+	}
+	b, seeking := 0, bytes.Compare(target, s.blockFirst[0]) > 0
+	if seeking {
+		// The last block whose first key is below target holds the answer
+		// or ends right before it.
+		b = sort.Search(len(s.blockFirst), func(j int) bool {
+			if compared != nil {
+				*compared++
+			}
+			return bytes.Compare(s.blockFirst[j], target) >= 0
+		}) - 1
+	} else if fn == nil {
+		return 0, nil
+	}
+	i := b * blockRecords
+	var buf []byte
+	for ; b < len(s.blockOff); b++ {
+		var err error
+		if buf, err = s.readBlock(b, buf); err != nil {
+			return i, err
+		}
+		more := true
+		err = s.walkBlock(buf, b, func(key, val []byte) bool {
+			if seeking {
+				if compared != nil {
+					*compared++
+				}
+				if bytes.Compare(key, target) < 0 {
+					i++
+					return true
+				}
+				seeking = false
+				if fn == nil {
+					more = false
+					return false
+				}
+			}
+			more = fn(key, val)
+			return more
+		})
+		if err != nil || !more {
+			return i, err
+		}
+		if seeking && fn == nil {
+			return i, nil // the next block's first key is >= target
+		}
+	}
+	return i, nil
 }
 
 // lowerBound returns the index of the first record with key >= target,
 // counting key comparisons into compared (nil-safe).
 func (s *segment) lowerBound(target []byte, compared *int64) (int, error) {
-	var err error
-	idx := sort.Search(s.count, func(i int) bool {
-		if err != nil {
-			return false
-		}
-		var k []byte
-		k, err = s.readKey(i)
-		if compared != nil {
-			*compared++
-		}
-		return err == nil && bytes.Compare(k, target) >= 0
-	})
-	if err != nil {
-		return 0, err
-	}
-	return idx, nil
+	return s.seek(target, compared, nil)
 }
 
 // get returns the value stored under key and whether it exists.
-func (s *segment) get(key []byte, compared *int64) ([]byte, bool, error) {
-	i, err := s.lowerBound(key, compared)
-	if err != nil || i >= s.count {
-		return nil, false, err
-	}
-	k, v, err := s.readRecord(i)
-	if err != nil {
-		return nil, false, err
-	}
-	if !bytes.Equal(k, key) {
+func (s *segment) get(key []byte, compared *int64) (val []byte, found bool, err error) {
+	if s.count == 0 || bytes.Compare(key, s.blockFirst[0]) < 0 {
 		return nil, false, nil
 	}
-	return v, true, nil
+	_, err = s.seek(key, compared, func(k, v []byte) bool {
+		if bytes.Equal(k, key) {
+			val, found = v, true
+		}
+		return false
+	})
+	return val, found, err
+}
+
+// readKey returns the i-th record's key.
+func (s *segment) readKey(i int) ([]byte, error) {
+	b := i / blockRecords
+	buf, err := s.readBlock(b, nil)
+	if err != nil {
+		return nil, err
+	}
+	var key []byte
+	j := b * blockRecords
+	err = s.walkBlock(buf, b, func(k, _ []byte) bool {
+		if j == i {
+			key = k
+			return false
+		}
+		j++
+		return true
+	})
+	return key, err
 }
 
 // prefixUpper returns the smallest key greater than every key with the
@@ -278,36 +418,36 @@ func prefixUpper(prefix []byte) []byte {
 }
 
 // scanPrefix calls fn for every record whose key starts with prefix, in
-// key order. fn returning false stops the scan early. checkpoint, when
-// non-nil, is called every scanCheckpointEvery records and aborts the
-// scan when it reports an error (cooperative cancellation).
+// key order; key and val are valid only until fn returns. fn returning
+// false stops the scan early. checkpoint, when non-nil, is called every
+// scanCheckpointEvery records and aborts the scan when it reports an
+// error (cooperative cancellation). A prefix whose keys all sort
+// outside [first key, last key] costs no I/O.
 func (s *segment) scanPrefix(prefix []byte, compared *int64, checkpoint func() error,
 	fn func(key, val []byte) bool) error {
-	i, err := s.lowerBound(prefix, compared)
-	if err != nil {
-		return err
+	// Keys with the prefix all sort before a first key above the prefix
+	// that does not start with it; seek prunes those after the last key.
+	if s.count == 0 || (bytes.Compare(s.blockFirst[0], prefix) > 0 && !bytes.HasPrefix(s.blockFirst[0], prefix)) {
+		return nil
 	}
-	for n := 0; i < s.count; i, n = i+1, n+1 {
+	var cerr error
+	n := 0
+	_, err := s.seek(prefix, compared, func(key, val []byte) bool {
 		if checkpoint != nil && n%scanCheckpointEvery == scanCheckpointEvery-1 {
-			if err := checkpoint(); err != nil {
-				return err
+			if cerr = checkpoint(); cerr != nil {
+				return false
 			}
 		}
-		key, val, err := s.readRecord(i)
-		if err != nil {
-			return err
-		}
+		n++
 		if compared != nil {
 			*compared++
 		}
-		if !bytes.HasPrefix(key, prefix) {
-			return nil
-		}
-		if !fn(key, val) {
-			return nil
-		}
+		return bytes.HasPrefix(key, prefix) && fn(key, val)
+	})
+	if err != nil {
+		return err
 	}
-	return nil
+	return cerr
 }
 
 // rangeSize returns the number of records whose key starts with prefix.

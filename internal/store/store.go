@@ -54,6 +54,11 @@ var ErrNoStore = errors.New("no store at directory")
 // ErrUnknownCorpus reports a lookup of a corpus name never created.
 var ErrUnknownCorpus = errors.New("unknown corpus")
 
+// ErrWrongKind reports an operation on a corpus of the other kind, such
+// as a triples view of a log corpus: the caller's mistake, not damage
+// to the store.
+var ErrWrongKind = errors.New("wrong corpus kind")
+
 // CorruptError reports that an on-disk structure failed validation —
 // a committed segment or mid-log dictionary record with a bad CRC,
 // wrong length, or bad magic. It is never returned for a torn tail the
@@ -101,8 +106,8 @@ type registry struct {
 }
 
 // Stats is a point-in-time summary of the store, cheap enough for a
-// metrics gauge (counts come from offset-table range bounds, not full
-// scans).
+// metrics gauge (counts come from range bounds, at most two block
+// reads per segment, not full scans).
 type Stats struct {
 	Corpora      int   `json:"corpora"`
 	Segments     int   `json:"segments"`
@@ -372,7 +377,7 @@ func (s *Store) CreateCorpus(name string, kind CorpusKind) (Corpus, error) {
 	defer s.mu.Unlock()
 	if c, ok := s.corpora[name]; ok {
 		if c.Kind != kind {
-			return Corpus{}, fmt.Errorf("store: corpus %q is kind %q, not %q", name, c.Kind, kind)
+			return Corpus{}, fmt.Errorf("store: corpus %q is kind %q, not %q: %w", name, c.Kind, kind, ErrWrongKind)
 		}
 		return c, nil
 	}
@@ -673,7 +678,7 @@ func (s *Store) LogLines(ctx context.Context, name string) ([]string, error) {
 		return nil, err
 	}
 	if c.Kind != KindLog {
-		return nil, fmt.Errorf("store: corpus %q is kind %q, want %q", name, c.Kind, KindLog)
+		return nil, fmt.Errorf("store: corpus %q is kind %q, want %q: %w", name, c.Kind, KindLog, ErrWrongKind)
 	}
 	if err := s.Flush(ctx); err != nil {
 		return nil, err

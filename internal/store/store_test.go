@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -487,12 +488,22 @@ func TestCorpusKindMismatch(t *testing.T) {
 	if _, err := st.IngestLog(ctx, "c", []string{"x"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.IngestTriples(ctx, "c", testTriples(1, 5)); err == nil {
-		t.Fatal("kind mismatch accepted")
+	if _, err := st.IngestTriples(ctx, "g", testTriples(1, 5)); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := st.Graph(ctx, "c"); err == nil {
-		t.Fatal("Graph over a log corpus accepted")
+	// A wrong kind is the caller's mistake, never reported as corruption.
+	wrongKind := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrWrongKind) || IsCorrupt(err) {
+			t.Fatalf("%s: want ErrWrongKind and not CorruptError, got %v", what, err)
+		}
 	}
+	_, err = st.IngestTriples(ctx, "c", testTriples(1, 5))
+	wrongKind("IngestTriples into a log corpus", err)
+	_, err = st.Graph(ctx, "c")
+	wrongKind("Graph over a log corpus", err)
+	_, err = st.LogLines(ctx, "g")
+	wrongKind("LogLines of a triples corpus", err)
 	if _, err := st.Graph(ctx, "absent"); err == nil {
 		t.Fatal("Graph over an unknown corpus accepted")
 	}
