@@ -34,3 +34,15 @@ type GraphReader interface {
 }
 
 var _ GraphReader = (*Graph)(nil)
+
+// TermIDSource is an optional extension of GraphReader that
+// ComputeStats uses in place of interning the strings of Triples. A
+// reader that can tell terms apart without building them (a store
+// compares the fixed-width encoded terms of its keys) implements it.
+//
+// TermIDs returns every triple once, as in Triples, with each term
+// replaced by an id in [0, n): two positions share an id exactly when
+// they hold the same term.
+type TermIDSource interface {
+	TermIDs() (triples [][3]uint32, n int)
+}

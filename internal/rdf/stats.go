@@ -1,9 +1,10 @@
 package rdf
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
-	"strings"
 )
 
 // Stats aggregates the dataset characteristics studied in Section 7.1.
@@ -77,156 +78,188 @@ func newDistribution(values []int) Distribution {
 	return d
 }
 
-// ComputeStats runs the Section 7.1 analyses over any GraphReader. It
-// builds its index maps locally from one pass over Triples, so it is
-// backend-agnostic, and every aggregate is independent of triple
-// iteration order (distributions sort, counts are commutative) — the
-// store-analysis differential oracle depends on that for byte-identical
-// reports across backends.
+// ComputeStats runs the Section 7.1 analyses over any GraphReader.
+//
+// Every statistic depends only on which terms are equal, never on term
+// text or order, so there is one algorithm, statsOfIDs, over dense term
+// ids. A reader that implements TermIDSource supplies the ids itself
+// (store.StoredGraph numbers the encoded terms of its keys); any other
+// reader's triples are interned into ids in one pass. Every aggregate
+// is independent of triple order and id assignment (distributions sort,
+// counts are integers, the one non-exact floating-point fold runs over
+// sorted values) — the store-analysis differential oracle depends on
+// that for byte-identical reports across backends.
 func ComputeStats(g GraphReader) *Stats {
-	triples := g.Triples()
-	bySubject := map[string]int{}
-	byObject := map[string]int{}
-	predicates := map[string]bool{}
-	subjectPreds := map[string]map[string]bool{}
-	objectPreds := map[string]map[string]bool{}
-	bySP := map[[2]string]int{}
-	byPO := map[[2]string]int{}
-	for _, t := range triples {
-		bySubject[t.S]++
-		byObject[t.O]++
-		predicates[t.P] = true
-		if subjectPreds[t.S] == nil {
-			subjectPreds[t.S] = map[string]bool{}
+	if src, ok := g.(TermIDSource); ok {
+		return statsOfIDs(src.TermIDs())
+	}
+	return statsOfIDs(internTerms(g.Triples()))
+}
+
+// internTerms numbers the distinct terms of triples 0, 1, ... in order
+// of first occurrence.
+func internTerms(triples []Triple) ([][3]uint32, int) {
+	ids := make(map[string]uint32, len(triples))
+	id := func(term string) uint32 {
+		v, ok := ids[term]
+		if !ok {
+			v = uint32(len(ids))
+			ids[term] = v
 		}
-		subjectPreds[t.S][t.P] = true
-		if objectPreds[t.O] == nil {
-			objectPreds[t.O] = map[string]bool{}
-		}
-		objectPreds[t.O][t.P] = true
-		bySP[[2]string{t.S, t.P}]++
-		byPO[[2]string{t.P, t.O}]++
+		return v
+	}
+	out := make([][3]uint32, len(triples))
+	for i, t := range triples {
+		out[i] = [3]uint32{id(t.S), id(t.P), id(t.O)}
+	}
+	return out, len(ids)
+}
+
+// statsOfIDs computes the statistics of triples over term ids in
+// [0, terms). Per-term counts are slices indexed by id; the (s,p) and
+// (p,o) groups are runs of equal packed pairs after a sort.
+func statsOfIDs(triples [][3]uint32, terms int) *Stats {
+	outDeg := make([]int, terms)
+	inDeg := make([]int, terms)
+	isPred := make([]bool, terms)
+	sp := make([]uint64, len(triples))
+	po := make([]uint64, len(triples))
+	for i, t := range triples {
+		outDeg[t[0]]++
+		inDeg[t[2]]++
+		isPred[t[1]] = true
+		sp[i] = uint64(t[0])<<32 | uint64(t[1])
+		po[i] = uint64(t[1])<<32 | uint64(t[2])
 	}
 
-	st := &Stats{
-		Triples:    len(triples),
-		Subjects:   len(bySubject),
-		Predicates: len(predicates),
-		Objects:    len(byObject),
-	}
-	// degrees
+	st := &Stats{Triples: len(triples)}
 	var outs, ins []int
-	for _, n := range bySubject {
-		outs = append(outs, n)
+	predSubjects, predObjects := 0, 0 // |P∩S|, |P∩O|
+	for id := range terms {
+		if outDeg[id] > 0 {
+			outs = append(outs, outDeg[id])
+		}
+		if inDeg[id] > 0 {
+			ins = append(ins, inDeg[id])
+		}
+		if isPred[id] {
+			st.Predicates++
+			if outDeg[id] > 0 {
+				predSubjects++
+			}
+			if inDeg[id] > 0 {
+				predObjects++
+			}
+		}
 	}
-	for _, n := range byObject {
-		ins = append(ins, n)
-	}
+	st.Subjects, st.Objects = len(outs), len(ins)
 	st.OutDegree = newDistribution(outs)
 	st.InDegree = newDistribution(ins)
 
-	// predicate lists
-	listCount := map[string]int{}
-	for _, set := range subjectPreds {
-		ps := make([]string, 0, len(set))
-		for p := range set {
-			ps = append(ps, p)
+	// (s,p) groups: after the sort and dedup, each subject's distinct
+	// predicates are one run of ascending ids — its predicate list.
+	slices.Sort(sp)
+	sp = slices.Compact(sp)
+	if len(sp) > 0 {
+		st.MeanObjectsPerSP = float64(len(triples)) / float64(len(sp))
+	}
+	predicateLists(st, sp)
+
+	// (p,o) groups: the run lengths are the subjects per (p,o) pair, and
+	// the number of runs is the sum over objects of their distinct
+	// incoming predicates.
+	slices.Sort(po)
+	var perPO []int
+	for lo := 0; lo < len(po); {
+		hi := lo + 1
+		for hi < len(po) && po[hi] == po[lo] {
+			hi++
 		}
-		sort.Strings(ps)
-		listCount[strings.Join(ps, "\x00")]++
+		perPO = append(perPO, hi-lo)
+		lo = hi
 	}
-	st.PredicateLists = len(listCount)
-	if st.PredicateLists > 0 {
-		st.RatioSubjectsPerList = float64(st.Subjects) / float64(st.PredicateLists)
+	st.MeanSubjectsPerPO, st.StdDevSubjectsPerPO = meanStd(perPO)
+	if st.Objects > 0 {
+		st.MeanPredicatesPerObject = float64(len(perPO)) / float64(st.Objects)
 	}
-	threshold := st.Subjects / 100
-	if threshold < 2 {
-		threshold = 2
+
+	st.PSOverlap = overlap(predSubjects, st.Predicates, st.Subjects)
+	st.POOverlap = overlap(predObjects, st.Predicates, st.Objects)
+	return st
+}
+
+// predicateLists fills the predicate-list statistics from the distinct
+// (s,p) pairs, sorted. Two subjects share a list exactly when their
+// runs hold the same id sequence, so sorting the runs by that sequence
+// makes each shared list one group of adjacent runs.
+func predicateLists(st *Stats, sp []uint64) {
+	var runs [][]uint64
+	for lo := 0; lo < len(sp); {
+		hi := lo + 1
+		for hi < len(sp) && sp[hi]>>32 == sp[lo]>>32 {
+			hi++
+		}
+		runs = append(runs, sp[lo:hi])
+		lo = hi
 	}
+	// Compare the predicate ids, the low halves; the subject halves
+	// differ between runs by construction.
+	byPredicates := func(a, b []uint64) int {
+		return slices.CompareFunc(a, b, func(x, y uint64) int { return cmp.Compare(uint32(x), uint32(y)) })
+	}
+	slices.SortFunc(runs, byPredicates)
+
+	threshold := max(st.Subjects/100, 2)
 	shared := 0
-	for _, n := range listCount {
-		if n >= threshold {
+	for lo := 0; lo < len(runs); {
+		hi := lo + 1
+		for hi < len(runs) && byPredicates(runs[hi], runs[lo]) == 0 {
+			hi++
+		}
+		st.PredicateLists++
+		if n := hi - lo; n >= threshold {
 			shared += n
 		}
+		lo = hi
+	}
+	if st.PredicateLists > 0 {
+		st.RatioSubjectsPerList = float64(st.Subjects) / float64(st.PredicateLists)
 	}
 	if st.Subjects > 0 {
 		st.SharedListSubjectRate = float64(shared) / float64(st.Subjects)
 	}
-
-	// multiplicities
-	st.MeanObjectsPerSP = meanCount(bySP)
-	st.MeanSubjectsPerPO, st.StdDevSubjectsPerPO = meanStdCount(byPO)
-
-	// predicates per object
-	perObject := 0
-	for _, set := range objectPreds {
-		perObject += len(set)
-	}
-	if st.Objects > 0 {
-		st.MeanPredicatesPerObject = float64(perObject) / float64(st.Objects)
-	}
-
-	// overlaps
-	st.PSOverlap = overlap(predicates, countKeys(bySubject))
-	st.POOverlap = overlap(predicates, countKeys(byObject))
-	return st
 }
 
-func countKeys(m map[string]int) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k := range m {
-		out[k] = true
-	}
-	return out
-}
-
-func overlap(a, b map[string]bool) float64 {
-	inter, union := 0, len(b)
-	for k := range a {
-		if b[k] {
-			inter++
-		} else {
-			union++
-		}
-	}
+// overlap returns |P∩X| / |P∪X| from the sizes of P, X and P∩X, or 0
+// when both sets are empty.
+func overlap(inter, p, x int) float64 {
+	union := p + x - inter
 	if union == 0 {
 		return 0
 	}
 	return float64(inter) / float64(union)
 }
 
-func meanCount(m map[[2]string]int) float64 {
-	if len(m) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, n := range m {
-		sum += n
-	}
-	return float64(sum) / float64(len(m))
-}
-
-func meanStdCount(m map[[2]string]int) (mean, std float64) {
-	if len(m) == 0 {
+// meanStd returns the mean and population standard deviation of counts,
+// sorting counts in place.
+func meanStd(counts []int) (mean, std float64) {
+	if len(counts) == 0 {
 		return 0, 0
 	}
 	// Accumulate in sorted order: the squared deviations are not exactly
-	// representable, so summing in map iteration order would make the
-	// last bits of the result depend on the (randomized) order — which
-	// would break the byte-identity the store-analysis oracle pins.
-	counts := make([]int, 0, len(m))
+	// representable, so the last bits of the sum depend on the order,
+	// and sorting makes it independent of triple order and id assignment
+	// — the byte-identity the store-analysis oracle pins.
+	sort.Ints(counts)
 	sum := 0
-	for _, n := range m {
-		counts = append(counts, n)
+	for _, n := range counts {
 		sum += n
 	}
-	sort.Ints(counts)
-	mean = float64(sum) / float64(len(m))
+	mean = float64(sum) / float64(len(counts))
 	varSum := 0.0
 	for _, n := range counts {
 		d := float64(n) - mean
 		varSum += d * d
 	}
-	std = math.Sqrt(varSum / float64(len(m)))
-	return mean, std
+	return mean, math.Sqrt(varSum / float64(len(counts)))
 }

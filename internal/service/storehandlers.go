@@ -66,11 +66,15 @@ var errNoStoreAttached = &apiError{http.StatusServiceUnavailable,
 	"no store configured (start rwdserve with -store-dir)"}
 
 // storeError maps a store error to its HTTP status: an unknown corpus
-// is the client's mistake (404), anything else — corruption, I/O — is
-// the server's (500).
+// (404) and a request for the other kind of an existing corpus (409)
+// are the client's mistakes; anything else — corruption, I/O — is the
+// server's (500).
 func storeError(err error) *apiError {
-	if errors.Is(err, store.ErrUnknownCorpus) {
+	switch {
+	case errors.Is(err, store.ErrUnknownCorpus):
 		return &apiError{http.StatusNotFound, err.Error()}
+	case errors.Is(err, store.ErrWrongKind):
+		return &apiError{http.StatusConflict, err.Error()}
 	}
 	return &apiError{http.StatusInternalServerError, err.Error()}
 }

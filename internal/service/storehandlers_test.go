@@ -2,12 +2,18 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
@@ -148,6 +154,83 @@ func TestCorpusIngestValidation(t *testing.T) {
 		if code := post(t, base, "/v1/corpora", c, nil); code != http.StatusBadRequest {
 			t.Fatalf("case %d (%s): code %d, want 400", i, c, code)
 		}
+	}
+}
+
+// TestCorpusWrongKindIsConflict: data of the other kind POSTed to an
+// existing corpus is the client's mistake, 409, in both directions.
+func TestCorpusWrongKindIsConflict(t *testing.T) {
+	_, base := newStoreServer(t)
+	for _, c := range []string{
+		`{"name":"logs","queries":["SELECT ?x WHERE { ?x a ?y }"]}`,
+		`{"name":"graph","triples":[["s","p","o"]]}`,
+	} {
+		if code := post(t, base, "/v1/corpora", c, nil); code != 200 {
+			t.Fatalf("ingest %s: code %d", c, code)
+		}
+	}
+	for _, c := range []string{
+		`{"name":"logs","triples":[["s","p","o"]]}`,
+		`{"name":"graph","queries":["SELECT ?x WHERE { ?x a ?y }"]}`,
+	} {
+		if code := post(t, base, "/v1/corpora", c, nil); code != http.StatusConflict {
+			t.Fatalf("%s: code %d, want 409", c, code)
+		}
+	}
+}
+
+// TestCorruptCorpusAnalyzeIs500: an SPO key holding an undecodable term
+// (here a bad kind byte, behind valid segment CRCs) makes store-backed
+// analysis answer 500, not rdf_stats computed without the bad triple.
+func TestCorruptCorpusAnalyzeIs500(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := st.IngestTriples(ctx, "graph", []rdf.Triple{{S: "s1", P: "knows", O: "s2"}, {S: "s2", P: "knows", O: "s3"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The inline encoding of "s1" — kind 0x01, the term zero-padded to 8
+	// bytes, its length — appears once in each of the three index keys
+	// of its triple; give the SPO key's copy, the first, an unknown kind.
+	paths, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if len(paths) != 1 {
+		t.Fatalf("want one segment, found %d", len(paths))
+	}
+	seg, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := []byte{0x01, 's', '1', 0, 0, 0, 0, 0, 0, 2}
+	at := bytes.Index(seg, enc)
+	if at < 0 {
+		t.Fatal("encoded term not found in the segment")
+	}
+	seg[at] = 0x07
+	// Reseal: the data CRC at bytes 24–28, then the header CRC at 28–32.
+	binary.BigEndian.PutUint32(seg[24:28], crc32.ChecksumIEEE(seg[32:]))
+	binary.BigEndian.PutUint32(seg[28:32], crc32.ChecksumIEEE(seg[:28]))
+	if err := os.WriteFile(paths[0], seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if st, err = store.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	s, ts := newTestServer(t, Config{})
+	s.AttachStore(st)
+	var resp map[string]any
+	if code := post(t, ts.URL, "/v1/analyze", `{"corpus":"graph"}`, &resp); code != http.StatusInternalServerError {
+		t.Fatalf("analyze of a corrupt corpus: code %d (body %v), want 500", code, resp)
+	}
+	if _, ok := resp["rdf_stats"]; ok {
+		t.Fatalf("analyze of a corrupt corpus returned rdf_stats: %v", resp)
 	}
 }
 

@@ -99,6 +99,20 @@ func appendTermRead(dst []byte, term string, dict *dict) ([]byte, bool) {
 // segment reader calls it on data whose CRC already passed, but the
 // fuzz target and the verify path call it on arbitrary bytes.
 func decodeTerm(b []byte, dict *dict) (string, error) {
+	hashed, err := checkTerm(b, dict)
+	if err != nil || b[0] == kindHash {
+		return hashed, err
+	}
+	return string(b[1 : 1+b[9]]), nil
+}
+
+// checkTerm applies every check decodeTerm makes to one encoded term
+// without building an inline term's string. A hashed term's string is
+// the dictionary's own, so it is returned at no cost. An encoding that
+// passes names exactly one term, and no other encoding names it: the
+// inline form is canonical once its padding and length are checked,
+// and the dictionary maps handles to terms one to one.
+func checkTerm(b []byte, dict *dict) (hashed string, err error) {
 	if len(b) < encodedTermSize {
 		return "", fmt.Errorf("store: encoded term truncated: %d bytes", len(b))
 	}
@@ -113,7 +127,7 @@ func decodeTerm(b []byte, dict *dict) (string, error) {
 				return "", fmt.Errorf("store: inline term has nonzero padding")
 			}
 		}
-		return string(b[1 : 1+n]), nil
+		return "", nil
 	case kindHash:
 		if b[9] != 0 {
 			return "", fmt.Errorf("store: hashed term has nonzero length byte")

@@ -88,6 +88,11 @@ func (d *dict) recover() error {
 		if prev, ok := d.byHandle[rec.handle]; ok && prev != rec.term {
 			return &CorruptError{Path: d.path, Reason: fmt.Sprintf("handle %016x maps to two terms", rec.handle)}
 		}
+		// intern never gives a term a second handle; two would let equal
+		// terms in stored keys count as distinct ones.
+		if prev, ok := d.byTerm[rec.term]; ok && prev != rec.handle {
+			return &CorruptError{Path: d.path, Reason: fmt.Sprintf("term at offset %d has two handles, %016x and %016x", off, prev, rec.handle)}
+		}
 		d.byHandle[rec.handle] = rec.term
 		d.byTerm[rec.term] = rec.handle
 		off += n

@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/rdf"
 )
 
 // FuzzTermCodec fuzzes the term codec from both directions with one
@@ -142,6 +145,114 @@ func FuzzSegmentOpen(f *testing.F) {
 				t.Fatalf("damaged segment opened and served %d rows (err %v), want the %d committed",
 					len(rows), scanErr, len(want))
 			}
+		}
+	})
+}
+
+// FuzzDictReplay flips bytes of a committed terms.dat and truncates its
+// tail, reading edits and cut as FuzzSegmentOpen does. Every record
+// carries a CRC, so damage is never read as a term: open returns a
+// CorruptError, or — when the damage or the cut falls in the last
+// records, which replay takes for a torn append and drops — the store
+// opens and every read of the corpus either serves exactly the
+// committed rows, with ComputeStats equal to the in-memory stats, or
+// latches a CorruptError for a key whose handle the dictionary lost.
+func FuzzDictReplay(f *testing.F) {
+	ctx := context.Background()
+	triples := withLongTerms(withLongTerms(testTriples(31, 20), "one"), "two")
+	src := f.TempDir()
+	st, err := Open(src)
+	if err != nil {
+		f.Fatal(err)
+	}
+	half := len(triples) / 2
+	for _, batch := range [][]rdf.Triple{triples[:half], triples[half:]} {
+		if _, err := st.IngestTriples(ctx, "g", batch); err != nil {
+			f.Fatal(err)
+		}
+		if err := st.Flush(ctx); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		f.Fatal(err)
+	}
+	files := map[string][]byte{}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(src, e.Name())); err != nil {
+			f.Fatal(err)
+		}
+	}
+	dictData := files["terms.dat"]
+	var starts []int // record offsets
+	for off := 0; off < len(dictData); {
+		_, n, err := parseDictRecord(dictData[off:])
+		if err != nil {
+			f.Fatal(err)
+		}
+		starts = append(starts, off)
+		off += n
+	}
+	last := starts[len(starts)-1]
+	want := append([]rdf.Triple(nil), memGraph(triples).Triples()...)
+	sortTriples(want)
+	wantStats := rdf.ComputeStats(memGraph(triples))
+
+	at := func(pos int, xor byte) []byte { return []byte{byte(pos >> 8), byte(pos), xor} }
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{}, uint16(1))                                 // the last record's CRC cut
+	f.Add([]byte{}, uint16(len(dictData)-last))                // the last record cut whole
+	f.Add([]byte{}, uint16(len(dictData)))                     // everything cut
+	f.Add(at(0, 0x01), uint16(0))                              // first marker
+	f.Add(at(starts[1]-1, 0x01), uint16(0))                    // first record's CRC
+	f.Add(at(20, 0x40), uint16(0))                             // first term's bytes
+	f.Add(at(last+3, 0x01), uint16(0))                         // last record's handle
+	f.Add(at(last+12, 0x01), uint16(0))                        // last record's length
+	f.Add(append(at(5, 0x01), at(last+5, 0x01)...), uint16(2)) // two records and a cut
+	f.Fuzz(func(t *testing.T, edits []byte, cut uint16) {
+		data := append([]byte(nil), dictData...)
+		for ; len(edits) >= 3; edits = edits[3:] {
+			pos := int(edits[0])<<8 | int(edits[1])
+			data[pos%len(data)] ^= edits[2]
+		}
+		data = data[:len(data)-int(cut)%(len(data)+1)]
+		dir := t.TempDir()
+		for name, b := range files {
+			if name == "terms.dat" {
+				b = data
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := Open(dir)
+		if err != nil {
+			if !IsCorrupt(err) {
+				t.Fatalf("open with a damaged dictionary: want CorruptError, got %v", err)
+			}
+			return
+		}
+		defer st.Close()
+		sg, err := st.Graph(ctx, "g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := sg.Triples()
+		stats := rdf.ComputeStats(sg)
+		if err := sg.Err(); err != nil {
+			if !IsCorrupt(err) {
+				t.Fatalf("read with a damaged dictionary: want CorruptError, got %v", err)
+			}
+			return
+		}
+		sortTriples(rows)
+		if !reflect.DeepEqual(rows, want) || !reflect.DeepEqual(stats, wantStats) {
+			t.Fatalf("damaged dictionary opened and served %d rows, want the %d committed (stats equal: %v)",
+				len(rows), len(want), reflect.DeepEqual(stats, wantStats))
 		}
 	})
 }

@@ -81,18 +81,19 @@ func (sg *StoredGraph) fail(err error) {
 
 // scan runs fn over every record under the corpus index prefix built
 // from the given terms, across all segments. A term that cannot be
-// encoded for reading means no key can match. Returns false after a
-// latched error.
-func (sg *StoredGraph) scan(idx byte, terms []string, fn func(key []byte, prefixLen int) bool) bool {
+// encoded for reading means no key can match. An error from fn means
+// the key did not decode: it is latched as a CorruptError naming the
+// segment. Nothing is scanned after a latched error.
+func (sg *StoredGraph) scan(idx byte, terms []string, fn func(key []byte, prefixLen int) error) {
 	if sg.Err() != nil {
-		return false
+		return
 	}
 	prefix := corpusPrefix(sg.c.ID, idx)
 	for _, t := range terms {
 		var ok bool
 		prefix, ok = appendTermRead(prefix, t, sg.st.dict)
 		if !ok {
-			return true // nothing stored can match
+			return // nothing stored can match
 		}
 	}
 	var compared int64
@@ -103,32 +104,30 @@ func (sg *StoredGraph) scan(idx byte, terms []string, fn func(key []byte, prefix
 	sg.st.mu.RUnlock()
 	for _, seg := range segs {
 		sg.segsScanned.Inc()
+		var keyErr error
 		err := seg.scanPrefix(prefix, &compared, checkpoint, func(key, _ []byte) bool {
-			return fn(key, len(prefix))
+			keyErr = fn(key, len(prefix))
+			return keyErr == nil
 		})
+		if err == nil && keyErr != nil {
+			err = &CorruptError{Path: seg.path, Reason: keyErr.Error()}
+		}
 		if err != nil {
 			sg.keysCmp.Add(compared)
 			sg.fail(err)
-			return false
+			return
 		}
 	}
 	sg.keysCmp.Add(compared)
-	return true
 }
 
-// decode3 decodes the three terms of a triple key starting at off,
-// latching a corruption error if decoding fails.
-func (sg *StoredGraph) decode3(key []byte, off int) (a, b, c string, ok bool) {
-	var err error
-	if a, err = decodeTerm(key[off:], sg.st.dict); err == nil {
-		if b, err = decodeTerm(key[off+encodedTermSize:], sg.st.dict); err == nil {
-			if c, err = decodeTerm(key[off+2*encodedTermSize:], sg.st.dict); err == nil {
-				return a, b, c, true
-			}
-		}
+// checkTripleKey rejects a key under a triple index that does not hold
+// exactly three encoded terms.
+func checkTripleKey(key []byte) error {
+	if len(key) != keyBase+3*encodedTermSize {
+		return fmt.Errorf("store: triple key is %d bytes, want %d", len(key), keyBase+3*encodedTermSize)
 	}
-	sg.fail(err)
-	return "", "", "", false
+	return nil
 }
 
 // keyBase returns the length of the [corpus 4][index 1] prefix.
@@ -137,28 +136,84 @@ const keyBase = 5
 // Len returns the number of triples.
 func (sg *StoredGraph) Len() int {
 	n := 0
-	sg.scan(idxSPO, nil, func([]byte, int) bool { n++; return true })
+	sg.scan(idxSPO, nil, func([]byte, int) error { n++; return nil })
 	if sg.Err() != nil {
 		return 0
 	}
 	return n
 }
 
+// decodeTriple decodes a key of index idx back into its triple.
+func (sg *StoredGraph) decodeTriple(idx byte, key []byte) (rdf.Triple, error) {
+	if err := checkTripleKey(key); err != nil {
+		return rdf.Triple{}, err
+	}
+	var terms [3]string
+	for i := range terms {
+		var err error
+		if terms[i], err = decodeTerm(key[keyBase+i*encodedTermSize:], sg.st.dict); err != nil {
+			return rdf.Triple{}, err
+		}
+	}
+	switch idx {
+	case idxPOS:
+		return rdf.Triple{S: terms[2], P: terms[0], O: terms[1]}, nil
+	case idxOSP:
+		return rdf.Triple{S: terms[1], P: terms[2], O: terms[0]}, nil
+	}
+	return rdf.Triple{S: terms[0], P: terms[1], O: terms[2]}, nil
+}
+
 // Triples returns all triples, in SPO key order.
 func (sg *StoredGraph) Triples() []rdf.Triple {
 	var out []rdf.Triple
-	sg.scan(idxSPO, nil, func(key []byte, _ int) bool {
-		s, p, o, ok := sg.decode3(key, keyBase)
-		if !ok {
-			return false
-		}
-		out = append(out, rdf.Triple{S: s, P: p, O: o})
-		return true
+	sg.scan(idxSPO, nil, func(key []byte, _ int) error {
+		t, err := sg.decodeTriple(idxSPO, key)
+		out = append(out, t)
+		return err
 	})
 	if sg.Err() != nil {
 		return nil
 	}
 	return out
+}
+
+var _ rdf.TermIDSource = (*StoredGraph)(nil)
+
+// TermIDs implements rdf.TermIDSource with one SPO scan that builds no
+// term string: each distinct 10-byte encoded term gets the next id.
+// The codec preserves equality exactly (see checkTerm), so two
+// positions share an id exactly when they hold the same term. Each
+// distinct encoding is checked once, when it first appears, and a key
+// that fails is latched as a CorruptError, as in Triples.
+func (sg *StoredGraph) TermIDs() ([][3]uint32, int) {
+	ids := map[[encodedTermSize]byte]uint32{}
+	var out [][3]uint32
+	sg.scan(idxSPO, nil, func(key []byte, _ int) error {
+		if err := checkTripleKey(key); err != nil {
+			return err
+		}
+		var t [3]uint32
+		for i := range t {
+			off := keyBase + i*encodedTermSize
+			enc := [encodedTermSize]byte(key[off : off+encodedTermSize])
+			id, ok := ids[enc]
+			if !ok {
+				if _, err := checkTerm(key[off:], sg.st.dict); err != nil {
+					return err
+				}
+				id = uint32(len(ids))
+				ids[enc] = id
+			}
+			t[i] = id
+		}
+		out = append(out, t)
+		return nil
+	})
+	if sg.Err() != nil {
+		return nil, 0
+	}
+	return out, len(ids)
 }
 
 // Has reports membership via a point lookup on the SPO index.
@@ -200,19 +255,18 @@ func (sg *StoredGraph) Has(s, p, o string) bool {
 func (sg *StoredGraph) distinctFirst(idx byte) []string {
 	var out []string
 	var lastEnc []byte
-	sg.scan(idx, nil, func(key []byte, _ int) bool {
+	sg.scan(idx, nil, func(key []byte, _ int) error {
+		if err := checkTripleKey(key); err != nil {
+			return err
+		}
 		enc := key[keyBase : keyBase+encodedTermSize]
 		if lastEnc != nil && string(lastEnc) == string(enc) {
-			return true
+			return nil
 		}
 		lastEnc = append(lastEnc[:0], enc...)
 		term, err := decodeTerm(enc, sg.st.dict)
-		if err != nil {
-			sg.fail(err)
-			return false
-		}
 		out = append(out, term)
-		return true
+		return err
 	})
 	if sg.Err() != nil {
 		return nil
@@ -244,42 +298,30 @@ func (sg *StoredGraph) Objects() []string { return sg.distinctFirst(idxOSP) }
 // wildcards), dispatching to the index whose key order makes the bound
 // terms one contiguous prefix.
 func (sg *StoredGraph) Match(s, p, o string) []rdf.Triple {
-	var out []rdf.Triple
-	keep := func(t rdf.Triple) bool {
-		if (s == "" || t.S == s) && (p == "" || t.P == p) && (o == "" || t.O == o) {
-			out = append(out, t)
-		}
-		return true
-	}
+	var idx byte
+	var bound []string
 	switch {
 	case s != "" && p != "":
-		sg.scan(idxSPO, []string{s, p}, func(key []byte, _ int) bool {
-			ts, tp, to, ok := sg.decode3(key, keyBase)
-			return ok && keep(rdf.Triple{S: ts, P: tp, O: to})
-		})
+		idx, bound = idxSPO, []string{s, p}
 	case p != "" && o != "":
-		sg.scan(idxPOS, []string{p, o}, func(key []byte, _ int) bool {
-			tp, to, ts, ok := sg.decode3(key, keyBase)
-			return ok && keep(rdf.Triple{S: ts, P: tp, O: to})
-		})
+		idx, bound = idxPOS, []string{p, o}
 	case s != "":
-		sg.scan(idxSPO, []string{s}, func(key []byte, _ int) bool {
-			ts, tp, to, ok := sg.decode3(key, keyBase)
-			return ok && keep(rdf.Triple{S: ts, P: tp, O: to})
-		})
+		idx, bound = idxSPO, []string{s}
 	case o != "":
-		sg.scan(idxOSP, []string{o}, func(key []byte, _ int) bool {
-			to, ts, tp, ok := sg.decode3(key, keyBase)
-			return ok && keep(rdf.Triple{S: ts, P: tp, O: to})
-		})
+		idx, bound = idxOSP, []string{o}
 	case p != "":
-		sg.scan(idxPOS, []string{p}, func(key []byte, _ int) bool {
-			tp, to, ts, ok := sg.decode3(key, keyBase)
-			return ok && keep(rdf.Triple{S: ts, P: tp, O: to})
-		})
+		idx, bound = idxPOS, []string{p}
 	default:
 		return sg.Triples()
 	}
+	var out []rdf.Triple
+	sg.scan(idx, bound, func(key []byte, _ int) error {
+		t, err := sg.decodeTriple(idx, key)
+		if err == nil && (s == "" || t.S == s) && (p == "" || t.P == p) && (o == "" || t.O == o) {
+			out = append(out, t)
+		}
+		return err
+	})
 	if sg.Err() != nil {
 		return nil
 	}
@@ -289,34 +331,26 @@ func (sg *StoredGraph) Match(s, p, o string) []rdf.Triple {
 // ObjectsOf returns the objects reachable from s via p (SP range on
 // the SPO index).
 func (sg *StoredGraph) ObjectsOf(s, p string) []string {
-	var out []string
-	sg.scan(idxSPO, []string{s, p}, func(key []byte, prefixLen int) bool {
-		o, err := decodeTerm(key[prefixLen:], sg.st.dict)
-		if err != nil {
-			sg.fail(err)
-			return false
-		}
-		out = append(out, o)
-		return true
-	})
-	if sg.Err() != nil {
-		return nil
-	}
-	return out
+	return sg.lastTerms(idxSPO, s, p)
 }
 
 // SubjectsOf returns the subjects reaching o via p (PO range on the
 // POS index).
 func (sg *StoredGraph) SubjectsOf(p, o string) []string {
+	return sg.lastTerms(idxPOS, p, o)
+}
+
+// lastTerms returns the third term of every key of idx whose first two
+// terms are a and b.
+func (sg *StoredGraph) lastTerms(idx byte, a, b string) []string {
 	var out []string
-	sg.scan(idxPOS, []string{p, o}, func(key []byte, prefixLen int) bool {
-		s, err := decodeTerm(key[prefixLen:], sg.st.dict)
-		if err != nil {
-			sg.fail(err)
-			return false
+	sg.scan(idx, []string{a, b}, func(key []byte, prefixLen int) error {
+		if err := checkTripleKey(key); err != nil {
+			return err
 		}
-		out = append(out, s)
-		return true
+		term, err := decodeTerm(key[prefixLen:], sg.st.dict)
+		out = append(out, term)
+		return err
 	})
 	if sg.Err() != nil {
 		return nil

@@ -290,3 +290,23 @@ func TestMidLogDictDamageRejected(t *testing.T) {
 		t.Fatalf("mid-log dictionary damage: want CorruptError, got %v", err)
 	}
 }
+
+// TestDictTermWithTwoHandlesRejected: a dictionary log naming one term
+// under two handles, each record with a valid CRC, fails the open —
+// keys holding the two handles would otherwise count one term as two.
+func TestDictTermWithTwoHandlesRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "terms.dat")
+	d, err := openDict(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	term := "http://example.org/a-term-with-two-handles"
+	d.byHandle[1], d.byHandle[2] = term, term
+	d.pending = []uint64{1, 2}
+	if err := d.close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openDict(path); !IsCorrupt(err) {
+		t.Fatalf("term under two handles: want CorruptError, got %v", err)
+	}
+}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -349,31 +350,189 @@ func TestStoredGraphMatchesMemoryGraph(t *testing.T) {
 	}
 }
 
+// TestComputeStatsBackendAgnostic checks the stats a StoredGraph
+// computes from its encoded keys against the in-memory graph's, for a
+// corpus spread over 1, 2 and 20 segments, each flush also committing
+// part of another corpus whose keys sort before and after it.
 func TestComputeStatsBackendAgnostic(t *testing.T) {
-	dir := t.TempDir()
 	ctx := context.Background()
-	triples := testTriples(13, 500)
-	want := memGraph(triples)
+	triples := withLongTerms(testTriples(13, 500), "stats")
+	triples = append(triples,
+		rdf.Triple{S: "a\x00", P: "p\x00", O: "\x00"},
+		rdf.Triple{S: "rdf:type", P: "foaf:name", O: "rdf:type"}, // a predicate as subject and object
+		rdf.Triple{S: "ent0", P: "foaf:knows", O: "\x00\x00"})
+	want := rdf.ComputeStats(memGraph(triples))
+	wantJSON, _ := json.Marshal(want)
+	for _, segments := range []int{1, 2, 20} {
+		t.Run(fmt.Sprint(segments), func(t *testing.T) {
+			st, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if _, err := st.CreateCorpus("before", KindTriples); err != nil {
+				t.Fatal(err)
+			}
+			other := testTriples(99, 3*segments)
+			chunk := (len(triples) + segments - 1) / segments
+			for i := 0; i < segments; i++ {
+				if _, err := st.IngestTriples(ctx, "g", triples[i*chunk:min((i+1)*chunk, len(triples))]); err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range []string{"before", "after"} {
+					if _, err := st.IngestTriples(ctx, name, other[3*i:3*i+3]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := st.Flush(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if stats, _ := st.StoreStats(); stats.Segments != segments {
+				t.Fatalf("store holds %d segments, want %d", stats.Segments, segments)
+			}
+			sg, err := st.Graph(ctx, "g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := rdf.ComputeStats(sg)
+			if sg.Err() != nil {
+				t.Fatal(sg.Err())
+			}
+			gotJSON, _ := json.Marshal(got)
+			if !reflect.DeepEqual(got, want) || !bytes.Equal(gotJSON, wantJSON) {
+				t.Fatalf("ComputeStats diverges across backends:\nmem:   %s\nstore: %s", wantJSON, gotJSON)
+			}
+		})
+	}
+}
 
-	st, err := Open(dir)
+var benchStats *rdf.Stats
+
+// BenchmarkComputeStats is the stored stats layer: a StoredGraph over
+// a corpus committed as 20 segments of 1,000 generated triples, the
+// shape of the rwdperf corpus-bulk "base" corpus.
+func BenchmarkComputeStats(b *testing.B) {
+	ctx := context.Background()
+	triples := testTriples(1, 9000)[:20000]
+	st, err := Open(b.TempDir())
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
 	defer st.Close()
-	if _, err := st.IngestTriples(ctx, "g", triples); err != nil {
-		t.Fatal(err)
+	for i := 0; i < len(triples); i += 1000 {
+		if _, err := st.IngestTriples(ctx, "base", triples[i:i+1000]); err != nil {
+			b.Fatal(err)
+		}
+		if err := st.Flush(ctx); err != nil {
+			b.Fatal(err)
+		}
 	}
-	sg, err := st.Graph(ctx, "g")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sg, err := st.Graph(ctx, "base")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if benchStats = rdf.ComputeStats(sg); sg.Err() != nil {
+			b.Fatal(sg.Err())
+		}
+	}
+}
+
+// TestUndecodableTermIsCorrupt reseals a segment in which one SPO key
+// holds an undecodable term: ComputeStats over the corpus must latch a
+// CorruptError rather than count the bad encoding as a term.
+func TestUndecodableTermIsCorrupt(t *testing.T) {
+	long := "http://example.org/an-object-longer-than-eight-bytes"
+	triples := append(testTriples(21, 40), rdf.Triple{S: "s", P: "p", O: long})
+	for name, damage := range map[string]func(key []byte){
+		"bad kind byte":      func(key []byte) { key[keyBase] = 0x07 },
+		"nonzero padding":    func(key []byte) { key[keyBase+1+len("s")] = 'x' },
+		"handle not in dict": func(key []byte) { key[keyBase+2*encodedTermSize+1] ^= 0xFF },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			ctx := context.Background()
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.IngestTriples(ctx, "g", triples); err != nil {
+				t.Fatal(err)
+			}
+			c, err := st.Lookup("g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := append(corpusPrefix(c.ID, idxSPO), appendTerm(nil, "s", st.dict)...)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rewriteSegmentKey(t, dir, func(key []byte) bool {
+				if !bytes.HasPrefix(key, target) {
+					return false
+				}
+				damage(key)
+				return true
+			})
+
+			st, err = Open(dir)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer st.Close()
+			sg, err := st.Graph(ctx, "g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats := rdf.ComputeStats(sg)
+			if !IsCorrupt(sg.Err()) {
+				t.Fatalf("ComputeStats over a key with an undecodable term: want CorruptError, got %v (stats %+v)", sg.Err(), stats)
+			}
+			// The decoding readers latch the same error.
+			if sg, err = st.Graph(ctx, "g"); err != nil {
+				t.Fatal(err)
+			}
+			if sg.Triples(); !IsCorrupt(sg.Err()) {
+				t.Fatalf("Triples over a key with an undecodable term: want CorruptError, got %v", sg.Err())
+			}
+		})
+	}
+}
+
+// rewriteSegmentKey rewrites the one segment in dir with fix applied
+// to every key (fix reports whether it changed the key), resorted and
+// under freshly computed CRCs. It fails the test unless exactly one key
+// changed.
+func rewriteSegmentKey(t *testing.T, dir string, fix func(key []byte) bool) {
+	t.Helper()
+	paths, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if len(paths) != 1 {
+		t.Fatalf("want one segment, found %d", len(paths))
+	}
+	seg, err := openSegment(paths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := rdf.ComputeStats(want)
-	b := rdf.ComputeStats(sg)
-	if sg.Err() != nil {
-		t.Fatal(sg.Err())
+	var recs []record
+	changed := 0
+	err = seg.scanPrefix(nil, nil, nil, func(key, val []byte) bool {
+		r := record{key: bytes.Clone(key), val: bytes.Clone(val)}
+		if fix(r.key) {
+			changed++
+		}
+		recs = append(recs, r)
+		return true
+	})
+	seg.close()
+	if err != nil || changed != 1 {
+		t.Fatalf("rewrite changed %d keys (err %v), want 1", changed, err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("ComputeStats diverges across backends:\nmem:   %+v\nstore: %+v", a, b)
+	sortRecords(recs)
+	if err := writeSegment(paths[0], recs); err != nil {
+		t.Fatal(err)
 	}
 }
 
