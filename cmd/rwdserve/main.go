@@ -3,7 +3,8 @@
 // DTD, JSON Schema), membership, DTD/EDTD validation, schema inference,
 // and batch SPARQL log analysis, hardened for untrusted traffic with
 // per-request deadlines, admission control, request-size caps, a
-// canonicalizing verdict cache, and Prometheus-style metrics.
+// canonicalizing verdict cache, a compile cache, and Prometheus-style
+// metrics.
 //
 // Usage:
 //
@@ -62,7 +63,8 @@ func main() {
 		"deadline for requests without deadline_ms")
 	maxDeadline := flag.Duration("max-deadline", 30*time.Second,
 		"upper clamp on client-requested deadlines")
-	cacheSize := flag.Int("cache-size", 1024, "verdict-cache capacity in entries (negative disables)")
+	cacheSize := flag.Int("cache-size", 1024,
+		"capacity in entries of the verdict cache and of the compile cache (negative disables both)")
 	analyzeWorkers := flag.Int("analyze-workers", 0, "worker pool bound for /v1/analyze; 0 = one per CPU")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second,
 		"how long a graceful shutdown waits for in-flight requests")

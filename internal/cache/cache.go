@@ -1,8 +1,9 @@
-// Package cache implements the verdict cache of the service layer: a
-// bounded, thread-safe LRU map keyed on canonical renderings of request
-// inputs. Because keys are canonical (the parsed input re-rendered, not
-// the raw request bytes), syntactically different but identical requests
-// share an entry. Hit/miss/eviction counters feed the /metrics endpoint.
+// Package cache implements the bounded, thread-safe LRU map behind the
+// service layer's two caches: the verdict cache, keyed on canonical
+// renderings of request inputs (the parsed input re-rendered, so
+// syntactically different but identical requests share an entry), and
+// the compile cache, keyed on raw request text. Hit/miss/eviction
+// counters feed the /metrics endpoint.
 package cache
 
 import (

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/automata"
 	"repro/internal/inference"
@@ -109,40 +110,76 @@ type ValidationError struct {
 func (e *ValidationError) Error() string { return "dtd: " + e.Msg }
 
 // Validate checks validity of t w.r.t. d (Definition 4.1). The nil error
-// means valid.
+// means valid. To validate many documents against one DTD, Compile it
+// once and call Compiled.Validate.
 func (d *DTD) Validate(t *tree.Node) error {
-	if !d.Start[t.Label] {
+	return d.Compile().Validate(t)
+}
+
+// Compiled is a DTD compiled for validation: an automata.Matcher per
+// content model, built from its Glushkov automaton the first time a
+// document needs it and shared by every rule with the same *regex.Expr
+// (ParseText gives all ANY rules one). It is safe for concurrent use, so
+// it can be cached and shared across documents and requests. Compiling
+// never determinizes, so it stays polynomial in the DTD even for
+// nondeterministic content models.
+type Compiled struct {
+	d     *DTD
+	rules map[string]*lazyMatcher
+}
+
+// lazyMatcher is the matcher of one content model, built once on first
+// use.
+type lazyMatcher struct {
+	e    *regex.Expr
+	once sync.Once
+	m    *automata.Matcher
+}
+
+func (l *lazyMatcher) matcher() *automata.Matcher {
+	l.once.Do(func() { l.m = automata.NewMatcher(automata.Glushkov(l.e)) })
+	return l.m
+}
+
+// Compile prepares d for validating many documents; each content model
+// is compiled when a document first needs it. The result refers to d,
+// which must not change while the result is in use.
+func (d *DTD) Compile() *Compiled {
+	c := &Compiled{d: d, rules: make(map[string]*lazyMatcher, len(d.Rules))}
+	shared := map[*regex.Expr]*lazyMatcher{}
+	for a, e := range d.Rules {
+		l, ok := shared[e]
+		if !ok {
+			l = &lazyMatcher{e: e}
+			shared[e] = l
+		}
+		c.rules[a] = l
+	}
+	return c
+}
+
+// Validate checks validity of t w.r.t. the compiled DTD, with the same
+// verdicts and the same ValidationError as DTD.Validate.
+func (c *Compiled) Validate(t *tree.Node) error {
+	if !c.d.Start[t.Label] {
 		return &ValidationError{Msg: fmt.Sprintf("root label %q not in start labels", t.Label)}
 	}
-	v := &validator{d: d, dfas: map[string]*automata.DFA{}}
-	return v.check(t)
+	return c.check(t)
 }
 
-type validator struct {
-	d    *DTD
-	dfas map[string]*automata.DFA
-}
-
-func (v *validator) dfa(label string) *automata.DFA {
-	if d, ok := v.dfas[label]; ok {
-		return d
-	}
-	d := automata.Determinize(automata.Glushkov(v.d.Rule(label)))
-	v.dfas[label] = d
-	return d
-}
-
-func (v *validator) check(n *tree.Node) error {
+func (c *Compiled) check(n *tree.Node) error {
 	w := n.ChildWord()
-	if !v.dfa(n.Label).Accepts(w) {
+	l, ok := c.rules[n.Label]
+	// A label without a rule has ρ = ε: it must be a leaf.
+	if ok && !l.matcher().Accepts(w) || !ok && len(w) > 0 {
 		return &ValidationError{
 			Label: n.Label,
 			Word:  w,
-			Msg:   fmt.Sprintf("children %v of %q do not match %s", w, n.Label, v.d.Rule(n.Label)),
+			Msg:   fmt.Sprintf("children %v of %q do not match %s", w, n.Label, c.d.Rule(n.Label)),
 		}
 	}
-	for _, c := range n.Children {
-		if err := v.check(c); err != nil {
+	for _, ch := range n.Children {
+		if err := c.check(ch); err != nil {
 			return err
 		}
 	}

@@ -53,14 +53,22 @@ func ParseText(src, rootName string) (*DTD, error) {
 	for i, dc := range decls {
 		names[i] = dc.name
 	}
+	// Declarations with the same content model text share one expression,
+	// parsed once: n ANY declarations then cost one expansion over the n
+	// names, not n of them, and Compile builds one matcher for all.
+	models := map[string]*regex.Expr{}
 	d := New()
 	for _, dc := range decls {
 		if _, dup := d.Rules[dc.name]; dup {
 			return nil, fmt.Errorf("dtd: duplicate declaration of element %s", dc.name)
 		}
-		e, err := regex.ParseDTDContent(dc.model, names)
-		if err != nil {
-			return nil, fmt.Errorf("dtd: element %s: %v", dc.name, err)
+		e, ok := models[dc.model]
+		if !ok {
+			var err error
+			if e, err = regex.ParseDTDContent(dc.model, names); err != nil {
+				return nil, fmt.Errorf("dtd: element %s: %v", dc.name, err)
+			}
+			models[dc.model] = e
 		}
 		d.AddRule(dc.name, e)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/obs"
 )
@@ -169,13 +170,20 @@ func (root *Schema) generateObject(r *rand.Rand, s *Schema, depth int) (interfac
 		}
 		obj[req] = v
 	}
-	// sprinkle optional declared properties
-	for name, sub := range s.Properties {
+	// sprinkle optional declared properties, in name order: every draw
+	// consumes randomness, so map order would make the witness, and even
+	// the verdict, differ between runs with the same seed
+	names := make([]string, 0, len(s.Properties))
+	for name := range s.Properties {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		if _, done := obj[name]; done {
 			continue
 		}
 		if r.Float64() < 0.5 {
-			v, ok := root.generate(r, sub, depth-1)
+			v, ok := root.generate(r, s.Properties[name], depth-1)
 			if !ok {
 				continue
 			}

@@ -267,3 +267,21 @@ func TestContainmentUnknownIsHonest(t *testing.T) {
 		t.Errorf("double negation of string IS string: must not refute, got %v", v)
 	}
 }
+
+// TestContainmentDeterministicPerSeed pins that one seed gives one
+// answer, witness included: the service caches these answers, so a
+// cold run must reproduce what the cache serves. Property draws used to
+// follow map order.
+func TestContainmentDeterministicPerSeed(t *testing.T) {
+	left := MustParse(`{"type":"object","properties":{"a":{"type":"integer"},"b":{"type":"string"},"c":{"type":"boolean"},"d":{"type":"number"},"e":{"type":"integer"}}}`)
+	right := MustParse(`{"type":"object","properties":{"a":{"type":"string"}},"additionalProperties":false}`)
+	v0, w0 := Contains(left, right, 200, 1)
+	if v0 != NotContained {
+		t.Fatalf("verdict %v, want a refutation", v0)
+	}
+	for i := 0; i < 30; i++ {
+		if v, w := Contains(left, right, 200, 1); v != v0 || w != w0 {
+			t.Fatalf("run %d answered (%v, %s), first run (%v, %s)", i, v, w, v0, w0)
+		}
+	}
+}

@@ -30,7 +30,7 @@ func splitWord(s string) []string {
 	return w
 }
 
-// FuzzRegexMembership feeds arbitrary expression/word texts to the four
+// FuzzRegexMembership feeds arbitrary expression/word texts to the five
 // membership implementations; any parseable pair must agree.
 func FuzzRegexMembership(f *testing.F) {
 	f.Add("(a b* + c)+", "a b b")
@@ -48,8 +48,8 @@ func FuzzRegexMembership(f *testing.F) {
 		w := splitWord(wordSrc)
 		if memberDisagree(e, w) {
 			v := memberVerdicts(e, w)
-			t.Fatalf("membership divergence on expr=%s word=%q: Matches=%v Derivative=%v NFA=%v DFA=%v",
-				e, w, v[0], v[1], v[2], v[3])
+			t.Fatalf("membership divergence on expr=%s word=%q: Matches=%v Derivative=%v NFA=%v DFA=%v Matcher=%v",
+				e, w, v[0], v[1], v[2], v[3], v[4])
 		}
 	})
 }

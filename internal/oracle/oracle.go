@@ -3,11 +3,12 @@
 // Oracle pits independent implementations of the same problem against
 // each other on randomly generated instances — regex membership via the
 // memoized matcher vs. Brzozowski derivatives vs. the Glushkov NFA vs.
-// the determinized DFA, schema containment verdicts vs. randomized
+// the determinized DFA vs. the compiled Matcher, schema containment verdicts vs. randomized
 // counterexample search over sampled documents, property-path evaluation
 // vs. a derivative-product and brute-force path enumeration, SPARQL
-// algebra evaluation vs. exhaustive assignment enumeration, and the
-// shard/merge pipeline vs. the sequential reference.
+// algebra evaluation vs. exhaustive assignment enumeration, the
+// shard/merge pipeline vs. the sequential reference, and the service's
+// warm caches vs. a cache-less server.
 //
 // Every trial is driven by a single int64 seed, so any divergence is
 // replayable: RunTrial(o, seed) regenerates the exact instance. Oracles
@@ -77,6 +78,7 @@ func All() []Oracle {
 		sparqlEval{},
 		shardMerge{},
 		storeAnalysis{},
+		cacheSoundness{},
 	}
 }
 

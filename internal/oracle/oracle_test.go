@@ -17,6 +17,7 @@ var trialsFor = map[string]int64{
 	"sparql-eval":            60,
 	"shard-merge":            6,
 	"store-analysis":         6,
+	"cache-soundness":        40,
 }
 
 // TestOraclesAgree is the go-test exposure of every differential oracle:

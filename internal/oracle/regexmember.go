@@ -9,40 +9,41 @@ import (
 	"repro/internal/regex"
 )
 
-// regexMembership cross-checks four independent word-membership
+// regexMembership cross-checks five independent word-membership
 // implementations: the memoized matcher (regex.Matches), Brzozowski
-// derivatives (regex.MatchesDerivative), the Glushkov NFA, and the
-// determinized DFA.
+// derivatives (regex.MatchesDerivative), the Glushkov NFA, the
+// determinized DFA, and the compiled automata.Matcher the service caches.
 type regexMembership struct{}
 
 func (regexMembership) Name() string { return "regex-membership" }
 
 func (regexMembership) Description() string {
-	return "regex.Matches vs MatchesDerivative vs Glushkov NFA vs determinized DFA on sampled and random words"
+	return "regex.Matches vs MatchesDerivative vs Glushkov NFA vs determinized DFA vs compiled Matcher on sampled and random words"
 }
 
 var memberAlphabet = []string{"a", "b", "c"}
 
-// memberVerdicts returns the four membership verdicts for (e, w). The
+// memberVerdicts returns the five membership verdicts for (e, w). The
 // DFA verdict carries the deliberate-mutation hook used to prove the
 // oracle catches and shrinks injected bugs.
-func memberVerdicts(e *regex.Expr, w []string) [4]bool {
+func memberVerdicts(e *regex.Expr, w []string) [5]bool {
 	nfa := automata.Glushkov(e)
 	dfa := automata.Determinize(nfa).Accepts(w)
 	if injectedBug == "regex-membership" && len(w) >= 2 {
 		dfa = !dfa
 	}
-	return [4]bool{
+	return [5]bool{
 		regex.Matches(e, w),
 		regex.MatchesDerivative(e, w),
 		nfa.Accepts(w),
 		dfa,
+		automata.NewMatcher(nfa).Accepts(w),
 	}
 }
 
 func memberDisagree(e *regex.Expr, w []string) bool {
 	v := memberVerdicts(e, w)
-	return v[0] != v[1] || v[0] != v[2] || v[0] != v[3]
+	return v[0] != v[1] || v[0] != v[2] || v[0] != v[3] || v[0] != v[4]
 }
 
 func (o regexMembership) Trial(r *rand.Rand) *Divergence {
@@ -119,7 +120,7 @@ func shrinkMemberDivergence(e *regex.Expr, w []string) *Divergence {
 	v := memberVerdicts(e, w)
 	return &Divergence{
 		Input: fmt.Sprintf("expr=%s word=%q", e, strings.Join(w, " ")),
-		Detail: fmt.Sprintf("Matches=%v MatchesDerivative=%v GlushkovNFA=%v DeterminizedDFA=%v",
-			v[0], v[1], v[2], v[3]),
+		Detail: fmt.Sprintf("Matches=%v MatchesDerivative=%v GlushkovNFA=%v DeterminizedDFA=%v Matcher=%v",
+			v[0], v[1], v[2], v[3], v[4]),
 	}
 }

@@ -104,15 +104,15 @@ func (s *Server) runBatchItem(ctx context.Context, req *request, i int, it batch
 
 // decide dispatches one decision body to the op's decide function — the
 // same code path the dedicated endpoint runs, including the per-item
-// verdict-cache lookup for containment.
+// cache lookups.
 func (s *Server) decide(ctx context.Context, op string, body []byte, explain bool) (any, *apiError) {
 	switch op {
 	case "containment":
 		return s.decideContainment(ctx, body, explain)
 	case "membership":
-		return decideMembership(ctx, body)
+		return s.decideMembership(ctx, body)
 	case "validate":
-		return decideValidate(ctx, body)
+		return s.decideValidate(ctx, body)
 	case "infer":
 		return decideInfer(ctx, body)
 	}

@@ -1,12 +1,15 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/cache"
 )
 
 func benchServer(b *testing.B, cacheSize int) *Server {
@@ -58,5 +61,49 @@ func BenchmarkServeContainmentCacheHit(b *testing.B) {
 	b.StopTimer()
 	if st := s.CacheStats(); st.Hits < uint64(b.N) {
 		b.Fatalf("hits = %d, want >= %d", st.Hits, b.N)
+	}
+}
+
+// BenchmarkDecide measures the decide layer of each decide-hot op on a
+// repeated input, called directly (no HTTP, no JSON encode): a
+// containment verdict-cache hit, membership and DTD validation. Each runs
+// with a warm compile cache, so an exact repeat skips parsing and
+// compiling, and with a cold one (capacity 0), so every call parses and
+// compiles as an uncached server would.
+func BenchmarkDecide(b *testing.B) {
+	ops := []struct{ name, op, body string }{
+		{"containment-hit", "containment", `{"engine":"regex","left":"(a|b)* a (c|d)?","right":"(a|b|c|d)* (a|c) d? (a|b)*"}`},
+		{"membership", "membership", `{"expr":"(a (b|c)* d?)+ (a|b)* c","word":["a","b","c","d","a","c"]}`},
+		{"validate", "validate", `{"kind":"dtd","schema":"<!ELEMENT r ((a|b)+, c?, (a|c)*)> <!ELEMENT a EMPTY> <!ELEMENT b EMPTY> <!ELEMENT c EMPTY>","docs":["r(a, b, c, a)","r(b, c)","r(c, a)"]}`},
+	}
+	for _, o := range ops {
+		for _, warm := range []bool{true, false} {
+			name := o.name + "/cold"
+			if warm {
+				name = o.name + "/warm"
+			}
+			b.Run(name, func(b *testing.B) {
+				s := benchServer(b, 0)
+				if !warm {
+					s.compiled = cache.New(0)
+				}
+				ctx := context.Background()
+				body := []byte(o.body)
+				// two warm-up calls: the first fills the verdict cache, the
+				// second writes the containment alias
+				for i := 0; i < 2; i++ {
+					if _, aerr := s.decide(ctx, o.op, body, false); aerr != nil {
+						b.Fatal(aerr)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, aerr := s.decide(ctx, o.op, body, false); aerr != nil {
+						b.Fatal(aerr)
+					}
+				}
+			})
+		}
 	}
 }

@@ -70,6 +70,13 @@ func (s *Server) handleContainment(ctx context.Context, req *request) (any, *api
 // decideContainment parses one containment instance, consults the
 // verdict cache under the canonical key, runs the selected engine, and
 // fills the cache. Shared by /v1/containment and /v1/batch.
+//
+// A repeat of a request whose canonical key has hit before skips the
+// parse: the compile cache aliases the raw request text to its canonical
+// key, so the one verdict-cache lookup uses that key directly. The
+// alias is written only when a canonical lookup hits, so a stream of
+// unique requests adds nothing to the compile cache, and only for texts
+// up to maxCompileKey.
 func (s *Server) decideContainment(ctx context.Context, body []byte, explain bool) (any, *apiError) {
 	var req containmentRequest
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -77,6 +84,22 @@ func (s *Server) decideContainment(ctx context.Context, body []byte, explain boo
 	}
 	if req.Left == "" || req.Right == "" {
 		return nil, errBadRequest("left and right are required")
+	}
+
+	// Explain requests bypass both reads: a hit would short-circuit the
+	// engine and return an empty trace.
+	alias := cacheKey("containment", req.Engine, req.Left, req.Right)
+	useAlias := !explain && len(alias) <= maxCompileKey
+	skipRead := explain
+	if useAlias {
+		if v, ok := s.compiled.Get(alias); ok {
+			if resp, ok := s.cachedVerdict(v.(string)); ok {
+				return resp, nil
+			}
+			// The verdict was evicted. Parsing yields the key just looked
+			// up, so decide without a second lookup.
+			skipRead = true
+		}
 	}
 
 	// Parse and canonicalize both sides up front: the canonical rendering
@@ -148,10 +171,11 @@ func (s *Server) decideContainment(ctx context.Context, body []byte, explain boo
 		return nil, errBadRequest("unknown engine %q (want regex, kore, dtd, or jsonschema)", req.Engine)
 	}
 
-	if !explain {
-		if v, ok := s.cache.Get(key); ok {
-			resp := v.(containmentResponse)
-			resp.Cached = true
+	if !skipRead {
+		if resp, ok := s.cachedVerdict(key); ok {
+			if useAlias {
+				s.compiled.Put(alias, key)
+			}
 			return resp, nil
 		}
 	}
@@ -171,6 +195,17 @@ func (s *Server) decideContainment(ctx context.Context, body []byte, explain boo
 	return resp, nil
 }
 
+// cachedVerdict looks key up in the verdict cache.
+func (s *Server) cachedVerdict(key string) (containmentResponse, bool) {
+	v, ok := s.cache.Get(key)
+	if !ok {
+		return containmentResponse{}, false
+	}
+	resp := v.(containmentResponse)
+	resp.Cached = true
+	return resp, true
+}
+
 func boolVerdict(ok bool) string {
 	if ok {
 		return "contained"
@@ -178,12 +213,23 @@ func boolVerdict(ok bool) string {
 	return "not_contained"
 }
 
-func cacheKey(engine string, parts ...string) string {
-	key := engine
+// cacheKey joins a kind and its parts into one cache key. Each part is
+// length-prefixed, so no choice of part texts can make two different
+// part lists collide.
+func cacheKey(kind string, parts ...string) string {
+	n := len(kind)
 	for _, p := range parts {
-		key += "\x1f" + p
+		n += len(p) + 8
 	}
-	return key
+	b := make([]byte, 0, n)
+	b = append(b, kind...)
+	for _, p := range parts {
+		b = append(b, 0x1f)
+		b = strconv.AppendInt(b, int64(len(p)), 10)
+		b = append(b, ':')
+		b = append(b, p...)
+	}
+	return string(b)
 }
 
 // canonicalJSON re-renders a JSON document with sorted object keys and no
@@ -218,24 +264,56 @@ type membershipResponse struct {
 
 func (s *Server) handleMembership(ctx context.Context, req *request) (any, *apiError) {
 	return runEngine(ctx, req, func(ctx context.Context) (any, *apiError) {
-		return decideMembership(ctx, req.body)
+		return s.decideMembership(ctx, req.body)
 	})
 }
 
-func decideMembership(_ context.Context, body []byte) (any, *apiError) {
+// decideMembership answers from the expression's compiled Matcher,
+// cached under the raw expression text.
+func (s *Server) decideMembership(_ context.Context, body []byte) (any, *apiError) {
 	var req membershipRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, errBadRequest("invalid JSON: %v", err)
 	}
-	e, err := regex.Parse(req.Expr)
-	if err != nil {
-		return nil, errBadRequest("expr: %v", err)
+	v, aerr := s.compile(cacheKey("membership", req.Expr), func() (any, *apiError) {
+		e, err := regex.Parse(req.Expr)
+		if err != nil {
+			return nil, errBadRequest("expr: %v", err)
+		}
+		return automata.NewMatcher(automata.Glushkov(e)), nil
+	})
+	if aerr != nil {
+		return nil, aerr
 	}
-	n := automata.Glushkov(e)
+	m := v.(*automata.Matcher)
 	return membershipResponse{
-		Member:        n.Accepts(req.Word),
-		Deterministic: n.IsDeterministic(),
+		Member:        m.Accepts(req.Word),
+		Deterministic: m.Deterministic(),
 	}, nil
+}
+
+// maxCompileKey bounds the raw request text the compile cache keys on.
+// A larger input is parsed and compiled on every request, as with no
+// cache, so one entry never pins a request text of megabytes.
+const maxCompileKey = 64 << 10
+
+// compile returns the compile-cache entry under key, building and
+// caching it on a miss. Keys are raw request texts, so an entry is
+// sound by construction: parsing them again would build the same thing.
+// A failed build is not cached.
+func (s *Server) compile(key string, build func() (any, *apiError)) (any, *apiError) {
+	if len(key) > maxCompileKey {
+		return build()
+	}
+	if v, ok := s.compiled.Get(key); ok {
+		return v, nil
+	}
+	v, aerr := build()
+	if aerr != nil {
+		return nil, aerr
+	}
+	s.compiled.Put(key, v)
+	return v, nil
 }
 
 // ---- POST /v1/validate ----
@@ -273,11 +351,13 @@ type validateResponse struct {
 
 func (s *Server) handleValidate(ctx context.Context, req *request) (any, *apiError) {
 	return runEngine(ctx, req, func(ctx context.Context) (any, *apiError) {
-		return decideValidate(ctx, req.body)
+		return s.decideValidate(ctx, req.body)
 	})
 }
 
-func decideValidate(ctx context.Context, body []byte) (any, *apiError) {
+// decideValidate validates every document. A DTD is compiled once per
+// schema text and root, and cached.
+func (s *Server) decideValidate(ctx context.Context, body []byte) (any, *apiError) {
 	var req validateRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, errBadRequest("invalid JSON: %v", err)
@@ -300,10 +380,17 @@ func decideValidate(ctx context.Context, body []byte) (any, *apiError) {
 		if req.Schema == "" {
 			return nil, errBadRequest("schema (DTD text) is required for kind=dtd")
 		}
-		d, err := dtd.ParseText(req.Schema, req.Root)
-		if err != nil {
-			return nil, errBadRequest("schema: %v", err)
+		v, aerr := s.compile(cacheKey("dtd", req.Schema, req.Root), func() (any, *apiError) {
+			d, err := dtd.ParseText(req.Schema, req.Root)
+			if err != nil {
+				return nil, errBadRequest("schema: %v", err)
+			}
+			return d.Compile(), nil
+		})
+		if aerr != nil {
+			return nil, aerr
 		}
+		d := v.(*dtd.Compiled)
 		check = func(t *tree.Node) validateResult {
 			if err := d.Validate(t); err != nil {
 				return validateResult{Valid: false, Error: err.Error()}

@@ -16,9 +16,12 @@
 //   - admission control: a bounded semaphore sheds load with 429 before
 //     work starts;
 //   - request-size caps: bodies beyond MaxBodyBytes are rejected with 413;
-//   - verdict cache: containment verdicts are cached under canonical
-//     renderings of the parsed inputs, so syntactically different but
-//     identical requests hit;
+//   - two bounded caches: the verdict cache holds containment verdicts
+//     under canonical renderings of the parsed inputs, so syntactically
+//     different but identical requests hit; the compile cache holds
+//     compiled membership matchers and DTDs, and aliases from raw
+//     containment texts to canonical keys, all under raw request text,
+//     so an exact repeat skips parsing and compiling;
 //   - observability: every request runs under a root span whose finish
 //     is the one place its latency and status are recorded — the
 //     rwd_op_duration_seconds{op,status} histogram on GET /metrics
@@ -58,8 +61,9 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline clamps client-requested deadlines; <= 0 means 30s.
 	MaxDeadline time.Duration
-	// CacheSize is the verdict-cache capacity in entries; < 0 disables
-	// the cache, 0 means 1024.
+	// CacheSize is the capacity in entries of each of the two caches,
+	// the verdict cache and the compile cache; < 0 disables both, 0
+	// means 1024.
 	CacheSize int
 	// AnalyzeWorkers bounds the worker pool of /v1/analyze;
 	// <= 0 means GOMAXPROCS.
@@ -116,13 +120,18 @@ func (c Config) withDefaults() Config {
 // Server is the HTTP service. Construct with New; Handler returns the
 // routed middleware stack.
 type Server struct {
-	cfg    Config
-	log    *log.Logger
-	mux    *http.ServeMux
-	reg    *metrics.Registry
-	cache  *cache.Cache
-	sem    chan struct{}
-	tracer *obs.Tracer
+	cfg Config
+	log *log.Logger
+	mux *http.ServeMux
+	reg *metrics.Registry
+	// cache is the verdict cache: containment verdicts under canonical
+	// keys. compiled is the compile cache: membership matchers, compiled
+	// DTDs and containment aliases (raw text → canonical key), under raw
+	// request text.
+	cache    *cache.Cache
+	compiled *cache.Cache
+	sem      chan struct{}
+	tracer   *obs.Tracer
 	// flight is the always-on trace flight recorder behind GET
 	// /v1/traces; nil when Config.TraceCapacity < 0.
 	flight *recorder.Ring
@@ -150,13 +159,14 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		log:     cfg.Logger,
-		mux:     http.NewServeMux(),
-		reg:     metrics.NewRegistry(),
-		cache:   cache.New(cfg.CacheSize),
-		sem:     make(chan struct{}, cfg.MaxInFlight),
-		started: time.Now(),
+		cfg:      cfg,
+		log:      cfg.Logger,
+		mux:      http.NewServeMux(),
+		reg:      metrics.NewRegistry(),
+		cache:    cache.New(cfg.CacheSize),
+		compiled: cache.New(cfg.CacheSize),
+		sem:      make(chan struct{}, cfg.MaxInFlight),
+		started:  time.Now(),
 	}
 	s.reg.GaugeFunc("rwdserve_inflight",
 		"Requests currently admitted past the admission gate.",
@@ -172,6 +182,19 @@ func New(cfg Config) *Server {
 		"Verdict-cache evictions.", func() float64 { return float64(s.cache.Stats().Evictions) })
 	s.reg.GaugeFunc("rwdserve_cache_entries",
 		"Verdict-cache occupancy.", func() float64 { return float64(s.cache.Stats().Len) })
+	// One compile-cache lookup per membership request, per DTD validate
+	// request, and per non-explain containment request (its alias probe),
+	// for request texts up to maxCompileKey.
+	s.reg.GaugeFunc("rwdserve_compile_cache_hits_total",
+		"Compile-cache hits: membership matchers, compiled DTDs and containment aliases.",
+		func() float64 { return float64(s.compiled.Stats().Hits) })
+	s.reg.GaugeFunc("rwdserve_compile_cache_misses_total",
+		"Compile-cache misses, including every containment request with no alias yet.",
+		func() float64 { return float64(s.compiled.Stats().Misses) })
+	s.reg.GaugeFunc("rwdserve_compile_cache_evictions_total",
+		"Compile-cache evictions.", func() float64 { return float64(s.compiled.Stats().Evictions) })
+	s.reg.GaugeFunc("rwdserve_compile_cache_entries",
+		"Compile-cache occupancy.", func() float64 { return float64(s.compiled.Stats().Len) })
 
 	// Span telemetry: every finished span below a request's root feeds a
 	// duration histogram, and every span its cost counters, keyed by span
@@ -326,6 +349,10 @@ func (s *Server) Profile() *profile.Engine { return s.profile }
 
 // CacheStats exposes the verdict-cache counters (for tests and embedders).
 func (s *Server) CacheStats() cache.Stats { return s.cache.Stats() }
+
+// CompileCacheStats exposes the compile-cache counters (for tests and
+// embedders).
+func (s *Server) CompileCacheStats() cache.Stats { return s.compiled.Stats() }
 
 // healthzResponse is the JSON body of GET /healthz: liveness plus just
 // enough build and subsystem state to orient an operator (or a smoke
