@@ -10,77 +10,77 @@
 //
 // -scale is the corpus scale divisor for the log-derived experiments:
 // 1000 generates 1:1000 of the paper's 558M queries (≈ 558k), the default
-// 10000 generates ≈ 56k.
-//
-// -serve-load switches to the service load generator: sustained, seeded,
-// concurrent mixed traffic against rwdserve, distilled into a
-// BENCH_serve.json baseline (p50/p99 latency, RPS, cache hit rate,
-// timeout counts, span cost totals, and the trace flight recorder's
-// recorded/evicted accounting — the recorder is always on, so the
-// baseline's RPS already prices in its overhead):
-//
-//	rwdbench -serve-load [-serve-url http://127.0.0.1:8080] \
-//	         [-serve-duration 10s] [-serve-concurrency 8] \
-//	         [-serve-out BENCH_serve.json] [-seed 1]
-//
-// With an empty -serve-url an in-process rwdserve is started on a
-// loopback listener, so a baseline never needs external setup. The
-// baseline also carries the server's workload-profile block (per-op
-// server-side quantiles and error rates from GET /v1/stats).
-//
-// -profile-check replays the same load and compares the fresh profile
-// block against the committed baseline, exiting 1 when any op drifted
-// beyond tolerance (default: p50/p99 within 10x either way, error and
-// timeout rates within 0.25 absolute, rows under 50 requests ignored):
-//
-//	rwdbench -profile-check [-profile-baseline BENCH_serve.json] \
-//	         [-profile-factor 10] [-serve-url ...] [-serve-duration 10s] \
-//	         [-serve-concurrency 8] [-seed 1]
-//
-// -automata benchmarks the antichain containment engine against the
-// retained classic eager engine on seeded instance families and writes
-// a BENCH_automata.json baseline (wall time plus the span cost counters
-// states_expanded / product_states / antichain_pruned per engine):
-//
-//	rwdbench -automata [-automata-out BENCH_automata.json] \
-//	         [-automata-blowup-k 14] [-automata-hard-k 10] \
-//	         [-automata-easy-trials 50] [-seed 1]
-//
-// -store benchmarks the persistent corpus store (internal/store) on a
-// seeded synthetic graph — ingest throughput, range-scan throughput,
-// reopen latency, bytes per triple — and writes a BENCH_store.json
-// baseline:
-//
-//	rwdbench -store [-store-out BENCH_store.json] [-store-triples 20000] [-seed 1]
+// 10000 generates ≈ 56k. An unknown -experiment exits 2 before any
+// corpus is generated.
 package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"math/rand"
-	"net"
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
-	"repro/internal/autobench"
 	"repro/internal/core"
 	"repro/internal/edtd"
 	"repro/internal/jsonschema"
 	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/schemastudy"
-	"repro/internal/serveload"
-	"repro/internal/service"
-	"repro/internal/storebench"
 	"repro/internal/xmllite"
 	"repro/internal/xpath"
 )
+
+// study is what an experiment renders from: the flags and, for the
+// log-derived experiments, the analyzed query-log corpus.
+type study struct {
+	w          io.Writer
+	seed       int64
+	graphScale float64
+	reports    []*core.SourceReport
+	dbp, wiki  *core.SourceReport
+}
+
+// printed adapts a study that prints to stdout and cannot fail.
+func printed(f func(seed int64)) func(*study) error {
+	return func(s *study) error { f(s.seed); return nil }
+}
+
+// experiments lists every -experiment name in the order "all" runs them;
+// logs marks those that need the generated query-log corpus.
+var experiments = []struct {
+	name string
+	logs bool
+	run  func(*study) error
+}{
+	{"table1", false, func(s *study) error { return core.RenderTable1(s.w, s.seed, s.graphScale) }},
+	{"table2", true, func(s *study) error { return core.RenderTable2(s.w, s.reports) }},
+	{"figure3", true, func(s *study) error { return core.RenderFigure3(s.w, s.reports) }},
+	{"table3", true, func(s *study) error {
+		err := core.RenderTable3(s.w, s.dbp)
+		fmt.Fprintln(s.w)
+		return errors.Join(err, core.RenderTable3(s.w, s.wiki))
+	}},
+	{"table4", true, func(s *study) error { return core.RenderOperatorSets(s.w, s.dbp, core.Table4Rows) }},
+	{"table5", true, func(s *study) error { return core.RenderOperatorSets(s.w, s.wiki, core.Table5Rows) }},
+	{"table6", true, func(s *study) error { return core.RenderTable6(s.w, s.dbp) }},
+	{"table7", true, func(s *study) error { return core.RenderTable7(s.w, s.dbp) }},
+	{"table8", true, func(s *study) error { return core.RenderTable8(s.w, s.wiki) }},
+	{"welldesigned", true, func(s *study) error {
+		return errors.Join(core.RenderSection94(s.w, s.dbp), core.RenderSection94(s.w, s.wiki))
+	}},
+	{"tractability", true, func(s *study) error { return core.RenderSection96(s.w, s.wiki) }},
+	{"xmlquality", false, printed(runXMLQuality)},
+	{"dtdcorpus", false, printed(runDTDCorpus)},
+	{"xsdtypes", false, printed(runXSDTypes)},
+	{"jsonschema", false, printed(runJSONSchema)},
+	{"xpath", false, printed(runXPath)},
+	{"rdfstats", false, printed(runRDFStats)},
+}
 
 func main() {
 	experiment := flag.String("experiment", "all", "which table/figure to regenerate")
@@ -89,69 +89,24 @@ func main() {
 	graphScale := flag.Float64("graphscale", 0.2, "graph size factor for Table 1")
 	workers := flag.Int("workers", 0, "analysis workers for the log pipeline; 0 = one per CPU, 1 = sequential")
 	trace := flag.String("trace", "", "dump the log-pipeline span tree after the run: '-' writes stderr, anything else is a file path; empty disables")
-	serveLoad := flag.Bool("serve-load", false, "drive a seeded load run against rwdserve and write a BENCH_serve.json baseline (skips the paper experiments)")
-	serveURL := flag.String("serve-url", "", "base URL of a running rwdserve for -serve-load; empty starts one in-process")
-	serveDuration := flag.Duration("serve-duration", 10*time.Second, "sustained-load window for -serve-load")
-	serveConcurrency := flag.Int("serve-concurrency", 8, "concurrent load workers for -serve-load")
-	serveOut := flag.String("serve-out", "BENCH_serve.json", "where -serve-load writes the baseline report")
-	profileCheck := flag.Bool("profile-check", false, "replay the serve load and gate this run's workload profile against a committed baseline (skips the paper experiments)")
-	profileBaseline := flag.String("profile-baseline", "BENCH_serve.json", "baseline report for -profile-check")
-	profileFactor := flag.Float64("profile-factor", 0, "latency-ratio tolerance for -profile-check; <= 1 means the default 10x")
-	profileMinReq := flag.Uint64("profile-min-requests", 0, "skip profile rows with fewer requests; 0 means the default 50")
-	profileRateDelta := flag.Float64("profile-rate-delta", 0, "absolute error/timeout rate drift tolerance; 0 means the default 0.25")
-	autoBench := flag.Bool("automata", false, "benchmark the antichain vs classic containment engines and write a BENCH_automata.json baseline (skips the paper experiments)")
-	autoOut := flag.String("automata-out", "BENCH_automata.json", "where -automata writes the baseline report")
-	autoBlowupK := flag.Int("automata-blowup-k", 14, "k of the adversarial-blowup family for -automata")
-	autoHardK := flag.Int("automata-hard-k", 10, "k of the antichain-hard family for -automata")
-	autoEasyTrials := flag.Int("automata-easy-trials", 50, "easy-random instance count for -automata")
-	storeBench := flag.Bool("store", false, "benchmark the persistent corpus store and write a BENCH_store.json baseline (skips the paper experiments)")
-	storeOut := flag.String("store-out", "BENCH_store.json", "where -store writes the baseline report")
-	storeTriples := flag.Int("store-triples", 20000, "generated graph size for -store")
 	flag.Parse()
 
-	if *storeBench {
-		if err := runStoreBench(*seed, *storeTriples, *storeOut); err != nil {
-			fmt.Fprintln(os.Stderr, "rwdbench: store:", err)
-			os.Exit(1)
+	names := []string{"all"}
+	known := *experiment == "all"
+	needLogs := known
+	for _, e := range experiments {
+		names = append(names, e.name)
+		if e.name == *experiment {
+			known, needLogs = true, e.logs
 		}
-		return
+	}
+	if !known {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: %s\n", *experiment, strings.Join(names, ", "))
+		os.Exit(2)
 	}
 
-	if *autoBench {
-		if err := runAutomataBench(*seed, *autoEasyTrials, *autoBlowupK, *autoHardK, *autoOut); err != nil {
-			fmt.Fprintln(os.Stderr, "rwdbench: automata:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serveLoad {
-		if err := runServeLoad(*serveURL, *seed, *serveDuration, *serveConcurrency, *serveOut); err != nil {
-			fmt.Fprintln(os.Stderr, "rwdbench: serve-load:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *profileCheck {
-		err := runProfileCheck(*serveURL, *seed, *serveDuration, *serveConcurrency,
-			*profileBaseline, serveload.ProfileTolerance{
-				Factor:      *profileFactor,
-				MinRequests: *profileMinReq,
-				RateDelta:   *profileRateDelta,
-			})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rwdbench: profile-check:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	needLogs := map[string]bool{
-		"all": true, "table2": true, "table3": true, "table4": true,
-		"table5": true, "table6": true, "table7": true, "table8": true,
-		"figure3": true, "welldesigned": true, "tractability": true,
-	}
-	var reports []*core.SourceReport
-	if needLogs[*experiment] {
+	s := &study{w: os.Stdout, seed: *seed, graphScale: *graphScale}
+	if needLogs {
 		ctx := context.Background()
 		var root *obs.Span
 		if *trace != "" {
@@ -160,53 +115,33 @@ func main() {
 		cfg := core.Config{Workers: *workers, ScaleDiv: *scale, Seed: *seed}
 		if *workers == 1 {
 			fmt.Fprintf(os.Stderr, "generating and analyzing log corpus at scale 1:%d (sequential) …\n", *scale)
-			reports = core.RunLogStudySequentialCtx(ctx, cfg)
+			s.reports = core.RunLogStudySequentialCtx(ctx, cfg)
 		} else {
 			n := *workers
 			if n <= 0 {
 				n = runtime.GOMAXPROCS(0)
 			}
 			fmt.Fprintf(os.Stderr, "generating and analyzing log corpus at scale 1:%d (%d workers) …\n", *scale, n)
-			reports = core.RunLogStudyParallelCtx(ctx, cfg)
+			s.reports = core.RunLogStudyParallelCtx(ctx, cfg)
 		}
 		if root != nil {
 			root.Finish()
 			dumpTrace(*trace, root.Tree())
 		}
 	}
-	dbp, wiki := core.GroupReports(reports)
+	s.dbp, s.wiki = core.GroupReports(s.reports)
 
-	w := os.Stdout
 	failed := false
-	check := func(err error) {
-		if err != nil {
+	for _, e := range experiments {
+		if *experiment != "all" && *experiment != e.name {
+			continue
+		}
+		fmt.Fprintf(s.w, "\n==== %s ====\n", strings.ToUpper(e.name))
+		if err := e.run(s); err != nil {
 			fmt.Fprintln(os.Stderr, "render:", err)
 			failed = true
 		}
 	}
-	run := func(name string, f func()) {
-		if *experiment == "all" || *experiment == name {
-			fmt.Fprintf(w, "\n==== %s ====\n", strings.ToUpper(name))
-			f()
-		}
-	}
-	run("table1", func() { check(core.RenderTable1(w, *seed, *graphScale)) })
-	run("table2", func() { check(core.RenderTable2(w, reports)) })
-	run("figure3", func() { check(core.RenderFigure3(w, reports)) })
-	run("table3", func() { check(core.RenderTable3(w, dbp)); fmt.Fprintln(w); check(core.RenderTable3(w, wiki)) })
-	run("table4", func() { check(core.RenderOperatorSets(w, dbp, core.Table4Rows)) })
-	run("table5", func() { check(core.RenderOperatorSets(w, wiki, core.Table5Rows)) })
-	run("table6", func() { check(core.RenderTable6(w, dbp)) })
-	run("table7", func() { check(core.RenderTable7(w, dbp)) })
-	run("table8", func() { check(core.RenderTable8(w, wiki)) })
-	run("welldesigned", func() { check(core.RenderSection94(w, dbp)); check(core.RenderSection94(w, wiki)) })
-	run("tractability", func() { check(core.RenderSection96(w, wiki)) })
-	run("xmlquality", func() { runXMLQuality(*seed) })
-	run("dtdcorpus", func() { runDTDCorpus(*seed) })
-	run("xsdtypes", func() { runXSDTypes(*seed) })
-	run("jsonschema", func() { runJSONSchema(*seed) })
-	run("xpath", func() { runXPath(*seed) })
-	run("rdfstats", func() { runRDFStats(*seed) })
 	if failed {
 		os.Exit(1)
 	}
@@ -292,169 +227,6 @@ func runRDFStats(seed int64) {
 		st.MeanObjectsPerSP, st.MeanSubjectsPerPO, st.StdDevSubjectsPerPO)
 	fmt.Printf("|P∩S|/|P∪S| = %.2g, |P∩O|/|P∪O| = %.2g (paper: 0 or 10⁻⁷..10⁻³)\n",
 		st.PSOverlap, st.POOverlap)
-}
-
-// driveLoad runs the seeded load against url; with an empty url it
-// starts an in-process rwdserve on a loopback port first, so both
-// -serve-load and -profile-check are self-contained.
-func driveLoad(url string, seed int64, duration time.Duration, concurrency int) (*serveload.Report, error) {
-	if url == "" {
-		srv := service.New(service.Config{Logger: log.New(io.Discard, "", 0)})
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		shutdown := make(chan struct{})
-		served := make(chan error, 1)
-		go func() { served <- srv.Serve(l, shutdown, 5*time.Second) }()
-		defer func() {
-			close(shutdown)
-			<-served
-		}()
-		url = "http://" + l.Addr().String()
-		fmt.Fprintf(os.Stderr, "rwdbench: in-process rwdserve on %s\n", url)
-	}
-	fmt.Fprintf(os.Stderr, "rwdbench: driving %s for %s (%d workers, seed %d) …\n",
-		url, duration, concurrency, seed)
-	return serveload.Run(serveload.Config{
-		BaseURL:     url,
-		Seed:        seed,
-		Duration:    duration,
-		Concurrency: concurrency,
-	})
-}
-
-// runServeLoad drives the load generator and writes the baseline.
-func runServeLoad(url string, seed int64, duration time.Duration, concurrency int, out string) error {
-	rep, err := driveLoad(url, seed, duration, concurrency)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := serveload.WriteJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr,
-		"rwdbench: %d requests in %.1fs — %.0f rps, p50 %.2fms, p99 %.2fms, cache hit rate %.1f%%, %d timeouts -> %s\n",
-		rep.Requests, rep.DurationSeconds, rep.RPS,
-		rep.LatencyMS.P50, rep.LatencyMS.P99, 100*rep.Cache.HitRate, rep.Timeouts, out)
-	fmt.Fprintf(os.Stderr,
-		"rwdbench: flight recorder: %.0f traces recorded (%.0f retained, %.0f evicted, %.0f dropped)\n",
-		rep.Recorder.Recorded, rep.Recorder.Retained, rep.Recorder.Evicted, rep.Recorder.Dropped)
-	fmt.Fprintf(os.Stderr, "rwdbench: workload profile: %d (op, engine) rows captured\n", len(rep.Profile))
-	return nil
-}
-
-// runProfileCheck replays the serve load and gates the fresh workload
-// profile against a committed baseline: exit 1 on any drift beyond
-// tolerance. Baselines from before the profile engine (no profile
-// block) pass with a warning so the gate can land before every
-// baseline is regenerated.
-func runProfileCheck(url string, seed int64, duration time.Duration, concurrency int,
-	baselinePath string, tol serveload.ProfileTolerance) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	baseline := &serveload.Report{}
-	if err := json.Unmarshal(raw, baseline); err != nil {
-		return fmt.Errorf("%s: %w", baselinePath, err)
-	}
-	if len(baseline.Profile) == 0 {
-		fmt.Fprintf(os.Stderr, "rwdbench: %s has no profile block (regenerate with -serve-load); nothing to gate\n", baselinePath)
-		return nil
-	}
-	rep, err := driveLoad(url, seed, duration, concurrency)
-	if err != nil {
-		return err
-	}
-	regressions := serveload.CompareProfiles(baseline, rep, tol)
-	if len(regressions) == 0 {
-		fmt.Fprintf(os.Stderr, "rwdbench: profile-check: %d baseline rows within tolerance of %s\n",
-			len(baseline.Profile), baselinePath)
-		return nil
-	}
-	for _, r := range regressions {
-		fmt.Fprintln(os.Stderr, "rwdbench: profile regression:", r)
-	}
-	return fmt.Errorf("%d profile regression(s) against %s", len(regressions), baselinePath)
-}
-
-// runAutomataBench runs the engine comparison families and writes the
-// committed baseline.
-// runStoreBench benchmarks the persistent corpus store in a throwaway
-// directory and writes the BENCH_store.json baseline.
-func runStoreBench(seed int64, triples int, out string) error {
-	dir, err := os.MkdirTemp("", "rwdbench-store-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	fmt.Fprintf(os.Stderr, "rwdbench: benchmarking store (seed %d, %d triples) …\n", seed, triples)
-	rep, err := storebench.Run(context.Background(), storebench.Config{
-		Dir:     dir,
-		Seed:    seed,
-		Triples: triples,
-	})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := storebench.WriteJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr,
-		"rwdbench: ingest %.0f triples/s | scan %.0f rows/s | reopen %.1fms | %.1f bytes/triple\n",
-		rep.IngestTriplesPerSec, rep.ScanRowsPerSec, rep.ReopenMS, rep.BytesPerTriple)
-	fmt.Fprintf(os.Stderr, "rwdbench: baseline -> %s\n", out)
-	return nil
-}
-
-func runAutomataBench(seed int64, easyTrials, blowupK, hardK int, out string) error {
-	fmt.Fprintf(os.Stderr, "rwdbench: comparing containment engines (seed %d, blowup k=%d, hard k=%d, %d easy pairs) …\n",
-		seed, blowupK, hardK, easyTrials)
-	rep, err := autobench.Run(autobench.Config{
-		Seed:       seed,
-		EasyTrials: easyTrials,
-		BlowupK:    blowupK,
-		HardK:      hardK,
-	})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := autobench.WriteJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	for _, fam := range rep.Families {
-		fmt.Fprintf(os.Stderr,
-			"rwdbench: %-20s antichain %8d states %8.1fms | classic %8d states %8.1fms | ratio %.1fx\n",
-			fam.Family, fam.Antichain.StatesExpanded, fam.Antichain.WallMS,
-			fam.Classic.StatesExpanded, fam.Classic.WallMS, fam.StatesExpandedRatio)
-	}
-	fmt.Fprintf(os.Stderr, "rwdbench: baseline -> %s\n", out)
-	return nil
 }
 
 func pctOf(n, total int) float64 {

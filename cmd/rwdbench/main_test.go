@@ -1,0 +1,47 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain lets a test re-run this binary as rwdbench itself, so the
+// exit code and output are checked as a script would see them.
+func TestMain(m *testing.M) {
+	if os.Getenv("RWDBENCH_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUnknownExperiment pins the usage error: a misspelled -experiment
+// exits 2 with nothing on stdout and the valid names on stderr, instead
+// of silently running nothing.
+func TestUnknownExperiment(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-experiment", "tabel1")
+	cmd.Env = append(os.Environ(), "RWDBENCH_RUN_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want 2 (stderr %q)", err, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout = %q, want empty", stdout.String())
+	}
+	msg := stderr.String()
+	if !strings.Contains(msg, `unknown experiment "tabel1"`) {
+		t.Errorf("stderr = %q, want it to name the bad experiment", msg)
+	}
+	for _, name := range []string{"all", "table1", "figure3", "tractability", "rdfstats"} {
+		if !strings.Contains(msg, name) {
+			t.Errorf("stderr = %q, want it to list %q", msg, name)
+		}
+	}
+}

@@ -72,59 +72,154 @@ func TestAntichainKnownFamilies(t *testing.T) {
 	}
 }
 
+// containsEngine is the signature shared by ContainsCtx and
+// ContainsClassicCtx.
+type containsEngine func(ctx context.Context, e1, e2 *regex.Expr) (bool, error)
+
+// tracedContains runs one containment check under a fresh tracer and
+// returns the verdict with the finished span tree.
+func tracedContains(t *testing.T, engine containsEngine, e1, e2 *regex.Expr) (bool, *obs.Node) {
+	t.Helper()
+	tr := &obs.Tracer{}
+	ctx, root := tr.StartRoot(context.Background(), "test")
+	ok, err := engine(ctx, e1, e2)
+	if err != nil {
+		t.Fatalf("Contains(%s, %s): %v", e1, e2, err)
+	}
+	root.Finish()
+	return ok, root.Tree()
+}
+
+// sumCounter totals one cost counter over a span tree.
+func sumCounter(n *obs.Node, counter string) (total int64) {
+	total = n.Counters[counter]
+	for _, c := range n.Children {
+		total += sumCounter(c, counter)
+	}
+	return total
+}
+
+// costCounters is (states_expanded, product_states, antichain_pruned).
+func costCounters(n *obs.Node) [3]int64 {
+	return [3]int64{
+		sumCounter(n, "states_expanded"),
+		sumCounter(n, "product_states"),
+		sumCounter(n, "antichain_pruned"),
+	}
+}
+
+// costFamilies are the instance families the engines' cost counters
+// are compared on: small random pairs, the subset-construction blowup,
+// and the family built to defeat antichain pruning.
+func costFamilies() []struct {
+	name  string
+	pairs [][2]*regex.Expr
+} {
+	r := rand.New(rand.NewSource(1))
+	g := regex.DefaultGen([]string{"a", "b"})
+	g.MaxDepth = 3
+	g.MaxFanout = 3
+	var easy [][2]*regex.Expr
+	for len(easy) < 10 {
+		e1, e2 := g.Random(r), g.Random(r)
+		if Glushkov(e1).NumStates > 10 || Glushkov(e2).NumStates > 10 {
+			continue // the classic side determinizes eagerly; keep it cheap
+		}
+		easy = append(easy, [2]*regex.Expr{e1, e2})
+	}
+	blow := adversarialRight(10)
+	hard := regex.MustParse(AntichainHardExpr(6))
+	return []struct {
+		name  string
+		pairs [][2]*regex.Expr
+	}{
+		{"easy-random", easy},
+		{"adversarial-blowup", [][2]*regex.Expr{{blow, blow}}},
+		{"antichain-hard", [][2]*regex.Expr{{hard, hard}}},
+	}
+}
+
+// TestAntichainCostCountersAllFamilies runs every cost family through
+// both engines under tracing: the verdicts must agree, and both engines
+// must report nonzero states_expanded and product_states per family.
+func TestAntichainCostCountersAllFamilies(t *testing.T) {
+	for _, f := range costFamilies() {
+		var anti, classic [3]int64
+		for _, p := range f.pairs {
+			okA, treeA := tracedContains(t, ContainsCtx, p[0], p[1])
+			okC, treeC := tracedContains(t, ContainsClassicCtx, p[0], p[1])
+			if okA != okC {
+				t.Fatalf("%s: Contains(%s, %s) antichain = %v, classic = %v", f.name, p[0], p[1], okA, okC)
+			}
+			a, c := costCounters(treeA), costCounters(treeC)
+			for i := range anti {
+				anti[i] += a[i]
+				classic[i] += c[i]
+			}
+		}
+		if anti[0] == 0 || classic[0] == 0 {
+			t.Fatalf("%s: states_expanded antichain=%d classic=%d, want both > 0", f.name, anti[0], classic[0])
+		}
+		if anti[1] == 0 || classic[1] == 0 {
+			t.Fatalf("%s: product_states antichain=%d classic=%d, want both > 0", f.name, anti[1], classic[1])
+		}
+	}
+}
+
+// TestAntichainCountersDeterministic runs every cost family twice on
+// each engine: states_expanded and antichain_pruned must be identical
+// across the two runs (wall time varies; these counters must not).
+// product_states is left out: the classic engine's witness search walks
+// transitions in map order and stops at the first witness, so its count
+// varies on non-contained pairs.
+func TestAntichainCountersDeterministic(t *testing.T) {
+	engines := []struct {
+		name   string
+		engine containsEngine
+	}{{"antichain", ContainsCtx}, {"classic", ContainsClassicCtx}}
+	for _, f := range costFamilies() {
+		for _, eng := range engines {
+			for _, p := range f.pairs {
+				_, first := tracedContains(t, eng.engine, p[0], p[1])
+				_, second := tracedContains(t, eng.engine, p[0], p[1])
+				a := [2]int64{sumCounter(first, "states_expanded"), sumCounter(first, "antichain_pruned")}
+				b := [2]int64{sumCounter(second, "states_expanded"), sumCounter(second, "antichain_pruned")}
+				if a != b {
+					t.Fatalf("%s/%s: counters %v then %v across identical runs on %s ⊆ %s",
+						f.name, eng.name, a, b, p[0], p[1])
+				}
+			}
+		}
+	}
+}
+
 // TestAntichainPruningBeatsClassic runs blowup-family self-containment
 // under tracing on both engines and checks the acceptance ratio: the
 // lazy engine must expand at least 10× fewer subset-states than the
-// eager determinization. (rwdbench -automata measures the same ratio at
-// larger k for the committed BENCH_automata.json.)
+// eager determinization. BenchmarkAntichainVsClassicBlowup times the
+// same family.
 func TestAntichainPruningBeatsClassic(t *testing.T) {
 	e := adversarialRight(10)
 
-	run := func(f func(context.Context) error) *obs.Node {
-		tr := &obs.Tracer{}
-		ctx, root := tr.StartRoot(context.Background(), "test")
-		if err := f(ctx); err != nil {
-			t.Fatal(err)
-		}
-		root.Finish()
-		return root.Tree()
+	okLazy, lazyTree := tracedContains(t, ContainsCtx, e, e)
+	if !okLazy {
+		t.Fatal("self-containment = false")
 	}
-	sum := func(n *obs.Node, counter string) (total int64) {
-		var walk func(*obs.Node)
-		walk = func(n *obs.Node) {
-			total += n.Counters[counter]
-			for _, c := range n.Children {
-				walk(c)
-			}
-		}
-		walk(n)
-		return total
+	okClassic, classicTree := tracedContains(t, ContainsClassicCtx, e, e)
+	if !okClassic {
+		t.Fatal("classic self-containment = false")
 	}
 
-	lazyTree := run(func(ctx context.Context) error {
-		ok, err := ContainsCtx(ctx, e, e)
-		if err == nil && !ok {
-			t.Fatal("self-containment = false")
-		}
-		return err
-	})
-	classicTree := run(func(ctx context.Context) error {
-		ok, err := ContainsClassicCtx(ctx, e, e)
-		if err == nil && !ok {
-			t.Fatal("classic self-containment = false")
-		}
-		return err
-	})
-
-	lazy := sum(lazyTree, "states_expanded")
-	classic := sum(classicTree, "states_expanded")
+	lazy := sumCounter(lazyTree, "states_expanded")
+	classic := sumCounter(classicTree, "states_expanded")
 	if lazy == 0 || classic == 0 {
 		t.Fatalf("states_expanded: lazy=%d classic=%d, want both > 0", lazy, classic)
 	}
 	if classic < 10*lazy {
 		t.Fatalf("states_expanded: lazy=%d classic=%d, want >= 10x reduction", lazy, classic)
 	}
-	if pruned := sum(lazyTree, "antichain_pruned"); pruned == 0 {
+	t.Logf("states_expanded: antichain %d, classic %d (%.1fx)", lazy, classic, float64(classic)/float64(lazy))
+	if pruned := sumCounter(lazyTree, "antichain_pruned"); pruned == 0 {
 		t.Fatal("antichain_pruned = 0, want > 0 on the blowup family")
 	}
 }

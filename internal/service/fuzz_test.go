@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzObservabilityQuery sends arbitrary raw query strings and trace
@@ -81,6 +82,61 @@ func FuzzObservabilityQuery(f *testing.F) {
 		}
 		if got := s.FlightStats().Recorded; got != recordedN {
 			t.Fatalf("recorder recorded %d -> %d: a read was recorded", recordedN, got)
+		}
+	})
+}
+
+// FuzzDecide sends arbitrary raw bodies to the four decision endpoints
+// (/v1/containment, /v1/membership, /v1/validate and /v1/infer) of a
+// server that clamps every deadline to 50 ms. No input may panic or
+// answer a 5xx other than 503 or 504; every 200 body is JSON; and after
+// each input the admission slots and detached engines — the
+// rwdserve_inflight and rwdserve_detached_engines gauges — drain back
+// to zero.
+func FuzzDecide(f *testing.F) {
+	const maxDeadline = 50 * time.Millisecond
+	s := New(Config{MaxDeadline: maxDeadline, Logger: discardLogger()})
+	h := s.Handler()
+	for _, body := range []string{
+		`{"engine":"regex","left":"a b","right":"a (b|c)"}`,
+		`{"engine":"kore","left":"a a","right":"a* a*"}`,
+		`{"engine":"dtd","left":"<!ELEMENT r (a)> <!ELEMENT a EMPTY>","right":"<!ELEMENT r (a|b)> <!ELEMENT a EMPTY> <!ELEMENT b EMPTY>"}`,
+		`{"engine":"jsonschema","left":"{\"type\":\"integer\",\"minimum\":5}","right":"{\"type\":\"integer\"}"}`,
+		`{"engine":"regex","left":"a","right":"a|b","explain":true}`,
+		`{"expr":"b* a (b* a)*","word":["b","a","b","a"]}`,
+		`{"kind":"dtd","schema":"<!ELEMENT r (a, b*)> <!ELEMENT a EMPTY> <!ELEMENT b EMPTY>","docs":["r(a, b, b)","r(b)","x(a)"]}`,
+		`{"kind":"edtd","types":[{"name":"r","label":"r","content":"t1 t2"},{"name":"t1","label":"a","content":"b"},{"name":"t2","label":"a","content":""},{"name":"b","label":"b","content":""}],"start":["r"],"docs":["r(a(b), a)"]}`,
+		`{"algorithm":"sore","words":[["a","b"],["a","b","b"],["a"]]}`,
+		`{"algorithm":"best-kore","words":[["a","b"],["b","a"]],"deadline_ms":1}`,
+		`not json`,
+		`{"engine":"nope","left":"a","right":"a"}`,
+		`{"engine":"regex","left":"((","right":"a"}`,
+		`{"algorithm":"magic","words":[["a"]]}`,
+		adversarialContainment(60000),
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		for _, path := range []string{"/v1/containment", "/v1/membership", "/v1/validate", "/v1/infer"} {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			switch code := w.Code; {
+			case code == http.StatusOK:
+				if !json.Valid(w.Body.Bytes()) {
+					t.Fatalf("POST %s: 200 with a body that is not JSON: %q", path, w.Body.Bytes())
+				}
+			case code >= 500 && code != http.StatusServiceUnavailable && code != http.StatusGatewayTimeout:
+				t.Fatalf("POST %s = %d: %s", path, code, w.Body.Bytes())
+			}
+		}
+		// Every engine was cancelled at the deadline; the ones still
+		// running must exit soon after and give their slots back.
+		for stop := time.Now().Add(20 * maxDeadline); len(s.sem) != 0 || s.detached.Load() != 0; {
+			if time.Now().After(stop) {
+				t.Fatalf("inflight %d, detached engines %d: not drained %v after the deadline",
+					len(s.sem), s.detached.Load(), 20*maxDeadline)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	})
 }

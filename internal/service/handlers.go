@@ -493,6 +493,13 @@ func decideInfer(ctx context.Context, body []byte) (any, *apiError) {
 	default:
 		return nil, errBadRequest("unknown algorithm %q (want sore, chare, kore, or best-kore)", req.Algorithm)
 	}
+	for i, w := range req.Words {
+		for j, sym := range w {
+			if sym == "" {
+				return nil, errBadRequest("words[%d][%d]: empty symbol", i, j)
+			}
+		}
+	}
 	sample := inference.Sample(req.Words)
 	var e *regex.Expr
 	k := req.K

@@ -245,6 +245,11 @@ func TestInfer(t *testing.T) {
 	if code := post(t, ts.URL, "/v1/infer", `{"algorithm":"magic","words":[["a"]]}`, &e); code != 400 {
 		t.Fatalf("unknown algorithm: code=%d", code)
 	}
+	// An empty symbol used to panic the engine goroutine, killing the
+	// whole server (found by FuzzDecide).
+	if code := post(t, ts.URL, "/v1/infer", `{"algorithm":"sore","words":[["","b"],["a"]]}`, &e); code != 400 {
+		t.Fatalf("empty symbol: code=%d", code)
+	}
 }
 
 func TestAnalyze(t *testing.T) {

@@ -409,25 +409,45 @@ func TestComputeStatsBackendAgnostic(t *testing.T) {
 
 var benchStats *rdf.Stats
 
-// BenchmarkComputeStats is the stored stats layer: a StoredGraph over
-// a corpus committed as 20 segments of 1,000 generated triples, the
-// shape of the rwdperf corpus-bulk "base" corpus.
-func BenchmarkComputeStats(b *testing.B) {
+// commitBenchCorpus commits triples to corpus "base" as flushed
+// segments of 1,000 triples and returns how many were added. With
+// benchTriples that is 20 segments, the shape of the rwdperf
+// corpus-bulk "base" corpus.
+func commitBenchCorpus(b *testing.B, st *Store, triples []rdf.Triple) int {
 	ctx := context.Background()
-	triples := testTriples(1, 9000)[:20000]
-	st, err := Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
+	added := 0
 	for i := 0; i < len(triples); i += 1000 {
-		if _, err := st.IngestTriples(ctx, "base", triples[i:i+1000]); err != nil {
+		n, err := st.IngestTriples(ctx, "base", triples[i:i+1000])
+		if err != nil {
 			b.Fatal(err)
 		}
 		if err := st.Flush(ctx); err != nil {
 			b.Fatal(err)
 		}
+		added += n
 	}
+	return added
+}
+
+func benchTriples() []rdf.Triple { return testTriples(1, 9000)[:20000] }
+
+// openBenchCorpus opens a store in a fresh directory holding the
+// committed benchmark corpus.
+func openBenchCorpus(b *testing.B) (st *Store, dir string, added int) {
+	dir = b.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st, dir, commitBenchCorpus(b, st, benchTriples())
+}
+
+// BenchmarkComputeStats is the stored stats layer: a StoredGraph over
+// the committed benchmark corpus.
+func BenchmarkComputeStats(b *testing.B) {
+	ctx := context.Background()
+	st, _, _ := openBenchCorpus(b)
+	defer st.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -439,6 +459,98 @@ func BenchmarkComputeStats(b *testing.B) {
 			b.Fatal(sg.Err())
 		}
 	}
+}
+
+// BenchmarkIngest commits the benchmark corpus (ingest and flush) into
+// a fresh store per iteration.
+func BenchmarkIngest(b *testing.B) {
+	triples := benchTriples()
+	root := b.TempDir()
+	added := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(root, "s")
+		st, err := Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		added = commitBenchCorpus(b, st, triples)
+		b.StopTimer()
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(added)*float64(b.N)/b.Elapsed().Seconds(), "triples/s")
+}
+
+// BenchmarkScan is one full SPO scan of the benchmark corpus plus 200
+// per-subject prefix scans, the OutEdges access pattern of the path and
+// algebra evaluators.
+func BenchmarkScan(b *testing.B) {
+	ctx := context.Background()
+	st, _, _ := openBenchCorpus(b)
+	defer st.Close()
+	sg, err := st.Graph(ctx, "base")
+	if err != nil {
+		b.Fatal(err)
+	}
+	subjects := sg.Subjects()
+	const scans = 200
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sg, err := st.Graph(ctx, "base")
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows += len(sg.Triples())
+		for j := 0; j < scans; j++ {
+			rows += len(sg.OutEdges(subjects[j*len(subjects)/scans]))
+		}
+		if err := sg.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
+}
+
+// BenchmarkReopen is a cold OpenExisting of the benchmark corpus:
+// registry load, segment header and CRC validation, term-dictionary
+// replay. Every reopen must recover every committed triple.
+func BenchmarkReopen(b *testing.B) {
+	st, dir, added := openBenchCorpus(b)
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	var segBytes int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := OpenExisting(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stats, err := st.StoreStats()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.Triples != added {
+			b.Fatalf("reopen lost triples: committed %d, recovered %d", added, stats.Triples)
+		}
+		segBytes = stats.SegmentBytes
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(segBytes)/float64(added), "bytes/triple")
 }
 
 // TestUndecodableTermIsCorrupt reseals a segment in which one SPO key
