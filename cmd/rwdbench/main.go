@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -158,8 +159,16 @@ func runXMLQuality(seed int64) {
 	fmt.Printf("documents: %d\nwell-formed: %d (%.1f%%; paper: 85%%)\n",
 		res.Total, res.WellFormed, 100*res.WellFormedRate())
 	fmt.Printf("top-3 error categories cover %.1f%% of errors (paper: 79.9%%)\n", 100*res.TopThreeRate)
-	for cat, n := range res.ByCategory {
-		fmt.Printf("  %-24s %d\n", cat.String(), n)
+	cats := make([]xmllite.ErrorCategory, 0, len(res.ByCategory))
+	for cat := range res.ByCategory {
+		cats = append(cats, cat)
+	}
+	sort.Slice(cats, func(i, j int) bool {
+		ni, nj := res.ByCategory[cats[i]], res.ByCategory[cats[j]]
+		return ni > nj || ni == nj && cats[i].String() < cats[j].String()
+	})
+	for _, cat := range cats {
+		fmt.Printf("  %-24s %d\n", cat.String(), res.ByCategory[cat])
 	}
 }
 

@@ -45,3 +45,25 @@ func TestUnknownExperiment(t *testing.T) {
 		}
 	}
 }
+
+// TestXMLQualityDeterministic pins that the error-category rows come out
+// in a fixed order (count descending, then name), so two runs at the
+// same seed print byte-identical output.
+func TestXMLQualityDeterministic(t *testing.T) {
+	var outs [2]string
+	for i := range outs {
+		cmd := exec.Command(os.Args[0], "-experiment", "xmlquality", "-seed", "1")
+		cmd.Env = append(os.Environ(), "RWDBENCH_RUN_MAIN=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		outs[i] = string(out)
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("two runs differ:\n%s\n---\n%s", outs[0], outs[1])
+	}
+	if !strings.Contains(outs[0], "top-3 error categories") {
+		t.Fatalf("unexpected output:\n%s", outs[0])
+	}
+}

@@ -22,7 +22,7 @@ package automata
 // sound (the kept smaller set preserves every counterexample) and
 // complete (we only ever drop pairs whose counterexamples survive
 // elsewhere), so the verdict is exactly that of the classic engine —
-// which is retained as ContainsClassic/NFAContainsClassicCtx and pitted
+// which is retained as ContainsClassic/ContainsClassicCtx and pitted
 // against this engine by the antichain-containment oracle.
 //
 // Under a traced context the "automata.contains" span accounts:
@@ -195,14 +195,4 @@ func AntichainHardExpr(k int) string {
 func ContainsClassic(e1, e2 *regex.Expr) bool {
 	ok, _ := ContainsClassicCtx(context.Background(), e1, e2)
 	return ok
-}
-
-// ContainsClassicCtx is ContainsClassic with cooperative cancellation.
-func ContainsClassicCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
-	return nfaContainsClassicCtx(ctx, Glushkov(e1), e2)
-}
-
-// NFAContainsClassicCtx is the classic-engine form of NFAContainsCtx.
-func NFAContainsClassicCtx(ctx context.Context, n1 *NFA, e2 *regex.Expr) (bool, error) {
-	return nfaContainsClassicCtx(ctx, n1, e2)
 }

@@ -9,6 +9,7 @@ package automata
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -116,28 +117,133 @@ func (n *NFA) IsDeterministic() bool {
 
 // Accepts reports whether the NFA accepts the word.
 func (n *NFA) Accepts(word []string) bool {
-	cur := map[int]bool{}
-	for _, q := range n.Initial {
-		cur[q] = true
-	}
+	set := n.Start()
 	for _, a := range word {
-		next := map[int]bool{}
-		for q := range cur {
-			for _, p := range n.Trans[q][a] {
-				next[p] = true
-			}
-		}
-		if len(next) == 0 {
+		if set = n.Step(set, a); len(set) == 0 {
 			return false
 		}
-		cur = next
 	}
-	for q := range cur {
+	return n.AnyFinal(set)
+}
+
+// Start returns the initial state set of the on-the-fly subset
+// simulation (Step, AnyFinal): the initial states, sorted and
+// duplicate-free.
+func (n *NFA) Start() []int {
+	return sortedSet(append([]int(nil), n.Initial...))
+}
+
+// Step returns the states reached from set by one a-transition, sorted
+// and duplicate-free. A simulated set never holds more than NumStates
+// states, however long the word read so far.
+func (n *NFA) Step(set []int, a string) []int {
+	var next []int
+	for _, q := range set {
+		next = append(next, n.Trans[q][a]...)
+	}
+	return sortedSet(next)
+}
+
+// AnyFinal reports whether set contains a final state.
+func (n *NFA) AnyFinal(set []int) bool {
+	for _, q := range set {
 		if n.Final[q] {
 			return true
 		}
 	}
 	return false
+}
+
+func sortedSet(s []int) []int {
+	sort.Ints(s)
+	return slices.Compact(s)
+}
+
+// Project returns the automaton whose transitions are n's with each
+// label a renamed to f(a); transitions whose label f rejects are
+// dropped. States, initial and final states are kept, so the result
+// accepts the renamed words of n that use only labels f keeps.
+func (n *NFA) Project(f func(a string) (string, bool)) *NFA {
+	out := NewNFA(n.NumStates)
+	out.Initial = append([]int(nil), n.Initial...)
+	for q, final := range n.Final {
+		out.Final[q] = final
+	}
+	for q, trans := range n.Trans {
+		for a, ps := range trans {
+			if b, ok := f(a); ok {
+				for _, p := range ps {
+					out.AddTransition(q, b, p)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// Restrict returns n without the transitions whose label is not in
+// allowed: an automaton for L(n) ∩ allowed*.
+func (n *NFA) Restrict(allowed map[string]bool) *NFA {
+	return n.Project(func(a string) (string, bool) { return a, allowed[a] })
+}
+
+// UsefulLabels returns, sorted, the labels on the transitions of the
+// trimmed automaton — those reachable from an initial state and
+// co-reachable to a final one — which are exactly the labels occurring
+// in some accepted word.
+func (n *NFA) UsefulLabels() []string {
+	succ, pred := make([][]int, n.NumStates), make([][]int, n.NumStates)
+	for q, trans := range n.Trans {
+		for _, ps := range trans {
+			for _, p := range ps {
+				succ[q] = append(succ[q], p)
+				pred[p] = append(pred[p], q)
+			}
+		}
+	}
+	var finals []int
+	for q, final := range n.Final {
+		if final {
+			finals = append(finals, q)
+		}
+	}
+	reached, coreached := reach(succ, n.Initial), reach(pred, finals)
+	set := map[string]bool{}
+	for q, trans := range n.Trans {
+		for a, ps := range trans {
+			for _, p := range ps {
+				if reached[q] && coreached[p] {
+					set[a] = true
+				}
+			}
+		}
+	}
+	labels := make([]string, 0, len(set))
+	for a := range set {
+		labels = append(labels, a)
+	}
+	sort.Strings(labels)
+	return labels
+}
+
+// reach marks the vertices of the graph adj reachable from roots.
+func reach(adj [][]int, roots []int) []bool {
+	seen := make([]bool, len(adj))
+	stack := append([]int(nil), roots...)
+	for _, q := range roots {
+		seen[q] = true
+	}
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range adj[q] {
+			if !seen[p] {
+				seen[p] = true
+				stack = append(stack, p)
+			}
+		}
+	}
+	return seen
 }
 
 // IsEmpty reports whether L(n) = ∅ (no final state reachable).
@@ -536,8 +642,7 @@ func NFAContains(n1 *NFA, e2 *regex.Expr) bool {
 // case (the problem is PSPACE-complete); package chare provides the
 // polynomial cases of Theorem 4.5.
 func IntersectionNonEmpty(es ...*regex.Expr) bool {
-	w, ok := IntersectionWitness(es...)
-	_ = w
+	_, ok := IntersectionWitness(es...)
 	return ok
 }
 

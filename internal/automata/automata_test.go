@@ -1,7 +1,9 @@
 package automata
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -276,5 +278,67 @@ func TestKOREDFABound(t *testing.T) {
 		if d.NumStates > bound {
 			t.Fatalf("DFA for %d-ORE %q has %d states > bound %d", k, e, d.NumStates, bound)
 		}
+	}
+}
+
+// TestProjectRestrictUsefulLabels checks the primitives the schema
+// packages reduce to, on an automaton with a dead branch, an unreachable
+// state and a label that restriction removes:
+//
+//	0 -a-> 1 -b-> 2 (final)    live path
+//	0 -e-> 5 -b-> 2            live path through e
+//	0 -c-> 3 -c-> 3            dead branch: 3 cannot reach a final state
+//	4 -d-> 2                   4 is unreachable
+func TestProjectRestrictUsefulLabels(t *testing.T) {
+	base := NewNFA(6)
+	base.Initial = []int{0}
+	base.Final[2] = true
+	for _, tr := range []struct {
+		q int
+		a string
+		p int
+	}{{0, "a", 1}, {1, "b", 2}, {0, "e", 5}, {5, "b", 2}, {0, "c", 3}, {3, "c", 3}, {4, "d", 2}} {
+		base.AddTransition(tr.q, tr.a, tr.p)
+	}
+	other := Glushkov(regex.MustParse("(a|x) b"))
+	cases := []struct {
+		name    string
+		n       *NFA
+		useful  []string
+		word    []string // accepted iff accepts
+		accepts bool
+		witness []string // shortest word also in L((a|x) b); nil when none
+	}{
+		{"dead branch and unreachable state", base, []string{"a", "b", "e"}, []string{"e", "b"}, true, []string{"a", "b"}},
+		{"restriction removes e", base.Restrict(map[string]bool{"a": true, "b": true, "c": true, "d": true}),
+			[]string{"a", "b"}, []string{"e", "b"}, false, []string{"a", "b"}},
+		{"restriction removes b, so no state reaches a final one", base.Restrict(map[string]bool{"a": true, "c": true, "d": true, "e": true}),
+			[]string{}, []string{"a"}, false, nil},
+		{"projection renames a and e to x and drops c", base.Project(func(a string) (string, bool) {
+			switch a {
+			case "a", "e":
+				return "x", true
+			case "c":
+				return "", false
+			}
+			return a, true
+		}), []string{"b", "x"}, []string{"x", "b"}, true, []string{"x", "b"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.n.NumStates != base.NumStates || !slices.Equal(c.n.Initial, base.Initial) || !c.n.Final[2] || len(c.n.Final) != 1 {
+				t.Fatalf("states changed: %d states, initial %v, final %v", c.n.NumStates, c.n.Initial, c.n.Final)
+			}
+			if got := c.n.UsefulLabels(); !slices.Equal(got, c.useful) {
+				t.Errorf("UsefulLabels = %v, want %v", got, c.useful)
+			}
+			if got := c.n.Accepts(c.word); got != c.accepts {
+				t.Errorf("Accepts(%v) = %v, want %v", c.word, got, c.accepts)
+			}
+			w, ok, err := NFAIntersectionWitnessCtx(context.Background(), c.n, other)
+			if err != nil || ok != (c.witness != nil) || !slices.Equal(w, c.witness) {
+				t.Errorf("NFAIntersectionWitnessCtx = %v, %v, %v; want %v", w, ok, err, c.witness)
+			}
+		})
 	}
 }

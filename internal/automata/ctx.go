@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/obs"
@@ -146,12 +147,13 @@ func NFAContainsCtx(ctx context.Context, n1 *NFA, e2 *regex.Expr) (bool, error) 
 	return containsAntichainCtx(ctx, n1, Glushkov(e2))
 }
 
-// nfaContainsClassicCtx is the classic engine: eager determinization of
-// e2, complementation over the union alphabet, and a DFS for a product
-// state witnessing L(n1) \ L(e2) ≠ ∅.
-func nfaContainsClassicCtx(ctx context.Context, n1 *NFA, e2 *regex.Expr) (bool, error) {
+// ContainsClassicCtx is ContainsClassic with cooperative cancellation:
+// eager determinization of e2, complementation over the union alphabet,
+// and a DFS for a product state witnessing L(e1) \ L(e2) ≠ ∅.
+func ContainsClassicCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
 	ctx, span := obs.StartSpan(ctx, "automata.contains_classic")
 	defer span.Finish()
+	n1 := Glushkov(e1)
 	alpha := unionAlpha(n1.Alphabet, e2.Alphabet())
 	det, err := DeterminizeCtx(ctx, Glushkov(e2))
 	if err != nil {
@@ -176,7 +178,7 @@ func nfaContainsClassicCtx(ctx context.Context, n1 *NFA, e2 *regex.Expr) (bool, 
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if n1.Final[p.q] && comp.Final[p.s] {
-			return false, nil // witness in L(n1) \ L(e2)
+			return false, nil // witness in L(e1) \ L(e2)
 		}
 		for a, succs := range n1.Trans[p.q] {
 			s2, ok := comp.Trans[p.s][a]
@@ -207,48 +209,41 @@ func EquivalentCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
 // IntersectionWitnessCtx is IntersectionWitness with cooperative
 // cancellation of the on-the-fly product BFS.
 func IntersectionWitnessCtx(ctx context.Context, es ...*regex.Expr) ([]string, bool, error) {
-	if len(es) == 0 {
+	nfas := make([]*NFA, len(es))
+	for i, e := range es {
+		nfas[i] = Glushkov(e)
+	}
+	return NFAIntersectionWitnessCtx(ctx, nfas...)
+}
+
+// NFAIntersectionWitnessCtx returns a shortest word accepted by every
+// automaton, or (nil, false) when their intersection is empty. It runs a
+// BFS over tuples of state sets, one Step per component and label,
+// checking ctx between label expansions.
+func NFAIntersectionWitnessCtx(ctx context.Context, nfas ...*NFA) ([]string, bool, error) {
+	if len(nfas) == 0 {
 		return []string{}, true, nil
 	}
 	ctx, span := obs.StartSpan(ctx, "automata.intersection")
 	defer span.Finish()
 	tuples := span.Counter("tuples_expanded")
-	nfas := make([]*NFA, len(es))
-	for i, e := range es {
-		nfas[i] = Glushkov(e)
-	}
 	key := func(tuple [][]int) string {
-		var b strings.Builder
-		for i, set := range tuple {
-			if i > 0 {
-				b.WriteByte(';')
+		var b []byte
+		for _, set := range tuple {
+			for _, q := range set {
+				b = append(strconv.AppendInt(b, int64(q), 10), ',')
 			}
-			for j, q := range set {
-				if j > 0 {
-					b.WriteByte(',')
-				}
-				fmt.Fprintf(&b, "%d", q)
-			}
+			b = append(b, ';')
 		}
-		return b.String()
+		return string(b)
 	}
-	// BFS over tuples of state sets (determinized on the fly per component).
 	start := make([][]int, len(nfas))
 	for i, n := range nfas {
-		s := append([]int(nil), n.Initial...)
-		sort.Ints(s)
-		start[i] = s
+		start[i] = n.Start()
 	}
 	allFinal := func(tuple [][]int) bool {
 		for i, set := range tuple {
-			ok := false
-			for _, q := range set {
-				if nfas[i].Final[q] {
-					ok = true
-					break
-				}
-			}
-			if !ok {
+			if !nfas[i].AnyFinal(set) {
 				return false
 			}
 		}
@@ -291,40 +286,24 @@ func IntersectionWitnessCtx(ctx context.Context, es ...*regex.Expr) ([]string, b
 	for head := 0; head < len(items); head++ {
 		tuple := items[head].tuple
 		tuples.Inc()
+	next:
 		for _, a := range labels {
 			if err := cc.checkpoint(); err != nil {
 				return nil, false, err
 			}
-			next := make([][]int, len(nfas))
-			dead := false
+			succ := make([][]int, len(nfas))
 			for i, set := range tuple {
-				m := map[int]bool{}
-				for _, q := range set {
-					for _, p := range nfas[i].Trans[q][a] {
-						m[p] = true
-					}
+				if succ[i] = nfas[i].Step(set, a); len(succ[i]) == 0 {
+					continue next
 				}
-				if len(m) == 0 {
-					dead = true
-					break
-				}
-				s := make([]int, 0, len(m))
-				for p := range m {
-					s = append(s, p)
-				}
-				sort.Ints(s)
-				next[i] = s
 			}
-			if dead {
-				continue
-			}
-			k := key(next)
+			k := key(succ)
 			if seen[k] {
 				continue
 			}
 			seen[k] = true
-			items = append(items, item{next, head, a})
-			if allFinal(next) {
+			items = append(items, item{succ, head, a})
+			if allFinal(succ) {
 				return witness(len(items) - 1), true, nil
 			}
 		}

@@ -2,6 +2,7 @@ package dtd
 
 import (
 	"context"
+	"sort"
 
 	"repro/internal/automata"
 	"repro/internal/chare"
@@ -37,7 +38,8 @@ func ContainsCtx(ctx context.Context, d1, d2 *DTD) (bool, error) {
 		return false, err
 	}
 	labelsChecked := span.Counter("labels_checked")
-	// reachable ∩ realizable labels of d1, starting from realizable starts
+	// Walk the reachable ∩ realizable labels of d1 from its realizable
+	// starts, checking each content language on the way.
 	reachable := map[string]bool{}
 	var stack []string
 	for s := range d1.Start {
@@ -45,34 +47,27 @@ func ContainsCtx(ctx context.Context, d1, d2 *DTD) (bool, error) {
 			if !d2.Start[s] {
 				return false, nil // a valid single-root tree exists only under d1… unless not realizable
 			}
-			if !reachable[s] {
-				reachable[s] = true
-				stack = append(stack, s)
-			}
+			reachable[s] = true
+			stack = append(stack, s)
 		}
 	}
 	for len(stack) > 0 {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, b := range d1.reachableChildLabels(a, real) {
+		labelsChecked.Inc()
+		n := automata.Glushkov(d1.Rule(a)).Restrict(real)
+		ok, err := automata.NFAContainsCtx(ctx, n, d2.Rule(a))
+		if err != nil || !ok {
+			return false, err
+		}
+		for _, b := range n.UsefulLabels() {
 			if !reachable[b] {
 				reachable[b] = true
 				stack = append(stack, b)
 			}
-		}
-	}
-	for a := range reachable {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		labelsChecked.Inc()
-		n := restrictNFA(automata.Glushkov(d1.Rule(a)), real)
-		ok, err := automata.NFAContainsCtx(ctx, n, d2.Rule(a))
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
 		}
 	}
 	return true, nil
@@ -81,26 +76,6 @@ func ContainsCtx(ctx context.Context, d1, d2 *DTD) (bool, error) {
 // Equivalent reports L(d1) = L(d2).
 func Equivalent(d1, d2 *DTD) bool {
 	return Contains(d1, d2) && Contains(d2, d1)
-}
-
-// restrictNFA removes transitions with labels outside allowed.
-func restrictNFA(n *automata.NFA, allowed map[string]bool) *automata.NFA {
-	out := automata.NewNFA(n.NumStates)
-	out.Initial = append([]int(nil), n.Initial...)
-	for q := range n.Final {
-		out.Final[q] = true
-	}
-	for q := 0; q < n.NumStates; q++ {
-		for a, ps := range n.Trans[q] {
-			if !allowed[a] {
-				continue
-			}
-			for _, p := range ps {
-				out.AddTransition(q, a, p)
-			}
-		}
-	}
-	return out
 }
 
 // ContentFragment classifies every content model of the DTD into the
@@ -123,157 +98,49 @@ func (d *DTD) ContentFragment() map[string]int {
 // IntersectionNonEmpty decides whether some tree is valid w.r.t. all the
 // given DTDs (the Intersection problem lifted to DTDs). The construction
 // intersects rule-wise: a tree valid for all DTDs must, at every node,
-// satisfy every DTD's rule; realizability of the product is computed as a
-// least fixpoint like Realizable, over the product content languages.
+// satisfy every DTD's rule. A label is jointly realizable iff the
+// intersection of its content languages, restricted to jointly
+// realizable labels, is non-empty — the least fixpoint of Realizable,
+// over the product content languages.
 func IntersectionNonEmpty(ds ...*DTD) bool {
 	if len(ds) == 0 {
 		return true
 	}
-	// shared start label required
-	var commonStarts []string
-	for s := range ds[0].Start {
-		ok := true
-		for _, d := range ds[1:] {
-			if !d.Start[s] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			commonStarts = append(commonStarts, s)
-		}
-	}
-	if len(commonStarts) == 0 {
-		return false
-	}
-	// alphabet union
 	alphaSet := map[string]bool{}
 	for _, d := range ds {
 		for _, a := range d.Alphabet() {
 			alphaSet[a] = true
 		}
 	}
-	// realizable-in-all fixpoint: label a is jointly realizable iff the
-	// intersection of all content languages restricted to jointly
-	// realizable labels is non-empty
-	real := map[string]bool{}
-	for {
-		changed := false
-		for a := range alphaSet {
-			if real[a] {
-				continue
-			}
-			if jointContentNonEmpty(ds, a, real) {
-				real[a] = true
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
+	alpha := make([]string, 0, len(alphaSet))
+	for a := range alphaSet {
+		alpha = append(alpha, a)
 	}
-	for _, s := range commonStarts {
-		if real[s] {
+	sort.Strings(alpha)
+	real, _ := leastFixpoint(context.Background(), alpha, nil, func(a string, real map[string]bool) bool {
+		// One more factor, the one-state automaton of real*, restricts
+		// the product to jointly realizable labels.
+		star := automata.NewNFA(1)
+		star.Initial = []int{0}
+		star.Final[0] = true
+		nfas := []*automata.NFA{star}
+		for b := range real {
+			star.AddTransition(0, b, 0)
+		}
+		for _, d := range ds {
+			nfas = append(nfas, automata.Glushkov(d.Rule(a)))
+		}
+		_, ok, _ := automata.NFAIntersectionWitnessCtx(context.Background(), nfas...)
+		return ok
+	})
+	for s := range ds[0].Start {
+		shared := real[s]
+		for _, d := range ds[1:] {
+			shared = shared && d.Start[s]
+		}
+		if shared {
 			return true
 		}
 	}
 	return false
-}
-
-// jointContentNonEmpty reports whether ⋂ L(ρ_i(a)) ∩ allowed* ≠ ∅ via an
-// on-the-fly subset product of the restricted Glushkov automata.
-func jointContentNonEmpty(ds []*DTD, label string, allowed map[string]bool) bool {
-	nfas := make([]*automata.NFA, len(ds))
-	for i, d := range ds {
-		nfas[i] = restrictNFA(automata.Glushkov(d.Rule(label)), allowed)
-	}
-	type tuple [][]int
-	tkey := func(t tuple) string {
-		b := make([]byte, 0, 16)
-		for _, set := range t {
-			for _, q := range set {
-				b = append(b, byte(q), byte(q>>8), ',')
-			}
-			b = append(b, ';')
-		}
-		return string(b)
-	}
-	startT := make(tuple, len(nfas))
-	for i, n := range nfas {
-		startT[i] = append([]int(nil), n.Initial...)
-	}
-	allFinal := func(t tuple) bool {
-		for i, set := range t {
-			ok := false
-			for _, q := range set {
-				if nfas[i].Final[q] {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	if allFinal(startT) {
-		return true
-	}
-	seen := map[string]bool{tkey(startT): true}
-	queue := []tuple{startT}
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		// candidate labels: outgoing labels of the first component
-		labels := map[string]bool{}
-		for _, q := range t[0] {
-			for a := range nfas[0].Trans[q] {
-				labels[a] = true
-			}
-		}
-		for a := range labels {
-			next := make(tuple, len(nfas))
-			dead := false
-			for i, set := range t {
-				m := map[int]bool{}
-				for _, q := range set {
-					for _, p := range nfas[i].Trans[q][a] {
-						m[p] = true
-					}
-				}
-				if len(m) == 0 {
-					dead = true
-					break
-				}
-				succ := make([]int, 0, len(m))
-				for p := range m {
-					succ = append(succ, p)
-				}
-				sortInts(succ)
-				next[i] = succ
-			}
-			if dead {
-				continue
-			}
-			k := tkey(next)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if allFinal(next) {
-				return true
-			}
-			queue = append(queue, next)
-		}
-	}
-	return false
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

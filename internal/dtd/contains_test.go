@@ -3,6 +3,7 @@ package dtd
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/regex"
 	"repro/internal/tree"
@@ -136,5 +137,33 @@ func TestContentFragment(t *testing.T) {
 	}
 	if len(frag) == 0 {
 		t.Error("no fragments observed")
+	}
+}
+
+// TestIntersectionNonEmptyLargeContentModel is the regression test for
+// product-state keys that kept only 16 bits of a state number. The start
+// rule (a d^65534 e) | (b c) has a Glushkov automaton in which the state
+// of b is numbered 65536 above the state of a. Since e is unrealizable
+// (e → e), only the b c branch gives a valid tree. With the two states
+// sharing a key, the search dropped that branch whenever it reached it
+// after the a branch, which depended on map order.
+func TestIntersectionNonEmptyLargeContentModel(t *testing.T) {
+	long := []*regex.Expr{regex.NewSymbol("a")}
+	for i := 0; i < 65534; i++ {
+		long = append(long, regex.NewSymbol("d"))
+	}
+	long = append(long, regex.NewSymbol("e"))
+	d := New().
+		AddRule("r", regex.NewUnion(regex.NewConcat(long...), regex.MustParse("b c"))).
+		AddRule("e", regex.NewSymbol("e")).
+		AddStart("r")
+	start := time.Now()
+	for i := 0; i < 10; i++ {
+		if !IntersectionNonEmpty(d) {
+			t.Fatalf("call %d: IntersectionNonEmpty = false, want true (r(b, c) is valid)", i)
+		}
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("10 calls took %v, want < 5s", el)
 	}
 }

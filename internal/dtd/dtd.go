@@ -241,9 +241,16 @@ func (d *DTD) Realizable() map[string]bool {
 func (d *DTD) realizableCtx(ctx context.Context) (map[string]bool, error) {
 	_, span := obs.StartSpan(ctx, "dtd.realizable")
 	defer span.Finish()
-	rounds := span.Counter("fixpoint_rounds")
+	return leastFixpoint(ctx, d.Alphabet(), span.Counter("fixpoint_rounds"), func(a string, real map[string]bool) bool {
+		return !automata.Glushkov(d.Rule(a)).Restrict(real).IsEmpty()
+	})
+}
+
+// leastFixpoint returns the least set of labels from alpha closed under
+// "a joins when nonEmpty(a, set)", re-testing the labels outside the set
+// until a pass adds none. rounds counts the passes.
+func leastFixpoint(ctx context.Context, alpha []string, rounds *obs.Counter, nonEmpty func(a string, real map[string]bool) bool) (map[string]bool, error) {
 	real := map[string]bool{}
-	alpha := d.Alphabet()
 	for {
 		rounds.Inc()
 		changed := false
@@ -251,10 +258,7 @@ func (d *DTD) realizableCtx(ctx context.Context) (map[string]bool, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if real[a] {
-				continue
-			}
-			if restrictedNonEmpty(automata.Glushkov(d.Rule(a)), real) {
+			if !real[a] && nonEmpty(a, real) {
 				real[a] = true
 				changed = true
 			}
@@ -263,114 +267,6 @@ func (d *DTD) realizableCtx(ctx context.Context) (map[string]bool, error) {
 			return real, nil
 		}
 	}
-}
-
-// restrictedNonEmpty reports whether the NFA accepts a word using only
-// labels in allowed.
-func restrictedNonEmpty(n *automata.NFA, allowed map[string]bool) bool {
-	seen := make([]bool, n.NumStates)
-	stack := append([]int(nil), n.Initial...)
-	for _, q := range stack {
-		seen[q] = true
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n.Final[q] {
-			return true
-		}
-		for a, ps := range n.Trans[q] {
-			if !allowed[a] {
-				continue
-			}
-			for _, p := range ps {
-				if !seen[p] {
-					seen[p] = true
-					stack = append(stack, p)
-				}
-			}
-		}
-	}
-	return false
-}
-
-// reachableChildLabels returns the labels that occur in some word of
-// L(ρ(label)) ∩ allowed*: the labels on the transitions of the trimmed,
-// allowed-restricted Glushkov automaton.
-func (d *DTD) reachableChildLabels(label string, allowed map[string]bool) []string {
-	n := automata.Glushkov(d.Rule(label))
-	// forward-reachable states using allowed labels only
-	fwd := make([]bool, n.NumStates)
-	stack := append([]int(nil), n.Initial...)
-	for _, q := range stack {
-		fwd[q] = true
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for a, ps := range n.Trans[q] {
-			if !allowed[a] {
-				continue
-			}
-			for _, p := range ps {
-				if !fwd[p] {
-					fwd[p] = true
-					stack = append(stack, p)
-				}
-			}
-		}
-	}
-	// backward-reachable from final states using allowed labels only
-	rev := make([][]int, n.NumStates)
-	for q := 0; q < n.NumStates; q++ {
-		for a, ps := range n.Trans[q] {
-			if !allowed[a] {
-				continue
-			}
-			for _, p := range ps {
-				rev[p] = append(rev[p], q)
-			}
-		}
-	}
-	bwd := make([]bool, n.NumStates)
-	stack = stack[:0]
-	for q := range n.Final {
-		bwd[q] = true
-		stack = append(stack, q)
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range rev[q] {
-			if !bwd[p] {
-				bwd[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	// collect labels of transitions on trimmed paths
-	set := map[string]bool{}
-	for q := 0; q < n.NumStates; q++ {
-		if !fwd[q] {
-			continue
-		}
-		for a, ps := range n.Trans[q] {
-			if !allowed[a] {
-				continue
-			}
-			for _, p := range ps {
-				if bwd[p] {
-					set[a] = true
-				}
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // MaxDepth returns the maximal depth of a tree valid w.r.t. the DTD, or
@@ -388,7 +284,8 @@ func (d *DTD) MaxDepth() (int, bool) {
 			return v
 		}
 		best := 0
-		for _, b := range d.reachableChildLabels(label, real) {
+		// the labels occurring in some word of L(ρ(label)) ∩ real*
+		for _, b := range automata.Glushkov(d.Rule(label)).Restrict(real).UsefulLabels() {
 			if dep := depth(b); dep > best {
 				best = dep
 			}

@@ -30,14 +30,16 @@ func Events(t *tree.Node) []Event {
 }
 
 // StreamValidator validates a stream of open/close events against a DTD.
-// Its memory consumption is proportional to the current element depth; for
+// Each open element keeps the set of Glushkov states its children have
+// reached so far, so its memory is bounded by the current element depth
+// times the size of the content models, with no determinization; for
 // non-recursive DTDs the depth — and hence the memory — is bounded by a
 // constant depending only on the DTD, which is the constant-memory
 // streaming validation regime of Segoufin & Vianu discussed in Section 4.1.
 // (For recursive DTDs the stack can grow with the document.)
 type StreamValidator struct {
 	d     *DTD
-	dfas  map[string]*automata.DFA
+	nfas  map[string]*automata.NFA
 	stack []frame
 	// HighWater is the maximum stack depth observed — the memory measure
 	// reported by the streaming experiments.
@@ -47,22 +49,22 @@ type StreamValidator struct {
 }
 
 type frame struct {
-	label string
-	state int
+	label  string
+	states []int
 }
 
 // NewStreamValidator returns a validator for d.
 func NewStreamValidator(d *DTD) *StreamValidator {
-	return &StreamValidator{d: d, dfas: map[string]*automata.DFA{}}
+	return &StreamValidator{d: d, nfas: map[string]*automata.NFA{}}
 }
 
-func (v *StreamValidator) dfa(label string) *automata.DFA {
-	if dd, ok := v.dfas[label]; ok {
-		return dd
+func (v *StreamValidator) nfa(label string) *automata.NFA {
+	n, ok := v.nfas[label]
+	if !ok {
+		n = automata.Glushkov(v.d.Rule(label))
+		v.nfas[label] = n
 	}
-	dd := automata.Determinize(automata.Glushkov(v.d.Rule(label)))
-	v.dfas[label] = dd
-	return dd
+	return n
 }
 
 // Feed consumes one event; a non-nil error means the stream is already
@@ -82,13 +84,11 @@ func (v *StreamValidator) Feed(ev Event) error {
 				return fmt.Errorf("dtd: second root element %q", ev.Label)
 			}
 			top := &v.stack[len(v.stack)-1]
-			next, ok := v.dfa(top.label).Trans[top.state][ev.Label]
-			if !ok {
+			if top.states = v.nfa(top.label).Step(top.states, ev.Label); len(top.states) == 0 {
 				return fmt.Errorf("dtd: child %q not allowed under %q here", ev.Label, top.label)
 			}
-			top.state = next
 		}
-		v.stack = append(v.stack, frame{label: ev.Label})
+		v.stack = append(v.stack, frame{label: ev.Label, states: v.nfa(ev.Label).Start()})
 		if len(v.stack) > v.HighWater {
 			v.HighWater = len(v.stack)
 		}
@@ -99,7 +99,7 @@ func (v *StreamValidator) Feed(ev Event) error {
 	}
 	top := v.stack[len(v.stack)-1]
 	v.stack = v.stack[:len(v.stack)-1]
-	if !v.dfa(top.label).Final[top.state] {
+	if !v.nfa(top.label).AnyFinal(top.states) {
 		return fmt.Errorf("dtd: element %q closed with incomplete content", top.label)
 	}
 	if len(v.stack) == 0 {

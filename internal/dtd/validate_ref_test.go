@@ -282,3 +282,32 @@ func TestValidateNondeterministicContentIsPolynomial(t *testing.T) {
 		t.Fatalf("validating at k=%d took %v, want < 50ms", k, el)
 	}
 }
+
+// TestValidateStreamNondeterministicContentIsPolynomial is the streaming
+// twin of TestValidateNondeterministicContentIsPolynomial: the stream
+// validator used to determinize each content model, which took seconds
+// at k=16 on this family and doubled per step of k.
+func TestValidateStreamNondeterministicContentIsPolynomial(t *testing.T) {
+	const k = 24
+	model := "((a|b)*, a" + strings.Repeat(", (a|b)", k) + ")"
+	d, err := ParseText("<!ELEMENT r "+model+"> <!ELEMENT a EMPTY> <!ELEMENT b EMPTY>", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	children := []string{"b", "a"}
+	for i := 0; i < k; i++ {
+		children = append(children, "b")
+	}
+	good := tree.MustParse("r(" + strings.Join(children, ", ") + ")")
+	bad := tree.MustParse("r(" + strings.Join(children[1:], ", ") + ", a)")
+	start := time.Now()
+	if err := d.ValidateStream(Events(good)); err != nil {
+		t.Fatalf("valid document rejected: %v", err)
+	}
+	if err := d.ValidateStream(Events(bad)); err == nil {
+		t.Fatal("invalid document accepted")
+	}
+	if el := time.Since(start); el > 50*time.Millisecond {
+		t.Fatalf("streaming validation at k=%d took %v, want < 50ms", k, el)
+	}
+}

@@ -1,9 +1,8 @@
 package edtd
 
 import (
-	"sort"
-
 	"repro/internal/automata"
+	"repro/internal/dtd"
 )
 
 // Containment for single-type EDTDs. Section 4.3: "Problems such as
@@ -14,53 +13,10 @@ import (
 // stEDTDs can be compared by walking reachable TYPE PAIRS and checking
 // label-projected content-language containment at each pair.
 
-// Realizable returns the set of types admitting a finite valid subtree
-// (least fixpoint, as for DTDs).
+// Realizable returns the set of types admitting a finite valid subtree:
+// the DTD realizability fixpoint over the type alphabet.
 func (d *EDTD) Realizable() map[string]bool {
-	real := map[string]bool{}
-	types := d.Types()
-	for {
-		changed := false
-		for _, t := range types {
-			if real[t] {
-				continue
-			}
-			if restrictedNonEmptyNFA(automata.Glushkov(d.Rule(t)), real) {
-				real[t] = true
-				changed = true
-			}
-		}
-		if !changed {
-			return real
-		}
-	}
-}
-
-func restrictedNonEmptyNFA(n *automata.NFA, allowed map[string]bool) bool {
-	seen := make([]bool, n.NumStates)
-	stack := append([]int(nil), n.Initial...)
-	for _, q := range stack {
-		seen[q] = true
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n.Final[q] {
-			return true
-		}
-		for a, ps := range n.Trans[q] {
-			if !allowed[a] {
-				continue
-			}
-			for _, p := range ps {
-				if !seen[p] {
-					seen[p] = true
-					stack = append(stack, p)
-				}
-			}
-		}
-	}
-	return false
+	return (&dtd.DTD{Rules: d.Rules, Start: d.Start}).Realizable()
 }
 
 // Contains decides L(d1) ⊆ L(d2) for single-type EDTDs. It panics when
@@ -103,7 +59,9 @@ func Contains(d1, d2 *EDTD) bool {
 		queue = queue[:len(queue)-1]
 		// label-projected, realizability-restricted content of t1 must be
 		// contained in the label-projected content of t2
-		n1 := labelProjectedNFA(d1, p.a, real1)
+		n1 := automata.Glushkov(d1.Rule(p.a)).Project(func(ty string) (string, bool) {
+			return d1.Label(ty), real1[ty]
+		})
 		e2 := relabel(d2.Rule(p.b), d2.Mu)
 		if !automata.NFAContains(n1, e2) {
 			return false
@@ -112,7 +70,7 @@ func Contains(d1, d2 *EDTD) bool {
 		// unique child types
 		t1ByLabel := typeByLabel(d1, p.a)
 		t2ByLabel := typeByLabel(d2, p.b)
-		for _, lab := range reachableLabels(n1) {
+		for _, lab := range n1.UsefulLabels() {
 			c1, ok1 := t1ByLabel[lab]
 			c2, ok2 := t2ByLabel[lab]
 			if !ok1 {
@@ -139,28 +97,6 @@ func Equivalent(d1, d2 *EDTD) bool {
 	return Contains(d1, d2) && Contains(d2, d1)
 }
 
-// labelProjectedNFA builds the Glushkov automaton of ρ(t) with types
-// replaced by labels and transitions restricted to realizable types.
-func labelProjectedNFA(d *EDTD, t string, real map[string]bool) *automata.NFA {
-	src := automata.Glushkov(d.Rule(t))
-	out := automata.NewNFA(src.NumStates)
-	out.Initial = append([]int(nil), src.Initial...)
-	for q := range src.Final {
-		out.Final[q] = true
-	}
-	for q := 0; q < src.NumStates; q++ {
-		for ty, ps := range src.Trans[q] {
-			if !real[ty] {
-				continue
-			}
-			for _, p := range ps {
-				out.AddTransition(q, d.Label(ty), p)
-			}
-		}
-	}
-	return out
-}
-
 // typeByLabel maps each label occurring in ρ(t) to its unique type
 // (single-typedness guarantees uniqueness).
 func typeByLabel(d *EDTD, t string) map[string]string {
@@ -168,71 +104,5 @@ func typeByLabel(d *EDTD, t string) map[string]string {
 	for _, ty := range d.Rule(t).Alphabet() {
 		out[d.Label(ty)] = ty
 	}
-	return out
-}
-
-// reachableLabels lists the labels on transitions of the TRIMMED automaton
-// (reachable from the initial states and co-reachable to a final state), so
-// that dead alternatives do not create spurious type pairs.
-func reachableLabels(n *automata.NFA) []string {
-	fwd := make([]bool, n.NumStates)
-	stack := append([]int(nil), n.Initial...)
-	for _, q := range stack {
-		fwd[q] = true
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ps := range n.Trans[q] {
-			for _, p := range ps {
-				if !fwd[p] {
-					fwd[p] = true
-					stack = append(stack, p)
-				}
-			}
-		}
-	}
-	rev := make([][]int, n.NumStates)
-	for q := 0; q < n.NumStates; q++ {
-		for _, ps := range n.Trans[q] {
-			for _, p := range ps {
-				rev[p] = append(rev[p], q)
-			}
-		}
-	}
-	bwd := make([]bool, n.NumStates)
-	stack = stack[:0]
-	for q := range n.Final {
-		bwd[q] = true
-		stack = append(stack, q)
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range rev[q] {
-			if !bwd[p] {
-				bwd[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	set := map[string]bool{}
-	for q := 0; q < n.NumStates; q++ {
-		if !fwd[q] {
-			continue
-		}
-		for a, ps := range n.Trans[q] {
-			for _, p := range ps {
-				if bwd[p] {
-					set[a] = true
-				}
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
 	return out
 }

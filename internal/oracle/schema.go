@@ -15,13 +15,16 @@ import (
 // embedding, and (b) randomized counterexample search over documents
 // sampled from the would-be sublanguage. It also pits the two EDTD
 // validators (bottom-up possible-type sets vs top-down single-type
-// typing) against each other and against the DTD validator.
+// typing) against each other and against the DTD validator, the
+// streaming validator against the tree validator, and DTD intersection
+// against realizability (one DTD) and against sampled documents valid
+// under both DTDs.
 type schemaContainment struct{}
 
 func (schemaContainment) Name() string { return "schema-containment" }
 
 func (schemaContainment) Description() string {
-	return "dtd.Contains vs edtd.Contains on trivial EDTDs, vs sampled trees; Valid vs ValidSingleType vs dtd.Validate"
+	return "dtd.Contains vs edtd.Contains on trivial EDTDs, vs sampled trees; Valid vs ValidSingleType vs dtd.Validate vs ValidateStream; IntersectionNonEmpty vs realizability and sampled trees"
 }
 
 // schemaLabels is layered: the content model of labels[i] only uses
@@ -79,6 +82,31 @@ func sampleDTDTree(d *dtd.DTD, r *rand.Rand) *tree.Node {
 	return build("r")
 }
 
+// streamValid is the streaming verdict under test; it carries the
+// deliberate-mutation hook, which makes the validator accept every
+// element at its close.
+func streamValid(d *dtd.DTD, t *tree.Node) bool {
+	v := dtd.NewStreamValidator(d)
+	for _, ev := range dtd.Events(t) {
+		if err := v.Feed(ev); err != nil && (ev.Open || injectedBug != "schema-containment") {
+			return false
+		}
+	}
+	return v.Close() == nil
+}
+
+// startRealizable reports whether some start label of d is realizable,
+// that is, whether any document is valid under d.
+func startRealizable(d *dtd.DTD) bool {
+	real := d.Realizable()
+	for s := range d.Start {
+		if real[s] {
+			return true
+		}
+	}
+	return false
+}
+
 // trivialEDTD embeds a DTD as the single-type EDTD with one type per
 // label (mu = identity).
 func trivialEDTD(d *dtd.DTD) *edtd.EDTD {
@@ -114,6 +142,31 @@ func (o schemaContainment) Trial(r *rand.Rand) *Divergence {
 		}
 	}
 
+	if dtd.IntersectionNonEmpty(d1) != startRealizable(d1) {
+		d1, _ = shrinkDTDPair(d1, d2, func(a, _ *dtd.DTD) bool {
+			return dtd.IntersectionNonEmpty(a) != startRealizable(a)
+		})
+		return &Divergence{
+			Input: fmt.Sprintf("d1=%q", d1.String()),
+			Detail: fmt.Sprintf("IntersectionNonEmpty(d1)=%v but some start label realizable=%v",
+				dtd.IntersectionNonEmpty(d1), startRealizable(d1)),
+		}
+	}
+	inter := dtd.IntersectionNonEmpty(d1, d2)
+	// stream reports a tree on which d's streaming and tree validators
+	// disagree, shrunk.
+	stream := func(name string, d *dtd.DTD, t *tree.Node) *Divergence {
+		diverges := func(c *tree.Node) bool { return streamValid(d, c) != (d.Validate(c) == nil) }
+		if !diverges(t) {
+			return nil
+		}
+		t = shrinkTree(t, diverges)
+		return &Divergence{
+			Input:  fmt.Sprintf("%s=%q tree=%s", name, d.String(), t),
+			Detail: fmt.Sprintf("ValidateStream valid=%v but Validate valid=%v", streamValid(d, t), d.Validate(t) == nil),
+		}
+	}
+
 	toDTD := e1.ToDTD()
 	for i := 0; i < 6; i++ {
 		t := sampleDTDTree(d1, r)
@@ -136,6 +189,15 @@ func (o schemaContainment) Trial(r *rand.Rand) *Divergence {
 					Input:  fmt.Sprintf("d1=%q d2=%q tree=%s", d1.String(), d2.String(), t),
 					Detail: "dtd.Contains(d1,d2)=true refuted by a sampled document of L(d1) outside L(d2)",
 				}
+			}
+		}
+		if !inter && d2.Validate(t) == nil {
+			t = shrinkTree(t, func(c2 *tree.Node) bool {
+				return d1.Validate(c2) == nil && d2.Validate(c2) == nil
+			})
+			return &Divergence{
+				Input:  fmt.Sprintf("d1=%q d2=%q tree=%s", d1.String(), d2.String(), t),
+				Detail: "IntersectionNonEmpty(d1,d2)=false refuted by a sampled document valid under both",
 			}
 		}
 		if got, want := e1.Valid(t), d1.Validate(t) == nil; got != want {
@@ -168,6 +230,15 @@ func (o schemaContainment) Trial(r *rand.Rand) *Divergence {
 		// resample bias: mutate the sampled tree and re-check the two
 		// EDTD validators on near-miss documents too
 		mt := mutateTree(t, r)
+		for _, c := range []struct {
+			name string
+			d    *dtd.DTD
+			t    *tree.Node
+		}{{"d1", d1, t}, {"d2", d2, t}, {"d1", d1, mt}, {"d2", d2, mt}} {
+			if div := stream(c.name, c.d, c.t); div != nil {
+				return div
+			}
+		}
 		if got, want := e1.ValidSingleType(mt), e1.Valid(mt); got != want {
 			mt = shrinkTree(mt, func(c2 *tree.Node) bool {
 				return e1.ValidSingleType(c2) != e1.Valid(c2)

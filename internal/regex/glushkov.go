@@ -95,7 +95,7 @@ func (lz *linearizer) visit(e *Expr) nodeInfo {
 		return out
 	case Concat:
 		out := nodeInfo{nullable: true}
-		var infos []nodeInfo
+		infos := make([]nodeInfo, 0, len(e.Subs))
 		for _, s := range e.Subs {
 			in := lz.visit(s)
 			infos = append(infos, in)

@@ -72,7 +72,7 @@ var batchTestItems = []struct{ op, body string }{
 	{"containment", `{"engine":"nope","left":"a","right":"a"}`},          // per-item 400
 }
 
-func batchBody(t *testing.T) string {
+func batchBody(t testing.TB) string {
 	t.Helper()
 	items := make([]map[string]any, len(batchTestItems))
 	for i, it := range batchTestItems {

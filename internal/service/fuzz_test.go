@@ -140,3 +140,88 @@ func FuzzDecide(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBatch sends arbitrary raw bodies to /v1/batch on a server that
+// clamps every deadline to 50 ms, with the invariants of FuzzDecide: no
+// panic, no 5xx other than 503 or 504, every 200 body is JSON, and the
+// admission slots and detached engines drain to zero within a second.
+// Besides, every batch item answered 200 must equal the answer of the
+// item's own endpoint to the same request body, whenever that answer is
+// a 200 too — up to elapsed_ms, cached and an explain trace.
+func FuzzBatch(f *testing.F) {
+	const maxDeadline = 50 * time.Millisecond
+	s := New(Config{MaxDeadline: maxDeadline, Logger: discardLogger()})
+	h := s.Handler()
+	for _, body := range []string{
+		batchBody(f),
+		`{"items":[]}`,
+		`not json`,
+		`{"items":[{"op":"magic","request":{}}]}`,
+		`{"explain":true,"items":[{"op":"containment","request":` + adversarialContainment(60000) +
+			`},{"op":"membership","request":{"expr":"a","word":["a"]}}]}`,
+	} {
+		f.Add(body)
+	}
+	post := func(path, body string) (int, []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return w.Code, w.Body.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		code, raw := post("/v1/batch", body)
+		switch {
+		case code == http.StatusOK:
+			if !json.Valid(raw) {
+				t.Fatalf("200 with a body that is not JSON: %q", raw)
+			}
+		case code >= 500 && code != http.StatusServiceUnavailable && code != http.StatusGatewayTimeout:
+			t.Fatalf("POST /v1/batch = %d: %s", code, raw)
+		}
+		var req batchRequest
+		var resp rawBatchResponse
+		if code == http.StatusOK && json.Unmarshal([]byte(body), &req) == nil && json.Unmarshal(raw, &resp) == nil {
+			if len(resp.Items) != len(req.Items) {
+				t.Fatalf("%d items answered for %d sent", len(resp.Items), len(req.Items))
+			}
+			for i, item := range resp.Items {
+				if item.Status != http.StatusOK {
+					continue
+				}
+				single, singleRaw := post("/v1/"+req.Items[i].Op, string(req.Items[i].Request))
+				if single != http.StatusOK {
+					continue
+				}
+				if got, want := decisionFields(t, item.Response), decisionFields(t, singleRaw); got != want {
+					t.Fatalf("item %d (%s) diverges from its endpoint:\n batch:  %s\n single: %s", i, item.Op, got, want)
+				}
+			}
+		}
+		for stop := time.Now().Add(time.Second); len(s.sem) != 0 || s.detached.Load() != 0; {
+			if time.Now().After(stop) {
+				t.Fatalf("inflight %d, detached engines %d: not drained 1s after the batch",
+					len(s.sem), s.detached.Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+}
+
+// decisionFields re-renders a decision response without the fields
+// that may differ between two answers to the same request: elapsed_ms
+// (wall clock), cached (the first answer fills the cache) and trace
+// (explain output).
+func decisionFields(t *testing.T, raw []byte) string {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatalf("decoding %q: %v", raw, err)
+	}
+	delete(m, "elapsed_ms")
+	delete(m, "cached")
+	delete(m, "trace")
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}

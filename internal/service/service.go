@@ -48,6 +48,10 @@ import (
 	"repro/internal/store"
 )
 
+// profileWindow is the sliding-window span of the workload-profile
+// engine behind GET /v1/stats, split into 10 ring buckets.
+const profileWindow = time.Minute
+
 // Config parameterizes the server. The zero value is usable: every field
 // falls back to the documented default.
 type Config struct {
@@ -78,10 +82,6 @@ type Config struct {
 	// TraceLog, when non-nil, persists every recorded trace to the
 	// on-disk NDJSON trace log (rwdserve -trace-dir).
 	TraceLog *recorder.Log
-	// ProfileWindow is the sliding-window span of the workload-profile
-	// engine behind GET /v1/stats (always on, like the recorder's ring);
-	// <= 0 means 60s. The window is split into 10 ring buckets.
-	ProfileWindow time.Duration
 	// Logger receives structured access and error logs; nil means stderr.
 	Logger *log.Logger
 }
@@ -107,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AnalyzeWorkers <= 0 {
 		c.AnalyzeWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.ProfileWindow <= 0 {
-		c.ProfileWindow = time.Minute
 	}
 	if c.Logger == nil {
 		c.Logger = log.New(os.Stderr, "rwdserve ", log.LstdFlags|log.Lmicroseconds)
@@ -221,7 +218,7 @@ func New(cfg Config) *Server {
 	// feed into windowed per-op statistics, quantile sketches and
 	// exemplars (GET /v1/stats). Always on, like the recorder.
 	s.profile = profile.New(profile.Config{
-		BucketWidth:   cfg.ProfileWindow / 10,
+		BucketWidth:   profileWindow / 10,
 		WindowBuckets: 10,
 	})
 	// rwd_op_duration_seconds is the one request histogram: every
