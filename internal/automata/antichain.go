@@ -51,7 +51,10 @@ type pairItem struct {
 	sid int
 }
 
-func containsAntichainCtx(ctx context.Context, n1, n2 *NFA) (bool, error) {
+// containsAntichainCtx decides L(c1) ⊆ L(c2). Both sides must be
+// compiled against one label table, interned in full before either side
+// sized its rows, so the two agree on every label id.
+func containsAntichainCtx(ctx context.Context, c1, c2 *compiledNFA) (bool, error) {
 	ctx, span := obs.StartSpan(ctx, "automata.contains")
 	defer span.Finish()
 	span.SetAttr("engine", "antichain")
@@ -65,15 +68,7 @@ func containsAntichainCtx(ctx context.Context, n1, n2 *NFA) (bool, error) {
 	productStates := span.Counter("product_states")
 	pruned := span.Counter("antichain_pruned")
 
-	// Intern both alphabets before compiling either side, so the flat
-	// transition rows of each automaton cover the union alphabet.
-	labels := newLabelTable()
-	labels.add(n1)
-	labels.add(n2)
-	c1 := compileNFA(n1, labels)
-	c2 := compileNFA(n2, labels)
-
-	interner := bitset.NewInterner(n2.NumStates)
+	interner := bitset.NewInterner(c2.numStates)
 	var (
 		accepting []bool            // per sid: does the set contain a right-final state?
 		setByID   []bitset.StateSet // lock-free mirror of the interner for this (single-goroutine) search
@@ -90,7 +85,7 @@ func containsAntichainCtx(ctx context.Context, n1, n2 *NFA) (bool, error) {
 
 	// chains[q] is the ⊆-minimal antichain of subset-state ids paired
 	// with left state q.
-	chains := make([][]int, n1.NumStates)
+	chains := make([][]int, c1.numStates)
 	var stack []pairItem
 
 	// offer runs the counterexample check and the antichain insertion
@@ -130,7 +125,7 @@ func containsAntichainCtx(ctx context.Context, n1, n2 *NFA) (bool, error) {
 		}
 	}
 
-	next := bitset.New(n2.NumStates)
+	next := bitset.New(c2.numStates)
 	cc := newCanceler(ctx, span)
 	for len(stack) > 0 {
 		if err := cc.checkpoint(); err != nil {
@@ -145,7 +140,7 @@ func containsAntichainCtx(ctx context.Context, n1, n2 *NFA) (bool, error) {
 		}
 		productStates.Inc()
 		set := setByID[it.sid]
-		for l, succs := range c1.trans[it.q] {
+		for l, succs := range c1.row(it.q) {
 			if len(succs) == 0 {
 				continue
 			}

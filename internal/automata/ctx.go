@@ -138,13 +138,23 @@ func DeterminizeCtx(ctx context.Context, n *NFA) (*DFA, error) {
 // eager textbook construction as the differential reference. On
 // cancellation the boolean is meaningless and the error is ctx.Err().
 func ContainsCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
-	return containsAntichainCtx(ctx, Glushkov(e1), Glushkov(e2))
+	l1, l2 := regex.Linearize(e1), regex.Linearize(e2)
+	// Intern both alphabets before compiling either side, so the flat
+	// transition rows of each automaton cover the union alphabet.
+	labels := newLabelTable()
+	labels.add(linearAlphabet(l1))
+	labels.add(linearAlphabet(l2))
+	return containsAntichainCtx(ctx, compileLinear(l1, labels), compileLinear(l2, labels))
 }
 
 // NFAContainsCtx is NFAContains with cooperative cancellation, on the
 // antichain engine.
 func NFAContainsCtx(ctx context.Context, n1 *NFA, e2 *regex.Expr) (bool, error) {
-	return containsAntichainCtx(ctx, n1, Glushkov(e2))
+	l2 := regex.Linearize(e2)
+	labels := newLabelTable()
+	labels.add(n1.Alphabet)
+	labels.add(linearAlphabet(l2))
+	return containsAntichainCtx(ctx, compileNFA(n1, labels), compileLinear(l2, labels))
 }
 
 // ContainsClassicCtx is ContainsClassic with cooperative cancellation:

@@ -3,6 +3,7 @@ package automata
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -147,3 +148,37 @@ func BenchmarkContainsCtx(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkContainsDecideColdMix times ContainsCtx on seeded random
+// pairs shaped like rwdperf's decide-cold mix: DefaultGen over {a,b,c,d}
+// at depth 6, every other pair (e1, e1|e2) so half the verdicts are
+// "contained" and run the search to its end. Each pair is decided from
+// the expressions, so construction is timed with the search.
+func BenchmarkContainsDecideColdMix(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	g := regex.DefaultGen([]string{"a", "b", "c", "d"})
+	g.MaxDepth = 6
+	pairs := make([][2]*regex.Expr, 256)
+	for i := range pairs {
+		e1, e2 := g.Random(r), g.Random(r)
+		if i%2 == 0 {
+			e2 = regex.NewUnion(e1, e2)
+		}
+		pairs[i] = [2]*regex.Expr{e1, e2}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		ok, err := ContainsCtx(ctx, p[0], p[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		containsSink = ok
+	}
+}
+
+// containsSink keeps BenchmarkContainsDecideColdMix's calls from being
+// optimized away.
+var containsSink bool

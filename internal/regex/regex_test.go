@@ -1,6 +1,7 @@
 package regex
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -325,5 +326,52 @@ func TestConcatUnionFlattening(t *testing.T) {
 	}
 	if NewUnion().Kind != Empty {
 		t.Error("empty union should be ∅")
+	}
+}
+
+// TestLinearizeAllocsLinear bounds the allocations of Linearize by the
+// size of its output, positions plus follow edges, on growing families.
+// One allocation per node or per deduplicated merge (a fresh set or map
+// per union of two position sets) exceeds the bound on these shapes.
+func TestLinearizeAllocsLinear(t *testing.T) {
+	syms := func(k int) []*Expr {
+		out := make([]*Expr, k)
+		for i := range out {
+			out[i] = NewSymbol(fmt.Sprintf("a%d", i))
+		}
+		return out
+	}
+	families := []struct {
+		name  string
+		build func(k int) *Expr
+	}{
+		// (((a0 a1)* a2)* … ak-1)*: k nested stars.
+		{"nested-star", func(k int) *Expr {
+			s := syms(k)
+			e := s[0]
+			for _, x := range s[1:] {
+				e = NewStar(NewConcat(e, x))
+			}
+			return e
+		}},
+		// a0 + a1 + … + ak-1: k positions, no follow edges.
+		{"wide-union", func(k int) *Expr { return NewUnion(syms(k)...) }},
+		// (a0 + … + ak-1)*: k positions, k² follow edges.
+		{"wide-union-star", func(k int) *Expr { return NewStar(NewUnion(syms(k)...)) }},
+	}
+	for _, f := range families {
+		for _, k := range []int{16, 64, 256} {
+			e := f.build(k)
+			l := Linearize(e)
+			size := l.NumPositions()
+			for _, fs := range l.Follow {
+				size += len(fs)
+			}
+			allocs := testing.AllocsPerRun(5, func() { Linearize(e) })
+			if allocs > float64(size) {
+				t.Errorf("%s k=%d: %.0f allocations for %d positions + follow edges", f.name, k, allocs, size)
+			}
+			t.Logf("%s k=%d: %.0f allocations, output size %d", f.name, k, allocs, size)
+		}
 	}
 }
