@@ -31,7 +31,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/jsonschema"
 	"repro/internal/obs"
-	"repro/internal/rdf"
 	"repro/internal/schemastudy"
 	"repro/internal/store"
 	"repro/internal/textio"
@@ -48,7 +47,7 @@ var kinds = map[string]bool{
 // "fix the invocation" (2) and ordinary I/O failures (1).
 const exitBadStore = 3
 
-// corpusExit is the exit code for an error opening a stored corpus: a
+// corpusExit is the exit code for an error reading a stored corpus: a
 // corpus of the other kind (-kind rdf on a log corpus, -kind sparql on
 // a triples corpus) is a usage error, anything else a bad store.
 func corpusExit(err error) int {
@@ -173,15 +172,10 @@ func main() {
 // analyzeStoredGraph runs the Section 7.1 RDF analyses over a stored
 // triples corpus and prints them in the rwdbench -rdfstats format.
 func analyzeStoredGraph(ctx context.Context, st *store.Store, corpus string) {
-	sg, err := st.Graph(ctx, corpus)
+	stats, err := st.RDFStats(ctx, corpus)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rwdanalyze: corpus %q: %v\n", corpus, err)
 		os.Exit(corpusExit(err))
-	}
-	stats := rdf.ComputeStats(sg)
-	if err := sg.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "rwdanalyze: scanning corpus %q: %v\n", corpus, err)
-		os.Exit(exitBadStore)
 	}
 	fmt.Printf("triples: %d, subjects: %d, predicates: %d, objects: %d\n",
 		stats.Triples, stats.Subjects, stats.Predicates, stats.Objects)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"log"
@@ -10,6 +11,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/rdf"
+	"repro/internal/store"
 )
 
 // FuzzObservabilityQuery sends arbitrary raw query strings and trace
@@ -224,4 +228,68 @@ func decisionFields(t *testing.T, raw []byte) string {
 		t.Fatal(err)
 	}
 	return string(out)
+}
+
+// FuzzNDJSONAnalyze sends arbitrary raw bodies under each body content
+// type, with raw name, workers, deadline_ms, explain and corpus query
+// values, to /v1/analyze on a server with an attached store holding one
+// log and one triples corpus, and clamping every deadline to 50 ms. The
+// invariants are FuzzDecide's: no panic, no 5xx other than 503 or 504,
+// every 200 body is JSON, and the admission slots and detached engines
+// drain back to zero.
+func FuzzNDJSONAnalyze(f *testing.F) {
+	const maxDeadline = 50 * time.Millisecond
+	st, err := store.Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer st.Close()
+	ctx := context.Background()
+	if _, err := st.IngestLog(ctx, "logs", []string{"SELECT ?x WHERE { ?x a ?y }", "ASK { ?s ?p ?o }", "(("}); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := st.IngestTriples(ctx, "graph", []rdf.Triple{{S: "s1", P: "knows", O: "s2"}, {S: "s2", P: "name", O: "x"}}); err != nil {
+		f.Fatal(err)
+	}
+	s := New(Config{MaxDeadline: maxDeadline, Logger: discardLogger()})
+	s.AttachStore(st)
+	h := s.Handler()
+	contentTypes := []string{"application/x-ndjson", "application/ndjson", "text/plain",
+		"Text/Plain; charset=utf-8", "application/json", ""}
+
+	f.Add("SELECT ?x WHERE { ?x a ?y }\nASK { ?s ?p ?o }\n", uint8(0), "robot", "2", "1000", "true", "")
+	f.Add("SELECT * WHERE { ?s <p>+ ?o }\r\n\r\nnot a query\n", uint8(2), "", "-1", "0", "false", "")
+	f.Add("", uint8(1), "", "", "", "true", "graph")
+	f.Add("", uint8(3), "x", "99999999999999999999", "-5", "", "logs")
+	f.Add("q\n", uint8(0), "", "", "", "", "graph")
+	f.Add("", uint8(0), "", "", "", "", "absent")
+	f.Add(`{"corpus":"graph","explain":true}`, uint8(4), "", "", "", "", "")
+	f.Add(`{"queries":["SELECT ?x WHERE { ?x a ?y }"],"workers":3,"deadline_ms":1}`, uint8(5), "", "", "", "", "")
+	f.Add("\x00\xff\n{\n", uint8(0), "%zz", "1e3", "NaN", "TRUE", "%00")
+	f.Fuzz(func(t *testing.T, body string, ct uint8, name, workers, deadline, explain, corpus string) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body))
+		req.URL.RawQuery = "name=" + name + "&workers=" + workers + "&deadline_ms=" + deadline +
+			"&explain=" + explain + "&corpus=" + corpus
+		req.RequestURI = req.URL.RequestURI()
+		if ctype := contentTypes[int(ct)%len(contentTypes)]; ctype != "" {
+			req.Header.Set("Content-Type", ctype)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		switch code := w.Code; {
+		case code == http.StatusOK:
+			if !json.Valid(w.Body.Bytes()) {
+				t.Fatalf("200 with a body that is not JSON: %q", w.Body.Bytes())
+			}
+		case code >= 500 && code != http.StatusServiceUnavailable && code != http.StatusGatewayTimeout:
+			t.Fatalf("POST %s = %d: %s", req.RequestURI, code, w.Body.Bytes())
+		}
+		for stop := time.Now().Add(20 * maxDeadline); len(s.sem) != 0 || s.detached.Load() != 0; {
+			if time.Now().After(stop) {
+				t.Fatalf("inflight %d, detached engines %d: not drained %v after the deadline",
+					len(s.sem), s.detached.Load(), 20*maxDeadline)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
 }

@@ -602,14 +602,10 @@ func (s *Server) handleAnalyze(ctx context.Context, req *request) (any, *apiErro
 		queries := in.Queries
 		switch {
 		case in.Corpus != "" && corpus.Kind == store.KindTriples:
-			// Store-backed RDF analysis: the Section 7.1 stats over a
-			// GraphReader view of the corpus.
-			sg, err := s.store.Graph(ctx, in.Corpus)
+			// Store-backed RDF analysis: the Section 7.1 stats of the
+			// corpus, memoized by the store per commit generation.
+			stats, err := s.store.RDFStats(ctx, in.Corpus)
 			if err != nil {
-				return nil, storeError(err)
-			}
-			stats := rdf.ComputeStats(sg)
-			if err := sg.Err(); err != nil {
 				if ctx.Err() != nil {
 					return nil, ctxError(ctx.Err())
 				}

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -259,6 +260,82 @@ func TestStoreMetricsExported(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestAnalyzeStatsMemo: the second of two stats requests with no
+// commit between them is a memo hit, the first one after a commit is a
+// miss again, the counters reach /metrics, and every answer is
+// byte-identical to a cold server's up to elapsed_ms and the trace.
+func TestAnalyzeStatsMemo(t *testing.T) {
+	_, base := newStoreServer(t)
+	commits := [][][3]string{
+		{{"s1", "knows", "s2"}, {"s2", "knows", "s3"}, {"s1", "name", "x"}},
+		{{"s3", "knows", "s1"}, {"s4", "name", "y"}},
+	}
+	var committed [][3]string
+	commit := func(base string, triples [][3]string) {
+		t.Helper()
+		body, _ := json.Marshal(map[string]any{"name": "g", "triples": triples})
+		if code := post(t, base, "/v1/corpora", string(body), nil); code != 200 {
+			t.Fatalf("commit: code %d", code)
+		}
+	}
+	// stats returns the response without elapsed_ms and trace, and the
+	// store.stats span's memo counters.
+	stats := func(base string) (body string, hits, misses int64) {
+		t.Helper()
+		var resp map[string]json.RawMessage
+		if code := post(t, base, "/v1/analyze", `{"corpus":"g","explain":true}`, &resp); code != 200 {
+			t.Fatalf("stats: code %d", code)
+		}
+		var root obs.Node
+		if err := json.Unmarshal(resp["trace"], &root); err != nil {
+			t.Fatalf("explain trace: %v", err)
+		}
+		root.Walk(func(n *obs.Node) {
+			if n.Name == "store.stats" {
+				hits += n.Counters["memo_hits"]
+				misses += n.Counters["memo_misses"]
+			}
+		})
+		delete(resp, "elapsed_ms")
+		delete(resp, "trace")
+		b, _ := json.Marshal(resp)
+		return string(b), hits, misses
+	}
+	cold := func() string {
+		t.Helper()
+		_, fresh := newStoreServer(t)
+		commit(fresh, committed)
+		body, _, misses := stats(fresh)
+		if misses != 1 {
+			t.Fatalf("cold server: memo_misses %d, want 1", misses)
+		}
+		return body
+	}
+	for i, triples := range commits {
+		commit(base, triples)
+		committed = append(committed, triples...)
+		want := cold()
+		for j, wantHit := range []bool{false, true} {
+			body, hits, misses := stats(base)
+			if (hits == 1) != wantHit || hits+misses != 1 {
+				t.Fatalf("commit %d, request %d: memo_hits %d, memo_misses %d, want hit=%v", i, j, hits, misses, wantHit)
+			}
+			if body != want {
+				t.Fatalf("commit %d, request %d: answer differs from a cold server's:\n  got:  %s\n  cold: %s", i, j, body, want)
+			}
+		}
+	}
+	m := scrapeMetrics(t, base)
+	for _, series := range []string{
+		`rwd_span_cost_total{span="store.stats",counter="memo_hits"}`,
+		`rwd_span_cost_total{span="store.stats",counter="memo_misses"}`,
+	} {
+		if m[series] != 2 {
+			t.Errorf("%s = %v, want 2", series, m[series])
 		}
 	}
 }
