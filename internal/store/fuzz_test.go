@@ -149,6 +149,41 @@ func FuzzSegmentOpen(f *testing.F) {
 	})
 }
 
+// FuzzProbeSorted checks segment.probeSorted against per-key get on a
+// segment of n testRecords plus the keys of extra, probed with the
+// keys of probes ('/'-separated lists): every found bit must agree, and
+// the probe may read no more blocks than the segment has.
+func FuzzProbeSorted(f *testing.F) {
+	f.Add(uint16(2*blockRecords+1), []byte(""), []byte("k000/k001/k062/k063/k064/a/z/k/k128/k128"))
+	f.Add(uint16(blockRecords), []byte("k0/k1/zz"), []byte("k0/k000/k1/k062/zz/zzz"))
+	f.Add(uint16(0), []byte("b/d/f"), []byte("a/b/c/d/e/f/g"))
+	f.Add(uint16(300), []byte(""), []byte("k300/k301/k598/k599/k600"))
+	f.Fuzz(func(t *testing.T, n uint16, extra, probes []byte) {
+		recs := testRecords(int(n) % 400)
+		have := map[string]bool{}
+		for _, r := range recs {
+			have[string(r.key)] = true
+		}
+		for _, k := range bytes.Split(extra, []byte("/")) {
+			if len(k) > 0 && len(k) <= 1024 && !have[string(k)] {
+				have[string(k)] = true
+				recs = append(recs, record{key: k, val: k})
+			}
+		}
+		sortRecords(recs)
+		path := filepath.Join(t.TempDir(), "seg-000001.seg")
+		if err := writeSegment(path, recs); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := openSegment(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer seg.close()
+		checkProbeSorted(t, seg, bytes.Split(probes, []byte("/")))
+	})
+}
+
 // FuzzDictReplay flips bytes of a committed terms.dat and truncates its
 // tail, reading edits and cut as FuzzSegmentOpen does. Every record
 // carries a CRC, so damage is never read as a term: open returns a

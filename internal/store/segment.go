@@ -383,6 +383,63 @@ func (s *segment) get(key []byte, compared *int64) (val []byte, found bool, err 
 	return val, found, err
 }
 
+// probeSorted sets found[i] for every key of keys, sorted ascending
+// (repeats allowed), that the segment holds; it never clears an entry.
+// It answers the same as get on each key but makes one forward pass:
+// the block index is searched only from the current block onward, each
+// block is read at most once into one reused buffer, and its walk stops
+// at the first record past the block's last probe key. Keys outside
+// [first key, last key] cost no I/O. It returns the number of blocks
+// read; comparisons are counted into compared (nil-safe) as in get.
+func (s *segment) probeSorted(keys [][]byte, found []bool, compared *int64) (blocks int, err error) {
+	if s.count == 0 {
+		return 0, nil
+	}
+	i := sort.Search(len(keys), func(i int) bool { return bytes.Compare(keys[i], s.blockFirst[0]) >= 0 })
+	var buf []byte
+	for b := 0; i < len(keys) && bytes.Compare(keys[i], s.last) <= 0; {
+		// keys[i] >= blockFirst[b], so the search lands on b or later.
+		b += sort.Search(len(s.blockFirst)-b, func(j int) bool {
+			if compared != nil {
+				*compared++
+			}
+			return bytes.Compare(s.blockFirst[b+j], keys[i]) > 0
+		}) - 1
+		var next []byte // first key of block b+1; nil for the last block
+		if b+1 < len(s.blockFirst) {
+			next = s.blockFirst[b+1]
+		}
+		inBlock := func() bool { return i < len(keys) && (next == nil || bytes.Compare(keys[i], next) < 0) }
+		if buf, err = s.readBlock(b, buf); err != nil {
+			return blocks, err
+		}
+		blocks++
+		err = s.walkBlock(buf, b, func(key, _ []byte) bool {
+			for inBlock() {
+				if compared != nil {
+					*compared++
+				}
+				c := bytes.Compare(keys[i], key)
+				if c > 0 {
+					return true
+				}
+				if c == 0 {
+					found[i] = true
+				}
+				i++
+			}
+			return false
+		})
+		if err != nil {
+			return blocks, err
+		}
+		for inBlock() { // above the block's last record: absent
+			i++
+		}
+	}
+	return blocks, nil
+}
+
 // readKey returns the i-th record's key.
 func (s *segment) readKey(i int) ([]byte, error) {
 	b := i / blockRecords

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -321,4 +322,107 @@ func TestSegmentStructuralDamage(t *testing.T) {
 	if _, err := seg.readKey(5); !IsCorrupt(err) {
 		t.Errorf("readKey through an overrunning record: want CorruptError, got %v", err)
 	}
+}
+
+// checkProbeSorted sorts probes and checks segment.probeSorted against
+// a per-key segment.get on each: the same found bits, and a
+// *CorruptError from the probe exactly when a get of one of the keys
+// returns one. It returns the number of blocks the probe read.
+func checkProbeSorted(t *testing.T, seg *segment, probes [][]byte) int {
+	t.Helper()
+	keys := append([][]byte(nil), probes...)
+	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+	found := make([]bool, len(keys))
+	blocks, err := seg.probeSorted(keys, found, nil)
+	var getErr error
+	for i, k := range keys {
+		_, ok, gerr := seg.get(k, nil)
+		if gerr != nil {
+			if getErr == nil {
+				getErr = gerr
+			}
+			continue
+		}
+		if err == nil && ok != found[i] {
+			t.Fatalf("key %q: probeSorted found=%v, get found=%v", k, found[i], ok)
+		}
+	}
+	if (err != nil) != (getErr != nil) || (err != nil && !IsCorrupt(err)) {
+		t.Fatalf("probeSorted err %v, get err %v: want both nil or both a CorruptError", err, getErr)
+	}
+	if blocks > len(seg.blockOff) {
+		t.Fatalf("probeSorted read %d blocks of a %d-block segment", blocks, len(seg.blockOff))
+	}
+	return blocks
+}
+
+// TestProbeSortedMatchesGet checks the batched dedup probe against
+// per-key get on segments of one to six blocks: keys present, absent,
+// below the first key, above the last, in the gap between two blocks,
+// and repeated — and through a block damaged behind valid CRCs.
+func TestProbeSortedMatchesGet(t *testing.T) {
+	for _, n := range []int{0, 1, blockRecords, blockRecords + 1, 2*blockRecords + 1, 5*blockRecords + 3} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			seg, ref := writeTestSegment(t, n)
+			// Even numbers are stored, odd ones fall in the gaps; 2*blockRecords-1
+			// sits between block 0's last key and block 1's first.
+			var all [][]byte
+			for i := -1; i <= 2*n+1; i++ {
+				all = append(all, []byte(fmt.Sprintf("k%03d", i)))
+			}
+			all = append(all, []byte("a"), []byte("k"), []byte("z"))
+			if blocks := checkProbeSorted(t, seg, all); blocks != len(seg.blockOff) {
+				t.Fatalf("a probe of every key read %d blocks, want each of %d once", blocks, len(seg.blockOff))
+			}
+			checkProbeSorted(t, seg, append(all, all...))
+			checkProbeSorted(t, seg, [][]byte{[]byte("a"), []byte("z")})
+			checkProbeSorted(t, seg, nil)
+			r := rand.New(rand.NewSource(int64(n)))
+			for trial := 0; trial < 20; trial++ {
+				var sub [][]byte
+				for _, k := range all {
+					for r.Intn(3) == 0 {
+						sub = append(sub, k)
+					}
+				}
+				checkProbeSorted(t, seg, sub)
+			}
+			for _, rec := range ref {
+				checkProbeSorted(t, seg, [][]byte{rec.key})
+			}
+		})
+	}
+
+	t.Run("damaged block", func(t *testing.T) {
+		seg, ref := writeTestSegment(t, 2*blockRecords+1)
+		data, err := os.ReadFile(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Record 1's value length now points past block 0 (as in
+		// TestSegmentStructuralDamage): open accepts it, a read of the
+		// record fails.
+		table := len(data) - 8*len(ref)
+		data[segHeaderSize+int(binary.BigEndian.Uint64(data[table+8:]))+2+4] = 0x01
+		resealSegment(data)
+		path := filepath.Join(t.TempDir(), "seg-000002.seg")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bad, err := openSegment(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bad.close()
+		for _, probes := range [][][]byte{
+			{ref[2].key},
+			{ref[1].key, ref[40].key},
+			{[]byte("k001"), ref[blockRecords].key},
+		} {
+			checkProbeSorted(t, bad, probes)
+		}
+		if _, err := bad.probeSorted([][]byte{ref[2].key}, make([]bool, 1), nil); !IsCorrupt(err) {
+			t.Fatalf("probe through an overrunning record: want CorruptError, got %v", err)
+		}
+	})
 }

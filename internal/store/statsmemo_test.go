@@ -111,33 +111,54 @@ func TestRDFStatsMemoGenerations(t *testing.T) {
 	check("repeated call after the cancelled ingest", true)
 }
 
-// TestIngestErrorBumpsGeneration: an ingest that fails on a segment
-// read after adding a key still moves the generation, since a later
-// flush commits that key.
+// TestIngestErrorBumpsGeneration: a segment read error adds nothing
+// from its chunk, but the chunks before it stay in the memtable for a
+// later flush to commit, so the generation moves exactly when one of
+// them added a key.
 func TestIngestErrorBumpsGeneration(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
 	ctx := context.Background()
 	// Inline terms keep key order, so "a…" sorts below the segment's
 	// first key (no read) and "z…" above it (a read of the segment).
-	if _, err := st.IngestTriples(ctx, "g", []rdf.Triple{{S: "m", P: "p", O: "o"}}); err != nil {
-		t.Fatal(err)
+	below := make([]rdf.Triple, ingestChunk-1)
+	for i := range below {
+		below[i] = rdf.Triple{S: fmt.Sprintf("a%04d", i), P: "p", O: "o"}
 	}
-	if err := st.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := st.Lookup("g")
-	before := st.gen[c.ID]
-	st.segs[0].f.Close()
-	n, err := st.IngestTriples(ctx, "g", []rdf.Triple{{S: "a", P: "p", O: "o"}, {S: "z", P: "p", O: "o"}})
-	if err == nil || n != 1 {
-		t.Fatalf("ingest over a closed segment: added %d, err %v; want 1 and an error", n, err)
-	}
-	if after := st.gen[c.ID]; after != before+1 {
-		t.Fatalf("generation %d → %d across a failed ingest that added a key, want a bump", before, after)
+	above := rdf.Triple{S: "z", P: "p", O: "o"}
+	for _, tc := range []struct {
+		name    string
+		batch   []rdf.Triple
+		want    int
+		wantGen uint64
+	}{
+		{"error in the second chunk", append(below[:len(below):len(below)], above), ingestChunk - 1, 1},
+		{"error in the first chunk", []rdf.Triple{below[0], above}, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if _, err := st.IngestTriples(ctx, "g", []rdf.Triple{{S: "m", P: "p", O: "o"}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			c, _ := st.Lookup("g")
+			before := st.gen[c.ID]
+			st.segs[0].f.Close()
+			n, err := st.IngestTriples(ctx, "g", tc.batch)
+			if err == nil || n != tc.want {
+				t.Fatalf("ingest over a closed segment: added %d, err %v; want %d and an error", n, err, tc.want)
+			}
+			if after := st.gen[c.ID]; after != before+tc.wantGen {
+				t.Fatalf("generation %d → %d across a failed ingest that added %d keys, want +%d", before, after, n, tc.wantGen)
+			}
+			if len(st.mem) != 3*n {
+				t.Fatalf("memtable holds %d keys after adding %d triples, want %d", len(st.mem), n, 3*n)
+			}
+		})
 	}
 }
 

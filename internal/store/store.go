@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -472,27 +474,19 @@ func (s *Store) tripleKeys(id uint32, t rdf.Triple) (spo, pos, osp []byte) {
 	return spo, pos, osp
 }
 
-// hasKeyLocked reports whether key exists in the memtable or any
-// committed segment.
-func (s *Store) hasKeyLocked(key []byte, compared *int64) (bool, error) {
-	if _, ok := s.mem[string(key)]; ok {
-		return true, nil
-	}
-	for _, seg := range s.segs {
-		if _, ok, err := seg.get(key, compared); err != nil {
-			return false, err
-		} else if ok {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
 // IngestTriples adds triples to a triples corpus (creating it if
 // needed), deduplicating against pending writes and every committed
 // segment — re-ingesting an identical corpus is a no-op. It returns
 // the number of new triples accepted. Writes stay in the memtable
 // until Flush.
+//
+// The dedup runs per chunk of ingestChunk triples, cut where the
+// cancellation checkpoint falls (the first chunk is one shorter), so a
+// cancelled ingest keeps every chunk before the checkpoint. A chunk's
+// keys are encoded in input order, its SPO keys sorted, and each
+// committed segment probed once for all of them (segment.probeSorted),
+// so a block is read at most once per segment per chunk. A probe error
+// adds nothing from its chunk.
 func (s *Store) IngestTriples(ctx context.Context, name string, triples []rdf.Triple) (int, error) {
 	c, err := s.CreateCorpus(name, KindTriples)
 	if err != nil {
@@ -504,7 +498,11 @@ func (s *Store) IngestTriples(ctx context.Context, name string, triples []rdf.Tr
 	span.SetAttr("kind", string(KindTriples))
 	added := span.Counter("triples_added")
 	dups := span.Counter("dup_skipped")
-	var compared int64
+	var compared, blocks int64
+	defer func() {
+		span.Counter("keys_compared").Add(compared)
+		span.Counter("blocks_read").Add(blocks)
+	}()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -518,32 +516,82 @@ func (s *Store) IngestTriples(ctx context.Context, name string, triples []rdf.Tr
 			s.gen[c.ID]++
 		}
 	}()
-	for i, t := range triples {
-		if i%scanCheckpointEvery == scanCheckpointEvery-1 {
+	var (
+		keys   [][3][]byte // SPO, POS, OSP per triple of the chunk
+		stored []bool      // SPO key found in a committed segment
+		probe  [][]byte    // sorted SPO keys still to look up
+		order  []int       // chunk position of each probe key
+		found  []bool
+	)
+	for lo := 0; lo < len(triples); {
+		if lo > 0 {
 			if err := ctx.Err(); err != nil {
-				span.Counter("keys_compared").Add(compared)
 				return n, err
 			}
 		}
-		spo, pos, osp := s.tripleKeys(c.ID, t)
-		ok, err := s.hasKeyLocked(spo, &compared)
-		if err != nil {
-			return n, err
+		// The chunk ends at the next checkpoint: the next index i with
+		// i%ingestChunk == ingestChunk-1.
+		hi := min(len(triples), ((lo+1)/ingestChunk+1)*ingestChunk-1)
+		keys, stored, order = keys[:0], stored[:0], order[:0]
+		for i, t := range triples[lo:hi] {
+			spo, pos, osp := s.tripleKeys(c.ID, t)
+			keys = append(keys, [3][]byte{spo, pos, osp})
+			stored = append(stored, false)
+			// A pending key was absent from every segment when it was
+			// added, and no segment has been committed since.
+			if _, ok := s.mem[string(spo)]; !ok {
+				order = append(order, i)
+			}
 		}
-		if ok {
-			dups.Inc()
-			continue
+		slices.SortFunc(order, func(a, b int) int { return bytes.Compare(keys[a][0], keys[b][0]) })
+		probe = probe[:0]
+		for _, i := range order {
+			probe = append(probe, keys[i][0])
 		}
-		s.mem[string(spo)] = nil
-		s.mem[string(pos)] = nil
-		s.mem[string(osp)] = nil
-		added.Inc()
-		n++
+		found = slices.Grow(found[:0], len(probe))[:len(probe)]
+		clear(found)
+		for _, seg := range s.segs {
+			if len(probe) == 0 {
+				break
+			}
+			k, err := seg.probeSorted(probe, found, &compared)
+			blocks += int64(k)
+			if err != nil {
+				return n, err
+			}
+			// Keys are unique across segments: drop the ones found here.
+			j := 0
+			for p, i := range order {
+				if found[p] {
+					stored[i], found[p] = true, false
+					continue
+				}
+				probe[j], order[j] = probe[p], i
+				j++
+			}
+			probe, order = probe[:j], order[:j]
+		}
+		for i, k := range keys {
+			if _, ok := s.mem[string(k[0])]; ok || stored[i] {
+				dups.Inc()
+				continue
+			}
+			for _, key := range k {
+				s.mem[string(key)] = nil
+			}
+			added.Inc()
+			n++
+		}
+		lo = hi
 	}
-	span.Counter("keys_compared").Add(compared)
 	span.Count("terms_interned", int64(s.dict.len()-termsBefore))
 	return n, nil
 }
+
+// ingestChunk is the stride of IngestTriples' dedup batches: the
+// cancellation-checkpoint stride of scans, so an ingest checks ctx
+// where it always has.
+const ingestChunk = scanCheckpointEvery
 
 // IngestLog appends lines to a log corpus (creating it if needed).
 // Log corpora keep duplicates and ingest order; each line gets the
