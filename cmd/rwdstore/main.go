@@ -88,7 +88,9 @@ commands:
   list     list corpora with entry and segment counts
   stats    print store-wide statistics
   compact  merge all segments into one and drop duplicates
-  verify   check every index entry decodes and the indexes agree
+  verify   check that every segment's keys are in order, every triple key
+           and its terms decode, and no triple is in two segments; the
+           POS/OSP keys of older stores are ignored and kept
 
 run 'rwdstore <command> -h' for the flags of each command.
 `)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"strconv"
 	"sync"
 
@@ -88,6 +89,14 @@ func analyzeSourceShards(ctx context.Context, s loggen.Source, stream []string, 
 // completion, leaving a partial — and clearly marked — report that the
 // caller must discard. With a background (never-canceled) context the
 // checkpoints never fire and the result is byte-identical to before.
+//
+// It yields the P after every query. Shards keep every P busy for the
+// whole request, and at GOMAXPROCS <= 3 the runtime's background mark
+// worker is a fractional one that only runs when a P reschedules: a GC
+// cycle that starts mid-request would otherwise wait for an async
+// preemption (~10 ms) while the shards keep allocating, so how far the
+// heap, and the process's peak RSS, overshoots varies from request to
+// request.
 func ingestShard(ctx context.Context, a *Analyzer, k int, part []string) {
 	_, span := obs.StartSpan(ctx, "core.shard")
 	defer span.Finish()
@@ -100,6 +109,7 @@ func ingestShard(ctx context.Context, a *Analyzer, k int, part []string) {
 		}
 		a.Ingest(q)
 		ingested.Inc()
+		runtime.Gosched()
 	}
 	span.Count("valid", int64(a.Report.Valid))
 	span.Count("unique", int64(a.Report.Unique))

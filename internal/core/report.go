@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
@@ -185,17 +184,6 @@ func RenderTable1(w io.Writer, seed int64, scale float64) error {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\n", ds.Name, ds.Graph.N(), ds.Graph.M(), lb, ub)
 	}
 	return tw.Flush()
-}
-
-// SortedOperatorSets returns the observed operator sets sorted by name
-// (diagnostics).
-func (r *SourceReport) SortedOperatorSets() []string {
-	out := make([]string, 0, len(r.OperatorSets))
-	for k := range r.OperatorSets {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // GroupReports splits per-source reports into the paper's two groups and

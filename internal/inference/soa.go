@@ -104,20 +104,6 @@ func (soa *SOA) States() []string {
 	return out
 }
 
-// Pred computes the predecessor map.
-func (soa *SOA) Pred() map[string]map[string]bool {
-	pred := map[string]map[string]bool{}
-	for q := range soa.Succ {
-		pred[q] = map[string]bool{}
-	}
-	for q, m := range soa.Succ {
-		for to := range m {
-			pred[to][q] = true
-		}
-	}
-	return pred
-}
-
 // Accepts reports whether the SOA accepts the word (used in tests: the SOA
 // language always contains the sample).
 func (soa *SOA) Accepts(w []string) bool {

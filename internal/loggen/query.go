@@ -443,18 +443,3 @@ func (g *Gen) buildTriples(n int, usePP bool, feat FeatureRates) []string {
 	}
 	return out
 }
-
-// Corpus generates the full scaled corpus for all sources.
-func Corpus(seed int64, scaleDiv int) map[string][]string {
-	out := map[string][]string{}
-	for i, s := range Sources() {
-		g := NewGen(s, seed+int64(i)*7919)
-		n := g.Count(scaleDiv)
-		qs := make([]string, n)
-		for j := range qs {
-			qs[j] = g.Next()
-		}
-		out[s.Name] = qs
-	}
-	return out
-}

@@ -36,52 +36,3 @@ func ParseText(r io.Reader) (map[string]float64, error) {
 	}
 	return out, sc.Err()
 }
-
-// SeriesLabel extracts one label value from a series key as returned by
-// ParseText: SeriesLabel(`m{a="x",b="y"}`, "b") == "y", with ok=false
-// when the label is absent.
-func SeriesLabel(series, label string) (string, bool) {
-	i := strings.IndexByte(series, '{')
-	if i < 0 {
-		return "", false
-	}
-	rest := series[i+1 : len(series)-1]
-	for _, kv := range splitLabels(rest) {
-		eq := strings.IndexByte(kv, '=')
-		if eq < 0 {
-			continue
-		}
-		if kv[:eq] == label {
-			v := kv[eq+1:]
-			if unq, err := strconv.Unquote(v); err == nil {
-				return unq, true
-			}
-			return v, true
-		}
-	}
-	return "", false
-}
-
-// splitLabels splits a label block body on commas outside quotes.
-func splitLabels(s string) []string {
-	var out []string
-	depth := false // inside a quoted value
-	startAt := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				depth = !depth
-			}
-		case ',':
-			if !depth {
-				out = append(out, s[startAt:i])
-				startAt = i + 1
-			}
-		}
-	}
-	if startAt < len(s) {
-		out = append(out, s[startAt:])
-	}
-	return out
-}

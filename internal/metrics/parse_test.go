@@ -69,27 +69,3 @@ y{v="+Inf bucket"} 4
 		t.Fatalf("values: %v", got)
 	}
 }
-
-func TestSeriesLabel(t *testing.T) {
-	series := `rwd_span_cost_total{span="automata.contains",counter="product_states"}`
-	if v, ok := SeriesLabel(series, "span"); !ok || v != "automata.contains" {
-		t.Fatalf("span = %q, %v", v, ok)
-	}
-	if v, ok := SeriesLabel(series, "counter"); !ok || v != "product_states" {
-		t.Fatalf("counter = %q, %v", v, ok)
-	}
-	if _, ok := SeriesLabel(series, "absent"); ok {
-		t.Fatal("absent label reported present")
-	}
-	if _, ok := SeriesLabel("bare_series", "span"); ok {
-		t.Fatal("label found on a bare series")
-	}
-	// commas and escaped quotes inside values must not break the split
-	tricky := `m{a="x,y",b="say \"hi\"",c="z"}`
-	if v, ok := SeriesLabel(tricky, "a"); !ok || v != "x,y" {
-		t.Fatalf("a = %q, %v", v, ok)
-	}
-	if v, ok := SeriesLabel(tricky, "c"); !ok || v != "z" {
-		t.Fatalf("c = %q, %v", v, ok)
-	}
-}

@@ -16,7 +16,7 @@ import (
 // atomMatcher resolves the extended-alphabet symbols produced by ToRegex
 // against a graph: forward labels, inverse labels, and negated sets.
 type atomMatcher struct {
-	g rdf.GraphReader
+	g *rdf.Graph
 }
 
 // step returns the nodes reachable from node via the atom symbol, together
@@ -105,7 +105,7 @@ func parseNegSymbol(sym string) (forbidden map[string]bool, forbiddenInv map[str
 // property path under the W3C regular semantics (existence of any path),
 // computed by BFS over the product of the graph with the path's NFA —
 // polynomial time, as for all RPQs under this semantics.
-func Eval(g rdf.GraphReader, p *Path, start string) []string {
+func Eval(g *rdf.Graph, p *Path, start string) []string {
 	n := automata.Glushkov(ToRegex(p))
 	m := atomMatcher{g}
 	type pstate struct {
@@ -150,7 +150,7 @@ func Eval(g rdf.GraphReader, p *Path, start string) []string {
 // repeated node) matching the path — the semantics whose data complexity
 // the class C_tract characterizes. Worst-case exponential (the problem is
 // NP-hard outside C_tract); intended for small graphs and experiments.
-func EvalSimplePaths(g rdf.GraphReader, p *Path, start string) []string {
+func EvalSimplePaths(g *rdf.Graph, p *Path, start string) []string {
 	n := automata.Glushkov(ToRegex(p))
 	m := atomMatcher{g}
 	results := map[string]bool{}
@@ -198,7 +198,7 @@ func EvalSimplePaths(g rdf.GraphReader, p *Path, start string) []string {
 
 // EvalTrails returns the nodes reachable via a TRAIL (no repeated edge)
 // matching the path — the semantics of the class T_tract.
-func EvalTrails(g rdf.GraphReader, p *Path, start string) []string {
+func EvalTrails(g *rdf.Graph, p *Path, start string) []string {
 	n := automata.Glushkov(ToRegex(p))
 	m := atomMatcher{g}
 	results := map[string]bool{}

@@ -15,9 +15,8 @@ import (
 
 // TypeString canonicalizes the path to its type, e.g.
 // wdt:P31/wdt:P279* has type "ab*" and wdt:P31/wdt:P31* has type "aa*".
-// Inverse atoms render as the bare letter (the ^ operator is tracked
-// separately by UsesInverse). Disjunctions of atoms render as 'A',
-// negated property sets as 'A'.
+// Inverse atoms render as the bare letter. Disjunctions of atoms render
+// as 'A', negated property sets as 'A'.
 func TypeString(p *Path) string {
 	names := map[string]string{}
 	var b strings.Builder
@@ -127,18 +126,6 @@ func isAtomDisjunction(p *Path) bool {
 		}
 	}
 	return true
-}
-
-// UsesInverse reports whether the ^ operator occurs (0.80%/2.03% of
-// robotic/organic property paths).
-func (p *Path) UsesInverse() bool {
-	found := false
-	p.Walk(func(x *Path) {
-		if x.Kind == Inverse || (x.Kind == NegSet && len(x.NegInv) > 0) {
-			found = true
-		}
-	})
-	return found
 }
 
 // Table8Row is an aggregated row of Table 8.

@@ -118,24 +118,6 @@ func (g *Graph) Match(s, p, o string) []Triple {
 	return out
 }
 
-// ObjectsOf returns the objects reachable from s via p.
-func (g *Graph) ObjectsOf(s, p string) []string {
-	var out []string
-	for _, i := range g.bySP[[2]string{s, p}] {
-		out = append(out, g.triples[i].O)
-	}
-	return out
-}
-
-// SubjectsOf returns the subjects reaching o via p.
-func (g *Graph) SubjectsOf(p, o string) []string {
-	var out []string
-	for _, i := range g.byPO[[2]string{p, o}] {
-		out = append(out, g.triples[i].S)
-	}
-	return out
-}
-
 // OutEdges returns the triples with subject s.
 func (g *Graph) OutEdges(s string) []Triple {
 	var out []Triple

@@ -26,11 +26,11 @@ func TestGraphBasics(t *testing.T) {
 	if !g.Has("s1", "wdt:P31", "Q5") || g.Has("s1", "wdt:P31", "Q6") {
 		t.Error("Has broken")
 	}
-	if got := g.ObjectsOf("s1", "wdt:P31"); len(got) != 1 || got[0] != "Q5" {
-		t.Errorf("ObjectsOf = %v", got)
+	if got := g.Match("s1", "wdt:P31", ""); len(got) != 1 || got[0].O != "Q5" {
+		t.Errorf("Match(s1,P31,*) = %v", got)
 	}
-	if got := g.SubjectsOf("wdt:P31", "Q5"); len(got) != 2 {
-		t.Errorf("SubjectsOf = %v", got)
+	if got := g.Match("", "wdt:P31", "Q5"); len(got) != 2 {
+		t.Errorf("Match(*,P31,Q5) = %v", got)
 	}
 	if got := g.Match("", "wdt:P31", ""); len(got) != 2 {
 		t.Errorf("Match(*,P31,*) = %v", got)

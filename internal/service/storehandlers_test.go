@@ -197,8 +197,8 @@ func TestCorruptCorpusAnalyzeIs500(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The inline encoding of "s1" — kind 0x01, the term zero-padded to 8
-	// bytes, its length — appears once in each of the three index keys
-	// of its triple; give the SPO key's copy, the first, an unknown kind.
+	// bytes, its length — appears once in the segment, as the subject of
+	// its triple's SPO key; give it an unknown kind.
 	paths, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
 	if len(paths) != 1 {
 		t.Fatalf("want one segment, found %d", len(paths))

@@ -216,34 +216,6 @@ func (e *Expr) containsExists() bool {
 	return false
 }
 
-// Aggregates lists the aggregate functions (upper-case) used in the
-// expression.
-func (e *Expr) Aggregates() []string {
-	var out []string
-	var visit func(x *Expr)
-	visit = func(x *Expr) {
-		if x == nil {
-			return
-		}
-		if x.Kind == EFunc && isAggregate(x.Func) {
-			out = append(out, x.Func)
-		}
-		for _, s := range x.Subs {
-			visit(s)
-		}
-	}
-	visit(e)
-	return out
-}
-
-func isAggregate(name string) bool {
-	switch name {
-	case "COUNT", "SUM", "AVG", "MIN", "MAX", "SAMPLE", "GROUP_CONCAT":
-		return true
-	}
-	return false
-}
-
 // SelectItem is one projection of a SELECT clause: a plain variable or an
 // (expression AS ?var) binding.
 type SelectItem struct {

@@ -46,7 +46,7 @@ func (s Solution) merge(t Solution) Solution {
 // solution multiset after projection and solution modifiers (DISTINCT,
 // ORDER BY is ignored — analysis only needs set semantics — LIMIT/OFFSET
 // applied). ASK queries return zero or one empty solution.
-func Eval(g rdf.GraphReader, q *sparql.Query) ([]Solution, error) {
+func Eval(g *rdf.Graph, q *sparql.Query) ([]Solution, error) {
 	var sols []Solution
 	if q.Where == nil {
 		sols = []Solution{{}}
@@ -126,7 +126,7 @@ func solKey(s Solution) string {
 
 // IsAnswer decides the Evaluation problem of Section 9.1 (Pérez et al.):
 // is μ an answer to the pattern over the dataset?
-func IsAnswer(g rdf.GraphReader, q *sparql.Query, mu Solution) (bool, error) {
+func IsAnswer(g *rdf.Graph, q *sparql.Query, mu Solution) (bool, error) {
 	sols, err := Eval(g, q)
 	if err != nil {
 		return false, err
@@ -140,7 +140,7 @@ func IsAnswer(g rdf.GraphReader, q *sparql.Query, mu Solution) (bool, error) {
 	return false, nil
 }
 
-func evalPattern(g rdf.GraphReader, p *sparql.Pattern) ([]Solution, error) {
+func evalPattern(g *rdf.Graph, p *sparql.Pattern) ([]Solution, error) {
 	switch p.Kind {
 	case sparql.PGroup:
 		sols := []Solution{{}}
@@ -295,7 +295,7 @@ func sharesVar(a, b Solution) bool {
 	return false
 }
 
-func evalTriple(g rdf.GraphReader, p *sparql.Pattern) []Solution {
+func evalTriple(g *rdf.Graph, p *sparql.Pattern) []Solution {
 	s, pr, o := termPattern(p.S), termPattern(p.P), termPattern(p.O)
 	var out []Solution
 	for _, t := range g.Match(s, pr, o) {
@@ -327,7 +327,7 @@ func bindTerm(t sparql.Term, value string, sol Solution) bool {
 	return true
 }
 
-func evalPathPattern(g rdf.GraphReader, p *sparql.Pattern) []Solution {
+func evalPathPattern(g *rdf.Graph, p *sparql.Pattern) []Solution {
 	var starts []string
 	if p.S.IsVarLike() {
 		// all nodes of the graph
@@ -361,7 +361,7 @@ func evalPathPattern(g rdf.GraphReader, p *sparql.Pattern) []Solution {
 // builtins evaluate to an error, which the caller treats as false-ish by
 // propagating (matching SPARQL's error semantics would drop the row; we
 // drop it too by returning false, nil for unknown functions).
-func evalFilter(g rdf.GraphReader, e *sparql.Expr, s Solution) (bool, error) {
+func evalFilter(g *rdf.Graph, e *sparql.Expr, s Solution) (bool, error) {
 	switch e.Kind {
 	case sparql.EBool:
 		l, err := evalFilter(g, e.Subs[0], s)
@@ -437,7 +437,7 @@ func evalFilter(g rdf.GraphReader, e *sparql.Expr, s Solution) (bool, error) {
 	return false, nil
 }
 
-func evalExprValue(g rdf.GraphReader, e *sparql.Expr, s Solution) (string, error) {
+func evalExprValue(g *rdf.Graph, e *sparql.Expr, s Solution) (string, error) {
 	switch e.Kind {
 	case sparql.EVar:
 		if v, ok := s[e.Var]; ok {
@@ -490,7 +490,7 @@ func evalExprValue(g rdf.GraphReader, e *sparql.Expr, s Solution) (string, error
 	return "", fmt.Errorf("unsupported expression")
 }
 
-func evalNumber(g rdf.GraphReader, e *sparql.Expr, s Solution) (float64, error) {
+func evalNumber(g *rdf.Graph, e *sparql.Expr, s Solution) (float64, error) {
 	v, err := evalExprValue(g, e, s)
 	if err != nil {
 		return 0, err

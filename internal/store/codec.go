@@ -15,11 +15,11 @@
 //	               written to a temp file and renamed, so a crash can
 //	               never leave a half-written committed segment)
 //
-// Triples are stored three times — under the SPO, POS, and OSP key
-// orders — so every bound-variable lookup shape of the property-path
-// and SPARQL-algebra evaluators (S, P, O, SP, PO) is one contiguous
-// range scan. Log corpora are stored once, keyed by a big-endian
-// sequence number, so iteration order is ingest order.
+// Each triple is stored once, under its SPO key: the one reader of a
+// triples corpus, the Section 7.1 statistics (Store.RDFStats), makes
+// one pass over the corpus's SPO range, and ingest dedups against the
+// same keys. Log corpora are keyed by a big-endian sequence number, so
+// iteration order is ingest order.
 //
 // The commit point is Flush (and Close, which flushes): triples and
 // log lines accepted before a successful Flush survive any crash;
@@ -50,7 +50,7 @@ import (
 // preserve equality (the dictionary resolves collisions at intern time
 // by deterministic re-hashing) but not order; range scans only ever
 // group by equal prefixes, so grouping — not global term order — is
-// what the indexes need.
+// what the keys need.
 const (
 	kindInline byte = 0x01
 	kindHash   byte = 0x02
@@ -73,25 +73,6 @@ func appendTerm(dst []byte, term string, dict *dict) []byte {
 	dst = append(dst, kindHash)
 	dst = binary.BigEndian.AppendUint64(dst, h)
 	return append(dst, 0)
-}
-
-// appendTermRead encodes term without interning: the read path
-// (lookups, Match, Has) must not grow the dictionary. A long term the
-// dictionary has never seen cannot appear in any key, so ok=false means
-// "no stored key can match".
-func appendTermRead(dst []byte, term string, dict *dict) ([]byte, bool) {
-	if len(term) <= inlineMax {
-		return appendTerm(dst, term, dict), true
-	}
-	dict.mu.RLock()
-	h, ok := dict.byTerm[term]
-	dict.mu.RUnlock()
-	if !ok {
-		return dst, false
-	}
-	dst = append(dst, kindHash)
-	dst = binary.BigEndian.AppendUint64(dst, h)
-	return append(dst, 0), true
 }
 
 // decodeTerm decodes one encoded term, resolving handles through dict.

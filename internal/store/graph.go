@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -11,22 +10,18 @@ import (
 	"repro/internal/rdf"
 )
 
-// StoredGraph is a read view of one triples corpus that satisfies
-// rdf.GraphReader, so rdf.ComputeStats and both evaluators run against
-// it unchanged. Every lookup shape the evaluators use (S, P, O, SP,
-// PO) is one contiguous range scan over the matching index:
+// StoredGraph is a read view of one triples corpus: one scan of the
+// corpus's SPO key range across the committed segments, as Triples or
+// as the term ids of rdf.TermIDSource. It is what rdf.ComputeStats
+// reads. The view reflects the committed state at construction plus
+// any segments flushed afterwards; Store.Graph flushes first so the
+// view starts complete.
 //
-//	S, SP, SPO → SPO index    P, PO → POS index    O → OSP index
-//
-// The view reflects the committed state at construction plus any
-// segments flushed afterwards; Store.Graph flushes first so the view
-// starts complete.
-//
-// GraphReader methods cannot return errors, so the view is bound to a
-// context: scans checkpoint cancellation, and the first error (context
-// or I/O) is latched and reported by Err — callers run the analysis,
-// then check Err once. After an error, scans return empty results
-// rather than partial ones being mistaken for complete.
+// Triples cannot return an error, so the view is bound to a context:
+// scans checkpoint cancellation, and the first error (context or I/O)
+// is latched and reported by Err — callers run the analysis, then
+// check Err once. After an error, scans return empty results rather
+// than partial ones being mistaken for complete.
 type StoredGraph struct {
 	st  *Store
 	c   Corpus
@@ -41,7 +36,7 @@ type StoredGraph struct {
 	err error
 }
 
-// Graph opens a GraphReader view of a triples corpus, flushing pending
+// Graph opens a read view of a triples corpus, flushing pending
 // writes first so the view is complete.
 func (s *Store) Graph(ctx context.Context, name string) (*StoredGraph, error) {
 	c, err := s.triplesCorpus(name)
@@ -148,23 +143,15 @@ func (sg *StoredGraph) fail(err error) {
 	sg.mu.Unlock()
 }
 
-// scan runs fn over every record under the corpus index prefix built
-// from the given terms, across all segments. A term that cannot be
-// encoded for reading means no key can match. An error from fn means
-// the key did not decode: it is latched as a CorruptError naming the
-// segment. Nothing is scanned after a latched error.
-func (sg *StoredGraph) scan(idx byte, terms []string, fn func(key []byte, prefixLen int) error) {
+// scan runs fn over every SPO key of the corpus, across all segments.
+// An error from fn means the key did not decode: it is latched as a
+// CorruptError naming the segment. Nothing is scanned after a latched
+// error.
+func (sg *StoredGraph) scan(fn func(key []byte) error) {
 	if sg.Err() != nil {
 		return
 	}
-	prefix := corpusPrefix(sg.c.ID, idx)
-	for _, t := range terms {
-		var ok bool
-		prefix, ok = appendTermRead(prefix, t, sg.st.dict)
-		if !ok {
-			return // nothing stored can match
-		}
-	}
+	prefix := corpusPrefix(sg.c.ID, idxSPO)
 	var compared int64
 	checkpoint := func() error { return sg.ctx.Err() }
 
@@ -175,7 +162,7 @@ func (sg *StoredGraph) scan(idx byte, terms []string, fn func(key []byte, prefix
 		sg.segsScanned.Inc()
 		var keyErr error
 		err := seg.scanPrefix(prefix, &compared, checkpoint, func(key, _ []byte) bool {
-			keyErr = fn(key, len(prefix))
+			keyErr = fn(key)
 			return keyErr == nil
 		})
 		if err == nil && keyErr != nil {
@@ -190,8 +177,8 @@ func (sg *StoredGraph) scan(idx byte, terms []string, fn func(key []byte, prefix
 	sg.keysCmp.Add(compared)
 }
 
-// checkTripleKey rejects a key under a triple index that does not hold
-// exactly three encoded terms.
+// checkTripleKey rejects an SPO key that does not hold exactly three
+// encoded terms.
 func checkTripleKey(key []byte) error {
 	if len(key) != keyBase+3*encodedTermSize {
 		return fmt.Errorf("store: triple key is %d bytes, want %d", len(key), keyBase+3*encodedTermSize)
@@ -202,18 +189,8 @@ func checkTripleKey(key []byte) error {
 // keyBase returns the length of the [corpus 4][index 1] prefix.
 const keyBase = 5
 
-// Len returns the number of triples.
-func (sg *StoredGraph) Len() int {
-	n := 0
-	sg.scan(idxSPO, nil, func([]byte, int) error { n++; return nil })
-	if sg.Err() != nil {
-		return 0
-	}
-	return n
-}
-
-// decodeTriple decodes a key of index idx back into its triple.
-func (sg *StoredGraph) decodeTriple(idx byte, key []byte) (rdf.Triple, error) {
+// decodeTriple decodes an SPO key back into its triple.
+func (sg *StoredGraph) decodeTriple(key []byte) (rdf.Triple, error) {
 	if err := checkTripleKey(key); err != nil {
 		return rdf.Triple{}, err
 	}
@@ -224,20 +201,14 @@ func (sg *StoredGraph) decodeTriple(idx byte, key []byte) (rdf.Triple, error) {
 			return rdf.Triple{}, err
 		}
 	}
-	switch idx {
-	case idxPOS:
-		return rdf.Triple{S: terms[2], P: terms[0], O: terms[1]}, nil
-	case idxOSP:
-		return rdf.Triple{S: terms[1], P: terms[2], O: terms[0]}, nil
-	}
 	return rdf.Triple{S: terms[0], P: terms[1], O: terms[2]}, nil
 }
 
 // Triples returns all triples, in SPO key order.
 func (sg *StoredGraph) Triples() []rdf.Triple {
 	var out []rdf.Triple
-	sg.scan(idxSPO, nil, func(key []byte, _ int) error {
-		t, err := sg.decodeTriple(idxSPO, key)
+	sg.scan(func(key []byte) error {
+		t, err := sg.decodeTriple(key)
 		out = append(out, t)
 		return err
 	})
@@ -258,7 +229,7 @@ var _ rdf.TermIDSource = (*StoredGraph)(nil)
 func (sg *StoredGraph) TermIDs() ([][3]uint32, int) {
 	ids := map[[encodedTermSize]byte]uint32{}
 	var out [][3]uint32
-	sg.scan(idxSPO, nil, func(key []byte, _ int) error {
+	sg.scan(func(key []byte) error {
 		if err := checkTripleKey(key); err != nil {
 			return err
 		}
@@ -284,151 +255,3 @@ func (sg *StoredGraph) TermIDs() ([][3]uint32, int) {
 	}
 	return out, len(ids)
 }
-
-// Has reports membership via a point lookup on the SPO index.
-func (sg *StoredGraph) Has(s, p, o string) bool {
-	if sg.Err() != nil {
-		return false
-	}
-	key := corpusPrefix(sg.c.ID, idxSPO)
-	var ok bool
-	for _, t := range []string{s, p, o} {
-		if key, ok = appendTermRead(key, t, sg.st.dict); !ok {
-			return false
-		}
-	}
-	var compared int64
-	sg.st.mu.RLock()
-	segs := sg.st.segs
-	sg.st.mu.RUnlock()
-	found := false
-	for _, seg := range segs {
-		sg.segsScanned.Inc()
-		_, hit, err := seg.get(key, &compared)
-		if err != nil {
-			sg.fail(err)
-			break
-		}
-		if hit {
-			found = true
-			break
-		}
-	}
-	sg.keysCmp.Add(compared)
-	return found
-}
-
-// distinctFirst collects the distinct leading term of every key in an
-// index — the cheap way to enumerate S_G (SPO), P_G (POS), O_G (OSP),
-// since keys sharing a leading term are contiguous.
-func (sg *StoredGraph) distinctFirst(idx byte) []string {
-	var out []string
-	var lastEnc []byte
-	sg.scan(idx, nil, func(key []byte, _ int) error {
-		if err := checkTripleKey(key); err != nil {
-			return err
-		}
-		enc := key[keyBase : keyBase+encodedTermSize]
-		if lastEnc != nil && string(lastEnc) == string(enc) {
-			return nil
-		}
-		lastEnc = append(lastEnc[:0], enc...)
-		term, err := decodeTerm(enc, sg.st.dict)
-		out = append(out, term)
-		return err
-	})
-	if sg.Err() != nil {
-		return nil
-	}
-	// Contiguity holds per segment, not across segments, and hashed
-	// terms do not sort in term order: dedup and sort the small result.
-	seen := make(map[string]bool, len(out))
-	uniq := out[:0]
-	for _, t := range out {
-		if !seen[t] {
-			seen[t] = true
-			uniq = append(uniq, t)
-		}
-	}
-	sort.Strings(uniq)
-	return uniq
-}
-
-// Subjects returns the set S_G, sorted.
-func (sg *StoredGraph) Subjects() []string { return sg.distinctFirst(idxSPO) }
-
-// Predicates returns the set P_G, sorted.
-func (sg *StoredGraph) Predicates() []string { return sg.distinctFirst(idxPOS) }
-
-// Objects returns the set O_G, sorted.
-func (sg *StoredGraph) Objects() []string { return sg.distinctFirst(idxOSP) }
-
-// Match returns all triples matching the pattern (empty strings are
-// wildcards), dispatching to the index whose key order makes the bound
-// terms one contiguous prefix.
-func (sg *StoredGraph) Match(s, p, o string) []rdf.Triple {
-	var idx byte
-	var bound []string
-	switch {
-	case s != "" && p != "":
-		idx, bound = idxSPO, []string{s, p}
-	case p != "" && o != "":
-		idx, bound = idxPOS, []string{p, o}
-	case s != "":
-		idx, bound = idxSPO, []string{s}
-	case o != "":
-		idx, bound = idxOSP, []string{o}
-	case p != "":
-		idx, bound = idxPOS, []string{p}
-	default:
-		return sg.Triples()
-	}
-	var out []rdf.Triple
-	sg.scan(idx, bound, func(key []byte, _ int) error {
-		t, err := sg.decodeTriple(idx, key)
-		if err == nil && (s == "" || t.S == s) && (p == "" || t.P == p) && (o == "" || t.O == o) {
-			out = append(out, t)
-		}
-		return err
-	})
-	if sg.Err() != nil {
-		return nil
-	}
-	return out
-}
-
-// ObjectsOf returns the objects reachable from s via p (SP range on
-// the SPO index).
-func (sg *StoredGraph) ObjectsOf(s, p string) []string {
-	return sg.lastTerms(idxSPO, s, p)
-}
-
-// SubjectsOf returns the subjects reaching o via p (PO range on the
-// POS index).
-func (sg *StoredGraph) SubjectsOf(p, o string) []string {
-	return sg.lastTerms(idxPOS, p, o)
-}
-
-// lastTerms returns the third term of every key of idx whose first two
-// terms are a and b.
-func (sg *StoredGraph) lastTerms(idx byte, a, b string) []string {
-	var out []string
-	sg.scan(idx, []string{a, b}, func(key []byte, prefixLen int) error {
-		if err := checkTripleKey(key); err != nil {
-			return err
-		}
-		term, err := decodeTerm(key[prefixLen:], sg.st.dict)
-		out = append(out, term)
-		return err
-	})
-	if sg.Err() != nil {
-		return nil
-	}
-	return out
-}
-
-// OutEdges returns the triples with subject s (S range on SPO).
-func (sg *StoredGraph) OutEdges(s string) []rdf.Triple { return sg.Match(s, "", "") }
-
-// InEdges returns the triples with object o (O range on OSP).
-func (sg *StoredGraph) InEdges(o string) []rdf.Triple { return sg.Match("", "", o) }

@@ -104,7 +104,7 @@ func TestIngestDedupAcrossChunks(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if len(st.segs) != 2 || len(st.mem) != 3*len(pending) {
+		if len(st.segs) != 2 || len(st.mem) != len(pending) {
 			t.Fatalf("setup: %d segments, %d pending keys", len(st.segs), len(st.mem))
 		}
 		return st

@@ -118,7 +118,8 @@ func TestRDFStatsMemoGenerations(t *testing.T) {
 func TestIngestErrorBumpsGeneration(t *testing.T) {
 	ctx := context.Background()
 	// Inline terms keep key order, so "a…" sorts below the segment's
-	// first key (no read) and "z…" above it (a read of the segment).
+	// first key (no read) and "z" between its two keys, "m" and "zz"
+	// (a read of the segment).
 	below := make([]rdf.Triple, ingestChunk-1)
 	for i := range below {
 		below[i] = rdf.Triple{S: fmt.Sprintf("a%04d", i), P: "p", O: "o"}
@@ -139,7 +140,7 @@ func TestIngestErrorBumpsGeneration(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			if _, err := st.IngestTriples(ctx, "g", []rdf.Triple{{S: "m", P: "p", O: "o"}}); err != nil {
+			if _, err := st.IngestTriples(ctx, "g", []rdf.Triple{{S: "m", P: "p", O: "o"}, {S: "zz", P: "p", O: "o"}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := st.Flush(ctx); err != nil {
@@ -155,8 +156,8 @@ func TestIngestErrorBumpsGeneration(t *testing.T) {
 			if after := st.gen[c.ID]; after != before+tc.wantGen {
 				t.Fatalf("generation %d → %d across a failed ingest that added %d keys, want +%d", before, after, n, tc.wantGen)
 			}
-			if len(st.mem) != 3*n {
-				t.Fatalf("memtable holds %d keys after adding %d triples, want %d", len(st.mem), n, 3*n)
+			if len(st.mem) != n {
+				t.Fatalf("memtable holds %d keys after adding %d triples, want %d", len(st.mem), n, n)
 			}
 		})
 	}

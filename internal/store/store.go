@@ -26,7 +26,7 @@ type CorpusKind string
 const (
 	// KindTriples is an RDF triple set: duplicate-free (RDF set
 	// semantics, dedup against the memtable and every committed
-	// segment), indexed SPO/POS/OSP.
+	// segment), one SPO key per triple.
 	KindTriples CorpusKind = "triples"
 	// KindLog is an ingested query log: an append-only sequence of raw
 	// lines, duplicates preserved (the log study's Total/Valid/Unique
@@ -34,18 +34,17 @@ const (
 	KindLog CorpusKind = "log"
 )
 
-// Index-key layout. Every key begins with the 4-byte big-endian corpus
-// id and a 1-byte index tag, so each (corpus, index) pair is one
+// Key layout. Every key begins with the 4-byte big-endian corpus id
+// and a 1-byte index tag, so each (corpus, index) pair is one
 // contiguous key range:
 //
 //	triples:  [id 4][idxSPO][S 10][P 10][O 10]        value empty
-//	          [id 4][idxPOS][P 10][O 10][S 10]        value empty
-//	          [id 4][idxOSP][O 10][S 10][P 10]        value empty
 //	log:      [id 4][idxLog][seq 8 BE]                value = raw line
+//
+// Reads, counts and dedup probes select one tag's range; Compact
+// carries any other key in a segment along unread.
 const (
 	idxSPO byte = 0x10
-	idxPOS byte = 0x11
-	idxOSP byte = 0x12
 	idxLog byte = 0x20
 )
 
@@ -331,9 +330,6 @@ func (s *Store) saveRegistryLocked() error {
 	return syncDir(s.dir)
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close flushes pending writes and releases every file handle. A
 // second Close is a no-op.
 func (s *Store) Close() error {
@@ -463,15 +459,14 @@ func corpusPrefix(id uint32, idx byte) []byte {
 	return append(p, idx)
 }
 
-// tripleKeys encodes a triple under all three index orders.
-func (s *Store) tripleKeys(id uint32, t rdf.Triple) (spo, pos, osp []byte) {
-	es := appendTerm(nil, t.S, s.dict)
-	ep := appendTerm(nil, t.P, s.dict)
-	eo := appendTerm(nil, t.O, s.dict)
-	spo = append(append(append(corpusPrefix(id, idxSPO), es...), ep...), eo...)
-	pos = append(append(append(corpusPrefix(id, idxPOS), ep...), eo...), es...)
-	osp = append(append(append(corpusPrefix(id, idxOSP), eo...), es...), ep...)
-	return spo, pos, osp
+// tripleKey encodes a triple's SPO key, interning its long terms in
+// S, P, O order.
+func (s *Store) tripleKey(id uint32, t rdf.Triple) []byte {
+	key := corpusPrefix(id, idxSPO)
+	for _, term := range [3]string{t.S, t.P, t.O} {
+		key = appendTerm(key, term, s.dict)
+	}
+	return key
 }
 
 // IngestTriples adds triples to a triples corpus (creating it if
@@ -483,7 +478,7 @@ func (s *Store) tripleKeys(id uint32, t rdf.Triple) (spo, pos, osp []byte) {
 // The dedup runs per chunk of ingestChunk triples, cut where the
 // cancellation checkpoint falls (the first chunk is one shorter), so a
 // cancelled ingest keeps every chunk before the checkpoint. A chunk's
-// keys are encoded in input order, its SPO keys sorted, and each
+// keys are encoded in input order, then sorted, and each
 // committed segment probed once for all of them (segment.probeSorted),
 // so a block is read at most once per segment per chunk. A probe error
 // adds nothing from its chunk.
@@ -517,10 +512,10 @@ func (s *Store) IngestTriples(ctx context.Context, name string, triples []rdf.Tr
 		}
 	}()
 	var (
-		keys   [][3][]byte // SPO, POS, OSP per triple of the chunk
-		stored []bool      // SPO key found in a committed segment
-		probe  [][]byte    // sorted SPO keys still to look up
-		order  []int       // chunk position of each probe key
+		keys   [][]byte // SPO key per triple of the chunk
+		stored []bool   // key found in a committed segment
+		probe  [][]byte // sorted keys still to look up
+		order  []int    // chunk position of each probe key
 		found  []bool
 	)
 	for lo := 0; lo < len(triples); {
@@ -534,19 +529,19 @@ func (s *Store) IngestTriples(ctx context.Context, name string, triples []rdf.Tr
 		hi := min(len(triples), ((lo+1)/ingestChunk+1)*ingestChunk-1)
 		keys, stored, order = keys[:0], stored[:0], order[:0]
 		for i, t := range triples[lo:hi] {
-			spo, pos, osp := s.tripleKeys(c.ID, t)
-			keys = append(keys, [3][]byte{spo, pos, osp})
+			key := s.tripleKey(c.ID, t)
+			keys = append(keys, key)
 			stored = append(stored, false)
 			// A pending key was absent from every segment when it was
 			// added, and no segment has been committed since.
-			if _, ok := s.mem[string(spo)]; !ok {
+			if _, ok := s.mem[string(key)]; !ok {
 				order = append(order, i)
 			}
 		}
-		slices.SortFunc(order, func(a, b int) int { return bytes.Compare(keys[a][0], keys[b][0]) })
+		slices.SortFunc(order, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
 		probe = probe[:0]
 		for _, i := range order {
-			probe = append(probe, keys[i][0])
+			probe = append(probe, keys[i])
 		}
 		found = slices.Grow(found[:0], len(probe))[:len(probe)]
 		clear(found)
@@ -571,14 +566,12 @@ func (s *Store) IngestTriples(ctx context.Context, name string, triples []rdf.Tr
 			}
 			probe, order = probe[:j], order[:j]
 		}
-		for i, k := range keys {
-			if _, ok := s.mem[string(k[0])]; ok || stored[i] {
+		for i, key := range keys {
+			if _, ok := s.mem[string(key)]; ok || stored[i] {
 				dups.Inc()
 				continue
 			}
-			for _, key := range k {
-				s.mem[string(key)] = nil
-			}
+			s.mem[string(key)] = nil
 			added.Inc()
 			n++
 		}
@@ -808,62 +801,84 @@ func (s *Store) StoreStats() (Stats, error) {
 	return st, nil
 }
 
-// Verify re-validates every committed structure: segment CRCs are
-// checked at open, so Verify walks every record, decodes every term,
-// and confirms the three triple indexes agree. It is the deep check
-// behind `rwdstore verify`.
+// Verify re-validates every committed structure beyond the CRCs that
+// open checks. It walks every record of every segment and returns a
+// *CorruptError when
+//   - a segment's keys are not strictly increasing, the order that
+//     probeSorted and every range scan rely on;
+//   - an SPO key has the wrong width or a term that does not decode;
+//   - an SPO key occurs in two segments: ingest dedups against every
+//     segment, so TermIDs and StoreStats count each key once.
+//
+// Keys under other tags, such as the POS and OSP keys of stores written
+// when a triple was stored three times, are order-checked and otherwise
+// ignored. It is the deep check behind `rwdstore verify`.
 func (s *Store) Verify(ctx context.Context) error {
 	if err := s.Flush(ctx); err != nil {
 		return err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, c := range s.corpora {
-		if c.Kind != KindTriples {
-			continue
-		}
-		counts := map[byte]int{}
-		for _, idx := range []byte{idxSPO, idxPOS, idxOSP} {
-			prefix := corpusPrefix(c.ID, idx)
-			for _, seg := range s.segs {
-				err := seg.scanPrefix(prefix, nil, func() error { return ctx.Err() }, func(key, val []byte) bool {
-					counts[idx]++
-					return true
-				})
-				if err != nil {
-					return err
-				}
-				// Decode every term of every SPO key.
-				if idx != idxSPO {
-					continue
-				}
-				var derr error
-				err = seg.scanPrefix(prefix, nil, func() error { return ctx.Err() }, func(key, val []byte) bool {
-					if len(key) != len(prefix)+3*encodedTermSize {
-						derr = &CorruptError{Path: seg.path, Reason: "triple key has wrong width"}
-						return false
-					}
-					for i := 0; i < 3; i++ {
-						if _, err := decodeTerm(key[len(prefix)+i*encodedTermSize:], s.dict); err != nil {
-							derr = &CorruptError{Path: seg.path, Reason: err.Error()}
-							return false
-						}
-					}
-					return true
-				})
-				if err != nil {
-					return err
-				}
-				if derr != nil {
-					return derr
-				}
-			}
-		}
-		if counts[idxSPO] != counts[idxPOS] || counts[idxSPO] != counts[idxOSP] {
-			return &CorruptError{Path: s.dir, Reason: fmt.Sprintf(
-				"corpus %q index counts disagree: spo=%d pos=%d osp=%d",
-				c.Name, counts[idxSPO], counts[idxPOS], counts[idxOSP])}
+	for i, seg := range s.segs {
+		if err := s.verifySegment(ctx, seg, s.segs[:i]); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// verifySegment runs Verify's checks on seg, probing the earlier
+// segments for its SPO keys in sorted batches of scanCheckpointEvery.
+func (s *Store) verifySegment(ctx context.Context, seg *segment, earlier []*segment) error {
+	var (
+		prev  []byte
+		batch [][]byte
+		derr  error
+	)
+	corrupt := func(reason string) bool {
+		derr = &CorruptError{Path: seg.path, Reason: reason}
+		return false
+	}
+	probe := func() bool {
+		found := make([]bool, len(batch))
+		for _, e := range earlier {
+			if _, err := e.probeSorted(batch, found, nil); err != nil {
+				derr = err
+				return false
+			}
+			if i := slices.Index(found, true); i >= 0 {
+				return corrupt(fmt.Sprintf("triple key %x is also in %s", batch[i], e.path))
+			}
+		}
+		batch = batch[:0]
+		return true
+	}
+	n := 0
+	err := seg.scanPrefix(nil, nil, func() error { return ctx.Err() }, func(key, _ []byte) bool {
+		if n > 0 && bytes.Compare(prev, key) >= 0 {
+			return corrupt(fmt.Sprintf("record %d does not sort after the record before it", n))
+		}
+		n++
+		prev = append(prev[:0], key...)
+		if len(key) < keyBase || key[keyBase-1] != idxSPO {
+			return true
+		}
+		if err := checkTripleKey(key); err != nil {
+			return corrupt(err.Error())
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := decodeTerm(key[keyBase+i*encodedTermSize:], s.dict); err != nil {
+				return corrupt(err.Error())
+			}
+		}
+		batch = append(batch, bytes.Clone(key))
+		return len(batch) < scanCheckpointEvery || probe()
+	})
+	if err == nil && derr == nil && len(batch) > 0 {
+		probe()
+	}
+	if err != nil {
+		return err
+	}
+	return derr
 }

@@ -228,6 +228,10 @@ func TestStoreIngestFlushReopen(t *testing.T) {
 	if n != want.Len() {
 		t.Fatalf("ingested %d, want %d (post-dedup)", n, want.Len())
 	}
+	// One pending key per new triple: its SPO key.
+	if stats, err := st.StoreStats(); err != nil || stats.PendingKeys != n {
+		t.Fatalf("after an unflushed ingest of %d triples: %d pending keys (err %v), want %d", n, stats.PendingKeys, err, n)
+	}
 	// Dedup within the memtable and across a flush boundary.
 	if err := st.Flush(ctx); err != nil {
 		t.Fatal(err)
@@ -248,9 +252,6 @@ func TestStoreIngestFlushReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sg.Len() != want.Len() {
-		t.Fatalf("reopened Len = %d, want %d", sg.Len(), want.Len())
-	}
 	got := sg.Triples()
 	wantT := append([]rdf.Triple(nil), want.Triples()...)
 	sortTriples(got)
@@ -263,90 +264,159 @@ func TestStoreIngestFlushReopen(t *testing.T) {
 	}
 }
 
-func TestStoredGraphMatchesMemoryGraph(t *testing.T) {
-	dir := t.TempDir()
+// TestOpenReadsThreeIndexStore: a store whose segments also hold each
+// triple under the POS (tag 0x11) and OSP (tag 0x12) orders, as stores
+// written before triples were keyed by SPO alone do, opens and answers
+// exactly as one holding SPO keys only. The extra keys are never read.
+func TestOpenReadsThreeIndexStore(t *testing.T) {
 	ctx := context.Background()
-	triples := testTriples(11, 400)
-	want := memGraph(triples)
-
+	dir := t.TempDir()
+	corpora := map[string][]rdf.Triple{
+		"g": withLongTerms(testTriples(23, 300), "g"),
+		"h": withLongTerms(testTriples(29, 120), "h"),
+	}
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	if _, err := st.IngestTriples(ctx, "g", triples); err != nil {
+	for i := 0; i < 3; i++ {
+		for _, name := range []string{"g", "h"} {
+			ts := corpora[name]
+			part := ts[i*len(ts)/3 : (i+1)*len(ts)/3]
+			if _, err := st.IngestTriples(ctx, name, part); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sg, err := st.Graph(ctx, "g")
+	// Add the POS and OSP keys of every SPO key to its segment.
+	paths, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if len(paths) != 3 {
+		t.Fatalf("want three segments, found %d", len(paths))
+	}
+	for _, path := range paths {
+		recs := readRecords(t, path)
+		for _, r := range recs {
+			if r.key[keyBase-1] != idxSPO {
+				continue
+			}
+			term := func(i int) []byte { return r.key[keyBase+i*encodedTermSize : keyBase+(i+1)*encodedTermSize] }
+			for _, k := range []struct {
+				tag   byte
+				order [3]int
+			}{{0x11, [3]int{1, 2, 0}}, {0x12, [3]int{2, 0, 1}}} {
+				extra := append(bytes.Clone(r.key[:keyBase-1]), k.tag)
+				for _, i := range k.order {
+					extra = append(extra, term(i)...)
+				}
+				recs = append(recs, record{key: extra})
+			}
+		}
+		sortRecords(recs)
+		if err := writeSegment(path, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st, err = Open(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("open a three-index store: %v", err)
 	}
+	defer st.Close()
+	check := func(when string) {
+		t.Helper()
+		total := 0
+		for name, ts := range corpora {
+			want := memGraph(ts)
+			total += want.Len()
+			got, err := st.RDFStats(ctx, name)
+			if err != nil {
+				t.Fatalf("%s: RDFStats(%q): %v", when, name, err)
+			}
+			if !reflect.DeepEqual(got, rdf.ComputeStats(want)) {
+				t.Fatalf("%s: RDFStats(%q) diverges from the in-memory stats", when, name)
+			}
+		}
+		stats, err := st.StoreStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Triples != total {
+			t.Fatalf("%s: StoreStats counts %d triples, want %d", when, stats.Triples, total)
+		}
+	}
+	check("after open")
+	if err := st.Verify(ctx); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	if err := st.Compact(ctx); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	check("after compaction")
+	for name, ts := range corpora {
+		if n, err := st.IngestTriples(ctx, name, ts); err != nil || n != 0 {
+			t.Fatalf("re-ingest of %q added %d, err %v; want 0", name, n, err)
+		}
+	}
+	if err := st.Verify(ctx); err != nil {
+		t.Fatalf("verify after compaction: %v", err)
+	}
+}
 
-	if !reflect.DeepEqual(sg.Subjects(), want.Subjects()) {
-		t.Fatalf("Subjects diverge")
-	}
-	if !reflect.DeepEqual(sg.Predicates(), want.Predicates()) {
-		t.Fatalf("Predicates diverge")
-	}
-	if !reflect.DeepEqual(sg.Objects(), want.Objects()) {
-		t.Fatalf("Objects diverge")
-	}
-
-	asSet := func(ts []rdf.Triple) map[rdf.Triple]bool {
-		m := map[rdf.Triple]bool{}
-		for _, t := range ts {
-			m[t] = true
-		}
-		return m
-	}
-	asSortedStrings := func(ss []string) []string {
-		out := append([]string(nil), ss...)
-		sort.Strings(out)
-		return out
-	}
-	// Every lookup shape the evaluators use, on every term that occurs
-	// plus some that do not.
-	subjects := append(want.Subjects(), "no-such-subject", strings.Repeat("missing-long-term-", 3))
-	preds := append(want.Predicates(), "no-such-predicate")
-	objects := append(want.Objects(), "no-such-object")
-	for _, s := range subjects {
-		if !reflect.DeepEqual(asSet(sg.OutEdges(s)), asSet(want.OutEdges(s))) {
-			t.Fatalf("OutEdges(%q) diverge", s)
-		}
-		for _, p := range preds[:4] {
-			if !reflect.DeepEqual(asSortedStrings(sg.ObjectsOf(s, p)), asSortedStrings(want.ObjectsOf(s, p))) {
-				t.Fatalf("ObjectsOf(%q, %q) diverge", s, p)
+// TestVerifyCatchesBrokenInvariants damages a healthy store in ways
+// the segment CRCs cannot see, each breaking one invariant that reads
+// and ingest rely on, and expects Verify to report a *CorruptError.
+func TestVerifyCatchesBrokenInvariants(t *testing.T) {
+	ctx := context.Background()
+	for name, damage := range map[string]func(t *testing.T, dir string){
+		// The same SPO keys in two segments: StoreStats and TermIDs
+		// would count every triple twice.
+		"segment copied": func(t *testing.T, dir string) {
+			data, err := os.ReadFile(filepath.Join(dir, "seg-000000.seg"))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(asSet(sg.Match(s, p, "")), asSet(want.Match(s, p, ""))) {
-				t.Fatalf("Match(%q, %q, _) diverges", s, p)
+			if err := os.WriteFile(filepath.Join(dir, "seg-000001.seg"), data, 0o644); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	for _, o := range objects {
-		if !reflect.DeepEqual(asSet(sg.InEdges(o)), asSet(want.InEdges(o))) {
-			t.Fatalf("InEdges(%q) diverge", o)
-		}
-		for _, p := range preds[:4] {
-			if !reflect.DeepEqual(asSortedStrings(sg.SubjectsOf(p, o)), asSortedStrings(want.SubjectsOf(p, o))) {
-				t.Fatalf("SubjectsOf(%q, %q) diverge", p, o)
+		},
+		// Records out of key order: probes and range scans would miss keys.
+		"keys out of order": func(t *testing.T, dir string) {
+			path := filepath.Join(dir, "seg-000000.seg")
+			recs := readRecords(t, path)
+			recs[0], recs[len(recs)-1] = recs[len(recs)-1], recs[0]
+			if err := writeSegment(path, recs); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	for _, p := range preds {
-		if !reflect.DeepEqual(asSet(sg.Match("", p, "")), asSet(want.Match("", p, ""))) {
-			t.Fatalf("Match(_, %q, _) diverges", p)
-		}
-	}
-	for _, tr := range triples[:50] {
-		if !sg.Has(tr.S, tr.P, tr.O) {
-			t.Fatalf("Has(%v) = false for stored triple", tr)
-		}
-	}
-	if sg.Has("no-such-subject", "p", "o") {
-		t.Fatal("Has reported a phantom triple")
-	}
-	if sg.Err() != nil {
-		t.Fatalf("stored graph error: %v", sg.Err())
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.IngestTriples(ctx, "g", testTriples(31, 60)); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			damage(t, dir)
+			st, err = Open(dir)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer st.Close()
+			if err := st.Verify(ctx); !IsCorrupt(err) {
+				t.Fatalf("verify: want a CorruptError, got %v", err)
+			}
+		})
 	}
 }
 
@@ -490,19 +560,12 @@ func BenchmarkIngest(b *testing.B) {
 	b.ReportMetric(float64(added)*float64(b.N)/b.Elapsed().Seconds(), "triples/s")
 }
 
-// BenchmarkScan is one full SPO scan of the benchmark corpus plus 200
-// per-subject prefix scans, the OutEdges access pattern of the path and
-// algebra evaluators.
+// BenchmarkScan is one full SPO scan of the benchmark corpus, decoding
+// every triple.
 func BenchmarkScan(b *testing.B) {
 	ctx := context.Background()
 	st, _, _ := openBenchCorpus(b)
 	defer st.Close()
-	sg, err := st.Graph(ctx, "base")
-	if err != nil {
-		b.Fatal(err)
-	}
-	subjects := sg.Subjects()
-	const scans = 200
 	rows := 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -512,9 +575,6 @@ func BenchmarkScan(b *testing.B) {
 			b.Fatal(err)
 		}
 		rows += len(sg.Triples())
-		for j := 0; j < scans; j++ {
-			rows += len(sg.OutEdges(subjects[j*len(subjects)/scans]))
-		}
 		if err := sg.Err(); err != nil {
 			b.Fatal(err)
 		}
@@ -555,7 +615,8 @@ func BenchmarkReopen(b *testing.B) {
 
 // TestUndecodableTermIsCorrupt reseals a segment in which one SPO key
 // holds an undecodable term: ComputeStats over the corpus must latch a
-// CorruptError rather than count the bad encoding as a term.
+// CorruptError rather than count the bad encoding as a term, and
+// Verify must report one.
 func TestUndecodableTermIsCorrupt(t *testing.T) {
 	long := "http://example.org/an-object-longer-than-eight-bytes"
 	triples := append(testTriples(21, 40), rdf.Triple{S: "s", P: "p", O: long})
@@ -610,6 +671,9 @@ func TestUndecodableTermIsCorrupt(t *testing.T) {
 			if sg.Triples(); !IsCorrupt(sg.Err()) {
 				t.Fatalf("Triples over a key with an undecodable term: want CorruptError, got %v", sg.Err())
 			}
+			if err := st.Verify(ctx); !IsCorrupt(err) {
+				t.Fatalf("Verify over a key with an undecodable term: want CorruptError, got %v", err)
+			}
 		})
 	}
 }
@@ -624,28 +688,39 @@ func rewriteSegmentKey(t *testing.T, dir string, fix func(key []byte) bool) {
 	if len(paths) != 1 {
 		t.Fatalf("want one segment, found %d", len(paths))
 	}
-	seg, err := openSegment(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []record
+	recs := readRecords(t, paths[0])
 	changed := 0
-	err = seg.scanPrefix(nil, nil, nil, func(key, val []byte) bool {
-		r := record{key: bytes.Clone(key), val: bytes.Clone(val)}
+	for _, r := range recs {
 		if fix(r.key) {
 			changed++
 		}
-		recs = append(recs, r)
-		return true
-	})
-	seg.close()
-	if err != nil || changed != 1 {
-		t.Fatalf("rewrite changed %d keys (err %v), want 1", changed, err)
+	}
+	if changed != 1 {
+		t.Fatalf("rewrite changed %d keys, want 1", changed)
 	}
 	sortRecords(recs)
 	if err := writeSegment(paths[0], recs); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// readRecords returns a copy of every record of the segment at path.
+func readRecords(t *testing.T, path string) []record {
+	t.Helper()
+	seg, err := openSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.close()
+	var recs []record
+	err = seg.scanPrefix(nil, nil, nil, func(key, val []byte) bool {
+		recs = append(recs, record{key: bytes.Clone(key), val: bytes.Clone(val)})
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 func TestLogCorpusKeepsDuplicatesAndOrder(t *testing.T) {

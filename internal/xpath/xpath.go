@@ -10,7 +10,6 @@ package xpath
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"unicode"
 )
@@ -331,16 +330,6 @@ func (pr *Pred) String() string {
 		return pr.FuncName + "(" + strings.Join(args, ",") + ")"
 	}
 	return "?"
-}
-
-// SortedAxisNames returns the axis names in canonical order (for reports).
-func SortedAxisNames() []string {
-	out := make([]string, 0, len(axisNames))
-	for _, n := range axisNames {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func isNameRune(r rune) bool {
