@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -56,16 +57,16 @@ func runLogStudy(b *testing.B) []*core.SourceReport {
 	b.Helper()
 	var reports []*core.SourceReport
 	for i := 0; i < b.N; i++ {
-		reports = core.RunLogStudy(1, benchScale)
+		reports = core.RunLogStudy(context.Background(), core.Config{Workers: 1, ScaleDiv: benchScale, Seed: 1})
 	}
 	return reports
 }
 
 // BenchmarkLogStudyIngest measures end-to-end corpus ingest throughput
 // (generation + parsing + dedup + full battery) for the sequential
-// reference pipeline and the sharded worker pool. The queries/s metric is
-// the acceptance number: the 4-worker pool must sustain ≥ 2× the
-// sequential throughput, while producing byte-identical reports (see
+// reference (one worker) and sharded analysis. The queries/s metric is
+// the acceptance number: 4 workers must sustain ≥ 2× the sequential
+// throughput, while producing byte-identical reports (see
 // TestRunLogStudyParallelMatchesSequential).
 func BenchmarkLogStudyIngest(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -76,14 +77,9 @@ func BenchmarkLogStudyIngest(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			total := 0
 			for i := 0; i < b.N; i++ {
-				var reports []*core.SourceReport
-				if workers == 1 {
-					reports = core.RunLogStudy(1, benchScale)
-				} else {
-					reports = core.RunLogStudyParallel(core.Config{
-						Workers: workers, ScaleDiv: benchScale, Seed: 1,
-					})
-				}
+				reports := core.RunLogStudy(context.Background(), core.Config{
+					Workers: workers, ScaleDiv: benchScale, Seed: 1,
+				})
 				total = 0
 				for _, r := range reports {
 					total += r.Total

@@ -146,8 +146,8 @@ func main() {
 		res := xmllite.RunStudy(lines)
 		fmt.Printf("documents: %d; well-formed: %d (%.1f%%); top-3 error share: %.1f%%\n",
 			res.Total, res.WellFormed, 100*res.WellFormedRate(), 100*res.TopThreeRate)
-		for cat, n := range res.ByCategory {
-			fmt.Printf("  %-24s %d\n", cat.String(), n)
+		for _, cat := range res.Categories() {
+			fmt.Printf("  %-24s %d\n", cat.String(), res.ByCategory[cat])
 		}
 	case "dtd":
 		rep := schemastudy.AnalyzeDTDs(lines)

@@ -3,13 +3,16 @@ package main
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/rdf"
 	"repro/internal/store"
+	"repro/internal/xmllite"
 )
 
 // TestMain lets a test re-run this binary as rwdanalyze itself, so the
@@ -89,5 +92,37 @@ func TestExitCodes(t *testing.T) {
 	}
 	if got := runAnalyze(t, "-kind", "rdf", "-store-dir", dir, "-corpus", "graph"); got != exitBadStore {
 		t.Errorf("corrupt store: exit %d, want %d", got, exitBadStore)
+	}
+}
+
+// TestXMLCategoriesDeterministic pins that -kind xml prints its error
+// categories in a fixed order (count descending, then name): two runs
+// over one corpus print the same bytes.
+func TestXMLCategoriesDeterministic(t *testing.T) {
+	g := xmllite.DefaultCorpusGen()
+	r := rand.New(rand.NewSource(1))
+	var corpus strings.Builder
+	for i := 0; i < 2000; i++ {
+		corpus.WriteString(strings.ReplaceAll(g.Document(r), "\n", " ") + "\n")
+	}
+	file := filepath.Join(t.TempDir(), "corpus.txt")
+	if err := os.WriteFile(file, []byte(corpus.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var outs [2]string
+	for i := range outs {
+		cmd := exec.Command(os.Args[0], "-kind", "xml", "-file", file)
+		cmd.Env = append(os.Environ(), "RWDANALYZE_RUN_MAIN=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		outs[i] = string(out)
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("two runs differ:\n%s\n---\n%s", outs[0], outs[1])
+	}
+	if strings.Count(outs[0], "\n") < 3 {
+		t.Fatalf("expected several error categories:\n%s", outs[0])
 	}
 }

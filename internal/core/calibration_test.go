@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/propertypath"
@@ -18,7 +19,7 @@ func TestPaperShapeInvariants(t *testing.T) {
 	// The Valid-vs-Unique skew emerges from the replay bag, which needs a
 	// few thousand queries per source to converge — run at 1:20000
 	// (≈ 28k queries total).
-	reports := RunLogStudy(3, 20000)
+	reports := RunLogStudy(context.Background(), Config{Seed: 3, ScaleDiv: 20000})
 	dbp, wiki := GroupReports(reports)
 
 	rate := func(c *Counter2, total int) float64 {

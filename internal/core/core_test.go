@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -112,7 +113,7 @@ func TestAnalyzerPropertyPaths(t *testing.T) {
 }
 
 func TestRunLogStudySmall(t *testing.T) {
-	reports := RunLogStudy(1, 2000000) // tiny corpora (~50-100 queries each)
+	reports := RunLogStudy(context.Background(), Config{Seed: 1, ScaleDiv: 2000000}) // tiny corpora (~50-100 queries each)
 	if len(reports) != 17 {
 		t.Fatalf("sources = %d", len(reports))
 	}
@@ -141,7 +142,7 @@ func TestGeneratorParserAgreement(t *testing.T) {
 	// The generator's invalid-rate must come from corruption, not from the
 	// parser rejecting "valid" productions: on sources with ~0 invalid
 	// rate, nearly everything must parse.
-	reports := RunLogStudy(7, 500000)
+	reports := RunLogStudy(context.Background(), Config{Seed: 7, ScaleDiv: 500000})
 	for _, r := range reports {
 		if r.Name == "BioMed13" || r.Name == "WikiRobot/OK" || r.Name == "BioP13" {
 			rate := float64(r.Valid) / float64(r.Total)

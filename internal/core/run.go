@@ -9,27 +9,20 @@ import (
 	"repro/internal/obs"
 )
 
-// defaultSeedStride is the historical per-source seed stride of
-// RunLogStudy; Config keeps it as the default so existing seeds reproduce
-// the same corpora.
-const defaultSeedStride = 7919
+// seedStride separates the per-source generator seeds (SourceSeed).
+const seedStride = 7919
 
 // Config parameterizes a log study run. The zero value is usable: it
-// analyzes the default 1:10000 corpus with seed 0, the historical seed
-// stride, and one worker per CPU.
+// analyzes the default 1:10000 corpus with seed 0 and one worker per CPU.
 type Config struct {
-	// Workers is the size of the analysis worker pool for
-	// RunLogStudyParallel and the shard count per source; <= 0 means
-	// runtime.GOMAXPROCS(0).
+	// Workers is the shard count per source handed to AnalyzeQueriesCtx;
+	// 1 runs the sequential reference, <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// ScaleDiv is the corpus scale divisor (1000 generates 1:1000 of the
 	// paper's 558M queries); <= 0 means 10000.
 	ScaleDiv int
 	// Seed is the base generator seed.
 	Seed int64
-	// SeedStride derives the per-source seeds (SourceSeed); <= 0 means
-	// the historical stride 7919.
-	SeedStride int64
 }
 
 // normalized fills in the documented defaults.
@@ -40,24 +33,21 @@ func (c Config) normalized() Config {
 	if c.ScaleDiv <= 0 {
 		c.ScaleDiv = 10000
 	}
-	if c.SeedStride <= 0 {
-		c.SeedStride = defaultSeedStride
-	}
 	return c
 }
 
 // SourceSeed returns the deterministic generator seed for the i-th source
-// of loggen.Sources(). It depends only on Seed, SeedStride and i — never
-// on the worker count — so any source's stream can be regenerated in
-// isolation at any parallelism.
+// of loggen.Sources(). It depends only on Seed and i — never on the
+// worker count — so any source's stream can be regenerated in isolation
+// at any parallelism.
 func (c Config) SourceSeed(i int) int64 {
-	return c.Seed + int64(i)*c.normalized().SeedStride
+	return c.Seed + int64(i)*seedStride
 }
 
 // SourceStream regenerates the exact raw-query stream of the i-th source
-// of loggen.Sources(): the same strings, in the same order, that the
-// sequential and parallel studies ingest. Together with ShardSplit this
-// reproduces any single shard of any run.
+// of loggen.Sources(): the same strings, in the same order, that
+// RunLogStudy analyzes. Together with ShardSplit this reproduces any
+// single shard of any run.
 func (c Config) SourceStream(i int) []string {
 	cfg := c.normalized()
 	s := loggen.Sources()[i]
@@ -69,45 +59,27 @@ func (c Config) SourceStream(i int) []string {
 	return out
 }
 
-// RunLogStudy generates the synthetic corpus for every Table 2 source at
-// the given scale divisor and pushes it through the analyzer on a single
-// goroutine. It is equivalent to RunLogStudySequential with the historical
-// seed stride; RunLogStudyParallel produces byte-identical reports on a
-// worker pool.
-func RunLogStudy(seed int64, scaleDiv int) []*SourceReport {
-	return RunLogStudySequential(Config{Seed: seed, ScaleDiv: scaleDiv})
-}
-
-// RunLogStudySequential is the single-goroutine reference pipeline: every
-// query of every source is generated and ingested in stream order.
-func RunLogStudySequential(cfg Config) []*SourceReport {
-	return RunLogStudySequentialCtx(context.Background(), cfg)
-}
-
-// RunLogStudySequentialCtx is RunLogStudySequential under a (possibly
-// traced) context: each source gets a "core.source" span whose ingest
-// work is accounted in a queries_ingested counter. Reports are
-// byte-identical to the untraced run.
-func RunLogStudySequentialCtx(ctx context.Context, cfg Config) []*SourceReport {
+// RunLogStudy generates the synthetic corpus of every Table 2 source, one
+// source at a time, and analyzes it with AnalyzeQueriesCtx over
+// cfg.Workers shards. Under a traced context each source gets a
+// "core.source" span whose children are "core.generate" and the
+// analysis spans. Reports are identical at any worker count, traced or
+// not.
+func RunLogStudy(ctx context.Context, cfg Config) []*SourceReport {
 	cfg = cfg.normalized()
-	var reports []*SourceReport
-	for i, s := range loggen.Sources() {
-		_, span := obs.StartSpan(ctx, "core.source")
+	sources := loggen.Sources()
+	reports := make([]*SourceReport, len(sources))
+	for i, s := range sources {
+		srcCtx, span := obs.StartSpan(ctx, "core.source")
 		span.SetAttr("source", s.Name)
-		ingested := span.Counter("queries_ingested")
-		g := loggen.NewGen(s, cfg.SourceSeed(i))
-		a := NewAnalyzer(s.Name)
-		a.Report.Wikidata = s.Wikidata
-		a.Report.Robotic = s.Robotic
-		n := g.Count(cfg.ScaleDiv)
-		for j := 0; j < n; j++ {
-			a.Ingest(g.Next())
-			ingested.Inc()
-		}
-		span.Count("valid", int64(a.Report.Valid))
-		span.Count("unique", int64(a.Report.Unique))
+		_, genSpan := obs.StartSpan(srcCtx, "core.generate")
+		stream := cfg.SourceStream(i)
+		genSpan.Count("queries_generated", int64(len(stream)))
+		genSpan.Finish()
+		rep := AnalyzeQueriesCtx(srcCtx, s.Name, stream, cfg.Workers)
+		rep.Wikidata, rep.Robotic = s.Wikidata, s.Robotic
 		span.Finish()
-		reports = append(reports, a.Report)
+		reports[i] = rep
 	}
 	return reports
 }

@@ -53,13 +53,13 @@ func TestAnalyzeQueriesCtxTracedIdentical(t *testing.T) {
 	}
 }
 
-// TestRunLogStudyParallelCtxSpans drives a tiny traced study and checks
-// each source span carries generate/shard/merge children.
+// TestRunLogStudyParallelCtxSpans drives a tiny traced two-worker study
+// and checks each source span carries generate/shard/merge children.
 func TestRunLogStudyParallelCtxSpans(t *testing.T) {
 	cfg := Config{Workers: 2, ScaleDiv: 2_000_000}
 	tr := &obs.Tracer{}
 	ctx, root := tr.StartRoot(context.Background(), "study")
-	reports := RunLogStudyParallelCtx(ctx, cfg)
+	reports := RunLogStudy(ctx, cfg)
 	root.Finish()
 	if len(reports) == 0 {
 		t.Fatal("no reports")

@@ -150,11 +150,12 @@ func LowerBoundMMDPlus(g *Graph) int {
 			remaining--
 			continue
 		}
-		// least-degree neighbor
+		// least-degree neighbor; ties go to the smallest id, so the
+		// bound does not depend on map iteration order
 		w, wdeg := -1, 1<<30
 		for u := range h.adj[v] {
-			if h.Degree(u) < wdeg {
-				w, wdeg = u, h.Degree(u)
+			if d := h.Degree(u); d < wdeg || d == wdeg && u < w {
+				w, wdeg = u, d
 			}
 		}
 		// contract v into w

@@ -262,6 +262,20 @@ func (s *StudyResult) WellFormedRate() float64 {
 	return float64(s.WellFormed) / float64(s.Total)
 }
 
+// Categories returns the error categories that occurred, by count
+// descending and then by name, so printing them is deterministic.
+func (s *StudyResult) Categories() []ErrorCategory {
+	cats := make([]ErrorCategory, 0, len(s.ByCategory))
+	for cat := range s.ByCategory {
+		cats = append(cats, cat)
+	}
+	sort.Slice(cats, func(i, j int) bool {
+		ni, nj := s.ByCategory[cats[i]], s.ByCategory[cats[j]]
+		return ni > nj || ni == nj && cats[i].String() < cats[j].String()
+	})
+	return cats
+}
+
 // RunStudy classifies every document of the corpus.
 func RunStudy(docs []string) *StudyResult {
 	res := &StudyResult{ByCategory: map[ErrorCategory]int{}}
@@ -274,16 +288,12 @@ func RunStudy(docs []string) *StudyResult {
 			res.ByCategory[cat]++
 		}
 	}
-	errTotal := res.Total - res.WellFormed
-	if errTotal > 0 {
-		counts := make([]int, 0, len(res.ByCategory))
-		for _, c := range res.ByCategory {
-			counts = append(counts, c)
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(counts)))
+	if errTotal := res.Total - res.WellFormed; errTotal > 0 {
 		top := 0
-		for i := 0; i < 3 && i < len(counts); i++ {
-			top += counts[i]
+		for i, cat := range res.Categories() {
+			if i < 3 {
+				top += res.ByCategory[cat]
+			}
 		}
 		res.TopThreeRate = float64(top) / float64(errTotal)
 	}

@@ -54,14 +54,14 @@ func BenchmarkTraceDisabledOverhead(b *testing.B) {
 	b.Run("ingest/untraced", func(b *testing.B) {
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
-			core.RunLogStudySequentialCtx(ctx, cfg)
+			core.RunLogStudy(ctx, cfg)
 		}
 	})
 	b.Run("ingest/traced", func(b *testing.B) {
 		tr := &obs.Tracer{}
 		for i := 0; i < b.N; i++ {
 			ctx, root := tr.StartRoot(context.Background(), "bench")
-			core.RunLogStudySequentialCtx(ctx, cfg)
+			core.RunLogStudy(ctx, cfg)
 			root.Finish()
 		}
 	})
