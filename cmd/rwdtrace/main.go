@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -220,13 +221,10 @@ func cmdTop(args []string) error {
 	if err := src.resolve(); err != nil {
 		return err
 	}
-	// Fetch a generous window and rank client-side so -by works for any
-	// counter, not only the server's sort keys.
-	q := recorder.Query{Op: *op, Status: *status, Limit: -1, Sort: recorder.SortSlowest}
-	if src.url != "" {
-		q.Limit = 10000
-	}
-	traces, err := src.load(q)
+	// Fetch every matching trace and rank client-side so -by works for
+	// any counter, not only the server's sort keys; the server's trace
+	// byte budget bounds the reply.
+	traces, err := src.load(recorder.Query{Op: *op, Status: *status, Limit: -1, Sort: recorder.SortSlowest})
 	if err != nil {
 		return err
 	}
@@ -481,9 +479,10 @@ func engineLabel(engine string) string {
 // duration, start, and the headline cost counters of the tree.
 func printTraceLines(traces []*recorder.Trace) {
 	for _, t := range traces {
+		sums := recorder.TraceCounters(t.Root)
 		var counters []string
-		for _, name := range headlineCounters(t.Root) {
-			counters = append(counters, fmt.Sprintf("%s=%d", name, recorder.CounterSum(t.Root, name)))
+		for _, name := range headlineCounters(sums) {
+			counters = append(counters, fmt.Sprintf("%s=%d", name, sums[name]))
 		}
 		fmt.Printf("%-16s %-18s %6s %10.2fms  %s  %s\n",
 			t.TraceID, t.Op, t.Status, t.DurationMS,
@@ -491,35 +490,22 @@ func printTraceLines(traces []*recorder.Trace) {
 	}
 }
 
-// headlineCounters collects up to three counter names from the tree,
+// headlineCounters picks up to three of a trace's counter names,
 // preferring the algorithmic cost measures the paper is about.
-func headlineCounters(n *obs.Node) []string {
-	seen := map[string]bool{}
-	var walk func(*obs.Node)
-	walk = func(n *obs.Node) {
-		if n == nil {
-			return
-		}
-		for name := range n.Counters {
-			seen[name] = true
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(n)
+func headlineCounters(sums map[string]int64) []string {
 	preferred := []string{"states_expanded", "product_states", "antichain_pruned",
 		"fixpoint_rounds", "queries_ingested"}
 	var out []string
 	for _, p := range preferred {
-		if seen[p] {
+		if _, ok := sums[p]; ok {
 			out = append(out, p)
-			delete(seen, p)
 		}
 	}
-	rest := make([]string, 0, len(seen))
-	for name := range seen {
-		rest = append(rest, name)
+	rest := make([]string, 0, len(sums))
+	for name := range sums {
+		if !slices.Contains(preferred, name) {
+			rest = append(rest, name)
+		}
 	}
 	sort.Strings(rest)
 	out = append(out, rest...)

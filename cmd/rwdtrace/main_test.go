@@ -1,8 +1,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
+	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/profile"
 	"repro/internal/obs/recorder"
+	"repro/internal/service"
 )
 
 var testEpoch = time.Date(2026, 1, 2, 3, 0, 0, 0, time.UTC)
@@ -125,5 +131,52 @@ func TestFetchSnapshotDir(t *testing.T) {
 	}
 	if len(filtered.Lifetime) != 0 {
 		t.Fatalf("engine=- (no engine ran) matched %d rows, want 0", len(filtered.Lifetime))
+	}
+}
+
+// TestTopByCounterSeesEveryServerTrace ranks a live server's recorder by
+// a counter when the trace with the largest counter is the fastest of
+// more than 10,000: the ranking must see every recorded trace, not only
+// the slowest ones.
+func TestTopByCounterSeesEveryServerTrace(t *testing.T) {
+	const slow = 10000
+	srv := service.New(service.Config{TraceCapacity: slow + 1, Logger: log.New(io.Discard, "", 0)})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// Every slow root span starts before the fast one and finishes after
+	// it, so the fast trace is strictly the shortest.
+	spans := make([]*obs.Span, slow)
+	for i := range spans {
+		_, spans[i] = srv.Tracer().StartRoot(context.Background(), "http.containment")
+		spans[i].Count("states_expanded", 1)
+	}
+	_, fast := srv.Tracer().StartRoot(context.Background(), "http.containment")
+	fast.Count("states_expanded", 1000)
+	fast.Finish()
+	for _, sp := range spans {
+		sp.Finish()
+	}
+	if got := srv.FlightStats().Retained; got != slow+1 {
+		t.Fatalf("recorder retains %d traces, want %d", got, slow+1)
+	}
+
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	err = cmdTop([]string{"-url", ts.URL, "-by", "states_expanded", "-n", "1"})
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(got), fast.TraceID()+" ") || !strings.Contains(string(got), "states_expanded=1000") {
+		t.Fatalf("top -by states_expanded printed %q, want trace %s with states_expanded=1000", got, fast.TraceID())
 	}
 }

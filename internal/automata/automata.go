@@ -642,15 +642,8 @@ func NFAContains(n1 *NFA, e2 *regex.Expr) bool {
 // case (the problem is PSPACE-complete); package chare provides the
 // polynomial cases of Theorem 4.5.
 func IntersectionNonEmpty(es ...*regex.Expr) bool {
-	_, ok := IntersectionWitness(es...)
+	_, ok, _ := IntersectionWitnessCtx(context.Background(), es...)
 	return ok
-}
-
-// IntersectionWitness returns a word in the intersection of the languages,
-// or (nil, false) if the intersection is empty.
-func IntersectionWitness(es ...*regex.Expr) ([]string, bool) {
-	w, ok, _ := IntersectionWitnessCtx(context.Background(), es...)
-	return w, ok
 }
 
 func unionAlpha(a, b []string) []string {

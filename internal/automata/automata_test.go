@@ -208,7 +208,7 @@ func TestIntersection(t *testing.T) {
 		if got != c.want {
 			t.Errorf("IntersectionNonEmpty(%v) = %v, want %v", c.es, got, c.want)
 		}
-		if w, ok := IntersectionWitness(es...); ok {
+		if w, ok, _ := IntersectionWitnessCtx(context.Background(), es...); ok {
 			for _, e := range es {
 				if !regex.Matches(e, w) {
 					t.Errorf("witness %v for %v not in %q", w, c.es, e)

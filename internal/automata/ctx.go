@@ -207,17 +207,9 @@ func ContainsClassicCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
 	return true, nil
 }
 
-// EquivalentCtx is Equivalent with cooperative cancellation.
-func EquivalentCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
-	ok, err := ContainsCtx(ctx, e1, e2)
-	if err != nil || !ok {
-		return ok, err
-	}
-	return ContainsCtx(ctx, e2, e1)
-}
-
-// IntersectionWitnessCtx is IntersectionWitness with cooperative
-// cancellation of the on-the-fly product BFS.
+// IntersectionWitnessCtx returns a word in the intersection of the
+// languages, or (nil, false) if the intersection is empty, with
+// cooperative cancellation of the on-the-fly product BFS.
 func IntersectionWitnessCtx(ctx context.Context, es ...*regex.Expr) ([]string, bool, error) {
 	nfas := make([]*NFA, len(es))
 	for i, e := range es {

@@ -107,13 +107,6 @@ func TestIntersectionWitnessCtxCanceled(t *testing.T) {
 	}
 }
 
-func TestEquivalentCtx(t *testing.T) {
-	ok, err := EquivalentCtx(context.Background(), regex.MustParse("(a|b)*"), regex.MustParse("(b|a)*"))
-	if err != nil || !ok {
-		t.Fatalf("equivalent = %v, %v", ok, err)
-	}
-}
-
 // benchInstance is a moderate containment instance — self-containment
 // of the antichain-hard family at k=8, ~1500 lazily interned
 // subset-states — that exercises the interner, the antichain insertion,

@@ -1,6 +1,9 @@
 package chare
 
-import "math/rand"
+import (
+	"math/rand"
+	"sort"
+)
 
 // RandomCHARE generates a random sequential expression with n factors whose
 // types are drawn uniformly from allowed, over the given alphabet. It is
@@ -21,7 +24,7 @@ func RandomCHARE(r *rand.Rand, alphabet []string, n int, allowed ...FactorType) 
 			for _, p := range perm[:k] {
 				syms = append(syms, alphabet[p])
 			}
-			sortStrings(syms)
+			sort.Strings(syms)
 		} else {
 			syms = []string{alphabet[r.Intn(len(alphabet))]}
 		}
@@ -37,12 +40,4 @@ func RandomCHARE(r *rand.Rand, alphabet []string, n int, allowed ...FactorType) 
 		c.Factors[i] = Factor{Symbols: syms, Mod: mod}
 	}
 	return c
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/automata"
-	"repro/internal/chare"
 	"repro/internal/obs"
 )
 
@@ -71,28 +70,6 @@ func ContainsCtx(ctx context.Context, d1, d2 *DTD) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// Equivalent reports L(d1) = L(d2).
-func Equivalent(d1, d2 *DTD) bool {
-	return Contains(d1, d2) && Contains(d2, d1)
-}
-
-// ContentFragment classifies every content model of the DTD into the
-// chain-expression fragment lattice of Section 4.2.2 and returns the
-// observed fragment names; "general" marks non-sequential expressions.
-// This powers the corpus studies and lets callers predict which
-// containment algorithm (Theorem 4.4) applies.
-func (d *DTD) ContentFragment() map[string]int {
-	out := map[string]int{}
-	for _, e := range d.Rules {
-		if c, ok := chare.Parse(e); ok {
-			out[c.FragmentName()]++
-		} else {
-			out["general"]++
-		}
-	}
-	return out
 }
 
 // IntersectionNonEmpty decides whether some tree is valid w.r.t. all the

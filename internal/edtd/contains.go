@@ -92,11 +92,6 @@ func Contains(d1, d2 *EDTD) bool {
 	return true
 }
 
-// Equivalent reports L(d1) = L(d2) for single-type EDTDs.
-func Equivalent(d1, d2 *EDTD) bool {
-	return Contains(d1, d2) && Contains(d2, d1)
-}
-
 // typeByLabel maps each label occurring in ρ(t) to its unique type
 // (single-typedness guarantees uniqueness).
 func typeByLabel(d *EDTD, t string) map[string]string {

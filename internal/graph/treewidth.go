@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // Treewidth machinery. Deciding treewidth ≤ k is NP-complete (Arnborg,
 // Corneil & Proskurowski, cited in Section 7.1.1), so — exactly like Maniu
@@ -285,15 +282,4 @@ func Bounds(g *Graph) (lower, upper int) {
 		lower = upper
 	}
 	return lower, upper
-}
-
-// SortedDegrees returns the degree sequence in descending order (used by
-// generator tests).
-func SortedDegrees(g *Graph) []int {
-	out := make([]int, g.n)
-	for v := 0; v < g.n; v++ {
-		out[v] = g.Degree(v)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }

@@ -177,18 +177,6 @@ func (h *Hypergraph) HypertreeWidthAtMost(k int) bool {
 	return d.root()
 }
 
-// HypertreeWidth computes the exact width by linear search from 1.
-func (h *Hypergraph) HypertreeWidth() int {
-	if len(h.Edges) == 0 {
-		return 0
-	}
-	for k := 1; ; k++ {
-		if h.HypertreeWidthAtMost(k) {
-			return k
-		}
-	}
-}
-
 type decomposer struct {
 	h     *Hypergraph
 	k     int

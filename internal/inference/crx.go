@@ -228,19 +228,13 @@ func unmark(e *regex.Expr) *regex.Expr {
 	return out
 }
 
-// InferBestKORE runs InferKORE for k = 1..maxK and returns the first
-// deterministic candidate, preferring small k (iDREGEx learns "deterministic
-// k-OREs for increasing values of k", Section 4.2.3). If no candidate is
-// deterministic it returns the k = 1 result. The determinism check is the
-// Glushkov criterion; see internal/determinism.
-func InferBestKORE(s Sample, maxK int, isDeterministic func(*regex.Expr) bool) (*regex.Expr, int) {
-	return InferBestKORECtx(context.Background(), s, maxK, isDeterministic)
-}
-
-// InferBestKORECtx is InferBestKORE under a (possibly traced) context:
-// each candidate k gets its own child span via InferKORECtx, and the
-// "inference.best_kore" span records how many candidates were tried
-// and which k won.
+// InferBestKORECtx runs InferKORECtx for k = 1..maxK and returns the
+// first deterministic candidate, preferring small k (iDREGEx learns
+// "deterministic k-OREs for increasing values of k", Section 4.2.3). If no
+// candidate is deterministic it returns the k = 1 result. The determinism
+// check is the Glushkov criterion; see internal/determinism. Each
+// candidate k gets its own child span, and the "inference.best_kore" span
+// records how many candidates were tried and which k won.
 func InferBestKORECtx(ctx context.Context, s Sample, maxK int, isDeterministic func(*regex.Expr) bool) (*regex.Expr, int) {
 	ctx, span := obs.StartSpan(ctx, "inference.best_kore")
 	defer span.Finish()

@@ -1,6 +1,7 @@
 package inference
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -218,9 +219,9 @@ func TestInferKORE(t *testing.T) {
 
 func TestInferBestKORE(t *testing.T) {
 	s := sample("a b a", "a a")
-	e, k := InferBestKORE(s, 3, determinism.IsDeterministic)
+	e, k := InferBestKORECtx(context.Background(), s, 3, determinism.IsDeterministic)
 	if !determinism.IsDeterministic(e) {
-		t.Errorf("InferBestKORE returned non-deterministic %q (k=%d)", e, k)
+		t.Errorf("InferBestKORECtx returned non-deterministic %q (k=%d)", e, k)
 	}
 	for _, w := range s {
 		if !regex.Matches(e, w) {

@@ -48,19 +48,14 @@ func DeterminizeWithinBound(e *regex.Expr) (states, bound int, ok bool) {
 	return d.NumStates, bound, d.NumStates <= bound
 }
 
-// Containment decides L(e1) ⊆ L(e2) for k-OREs. Per Theorem 4.6(a) this is
-// polynomial time for every fixed k because each side converts to a DFA of
-// at most |Σ|·2^k states. The implementation is the antichain engine
-// (automata.Contains): it explores the product of e1's Glushkov automaton
-// with the subset automaton of e2 lazily, so it materializes at most the
-// subset-states of e2 that the |Σ|·2^k bound already counts.
-func Containment(e1, e2 *regex.Expr) bool {
-	return automata.Contains(e1, e2)
-}
-
-// ContainmentCtx is Containment with cooperative cancellation: although
-// polynomial for fixed k, the |Σ|·2^k DFA bound still grows quickly with
-// k, so servers run the check under a deadline.
+// ContainmentCtx decides L(e1) ⊆ L(e2) for k-OREs. Per Theorem 4.6(a) this
+// is polynomial time for every fixed k because each side converts to a DFA
+// of at most |Σ|·2^k states. The implementation is the antichain engine
+// (automata.ContainsCtx): it explores the product of e1's Glushkov
+// automaton with the subset automaton of e2 lazily, so it materializes at
+// most the subset-states of e2 that the |Σ|·2^k bound already counts.
+// The bound still grows quickly with k, so servers run the check under a
+// deadline and it cooperates with cancellation.
 func ContainmentCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
 	ctx, span := obs.StartSpan(ctx, "kore.contains")
 	defer span.Finish()
@@ -71,12 +66,4 @@ func ContainmentCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
 		span.SetAttr("k_right", strconv.Itoa(K(e2)))
 	}
 	return automata.ContainsCtx(ctx, e1, e2)
-}
-
-// Intersection decides intersection non-emptiness for k-OREs. The problem
-// is PSPACE-complete for every fixed k ≥ 3 (Theorem 4.6(b)); the
-// implementation is the general product construction, exponential in the
-// number of expressions in the worst case.
-func Intersection(es ...*regex.Expr) bool {
-	return automata.IntersectionNonEmpty(es...)
 }

@@ -1,9 +1,11 @@
 package kore
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"repro/internal/automata"
 	"repro/internal/regex"
 )
 
@@ -57,16 +59,18 @@ func TestDFABoundHolds(t *testing.T) {
 }
 
 func TestKOREContainmentIntersection(t *testing.T) {
-	if !Containment(regex.MustParse("a b a"), regex.MustParse("a b? a")) {
+	if ok, err := ContainmentCtx(context.Background(), regex.MustParse("a b a"), regex.MustParse("a b? a")); err != nil || !ok {
 		t.Error("aba ⊆ ab?a")
 	}
-	if Containment(regex.MustParse("a b? a"), regex.MustParse("a b a")) {
+	if ok, err := ContainmentCtx(context.Background(), regex.MustParse("a b? a"), regex.MustParse("a b a")); err != nil || ok {
 		t.Error("ab?a ⊄ aba")
 	}
-	if !Intersection(regex.MustParse("a* b a*"), regex.MustParse("a b a")) {
+	// Intersection is PSPACE-complete for every fixed k ≥ 3 (Theorem
+	// 4.6(b)), so k-OREs go to the general product construction.
+	if !automata.IntersectionNonEmpty(regex.MustParse("a* b a*"), regex.MustParse("a b a")) {
 		t.Error("aba in both")
 	}
-	if Intersection(regex.MustParse("a a"), regex.MustParse("a a a")) {
+	if automata.IntersectionNonEmpty(regex.MustParse("a a"), regex.MustParse("a a a")) {
 		t.Error("lengths disagree")
 	}
 }

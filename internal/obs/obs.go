@@ -219,21 +219,6 @@ func (s *Span) Count(name string, delta int64) {
 	s.Counter(name).Add(delta)
 }
 
-// CounterValue returns the named counter's value, 0 if absent or nil.
-func (s *Span) CounterValue(name string) int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.counters {
-		if c.name == name {
-			return c.Value()
-		}
-	}
-	return 0
-}
-
 // newChild creates and attaches a child span.
 func (s *Span) newChild(name string) *Span {
 	c := &Span{

@@ -27,7 +27,7 @@ func TestNilSpanIsSafe(t *testing.T) {
 	if s.Tree() != nil {
 		t.Fatal("nil span Tree != nil")
 	}
-	if s.Name() != "" || s.TraceID() != "" || s.Duration() != 0 || s.CounterValue("n") != 0 {
+	if s.Name() != "" || s.TraceID() != "" || s.Duration() != 0 || s.Counters() != nil {
 		t.Fatal("nil span accessors not zero")
 	}
 }
@@ -59,7 +59,7 @@ func TestSpanNestingAndCounters(t *testing.T) {
 	child.Finish()
 	root.Finish()
 
-	if got := child.CounterValue("states_expanded"); got != 42 {
+	if got := child.Counters()["states_expanded"]; got != 42 {
 		t.Fatalf("states_expanded = %d, want 42", got)
 	}
 	tree := root.Tree()

@@ -120,10 +120,10 @@ func (o antichainContainment) Trial(r *rand.Rand) *Divergence {
 	// The equivalence built on the engine must cohere with the two
 	// directed verdicts.
 	back := antichainVerdict(e2, e1)
-	if eq, _ := automata.EquivalentCtx(context.Background(), e1, e2); eq != (got && back) {
+	if eq := automata.Equivalent(e1, e2); eq != (got && back) {
 		return &Divergence{
 			Input: fmt.Sprintf("e1=%s e2=%s", e1, e2),
-			Detail: fmt.Sprintf("EquivalentCtx=%v but directed verdicts are (%v, %v)",
+			Detail: fmt.Sprintf("Equivalent=%v but directed verdicts are (%v, %v)",
 				eq, got, back),
 		}
 	}

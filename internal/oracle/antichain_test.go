@@ -25,7 +25,7 @@ func TestAntichainInjectedBugCaught(t *testing.T) {
 		t.Fatal("injected bug not caught in 300 trials")
 	}
 	t.Logf("caught: %s", d)
-	if !strings.Contains(d.Detail, "antichain") && !strings.Contains(d.Detail, "EquivalentCtx") {
+	if !strings.Contains(d.Detail, "antichain") && !strings.Contains(d.Detail, "Equivalent") {
 		t.Fatalf("divergence does not implicate the engine: %s", d.Detail)
 	}
 	// the mutation flips the verdict when the right side has >= 2

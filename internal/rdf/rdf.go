@@ -72,9 +72,6 @@ func (g *Graph) Has(s, p, o string) bool { return g.set[Triple{s, p, o}] }
 // Subjects returns the set S_G.
 func (g *Graph) Subjects() []string { return keysOf(g.bySubject) }
 
-// Predicates returns the set P_G.
-func (g *Graph) Predicates() []string { return keysOf(g.byPredicate) }
-
 // Objects returns the set O_G.
 func (g *Graph) Objects() []string { return keysOf(g.byObject) }
 

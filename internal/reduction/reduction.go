@@ -31,6 +31,7 @@ package reduction
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/regex"
 )
@@ -144,7 +145,7 @@ func (f *DNF) consistentClauses() []Clause {
 // are all unsatisfiable: such formulas are never valid, so return a pair
 // with L(e1) ⊄ L(e2) using only plain symbols (inside every fragment).
 func neverContained() (*regex.Expr, *regex.Expr) {
-	return regex.NewSymbol(hash), regex.NewSymbol(dollar)
+	return regex.NewSymbol("#"), regex.NewSymbol("$")
 }
 
 func (f *DNF) polarity(cl Clause) map[int]int {
@@ -159,190 +160,102 @@ func (f *DNF) polarity(cl Clause) map[int]int {
 	return pol
 }
 
-// Symbols used by the encodings, matching the paper's alphabet.
-const (
-	hash   = "#"
-	dollar = "$"
-	symA   = "a"
-	symB   = "b"
+// encoding is one reduction's slot encoding, written as space-separated
+// atoms "x", "x?" or "x*" over single-letter symbols. Both reductions
+// share the block skeleton of the package comment and differ only here.
+type encoding struct {
+	// op wraps the '#' and '$' separators of e2's padding blocks, so that
+	// a padding block also matches ε.
+	op string
+	// free is the unconstrained slot, also e1's generator slot.
+	free string
+	// pos and neg are the clause slots of a positive and a negative
+	// literal.
+	pos, neg string
+}
+
+// The slot encodings of the package comment. In RE(a,a*) the positive
+// slot a⁺b*a* accepts ab and the buffer a, and rejects ba and every
+// b-initial junk word; the negative slot b*a* accepts ba, the buffer a and
+// all b-initial junk, and rejects ab.
+var (
+	optEncoding  = encoding{op: "?", free: "a? a?", pos: "a a?", neg: "a?"}
+	starEncoding = encoding{op: "*", free: "a* b* a*", pos: "a a* b* a*", neg: "b* a*"}
 )
+
+// atoms builds the expressions of a space-separated atom list.
+func atoms(s string) []*regex.Expr {
+	var out []*regex.Expr
+	for _, tok := range strings.Fields(s) {
+		a := regex.NewSymbol(tok[:1])
+		switch tok[1:] {
+		case "?":
+			a = regex.NewOpt(a)
+		case "*":
+			a = regex.NewStar(a)
+		}
+		out = append(out, a)
+	}
+	return out
+}
 
 // ToOptContainment builds the RE(a,a?) instance: expressions e1, e2 such
 // that φ is valid iff L(e1) ⊆ L(e2).
 func (f *DNF) ToOptContainment() (e1, e2 *regex.Expr) {
-	clauses := f.consistentClauses()
-	if len(clauses) == 0 {
-		return neverContained()
-	}
-	n, m := f.Vars, len(clauses)
-	sym := regex.NewSymbol
-	opt := func(a string) *regex.Expr { return regex.NewOpt(sym(a)) }
-
-	// e1 buffer block: # a $ a $ … $ a  — slot value "a" matches every
-	// clause-slot encoding.
-	buffer := func(parts []*regex.Expr) []*regex.Expr {
-		parts = append(parts, sym(hash))
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				parts = append(parts, sym(dollar))
-			}
-			parts = append(parts, sym(symA))
-		}
-		return parts
-	}
-	// e1 generator block: # a?a? $ a?a? $ … — aa = true, ε = false.
-	generator := func(parts []*regex.Expr) []*regex.Expr {
-		parts = append(parts, sym(hash))
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				parts = append(parts, sym(dollar))
-			}
-			parts = append(parts, opt(symA), opt(symA))
-		}
-		return parts
-	}
-	// e2 optional block: #? a?a? $? a?a? $? … — matches any single block
-	// of e1's words, or ε.
-	optional := func(parts []*regex.Expr) []*regex.Expr {
-		parts = append(parts, opt(hash))
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				parts = append(parts, opt(dollar))
-			}
-			parts = append(parts, opt(symA), opt(symA))
-		}
-		return parts
-	}
-	// e2 clause block: slot encodings {a,aa} / {ε,a} / {ε,a,aa}.
-	clause := func(parts []*regex.Expr, cl Clause) []*regex.Expr {
-		pol := f.polarity(cl)
-		parts = append(parts, sym(hash))
-		for i := 1; i <= n; i++ {
-			if i > 1 {
-				parts = append(parts, sym(dollar))
-			}
-			switch pol[i] {
-			case 1:
-				parts = append(parts, sym(symA), opt(symA))
-			case -1:
-				parts = append(parts, opt(symA))
-			default:
-				parts = append(parts, opt(symA), opt(symA))
-			}
-		}
-		return parts
-	}
-
-	var p1 []*regex.Expr
-	for i := 0; i < m-1; i++ {
-		p1 = buffer(p1)
-	}
-	p1 = generator(p1)
-	for i := 0; i < m-1; i++ {
-		p1 = buffer(p1)
-	}
-	e1 = regex.NewConcat(p1...)
-
-	var p2 []*regex.Expr
-	for i := 0; i < m-1; i++ {
-		p2 = optional(p2)
-	}
-	for _, cl := range clauses {
-		p2 = clause(p2, cl)
-	}
-	for i := 0; i < m-1; i++ {
-		p2 = optional(p2)
-	}
-	e2 = regex.NewConcat(p2...)
-	return e1, e2
+	return f.toContainment(optEncoding)
 }
 
 // ToStarContainment builds the RE(a,a*) instance of Appendix A, in which
 // the word "ab" encodes true and "ba" encodes false.
 func (f *DNF) ToStarContainment() (e1, e2 *regex.Expr) {
+	return f.toContainment(starEncoding)
+}
+
+// toContainment builds e1 and e2 of the package comment under enc.
+func (f *DNF) toContainment(enc encoding) (e1, e2 *regex.Expr) {
 	clauses := f.consistentClauses()
 	if len(clauses) == 0 {
 		return neverContained()
 	}
-	n, m := f.Vars, len(clauses)
-	sym := regex.NewSymbol
-	star := func(a string) *regex.Expr { return regex.NewStar(sym(a)) }
-
-	buffer := func(parts []*regex.Expr) []*regex.Expr {
-		parts = append(parts, sym(hash))
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				parts = append(parts, sym(dollar))
+	// block appends "#sep slot(1) $sep slot(2) … $sep slot(n)".
+	block := func(parts []*regex.Expr, sep string, slot func(v int) string) []*regex.Expr {
+		parts = append(parts, atoms("#"+sep)...)
+		for v := 1; v <= f.Vars; v++ {
+			if v > 1 {
+				parts = append(parts, atoms("$"+sep)...)
 			}
-			parts = append(parts, sym(symA))
+			parts = append(parts, atoms(slot(v))...)
 		}
 		return parts
 	}
-	// generator slot a* b* a*: produces ab (true), ba (false) and junk
-	// a^i b^j a^k, all of which lies in positive ∪ negative below.
-	generator := func(parts []*regex.Expr) []*regex.Expr {
-		parts = append(parts, sym(hash))
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				parts = append(parts, sym(dollar))
-			}
-			parts = append(parts, star(symA), star(symB), star(symA))
-		}
-		return parts
-	}
-	optional := func(parts []*regex.Expr) []*regex.Expr {
-		parts = append(parts, star(hash))
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				parts = append(parts, star(dollar))
-			}
-			parts = append(parts, star(symA), star(symB), star(symA))
-		}
-		return parts
-	}
-	clause := func(parts []*regex.Expr, cl Clause) []*regex.Expr {
-		pol := f.polarity(cl)
-		parts = append(parts, sym(hash))
-		for i := 1; i <= n; i++ {
-			if i > 1 {
-				parts = append(parts, sym(dollar))
-			}
-			switch pol[i] {
-			case 1:
-				// a⁺b*a*: accepts ab and buffer a, rejects ba and every
-				// b-initial junk word.
-				parts = append(parts, sym(symA), star(symA), star(symB), star(symA))
-			case -1:
-				// b*a*: accepts ba, buffer a, and all b-initial junk;
-				// rejects ab (a before b).
-				parts = append(parts, star(symB), star(symA))
-			default:
-				parts = append(parts, star(symA), star(symB), star(symA))
-			}
+	// The buffer slot a matches every clause slot; the padding blocks of
+	// e2 match any single block of e1's words, or ε.
+	buffer := func(int) string { return "a" }
+	free := func(int) string { return enc.free }
+	pad := func(parts []*regex.Expr, sep string, slot func(int) string) []*regex.Expr {
+		for i := 0; i < len(clauses)-1; i++ {
+			parts = block(parts, sep, slot)
 		}
 		return parts
 	}
 
-	var p1 []*regex.Expr
-	for i := 0; i < m-1; i++ {
-		p1 = buffer(p1)
-	}
-	p1 = generator(p1)
-	for i := 0; i < m-1; i++ {
-		p1 = buffer(p1)
-	}
-	e1 = regex.NewConcat(p1...)
+	p1 := pad(nil, "", buffer)
+	p1 = block(p1, "", free)
+	e1 = regex.NewConcat(pad(p1, "", buffer)...)
 
-	var p2 []*regex.Expr
-	for i := 0; i < m-1; i++ {
-		p2 = optional(p2)
-	}
+	p2 := pad(nil, enc.op, free)
 	for _, cl := range clauses {
-		p2 = clause(p2, cl)
+		pol := f.polarity(cl)
+		p2 = block(p2, "", func(v int) string {
+			switch pol[v] {
+			case 1:
+				return enc.pos
+			case -1:
+				return enc.neg
+			}
+			return enc.free
+		})
 	}
-	for i := 0; i < m-1; i++ {
-		p2 = optional(p2)
-	}
-	e2 = regex.NewConcat(p2...)
+	e2 = regex.NewConcat(pad(p2, enc.op, free)...)
 	return e1, e2
 }

@@ -67,6 +67,40 @@ func TestReductionsStayInFragment(t *testing.T) {
 	}
 }
 
+// TestReductionStrings pins the exact instances both encodings build, so
+// a change to the shared block skeleton cannot alter either reduction.
+func TestReductionStrings(t *testing.T) {
+	cases := []struct {
+		name                     string
+		f                        *DNF
+		opt1, opt2, star1, star2 string
+	}{
+		{"all clauses inconsistent", &DNF{Vars: 1, Clauses: []Clause{{1, -1}}},
+			"#", "$", "#", "$"},
+		{"one variable", &DNF{Vars: 1, Clauses: []Clause{{1}}},
+			"# a? a?", "# a a?", "# a* b* a*", "# a a* b* a*"},
+		{"mixed polarities", &DNF{Vars: 2, Clauses: []Clause{{1, -2}, {-1}}},
+			"# a $ a # a? a? $ a? a? # a $ a",
+			"#? a? a? $? a? a? # a a? $ a? # a? $ a? a? #? a? a? $? a? a?",
+			"# a $ a # a* b* a* $ a* b* a* # a $ a",
+			"#* a* b* a* $* a* b* a* # a a* b* a* $ b* a* # b* a* $ a* b* a* #* a* b* a* $* a* b* a*"},
+	}
+	for _, c := range cases {
+		o1, o2 := c.f.ToOptContainment()
+		s1, s2 := c.f.ToStarContainment()
+		for _, g := range []struct{ what, got, want string }{
+			{"RE(a,a?) e1", o1.String(), c.opt1},
+			{"RE(a,a?) e2", o2.String(), c.opt2},
+			{"RE(a,a*) e1", s1.String(), c.star1},
+			{"RE(a,a*) e2", s2.String(), c.star2},
+		} {
+			if g.got != g.want {
+				t.Errorf("%s: %s = %q, want %q", c.name, g.what, g.got, g.want)
+			}
+		}
+	}
+}
+
 func TestOptReductionCorrect(t *testing.T) {
 	checkReduction(t, func(f *DNF) (interface{ String() string }, interface{ String() string }, bool) {
 		e1, e2 := f.ToOptContainment()

@@ -177,16 +177,6 @@ func TestWellDesigned(t *testing.T) {
 	}
 }
 
-func TestWellDesignedStats(t *testing.T) {
-	var st WellDesignedStats
-	st.Observe(sparql.MustParse("SELECT * WHERE { ?x foaf:knows ?y OPTIONAL { ?y foaf:name ?n } }"))
-	st.Observe(sparql.MustParse("SELECT * WHERE { ?x foaf:knows ?y OPTIONAL { ?y foaf:name ?n } . ?n foaf:age ?a }"))
-	st.Observe(sparql.MustParse("SELECT * WHERE { { ?x a :P } UNION { ?x a :Q } }"))
-	if st.AFO != 2 || st.WellDesigned != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
 func TestEvalValues(t *testing.T) {
 	g := testGraph()
 	q := sparql.MustParse("SELECT ?x ?n WHERE { VALUES ?x { ex:alice ex:carol } ?x foaf:name ?n }")

@@ -179,25 +179,6 @@ func varsOutside(all map[string]bool, n *binNode, path []*binNode) map[string]bo
 	return outside
 }
 
-// WellDesignedStats aggregates the Section 9.4 statistic: of the queries
-// using only And, Filter and Optional, what fraction is well-designed
-// (98.74% in DBpedia–BritM, 94.18% in Wikidata).
-type WellDesignedStats struct {
-	AFO          int // queries in the And/Filter/Optional fragment
-	WellDesigned int
-}
-
-// Observe classifies one query into the statistics.
-func (s *WellDesignedStats) Observe(q *sparql.Query) {
-	if !UsesOnlyAFO(q) {
-		return
-	}
-	s.AFO++
-	if IsWellDesigned(q) {
-		s.WellDesigned++
-	}
-}
-
 // IsUnionOfWellDesigned reports whether the query is a union of
 // well-designed And/Filter/Optional patterns — UNION allowed only at the
 // top level of the pattern, every branch well-designed. Picalausa &

@@ -81,13 +81,6 @@ func (n *Node) WalkPath(f func(node *Node, ancestors []string)) {
 	rec(n, nil)
 }
 
-// Labels returns the set of labels occurring in the tree.
-func (n *Node) Labels() map[string]bool {
-	set := map[string]bool{}
-	n.Walk(func(m *Node) { set[m.Label] = true })
-	return set
-}
-
 // Clone deep-copies the tree.
 func (n *Node) Clone() *Node {
 	c := &Node{Label: n.Label}

@@ -40,9 +40,10 @@ func TestMetrics(t *testing.T) {
 	if got := strings.Join(n.ChildWord(), " "); got != "b e" {
 		t.Errorf("ChildWord = %q", got)
 	}
-	labels := n.Labels()
+	labels := map[string]bool{}
+	n.Walk(func(m *Node) { labels[m.Label] = true })
 	if len(labels) != 5 || !labels["c"] {
-		t.Errorf("Labels = %v", labels)
+		t.Errorf("Walk labels = %v", labels)
 	}
 }
 

@@ -9,26 +9,6 @@ import (
 	"repro/internal/tree"
 )
 
-// Render serializes a node-labeled tree as an XML document (elements only),
-// the inverse of Parse+AsTree.
-func Render(n *tree.Node) string {
-	var b strings.Builder
-	renderNode(&b, n)
-	return b.String()
-}
-
-func renderNode(b *strings.Builder, n *tree.Node) {
-	if len(n.Children) == 0 {
-		fmt.Fprintf(b, "<%s/>", n.Label)
-		return
-	}
-	fmt.Fprintf(b, "<%s>", n.Label)
-	for _, c := range n.Children {
-		renderNode(b, c)
-	}
-	fmt.Fprintf(b, "</%s>", n.Label)
-}
-
 // Figure1XML is the XML document of Figure 1a (persons with name and
 // birthplace), used by the quickstart example and tests.
 const Figure1XML = `<?xml version="1.0"?>

@@ -75,18 +75,6 @@ func TestErrorCategories(t *testing.T) {
 	}
 }
 
-func TestRenderRoundTrip(t *testing.T) {
-	tr := tree.MustParse("persons(person(name, birthplace(city, state)))")
-	doc := Render(tr)
-	el, err := Parse(doc)
-	if err != nil {
-		t.Fatalf("Render produced non-well-formed %q: %v", doc, err)
-	}
-	if !el.AsTree().Equal(tr) {
-		t.Errorf("round trip changed tree: %v", el.AsTree())
-	}
-}
-
 func TestCorpusGeneratorFaultsLandInCategory(t *testing.T) {
 	g := DefaultCorpusGen()
 	r := rand.New(rand.NewSource(8))
