@@ -90,7 +90,7 @@ func main() {
 		ctx, root = (&obs.Tracer{}).StartRoot(ctx, "rwdanalyze")
 		defer func() {
 			root.Finish()
-			dumpTrace(*trace, root.Tree())
+			obs.DumpTree(*trace, root.Tree())
 		}()
 	}
 
@@ -187,21 +187,4 @@ func analyzeStoredGraph(ctx context.Context, st *store.Store, corpus string) {
 		stats.MeanObjectsPerSP, stats.MeanSubjectsPerPO, stats.StdDevSubjectsPerPO)
 	fmt.Printf("|P∩S|/|P∪S| = %.2g, |P∩O|/|P∪O| = %.2g (paper: 0 or 10⁻⁷..10⁻³)\n",
 		stats.PSOverlap, stats.POOverlap)
-}
-
-// dumpTrace renders the span tree to stderr ("-") or the given file.
-func dumpTrace(dest string, n *obs.Node) {
-	w := io.Writer(os.Stderr)
-	if dest != "-" {
-		f, err := os.Create(dest)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			return
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := obs.WriteTree(w, n); err != nil {
-		fmt.Fprintln(os.Stderr, "trace:", err)
-	}
 }

@@ -128,7 +128,7 @@ func main() {
 		s.reports = core.RunLogStudy(ctx, core.Config{Workers: *workers, ScaleDiv: *scale, Seed: *seed})
 		if root != nil {
 			root.Finish()
-			dumpTrace(*trace, root.Tree())
+			obs.DumpTree(*trace, root.Tree())
 		}
 	}
 	s.dbp, s.wiki = core.GroupReports(s.reports)
@@ -233,21 +233,4 @@ func pctOf(n, total int) float64 {
 		return 0
 	}
 	return 100 * float64(n) / float64(total)
-}
-
-// dumpTrace renders the span tree to stderr ("-") or the given file.
-func dumpTrace(dest string, n *obs.Node) {
-	w := io.Writer(os.Stderr)
-	if dest != "-" {
-		f, err := os.Create(dest)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			return
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := obs.WriteTree(w, n); err != nil {
-		fmt.Fprintln(os.Stderr, "trace:", err)
-	}
 }

@@ -143,48 +143,47 @@ func (s *source) resolve() error {
 // order from a server (the server applies q; dir mode applies it here).
 func (s *source) load(q recorder.Query) ([]*recorder.Trace, error) {
 	if s.dir != "" {
-		traces, discarded, err := recorder.ReadDir(s.dir)
+		traces, err := s.readDir()
 		if err != nil {
 			return nil, err
 		}
-		if discarded > 0 {
-			fmt.Fprintf(os.Stderr, "rwdtrace: %d torn/damaged log line(s) skipped\n", discarded)
-		}
 		return q.Apply(traces, time.Now()), nil
-	}
-	v := url.Values{}
-	if q.Op != "" {
-		v.Set("op", q.Op)
-	}
-	if q.Status != "" {
-		v.Set("status", q.Status)
-	}
-	if q.MinMS > 0 {
-		v.Set("min_ms", fmt.Sprintf("%g", q.MinMS))
-	}
-	if q.Since > 0 {
-		v.Set("since", q.Since.String())
-	}
-	v.Set("limit", fmt.Sprintf("%d", q.Limit))
-	if q.Sort != "" {
-		v.Set("sort", q.Sort)
-	}
-	resp, err := http.Get(s.url + "/v1/traces?" + v.Encode())
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		return nil, fmt.Errorf("GET /v1/traces: status %d: %s", resp.StatusCode, strings.TrimSpace(string(raw)))
 	}
 	var out struct {
 		Traces []*recorder.Trace `json:"traces"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
+	_, err := s.get("/v1/traces", q.Values(), &out)
+	return out.Traces, err
+}
+
+// readDir reads every trace of the on-disk log, oldest first, and warns
+// on stderr about the log lines it had to skip.
+func (s *source) readDir() ([]*recorder.Trace, error) {
+	traces, discarded, err := recorder.ReadDir(s.dir)
+	if discarded > 0 {
+		fmt.Fprintf(os.Stderr, "rwdtrace: %d torn/damaged log line(s) skipped\n", discarded)
 	}
-	return out.Traces, nil
+	return traces, err
+}
+
+// get GETs path with the query params from the server and decodes a
+// 200 reply's JSON body into out. Any other status is an error; get
+// returns the status either way.
+func (s *source) get(path string, params url.Values, out any) (int, error) {
+	u := s.url + path
+	if len(params) > 0 {
+		u += "?" + params.Encode()
+	}
+	resp, err := http.Get(u)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, fmt.Errorf("GET %s: status %d: %s", path, resp.StatusCode, strings.TrimSpace(string(raw)))
+	}
+	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
 }
 
 func cmdTail(args []string) error {
@@ -293,7 +292,7 @@ func cmdShow(args []string) error {
 
 	var t *recorder.Trace
 	if src.dir != "" {
-		traces, _, err := recorder.ReadDir(src.dir)
+		traces, err := src.readDir()
 		if err != nil {
 			return err
 		}
@@ -304,22 +303,11 @@ func cmdShow(args []string) error {
 			}
 		}
 	} else {
-		resp, err := http.Get(src.url + "/v1/traces/" + url.PathEscape(id))
-		if err != nil {
+		t = &recorder.Trace{}
+		if code, err := src.get("/v1/traces/"+url.PathEscape(id), nil, t); code == http.StatusNotFound {
+			t = nil
+		} else if err != nil {
 			return err
-		}
-		defer resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			t = &recorder.Trace{}
-			if err := json.NewDecoder(resp.Body).Decode(t); err != nil {
-				return err
-			}
-		case http.StatusNotFound:
-			// fall through to the shared not-found error below
-		default:
-			raw, _ := io.ReadAll(resp.Body)
-			return fmt.Errorf("GET /v1/traces/%s: status %d: %s", id, resp.StatusCode, strings.TrimSpace(string(raw)))
 		}
 	}
 	if t == nil {
@@ -373,12 +361,9 @@ func cmdExport(args []string) error {
 // the live window reflects the tail of the log rather than wall clock.
 func fetchSnapshot(src *source, window, op, engine string) (*profile.Snapshot, error) {
 	if src.dir != "" {
-		traces, discarded, err := recorder.ReadDir(src.dir)
+		traces, err := src.readDir()
 		if err != nil {
 			return nil, err
-		}
-		if discarded > 0 {
-			fmt.Fprintf(os.Stderr, "rwdtrace: %d torn/damaged log line(s) skipped\n", discarded)
 		}
 		eng := profile.Replay(traces, profile.Config{})
 		return eng.Snapshot(eng.LastSeen(), window, profile.Filter{Op: op, Engine: engine}), nil
@@ -393,17 +378,8 @@ func fetchSnapshot(src *source, window, op, engine string) (*profile.Snapshot, e
 	if engine != "" {
 		v.Set("engine", engine)
 	}
-	resp, err := http.Get(src.url + "/v1/stats?" + v.Encode())
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		return nil, fmt.Errorf("GET /v1/stats: status %d: %s", resp.StatusCode, strings.TrimSpace(string(raw)))
-	}
 	snap := &profile.Snapshot{}
-	if err := json.NewDecoder(resp.Body).Decode(snap); err != nil {
+	if _, err := src.get("/v1/stats", v, snap); err != nil {
 		return nil, err
 	}
 	return snap, nil

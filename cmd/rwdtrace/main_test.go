@@ -8,6 +8,8 @@ import (
 	"log"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -161,22 +163,128 @@ func TestTopByCounterSeesEveryServerTrace(t *testing.T) {
 		t.Fatalf("recorder retains %d traces, want %d", got, slow+1)
 	}
 
-	out, err := os.CreateTemp(t.TempDir(), "stdout")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout := os.Stdout
-	os.Stdout = out
-	err = cmdTop([]string{"-url", ts.URL, "-by", "states_expanded", "-n", "1"})
-	os.Stdout = stdout
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(got), fast.TraceID()+" ") || !strings.Contains(string(got), "states_expanded=1000") {
+	got, _ := runCmd(t, cmdTop, "-url", ts.URL, "-by", "states_expanded", "-n", "1")
+	if !strings.HasPrefix(got, fast.TraceID()+" ") || !strings.Contains(got, "states_expanded=1000") {
 		t.Fatalf("top -by states_expanded printed %q, want trace %s with states_expanded=1000", got, fast.TraceID())
+	}
+}
+
+// runCmd runs a command with stdout and stderr captured and fails the
+// test if it returns an error.
+func runCmd(t *testing.T, cmd func([]string) error, args ...string) (stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	outF, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errF, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	savedOut, savedErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outF, errF
+	err = cmd(args)
+	os.Stdout, os.Stderr = savedOut, savedErr
+	outF.Close()
+	errF.Close()
+	if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	out, _ := os.ReadFile(outF.Name())
+	errOut, _ := os.ReadFile(errF.Name())
+	return string(out), string(errOut)
+}
+
+// traceIDs returns the first field of every output line.
+func traceIDs(out string) []string {
+	var ids []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			ids = append(ids, f[0])
+		}
+	}
+	return ids
+}
+
+// TestTailLimitZeroLiveAndFromDir checks that tail -n 0 means the
+// default limit both against a server and from its -trace-dir, and that
+// the two modes print the same traces.
+func TestTailLimitZeroLiveAndFromDir(t *testing.T) {
+	dir := t.TempDir()
+	tlog, err := recorder.OpenLog(dir, recorder.LogConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := service.New(service.Config{TraceLog: tlog, Logger: log.New(io.Discard, "", 0)})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for i := 0; i < recorder.DefaultLimit+10; i++ {
+		_, sp := srv.Tracer().StartRoot(context.Background(), "http.containment")
+		sp.Finish()
+	}
+	if err := tlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	live, _ := runCmd(t, cmdTail, "-url", ts.URL, "-n", "0")
+	fromDir, _ := runCmd(t, cmdTail, "-trace-dir", dir, "-n", "0")
+	liveIDs, dirIDs := traceIDs(live), traceIDs(fromDir)
+	if len(liveIDs) != recorder.DefaultLimit {
+		t.Fatalf("live tail -n 0 printed %d traces, want %d", len(liveIDs), recorder.DefaultLimit)
+	}
+	if !slices.Equal(liveIDs, dirIDs) {
+		t.Fatalf("tail -n 0 differs:\n live %v\n dir  %v", liveIDs, dirIDs)
+	}
+}
+
+// TestTraceDirReportsTornLines checks that every command reading a
+// -trace-dir reports the log lines it skipped.
+func TestTraceDirReportsTornLines(t *testing.T) {
+	dir := t.TempDir()
+	tlog, err := recorder.OpenLog(dir, recorder.LogConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := mkTrace("t01", "containment", "200", testEpoch, 2, "antichain",
+		map[string]int64{"states_expanded": 40})
+	if err := tlog.Append(tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := tlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("log files %v, %v; want one", files, err)
+	}
+	f, err := os.OpenFile(files[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"trace_id":"t02","op":`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, cmd := range map[string]func([]string) error{
+		"tail": cmdTail, "top": cmdTop, "export": cmdExport, "stats": cmdStats, "show": cmdShow,
+	} {
+		args := []string{"-trace-dir", dir}
+		switch name {
+		case "export":
+			args = append(args, "-perfetto")
+		case "show":
+			args = append(args, "t01")
+		}
+		stdout, stderr := runCmd(t, cmd, args...)
+		if !strings.Contains(stderr, "1 torn/damaged log line(s) skipped") {
+			t.Errorf("%s -trace-dir: stderr %q does not report the torn line", name, stderr)
+		}
+		if name == "show" && !strings.HasPrefix(stdout, "trace t01 ") {
+			t.Errorf("show -trace-dir printed %q, want trace t01", stdout)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/edtd"
-	"repro/internal/regex"
 )
 
 // FromEDTD converts a single-type EDTD into an equivalent pattern-based
@@ -31,48 +30,16 @@ func FromEDTD(d *edtd.EDTD, maxContext int) (*Schema, bool) {
 	if k < 0 {
 		return nil, false
 	}
+	// Only realizable types occur in valid trees, so only they get contexts.
 	real := d.Realizable()
-	// Per type: the set of ancestor-label contexts of length ≤ k under
-	// which it occurs (nearest ancestor first), via fixpoint propagation
-	// from the start types.
-	contexts := map[string]map[string]bool{}
-	types := d.Types()
-	for _, t := range types {
-		contexts[t] = map[string]bool{}
-	}
-	for s := range d.Start {
-		if real[s] {
-			contexts[s][""] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, t := range types {
-			if !real[t] {
-				continue
-			}
-			for ctx := range contexts[t] {
-				child := pushContext(ctx, d.Label(t), k)
-				for _, u := range d.Rule(t).Alphabet() {
-					if !real[u] {
-						continue
-					}
-					if !contexts[u][child] {
-						contexts[u][child] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-
+	contexts := d.Contexts(k, real)
 	schema := &Schema{}
 	// group same-label types: when all reachable same-label types share a
 	// language-equivalent content we can emit a bare-label rule; otherwise
 	// one rule per context.
 	byLabel := map[string][]string{}
-	for _, t := range types {
-		if real[t] && len(contexts[t]) > 0 {
+	for _, t := range d.Types() {
+		if len(contexts[t]) > 0 {
 			byLabel[d.Label(t)] = append(byLabel[d.Label(t)], t)
 		}
 	}
@@ -88,7 +55,7 @@ func FromEDTD(d *edtd.EDTD, maxContext int) (*Schema, bool) {
 			// the label's content is context-independent: one bare rule
 			schema.Rules = append(schema.Rules, Rule{
 				Pattern: MustParsePattern(l),
-				Expr:    projectContent(d, ts[0]),
+				Expr:    d.LabelRule(ts[0]),
 			})
 			continue
 		}
@@ -108,7 +75,7 @@ func FromEDTD(d *edtd.EDTD, maxContext int) (*Schema, bool) {
 				}
 				schema.Rules = append(schema.Rules, Rule{
 					Pattern: pat,
-					Expr:    projectContent(d, t),
+					Expr:    d.LabelRule(t),
 				})
 			}
 		}
@@ -129,7 +96,7 @@ func FromEDTD(d *edtd.EDTD, maxContext int) (*Schema, bool) {
 // contents define the same language.
 func allEquivalentContent(d *edtd.EDTD, ts []string) bool {
 	for i := 1; i < len(ts); i++ {
-		if !automata.Equivalent(projectContent(d, ts[0]), projectContent(d, ts[i])) {
+		if !automata.Equivalent(d.LabelRule(ts[0]), d.LabelRule(ts[i])) {
 			return false
 		}
 	}
@@ -154,31 +121,4 @@ func contextPattern(ctx, label string, k int) string {
 		return "/" + strings.Join(parts, "/") + "/" + label
 	}
 	return "//" + strings.Join(parts, "/") + "/" + label
-}
-
-// projectContent returns μ(ρ(t)) restricted to realizable types.
-func projectContent(d *edtd.EDTD, t string) *regex.Expr {
-	e := d.Rule(t).Clone()
-	mu := d.Mu
-	e.Walk(func(x *regex.Expr) {
-		if x.Kind == regex.Symbol {
-			if l, ok := mu[x.Sym]; ok {
-				x.Sym = l
-			}
-		}
-	})
-	return e
-}
-
-// pushContext is shared with the EDTD context analysis: prepend the label
-// and truncate to k.
-func pushContext(ctx, label string, k int) string {
-	parts := []string{label}
-	if ctx != "" {
-		parts = append(parts, strings.Split(ctx, "/")...)
-	}
-	if len(parts) > k {
-		parts = parts[:k]
-	}
-	return strings.Join(parts, "/")
 }

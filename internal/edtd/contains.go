@@ -62,7 +62,7 @@ func Contains(d1, d2 *EDTD) bool {
 		n1 := automata.Glushkov(d1.Rule(p.a)).Project(func(ty string) (string, bool) {
 			return d1.Label(ty), real1[ty]
 		})
-		e2 := relabel(d2.Rule(p.b), d2.Mu)
+		e2 := d2.LabelRule(p.b)
 		if !automata.NFAContains(n1, e2) {
 			return false
 		}

@@ -127,44 +127,11 @@ func (d *EDTD) possibleTypes(t *tree.Node) map[string]bool {
 		if d.Label(typ) != t.Label {
 			continue
 		}
-		if d.matchesChildren(d.Rule(typ), childSets) {
+		if _, ok := d.childWordWitness(d.Rule(typ), childSets); ok {
 			out[typ] = true
 		}
 	}
 	return out
-}
-
-// matchesChildren reports whether some word t1…tn with ti ∈ sets[i] is in
-// L(e) — an NFA simulation where step i may use any type in sets[i].
-func (d *EDTD) matchesChildren(e *regex.Expr, sets []map[string]bool) bool {
-	n := automata.Glushkov(e)
-	cur := map[int]bool{}
-	for _, q := range n.Initial {
-		cur[q] = true
-	}
-	for _, set := range sets {
-		next := map[int]bool{}
-		for q := range cur {
-			for typ, ps := range n.Trans[q] {
-				if !set[typ] {
-					continue
-				}
-				for _, p := range ps {
-					next[p] = true
-				}
-			}
-		}
-		if len(next) == 0 {
-			return false
-		}
-		cur = next
-	}
-	for q := range cur {
-		if n.Final[q] {
-			return true
-		}
-	}
-	return false
 }
 
 // Witness returns a typed tree T^Γ with μ(T^Γ) = t witnessing validity
@@ -344,15 +311,13 @@ func (d *EDTD) ValidSingleType(t *tree.Node) bool {
 }
 
 func (d *EDTD) validAs(t *tree.Node, typ string) bool {
-	e := d.Rule(typ)
-	// Map each label to its unique type in e (single-type property).
+	// Map each label to its unique type in ρ(typ) (single-type property).
 	typeOf := map[string]string{}
-	for _, ty := range e.Alphabet() {
+	for _, ty := range d.Rule(typ).Alphabet() {
 		typeOf[d.Label(ty)] = ty
 	}
-	// The children's label word must match μ(e).
-	mu := relabel(e, d.Mu)
-	if !regex.Matches(mu, t.ChildWord()) {
+	// The children's label word must match μ(ρ(typ)).
+	if !regex.Matches(d.LabelRule(typ), t.ChildWord()) {
 		return false
 	}
 	for _, c := range t.Children {
@@ -367,14 +332,13 @@ func (d *EDTD) validAs(t *tree.Node, typ string) bool {
 	return true
 }
 
-// relabel applies μ to every symbol of e.
-func relabel(e *regex.Expr, mu map[string]string) *regex.Expr {
-	out := e.Clone()
+// LabelRule returns μ(ρ(typ)): the content model of typ with every type
+// replaced by its label.
+func (d *EDTD) LabelRule(typ string) *regex.Expr {
+	out := d.Rule(typ).Clone()
 	out.Walk(func(x *regex.Expr) {
 		if x.Kind == regex.Symbol {
-			if l, ok := mu[x.Sym]; ok {
-				x.Sym = l
-			}
+			x.Sym = d.Label(x.Sym)
 		}
 	})
 	return out
@@ -387,9 +351,9 @@ func (d *EDTD) ToDTD() *dtd.DTD {
 	out := dtd.New()
 	byLabel := map[string][]*regex.Expr{}
 	for _, t := range d.Types() {
-		if e, ok := d.Rules[t]; ok {
+		if _, ok := d.Rules[t]; ok {
 			l := d.Label(t)
-			byLabel[l] = append(byLabel[l], relabel(e, d.Mu))
+			byLabel[l] = append(byLabel[l], d.LabelRule(t))
 		}
 	}
 	for l, es := range byLabel {
@@ -410,7 +374,7 @@ func (d *EDTD) ToDTD() *dtd.DTD {
 func (d *EDTD) StructurallyDTDExpressible() bool {
 	byLabel := map[string][]*regex.Expr{}
 	for _, t := range d.reachableTypes() {
-		byLabel[d.Label(t)] = append(byLabel[d.Label(t)], relabel(d.Rule(t), d.Mu))
+		byLabel[d.Label(t)] = append(byLabel[d.Label(t)], d.LabelRule(t))
 	}
 	for _, es := range byLabel {
 		for i := 1; i < len(es); i++ {
@@ -466,31 +430,7 @@ func (d *EDTD) TypeDependencyDepth(maxDepth int) int {
 // contexts of length k (i.e. the k nearest ancestor labels determine the
 // content model).
 func (d *EDTD) typesDeterminedByContext(k int) bool {
-	// compute, per type, the set of label contexts of length ≤ k under
-	// which the type can occur (context = labels of the k nearest
-	// ancestors, nearest first).
-	contexts := map[string]map[string]bool{}
-	for _, t := range d.Types() {
-		contexts[t] = map[string]bool{}
-	}
-	for s := range d.Start {
-		contexts[s][""] = true
-	}
-	// fixpoint propagation
-	for changed := true; changed; {
-		changed = false
-		for _, t := range d.reachableTypes() {
-			for ctx := range contexts[t] {
-				childCtx := pushContext(ctx, d.Label(t), k)
-				for _, u := range d.Rule(t).Alphabet() {
-					if !contexts[u][childCtx] {
-						contexts[u][childCtx] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
+	contexts := d.Contexts(k, nil)
 	// two same-label types with different content must have disjoint contexts
 	types := d.reachableTypes()
 	for i := 0; i < len(types); i++ {
@@ -499,7 +439,7 @@ func (d *EDTD) typesDeterminedByContext(k int) bool {
 			if d.Label(a) != d.Label(b) {
 				continue
 			}
-			if automata.Equivalent(relabel(d.Rule(a), d.Mu), relabel(d.Rule(b), d.Mu)) {
+			if automata.Equivalent(d.LabelRule(a), d.LabelRule(b)) {
 				continue
 			}
 			for ctx := range contexts[a] {
@@ -512,6 +452,40 @@ func (d *EDTD) typesDeterminedByContext(k int) bool {
 	return true
 }
 
+// Contexts returns, per type, the ancestor-label contexts under which the
+// type occurs: the labels of its k nearest ancestors, nearest first,
+// joined by "/" ("" at the root). It propagates contexts from the start
+// types to a fixpoint; a non-nil keep restricts them to the types in keep.
+func (d *EDTD) Contexts(k int, keep map[string]bool) map[string]map[string]bool {
+	types := d.Types()
+	contexts := make(map[string]map[string]bool, len(types))
+	for _, t := range types {
+		contexts[t] = map[string]bool{}
+	}
+	for s := range d.Start {
+		if keep == nil || keep[s] {
+			contexts[s][""] = true
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, t := range types {
+			for ctx := range contexts[t] {
+				child := pushContext(ctx, d.Label(t), k)
+				for _, u := range d.Rule(t).Alphabet() {
+					if (keep == nil || keep[u]) && !contexts[u][child] {
+						contexts[u][child] = true
+						changed = true
+					}
+				}
+			}
+		}
+	}
+	return contexts
+}
+
+// pushContext prepends label to the context ctx and truncates it to k
+// labels.
 func pushContext(ctx, label string, k int) string {
 	parts := []string{label}
 	if ctx != "" {

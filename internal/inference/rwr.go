@@ -190,7 +190,7 @@ func (g *rewriteGraph) applyRules() bool {
 			for k, n := range group {
 				subs[k] = g.exprs[n]
 			}
-			g.exprs[a] = unionOf(subs)
+			g.exprs[a] = regex.NewUnion(subs...)
 			for _, n := range group[1:] {
 				g.removeNode(n)
 			}
@@ -303,7 +303,7 @@ func (g *rewriteGraph) collapseSCC() bool {
 		for from := range g.pred[keep] {
 			g.removeEdge(from, keep)
 		}
-		g.exprs[keep] = plusOf(unionOf(subs))
+		g.exprs[keep] = plusOf(regex.NewUnion(subs...))
 		for p := range preds {
 			g.addEdge(p, keep)
 		}
@@ -315,51 +315,27 @@ func (g *rewriteGraph) collapseSCC() bool {
 	return false
 }
 
+// stronglyConnected returns the strongly connected components of the
+// internal nodes, by Tarjan's algorithm over their dense indexing.
 func (g *rewriteGraph) stronglyConnected() [][]int {
-	// Tarjan over internal nodes only.
-	index := map[int]int{}
-	low := map[int]int{}
-	onStack := map[int]bool{}
-	var stack []int
-	var sccs [][]int
-	counter := 0
-	var visit func(v int)
-	visit = func(v int) {
-		index[v] = counter
-		low[v] = counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
+	nodes := g.internalNodes()
+	pos := make(map[int]int, len(nodes))
+	for i, v := range nodes {
+		pos[v] = i
+	}
+	edge := make([][]bool, len(nodes))
+	for i, v := range nodes {
+		edge[i] = make([]bool, len(nodes))
 		for w := range g.succ[v] {
-			if w == srcNode || w == sinkNode {
-				continue
+			if j, ok := pos[w]; ok {
+				edge[i][j] = true
 			}
-			if _, seen := index[w]; !seen {
-				visit(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			sccs = append(sccs, comp)
 		}
 	}
-	for _, n := range g.internalNodes() {
-		if _, seen := index[n]; !seen {
-			visit(n)
+	sccs := tarjanSCC(len(nodes), edge)
+	for _, comp := range sccs {
+		for k, i := range comp {
+			comp[k] = nodes[i]
 		}
 	}
 	return sccs
@@ -397,8 +373,4 @@ func plusOf(e *regex.Expr) *regex.Expr {
 		return regex.NewStar(e.Sub())
 	}
 	return regex.NewPlus(e)
-}
-
-func unionOf(subs []*regex.Expr) *regex.Expr {
-	return regex.NewUnion(subs...)
 }

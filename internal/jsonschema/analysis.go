@@ -29,36 +29,18 @@ func (s *Schema) IsRecursive() bool {
 }
 
 // refTargets maps each node ("#" or definition name) to the set of
-// definition nodes its body references.
+// definition nodes its body references. Nested definitions are hoisted to
+// the root in this fragment, so a body's walk skips them.
 func (s *Schema) refTargets() map[string][]string {
 	out := map[string][]string{}
 	collect := func(node string, body *Schema) {
 		set := map[string]bool{}
-		var visit func(x *Schema)
-		visit = func(x *Schema) {
-			if x == nil {
-				return
-			}
+		anySub(body, false, func(x *Schema) bool {
 			if x.Ref != "" {
 				set[refName(x.Ref)] = true
 			}
-			for _, sub := range x.Properties {
-				visit(sub)
-			}
-			visit(x.Items)
-			visit(x.Not)
-			for _, sub := range x.AllOf {
-				visit(sub)
-			}
-			for _, sub := range x.AnyOf {
-				visit(sub)
-			}
-			for _, sub := range x.OneOf {
-				visit(sub)
-			}
-			// nested definitions are hoisted to the root in this fragment
-		}
-		visit(body)
+			return false
+		})
 		var ts []string
 		for t := range set {
 			ts = append(ts, t)
@@ -66,13 +48,43 @@ func (s *Schema) refTargets() map[string][]string {
 		sort.Strings(ts)
 		out[node] = ts
 	}
-	rootBody := *s
-	rootBody.Definitions = nil
-	collect("#", &rootBody)
+	collect("#", s)
 	for name, def := range s.Definitions {
 		collect(name, def)
 	}
 	return out
+}
+
+// anySub reports whether f holds for x or for a subschema below it, in
+// properties, items, combinators and, when defs is set, definitions. It
+// stops at the first subschema for which f holds.
+func anySub(x *Schema, defs bool, f func(*Schema) bool) bool {
+	if x == nil {
+		return false
+	}
+	if f(x) {
+		return true
+	}
+	for _, subs := range [][]*Schema{{x.Items, x.Not}, x.AllOf, x.AnyOf, x.OneOf} {
+		for _, sub := range subs {
+			if anySub(sub, defs, f) {
+				return true
+			}
+		}
+	}
+	for _, sub := range x.Properties {
+		if anySub(sub, defs, f) {
+			return true
+		}
+	}
+	if defs {
+		for _, sub := range x.Definitions {
+			if anySub(sub, defs, f) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func refName(ref string) string {
@@ -154,35 +166,7 @@ func (s *Schema) MaxNestingDepth() (int, bool) {
 // the feature Baazizi et al. found in 2.6% of 11.5k real schemas, often as
 // a workaround (e.g. "forbidden" as not-required, implication as ¬x ∨ y).
 func (s *Schema) UsesNegation() bool {
-	found := false
-	var visit func(x *Schema)
-	visit = func(x *Schema) {
-		if x == nil || found {
-			return
-		}
-		if x.Not != nil {
-			found = true
-			return
-		}
-		for _, sub := range x.Properties {
-			visit(sub)
-		}
-		visit(x.Items)
-		for _, sub := range x.AllOf {
-			visit(sub)
-		}
-		for _, sub := range x.AnyOf {
-			visit(sub)
-		}
-		for _, sub := range x.OneOf {
-			visit(sub)
-		}
-		for _, sub := range x.Definitions {
-			visit(sub)
-		}
-	}
-	visit(s)
-	return found
+	return anySub(s, true, func(x *Schema) bool { return x.Not != nil })
 }
 
 // IsSchemaFull reports whether the schema explicitly uses schema-full mode
@@ -190,36 +174,9 @@ func (s *Schema) UsesNegation() bool {
 // schemas did; JSON Schema is schema-mixed by default, in stark contrast
 // with DTDs (where ANY appeared in only 1 of 103 schemas, Section 4.5).
 func (s *Schema) IsSchemaFull() bool {
-	found := false
-	var visit func(x *Schema)
-	visit = func(x *Schema) {
-		if x == nil || found {
-			return
-		}
-		if x.AdditionalProperties != nil && !*x.AdditionalProperties {
-			found = true
-			return
-		}
-		for _, sub := range x.Properties {
-			visit(sub)
-		}
-		visit(x.Items)
-		visit(x.Not)
-		for _, sub := range x.AllOf {
-			visit(sub)
-		}
-		for _, sub := range x.AnyOf {
-			visit(sub)
-		}
-		for _, sub := range x.OneOf {
-			visit(sub)
-		}
-		for _, sub := range x.Definitions {
-			visit(sub)
-		}
-	}
-	visit(s)
-	return found
+	return anySub(s, true, func(x *Schema) bool {
+		return x.AdditionalProperties != nil && !*x.AdditionalProperties
+	})
 }
 
 // StudyResult aggregates a schema-corpus analysis in the shape of the

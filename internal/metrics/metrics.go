@@ -35,7 +35,6 @@ type familyKind int
 const (
 	kindCounter familyKind = iota
 	kindGauge
-	kindGaugeFunc
 	kindHistogram
 )
 
@@ -61,7 +60,7 @@ type family struct {
 	mu       sync.Mutex
 	children map[string]*child
 	order    []string
-	fn       func() float64 // kindGaugeFunc only
+	fn       func() float64 // GaugeFunc and CounterFunc families only
 }
 
 // child is the concrete time series for one label-value combination.
@@ -167,8 +166,13 @@ func (v *GaugeVec) With(values ...string) *Gauge { return &Gauge{v.f.child(value
 // (used for values owned elsewhere, e.g. cache occupancy or semaphore
 // depth). f must be safe for concurrent use.
 func (r *Registry) GaugeFunc(name, help string, f func() float64) {
-	fam := r.register(name, help, kindGaugeFunc, nil)
-	fam.fn = f
+	r.register(name, help, kindGauge, nil).fn = f
+}
+
+// CounterFunc is GaugeFunc for a monotonic count owned elsewhere (e.g.
+// cache hits): the family renders with TYPE counter.
+func (r *Registry) CounterFunc(name, help string, f func() float64) {
+	r.register(name, help, kindCounter, nil).fn = f
 }
 
 // Histogram observes a distribution into cumulative buckets.
@@ -220,7 +224,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
 			return err
 		}
-		if f.kind == kindGaugeFunc {
+		if f.fn != nil {
 			if _, err := fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.fn())); err != nil {
 				return err
 			}

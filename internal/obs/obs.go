@@ -33,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -332,6 +333,27 @@ func (n *Node) Walk(f func(*Node)) {
 // line: name, duration, counters, attrs.
 func WriteTree(w io.Writer, n *Node) error {
 	return writeTree(w, n, 0)
+}
+
+// DumpTree writes the node's text tree to stderr when dest is "-" and to
+// the file dest otherwise — the -trace flag of the command-line tools. A
+// failure is reported on stderr, never to the caller.
+func DumpTree(dest string, n *Node) {
+	var err error
+	if dest == "-" {
+		err = WriteTree(os.Stderr, n)
+	} else {
+		var f *os.File
+		if f, err = os.Create(dest); err == nil {
+			err = WriteTree(f, n)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "trace:", err)
+	}
 }
 
 func writeTree(w io.Writer, n *Node, depth int) error {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -164,5 +166,11 @@ func TestWriteTree(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("tree dump missing %q:\n%s", want, out)
 		}
+	}
+	// DumpTree writes the same text to a file.
+	dest := filepath.Join(t.TempDir(), "trace.txt")
+	DumpTree(dest, root.Tree())
+	if got, err := os.ReadFile(dest); err != nil || string(got) != out {
+		t.Fatalf("DumpTree wrote %q, %v; want %q", got, err, out)
 	}
 }

@@ -94,6 +94,31 @@ func ParseQuery(v url.Values) (Query, error) {
 	return q, nil
 }
 
+// Values encodes q as the URL parameters ParseQuery reads, omitting zero
+// fields, so that ParseQuery(q.Values()) returns q.
+func (q Query) Values() url.Values {
+	v := url.Values{}
+	if q.Op != "" {
+		v.Set("op", q.Op)
+	}
+	if q.Status != "" {
+		v.Set("status", q.Status)
+	}
+	if q.MinMS != 0 {
+		v.Set("min_ms", strconv.FormatFloat(q.MinMS, 'g', -1, 64))
+	}
+	if q.Since != 0 {
+		v.Set("since", q.Since.String())
+	}
+	if q.Limit != 0 {
+		v.Set("limit", strconv.Itoa(q.Limit))
+	}
+	if q.Sort != "" {
+		v.Set("sort", q.Sort)
+	}
+	return v
+}
+
 // Apply filters ts (oldest first, as Snapshot and ReadDir return) and
 // returns the selected traces in query order.
 func (q Query) Apply(ts []*Trace, now time.Time) []*Trace {

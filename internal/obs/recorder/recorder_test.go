@@ -197,6 +197,34 @@ func TestParseQuery(t *testing.T) {
 	}
 }
 
+// TestQueryValuesRoundTrip checks that Values encodes what ParseQuery
+// decodes, for each Query field alone and for all of them together. The
+// zero query encodes to no parameters, since ParseQuery rejects limit=0.
+func TestQueryValuesRoundTrip(t *testing.T) {
+	for _, q := range []Query{
+		{},
+		{Op: "analyze"},
+		{Status: "504"},
+		{MinMS: 1e-9},
+		{MinMS: 0.1 + 0.2},
+		{Since: 90*time.Second + time.Nanosecond},
+		{Limit: 7},
+		{Limit: -1},
+		{Sort: SortRecent},
+		{Sort: SortSlowest},
+		{Op: "containment", Status: "200", MinMS: 12345.678, Since: 1500 * time.Microsecond,
+			Limit: 3, Sort: SortSlowest},
+	} {
+		got, err := ParseQuery(q.Values())
+		if err != nil || got != q {
+			t.Errorf("ParseQuery(%v) = %+v, %v; want %+v", q.Values(), got, err, q)
+		}
+	}
+	if v := (Query{}).Values(); len(v) != 0 {
+		t.Errorf("zero Query encodes to %v, want no parameters", v)
+	}
+}
+
 // TestParseQueryStrict pins the rejection (not silent coercion) of
 // parameters that cannot mean anything, with a message naming the
 // offending parameter so the 400 body is actionable.

@@ -137,24 +137,8 @@ type Stats struct {
 // exhausted or maxDivergences have been found (<= 0 means stop at the
 // first).
 func Run(o Oracle, seed int64, budget time.Duration, maxDivergences int) *Stats {
-	if maxDivergences <= 0 {
-		maxDivergences = 1
-	}
-	start := time.Now()
-	deadline := start.Add(budget)
-	st := &Stats{Oracle: o.Name()}
-	for trial := int64(0); time.Now().Before(deadline); trial++ {
-		if d := RunTrial(o, seed+trial); d != nil {
-			st.Divergences = append(st.Divergences, d)
-			if len(st.Divergences) >= maxDivergences {
-				st.Trials++
-				break
-			}
-		}
-		st.Trials++
-	}
-	st.Elapsed = time.Since(start)
-	return st
+	deadline := time.Now().Add(budget)
+	return run(o, seed, maxDivergences, func(int64) bool { return time.Now().Before(deadline) })
 }
 
 // RunTrials drives o with exactly trials seeds seed, …, seed+trials-1,
@@ -163,20 +147,22 @@ func Run(o Oracle, seed int64, budget time.Duration, maxDivergences int) *Stats 
 // runners. It stops early only after maxDivergences findings (<= 0
 // means stop at the first).
 func RunTrials(o Oracle, seed int64, trials int, maxDivergences int) *Stats {
-	if maxDivergences <= 0 {
-		maxDivergences = 1
-	}
+	return run(o, seed, maxDivergences, func(trial int64) bool { return trial < int64(trials) })
+}
+
+// run drives o with trial seeds seed, seed+1, … while more(trial) holds,
+// stopping early after maxDivergences findings (at least one).
+func run(o Oracle, seed int64, maxDivergences int, more func(trial int64) bool) *Stats {
 	start := time.Now()
 	st := &Stats{Oracle: o.Name()}
-	for trial := int64(0); trial < int64(trials); trial++ {
+	for trial := int64(0); more(trial); trial++ {
+		st.Trials++
 		if d := RunTrial(o, seed+trial); d != nil {
 			st.Divergences = append(st.Divergences, d)
-			if len(st.Divergences) >= maxDivergences {
-				st.Trials++
+			if len(st.Divergences) >= max(maxDivergences, 1) {
 				break
 			}
 		}
-		st.Trials++
 	}
 	st.Elapsed = time.Since(start)
 	return st

@@ -19,33 +19,22 @@ type atomMatcher struct {
 	g *rdf.Graph
 }
 
-// step returns the nodes reachable from node via the atom symbol, together
-// with the traversed graph edges (for trail semantics).
-type edgeUse struct {
-	t       rdf.Triple
-	forward bool
+// hop is one traversal of a graph edge: the node reached and the triple
+// traversed (trail semantics forbids repeating the triple).
+type hop struct {
+	to string
+	t  rdf.Triple
 }
 
-func (m atomMatcher) step(node, sym string) []struct {
-	to   string
-	edge edgeUse
-} {
-	var out []struct {
-		to   string
-		edge edgeUse
-	}
-	add := func(to string, e edgeUse) {
-		out = append(out, struct {
-			to   string
-			edge edgeUse
-		}{to, e})
-	}
+// step returns the hops from node via the atom symbol.
+func (m atomMatcher) step(node, sym string) []hop {
+	var out []hop
 	switch {
 	case strings.HasPrefix(sym, "^"):
 		p := sym[1:]
 		for _, t := range m.g.InEdges(node) {
 			if t.P == p {
-				add(t.S, edgeUse{t, false})
+				out = append(out, hop{t.S, t})
 			}
 		}
 	case strings.HasPrefix(sym, "!("):
@@ -56,21 +45,21 @@ func (m atomMatcher) step(node, sym string) []struct {
 		if forbidden != nil {
 			for _, t := range m.g.OutEdges(node) {
 				if !forbidden[t.P] {
-					add(t.O, edgeUse{t, true})
+					out = append(out, hop{t.O, t})
 				}
 			}
 		}
 		if forbiddenInv != nil {
 			for _, t := range m.g.InEdges(node) {
 				if !forbiddenInv[t.P] {
-					add(t.S, edgeUse{t, false})
+					out = append(out, hop{t.S, t})
 				}
 			}
 		}
 	default:
 		for _, t := range m.g.OutEdges(node) {
 			if t.P == sym {
-				add(t.O, edgeUse{t, true})
+				out = append(out, hop{t.O, t})
 			}
 		}
 	}
@@ -131,19 +120,14 @@ func Eval(g *rdf.Graph, p *Path, start string) []string {
 		cur := queue[0]
 		queue = queue[1:]
 		for sym, succs := range n.Trans[cur.state] {
-			for _, st := range m.step(cur.node, sym) {
+			for _, h := range m.step(cur.node, sym) {
 				for _, q2 := range succs {
-					push(pstate{st.to, q2})
+					push(pstate{h.to, q2})
 				}
 			}
 		}
 	}
-	out := make([]string, 0, len(results))
-	for x := range results {
-		out = append(out, x)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(results)
 }
 
 // EvalSimplePaths returns the nodes reachable via a SIMPLE path (no
@@ -151,104 +135,58 @@ func Eval(g *rdf.Graph, p *Path, start string) []string {
 // the class C_tract characterizes. Worst-case exponential (the problem is
 // NP-hard outside C_tract); intended for small graphs and experiments.
 func EvalSimplePaths(g *rdf.Graph, p *Path, start string) []string {
-	n := automata.Glushkov(ToRegex(p))
-	m := atomMatcher{g}
-	results := map[string]bool{}
-	visited := map[string]bool{start: true}
-	var dfs func(node string, states map[int]bool)
-	dfs = func(node string, states map[int]bool) {
-		for q := range states {
-			if n.Final[q] {
-				results[node] = true
-			}
-		}
-		// group successor states by symbol
-		for sym := range symbolsOf(n, states) {
-			next := map[int]bool{}
-			for q := range states {
-				for _, p2 := range n.Trans[q][sym] {
-					next[p2] = true
-				}
-			}
-			if len(next) == 0 {
-				continue
-			}
-			for _, st := range m.step(node, sym) {
-				if visited[st.to] {
-					continue
-				}
-				visited[st.to] = true
-				dfs(st.to, next)
-				delete(visited, st.to)
-			}
-		}
-	}
-	init := map[int]bool{}
-	for _, q := range n.Initial {
-		init[q] = true
-	}
-	dfs(start, init)
-	out := make([]string, 0, len(results))
-	for x := range results {
-		out = append(out, x)
-	}
-	sort.Strings(out)
-	return out
+	return evalNoRepeat(g, p, start, true)
 }
 
 // EvalTrails returns the nodes reachable via a TRAIL (no repeated edge)
 // matching the path — the semantics of the class T_tract.
 func EvalTrails(g *rdf.Graph, p *Path, start string) []string {
+	return evalNoRepeat(g, p, start, false)
+}
+
+// evalNoRepeat enumerates by DFS the paths from start that match p,
+// stepping the path's NFA state set along each path. With nodes set no
+// node repeats (start counts as visited); otherwise no edge repeats.
+func evalNoRepeat(g *rdf.Graph, p *Path, start string, nodes bool) []string {
 	n := automata.Glushkov(ToRegex(p))
 	m := atomMatcher{g}
 	results := map[string]bool{}
-	used := map[rdf.Triple]bool{}
-	var dfs func(node string, states map[int]bool)
-	dfs = func(node string, states map[int]bool) {
-		for q := range states {
-			if n.Final[q] {
-				results[node] = true
-			}
+	used := map[any]bool{}
+	key := func(h hop) any { return h.t }
+	if nodes {
+		key = func(h hop) any { return h.to }
+		used[start] = true
+	}
+	var dfs func(node string, states []int)
+	dfs = func(node string, states []int) {
+		if n.AnyFinal(states) {
+			results[node] = true
 		}
-		for sym := range symbolsOf(n, states) {
-			next := map[int]bool{}
-			for q := range states {
-				for _, p2 := range n.Trans[q][sym] {
-					next[p2] = true
-				}
-			}
+		for _, sym := range n.Alphabet {
+			next := n.Step(states, sym)
 			if len(next) == 0 {
 				continue
 			}
-			for _, st := range m.step(node, sym) {
-				if used[st.edge.t] {
+			for _, h := range m.step(node, sym) {
+				k := key(h)
+				if used[k] {
 					continue
 				}
-				used[st.edge.t] = true
-				dfs(st.to, next)
-				delete(used, st.edge.t)
+				used[k] = true
+				dfs(h.to, next)
+				delete(used, k)
 			}
 		}
 	}
-	init := map[int]bool{}
-	for _, q := range n.Initial {
-		init[q] = true
-	}
-	dfs(start, init)
-	out := make([]string, 0, len(results))
-	for x := range results {
+	dfs(start, n.Start())
+	return sortedKeys(results)
+}
+
+func sortedKeys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for x := range set {
 		out = append(out, x)
 	}
 	sort.Strings(out)
-	return out
-}
-
-func symbolsOf(n *automata.NFA, states map[int]bool) map[string]bool {
-	out := map[string]bool{}
-	for q := range states {
-		for sym := range n.Trans[q] {
-			out[sym] = true
-		}
-	}
 	return out
 }

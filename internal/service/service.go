@@ -171,24 +171,24 @@ func New(cfg Config) *Server {
 	s.reg.GaugeFunc("rwdserve_detached_engines",
 		"Engine goroutines still computing after their request ended; each holds its admission slot until it exits.",
 		func() float64 { return float64(s.detached.Load()) })
-	s.reg.GaugeFunc("rwdserve_cache_hits_total",
+	s.reg.CounterFunc("rwdserve_cache_hits_total",
 		"Verdict-cache hits.", func() float64 { return float64(s.cache.Stats().Hits) })
-	s.reg.GaugeFunc("rwdserve_cache_misses_total",
+	s.reg.CounterFunc("rwdserve_cache_misses_total",
 		"Verdict-cache misses.", func() float64 { return float64(s.cache.Stats().Misses) })
-	s.reg.GaugeFunc("rwdserve_cache_evictions_total",
+	s.reg.CounterFunc("rwdserve_cache_evictions_total",
 		"Verdict-cache evictions.", func() float64 { return float64(s.cache.Stats().Evictions) })
 	s.reg.GaugeFunc("rwdserve_cache_entries",
 		"Verdict-cache occupancy.", func() float64 { return float64(s.cache.Stats().Len) })
 	// One compile-cache lookup per membership request, per DTD validate
 	// request, and per non-explain containment request (its alias probe),
 	// for request texts up to maxCompileKey.
-	s.reg.GaugeFunc("rwdserve_compile_cache_hits_total",
+	s.reg.CounterFunc("rwdserve_compile_cache_hits_total",
 		"Compile-cache hits: membership matchers, compiled DTDs and containment aliases.",
 		func() float64 { return float64(s.compiled.Stats().Hits) })
-	s.reg.GaugeFunc("rwdserve_compile_cache_misses_total",
+	s.reg.CounterFunc("rwdserve_compile_cache_misses_total",
 		"Compile-cache misses, including every containment request with no alias yet.",
 		func() float64 { return float64(s.compiled.Stats().Misses) })
-	s.reg.GaugeFunc("rwdserve_compile_cache_evictions_total",
+	s.reg.CounterFunc("rwdserve_compile_cache_evictions_total",
 		"Compile-cache evictions.", func() float64 { return float64(s.compiled.Stats().Evictions) })
 	s.reg.GaugeFunc("rwdserve_compile_cache_entries",
 		"Compile-cache occupancy.", func() float64 { return float64(s.compiled.Stats().Len) })
@@ -256,23 +256,23 @@ func New(cfg Config) *Server {
 		},
 	}
 	if s.flight != nil {
-		s.reg.GaugeFunc("rwd_traces_recorded_total",
+		s.reg.CounterFunc("rwd_traces_recorded_total",
 			"Root span trees admitted to the flight recorder.",
 			func() float64 { return float64(s.flight.Stats().Recorded) })
 		s.reg.GaugeFunc("rwd_traces_retained",
 			"Root span trees currently held in the flight-recorder ring.",
 			func() float64 { return float64(s.flight.Stats().Retained) })
-		s.reg.GaugeFunc("rwd_traces_evicted_total",
+		s.reg.CounterFunc("rwd_traces_evicted_total",
 			"Flight-recorder traces evicted to respect the capacity or byte budget.",
 			func() float64 { return float64(s.flight.Stats().Evicted) })
-		s.reg.GaugeFunc("rwd_traces_dropped_total",
+		s.reg.CounterFunc("rwd_traces_dropped_total",
 			"Traces never admitted because a single tree exceeded the whole byte budget.",
 			func() float64 { return float64(s.flight.Stats().Dropped) })
 		s.reg.GaugeFunc("rwd_trace_bytes",
 			"Exported-tree JSON bytes currently retained by the flight recorder.",
 			func() float64 { return float64(s.flight.Stats().Bytes) })
 	}
-	s.reg.GaugeFunc("rwd_profile_observed_total",
+	s.reg.CounterFunc("rwd_profile_observed_total",
 		"Finished traces folded into the workload-profile engine.",
 		func() float64 { return float64(s.profile.Observed()) })
 

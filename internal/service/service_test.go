@@ -382,3 +382,30 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsTotalsAreCounters checks that every family named *_total
+// declares TYPE counter: scrapers apply rate() and reset detection only
+// to counters.
+func TestMetricsTotalsAreCounters(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	post(t, ts.URL, "/v1/membership", `{"expr":"a","word":["a"]}`, nil)
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	totals := 0
+	for _, line := range strings.Split(string(raw), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 4 && f[0] == "#" && f[1] == "TYPE" && strings.HasSuffix(f[2], "_total") {
+			totals++
+			if f[3] != "counter" {
+				t.Errorf("# TYPE %s %s, want counter", f[2], f[3])
+			}
+		}
+	}
+	if totals < 10 {
+		t.Fatalf("found %d *_total families, want at least 10:\n%s", totals, raw)
+	}
+}
