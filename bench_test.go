@@ -90,6 +90,31 @@ func BenchmarkLogStudyIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeUnit times the core of one corpus-bulk analyze
+// request with no server in the way: 500 loggen DBpedia17 queries at
+// seed 11, analyzed at 1 and 2 workers.
+func BenchmarkAnalyzeUnit(b *testing.B) {
+	var src loggen.Source
+	for _, s := range Sources() {
+		if s.Name == "DBpedia17" {
+			src = s
+		}
+	}
+	g := loggen.NewGen(src, 11)
+	queries := make([]string, 500)
+	for i := range queries {
+		queries[i] = g.Next()
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				core.AnalyzeQueriesCtx(context.Background(), "unit", queries, workers)
+			}
+		})
+	}
+}
+
 // BenchmarkTable2LogCounts regenerates Table 2: Total/Valid/Unique per log
 // source, end to end (generation + parsing + dedup).
 func BenchmarkTable2LogCounts(b *testing.B) {

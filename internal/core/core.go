@@ -10,6 +10,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/hypergraph"
 	"repro/internal/propertypath"
@@ -22,13 +25,6 @@ import (
 // set, matching the X (Y) convention of Section 9.
 type Counter2 struct {
 	V, U int
-}
-
-func (c *Counter2) add(unique bool) {
-	c.V++
-	if unique {
-		c.U++
-	}
 }
 
 // ShapeLevel is a row of the cumulative shape analysis of Table 7.
@@ -126,16 +122,61 @@ func NewSourceReport(name string) *SourceReport {
 
 // Analyzer ingests raw query strings for one source. An Analyzer may hold
 // the full stream of a source or just one shard of it: the seen map keeps,
-// per canonical form first observed here, the raw string of its first
+// per canonical form first observed here, the outcome of its first
 // occurrence, which is exactly what MergeShards needs to resolve
 // cross-shard duplicates.
 type Analyzer struct {
 	Report *SourceReport
-	seen   map[string]string
+	seen   map[string]*outcome
+	// memo maps each raw string ingested here (up to memoMaxEntries
+	// strings and memoMaxBytes bytes) to its outcome, nil for a parse
+	// failure, so a raw repeat replays its counter bumps instead of
+	// parsing and running the battery again.
+	memo      map[string]*outcome
+	memoBytes int
+	memoHits  int
+	// outcomes interns outcomes by their counted flag and the ids (in
+	// ids) of the counters they touch: real logs have far fewer distinct
+	// outcomes than distinct query strings.
+	outcomes map[string]*outcome
+	ids      map[*Counter2]int
+	cur      outcome // the outcome being recorded by analyze
+	key      []byte  // scratch buffer for intern keys
 	// ppCache memoizes the property-path classifier stack keyed on the
 	// path's canonical form: duplicate-heavy robotic logs hit the same
 	// paths millions of times.
 	ppCache map[string]ppClass
+}
+
+// Bounds on an analyzer's raw-string memo. Once either is reached, new
+// strings are analyzed in full and not remembered; dedup (seen) is not
+// bounded by them.
+const (
+	memoMaxEntries = 1 << 16
+	memoMaxBytes   = 16 << 20
+)
+
+// outcome records what the battery added to a report for one valid
+// query besides Total, Valid and Unique: whether it bumped CountedV
+// (CountedU too when unique) and every counter it bumped, once per bump.
+// The battery is a deterministic function of the canonical form, so the
+// record stands for every occurrence of the query: a repeat adds 1 to V
+// of each touched counter, and a first occurrence also adds 1 to U.
+// MaxTriples needs no record: a repeat cannot raise it.
+type outcome struct {
+	counted bool
+	touched []*Counter2
+}
+
+// replay adds one non-unique occurrence of a valid query to r.
+func (o *outcome) replay(r *SourceReport) {
+	r.Valid++
+	if o.counted {
+		r.CountedV++
+	}
+	for _, c := range o.touched {
+		c.V++
+	}
 }
 
 // ppClass is the memoized result of the Table 8 / Section 9.6 classifiers
@@ -150,9 +191,12 @@ type ppClass struct {
 // NewAnalyzer returns an analyzer for one source (or one shard of one).
 func NewAnalyzer(name string) *Analyzer {
 	return &Analyzer{
-		Report:  NewSourceReport(name),
-		seen:    map[string]string{},
-		ppCache: map[string]ppClass{},
+		Report:   NewSourceReport(name),
+		seen:     map[string]*outcome{},
+		memo:     map[string]*outcome{},
+		outcomes: map[string]*outcome{},
+		ids:      map[*Counter2]int{},
+		ppCache:  map[string]ppClass{},
 	}
 }
 
@@ -164,35 +208,95 @@ var analyzeHook func(*sparql.Query)
 // use it to inject parser panics and assert they are absorbed.
 var parseHook func(string)
 
-// Ingest processes one raw query string through the full battery. It is
-// panic-safe at the per-query boundary: a pathological input that panics
-// the parser or the analysis battery is counted as invalid instead of
-// killing the run (or, in the parallel pipeline, a whole worker).
+// Ingest processes one raw query string through the full battery, or
+// replays its memoized outcome when the same string was ingested here
+// before. It is panic-safe at the per-query boundary: a pathological
+// input that panics the parser or the analysis battery is counted as
+// invalid instead of killing the run (or, in the parallel pipeline, a
+// whole worker).
 func (a *Analyzer) Ingest(raw string) {
 	r := a.Report
 	r.Total++
+	if o, hit := a.memo[raw]; hit {
+		// A raw repeat is a non-unique copy of its canonical form here,
+		// so U never moves.
+		a.memoHits++
+		if o != nil {
+			o.replay(r)
+		}
+		return
+	}
 	q, canon, ok := parseSafe(raw)
 	if !ok {
+		a.remember(raw, nil)
 		return
 	}
 	r.Valid++
 	_, dup := a.seen[canon]
 	unique := !dup
 	if unique {
-		a.seen[canon] = raw
 		r.Unique++
 	}
+	a.cur = outcome{touched: a.cur.touched[:0]}
 	if !a.analyzeSafe(q, unique) {
 		// The battery panicked mid-query: count the query as invalid and
-		// roll back the dedup state, so a later occurrence of the same
-		// canonical form is handled identically in sequential and sharded
-		// runs.
+		// record nothing, so a later occurrence of the same string or
+		// canonical form runs the battery again and is handled
+		// identically in sequential and sharded runs.
 		r.Valid--
 		if unique {
-			delete(a.seen, canon)
 			r.Unique--
 		}
+		return
 	}
+	o := a.intern()
+	if unique {
+		a.seen[canon] = o
+	}
+	a.remember(raw, o)
+}
+
+// add bumps c for one occurrence and records it in the current outcome.
+func (a *Analyzer) add(c *Counter2, unique bool) {
+	c.V++
+	if unique {
+		c.U++
+	}
+	a.cur.touched = append(a.cur.touched, c)
+}
+
+// intern returns the shared copy of the current outcome.
+func (a *Analyzer) intern() *outcome {
+	key := a.key[:0]
+	if a.cur.counted {
+		key = append(key, 1)
+	} else {
+		key = append(key, 0)
+	}
+	for _, c := range a.cur.touched {
+		id, ok := a.ids[c]
+		if !ok {
+			id = len(a.ids)
+			a.ids[c] = id
+		}
+		key = binary.AppendUvarint(key, uint64(id))
+	}
+	a.key = key
+	if o, ok := a.outcomes[string(key)]; ok {
+		return o
+	}
+	o := &outcome{counted: a.cur.counted, touched: slices.Clone(a.cur.touched)}
+	a.outcomes[string(key)] = o
+	return o
+}
+
+// remember memoizes raw's outcome while the memo is under its bounds.
+func (a *Analyzer) remember(raw string, o *outcome) {
+	if len(a.memo) >= memoMaxEntries || a.memoBytes+len(raw) > memoMaxBytes {
+		return
+	}
+	a.memo[raw] = o
+	a.memoBytes += len(raw)
 }
 
 // parseSafe parses and canonicalizes one raw query, converting parser
@@ -260,11 +364,12 @@ func (a *Analyzer) analyze(q *sparql.Query, unique bool) {
 		if b > 11 {
 			b = 11
 		}
-		r.TripleBuckets[b].add(unique)
+		a.add(&r.TripleBuckets[b], unique)
 		r.CountedV++
 		if unique {
 			r.CountedU++
 		}
+		a.cur.counted = true
 	}
 
 	// Table 3
@@ -274,7 +379,7 @@ func (a *Analyzer) analyze(q *sparql.Query, unique bool) {
 			c = &Counter2{}
 			r.Features[f] = c
 		}
-		c.add(unique)
+		a.add(c, unique)
 	}
 
 	// Tables 4/5
@@ -284,18 +389,18 @@ func (a *Analyzer) analyze(q *sparql.Query, unique bool) {
 		oc = &Counter2{}
 		r.OperatorSets[ops.Name()] = oc
 	}
-	oc.add(unique)
+	a.add(oc, unique)
 
 	// Section 9.4
 	if sparqlalg.UsesOnlyAFO(q) {
-		r.AFO.add(unique)
+		a.add(&r.AFO, unique)
 		if sparqlalg.IsWellDesigned(q) {
-			r.WellDesigned.add(unique)
+			a.add(&r.WellDesigned, unique)
 		}
 	}
 	// Section 9.1
 	if sparqlalg.IsWellBehaved(q) {
-		r.WellBehaved.add(unique)
+		a.add(&r.WellBehaved, unique)
 	}
 
 	// Table 6 + Section 9.5 + Table 7 for the conjunctive fragments
@@ -306,25 +411,25 @@ func (a *Analyzer) analyze(q *sparql.Query, unique bool) {
 	// Table 8 / Section 9.6: property paths
 	pps := q.PropertyPaths()
 	if len(pps) > 0 {
-		r.PPQueries.add(unique)
+		a.add(&r.PPQueries, unique)
 	}
 	for _, pp := range pps {
-		r.PPTotal.add(unique)
+		a.add(&r.PPTotal, unique)
 		cls := a.classifyPP(pp)
 		c := r.PPRows[cls.row]
 		if c == nil {
 			c = &Counter2{}
 			r.PPRows[cls.row] = c
 		}
-		c.add(unique)
+		a.add(c, unique)
 		if !cls.simpleTransitive {
-			r.NonSTE.add(unique)
+			a.add(&r.NonSTE, unique)
 		}
 		if !cls.ctract {
-			r.NonCtract.add(unique)
+			a.add(&r.NonCtract, unique)
 		}
 		if !cls.ttract {
-			r.NonTtract.add(unique)
+			a.add(&r.NonTtract, unique)
 		}
 	}
 }
@@ -381,10 +486,10 @@ func (a *Analyzer) analyzeConjunctive(q *sparql.Query, unique bool) {
 	// "only And and safe/simple filters" (Section 9.5); queries without
 	// filters qualify vacuously.
 	if allSafe {
-		r.SafeFilterOnly.add(unique)
+		a.add(&r.SafeFilterOnly, unique)
 	}
 	if allSimple {
-		r.SimpleFilterOnly.add(unique)
+		a.add(&r.SimpleFilterOnly, unique)
 	}
 
 	// free variables: projection for SELECT, all variables for * and
@@ -409,18 +514,18 @@ func (a *Analyzer) analyzeConjunctive(q *sparql.Query, unique bool) {
 	htw3 := htw2 || h.HypertreeWidthAtMost(3)
 
 	apply := func(st *HypertreeStats) {
-		st.Total.add(unique)
+		a.add(&st.Total, unique)
 		if fca {
-			st.FCA.add(unique)
+			a.add(&st.FCA, unique)
 		}
 		if htw1 {
-			st.Htw1.add(unique)
+			a.add(&st.Htw1, unique)
 		}
 		if htw2 {
-			st.Htw2.add(unique)
+			a.add(&st.Htw2, unique)
 		}
 		if htw3 {
-			st.Htw3.add(unique)
+			a.add(&st.Htw3, unique)
 		}
 	}
 	apply(&r.CQF)
@@ -432,11 +537,11 @@ func (a *Analyzer) analyzeConjunctive(q *sparql.Query, unique bool) {
 	if !isGraphPattern(triples) || !allSimple {
 		return
 	}
-	r.GraphCQF.add(unique)
+	a.add(&r.GraphCQF, unique)
 	lvlWith := shapeLevel(canonicalGraph(triples, filters, true))
 	lvlWithout := shapeLevel(canonicalGraph(triples, filters, false))
-	r.ShapeWith[lvlWith].add(unique)
-	r.ShapeWithout[lvlWithout].add(unique)
+	a.add(&r.ShapeWith[lvlWith], unique)
+	a.add(&r.ShapeWithout[lvlWithout], unique)
 }
 
 // isGraphPattern implements the Section 9.5 condition: every triple's

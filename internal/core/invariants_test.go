@@ -62,7 +62,7 @@ func TestCounterInvariants(t *testing.T) {
 			t.Fatalf("seed %d: Total=%d Valid=%d Unique=%d violates Total >= Valid >= Unique >= 0",
 				seed, rep.Total, rep.Valid, rep.Unique)
 		}
-		forEachCounter(rep, rep, func(_ *Counter2, c Counter2) {
+		forEachCounter(rep, rep, func(_, c *Counter2) {
 			if c.U < 0 || c.V < c.U {
 				t.Fatalf("seed %d: counter V=%d U=%d violates V >= U >= 0", seed, c.V, c.U)
 			}

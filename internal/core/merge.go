@@ -12,51 +12,52 @@ import (
 // forEachCounter pairs every Counter2 of dst with the corresponding
 // counter of src and applies f, materializing dst map entries for keys
 // that only src has. It is the single field walk behind the group-level
-// Merge and the shard-level dedup correction, so a report field added in
-// one place is added everywhere.
-func forEachCounter(dst *SourceReport, src *SourceReport, f func(dst *Counter2, src Counter2)) {
+// Merge and the map from shard counters to merged counters that the
+// shard-level dedup correction uses, so a report field added in one
+// place is added everywhere.
+func forEachCounter(dst *SourceReport, src *SourceReport, f func(dst, src *Counter2)) {
 	for i := range src.TripleBuckets {
-		f(&dst.TripleBuckets[i], src.TripleBuckets[i])
+		f(&dst.TripleBuckets[i], &src.TripleBuckets[i])
 	}
 	pairMap(dst.Features, src.Features, f)
 	pairMap(dst.OperatorSets, src.OperatorSets, f)
-	f(&dst.AFO, src.AFO)
-	f(&dst.WellDesigned, src.WellDesigned)
-	f(&dst.WellBehaved, src.WellBehaved)
+	f(&dst.AFO, &src.AFO)
+	f(&dst.WellDesigned, &src.WellDesigned)
+	f(&dst.WellBehaved, &src.WellBehaved)
 	ht := func(d, s *HypertreeStats) {
-		f(&d.FCA, s.FCA)
-		f(&d.Htw1, s.Htw1)
-		f(&d.Htw2, s.Htw2)
-		f(&d.Htw3, s.Htw3)
-		f(&d.Total, s.Total)
+		f(&d.FCA, &s.FCA)
+		f(&d.Htw1, &s.Htw1)
+		f(&d.Htw2, &s.Htw2)
+		f(&d.Htw3, &s.Htw3)
+		f(&d.Total, &s.Total)
 	}
 	ht(&dst.CQ, &src.CQ)
 	ht(&dst.CQF, &src.CQF)
-	f(&dst.SafeFilterOnly, src.SafeFilterOnly)
-	f(&dst.SimpleFilterOnly, src.SimpleFilterOnly)
-	f(&dst.GraphCQF, src.GraphCQF)
+	f(&dst.SafeFilterOnly, &src.SafeFilterOnly)
+	f(&dst.SimpleFilterOnly, &src.SimpleFilterOnly)
+	f(&dst.GraphCQF, &src.GraphCQF)
 	for i := range src.ShapeWith {
-		f(&dst.ShapeWith[i], src.ShapeWith[i])
-		f(&dst.ShapeWithout[i], src.ShapeWithout[i])
+		f(&dst.ShapeWith[i], &src.ShapeWith[i])
+		f(&dst.ShapeWithout[i], &src.ShapeWithout[i])
 	}
 	pairMap(dst.PPRows, src.PPRows, f)
-	f(&dst.PPTotal, src.PPTotal)
-	f(&dst.PPQueries, src.PPQueries)
-	f(&dst.NonSTE, src.NonSTE)
-	f(&dst.NonCtract, src.NonCtract)
-	f(&dst.NonTtract, src.NonTtract)
+	f(&dst.PPTotal, &src.PPTotal)
+	f(&dst.PPQueries, &src.PPQueries)
+	f(&dst.NonSTE, &src.NonSTE)
+	f(&dst.NonCtract, &src.NonCtract)
+	f(&dst.NonTtract, &src.NonTtract)
 }
 
 // pairMap applies f to the dst/src counters of every key present in src,
 // materializing missing dst entries.
-func pairMap[K comparable](dm, sm map[K]*Counter2, f func(dst *Counter2, src Counter2)) {
+func pairMap[K comparable](dm, sm map[K]*Counter2, f func(dst, src *Counter2)) {
 	for k, c := range sm {
 		d := dm[k]
 		if d == nil {
 			d = &Counter2{}
 			dm[k] = d
 		}
-		f(d, *c)
+		f(d, c)
 	}
 }
 
@@ -77,7 +78,7 @@ func Merge(name string, reports []*SourceReport) *SourceReport {
 		if r.MaxTriples > out.MaxTriples {
 			out.MaxTriples = r.MaxTriples
 		}
-		forEachCounter(out, r, func(d *Counter2, s Counter2) {
+		forEachCounter(out, r, func(d, s *Counter2) {
 			d.V += s.V
 			d.U += s.U
 		})
@@ -92,55 +93,48 @@ func Merge(name string, reports []*SourceReport) *SourceReport {
 // V-side counts (and Total/Valid) are additive, since every occurrence of
 // every query lives in exactly one shard. The U side needs cross-shard
 // dedup: a canonical form first seen in k > 1 shards contributed a unique
-// bump k times but must count once. Because the battery is a deterministic
-// function of the canonical form, that contribution can be recomputed from
-// any of the first-occurrence raw strings the shards kept, and subtracted
-// k−1 times — making the merged report byte-identical to the sequential
-// one at any shard count.
+// bump k times but must count once. The outcome each shard recorded for
+// the form's first occurrence is exactly that contribution, so it is
+// subtracted k−1 times from the merged counters the outcome's counters
+// map to — making the merged report byte-identical to the sequential one
+// at any shard count, without analyzing any query again.
 func MergeShards(name string, shards []*Analyzer) *SourceReport {
 	reports := make([]*SourceReport, len(shards))
 	for i, a := range shards {
 		reports[i] = a.Report
 	}
 	out := Merge(name, reports)
-	count := map[string]int{}
-	raw := map[string]string{}
+	merged := map[*Counter2]*Counter2{}
+	type firsts struct {
+		o *outcome
+		k int
+	}
+	forms := map[string]firsts{}
 	for _, a := range shards {
-		for canon, first := range a.seen {
-			count[canon]++
-			raw[canon] = first
+		forEachCounter(out, a.Report, func(d, s *Counter2) { merged[s] = d })
+		for canon, o := range a.seen {
+			f, ok := forms[canon]
+			if !ok {
+				f.o = o
+			}
+			f.k++
+			forms[canon] = f
 		}
 	}
-	for canon, k := range count {
-		if k <= 1 {
+	for _, f := range forms {
+		n := f.k - 1
+		if n == 0 {
 			continue
 		}
-		contrib := uniqueContribution(name, raw[canon])
-		if contrib == nil {
-			continue
+		out.Unique -= n
+		if f.o.counted {
+			out.CountedU -= n
 		}
-		n := k - 1
-		out.Unique -= n * contrib.Unique
-		out.CountedU -= n * contrib.CountedU
-		forEachCounter(out, contrib, func(d *Counter2, s Counter2) {
-			d.U -= n * s.U
-		})
+		for _, c := range f.o.touched {
+			merged[c].U -= n
+		}
 	}
 	return out
-}
-
-// uniqueContribution analyzes one raw query in isolation: the resulting
-// report's U side is exactly what the query's first occurrence adds to a
-// shard.
-func uniqueContribution(name, raw string) *SourceReport {
-	a := NewAnalyzer(name)
-	a.Ingest(raw)
-	if a.Report.Unique != 1 {
-		// the raw string parsed in its shard, so this cannot happen; be
-		// defensive rather than corrupt the merge
-		return nil
-	}
-	return a.Report
 }
 
 // ShardSplit deals a query stream round-robin into n shards (some may be
@@ -232,6 +226,7 @@ func ingestShard(ctx context.Context, a *Analyzer, k int, part []string) {
 		a.Ingest(q)
 		ingested.Inc()
 	}
+	span.Count("memo_hits", int64(a.memoHits))
 	span.Count("valid", int64(a.Report.Valid))
 	span.Count("unique", int64(a.Report.Unique))
 }

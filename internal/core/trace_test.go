@@ -10,7 +10,8 @@ import (
 
 // TestAnalyzeQueriesCtxTracedIdentical pins that tracing is purely
 // observational: the traced sharded report equals the untraced sequential
-// one, and the span tree carries the per-shard and merge accounting.
+// one, and the span tree carries the per-shard and merge accounting,
+// memo hits included.
 func TestAnalyzeQueriesCtxTracedIdentical(t *testing.T) {
 	queries := []string{
 		"SELECT ?x WHERE { ?x <p> ?y }",
@@ -18,6 +19,26 @@ func TestAnalyzeQueriesCtxTracedIdentical(t *testing.T) {
 		"SELECT * WHERE { ?a <p> ?b }",
 		"SELECT ?x WHERE { ?x <p> ?y }",
 		"not a query",
+		"SELECT ?x WHERE { ?x <p> ?y . ?y <q> ?z }",
+		"not a query",
+		"SELECT ?x WHERE { ?x <p> ?y }",
+		"SELECT  ?x  WHERE { ?x <p> ?y }", // same canonical form, new raw string
+		"not a query",
+		"SELECT * WHERE { ?a <p> ?b }",
+	}
+	// a raw string seen before in its own shard is a memo hit
+	var wantHits int64
+	for _, part := range ShardSplit(queries, 3) {
+		inShard := map[string]bool{}
+		for _, q := range part {
+			if inShard[q] {
+				wantHits++
+			}
+			inShard[q] = true
+		}
+	}
+	if wantHits < 2 {
+		t.Fatalf("stream has %d same-shard repeats; the test needs at least 2", wantHits)
 	}
 	want := AnalyzeQueries("t", queries, 1)
 
@@ -32,12 +53,13 @@ func TestAnalyzeQueriesCtxTracedIdentical(t *testing.T) {
 
 	tree := root.Tree()
 	var shards, merges int
-	var ingested int64
+	var ingested, hits int64
 	for _, c := range tree.Children {
 		switch c.Name {
 		case "core.shard":
 			shards++
 			ingested += c.Counters["queries_ingested"]
+			hits += c.Counters["memo_hits"]
 		case "core.merge":
 			merges++
 			if c.Counters["shards"] != 3 {
@@ -50,6 +72,9 @@ func TestAnalyzeQueriesCtxTracedIdentical(t *testing.T) {
 	}
 	if ingested != int64(len(queries)) {
 		t.Fatalf("queries_ingested sums to %d, want %d", ingested, len(queries))
+	}
+	if hits != wantHits {
+		t.Fatalf("memo_hits sums to %d, want %d same-shard repeats", hits, wantHits)
 	}
 }
 

@@ -276,7 +276,8 @@ func FuzzSparqlEval(f *testing.F) {
 
 // FuzzShardMerge drives the shard/merge invariant with raw fuzz bytes
 // as the query stream: arbitrary (mostly invalid) queries plus forced
-// duplicates must still merge byte-identically to sequential.
+// duplicates must still merge byte-identically to sequential, whether
+// sharded or one analyzer per query.
 func FuzzShardMerge(f *testing.F) {
 	f.Add("SELECT * WHERE { ?x ex:p ?y . }\nnot a query\nSELECT ?x WHERE { ?x ex:q ex:n0 . }", int64(1))
 	f.Add("ASK { ?x ?y ?z }\nASK { ?x ?y ?z }", int64(2))
@@ -290,8 +291,8 @@ func FuzzShardMerge(f *testing.F) {
 		for i := 0; i < len(lines)/3+1; i++ {
 			qs = append(qs, lines[r.Intn(len(lines))])
 		}
-		for _, workers := range []int{2, 5} {
-			if diff := shardDiff("fuzz", qs, workers); diff != "" {
+		for _, side := range []shardSide{noReplay, sharded(2), sharded(5)} {
+			if diff := shardDiff("fuzz", qs, side); diff != "" {
 				t.Fatalf("shard/merge divergence: %s (queries %q)", diff, qs)
 			}
 		}
