@@ -137,17 +137,36 @@ func MergeShards(name string, shards []*Analyzer) *SourceReport {
 	return out
 }
 
-// ShardSplit deals a query stream round-robin into n shards (some may be
-// empty when n exceeds the stream length). Round-robin keeps every shard's
-// subsequence in stream order, so per-shard dedup sees first occurrences
+// ShardSplit splits a query stream into n shards (some may be empty),
+// sending each query to the shard picked by a 64-bit FNV-1a hash of its
+// raw string. The hash has no per-process seed, so a stream splits the
+// same way in every process. Every copy of a raw string lands in the
+// shard of its first occurrence, whose analyzer replays it from its
+// memo; only canonically equal strings spelled differently can be first
+// seen in more than one shard, and MergeShards corrects for those. Each
+// shard keeps stream order, so per-shard dedup sees first occurrences
 // first.
 func ShardSplit(queries []string, n int) [][]string {
 	if n < 1 {
 		n = 1
 	}
 	out := make([][]string, n)
-	for i, q := range queries {
-		out[i%n] = append(out[i%n], q)
+	for _, q := range queries {
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(q); i++ {
+			h ^= uint64(q[i])
+			h *= 1099511628211
+		}
+		// FNV's low bits depend only on the low bits of the input bytes
+		// (at n = 2, h%2 is the parity of the odd bytes) and its high
+		// bits barely on the last bytes, so a round of murmur3's
+		// finalizer mixes the high bits into the low ones before the
+		// modulus.
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		k := h % uint64(n)
+		out[k] = append(out[k], q)
 	}
 	return out
 }

@@ -9,9 +9,11 @@ import (
 )
 
 // TestAnalyzeQueriesCtxTracedIdentical pins that tracing is purely
-// observational: the traced sharded report equals the untraced sequential
-// one, and the span tree carries the per-shard and merge accounting,
-// memo hits included.
+// observational: the traced report at workers 1, 2 and 3 equals the
+// untraced sequential one, and the span tree carries the per-shard and
+// merge accounting. Every copy of a raw string meets its first
+// occurrence in one shard, so the memo hits always sum to the stream
+// length minus its distinct raw strings.
 func TestAnalyzeQueriesCtxTracedIdentical(t *testing.T) {
 	queries := []string{
 		"SELECT ?x WHERE { ?x <p> ?y }",
@@ -26,55 +28,53 @@ func TestAnalyzeQueriesCtxTracedIdentical(t *testing.T) {
 		"not a query",
 		"SELECT * WHERE { ?a <p> ?b }",
 	}
-	// a raw string seen before in its own shard is a memo hit
-	var wantHits int64
-	for _, part := range ShardSplit(queries, 3) {
-		inShard := map[string]bool{}
-		for _, q := range part {
-			if inShard[q] {
-				wantHits++
-			}
-			inShard[q] = true
-		}
+	distinct := map[string]bool{}
+	for _, q := range queries {
+		distinct[q] = true
 	}
-	if wantHits < 2 {
-		t.Fatalf("stream has %d same-shard repeats; the test needs at least 2", wantHits)
-	}
+	wantHits := int64(len(queries) - len(distinct))
 	want := AnalyzeQueries("t", queries, 1)
 
-	tr := &obs.Tracer{}
-	ctx, root := tr.StartRoot(context.Background(), "test")
-	got := AnalyzeQueriesCtx(ctx, "t", queries, 3)
-	root.Finish()
+	for _, workers := range []int{1, 2, 3} {
+		tr := &obs.Tracer{}
+		ctx, root := tr.StartRoot(context.Background(), "test")
+		got := AnalyzeQueriesCtx(ctx, "t", queries, workers)
+		root.Finish()
 
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("traced sharded report differs from sequential:\ngot  %+v\nwant %+v", got, want)
-	}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: traced report differs from sequential:\ngot  %+v\nwant %+v", workers, got, want)
+		}
 
-	tree := root.Tree()
-	var shards, merges int
-	var ingested, hits int64
-	for _, c := range tree.Children {
-		switch c.Name {
-		case "core.shard":
-			shards++
-			ingested += c.Counters["queries_ingested"]
-			hits += c.Counters["memo_hits"]
-		case "core.merge":
-			merges++
-			if c.Counters["shards"] != 3 {
-				t.Fatalf("merge shards counter = %d, want 3", c.Counters["shards"])
+		tree := root.Tree()
+		var shards, merges int
+		var ingested, hits int64
+		for _, c := range tree.Children {
+			switch c.Name {
+			case "core.shard":
+				shards++
+				ingested += c.Counters["queries_ingested"]
+				hits += c.Counters["memo_hits"]
+			case "core.merge":
+				merges++
+				if c.Counters["shards"] != int64(workers) {
+					t.Fatalf("workers=%d: merge shards counter = %d", workers, c.Counters["shards"])
+				}
 			}
 		}
-	}
-	if shards != 3 || merges != 1 {
-		t.Fatalf("span tree has %d shard and %d merge spans, want 3 and 1: %+v", shards, merges, tree.Children)
-	}
-	if ingested != int64(len(queries)) {
-		t.Fatalf("queries_ingested sums to %d, want %d", ingested, len(queries))
-	}
-	if hits != wantHits {
-		t.Fatalf("memo_hits sums to %d, want %d same-shard repeats", hits, wantHits)
+		wantMerges := 1
+		if workers == 1 {
+			wantMerges = 0
+		}
+		if shards != workers || merges != wantMerges {
+			t.Fatalf("workers=%d: span tree has %d shard and %d merge spans, want %d and %d: %+v",
+				workers, shards, merges, workers, wantMerges, tree.Children)
+		}
+		if ingested != int64(len(queries)) {
+			t.Fatalf("workers=%d: queries_ingested sums to %d, want %d", workers, ingested, len(queries))
+		}
+		if hits != wantHits {
+			t.Fatalf("workers=%d: memo_hits sums to %d, want %d raw repeats", workers, hits, wantHits)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package propertypath
 import (
 	"testing"
 
+	"repro/internal/automata"
 	"repro/internal/rdf"
 )
 
@@ -153,6 +154,24 @@ func TestInCtract(t *testing.T) {
 		if got := InCtract(MustParse(c.in)); got != c.want {
 			t.Errorf("InCtract(%q) = %v, want %v", c.in, got, c.want)
 		}
+	}
+}
+
+// TestTransitionMonoidLargeStateIDs: on a 107-state DFA where a swaps
+// states 5 and 105 and b swaps 6 and 106, the monoid is the four
+// functions {id, a, b, ab}. A key that kept only the last two decimal
+// digits of each state id would take a and b for the identity.
+func TestTransitionMonoidLargeStateIDs(t *testing.T) {
+	d := automata.NewDFA(107)
+	d.Alphabet = []string{"a", "b"}
+	for q := 0; q < d.NumStates; q++ {
+		d.Trans[q]["a"] = q
+		d.Trans[q]["b"] = q
+	}
+	d.Trans[5]["a"], d.Trans[105]["a"] = 105, 5
+	d.Trans[6]["b"], d.Trans[106]["b"] = 106, 6
+	if elements, _ := transitionMonoid(d); len(elements) != 4 {
+		t.Fatalf("monoid has %d elements, want 4", len(elements))
 	}
 }
 

@@ -1,6 +1,7 @@
 package propertypath
 
 import (
+	"encoding/binary"
 	"sort"
 	"strings"
 
@@ -93,14 +94,15 @@ func transitionMonoid(d *automata.DFA) (elements [][]int, finalOf func([]int) bo
 	for i := range id {
 		id[i] = i
 	}
-	key := func(f []int) string {
-		var b strings.Builder
+	// key writes f's full state ids as uvarints, a prefix-free code, so
+	// distinct functions never share a key.
+	var buf []byte
+	key := func(f []int) []byte {
+		buf = buf[:0]
 		for _, x := range f {
-			b.WriteByte(byte('0' + x%10))
-			b.WriteByte(byte('0' + (x/10)%10))
-			b.WriteByte(',')
+			buf = binary.AppendUvarint(buf, uint64(x))
 		}
-		return b.String()
+		return buf
 	}
 	gens := make([][]int, 0, len(d.Alphabet))
 	for _, a := range d.Alphabet {
@@ -110,7 +112,7 @@ func transitionMonoid(d *automata.DFA) (elements [][]int, finalOf func([]int) bo
 		}
 		gens = append(gens, g)
 	}
-	seen := map[string]bool{key(id): true}
+	seen := map[string]bool{string(key(id)): true}
 	elements = [][]int{id}
 	for i := 0; i < len(elements); i++ {
 		for _, g := range gens {
@@ -118,8 +120,8 @@ func transitionMonoid(d *automata.DFA) (elements [][]int, finalOf func([]int) bo
 			for q := 0; q < n; q++ {
 				comp[q] = g[elements[i][q]]
 			}
-			if k := key(comp); !seen[k] {
-				seen[k] = true
+			if k := key(comp); !seen[string(k)] {
+				seen[string(k)] = true
 				elements = append(elements, comp)
 			}
 		}
