@@ -1,8 +1,9 @@
 // Package cache implements the bounded, thread-safe LRU map behind the
 // service layer's two caches: the verdict cache, keyed on canonical
-// renderings of request inputs (the parsed input re-rendered, so
-// syntactically different but identical requests share an entry), and
-// the compile cache, keyed on raw request text. Hit/miss/eviction
+// renderings of containment inputs (the parsed input re-rendered, so
+// syntactically different but identical requests share an entry) and
+// on the fields of inference requests, and the compile cache, keyed on
+// raw request text. Hit/miss/eviction
 // counters feed the /metrics endpoint.
 package cache
 

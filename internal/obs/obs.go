@@ -153,13 +153,18 @@ func (s *Span) Start() time.Time {
 	return s.start
 }
 
-// TraceID renders the trace id shared by every span of the tree
-// ("" on nil).
+// TraceID renders the trace id shared by every span of the tree as 16
+// lowercase hex digits, as fmt's %016x would ("" on nil).
 func (s *Span) TraceID() string {
 	if s == nil {
 		return ""
 	}
-	return fmt.Sprintf("%016x", s.traceID)
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i, id := len(b)-1, s.traceID; i >= 0; i, id = i-1, id>>4 {
+		b[i] = digits[id&0xf]
+	}
+	return string(b[:])
 }
 
 // Duration returns the recorded duration for a finished span, or the

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +14,22 @@ import (
 	"testing"
 	"time"
 )
+
+// TestTraceIDFormat pins the hand-rolled hex rendering of TraceID to
+// fmt's %016x: the header, the flight recorder and the access log all
+// carry it, and trace lookups match on the exact text.
+func TestTraceIDFormat(t *testing.T) {
+	ids := []uint64{0, 1, 0xf, 0x10, 0xdeadbeef, math.MaxUint64}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		ids = append(ids, r.Uint64())
+	}
+	for _, id := range ids {
+		if got, want := (&Span{traceID: id}).TraceID(), fmt.Sprintf("%016x", id); got != want {
+			t.Fatalf("TraceID of %d = %q, want %q", id, got, want)
+		}
+	}
+}
 
 func TestNilSpanIsSafe(t *testing.T) {
 	var s *Span

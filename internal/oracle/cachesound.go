@@ -20,18 +20,20 @@ import (
 )
 
 // cacheSoundness checks that the service's caches never change an
-// answer. The verdict cache is keyed on canonical renderings and the
-// compile cache on raw request text, so a key collision, a stale alias
-// or a non-canonical String() would serve a wrong answer to every later
-// caller. Each trial draws two containment (regex, kore, dtd or
-// jsonschema), membership or validate bodies of one kind, each with a
-// spacing/parenthesis variant that has the same canonical key, and sends
-// them in turn to a warm server with two-entry caches: first, exact
-// repeats, the variants, a repeat after the verdicts were evicted and one
-// after the compile entries were. Every response must equal a cache-less
-// server's response to the same body, ignoring "cached" and
-// "elapsed_ms". For expression bodies it also checks that
-// parse(String(e)) renders the same key and is language-equivalent to e.
+// answer. The verdict cache is keyed on canonical renderings and on
+// infer requests' fields, and the compile cache on raw request text, so
+// a key collision, a stale alias or a non-canonical String() would
+// serve a wrong answer to every later caller. Each trial draws two
+// containment (regex, kore, dtd or jsonschema), membership, validate or
+// infer bodies of one kind, each with a variant that has the same key
+// (other spacing and parentheses, or for infer other whitespace and
+// field order), and sends them in turn to a warm server with two-entry
+// caches: first, exact repeats, the variants, a repeat after the
+// verdicts were evicted and one after the compile entries were. Every
+// response must equal a cache-less server's response to the same body,
+// ignoring "cached" and "elapsed_ms". For expression bodies it also
+// checks that parse(String(e)) renders the same key and is
+// language-equivalent to e.
 type cacheSoundness struct{}
 
 func (cacheSoundness) Name() string { return "cache-soundness" }
@@ -147,7 +149,7 @@ func randomProbes(r *rand.Rand) [2]probe {
 	jg := schemastudy.DefaultJSONSchemaGen()
 	var engine string
 	var draw func() side
-	switch r.Intn(6) {
+	switch r.Intn(7) {
 	case 0:
 		engine, draw = "regex", func() side { return exprSide(g.Random(r)) }
 	case 1:
@@ -167,6 +169,8 @@ func randomProbes(r *rand.Rand) [2]probe {
 				exprs:   []*regex.Expr{e.expr},
 			}
 		}, func() side { return exprSide(g.Random(r)) })
+	case 5:
+		return inferProbes(r, g)
 	default:
 		var d *dtd.DTD
 		return twoProbes(r, func(s side) probe {
@@ -207,6 +211,48 @@ func randomProbes(r *rand.Rand) [2]probe {
 			exprs:   exprs,
 		}
 	}, draw)
+}
+
+// inferProbes draws two /v1/infer probes. Each body's variant spells the
+// same request with other whitespace and field order, and leaves out a
+// zero k. Half the time the second probe carries the first's words in
+// another order, or the same words with another k, so a key that drops
+// k serves the first answer to the second. (A key that drops the order
+// would go unseen: no sample is known on which a learner's answer
+// depends on the word order.)
+func inferProbes(r *rand.Rand, g *regex.Gen) [2]probe {
+	algorithms := []string{"sore", "chare", "kore", "best-kore"}
+	build := func(algorithm string, k int, words [][]string) probe {
+		indented, err := json.MarshalIndent(words, " ", "\t")
+		if err != nil {
+			panic("oracle: unmarshalable words: " + err.Error())
+		}
+		variant := fmt.Sprintf("{ \"words\" :\n %s,\n  \"algorithm\": %q", indented, algorithm)
+		if k != 0 {
+			variant += fmt.Sprintf(", \"k\" : %d", k)
+		}
+		return probe{
+			kind: "infer/" + algorithm, path: "/v1/infer",
+			body:    mustJSON(map[string]any{"algorithm": algorithm, "k": k, "words": words}),
+			variant: variant + " }",
+		}
+	}
+	drawWords := func() [][]string {
+		words := memberTrialWords(g.Random(r), r)
+		r.Shuffle(len(words), func(i, j int) { words[i], words[j] = words[j], words[i] })
+		return words[:1+r.Intn(min(6, len(words)))]
+	}
+	algorithm, k, words := algorithms[r.Intn(len(algorithms))], r.Intn(4), drawWords()
+	first := build(algorithm, k, words)
+	switch r.Intn(4) {
+	case 0:
+		reordered := append([][]string(nil), words...)
+		r.Shuffle(len(reordered), func(i, j int) { reordered[i], reordered[j] = reordered[j], reordered[i] })
+		return [2]probe{first, build(algorithm, k, reordered)}
+	case 1:
+		return [2]probe{first, build(algorithm, (k+1+r.Intn(3))%4, words)}
+	}
+	return [2]probe{first, build(algorithms[r.Intn(len(algorithms))], r.Intn(4), drawWords())}
 }
 
 // twoProbes builds two probes around sides from draw; the second reuses
@@ -306,7 +352,8 @@ func (o cacheSoundness) Trial(r *rand.Rand) *Divergence {
 			}
 		}
 	}
-	if st := warm.CacheStats(); strings.HasPrefix(probes[0].kind, "containment/") && st.Hits == 0 {
+	kind := probes[0].kind
+	if st := warm.CacheStats(); (strings.HasPrefix(kind, "containment/") || strings.HasPrefix(kind, "infer/")) && st.Hits == 0 {
 		return &Divergence{
 			Input:  fmt.Sprintf("%s body=%s", probes[0].path, probes[0].body),
 			Detail: "the warm server never hit its verdict cache: the trial does not exercise the cache",

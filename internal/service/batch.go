@@ -114,7 +114,7 @@ func (s *Server) decide(ctx context.Context, op string, body []byte, explain boo
 	case "validate":
 		return s.decideValidate(ctx, body)
 	case "infer":
-		return decideInfer(ctx, body)
+		return s.decideInfer(ctx, body, explain)
 	}
 	return nil, errBadRequest("unknown op %q (want containment, membership, validate, or infer)", op)
 }

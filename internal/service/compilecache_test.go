@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -195,15 +197,82 @@ func TestVerdictLookupsMatchRequests(t *testing.T) {
 	}
 }
 
-// TestCompileCacheConcurrent shares one cached Matcher, one compiled DTD
-// and one containment alias among concurrent requests; every answer must
-// equal the first.
+// TestInferMemo pins the verdict-cache entry of /v1/infer: an exact
+// repeat is one hit answered with the same bytes, the same body as a
+// /v1/batch item hits that entry, and a body with the words in another
+// order or another k is a new key.
+func TestInferMemo(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	body := `{"algorithm":"best-kore","k":3,"words":[["a","b","a"],["b"],["a","a","b"]]}`
+	_, first := postRaw(t, ts.URL, "/v1/infer", "application/json", body)
+	if st := s.CacheStats(); st.Hits != 0 || st.Misses != 1 || st.Len != 1 {
+		t.Fatalf("after the first request: verdict cache %+v, want 1 miss and 1 entry", st)
+	}
+	code, second := postRaw(t, ts.URL, "/v1/infer", "application/json", body)
+	if code != 200 || !bytes.Equal(first, second) {
+		t.Fatalf("repeat answered %d %s, first answer %s", code, second, first)
+	}
+	if st := s.CacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("after the repeat: verdict cache %+v, want 1 hit", st)
+	}
+
+	code, raw := postRaw(t, ts.URL, "/v1/batch", "application/json", `{"items":[{"op":"infer","request":`+body+`}]}`)
+	var br rawBatchResponse
+	if err := json.Unmarshal(raw, &br); code != 200 || err != nil || len(br.Items) != 1 {
+		t.Fatalf("batch answered %d %s (%v)", code, raw, err)
+	}
+	if got := br.Items[0].Response; !bytes.Equal(got, bytes.TrimSpace(first)) {
+		t.Fatalf("batch item answered %s, /v1/infer %s", got, first)
+	}
+	if st := s.CacheStats(); st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("after the batch: verdict cache %+v, want the item to hit", st)
+	}
+
+	for _, other := range []string{
+		`{"algorithm":"best-kore","k":3,"words":[["b"],["a","b","a"],["a","a","b"]]}`,
+		`{"algorithm":"best-kore","k":2,"words":[["a","b","a"],["b"],["a","a","b"]]}`,
+		`{"algorithm":"kore","k":3,"words":[["a","b","a"],["b"],["a","a","b"]]}`,
+	} {
+		before := s.CacheStats()
+		postRaw(t, ts.URL, "/v1/infer", "application/json", other)
+		if st := s.CacheStats(); st.Hits != before.Hits || st.Len != before.Len+1 {
+			t.Fatalf("%s: verdict cache %+v -> %+v, want a new entry", other, before, st)
+		}
+	}
+}
+
+// TestInferMemoSkipsEndedContext checks that an inference answer
+// computed after its request's context ended is returned but not
+// stored, and that the same request under a live context is.
+func TestInferMemoSkipsEndedContext(t *testing.T) {
+	s := New(Config{Logger: discardLogger()})
+	body := []byte(`{"algorithm":"sore","words":[["a","b"],["b","a"]]}`)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, aerr := s.decideInfer(ctx, body, false); aerr != nil {
+		t.Fatalf("decideInfer: %d %s", aerr.status, aerr.msg)
+	}
+	if st := s.CacheStats(); st.Len != 0 {
+		t.Fatalf("an answer under an ended context was stored: %+v", st)
+	}
+	if _, aerr := s.decideInfer(context.Background(), body, false); aerr != nil {
+		t.Fatalf("decideInfer: %d %s", aerr.status, aerr.msg)
+	}
+	if st := s.CacheStats(); st.Len != 1 {
+		t.Fatalf("an answer under a live context was not stored: %+v", st)
+	}
+}
+
+// TestCompileCacheConcurrent shares one cached Matcher, one compiled DTD,
+// one containment alias and one inference answer among concurrent
+// requests; every answer must equal the first.
 func TestCompileCacheConcurrent(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxInFlight: 16})
 	reqs := []struct{ path, body string }{
 		{"/v1/membership", `{"expr":"(a|b)* a (a|b)","word":["b","a","b"]}`},
 		{"/v1/validate", `{"kind":"dtd","schema":"<!ELEMENT r ((a|b)*, a)> <!ELEMENT a EMPTY> <!ELEMENT b EMPTY>","docs":["r(b, a)","r(a, b)"]}`},
 		{"/v1/containment", `{"engine":"regex","left":"a b","right":"a (b|c)"}`},
+		{"/v1/infer", `{"algorithm":"chare","words":[["a","b"],["b","a","c"]]}`},
 	}
 	want := make([]string, len(reqs))
 	for i, r := range reqs {

@@ -98,17 +98,30 @@ func TestExplainSkipsCacheRead(t *testing.T) {
 }
 
 // TestExplainOtherEndpoints spot-checks that infer and analyze also
-// return traces with their engine spans.
+// return traces with their engine spans, infer also when a plain
+// request has already stored its answer in the verdict cache.
 func TestExplainOtherEndpoints(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	var infer struct {
-		inferResponse
-		Trace *obs.Node `json:"trace"`
-	}
-	post(t, ts.URL, "/v1/infer",
-		`{"algorithm":"sore","words":[["a","b"],["b","a"]],"explain":true}`, &infer)
-	if findSpan(infer.Trace, "inference.sore") == nil {
-		t.Fatalf("no inference.sore span: %+v", infer.Trace)
+	s, ts := newTestServer(t, Config{})
+	for _, warm := range []bool{false, true} {
+		if warm {
+			post(t, ts.URL, "/v1/infer", `{"algorithm":"sore","words":[["a","b"],["b","a"]]}`, nil)
+			if st := s.CacheStats(); st.Len != 1 {
+				t.Fatalf("the plain request stored no answer: %+v", st)
+			}
+		}
+		var infer struct {
+			inferResponse
+			Trace *obs.Node `json:"trace"`
+		}
+		before := s.CacheStats()
+		post(t, ts.URL, "/v1/infer",
+			`{"algorithm":"sore","words":[["a","b"],["b","a"]],"explain":true}`, &infer)
+		if findSpan(infer.Trace, "inference.sore") == nil {
+			t.Fatalf("warm=%v: no inference.sore span: %+v", warm, infer.Trace)
+		}
+		if st := s.CacheStats(); st.Hits != before.Hits || st.Misses != before.Misses {
+			t.Fatalf("warm=%v: the explain request read the verdict cache: %+v -> %+v", warm, before, st)
+		}
 	}
 	var analyze struct {
 		analyzeResponse

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -93,8 +94,10 @@ func FuzzObservabilityQuery(f *testing.F) {
 // FuzzDecide sends arbitrary raw bodies to the four decision endpoints
 // (/v1/containment, /v1/membership, /v1/validate and /v1/infer) of a
 // server that clamps every deadline to 50 ms. No input may panic or
-// answer a 5xx other than 503 or 504; every 200 body is JSON; and after
-// each input the admission slots and detached engines — the
+// answer a 5xx other than 503 or 504; every 200 body is JSON; an input
+// /v1/infer answers 200 is sent again, and a 200 repeat must carry the
+// same bytes (up to the trace of an explain request); and after each
+// input the admission slots and detached engines — the
 // rwdserve_inflight and rwdserve_detached_engines gauges — drain back
 // to zero.
 func FuzzDecide(f *testing.F) {
@@ -122,15 +125,37 @@ func FuzzDecide(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body string) {
 		for _, path := range []string{"/v1/containment", "/v1/membership", "/v1/validate", "/v1/infer"} {
-			w := httptest.NewRecorder()
-			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-			switch code := w.Code; {
+			code, raw := serve(h, path, body)
+			switch {
 			case code == http.StatusOK:
-				if !json.Valid(w.Body.Bytes()) {
-					t.Fatalf("POST %s: 200 with a body that is not JSON: %q", path, w.Body.Bytes())
+				if !json.Valid(raw) {
+					t.Fatalf("POST %s: 200 with a body that is not JSON: %q", path, raw)
 				}
 			case code >= 500 && code != http.StatusServiceUnavailable && code != http.StatusGatewayTimeout:
-				t.Fatalf("POST %s = %d: %s", path, code, w.Body.Bytes())
+				t.Fatalf("POST %s = %d: %s", path, code, raw)
+			}
+			if path != "/v1/infer" || code != http.StatusOK {
+				continue
+			}
+			// The first answer filled the verdict cache, unless its
+			// deadline had passed; an explain repeat runs the learner
+			// again under a new trace.
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &fields); err != nil {
+				t.Fatalf("POST %s: decoding %q: %v", path, raw, err)
+			}
+			_, explained := fields["trace"]
+			again, rawAgain := serve(h, path, body)
+			switch {
+			case again == http.StatusGatewayTimeout:
+			case again != http.StatusOK:
+				t.Fatalf("POST %s answered 200, then %d: %s", path, again, rawAgain)
+			case explained:
+				if got, want := decisionFields(t, rawAgain), decisionFields(t, raw); got != want {
+					t.Fatalf("POST %s explain repeat answered %s, first answer %s", path, got, want)
+				}
+			case !bytes.Equal(rawAgain, raw):
+				t.Fatalf("POST %s repeat answered %s, first answer %s", path, rawAgain, raw)
 			}
 		}
 		// Every engine was cancelled at the deadline; the ones still
@@ -166,13 +191,8 @@ func FuzzBatch(f *testing.F) {
 	} {
 		f.Add(body)
 	}
-	post := func(path, body string) (int, []byte) {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-		return w.Code, w.Body.Bytes()
-	}
 	f.Fuzz(func(t *testing.T, body string) {
-		code, raw := post("/v1/batch", body)
+		code, raw := serve(h, "/v1/batch", body)
 		switch {
 		case code == http.StatusOK:
 			if !json.Valid(raw) {
@@ -191,7 +211,7 @@ func FuzzBatch(f *testing.F) {
 				if item.Status != http.StatusOK {
 					continue
 				}
-				single, singleRaw := post("/v1/"+req.Items[i].Op, string(req.Items[i].Request))
+				single, singleRaw := serve(h, "/v1/"+req.Items[i].Op, string(req.Items[i].Request))
 				if single != http.StatusOK {
 					continue
 				}
@@ -208,6 +228,13 @@ func FuzzBatch(f *testing.F) {
 			time.Sleep(time.Millisecond)
 		}
 	})
+}
+
+// serve posts body to path on h and returns the status and body.
+func serve(h http.Handler, path, body string) (int, []byte) {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	return w.Code, w.Body.Bytes()
 }
 
 // decisionFields re-renders a decision response without the fields

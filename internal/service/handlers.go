@@ -224,12 +224,18 @@ func cacheKey(kind string, parts ...string) string {
 	b := make([]byte, 0, n)
 	b = append(b, kind...)
 	for _, p := range parts {
-		b = append(b, 0x1f)
-		b = strconv.AppendInt(b, int64(len(p)), 10)
-		b = append(b, ':')
-		b = append(b, p...)
+		b = appendKeyPart(b, p)
 	}
 	return string(b)
+}
+
+// appendKeyPart appends one part of a cache key: 0x1f, the part's
+// length in decimal, ':' and the part.
+func appendKeyPart(b []byte, p string) []byte {
+	b = append(b, 0x1f)
+	b = strconv.AppendInt(b, int64(len(p)), 10)
+	b = append(b, ':')
+	return append(b, p...)
 }
 
 // canonicalJSON re-renders a JSON document with sorted object keys and no
@@ -476,11 +482,18 @@ type inferResponse struct {
 
 func (s *Server) handleInfer(ctx context.Context, req *request) (any, *apiError) {
 	return runEngine(ctx, req, func(ctx context.Context) (any, *apiError) {
-		return decideInfer(ctx, req.body)
+		return s.decideInfer(ctx, req.body, req.env.Explain)
 	})
 }
 
-func decideInfer(ctx context.Context, body []byte) (any, *apiError) {
+// decideInfer runs the selected learner on the sample, consulting the
+// verdict cache under inferKey first. Shared by /v1/infer and /v1/batch.
+// The key holds the request's own fields only, so an entry is sound by
+// construction, as the compile cache's raw-text keys are. Explain
+// requests skip the read, so their trace shows the inference spans; an
+// answer is stored only when the request's deadline has not passed, and
+// only for keys up to maxCompileKey.
+func (s *Server) decideInfer(ctx context.Context, body []byte, explain bool) (any, *apiError) {
 	var req inferRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, errBadRequest("invalid JSON: %v", err)
@@ -498,6 +511,13 @@ func decideInfer(ctx context.Context, body []byte) (any, *apiError) {
 			if sym == "" {
 				return nil, errBadRequest("words[%d][%d]: empty symbol", i, j)
 			}
+		}
+	}
+	key := inferKey(&req)
+	useCache := len(key) <= maxCompileKey
+	if useCache && !explain {
+		if v, ok := s.cache.Get(key); ok {
+			return v, nil
 		}
 	}
 	sample := inference.Sample(req.Words)
@@ -521,12 +541,45 @@ func decideInfer(ctx context.Context, body []byte) (any, *apiError) {
 			return automata.Glushkov(e).IsDeterministic()
 		})
 	}
-	return inferResponse{
+	resp := inferResponse{
 		Algorithm:     req.Algorithm,
 		Expr:          e.String(),
 		K:             k,
 		Deterministic: automata.Glushkov(e).IsDeterministic(),
-	}, nil
+	}
+	if useCache && ctx.Err() == nil {
+		s.cache.Put(key, resp)
+	}
+	return resp, nil
+}
+
+// inferKey is the verdict-cache key of an infer request: the kind
+// "infer", the algorithm and the requested k as cacheKey parts, then
+// each word in request order as 0x1e, its symbol count, and each symbol
+// as a cacheKey part. Every field is delimited or length-prefixed, so
+// two requests share a key only if they carry the same algorithm, the
+// same k and the same sequence of words.
+func inferKey(req *inferRequest) string {
+	k := strconv.Itoa(req.K)
+	n := len("infer") + len(req.Algorithm) + len(k) + 16
+	for _, w := range req.Words {
+		n += 8
+		for _, sym := range w {
+			n += len(sym) + 8
+		}
+	}
+	b := make([]byte, 0, n)
+	b = append(b, "infer"...)
+	b = appendKeyPart(b, req.Algorithm)
+	b = appendKeyPart(b, k)
+	for _, w := range req.Words {
+		b = append(b, 0x1e)
+		b = strconv.AppendInt(b, int64(len(w)), 10)
+		for _, sym := range w {
+			b = appendKeyPart(b, sym)
+		}
+	}
+	return string(b)
 }
 
 // ---- POST /v1/analyze ----

@@ -18,7 +18,8 @@
 //   - request-size caps: bodies beyond MaxBodyBytes are rejected with 413;
 //   - two bounded caches: the verdict cache holds containment verdicts
 //     under canonical renderings of the parsed inputs, so syntactically
-//     different but identical requests hit; the compile cache holds
+//     different but identical requests hit, and inference answers under
+//     the algorithm, k and ordered word sample; the compile cache holds
 //     compiled membership matchers and DTDs, and aliases from raw
 //     containment texts to canonical keys, all under raw request text,
 //     so an exact repeat skips parsing and compiling;
@@ -122,7 +123,7 @@ type Server struct {
 	mux *http.ServeMux
 	reg *metrics.Registry
 	// cache is the verdict cache: containment verdicts under canonical
-	// keys. compiled is the compile cache: membership matchers, compiled
+	// keys and inference answers under inferKey. compiled is the compile cache: membership matchers, compiled
 	// DTDs and containment aliases (raw text → canonical key), under raw
 	// request text.
 	cache    *cache.Cache
@@ -172,13 +173,13 @@ func New(cfg Config) *Server {
 		"Engine goroutines still computing after their request ended; each holds its admission slot until it exits.",
 		func() float64 { return float64(s.detached.Load()) })
 	s.reg.CounterFunc("rwdserve_cache_hits_total",
-		"Verdict-cache hits.", func() float64 { return float64(s.cache.Stats().Hits) })
+		"Verdict-cache hits: containment verdicts and inference answers.", func() float64 { return float64(s.cache.Stats().Hits) })
 	s.reg.CounterFunc("rwdserve_cache_misses_total",
-		"Verdict-cache misses.", func() float64 { return float64(s.cache.Stats().Misses) })
+		"Verdict-cache misses: containment verdicts and inference answers.", func() float64 { return float64(s.cache.Stats().Misses) })
 	s.reg.CounterFunc("rwdserve_cache_evictions_total",
-		"Verdict-cache evictions.", func() float64 { return float64(s.cache.Stats().Evictions) })
+		"Verdict-cache evictions: containment verdicts and inference answers.", func() float64 { return float64(s.cache.Stats().Evictions) })
 	s.reg.GaugeFunc("rwdserve_cache_entries",
-		"Verdict-cache occupancy.", func() float64 { return float64(s.cache.Stats().Len) })
+		"Verdict-cache occupancy: containment verdicts and inference answers.", func() float64 { return float64(s.cache.Stats().Len) })
 	// One compile-cache lookup per membership request, per DTD validate
 	// request, and per non-explain containment request (its alias probe),
 	// for request texts up to maxCompileKey.
