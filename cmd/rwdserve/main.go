@@ -13,7 +13,7 @@
 //
 // Endpoints: POST /v1/containment /v1/membership /v1/validate /v1/infer
 // /v1/analyze /v1/batch /v1/corpora; GET /v1/corpora /v1/traces
-// /v1/traces/{id} /healthz /metrics.
+// /v1/traces/{id} /v1/stats /healthz /metrics.
 // With -store-dir the server opens (or creates) a persistent corpus
 // store there: POST /v1/corpora ingests triples or query logs, and
 // /v1/analyze accepts "corpus": "<name>" to analyze committed data

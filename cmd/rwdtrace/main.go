@@ -356,8 +356,8 @@ func cmdExport(args []string) error {
 
 // fetchSnapshot obtains a workload-profile snapshot. Against a live
 // server it calls GET /v1/stats; against a -trace-dir it replays the
-// NDJSON history through the same engine (default server configuration:
-// 60s window in 10 buckets), snapshotted at the newest trace's end so
+// NDJSON history through the same engine (the same fixed 60s window of
+// 10 buckets the server uses), snapshotted at the newest trace's end so
 // the live window reflects the tail of the log rather than wall clock.
 func fetchSnapshot(src *source, window, op, engine string) (*profile.Snapshot, error) {
 	if src.dir != "" {
@@ -365,7 +365,7 @@ func fetchSnapshot(src *source, window, op, engine string) (*profile.Snapshot, e
 		if err != nil {
 			return nil, err
 		}
-		eng := profile.Replay(traces, profile.Config{})
+		eng := profile.Replay(traces)
 		return eng.Snapshot(eng.LastSeen(), window, profile.Filter{Op: op, Engine: engine}), nil
 	}
 	v := url.Values{}

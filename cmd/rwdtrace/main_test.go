@@ -118,7 +118,7 @@ func TestFetchSnapshotDir(t *testing.T) {
 		t.Fatal("no live-window rows: snapshot must be taken at the log's tail, not wall clock")
 	}
 
-	eng := profile.Replay(traces, profile.Config{})
+	eng := profile.Replay(traces)
 	want := eng.Snapshot(eng.LastSeen(), profile.WindowAll, profile.Filter{})
 	got, _ := json.Marshal(snap)
 	wantJSON, _ := json.Marshal(want)

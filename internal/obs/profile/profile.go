@@ -8,38 +8,22 @@ import (
 	"repro/internal/obs/recorder"
 )
 
-// Config parameterizes an Engine. The zero value is usable: every field
-// has a documented default.
-type Config struct {
-	// BucketWidth is the width of one sliding-window ring bucket;
-	// <= 0 means 6s.
-	BucketWidth time.Duration
-	// WindowBuckets is the ring length; the sliding window spans
-	// BucketWidth * WindowBuckets; <= 0 means 10 (i.e. a 60s window).
-	WindowBuckets int
-}
+// Config is empty: the engine has no settings. It stays only so that
+// existing New(Config{}) calls keep compiling.
+type Config struct{}
 
-func (c Config) withDefaults() Config {
-	if c.BucketWidth <= 0 {
-		c.BucketWidth = 6 * time.Second
-	}
-	if c.WindowBuckets <= 0 {
-		c.WindowBuckets = 10
-	}
-	return c
-}
+// The sliding window spans windowBuckets ring buckets of bucketWidth
+// each: 60s in 10 buckets of 6s.
+const (
+	bucketWidth   = 6 * time.Second
+	windowBuckets = 10
+	windowSpan    = bucketWidth * windowBuckets
+)
 
 // key identifies one profiled series: the trace op (root span name with
 // "http." trimmed) and the engine that did the work ("" when none ran,
-// e.g. cache hits). Statuses are kept as sub-series inside the profile.
+// e.g. cache hits).
 type key struct{ op, engine string }
-
-// statusStats is one (op, engine, status) series: a request count and a
-// duration sketch.
-type statusStats struct {
-	count uint64
-	dur   *Sketch
-}
 
 // counterAgg is the distribution of one cost counter within a profile.
 type counterAgg struct {
@@ -47,26 +31,23 @@ type counterAgg struct {
 	sketch   *Sketch
 }
 
-// prof is the mutable per-(op, engine) profile: per-status duration
-// sketches plus per-counter distributions. It appears twice per key —
-// once per live ring bucket and once in the lifetime aggregate.
+// prof is the mutable per-(op, engine) profile: one duration sketch over
+// every status, a request count per status, and per-counter
+// distributions. It appears twice per key — once per live ring bucket
+// and once in the lifetime aggregate.
 type prof struct {
-	status   map[string]*statusStats
+	dur      *Sketch
+	statuses map[string]uint64
 	counters map[string]*counterAgg
 }
 
 func newProf() *prof {
-	return &prof{status: map[string]*statusStats{}, counters: map[string]*counterAgg{}}
+	return &prof{dur: &Sketch{}, statuses: map[string]uint64{}, counters: map[string]*counterAgg{}}
 }
 
 func (p *prof) observe(status string, durMS float64, counters map[string]int64) {
-	st := p.status[status]
-	if st == nil {
-		st = &statusStats{dur: &Sketch{}}
-		p.status[status] = st
-	}
-	st.count++
-	st.dur.Observe(durMS)
+	p.dur.Observe(durMS)
+	p.statuses[status]++
 	for name, v := range counters {
 		c := p.counters[name]
 		if c == nil {
@@ -84,14 +65,9 @@ func (p *prof) observe(status string, durMS float64, counters map[string]int64) 
 // merge folds other into p (used when the snapshot collapses the live
 // ring buckets into one window view).
 func (p *prof) merge(other *prof) {
-	for status, ost := range other.status {
-		st := p.status[status]
-		if st == nil {
-			st = &statusStats{dur: &Sketch{}}
-			p.status[status] = st
-		}
-		st.count += ost.count
-		st.dur.Merge(ost.dur)
+	p.dur.Merge(other.dur)
+	for status, n := range other.statuses {
+		p.statuses[status] += n
 	}
 	for name, oc := range other.counters {
 		c := p.counters[name]
@@ -128,36 +104,19 @@ type Exemplar struct {
 var bandNames = [4]string{"le_p50", "p50_p90", "p90_p99", "ge_p99"}
 
 // Engine is the live workload-profile aggregator. All methods are safe
-// for concurrent use; a nil *Engine is a disabled engine on which every
-// method is a no-op.
+// for concurrent use.
 type Engine struct {
-	cfg Config
-
 	mu       sync.Mutex
-	ring     []bucket
+	ring     [windowBuckets]bucket
 	life     map[key]*prof
 	exemplar map[key]*[4]Exemplar
 	observed int64
 	lastSeen time.Time // max trace End() observed
 }
 
-// New builds an Engine from cfg.
-func New(cfg Config) *Engine {
-	cfg = cfg.withDefaults()
-	return &Engine{
-		cfg:      cfg,
-		ring:     make([]bucket, cfg.WindowBuckets),
-		life:     map[key]*prof{},
-		exemplar: map[key]*[4]Exemplar{},
-	}
-}
-
-// Window returns the sliding-window span (BucketWidth * WindowBuckets).
-func (e *Engine) Window() time.Duration {
-	if e == nil {
-		return 0
-	}
-	return e.cfg.BucketWidth * time.Duration(e.cfg.WindowBuckets)
+// New builds an empty Engine.
+func New(Config) *Engine {
+	return &Engine{life: map[key]*prof{}, exemplar: map[key]*[4]Exemplar{}}
 }
 
 // Observe folds one finished trace into the profiles. The trace is
@@ -165,7 +124,7 @@ func (e *Engine) Window() time.Duration {
 // clock, so replaying the NDJSON log through a fresh engine reproduces
 // the live windows exactly.
 func (e *Engine) Observe(t *recorder.Trace) {
-	if e == nil || t == nil || t.Op == "" {
+	if t == nil || t.Op == "" {
 		return
 	}
 	end := t.End()
@@ -205,11 +164,10 @@ func isTimeout(status string) bool {
 // observation at time at, resetting the slot when it last held an older
 // window period.
 func (e *Engine) ringProfLocked(at time.Time, k key) *prof {
-	width := e.cfg.BucketWidth
-	aligned := at.Truncate(width)
-	slot := int((aligned.UnixNano() / int64(width)) % int64(len(e.ring)))
+	aligned := at.Truncate(bucketWidth)
+	slot := int((aligned.UnixNano() / int64(bucketWidth)) % windowBuckets)
 	if slot < 0 {
-		slot += len(e.ring)
+		slot += windowBuckets
 	}
 	b := &e.ring[slot]
 	if !b.start.Equal(aligned) {
@@ -225,14 +183,10 @@ func (e *Engine) ringProfLocked(at time.Time, k key) *prof {
 }
 
 // exemplarLocked files t into its duration quantile band (computed
-// against the key's lifetime sketch merged over statuses), keeping the
-// most recent trace per band.
+// against the key's lifetime duration sketch), keeping the most recent
+// trace per band.
 func (e *Engine) exemplarLocked(k key, lp *prof, t *recorder.Trace) {
-	merged := &Sketch{}
-	for _, st := range lp.status {
-		merged.Merge(st.dur)
-	}
-	p50, p90, p99 := merged.Quantile(0.50), merged.Quantile(0.90), merged.Quantile(0.99)
+	p50, p90, p99 := lp.dur.Quantile(0.50), lp.dur.Quantile(0.90), lp.dur.Quantile(0.99)
 	band := 0
 	switch d := t.DurationMS; {
 	case d >= p99:
@@ -254,9 +208,6 @@ func (e *Engine) exemplarLocked(k key, lp *prof, t *recorder.Trace) {
 // "now" an offline replay snapshots at so its windows match what the
 // live engine reported at that instant.
 func (e *Engine) LastSeen() time.Time {
-	if e == nil {
-		return time.Time{}
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.lastSeen
@@ -264,9 +215,6 @@ func (e *Engine) LastSeen() time.Time {
 
 // Observed returns the number of traces folded in.
 func (e *Engine) Observed() int64 {
-	if e == nil {
-		return 0
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.observed
@@ -276,8 +224,8 @@ func (e *Engine) Observed() int64 {
 // first, as recorder.ReadDir returns): the offline half of the live
 // surface — `rwdtrace stats -trace-dir` replays through the exact code
 // the server runs, so history and live windows agree by construction.
-func Replay(traces []*recorder.Trace, cfg Config) *Engine {
-	e := New(cfg)
+func Replay(traces []*recorder.Trace) *Engine {
+	e := New(Config{})
 	for _, t := range traces {
 		e.Observe(t)
 	}
@@ -335,7 +283,7 @@ func distStats(s *Sketch) DistStats {
 	}
 }
 
-// StatusCount is one status sub-series of a profile.
+// StatusCount is the request count of one status within a profile.
 type StatusCount struct {
 	Status string `json:"status"`
 	Count  uint64 `json:"count"`
@@ -351,7 +299,7 @@ type CounterProfile struct {
 }
 
 // OpProfile is one (op, engine) row of a snapshot: request and error
-// accounting, the duration distribution (merged across statuses), the
+// accounting, the duration distribution over every status, the
 // per-status breakdown, the per-counter distributions, and (lifetime
 // rows only) exemplar trace ids per duration quantile band.
 type OpProfile struct {
@@ -400,16 +348,13 @@ const (
 // engine snapshotted at its LastSeen reproduces what the live engine
 // reported at that instant.
 func (e *Engine) Snapshot(now time.Time, window string, f Filter) *Snapshot {
-	if e == nil {
-		return &Snapshot{SchemaVersion: SnapshotSchemaVersion, GeneratedAt: now, SketchRelError: RelError}
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
 	snap := &Snapshot{
 		SchemaVersion:  SnapshotSchemaVersion,
 		GeneratedAt:    now,
-		WindowSeconds:  e.Window().Seconds(),
+		WindowSeconds:  windowSpan.Seconds(),
 		SketchRelError: RelError,
 		Observed:       e.observed,
 	}
@@ -417,11 +362,10 @@ func (e *Engine) Snapshot(now time.Time, window string, f Filter) *Snapshot {
 		window = WindowAll
 	}
 	if window == WindowLive || window == WindowAll {
-		span := e.Window()
 		merged := map[key]*prof{}
 		for i := range e.ring {
 			b := &e.ring[i]
-			if b.start.IsZero() || b.start.After(now) || now.Sub(b.start) >= span {
+			if b.start.IsZero() || b.start.After(now) || now.Sub(b.start) >= windowSpan {
 				continue
 			}
 			for k, p := range b.profiles {
@@ -458,30 +402,27 @@ func (e *Engine) profilesLocked(profiles map[key]*prof, f Filter, exemplars bool
 	out := make([]OpProfile, 0, len(keys))
 	for _, k := range keys {
 		p := profiles[k]
-		row := OpProfile{Op: k.op, Engine: k.engine}
-		dur := &Sketch{}
-		statuses := make([]string, 0, len(p.status))
-		for status := range p.status {
+		row := OpProfile{Op: k.op, Engine: k.engine, DurationMS: distStats(p.dur)}
+		statuses := make([]string, 0, len(p.statuses))
+		for status := range p.statuses {
 			statuses = append(statuses, status)
 		}
 		sort.Strings(statuses)
 		for _, status := range statuses {
-			st := p.status[status]
-			row.Requests += st.count
+			n := p.statuses[status]
+			row.Requests += n
 			if isError(status) {
-				row.Errors += st.count
+				row.Errors += n
 			}
 			if isTimeout(status) {
-				row.Timeouts += st.count
+				row.Timeouts += n
 			}
-			dur.Merge(st.dur)
-			row.Statuses = append(row.Statuses, StatusCount{Status: status, Count: st.count})
+			row.Statuses = append(row.Statuses, StatusCount{Status: status, Count: n})
 		}
 		if row.Requests > 0 {
 			row.ErrorRate = float64(row.Errors) / float64(row.Requests)
 			row.TimeoutRate = float64(row.Timeouts) / float64(row.Requests)
 		}
-		row.DurationMS = distStats(dur)
 		names := make([]string, 0, len(p.counters))
 		for name := range p.counters {
 			names = append(names, name)

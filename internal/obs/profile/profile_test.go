@@ -3,6 +3,7 @@ package profile
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -36,36 +37,106 @@ func mkTrace(id, op, engine, status string, start time.Time, durMS float64, coun
 	}
 }
 
+// TestEngineWindowVsLifetime pins the fixed 60s window of 6s buckets:
+// snapshotted at LastSeen, a bucket starting under 60s earlier is in the
+// window and one starting 60s or more earlier is not, while the lifetime
+// row keeps every trace.
 func TestEngineWindowVsLifetime(t *testing.T) {
-	e := New(Config{BucketWidth: time.Second, WindowBuckets: 5})
-	// 3 old traces well outside the 5s window, 2 recent inside it.
-	for i := 0; i < 3; i++ {
-		e.Observe(mkTrace(fmt.Sprintf("old%d", i), "containment", "antichain", "200",
-			testEpoch, 10, map[string]int64{"states_expanded": 100}))
-	}
-	recent := testEpoch.Add(30 * time.Second)
-	for i := 0; i < 2; i++ {
-		e.Observe(mkTrace(fmt.Sprintf("new%d", i), "containment", "antichain", "200",
-			recent, 20, map[string]int64{"states_expanded": 200}))
+	e := New(Config{})
+	at := func(sec int) time.Time { return testEpoch.Add(time.Duration(sec) * time.Second) }
+	for _, tr := range []struct {
+		id  string
+		sec int
+	}{
+		{"old0", 0}, {"old1", 0}, {"old2", 0},
+		{"edge", 29}, // bucket starts at 24s, 66s before the snapshot
+		{"mid", 40},  // bucket starts at 36s, 54s before the snapshot
+		{"new0", 90}, {"new1", 90},
+	} {
+		e.Observe(mkTrace(tr.id, "containment", "antichain", "200",
+			at(tr.sec), 20, map[string]int64{"states_expanded": 100}))
 	}
 	snap := e.Snapshot(e.LastSeen(), WindowAll, Filter{})
+	if snap.WindowSeconds != 60 {
+		t.Errorf("window_seconds = %g, want 60", snap.WindowSeconds)
+	}
 	if len(snap.Lifetime) != 1 {
 		t.Fatalf("lifetime rows = %d, want 1", len(snap.Lifetime))
 	}
-	if got := snap.Lifetime[0].Requests; got != 5 {
-		t.Errorf("lifetime requests = %d, want 5", got)
+	if got := snap.Lifetime[0].Requests; got != 7 {
+		t.Errorf("lifetime requests = %d, want 7", got)
 	}
 	if len(snap.Window) != 1 {
 		t.Fatalf("window rows = %d, want 1", len(snap.Window))
 	}
-	if got := snap.Window[0].Requests; got != 2 {
-		t.Errorf("window requests = %d, want 2 (old traces must have aged out)", got)
+	if got := snap.Window[0].Requests; got != 3 {
+		t.Errorf("window requests = %d, want 3 (old and edge traces must have aged out)", got)
 	}
 	if eng := snap.Window[0].Engine; eng != "antichain" {
 		t.Errorf("engine = %q, want antichain", eng)
 	}
-	if snap.Observed != 5 {
-		t.Errorf("observed = %d, want 5", snap.Observed)
+	if snap.Observed != 7 {
+		t.Errorf("observed = %d, want 7", snap.Observed)
+	}
+}
+
+// TestRowDurationIsOneSketch: with mixed statuses, a row's duration_ms is
+// what one Sketch fed every duration of the row reports, in both the
+// window and the lifetime view, and its status counts sum to requests.
+func TestRowDurationIsOneSketch(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	statuses := []string{"200", "400", "429", "504"}
+	e := New(Config{})
+	want := &Sketch{}
+	for i := 0; i < 3000; i++ {
+		d := math.Exp(rng.NormFloat64() * 1.5)
+		want.Observe(d)
+		e.Observe(mkTrace(fmt.Sprintf("t%d", i), "containment", "antichain", statuses[rng.Intn(len(statuses))],
+			testEpoch.Add(time.Duration(i)*10*time.Millisecond), d, nil))
+	}
+	snap := e.Snapshot(e.LastSeen(), WindowAll, Filter{})
+	for view, rows := range map[string][]OpProfile{"window": snap.Window, "lifetime": snap.Lifetime} {
+		if len(rows) != 1 {
+			t.Fatalf("%s rows = %d, want 1", view, len(rows))
+		}
+		row := rows[0]
+		got, exp := row.DurationMS, distStats(want)
+		if got.Count != exp.Count || got.Min != exp.Min || got.Max != exp.Max ||
+			got.P50 != exp.P50 || got.P90 != exp.P90 || got.P99 != exp.P99 {
+			t.Errorf("%s duration_ms = %+v, want %+v", view, got, exp)
+		}
+		if rel := math.Abs(got.Sum-exp.Sum) / exp.Sum; rel > 1e-12 {
+			t.Errorf("%s sum = %g, want %g (rel diff %g)", view, got.Sum, exp.Sum, rel)
+		}
+		var n uint64
+		for _, sc := range row.Statuses {
+			n += sc.Count
+		}
+		if len(row.Statuses) != len(statuses) || n != row.Requests || row.Requests != 3000 {
+			t.Errorf("%s statuses %v sum to %d, requests %d, want 3000", view, row.Statuses, n, row.Requests)
+		}
+	}
+}
+
+// TestObserveRepeatAllocs pins Observe on a repeat series (same key,
+// status, counters and ring bucket) at the allocations of the
+// counter-sum map TraceCounters builds, and nothing else: picking the
+// exemplar band reads the row's one duration sketch, so nothing is
+// merged per call. A map with entries costs two allocations (its header
+// and its first slot group), so the bound is measured, not written down.
+func TestObserveRepeatAllocs(t *testing.T) {
+	e := New(Config{})
+	statuses := []string{"200", "400", "404", "408", "429", "504"}
+	for i := 0; i < 2000; i++ {
+		e.Observe(mkTrace(fmt.Sprintf("w%d", i), "containment", "antichain", statuses[i%len(statuses)],
+			testEpoch.Add(time.Duration(i)*time.Millisecond), float64(1+i%50),
+			map[string]int64{"states_expanded": int64(i % 100)}))
+	}
+	tr := mkTrace("repeat", "containment", "antichain", "200", testEpoch.Add(2*time.Second), 7,
+		map[string]int64{"states_expanded": 40})
+	mapAllocs := testing.AllocsPerRun(1000, func() { _ = recorder.TraceCounters(tr.Root) })
+	if allocs := testing.AllocsPerRun(1000, func() { e.Observe(tr) }); allocs > mapAllocs {
+		t.Fatalf("Observe on a repeat series: %.1f allocs, want <= %.1f (the counter-sum map)", allocs, mapAllocs)
 	}
 }
 
@@ -96,7 +167,7 @@ func TestEngineReplayAgreement(t *testing.T) {
 	for _, tr := range traces {
 		live.Observe(tr)
 	}
-	replayed := Replay(traces, Config{})
+	replayed := Replay(traces)
 
 	at := live.LastSeen()
 	if !at.Equal(replayed.LastSeen()) {
@@ -215,18 +286,6 @@ func TestEngineExemplars(t *testing.T) {
 		if len(row.Exemplars) != 0 {
 			t.Errorf("window row has exemplars: %+v", row.Exemplars)
 		}
-	}
-}
-
-func TestNilEngineSafe(t *testing.T) {
-	var e *Engine
-	e.Observe(mkTrace("x", "op", "", "200", testEpoch, 1, nil))
-	if e.Observed() != 0 || e.Window() != 0 {
-		t.Fatal("nil engine must be inert")
-	}
-	snap := e.Snapshot(testEpoch, WindowAll, Filter{})
-	if snap == nil || snap.SchemaVersion != SnapshotSchemaVersion {
-		t.Fatal("nil engine snapshot must still be well-formed")
 	}
 }
 

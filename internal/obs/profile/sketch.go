@@ -1,9 +1,9 @@
 // Package profile is the live workload-profile engine: it subscribes to
 // the same finished-trace feed as the flight recorder and maintains
 // distributional statistics over it — sliding-window and process-lifetime
-// per-(op, engine, status) profiles with quantile sketches for duration
-// and for every algorithmic cost counter, and exemplar trace ids per
-// quantile band.
+// per-(op, engine) rows, each with per-status request counts, one
+// quantile sketch for duration and one for every algorithmic cost
+// counter, and exemplar trace ids per quantile band.
 //
 // It reports only what it measures. It fits no cost model: on the
 // benchmark's decide streams no counter's linear fit predicted held-out
@@ -176,12 +176,4 @@ func (s *Sketch) Merge(other *Sketch) {
 	for i, c := range other.counts {
 		s.counts[i] += c
 	}
-}
-
-// Clone returns an independent copy (used by snapshots so the live
-// sketch can keep mutating).
-func (s *Sketch) Clone() *Sketch {
-	c := *s
-	c.counts = append([]uint64(nil), s.counts...)
-	return &c
 }

@@ -126,17 +126,6 @@ func TestSketchMergeEqualsCombined(t *testing.T) {
 	}
 }
 
-func TestSketchClone(t *testing.T) {
-	s := &Sketch{}
-	s.Observe(1)
-	s.Observe(2)
-	c := s.Clone()
-	s.Observe(1000)
-	if c.Count() != 2 || c.Max() != 2 {
-		t.Fatal("clone shares state with original")
-	}
-}
-
 // TestSketchRangeClamp: values outside [2^-10, 2^30] still count, and
 // their quantile estimates clamp to the exact observed extremes.
 func TestSketchRangeClamp(t *testing.T) {

@@ -92,7 +92,11 @@ func (s *Server) runBatchItem(ctx context.Context, req *request, i int, it batch
 	span.SetAttr("index", strconv.Itoa(i))
 	defer span.Finish()
 	v, aerr := runEngine(ctx, req, func(ctx context.Context) (any, *apiError) {
-		return s.decide(ctx, it.Op, it.Request, req.env.Explain)
+		decide := decideOps[it.Op]
+		if decide == nil {
+			return nil, errBadRequest("unknown op %q (want containment, membership, validate, or infer)", it.Op)
+		}
+		return decide(s, ctx, it.Request, req.env.Explain)
 	})
 	if aerr != nil {
 		out.Status, out.Error = aerr.status, aerr.msg
@@ -100,21 +104,4 @@ func (s *Server) runBatchItem(ctx context.Context, req *request, i int, it batch
 	}
 	out.Status, out.Response = http.StatusOK, v
 	return out
-}
-
-// decide dispatches one decision body to the op's decide function — the
-// same code path the dedicated endpoint runs, including the per-item
-// cache lookups.
-func (s *Server) decide(ctx context.Context, op string, body []byte, explain bool) (any, *apiError) {
-	switch op {
-	case "containment":
-		return s.decideContainment(ctx, body, explain)
-	case "membership":
-		return s.decideMembership(ctx, body)
-	case "validate":
-		return s.decideValidate(ctx, body)
-	case "infer":
-		return s.decideInfer(ctx, body, explain)
-	}
-	return nil, errBadRequest("unknown op %q (want containment, membership, validate, or infer)", op)
 }

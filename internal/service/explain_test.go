@@ -173,10 +173,10 @@ func TestWithTraceMatchesMapMerge(t *testing.T) {
 		op, body, query string
 		h               handlerFunc
 	}{
-		{"containment", `{"engine":"regex","left":"a b","right":"a (b|c)","explain":true}`, "", s.handleContainment},
-		{"membership", `{"expr":"(a|b)* a","word":["b","a"],"explain":true}`, "", s.handleMembership},
-		{"validate", `{"kind":"dtd","schema":"<!ELEMENT r (a*)> <!ELEMENT a EMPTY>","docs":["r(a, a)","r(r)"],"explain":true}`, "", s.handleValidate},
-		{"infer", `{"algorithm":"sore","words":[["a","b"],["b"]],"explain":true}`, "", s.handleInfer},
+		{"containment", `{"engine":"regex","left":"a b","right":"a (b|c)","explain":true}`, "", s.decideHandler(decideOps["containment"])},
+		{"membership", `{"expr":"(a|b)* a","word":["b","a"],"explain":true}`, "", s.decideHandler(decideOps["membership"])},
+		{"validate", `{"kind":"dtd","schema":"<!ELEMENT r (a*)> <!ELEMENT a EMPTY>","docs":["r(a, a)","r(r)"],"explain":true}`, "", s.decideHandler(decideOps["validate"])},
+		{"infer", `{"algorithm":"sore","words":[["a","b"],["b"]],"explain":true}`, "", s.decideHandler(decideOps["infer"])},
 		{"analyze", `{"name":"mix","queries":["SELECT ?x WHERE { ?x ?p ?y }","ASK { ?a ?b ?c }"],"explain":true}`, "", s.handleAnalyze},
 		{"analyze", "SELECT ?x WHERE { ?x ?p ?y }\nnot sparql\n", "name=log&workers=1&explain=true", s.handleAnalyze},
 		{"batch", `{"explain":true,` + batchBody(t)[1:], "", s.handleBatch},
@@ -231,7 +231,7 @@ func TestAccessLogQuotesPathAndTrace(t *testing.T) {
 	var buf bytes.Buffer
 	logger := log.New(&buf, "", 0)
 	s := New(Config{Logger: logger})
-	h := s.endpoint("containment", s.handleContainment)
+	h := s.endpoint("containment", s.decideHandler(decideOps["containment"]))
 	req := httptest.NewRequest("POST", "/v1/containment", strings.NewReader(`{}`))
 	req.URL.Path = "/v1/containment\nlevel=error forged=1"
 	h.ServeHTTP(httptest.NewRecorder(), req)

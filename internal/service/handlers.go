@@ -33,6 +33,29 @@ const jsonschemaSamples = 200
 // same functions once per item, so a batch verdict is identical to the
 // verdict the dedicated endpoint would have produced.
 
+// decideFunc decides one endpoint body; explain is the request
+// envelope's explain flag.
+type decideFunc func(s *Server, ctx context.Context, body []byte, explain bool) (any, *apiError)
+
+// decideOps is the table of decision ops: New serves each on
+// POST /v1/<op>, and /v1/batch dispatches its items through it.
+var decideOps = map[string]decideFunc{
+	"containment": (*Server).decideContainment,
+	"membership":  (*Server).decideMembership,
+	"validate":    (*Server).decideValidate,
+	"infer":       (*Server).decideInfer,
+}
+
+// decideHandler serves one decision op: its decide function under the
+// runEngine deadline harness.
+func (s *Server) decideHandler(decide decideFunc) handlerFunc {
+	return func(ctx context.Context, req *request) (any, *apiError) {
+		return runEngine(ctx, req, func(ctx context.Context) (any, *apiError) {
+			return decide(s, ctx, req.body, req.env.Explain)
+		})
+	}
+}
+
 // ---- POST /v1/containment ----
 
 type containmentRequest struct {
@@ -59,12 +82,6 @@ type containmentResponse struct {
 	Witness   string  `json:"witness,omitempty"`
 	Cached    bool    `json:"cached"`
 	ElapsedMS float64 `json:"elapsed_ms"`
-}
-
-func (s *Server) handleContainment(ctx context.Context, req *request) (any, *apiError) {
-	return runEngine(ctx, req, func(ctx context.Context) (any, *apiError) {
-		return s.decideContainment(ctx, req.body, req.env.Explain)
-	})
 }
 
 // decideContainment parses one containment instance, consults the
@@ -268,15 +285,9 @@ type membershipResponse struct {
 	Deterministic bool `json:"deterministic"`
 }
 
-func (s *Server) handleMembership(ctx context.Context, req *request) (any, *apiError) {
-	return runEngine(ctx, req, func(ctx context.Context) (any, *apiError) {
-		return s.decideMembership(ctx, req.body)
-	})
-}
-
 // decideMembership answers from the expression's compiled Matcher,
 // cached under the raw expression text.
-func (s *Server) decideMembership(_ context.Context, body []byte) (any, *apiError) {
+func (s *Server) decideMembership(_ context.Context, body []byte, _ bool) (any, *apiError) {
 	var req membershipRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, errBadRequest("invalid JSON: %v", err)
@@ -355,15 +366,9 @@ type validateResponse struct {
 	Results []validateResult `json:"results"`
 }
 
-func (s *Server) handleValidate(ctx context.Context, req *request) (any, *apiError) {
-	return runEngine(ctx, req, func(ctx context.Context) (any, *apiError) {
-		return s.decideValidate(ctx, req.body)
-	})
-}
-
 // decideValidate validates every document. A DTD is compiled once per
 // schema text and root, and cached.
-func (s *Server) decideValidate(ctx context.Context, body []byte) (any, *apiError) {
+func (s *Server) decideValidate(ctx context.Context, body []byte, _ bool) (any, *apiError) {
 	var req validateRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, errBadRequest("invalid JSON: %v", err)
@@ -478,12 +483,6 @@ type inferResponse struct {
 	Expr          string `json:"expr"`
 	K             int    `json:"k,omitempty"`
 	Deterministic bool   `json:"deterministic"`
-}
-
-func (s *Server) handleInfer(ctx context.Context, req *request) (any, *apiError) {
-	return runEngine(ctx, req, func(ctx context.Context) (any, *apiError) {
-		return s.decideInfer(ctx, req.body, req.env.Explain)
-	})
 }
 
 // decideInfer runs the selected learner on the sample, consulting the

@@ -49,10 +49,6 @@ import (
 	"repro/internal/store"
 )
 
-// profileWindow is the sliding-window span of the workload-profile
-// engine behind GET /v1/stats, split into 10 ring buckets.
-const profileWindow = time.Minute
-
 // Config parameterizes the server. The zero value is usable: every field
 // falls back to the documented default.
 type Config struct {
@@ -134,9 +130,9 @@ type Server struct {
 	// /v1/traces; nil when Config.TraceCapacity < 0.
 	flight *recorder.Ring
 	// profile is the always-on workload-profile engine behind GET
-	// /v1/stats: windowed per-(op, engine, status) statistics, quantile
-	// sketches and exemplars over the same finished-trace feed the
-	// recorder consumes.
+	// /v1/stats: windowed per-(op, engine) statistics with per-status
+	// counts, quantile sketches and exemplars over the same
+	// finished-trace feed the recorder consumes.
 	profile *profile.Engine
 	// started anchors the uptime reported by /healthz.
 	started time.Time
@@ -218,10 +214,7 @@ func New(cfg Config) *Server {
 	// The workload-profile engine aggregates the same finished-trace
 	// feed into windowed per-op statistics, quantile sketches and
 	// exemplars (GET /v1/stats). Always on, like the recorder.
-	s.profile = profile.New(profile.Config{
-		BucketWidth:   profileWindow / 10,
-		WindowBuckets: 10,
-	})
+	s.profile = profile.New(profile.Config{})
 	// rwd_op_duration_seconds is the one request histogram: every
 	// request, whatever its outcome (429, 413, 504, 408 included), is
 	// counted once, at its root span's finish. The per-endpoint request,
@@ -293,10 +286,9 @@ func New(cfg Config) *Server {
 		"Constant 1; build information is carried in the labels.",
 		"go_version").With(runtime.Version()).Set(1)
 
-	s.mux.Handle("POST /v1/containment", s.endpoint("containment", s.handleContainment))
-	s.mux.Handle("POST /v1/membership", s.endpoint("membership", s.handleMembership))
-	s.mux.Handle("POST /v1/validate", s.endpoint("validate", s.handleValidate))
-	s.mux.Handle("POST /v1/infer", s.endpoint("infer", s.handleInfer))
+	for op, decide := range decideOps {
+		s.mux.Handle("POST /v1/"+op, s.endpoint(op, s.decideHandler(decide)))
+	}
 	s.mux.Handle("POST /v1/analyze", s.endpoint("analyze", s.handleAnalyze))
 	s.mux.Handle("POST /v1/batch", s.endpoint("batch", s.handleBatch))
 	s.mux.Handle("GET /v1/corpora", s.endpoint("corpora", s.handleCorporaList))

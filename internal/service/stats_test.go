@@ -255,10 +255,7 @@ func TestStatsQuantilesMatchOffline(t *testing.T) {
 
 	// Replay the NDJSON through a fresh engine (what `rwdtrace stats
 	// -trace-dir` does) and compare snapshots at the same instant.
-	replayed := profile.Replay(traces, profile.Config{
-		BucketWidth:   6 * time.Second,
-		WindowBuckets: 10,
-	})
+	replayed := profile.Replay(traces)
 	at := s.Profile().LastSeen()
 	if !at.Equal(replayed.LastSeen()) {
 		t.Fatalf("LastSeen: live %v != replayed %v", at, replayed.LastSeen())
