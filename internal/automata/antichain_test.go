@@ -2,6 +2,8 @@ package automata
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -190,6 +192,43 @@ func TestAntichainCountersDeterministic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// searchGoldenDigest is the SHA-256 of the lines TestAntichainSearchGolden
+// writes. A change means the search visits other pairs, or in another
+// order: a changed verdict or cost counter, not a flaky test.
+const searchGoldenDigest = "1858c7d339067e873e0407142c0435f119ef4dbfd609c6fc6bf4886dc620a0c4"
+
+// TestAntichainSearchGolden hashes the verdict and the three cost
+// counters of ContainsCtx on ~3,000 seeded pairs with ∅ and ε
+// subexpressions, half of them (e1, e1|e2) so the search runs to its
+// end, plus every costFamilies pair.
+func TestAntichainSearchGolden(t *testing.T) {
+	h := sha256.New()
+	record := func(e1, e2 *regex.Expr) {
+		ok, tree := tracedContains(t, ContainsCtx, e1, e2)
+		c := costCounters(tree)
+		fmt.Fprintf(h, "%s\t%s\t%v\t%d %d %d\n", e1, e2, ok, c[0], c[1], c[2])
+	}
+	r := rand.New(rand.NewSource(34))
+	g := regex.DefaultGen([]string{"a", "b", "c", "d"})
+	for i := 0; i < 3000; i++ {
+		g.MaxDepth = 1 + r.Intn(6)
+		e1 := sprinkleVoid(r, g.Random(r))
+		e2 := sprinkleVoid(r, g.Random(r))
+		if i%2 == 0 {
+			e2 = regex.NewUnion(e1, e2)
+		}
+		record(e1, e2)
+	}
+	for _, f := range costFamilies() {
+		for _, p := range f.pairs {
+			record(p[0], p[1])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != searchGoldenDigest {
+		t.Fatalf("search digest = %s, want %s", got, searchGoldenDigest)
 	}
 }
 

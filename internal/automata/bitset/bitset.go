@@ -1,20 +1,15 @@
-// Package bitset provides word-packed state sets and a hash-consing
-// interner for the automata engines. A subset-state of an n-state NFA
-// is a StateSet over ⌈n/64⌉ uint64 words; the Interner canonicalizes
-// equal sets to small dense integer ids, so the antichain containment
-// engine can represent a subset-state as one int, compare sets with a
-// word-wise subset test, and look transitions up in flat arrays instead
-// of maps keyed by formatted strings.
+// Package bitset provides the word-packed state sets of the automata
+// engines. A set over an n-state universe is a StateSet of ⌈n/64⌉
+// uint64 words, so the containment engine can store whole tables of
+// them in flat []uint64 slabs, compare sets with a word-wise subset
+// test, and take a successor set as a handful of word ANDs and ORs.
 package bitset
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // StateSet is a fixed-universe bitset: bit i set means state i is a
 // member. All binary operations require both operands to come from the
-// same universe (equal word length); New and Interner enforce that.
+// same universe (equal word length).
 type StateSet []uint64
 
 // New returns an empty StateSet for a universe of n states.
@@ -42,11 +37,15 @@ func (s StateSet) UnionWith(o StateSet) {
 	}
 }
 
-// IntersectWith removes every member of s not in o.
-func (s StateSet) IntersectWith(o StateSet) {
-	for i, w := range o {
-		s[i] &= w
+// And sets s to a ∩ b and reports whether the result is nonempty.
+func (s StateSet) And(a, b StateSet) bool {
+	var or uint64
+	for i, w := range a {
+		w &= b[i]
+		s[i] = w
+		or |= w
 	}
+	return or != 0
 }
 
 // Intersects reports whether s and o share a member.
@@ -92,118 +91,22 @@ func (s StateSet) Empty() bool {
 	return true
 }
 
-// Len returns the number of members.
-func (s StateSet) Len() int {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
+// Next returns the least member ≥ i, or -1 when there is none, so
+//
+//	for q := s.Next(0); q >= 0; q = s.Next(q + 1)
+//
+// visits the members in increasing order.
+func (s StateSet) Next(i int) int {
+	k := i >> 6
+	if k >= len(s) {
+		return -1
 	}
-	return n
-}
-
-// ForEach calls f for every member in increasing order.
-func (s StateSet) ForEach(f func(int)) {
-	for i, w := range s {
-		base := i << 6
-		for w != 0 {
-			f(base + bits.TrailingZeros64(w))
-			w &= w - 1
+	w := s[k] &^ (1<<(uint(i)&63) - 1)
+	for w == 0 {
+		if k++; k == len(s) {
+			return -1
 		}
+		w = s[k]
 	}
-}
-
-// Members returns the sorted member list (nil for the empty set).
-func (s StateSet) Members() []int {
-	var out []int
-	s.ForEach(func(i int) { out = append(out, i) })
-	return out
-}
-
-// Clone returns an independent copy.
-func (s StateSet) Clone() StateSet {
-	out := make(StateSet, len(s))
-	copy(out, s)
-	return out
-}
-
-// Hash returns an FNV-1a hash over the words, suitable for the
-// interner's bucket index.
-func (s StateSet) Hash() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, w := range s {
-		for i := 0; i < 8; i++ {
-			h ^= w & 0xff
-			h *= prime
-			w >>= 8
-		}
-	}
-	return h
-}
-
-// Interner hash-conses StateSets of a fixed universe: structurally
-// equal sets always receive the same small dense id, so engines can
-// compare subset-states as ints and index side tables by id. Safe for
-// concurrent use.
-type Interner struct {
-	words int
-
-	mu     sync.RWMutex
-	byHash map[uint64][]int
-	sets   []StateSet
-}
-
-// NewInterner returns an interner for sets over a universe of n states.
-func NewInterner(n int) *Interner {
-	return &Interner{words: (n + 63) / 64, byHash: map[uint64][]int{}}
-}
-
-// Intern returns the canonical id of s, allocating a fresh id (and a
-// private copy of s, so the caller may keep mutating its scratch set)
-// the first time this set value is seen. fresh reports whether the id
-// was newly allocated.
-func (in *Interner) Intern(s StateSet) (id int, fresh bool) {
-	if len(s) != in.words {
-		panic("bitset: Intern called with a set from a different universe")
-	}
-	h := s.Hash()
-	in.mu.RLock()
-	for _, id := range in.byHash[h] {
-		if in.sets[id].Equal(s) {
-			in.mu.RUnlock()
-			return id, false
-		}
-	}
-	in.mu.RUnlock()
-
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	// re-check under the write lock: another goroutine may have won
-	for _, id := range in.byHash[h] {
-		if in.sets[id].Equal(s) {
-			return id, false
-		}
-	}
-	id = len(in.sets)
-	in.sets = append(in.sets, s.Clone())
-	in.byHash[h] = append(in.byHash[h], id)
-	return id, true
-}
-
-// Set returns the canonical set for id. The returned set is shared and
-// must not be mutated.
-func (in *Interner) Set(id int) StateSet {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.sets[id]
-}
-
-// Len returns the number of distinct sets interned so far.
-func (in *Interner) Len() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return len(in.sets)
+	return k<<6 + bits.TrailingZeros64(w)
 }

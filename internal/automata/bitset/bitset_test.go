@@ -2,7 +2,6 @@ package bitset
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -21,6 +20,16 @@ func randomPair(r *rand.Rand, n int) (StateSet, modelSet) {
 	return s, m
 }
 
+// members lists s by Next, in the order Next visits them.
+func members(s StateSet) []int {
+	var out []int
+	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
+		out = append(out, i)
+	}
+	return out
+}
+
+// agree checks Has, Empty and Next iteration of s against the model.
 func agree(t *testing.T, s StateSet, m modelSet, n int, what string) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -28,12 +37,29 @@ func agree(t *testing.T, s StateSet, m modelSet, n int, what string) {
 			t.Fatalf("%s: Has(%d) = %v, model = %v", what, i, s.Has(i), m[i])
 		}
 	}
-	if s.Len() != len(m) {
-		t.Fatalf("%s: Len = %d, model = %d", what, s.Len(), len(m))
+	if s.Empty() != (len(m) == 0) {
+		t.Fatalf("%s: Empty = %v, model has %d members", what, s.Empty(), len(m))
+	}
+	got := members(s)
+	for j := 1; j < len(got); j++ {
+		if got[j-1] >= got[j] {
+			t.Fatalf("%s: Next out of order: %v", what, got)
+		}
+	}
+	if len(got) != len(m) {
+		t.Fatalf("%s: Next visited %d members, model has %d", what, len(got), len(m))
+	}
+	for _, i := range got {
+		if !m[i] {
+			t.Fatalf("%s: Next visited non-member %d", what, i)
+		}
+	}
+	if s.Next(n) != -1 {
+		t.Fatalf("%s: Next(%d) = %d past the universe", what, n, s.Next(n))
 	}
 }
 
-// TestStateSetOpsAgainstModel drives union/intersect/subset/iterate on
+// TestStateSetOpsAgainstModel drives union/and/subset/iterate on
 // randomized universes (including word-boundary sizes) against the map
 // model.
 func TestStateSetOpsAgainstModel(t *testing.T) {
@@ -54,7 +80,7 @@ func TestStateSetOpsAgainstModel(t *testing.T) {
 			}
 			if a.SubsetOf(b) != wantSub {
 				t.Fatalf("n=%d SubsetOf = %v, model = %v (a=%v b=%v)",
-					n, a.SubsetOf(b), wantSub, a.Members(), b.Members())
+					n, a.SubsetOf(b), wantSub, members(a), members(b))
 			}
 			wantInter := false
 			for i := range ma {
@@ -71,7 +97,8 @@ func TestStateSetOpsAgainstModel(t *testing.T) {
 			}
 
 			// union
-			u, mu := a.Clone(), modelSet{}
+			u, mu := New(n), modelSet{}
+			u.UnionWith(a)
 			u.UnionWith(b)
 			for i := range ma {
 				mu[i] = true
@@ -84,153 +111,24 @@ func TestStateSetOpsAgainstModel(t *testing.T) {
 				t.Fatalf("n=%d union is not an upper bound", n)
 			}
 
-			// intersection
-			x, mx := a.Clone(), modelSet{}
-			x.IntersectWith(b)
+			// intersection, written over stale contents
+			x, mx := u, modelSet{}
+			nonempty := x.And(a, b)
 			for i := range ma {
 				if mb[i] {
 					mx[i] = true
 				}
 			}
-			agree(t, x, mx, n, "intersect")
+			agree(t, x, mx, n, "and")
+			if nonempty != (len(mx) > 0) {
+				t.Fatalf("n=%d And reported nonempty = %v, model has %d members", n, nonempty, len(mx))
+			}
 			if !x.SubsetOf(a) || !x.SubsetOf(b) {
 				t.Fatalf("n=%d intersection is not a lower bound", n)
 			}
-			if x.Empty() != (len(mx) == 0) {
-				t.Fatalf("n=%d Empty = %v, model = %v", n, x.Empty(), len(mx) == 0)
-			}
 
-			// iteration order and content
-			var got []int
-			a.ForEach(func(i int) { got = append(got, i) })
-			for j := 1; j < len(got); j++ {
-				if got[j-1] >= got[j] {
-					t.Fatalf("n=%d ForEach out of order: %v", n, got)
-				}
-			}
-			if len(got) != len(ma) {
-				t.Fatalf("n=%d ForEach visited %d members, model has %d", n, len(got), len(ma))
-			}
-			for _, i := range got {
-				if !ma[i] {
-					t.Fatalf("n=%d ForEach visited non-member %d", n, i)
-				}
-			}
+			x.Clear()
+			agree(t, x, modelSet{}, n, "clear")
 		}
-	}
-}
-
-// TestInternerCanonicalizes pins hash-consing: structurally equal sets
-// built in different insertion orders get the same id, distinct sets
-// get distinct ids, and Set(id) round-trips.
-func TestInternerCanonicalizes(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	const n = 150
-	in := NewInterner(n)
-	ids := map[string]int{}
-	keyOf := func(s StateSet) string {
-		b := make([]byte, 0, len(s)*8)
-		for _, w := range s {
-			for i := 0; i < 8; i++ {
-				b = append(b, byte(w>>uint(8*i)))
-			}
-		}
-		return string(b)
-	}
-	for trial := 0; trial < 500; trial++ {
-		s, _ := randomPair(r, n)
-		id, fresh := in.Intern(s)
-		if prev, seen := ids[keyOf(s)]; seen {
-			if fresh || id != prev {
-				t.Fatalf("equal set re-interned as id %d (fresh=%v), want %d", id, fresh, prev)
-			}
-		} else {
-			if !fresh {
-				t.Fatalf("new set reported fresh=false (id %d)", id)
-			}
-			ids[keyOf(s)] = id
-		}
-		if !in.Set(id).Equal(s) {
-			t.Fatalf("Set(%d) does not round-trip", id)
-		}
-		// mutating the caller's set must not corrupt the interned copy
-		s.Add(trial % n)
-		s2 := in.Set(id)
-		if got := keyOf(s2); got != keyOf(s2.Clone()) {
-			t.Fatal("interned set aliased caller scratch")
-		}
-	}
-	if in.Len() != len(ids) {
-		t.Fatalf("interner Len = %d, distinct sets = %d", in.Len(), len(ids))
-	}
-	// shuffled rebuilds of a known set hit the same id
-	base := New(n)
-	for _, i := range []int{3, 64, 65, 149} {
-		base.Add(i)
-	}
-	want, _ := in.Intern(base)
-	for trial := 0; trial < 20; trial++ {
-		s := New(n)
-		for _, i := range r.Perm(4) {
-			s.Add([]int{3, 64, 65, 149}[i])
-		}
-		if id, fresh := in.Intern(s); id != want || fresh {
-			t.Fatalf("shuffled rebuild interned as %d (fresh=%v), want %d", id, fresh, want)
-		}
-	}
-}
-
-// TestInternerConcurrent hammers one interner from many goroutines with
-// overlapping sets; run under -race. Every goroutine records the ids it
-// got, and equal sets must have resolved to equal ids across all of
-// them.
-func TestInternerConcurrent(t *testing.T) {
-	const (
-		n          = 90
-		goroutines = 8
-		perG       = 400
-		universe   = 64 // distinct set shapes, deliberately colliding across goroutines
-	)
-	in := NewInterner(n)
-	shape := func(k int) StateSet {
-		s := New(n)
-		for i := 0; i < n; i++ {
-			if (i*(k+1))%7 == 0 || i == k {
-				s.Add(i)
-			}
-		}
-		return s
-	}
-	got := make([]map[int]int, goroutines) // shape -> id per goroutine
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(g)))
-			got[g] = map[int]int{}
-			for i := 0; i < perG; i++ {
-				k := r.Intn(universe)
-				id, _ := in.Intern(shape(k))
-				if prev, ok := got[g][k]; ok && prev != id {
-					t.Errorf("goroutine %d: shape %d interned as both %d and %d", g, k, prev, id)
-					return
-				}
-				got[g][k] = id
-			}
-		}(g)
-	}
-	wg.Wait()
-	canon := map[int]int{}
-	for g := range got {
-		for k, id := range got[g] {
-			if prev, ok := canon[k]; ok && prev != id {
-				t.Fatalf("shape %d has ids %d and %d across goroutines", k, prev, id)
-			}
-			canon[k] = id
-		}
-	}
-	if in.Len() > universe {
-		t.Fatalf("interner holds %d sets, only %d distinct shapes exist", in.Len(), universe)
 	}
 }

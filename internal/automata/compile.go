@@ -1,228 +1,349 @@
 package automata
 
-// Compiled automaton form for the engine hot loops: labels are interned
-// to dense ints once per decision, transitions live in flat arrays
-// indexed [state·width + labelID], and each (state, label) successor set
-// is additionally precomputed as a word-packed bitset mask, so a subset
-// construction step is a handful of word ORs instead of map lookups and
-// sorted-slice merges.
+// Position tables: the automaton form the containment engine searches.
+// A Glushkov automaton is homogeneous — every transition into position
+// p carries p's own label — so it is fully described by two bitset
+// tables over its states:
 //
-// There is one lowering with two feeders. compileLinear lowers a
-// regex.Linear straight into the tables, so containment of expressions
-// never builds the map-based NFA; compileNFA lowers an *NFA (the left
-// side dtd passes). Both fill cells through compiledNFA.put and finish
-// with compiledNFA.buildMasks, so every successor list is carved from
-// one slab and every mask from another.
+//	follow[q]  the successors of q on any label (state 0 steps to First)
+//	pos[l]     the states entered on label l
+//
+// and the successors of a state set S on l are (∪_{q∈S} follow[q]) ∩
+// pos[l]. Both tables live in pointer-free []uint64 slabs, one row of
+// ⌈states/64⌉ words per state or label.
+//
+// There is one layout with two feeders. lowerExpr computes First, Last
+// and Follow straight from the syntax tree in one pass, with no
+// regex.Linearize and no sparse successor lists; bindLabels then fills
+// pos once both sides' labels are numbered. compileNFA lowers an *NFA
+// (the left side dtd and edtd pass) and panics unless it is homogeneous.
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/automata/bitset"
 	"repro/internal/regex"
 )
 
-// labelTable interns transition labels across the automata of one
-// decision, so both sides of a containment check agree on label ids.
+// labelTable numbers the labels of one decision, so both sides of a
+// containment check agree on label ids. Each add appends the labels it
+// has not seen as one sorted run of ids.
 type labelTable struct {
-	ids   map[string]int
-	names []string
+	names []string // by id
+	runs  []int    // first id of each run
 }
 
-func newLabelTable() *labelTable {
-	return &labelTable{ids: map[string]int{}}
-}
-
-// id returns the dense id of a, allocating one on first sight.
-func (t *labelTable) id(a string) int {
-	if id, ok := t.ids[a]; ok {
-		return id
-	}
-	id := len(t.names)
-	t.ids[a] = id
-	t.names = append(t.names, a)
-	return id
-}
-
-// add interns every label of alphabet, in order.
+// add numbers the labels of alphabet (sorted, distinct) not yet in t.
 func (t *labelTable) add(alphabet []string) {
+	start := len(t.names)
 	for _, a := range alphabet {
-		t.id(a)
+		if t.id(a) < 0 {
+			t.names = append(t.names, a)
+		}
 	}
+	if len(t.names) > start {
+		t.runs = append(t.runs, start)
+	}
+}
+
+// id returns the id of a, or -1 when a is not in t.
+func (t *labelTable) id(a string) int {
+	for i, lo := range t.runs {
+		hi := len(t.names)
+		if i+1 < len(t.runs) {
+			hi = t.runs[i+1]
+		}
+		if j, ok := slices.BinarySearch(t.names[lo:hi], a); ok {
+			return lo + j
+		}
+	}
+	return -1
 }
 
 func (t *labelTable) len() int { return len(t.names) }
 
-// linearAlphabet returns the sorted label set of l — the alphabet of its
-// Glushkov automaton, since every symbol occurrence is a position, even
-// one inside an ∅ subexpression that yields no transition.
-func linearAlphabet(l *regex.Linear) []string {
-	alpha := slices.Clone(l.Syms)
+// posNFA is a homogeneous automaton as position tables: with w =
+// ⌈numStates/64⌉, follow[q·w:(q+1)·w] is follow row q and
+// pos[l·w:(l+1)·w] is the row of label l, for l < width.
+type posNFA struct {
+	numStates int
+	words     int
+	width     int
+	follow    []uint64
+	pos       []uint64
+	final     bitset.StateSet
+	initial   []int
+}
+
+// newPosNFA sizes the tables of a numStates-state automaton with width
+// label rows.
+func newPosNFA(numStates, width int) *posNFA {
+	w := (numStates + 63) / 64
+	return &posNFA{
+		numStates: numStates,
+		words:     w,
+		width:     width,
+		follow:    make([]uint64, numStates*w),
+		pos:       make([]uint64, width*w),
+		final:     bitset.New(numStates),
+	}
+}
+
+func (c *posNFA) followRow(q int) bitset.StateSet {
+	return c.follow[q*c.words : (q+1)*c.words : (q+1)*c.words]
+}
+
+func (c *posNFA) posRow(l int) bitset.StateSet {
+	return c.pos[l*c.words : (l+1)*c.words : (l+1)*c.words]
+}
+
+// compileNFA lowers n onto the label table, whose ids must already cover
+// n's alphabet. It panics unless n is homogeneous: Glushkov automata
+// are, and Restrict and Project keep them so.
+func compileNFA(n *NFA, labels *labelTable) *posNFA {
+	c := newPosNFA(n.NumStates, labels.len())
+	c.initial = append([]int(nil), n.Initial...)
+	for q, final := range n.Final {
+		if final {
+			c.final.Add(q)
+		}
+	}
+	entered := make([]int, n.NumStates) // 1 + the label id entering each state
+	for q, row := range n.Trans {
+		follow := c.followRow(q)
+		for a, succs := range row {
+			l := labels.id(a)
+			for _, p := range succs {
+				if entered[p] != 0 && entered[p] != l+1 {
+					panic(fmt.Sprintf("automata: compileNFA needs a homogeneous NFA, but state %d is entered on both %q and %q",
+						p, labels.names[entered[p]-1], a))
+				}
+				entered[p] = l + 1
+				follow.Add(p)
+				c.posRow(l).Add(p)
+			}
+		}
+	}
+	return c
+}
+
+// lowerExpr builds the Glushkov automaton of e (see Glushkov) without
+// its pos rows, which bindLabels adds, and returns it with the label of
+// each position: syms[p-1] labels position p. The tables equal those of
+// compileNFA(Glushkov(e), labels) after bindLabels, row for row, except
+// pos bits of positions no transition enters, such as those under ∅
+// (TestLowerExprMatchesGlushkov).
+func lowerExpr(e *regex.Expr) (c *posNFA, syms []string) {
+	// Twice the node count is a first guess for the arena.
+	n, nodes := measure(e)
+	c = newPosNFA(n+1, 0)
+	b := glushkovBuilder{
+		c:       c,
+		syms:    make([]string, 0, n),
+		sets:    make([]int32, 0, 2*nodes),
+		scratch: bitset.New(n + 1),
+	}
+	info := b.visit(e)
+	c.initial = []int{0}
+	if info.nullable {
+		c.final.Add(0)
+	}
+	first := c.followRow(0)
+	for _, p := range info.first {
+		first.Add(int(p))
+	}
+	for _, p := range info.last {
+		c.final.Add(int(p))
+	}
+	return c, b.syms
+}
+
+// alphabetOf returns the sorted label set of syms — the alphabet of the
+// Glushkov automaton, which counts every symbol occurrence, even one
+// under ∅ that no transition enters.
+func alphabetOf(syms []string) []string {
+	alpha := slices.Clone(syms)
 	slices.Sort(alpha)
 	return slices.Compact(alpha)
 }
 
-// compiledNFA is an automaton lowered onto the label table. With w the
-// table's size when the rows were sized, trans[q*w+l] is the successor
-// list of state q on label l (sorted; nil when absent), mask[q*w+l] is
-// the same set word-packed, and final is the final-state bitset.
-type compiledNFA struct {
-	numStates int
-	width     int
-	trans     [][]int
-	mask      []bitset.StateSet
-	initial   []int
-	final     bitset.StateSet
-	succ      []int // the slab behind trans
-}
-
-// newCompiled sizes the tables of a numStates-state automaton with edges
-// transitions over every label interned so far. Labels the automaton
-// never uses keep nil cells, which the engines treat as a transition
-// into the empty set.
-func newCompiled(numStates, edges int, labels *labelTable) *compiledNFA {
-	w := labels.len()
-	return &compiledNFA{
-		numStates: numStates,
-		width:     w,
-		trans:     make([][]int, numStates*w),
-		final:     bitset.New(numStates),
-		succ:      make([]int, 0, edges),
+// bindLabels sizes the pos rows of c to the label table, whose ids must
+// already cover syms, and sets position p in the row of syms[p-1].
+func (c *posNFA) bindLabels(syms []string, labels *labelTable) {
+	c.width = labels.len()
+	c.pos = make([]uint64, c.width*c.words)
+	for i, a := range syms {
+		c.posRow(labels.id(a)).Add(i + 1)
 	}
 }
 
-// put sets the successor list of q on label l to succs, copied into the
-// slab.
-func (c *compiledNFA) put(q, l int, succs []int) {
-	start := len(c.succ)
-	c.succ = append(c.succ, succs...)
-	c.trans[q*c.width+l] = c.succ[start:len(c.succ):len(c.succ)]
+// measure returns the number of positions (symbol occurrences) and of
+// nodes of e.
+func measure(e *regex.Expr) (positions, nodes int) {
+	if e.Kind == regex.Symbol {
+		return 1, 1
+	}
+	nodes = 1
+	for _, s := range e.Subs {
+		p, n := measure(s)
+		positions += p
+		nodes += n
+	}
+	return positions, nodes
 }
 
-// buildMasks packs every nonempty cell into a mask carved from one word
-// slab.
-func (c *compiledNFA) buildMasks() {
-	cells := 0
-	for _, succs := range c.trans {
-		if len(succs) > 0 {
-			cells++
-		}
-	}
-	words := len(c.final)
-	slab := make(bitset.StateSet, cells*words)
-	c.mask = make([]bitset.StateSet, len(c.trans))
-	for i, succs := range c.trans {
-		if len(succs) == 0 {
-			continue
-		}
-		m := slab[:words:words]
-		slab = slab[words:]
-		for _, p := range succs {
-			m.Add(p)
-		}
-		c.mask[i] = m
-	}
+// nodeInfo is what a subexpression tells its parent. First and Last of
+// disjoint subtrees are disjoint, so unions of them never need
+// deduplication.
+type nodeInfo struct {
+	nullable bool
+	empty    bool // L = ∅
+	first    []int32
+	last     []int32
 }
 
-// compileNFA lowers n onto the shared label table, whose ids must already
-// cover n's alphabet.
-func compileNFA(n *NFA, labels *labelTable) *compiledNFA {
-	edges := 0
-	for _, row := range n.Trans {
-		for _, succs := range row {
-			edges += len(succs)
-		}
-	}
-	c := newCompiled(n.NumStates, edges, labels)
-	c.initial = append([]int(nil), n.Initial...)
-	for q := range n.Final {
-		if n.Final[q] {
-			c.final.Add(q)
-		}
-	}
-	for q, row := range n.Trans {
-		for a, succs := range row {
-			c.put(q, labels.id(a), succs)
-		}
-	}
-	c.buildMasks()
-	return c
+// glushkovBuilder is the one pass of lowerExpr. Positions are numbered
+// 1..n in preorder; First and Last sets are carved from one arena, and
+// Follow goes straight into c's follow rows.
+type glushkovBuilder struct {
+	c       *posNFA
+	syms    []string
+	sets    []int32    // arena behind every first/last set
+	stack   []nodeInfo // infos of the children of the nodes being visited
+	scratch bitset.StateSet
 }
 
-// compileLinear lowers the Glushkov automaton of l (see Glushkov) onto
-// the shared label table, whose ids must already cover l's alphabet. The
-// tables equal those of compileNFA(Glushkov(e), labels) cell for cell
-// (TestCompileLinearMatchesGlushkov): state 0 steps to First, position p
-// to Follow[p], each successor on its own label, and each cell lists its
-// successors in increasing order.
-func compileLinear(l *regex.Linear, labels *labelTable) *compiledNFA {
-	n := l.NumPositions()
-	ids := make([]int, n+1)
-	for p := 1; p <= n; p++ {
-		ids[p] = labels.id(l.Sym(p))
-	}
-	edges := len(l.First)
-	for _, f := range l.Follow {
-		edges += len(f)
-	}
-	c := newCompiled(n+1, edges, labels)
-	c.initial = []int{0}
-	if l.Nullable {
-		c.final.Add(0)
-	}
-	for _, p := range l.Last {
-		c.final.Add(p)
-	}
-	byLabel := func(p, q int) int {
-		if ids[p] != ids[q] {
-			return ids[p] - ids[q]
+// union returns the union of the first (or last) sets of infos, carved
+// from the arena.
+func (b *glushkovBuilder) union(infos []nodeInfo, last bool) []int32 {
+	start := len(b.sets)
+	for _, in := range infos {
+		if last {
+			b.sets = append(b.sets, in.last...)
+		} else {
+			b.sets = append(b.sets, in.first...)
 		}
-		return p - q
 	}
-	// scratch holds one state's successors, sorted by (label, position)
-	// so each label's run becomes one cell.
-	var scratch []int
-	for q := 0; q <= n; q++ {
-		succs := l.First
-		if q > 0 {
-			succs = l.Follow[q]
-		}
-		scratch = append(scratch[:0], succs...)
-		slices.SortFunc(scratch, byLabel)
-		for i := 0; i < len(scratch); {
-			j := i + 1
-			for j < len(scratch) && ids[scratch[j]] == ids[scratch[i]] {
-				j++
+	return b.sets[start:len(b.sets):len(b.sets)]
+}
+
+// addFollow adds to ⊆ follow(p) for every p in from. A dense target
+// set is ORed in as one word range; a sparse one bit by bit.
+func (b *glushkovBuilder) addFollow(from, to []int32) {
+	if len(from) == 0 || len(to) == 0 {
+		return
+	}
+	lo, hi := int(to[0]), int(to[0])
+	for _, q := range to {
+		lo, hi = min(lo, int(q)), max(hi, int(q))
+	}
+	lo, hi = lo>>6, hi>>6+1
+	if len(from) == 1 || len(to) <= hi-lo {
+		for _, p := range from {
+			row := b.c.followRow(int(p))
+			for _, q := range to {
+				row.Add(int(q))
 			}
-			c.put(q, ids[scratch[i]], scratch[i:j])
-			i = j
 		}
+		return
 	}
-	c.buildMasks()
-	return c
-}
-
-// row returns the successor lists of q, indexed by label id.
-func (c *compiledNFA) row(q int) [][]int {
-	return c.trans[q*c.width : (q+1)*c.width]
-}
-
-// initialSet returns the initial subset-state as a bitset.
-func (c *compiledNFA) initialSet() bitset.StateSet {
-	s := bitset.New(c.numStates)
-	for _, q := range c.initial {
-		s.Add(q)
+	for _, q := range to {
+		b.scratch.Add(int(q))
 	}
-	return s
+	src := b.scratch[lo:hi]
+	for _, p := range from {
+		b.c.followRow(int(p))[lo:hi].UnionWith(src)
+	}
+	src.Clear()
 }
 
-// step writes δ(set, l) into out (which it clears first) using the
-// precomputed masks. The result may be empty — the implicit sink of the
-// determinized automaton.
-func (c *compiledNFA) step(set bitset.StateSet, l int, out bitset.StateSet) {
-	out.Clear()
-	set.ForEach(func(q int) {
-		if m := c.mask[q*c.width+l]; m != nil {
-			out.UnionWith(m)
+// children visits subs and returns their infos. The stack is already
+// popped, so the infos stay valid only until the next visit.
+func (b *glushkovBuilder) children(subs []*regex.Expr) []nodeInfo {
+	base := len(b.stack)
+	for _, s := range subs {
+		in := b.visit(s)
+		b.stack = append(b.stack, in)
+	}
+	infos := b.stack[base:]
+	b.stack = b.stack[:base]
+	return infos
+}
+
+func (b *glushkovBuilder) visit(e *regex.Expr) nodeInfo {
+	switch e.Kind {
+	case regex.Empty:
+		return nodeInfo{empty: true}
+	case regex.Epsilon:
+		return nodeInfo{nullable: true}
+	case regex.Symbol:
+		b.syms = append(b.syms, e.Sym)
+		start := len(b.sets)
+		b.sets = append(b.sets, int32(len(b.syms)))
+		set := b.sets[start : start+1 : start+1]
+		return nodeInfo{first: set, last: set}
+	case regex.Union:
+		infos := b.children(e.Subs)
+		out := nodeInfo{empty: true}
+		for _, in := range infos {
+			out.nullable = out.nullable || in.nullable
+			out.empty = out.empty && in.empty
 		}
-	})
+		out.first = b.union(infos, false)
+		out.last = b.union(infos, true)
+		return out
+	case regex.Concat:
+		infos := b.children(e.Subs)
+		out := nodeInfo{nullable: true}
+		for _, in := range infos {
+			out.empty = out.empty || in.empty
+			out.nullable = out.nullable && in.nullable
+		}
+		// A factor with L = ∅ empties the product: no first or last
+		// set and no edges across factors. Edges inside the factors
+		// were added by their own visits and stay.
+		if out.empty {
+			return nodeInfo{empty: true}
+		}
+		// First: the firsts of the longest nullable prefix and the
+		// factor after it; Last symmetrically from the right.
+		end := 0
+		for end < len(infos) && infos[end].nullable {
+			end++
+		}
+		out.first = b.union(infos[:min(end+1, len(infos))], false)
+		start := len(infos) - 1
+		for start > 0 && infos[start].nullable {
+			start--
+		}
+		out.last = b.union(infos[start:], true)
+		// Follow: last(e_i) × first(e_j) for i < j with only nullable
+		// factors between them.
+		for j := 1; j < len(infos); j++ {
+			for i := j - 1; i >= 0; i-- {
+				b.addFollow(infos[i].last, infos[j].first)
+				if !infos[i].nullable {
+					break
+				}
+			}
+		}
+		return out
+	case regex.Star, regex.Plus:
+		in := b.visit(e.Sub())
+		if in.empty {
+			return nodeInfo{nullable: e.Kind == regex.Star, empty: e.Kind == regex.Plus}
+		}
+		b.addFollow(in.last, in.first)
+		in.nullable = in.nullable || e.Kind == regex.Star
+		return in
+	case regex.Opt:
+		in := b.visit(e.Sub())
+		if in.empty {
+			return nodeInfo{nullable: true}
+		}
+		in.nullable = true
+		return in
+	}
+	panic("automata: unknown regex kind " + e.Kind.String())
 }

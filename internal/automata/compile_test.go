@@ -1,10 +1,13 @@
 package automata
 
 import (
+	"context"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/automata/bitset"
 	"repro/internal/regex"
 )
 
@@ -28,8 +31,9 @@ func sprinkleVoid(r *rand.Rand, e *regex.Expr) *regex.Expr {
 }
 
 // requireSameTables fails unless got and want have the same shape,
-// initial states, final bitset, and successor list and mask per cell.
-func requireSameTables(t *testing.T, e *regex.Expr, want, got *compiledNFA) {
+// initial states, final bitset and follow rows, and put every position
+// some transition enters in the same pos row.
+func requireSameTables(t *testing.T, e *regex.Expr, want, got *posNFA) {
 	t.Helper()
 	if got.numStates != want.numStates || got.width != want.width {
 		t.Fatalf("%s: %d states × %d labels, want %d × %d", e, got.numStates, got.width, want.numStates, want.width)
@@ -38,40 +42,46 @@ func requireSameTables(t *testing.T, e *regex.Expr, want, got *compiledNFA) {
 		t.Fatalf("%s: initial %v, want %v", e, got.initial, want.initial)
 	}
 	if !got.final.Equal(want.final) {
-		t.Fatalf("%s: final %v, want %v", e, got.final.Members(), want.final.Members())
+		t.Fatalf("%s: final %v, want %v", e, got.final, want.final)
 	}
-	for i := range want.trans {
-		q, l := i/want.width, i%want.width
-		if !slices.Equal(got.trans[i], want.trans[i]) {
-			t.Fatalf("%s: state %d label %d: successors %v, want %v", e, q, l, got.trans[i], want.trans[i])
+	entered := bitset.New(want.numStates)
+	for q := 0; q < want.numStates; q++ {
+		if !got.followRow(q).Equal(want.followRow(q)) {
+			t.Fatalf("%s: follow row %d = %v, want %v", e, q, got.followRow(q), want.followRow(q))
 		}
-		if (got.mask[i] == nil) != (want.mask[i] == nil) || (want.mask[i] != nil && !got.mask[i].Equal(want.mask[i])) {
-			t.Fatalf("%s: state %d label %d: mask %v, want %v", e, q, l, got.mask[i], want.mask[i])
+		entered.UnionWith(want.followRow(q))
+	}
+	gotPos, wantPos := bitset.New(want.numStates), bitset.New(want.numStates)
+	for l := 0; l < want.width; l++ {
+		gotPos.And(got.posRow(l), entered)
+		wantPos.And(want.posRow(l), entered)
+		if !gotPos.Equal(wantPos) {
+			t.Fatalf("%s: entered positions on label %d = %v, want %v", e, l, gotPos, wantPos)
 		}
 	}
 }
 
-// checkLowering compiles e both ways onto one label table that already
-// holds other's labels, as the right side of a containment check sees it,
-// after checking that both ways agree on e's alphabet.
+// checkLowering lowers e both ways onto one label table that already
+// holds other's labels, as the right side of a containment check sees
+// it, after checking that both ways agree on e's alphabet.
 func checkLowering(t *testing.T, other, e *regex.Expr) {
 	t.Helper()
-	l, n := regex.Linearize(e), Glushkov(e)
-	if alpha := linearAlphabet(l); !slices.Equal(alpha, n.Alphabet) {
+	got, syms := lowerExpr(e)
+	n := Glushkov(e)
+	if alpha := alphabetOf(syms); !slices.Equal(alpha, n.Alphabet) {
 		t.Fatalf("%s: alphabet %v, want %v", e, alpha, n.Alphabet)
 	}
-	labels := newLabelTable()
+	var labels labelTable
 	labels.add(other.Alphabet())
 	labels.add(n.Alphabet)
-	want := compileNFA(n, labels)
-	got := compileLinear(l, labels)
-	requireSameTables(t, e, want, got)
+	got.bindLabels(syms, &labels)
+	requireSameTables(t, e, compileNFA(n, &labels), got)
 }
 
-// TestCompileLinearMatchesGlushkov checks that the direct lowering of a
-// linearization equals compileNFA of the Glushkov automaton, cell for
-// cell, on seeded random expressions with ∅ and ε subexpressions.
-func TestCompileLinearMatchesGlushkov(t *testing.T) {
+// TestLowerExprMatchesGlushkov checks that the one-pass lowering of an
+// expression equals compileNFA of its Glushkov automaton, row for row,
+// on seeded random expressions with ∅ and ε subexpressions.
+func TestLowerExprMatchesGlushkov(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	g := regex.DefaultGen([]string{"a", "b", "c", "d", "e"})
 	for i := 0; i < 2000; i++ {
@@ -83,10 +93,17 @@ func TestCompileLinearMatchesGlushkov(t *testing.T) {
 	for _, src := range []string{"<eps>", "<empty>", "a <empty>", "(a <empty>)* b", "(a b)* <empty> + c"} {
 		checkLowering(t, regex.MustParse("z"), regex.MustParse(src))
 	}
+	// Wide unions and long concatenations cross word boundaries and take
+	// both the dense and the sparse follow update.
+	wide := "(" + strings.Repeat("a|b|", 70) + "c)* (a|b)"
+	long := strings.Repeat("a b? ", 70) + "(c d)*"
+	for _, src := range []string{wide, long} {
+		checkLowering(t, regex.MustParse("z"), regex.MustParse(src))
+	}
 }
 
-// FuzzCompileLinear checks the same property on raw expression text.
-func FuzzCompileLinear(f *testing.F) {
+// FuzzLowerExpr checks the same property on raw expression text.
+func FuzzLowerExpr(f *testing.F) {
 	f.Add("b* a (b* a)*", "a")
 	f.Add("(a + b)* a (a + b)", "c d")
 	f.Add("a <empty> + <eps>", "a")
@@ -102,4 +119,52 @@ func FuzzCompileLinear(f *testing.F) {
 		}
 		checkLowering(t, other, e)
 	})
+}
+
+// TestCompileNFARejectsInhomogeneous pins the panic that guards the
+// position-table layout: a state entered on two labels cannot be one
+// pos bit.
+func TestCompileNFARejectsInhomogeneous(t *testing.T) {
+	n := NewNFA(2)
+	n.Initial = []int{0}
+	n.Final[1] = true
+	n.AddTransition(0, "a", 1)
+	n.AddTransition(0, "b", 1)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "homogeneous") {
+			t.Fatalf("recovered %q, want a homogeneity panic", msg)
+		}
+	}()
+	NFAContainsCtx(context.Background(), n, regex.MustParse("a|b"))
+	t.Fatal("NFAContainsCtx accepted an inhomogeneous NFA")
+}
+
+// TestCompileNFAAcceptsProjections checks that the Restrict and Project
+// automata the schema layers pass stay homogeneous, including a
+// projection that merges two labels into one.
+func TestCompileNFAAcceptsProjections(t *testing.T) {
+	g := Glushkov(regex.MustParse("(a b | c)* a"))
+	merged := g.Project(func(a string) (string, bool) {
+		if a == "c" {
+			return "b", true
+		}
+		return a, true
+	})
+	cases := []struct {
+		n    *NFA
+		e    string
+		want bool
+	}{
+		{g.Restrict(map[string]bool{"a": true, "b": true}), "(a b)* a", true},
+		{g.Restrict(map[string]bool{"a": true, "c": true}), "c* a", true},
+		{merged, "(a b | b)* a", true},
+		{merged, "(a b)* a", false},
+	}
+	for _, c := range cases {
+		got, err := NFAContainsCtx(context.Background(), c.n, regex.MustParse(c.e))
+		if err != nil || got != c.want {
+			t.Fatalf("NFAContainsCtx(_, %s) = %v, %v, want %v", c.e, got, err, c.want)
+		}
+	}
 }

@@ -10,6 +10,13 @@ package automata
 // with context.Background(), whose Err is a constant nil — the
 // checkpoint then costs one counter increment plus a predictable
 // branch, which benchmarks put well under 5% (BenchmarkContainsCtx).
+//
+// Only the searches check ctx. The lowering ContainsCtx runs first
+// (compile.go) is polynomial and has no checkpoint: it ORs whole
+// bitset rows, so a dense follow relation costs words, not pairs, and
+// the 8,000-alternative (a|…|a)* of a 16 KB request lowers in a few
+// milliseconds (TestContainsWideUnionAllocBound,
+// TestContainmentWideUnionAnswers).
 
 import (
 	"context"
@@ -132,29 +139,36 @@ func DeterminizeCtx(ctx context.Context, n *NFA) (*DFA, error) {
 	return d, nil
 }
 
-// ContainsCtx is Contains with cooperative cancellation. It runs the
-// antichain engine (see antichain.go): lazy, interned-bitset subset
-// construction with subsumption pruning. ContainsClassicCtx retains the
-// eager textbook construction as the differential reference. On
-// cancellation the boolean is meaningless and the error is ctx.Err().
+// ContainsCtx is Contains with cooperative cancellation. It lowers both
+// sides straight from the syntax tree into position tables
+// (compile.go) and runs the antichain engine (antichain.go): lazy,
+// interned-bitset subset construction with subsumption pruning.
+// ContainsClassicCtx retains the eager textbook construction as the
+// differential reference. On cancellation the boolean is meaningless
+// and the error is ctx.Err().
 func ContainsCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
-	l1, l2 := regex.Linearize(e1), regex.Linearize(e2)
-	// Intern both alphabets before compiling either side, so the flat
-	// transition rows of each automaton cover the union alphabet.
-	labels := newLabelTable()
-	labels.add(linearAlphabet(l1))
-	labels.add(linearAlphabet(l2))
-	return containsAntichainCtx(ctx, compileLinear(l1, labels), compileLinear(l2, labels))
+	c1, syms1 := lowerExpr(e1)
+	c2, syms2 := lowerExpr(e2)
+	// Number both alphabets before binding either side, so the pos
+	// rows of each automaton cover the union alphabet.
+	var labels labelTable
+	labels.add(alphabetOf(syms1))
+	labels.add(alphabetOf(syms2))
+	c1.bindLabels(syms1, &labels)
+	c2.bindLabels(syms2, &labels)
+	return containsAntichainCtx(ctx, c1, c2)
 }
 
 // NFAContainsCtx is NFAContains with cooperative cancellation, on the
-// antichain engine.
+// antichain engine. n1 must be homogeneous, as Glushkov automata and
+// their Restrict and Project are; compileNFA panics otherwise.
 func NFAContainsCtx(ctx context.Context, n1 *NFA, e2 *regex.Expr) (bool, error) {
-	l2 := regex.Linearize(e2)
-	labels := newLabelTable()
+	c2, syms2 := lowerExpr(e2)
+	var labels labelTable
 	labels.add(n1.Alphabet)
-	labels.add(linearAlphabet(l2))
-	return containsAntichainCtx(ctx, compileNFA(n1, labels), compileLinear(l2, labels))
+	labels.add(alphabetOf(syms2))
+	c2.bindLabels(syms2, &labels)
+	return containsAntichainCtx(ctx, compileNFA(n1, &labels), c2)
 }
 
 // ContainsClassicCtx is ContainsClassic with cooperative cancellation:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -104,6 +105,31 @@ func TestIntersectionWitnessCtxCanceled(t *testing.T) {
 	es := []*regex.Expr{adversarialRight(12), adversarialRight(13), adversarialRight(14)}
 	if _, _, err := IntersectionWitnessCtx(ctx, es...); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// wideUnionStar renders (a|a|…|a)* with n alternatives: n positions,
+// every one following every other.
+func wideUnionStar(n int) string {
+	return "(" + strings.Repeat("a|", n-1) + "a)*"
+}
+
+// TestContainsWideUnionAllocBound pins the cost of building a right
+// side whose follow relation is dense: (a|…|a)* at n = 2,000 has n²
+// follow pairs, which as bitset rows take ~0.5 MB. Sparse successor
+// lists of those pairs took over 200 MB.
+func TestContainsWideUnionAllocBound(t *testing.T) {
+	e1, e2 := regex.MustParse("a"), regex.MustParse(wideUnionStar(2000))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ok, err := ContainsCtx(context.Background(), e1, e2)
+	runtime.ReadMemStats(&after)
+	if err != nil || !ok {
+		t.Fatalf("a ⊆ (a|…|a)* = %v, %v", ok, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Fatalf("allocated %d bytes, want <= 4 MB", alloc)
 	}
 }
 

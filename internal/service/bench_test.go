@@ -26,8 +26,8 @@ func doContainment(b *testing.B, s *Server, body string) int {
 
 // BenchmarkServeContainmentCold measures full request cost with a
 // guaranteed cache miss per iteration (every request uses a fresh label,
-// so canonical keys never repeat): parse + canonicalize + linearize and
-// lower both sides + antichain search + JSON round trip.
+// so canonical keys never repeat): parse + canonicalize + lower both
+// sides into position tables + antichain search + JSON round trip.
 func BenchmarkServeContainmentCold(b *testing.B) {
 	s := benchServer(b, b.N+1)
 	bodies := make([]string, b.N)

@@ -74,6 +74,21 @@ func TestContainmentRegex(t *testing.T) {
 	}
 }
 
+// TestContainmentWideUnionAnswers sends a 16 KB right side whose
+// follow relation is dense — (a|…|a)* with 8,000 alternatives, 64M
+// follow pairs — and expects an answer, not a 504, within the default
+// deadline.
+func TestContainmentWideUnionAnswers(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	right := "(" + strings.Repeat("a|", 7999) + "a)*"
+	var resp containmentResponse
+	code := post(t, ts.URL, "/v1/containment",
+		`{"engine":"regex","left":"a","right":"`+right+`"}`, &resp)
+	if code != 200 || !resp.Contained {
+		t.Fatalf("code=%d resp=%+v", code, resp)
+	}
+}
+
 func TestContainmentKore(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var resp containmentResponse
