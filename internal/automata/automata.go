@@ -1,5 +1,7 @@
 // Package automata implements finite automata over label alphabets: the
-// Glushkov construction from regular expressions, subset construction,
+// Glushkov construction from regular expressions (one First/Last/Follow
+// pass over the syntax tree, in compile.go, that writes either an NFA
+// or the containment engine's position tables), subset construction,
 // DFA minimization, Boolean operations, and the decision procedures
 // (membership, emptiness, containment, equivalence, intersection
 // non-emptiness) that underpin the complexity landscape of Sections 4.2
@@ -74,29 +76,45 @@ func (n *NFA) WithAlphabet(labels []string) *NFA {
 // Glushkov constructs the position automaton of e: state 0 is initial,
 // states 1..n correspond to the symbol occurrences of e in preorder
 // (Section 4.2.1; the expression is deterministic in the sense of
-// Brüggemann-Klein & Wood iff this automaton is deterministic).
+// Brüggemann-Klein & Wood iff this automaton is deterministic). It runs
+// the containment lowering's visit (compile.go) with sparse transitions
+// as the follow sink.
 func Glushkov(e *regex.Expr) *NFA {
-	l := regex.Linearize(e)
-	n := NewNFA(l.NumPositions() + 1)
-	for _, p := range l.First {
-		n.AddTransition(0, l.Sym(p), p)
-	}
-	for p, succs := range l.Follow {
-		for _, q := range succs {
-			n.AddTransition(p, l.Sym(q), q)
-		}
+	positions, nodes := measure(e)
+	n := NewNFA(positions + 1)
+	b := newGlushkovBuilder(positions, nodes)
+	b.sink = &nfaFollow{nfa: n, syms: &b.syms}
+	info := b.visit(e)
+	for _, p := range info.first {
+		n.AddTransition(0, b.syms[p-1], int(p))
 	}
 	n.Initial = []int{0}
-	if l.Nullable {
+	if info.nullable {
 		n.Final[0] = true
 	}
-	for _, p := range l.Last {
-		n.Final[p] = true
+	for _, p := range info.last {
+		n.Final[int(p)] = true
 	}
-	// Make sure symbols of an empty-language subexpression still extend the
-	// alphabet (they generate no transitions).
-	n.WithAlphabet(e.Alphabet())
+	// Symbols of an empty-language subexpression still extend the
+	// alphabet, though they enter no transition.
+	n.WithAlphabet(b.syms)
 	return n
+}
+
+// nfaFollow adds follow edges as transitions of nfa. Glushkov automata
+// are homogeneous, so the edge into q carries q's label, syms[q-1].
+type nfaFollow struct {
+	nfa  *NFA
+	syms *[]string
+}
+
+func (s *nfaFollow) addFollow(from, to []int32) {
+	syms := *s.syms
+	for _, p := range from {
+		for _, q := range to {
+			s.nfa.AddTransition(int(p), syms[q-1], int(q))
+		}
+	}
 }
 
 // IsDeterministic reports whether the NFA has a single initial state and at

@@ -2,7 +2,9 @@ package automata
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -88,6 +90,117 @@ func TestGlushkovAgreesWithMatcher(t *testing.T) {
 			}
 		}
 	}
+}
+
+// successors returns the sorted states q steps to on any label.
+func successors(n *NFA, q int) []int {
+	var out []int
+	for _, ps := range n.Trans[q] {
+		out = append(out, ps...)
+	}
+	return sortedSet(out)
+}
+
+// TestGlushkovPositions pins the position automaton of (a + b)* a, with
+// positions 1=a, 2=b, 3=a: First = {1,2,3}, Last = {3}, and positions 1
+// and 2 each step to {1,2,3}.
+func TestGlushkovPositions(t *testing.T) {
+	n := Glushkov(regex.MustParse("(a + b)* a"))
+	if n.NumStates != 4 || !slices.Equal(n.Initial, []int{0}) {
+		t.Fatalf("%d states, initial %v, want 4 states, initial [0]", n.NumStates, n.Initial)
+	}
+	for q, want := range [][]int{{1, 2, 3}, {1, 2, 3}, {1, 2, 3}, nil} {
+		if got := successors(n, q); !slices.Equal(got, want) {
+			t.Errorf("successors of %d = %v, want %v", q, got, want)
+		}
+	}
+	if got := n.Trans[0]["a"]; !slices.Equal(got, []int{1, 3}) {
+		t.Errorf("0 --a--> %v, want [1 3]", got)
+	}
+	if got := n.Trans[0]["b"]; !slices.Equal(got, []int{2}) {
+		t.Errorf("0 --b--> %v, want [2]", got)
+	}
+	for q := 0; q < n.NumStates; q++ {
+		if n.Final[q] != (q == 3) {
+			t.Errorf("Final[%d] = %v, want only 3 final", q, n.Final[q])
+		}
+	}
+}
+
+// numTransitions counts the (state, label, successor) triples of n.
+func numTransitions(n *NFA) int {
+	k := 0
+	for _, row := range n.Trans {
+		for _, ps := range row {
+			k += len(ps)
+		}
+	}
+	return k
+}
+
+// TestGlushkovAllocsLinear bounds the allocations of Glushkov linearly
+// by the size of its output, positions plus transitions, on growing
+// families. The NFA itself takes about one allocation per item (a map
+// per state, a successor slice per state and label); one allocation per
+// node or per deduplicated merge of two position sets on top of that
+// exceeds the bound on these shapes.
+func TestGlushkovAllocsLinear(t *testing.T) {
+	syms := func(k int) []*regex.Expr {
+		out := make([]*regex.Expr, k)
+		for i := range out {
+			out[i] = regex.NewSymbol(fmt.Sprintf("a%d", i))
+		}
+		return out
+	}
+	families := []struct {
+		name  string
+		build func(k int) *regex.Expr
+	}{
+		// (((a0 a1)* a2)* … ak-1)*: k nested stars.
+		{"nested-star", func(k int) *regex.Expr {
+			s := syms(k)
+			e := s[0]
+			for _, x := range s[1:] {
+				e = regex.NewStar(regex.NewConcat(e, x))
+			}
+			return e
+		}},
+		// a0 + a1 + … + ak-1: k positions, k transitions from the start.
+		{"wide-union", func(k int) *regex.Expr { return regex.NewUnion(syms(k)...) }},
+		// (a0 + … + ak-1)*: k positions, k² + k transitions.
+		{"wide-union-star", func(k int) *regex.Expr { return regex.NewStar(regex.NewUnion(syms(k)...)) }},
+	}
+	for _, f := range families {
+		for _, k := range []int{16, 64, 256} {
+			e := f.build(k)
+			n := Glushkov(e)
+			size := n.NumStates - 1 + numTransitions(n)
+			allocs := testing.AllocsPerRun(5, func() { Glushkov(e) })
+			if allocs > float64(2*size+32) {
+				t.Errorf("%s k=%d: %.0f allocations for %d positions + transitions", f.name, k, allocs, size)
+			}
+			t.Logf("%s k=%d: %.0f allocations, output size %d", f.name, k, allocs, size)
+		}
+	}
+}
+
+// TestGlushkovBytesLinear bounds the bytes Glushkov allocates on a long
+// concatenation a b? a b? … by its positions plus transitions. Follow
+// sets kept as per-position bitsets would take n²/8 bytes for n
+// positions: 50 MB here, twice the bound.
+func TestGlushkovBytesLinear(t *testing.T) {
+	e := regex.MustParse(strings.Repeat("a b? ", 10000))
+	n := Glushkov(e)
+	size := n.NumStates - 1 + numTransitions(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Glushkov(e)
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	if bytes > uint64(500*size) {
+		t.Fatalf("Glushkov allocated %d bytes for %d positions + transitions, want ≤ 500 per item", bytes, size)
+	}
+	t.Logf("%d bytes for %d positions + transitions", bytes, size)
 }
 
 func TestMinimizeCanonical(t *testing.T) {
@@ -340,5 +453,22 @@ func TestProjectRestrictUsefulLabels(t *testing.T) {
 				t.Errorf("NFAIntersectionWitnessCtx = %v, %v, %v; want %v", w, ok, err, c.witness)
 			}
 		})
+	}
+}
+
+// BenchmarkGlushkov times Glushkov and NewMatcher on 200 seeded random
+// depth-5 expressions, the compile step of a cold membership request.
+func BenchmarkGlushkov(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	g := regex.DefaultGen([]string{"a", "b", "c", "d"})
+	g.MaxDepth = 5
+	exprs := make([]*regex.Expr, 200)
+	for i := range exprs {
+		exprs[i] = g.Random(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewMatcher(Glushkov(exprs[i%len(exprs)]))
 	}
 }

@@ -12,11 +12,11 @@ package automata
 // pos[l]. Both tables live in pointer-free []uint64 slabs, one row of
 // ⌈states/64⌉ words per state or label.
 //
-// There is one layout with two feeders. lowerExpr computes First, Last
-// and Follow straight from the syntax tree in one pass, with no
-// regex.Linearize and no sparse successor lists; bindLabels then fills
-// pos once both sides' labels are numbered. compileNFA lowers an *NFA
-// (the left side dtd and edtd pass) and panics unless it is homogeneous.
+// There is one layout with two feeders. lowerExpr runs the Glushkov
+// visit below (glushkovBuilder, the same pass Glushkov runs) with the
+// follow rows as its sink; bindLabels then fills pos once both sides'
+// labels are numbered. compileNFA lowers an *NFA (the left side dtd and
+// edtd pass) and panics unless it is homogeneous.
 
 import (
 	"fmt"
@@ -74,6 +74,9 @@ type posNFA struct {
 	pos       []uint64
 	final     bitset.StateSet
 	initial   []int
+	// scratch holds the target set of a dense addFollow while lowerExpr
+	// runs; it is nil afterwards.
+	scratch bitset.StateSet
 }
 
 // newPosNFA sizes the tables of a numStates-state automaton with width
@@ -130,21 +133,19 @@ func compileNFA(n *NFA, labels *labelTable) *posNFA {
 
 // lowerExpr builds the Glushkov automaton of e (see Glushkov) without
 // its pos rows, which bindLabels adds, and returns it with the label of
-// each position: syms[p-1] labels position p. The tables equal those of
+// each position: syms[p-1] labels position p. The visit is Glushkov's,
+// with c's follow rows as the sink. The tables equal those of
 // compileNFA(Glushkov(e), labels) after bindLabels, row for row, except
 // pos bits of positions no transition enters, such as those under ∅
 // (TestLowerExprMatchesGlushkov).
 func lowerExpr(e *regex.Expr) (c *posNFA, syms []string) {
-	// Twice the node count is a first guess for the arena.
 	n, nodes := measure(e)
 	c = newPosNFA(n+1, 0)
-	b := glushkovBuilder{
-		c:       c,
-		syms:    make([]string, 0, n),
-		sets:    make([]int32, 0, 2*nodes),
-		scratch: bitset.New(n + 1),
-	}
+	c.scratch = bitset.New(n + 1)
+	b := newGlushkovBuilder(n, nodes)
+	b.sink = c
 	info := b.visit(e)
+	c.scratch = nil
 	c.initial = []int{0}
 	if info.nullable {
 		c.final.Add(0)
@@ -157,6 +158,36 @@ func lowerExpr(e *regex.Expr) (c *posNFA, syms []string) {
 		c.final.Add(int(p))
 	}
 	return c, b.syms
+}
+
+// addFollow adds to ⊆ follow(p) for every p in from. A dense target
+// set is ORed in as one word range; a sparse one bit by bit.
+func (c *posNFA) addFollow(from, to []int32) {
+	if len(from) == 0 || len(to) == 0 {
+		return
+	}
+	lo, hi := int(to[0]), int(to[0])
+	for _, q := range to {
+		lo, hi = min(lo, int(q)), max(hi, int(q))
+	}
+	lo, hi = lo>>6, hi>>6+1
+	if len(from) == 1 || len(to) <= hi-lo {
+		for _, p := range from {
+			row := c.followRow(int(p))
+			for _, q := range to {
+				row.Add(int(q))
+			}
+		}
+		return
+	}
+	for _, q := range to {
+		c.scratch.Add(int(q))
+	}
+	src := c.scratch[lo:hi]
+	for _, p := range from {
+		c.followRow(int(p))[lo:hi].UnionWith(src)
+	}
+	src.Clear()
 }
 
 // alphabetOf returns the sorted label set of syms — the alphabet of the
@@ -203,15 +234,33 @@ type nodeInfo struct {
 	last     []int32
 }
 
-// glushkovBuilder is the one pass of lowerExpr. Positions are numbered
-// 1..n in preorder; First and Last sets are carved from one arena, and
-// Follow goes straight into c's follow rows.
+// followSink receives the follow edges of a Glushkov visit as last ×
+// first products: every position of to follows every position of from.
+// The position tables (*posNFA) keep them as bitset rows; Glushkov's
+// NFA (*nfaFollow) as sparse transitions, which stay linear in the
+// edges where a^n alone would take n² follow bits.
+type followSink interface {
+	addFollow(from, to []int32)
+}
+
+// glushkovBuilder is the one pass behind both Glushkov and lowerExpr.
+// Positions are numbered 1..n in preorder; First and Last sets are
+// carved from one arena, and Follow goes straight into the sink.
 type glushkovBuilder struct {
-	c       *posNFA
-	syms    []string
-	sets    []int32    // arena behind every first/last set
-	stack   []nodeInfo // infos of the children of the nodes being visited
-	scratch bitset.StateSet
+	sink  followSink
+	syms  []string
+	sets  []int32    // arena behind every first/last set
+	stack []nodeInfo // infos of the children of the nodes being visited
+}
+
+// newGlushkovBuilder sizes a builder for an expression with the given
+// numbers of positions and nodes (see measure); the caller sets its sink.
+func newGlushkovBuilder(positions, nodes int) glushkovBuilder {
+	// Twice the node count is a first guess for the arena.
+	return glushkovBuilder{
+		syms: make([]string, 0, positions),
+		sets: make([]int32, 0, 2*nodes),
+	}
 }
 
 // union returns the union of the first (or last) sets of infos, carved
@@ -226,36 +275,6 @@ func (b *glushkovBuilder) union(infos []nodeInfo, last bool) []int32 {
 		}
 	}
 	return b.sets[start:len(b.sets):len(b.sets)]
-}
-
-// addFollow adds to ⊆ follow(p) for every p in from. A dense target
-// set is ORed in as one word range; a sparse one bit by bit.
-func (b *glushkovBuilder) addFollow(from, to []int32) {
-	if len(from) == 0 || len(to) == 0 {
-		return
-	}
-	lo, hi := int(to[0]), int(to[0])
-	for _, q := range to {
-		lo, hi = min(lo, int(q)), max(hi, int(q))
-	}
-	lo, hi = lo>>6, hi>>6+1
-	if len(from) == 1 || len(to) <= hi-lo {
-		for _, p := range from {
-			row := b.c.followRow(int(p))
-			for _, q := range to {
-				row.Add(int(q))
-			}
-		}
-		return
-	}
-	for _, q := range to {
-		b.scratch.Add(int(q))
-	}
-	src := b.scratch[lo:hi]
-	for _, p := range from {
-		b.c.followRow(int(p))[lo:hi].UnionWith(src)
-	}
-	src.Clear()
 }
 
 // children visits subs and returns their infos. The stack is already
@@ -322,7 +341,7 @@ func (b *glushkovBuilder) visit(e *regex.Expr) nodeInfo {
 		// factors between them.
 		for j := 1; j < len(infos); j++ {
 			for i := j - 1; i >= 0; i-- {
-				b.addFollow(infos[i].last, infos[j].first)
+				b.sink.addFollow(infos[i].last, infos[j].first)
 				if !infos[i].nullable {
 					break
 				}
@@ -334,7 +353,7 @@ func (b *glushkovBuilder) visit(e *regex.Expr) nodeInfo {
 		if in.empty {
 			return nodeInfo{nullable: e.Kind == regex.Star, empty: e.Kind == regex.Plus}
 		}
-		b.addFollow(in.last, in.first)
+		b.sink.addFollow(in.last, in.first)
 		in.nullable = in.nullable || e.Kind == regex.Star
 		return in
 	case regex.Opt:

@@ -78,9 +78,10 @@ func checkLowering(t *testing.T, other, e *regex.Expr) {
 	requireSameTables(t, e, compileNFA(n, &labels), got)
 }
 
-// TestLowerExprMatchesGlushkov checks that the one-pass lowering of an
-// expression equals compileNFA of its Glushkov automaton, row for row,
-// on seeded random expressions with ∅ and ε subexpressions.
+// TestLowerExprMatchesGlushkov checks that the two follow sinks of the
+// Glushkov visit agree: the bitset rows lowerExpr writes equal, row for
+// row, compileNFA of the NFA that Glushkov writes through its sparse
+// sink, on seeded random expressions with ∅ and ε subexpressions.
 func TestLowerExprMatchesGlushkov(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	g := regex.DefaultGen([]string{"a", "b", "c", "d", "e"})
@@ -99,6 +100,22 @@ func TestLowerExprMatchesGlushkov(t *testing.T) {
 	long := strings.Repeat("a b? ", 70) + "(c d)*"
 	for _, src := range []string{wide, long} {
 		checkLowering(t, regex.MustParse("z"), regex.MustParse(src))
+	}
+}
+
+// TestLowerExprAllocs pins the allocations of one side's lowering on
+// the containment path: the follow sink must add none, so a sink that
+// allocates (a closure, a fresh scratch row) fails here.
+func TestLowerExprAllocs(t *testing.T) {
+	e := regex.MustParse("(a (b + c)* d?)+ (a + b)* c")
+	var labels labelTable
+	labels.add(e.Alphabet())
+	allocs := testing.AllocsPerRun(100, func() {
+		c, syms := lowerExpr(e)
+		c.bindLabels(syms, &labels)
+	})
+	if allocs > 11 {
+		t.Fatalf("lowerExpr + bindLabels: %v allocations, want ≤ 11", allocs)
 	}
 }
 

@@ -36,7 +36,15 @@ func IsDeterministic(e *regex.Expr) bool {
 // state. It returns nil iff e is deterministic.
 func Violations(e *regex.Expr) []string {
 	n := automata.Glushkov(e)
-	l := regex.Linearize(e)
+	// Position p is the p-th symbol occurrence in preorder. Its label is
+	// read from the tree, not from a transition entering p: a position
+	// under ∅ may have none.
+	syms := []string{""}
+	e.Walk(func(x *regex.Expr) {
+		if x.Kind == regex.Symbol {
+			syms = append(syms, x.Sym)
+		}
+	})
 	var out []string
 	for q := 0; q < n.NumStates; q++ {
 		for a, succ := range n.Trans[q] {
@@ -47,7 +55,7 @@ func Violations(e *regex.Expr) []string {
 				}
 				from := "start"
 				if q > 0 {
-					from = fmt.Sprintf("position %d (%s)", q, l.Sym(q))
+					from = fmt.Sprintf("position %d (%s)", q, syms[q])
 				}
 				out = append(out, fmt.Sprintf("from %s, label %q can continue at positions {%s}", from, a, strings.Join(ps, ",")))
 			}

@@ -43,6 +43,16 @@ func TestViolations(t *testing.T) {
 	if v2 := Violations(regex.MustParse("b* a (b* a)*")); v2 != nil {
 		t.Errorf("deterministic expression has violations: %v", v2)
 	}
+	// Under ∅ no transition enters the a, yet the violation out of it
+	// still names its label.
+	for _, c := range []struct{ re, want string }{
+		{"(a (b + b)) <empty>", `from position 1 (a), label "b" can continue at positions {2,3}`},
+		{"c (a (b + b)) <empty>", `from position 2 (a), label "b" can continue at positions {3,4}`},
+	} {
+		if v := Violations(regex.MustParse(c.re)); len(v) != 1 || v[0] != c.want {
+			t.Errorf("Violations(%q) = %q, want [%q]", c.re, v, c.want)
+		}
+	}
 }
 
 func TestDeterminizePaperExample(t *testing.T) {

@@ -27,7 +27,6 @@ import (
 // loop twice (so that RWR discovers the iteration).
 func CharacteristicSample(e *regex.Expr) Sample {
 	n := automata.Glushkov(e)
-	l := regex.Linearize(e)
 	var sample Sample
 	if w, ok := n.ShortestWitness(); ok {
 		sample = append(sample, w)
@@ -40,18 +39,18 @@ func CharacteristicSample(e *regex.Expr) Sample {
 		if toState[p] == nil {
 			continue
 		}
-		for _, qs := range n.Trans[p] {
+		for a, qs := range n.Trans[p] {
 			for _, q := range qs {
 				if fromState[q] == nil {
 					continue
 				}
-				w := append(append([]string{}, toState[p]...), l.Sym(q))
+				w := append(append([]string{}, toState[p]...), a)
 				w = append(w, fromState[q]...)
 				sample = append(sample, w)
 				// If q is reachable from itself (a loop), also pump once
 				// more so counts exceed 1.
-				if w2, ok := pumpOnce(n, l, q); ok {
-					full := append(append([]string{}, toState[p]...), l.Sym(q))
+				if w2, ok := pumpOnce(n, q); ok {
+					full := append(append([]string{}, toState[p]...), a)
 					full = append(full, w2...)
 					full = append(full, fromState[q]...)
 					sample = append(sample, full)
@@ -139,7 +138,7 @@ func shortestSuffixes(n *automata.NFA) [][]string {
 
 // pumpOnce returns a shortest non-empty word leading from q back to q, if
 // one exists.
-func pumpOnce(n *automata.NFA, l *regex.Linear, q int) ([]string, bool) {
+func pumpOnce(n *automata.NFA, q int) ([]string, bool) {
 	type item struct {
 		state int
 		word  []string

@@ -1,7 +1,6 @@
 package regex
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -174,39 +173,6 @@ func TestSizeDepthOccurrences(t *testing.T) {
 	}
 }
 
-func TestLinearize(t *testing.T) {
-	// e = (a + b)* a : positions 1=a, 2=b, 3=a.
-	l := Linearize(MustParse("(a + b)* a"))
-	if l.NumPositions() != 3 {
-		t.Fatalf("NumPositions = %d", l.NumPositions())
-	}
-	if l.Nullable {
-		t.Error("should not be nullable")
-	}
-	wantFirst := map[int]bool{1: true, 2: true, 3: true}
-	for _, p := range l.First {
-		if !wantFirst[p] {
-			t.Errorf("unexpected first position %d", p)
-		}
-		delete(wantFirst, p)
-	}
-	if len(wantFirst) != 0 {
-		t.Errorf("missing first positions %v", wantFirst)
-	}
-	if len(l.Last) != 1 || l.Last[0] != 3 {
-		t.Errorf("Last = %v, want [3]", l.Last)
-	}
-	// follow(1) = {1,2,3}, follow(2) = {1,2,3}, follow(3) = {}.
-	for _, p := range []int{1, 2} {
-		if len(l.Follow[p]) != 3 {
-			t.Errorf("Follow[%d] = %v, want 3 positions", p, l.Follow[p])
-		}
-	}
-	if len(l.Follow[3]) != 0 {
-		t.Errorf("Follow[3] = %v, want empty", l.Follow[3])
-	}
-}
-
 func TestDerivativeMatches(t *testing.T) {
 	cases := []struct {
 		re   string
@@ -326,52 +292,5 @@ func TestConcatUnionFlattening(t *testing.T) {
 	}
 	if NewUnion().Kind != Empty {
 		t.Error("empty union should be ∅")
-	}
-}
-
-// TestLinearizeAllocsLinear bounds the allocations of Linearize by the
-// size of its output, positions plus follow edges, on growing families.
-// One allocation per node or per deduplicated merge (a fresh set or map
-// per union of two position sets) exceeds the bound on these shapes.
-func TestLinearizeAllocsLinear(t *testing.T) {
-	syms := func(k int) []*Expr {
-		out := make([]*Expr, k)
-		for i := range out {
-			out[i] = NewSymbol(fmt.Sprintf("a%d", i))
-		}
-		return out
-	}
-	families := []struct {
-		name  string
-		build func(k int) *Expr
-	}{
-		// (((a0 a1)* a2)* … ak-1)*: k nested stars.
-		{"nested-star", func(k int) *Expr {
-			s := syms(k)
-			e := s[0]
-			for _, x := range s[1:] {
-				e = NewStar(NewConcat(e, x))
-			}
-			return e
-		}},
-		// a0 + a1 + … + ak-1: k positions, no follow edges.
-		{"wide-union", func(k int) *Expr { return NewUnion(syms(k)...) }},
-		// (a0 + … + ak-1)*: k positions, k² follow edges.
-		{"wide-union-star", func(k int) *Expr { return NewStar(NewUnion(syms(k)...)) }},
-	}
-	for _, f := range families {
-		for _, k := range []int{16, 64, 256} {
-			e := f.build(k)
-			l := Linearize(e)
-			size := l.NumPositions()
-			for _, fs := range l.Follow {
-				size += len(fs)
-			}
-			allocs := testing.AllocsPerRun(5, func() { Linearize(e) })
-			if allocs > float64(size) {
-				t.Errorf("%s k=%d: %.0f allocations for %d positions + follow edges", f.name, k, allocs, size)
-			}
-			t.Logf("%s k=%d: %.0f allocations, output size %d", f.name, k, allocs, size)
-		}
 	}
 }
