@@ -2,9 +2,11 @@ package regex
 
 import "testing"
 
-// FuzzParse asserts the parser never panics on arbitrary input and that
-// accepted expressions survive a String/Parse round-trip: re-parsing the
-// printed form must succeed and print identically (String is a fixpoint).
+// FuzzParse asserts the parser never panics on arbitrary input, that it
+// agrees with refParse (the same tree or the same error string), and
+// that accepted expressions survive a String/Parse round-trip: re-parsing
+// the printed form must succeed and print identically (String is a
+// fixpoint).
 func FuzzParse(f *testing.F) {
 	f.Add("(a b* + c)+")
 	f.Add("a? (b + ()) c*")
@@ -12,8 +14,11 @@ func FuzzParse(f *testing.F) {
 	f.Add("a +")
 	f.Add("∅")
 	f.Add("a b c d e f g h + i*")
+	f.Add("a)$")
+	f.Add("a)&") // the parse error at ')' comes first; the lexical one at '&' wins
+	f.Add("(a b <eps\xff")
 	f.Fuzz(func(t *testing.T, src string) {
-		e, err := Parse(src)
+		e, err := checkParseMatchesReference(t, src)
 		if err != nil {
 			return
 		}

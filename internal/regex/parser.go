@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Parse parses the algebraic notation used throughout the paper:
@@ -21,17 +22,29 @@ import (
 // accepted for union. Examples: "a+b" is a⁺·b while "a + b" and "a|b" are
 // a ∪ b; "b* a (b* a)*" is the deterministic expression of Section 4.2.1.
 func Parse(s string) (*Expr, error) {
-	toks, err := lex(s)
-	if err != nil {
+	// Generated expressions have about 0.53 nodes per byte of text; a
+	// slab of 9/16 per byte holds 99% of them in one allocation. A tree
+	// of n nodes has n-1 children, so the child-list slab is as long;
+	// the stack shares its allocation.
+	n := min(len(s)*9/16+4, maxSlab)
+	buf := make([]*Expr, n+initStack)
+	p := parser{
+		src:         s,
+		prevAtomEnd: -1,
+		slab:        n,
+		nodes:       make([]Expr, 0, n),
+		subs:        buf[:0:n],
+		stack:       buf[n:n],
+	}
+	if err := p.next(); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: s}
 	e, err := p.parseUnion()
+	if err == nil && p.tok != tokEOF {
+		err = p.fail(p.unexpected())
+	}
 	if err != nil {
 		return nil, err
-	}
-	if p.pos < len(p.toks) {
-		return nil, fmt.Errorf("regex: unexpected %q at offset %d in %q", p.toks[p.pos].text, p.toks[p.pos].off, s)
 	}
 	return e, nil
 }
@@ -45,10 +58,19 @@ func MustParse(s string) *Expr {
 	return e
 }
 
-type tokKind int
+// maxSlab bounds the slab length, and so what Parse allocates up front
+// for a long input; initStack is the stack room allocated with the
+// first child-list slab.
+const (
+	maxSlab   = 512
+	initStack = 16
+)
+
+type tokKind uint8
 
 const (
-	tokLabel tokKind = iota
+	tokEOF tokKind = iota
+	tokLabel
 	tokLParen
 	tokRParen
 	tokUnion    // '+' (infix) or '|'
@@ -59,150 +81,223 @@ const (
 	tokEmpty    // <empty>
 )
 
-type token struct {
-	kind tokKind
-	text string
-	off  int
-}
-
 func isLabelRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) ||
 		r == '_' || r == ':' || r == '#' || r == '$' || r == '\'' || r == '-'
 }
 
-func lex(s string) ([]token, error) {
-	var toks []token
-	rs := []rune(s)
-	i := 0
-	// prevAtomEnd is the rune index just past the previous atom/')'/postfix
-	// token, used to classify '+'.
-	prevAtomEnd := -1
-	for i < len(rs) {
-		r := rs[i]
-		switch {
-		case unicode.IsSpace(r):
-			i++
-		case r == '(':
-			toks = append(toks, token{tokLParen, "(", i})
-			i++
-		case r == ')':
-			toks = append(toks, token{tokRParen, ")", i})
-			prevAtomEnd = i + 1
-			i++
-		case r == '|':
-			toks = append(toks, token{tokUnion, "|", i})
-			i++
-		case r == '*':
-			toks = append(toks, token{tokStar, "*", i})
-			prevAtomEnd = i + 1
-			i++
-		case r == '?':
-			toks = append(toks, token{tokOpt, "?", i})
-			prevAtomEnd = i + 1
-			i++
-		case r == '+':
-			if prevAtomEnd == i {
-				toks = append(toks, token{tokPlusPost, "+", i})
-				prevAtomEnd = i + 1
+// isLabelByte is isLabelRune for an ASCII byte.
+func isLabelByte(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+		c == '_' || c == ':' || c == '#' || c == '$' || c == '\'' || c == '-'
+}
+
+// parser is one pass over src. It holds a single token of lookahead,
+// scanned on demand from a byte offset; labels are substrings of src.
+// Nodes come from slabs, and the children of a concatenation or union
+// gather on stack until the node is built. Error offsets count runes.
+type parser struct {
+	src   string
+	off   int     // byte offset just past the current token
+	tok   tokKind // current token, spanning src[start:off]
+	start int
+	// prevAtomEnd is the byte offset just past the previous atom, ')'
+	// or postfix operator; a '+' starting there is postfix.
+	prevAtomEnd int
+	slab        int     // length of each new slab
+	nodes       []Expr  // node slab; nodes[len:cap] are free
+	subs        []*Expr // child-list slab; subs[len:cap] are free
+	stack       []*Expr // children of the open concatenations and unions
+}
+
+// next scans the token after the current one. Its error is a lexical
+// error, which always wins: Parse reports the first lexical error in
+// the input even if a parse error comes before it.
+func (p *parser) next() error {
+	s := p.src
+	for p.off < len(s) {
+		i := p.off
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, n := utf8.DecodeRuneInString(s[i:])
+			switch {
+			case unicode.IsSpace(r):
+				p.off += n
+				continue
+			case isLabelRune(r):
+				p.scanLabel(i + n)
+				return nil
+			}
+			return fmt.Errorf("regex: invalid character %q at offset %d in %q", r, p.runeOffset(i), s)
+		}
+		switch c {
+		case ' ', '\t', '\n', '\v', '\f', '\r':
+			p.off++
+			continue
+		case '(':
+			p.emit(tokLParen, i+1)
+		case ')':
+			p.emit(tokRParen, i+1)
+			p.prevAtomEnd = i + 1
+		case '|':
+			p.emit(tokUnion, i+1)
+		case '*':
+			p.emit(tokStar, i+1)
+			p.prevAtomEnd = i + 1
+		case '?':
+			p.emit(tokOpt, i+1)
+			p.prevAtomEnd = i + 1
+		case '+':
+			if p.prevAtomEnd == i {
+				p.emit(tokPlusPost, i+1)
+				p.prevAtomEnd = i + 1
 			} else {
-				toks = append(toks, token{tokUnion, "+", i})
+				p.emit(tokUnion, i+1)
 			}
-			i++
-		case r == '<':
-			j := i
-			for j < len(rs) && rs[j] != '>' {
-				j++
+		case '<':
+			j := strings.IndexByte(s[i:], '>')
+			if j < 0 {
+				return fmt.Errorf("regex: unterminated '<' at offset %d in %q", p.runeOffset(i), s)
 			}
-			if j == len(rs) {
-				return nil, fmt.Errorf("regex: unterminated '<' at offset %d in %q", i, s)
-			}
-			word := string(rs[i : j+1])
-			switch word {
+			switch word := s[i : i+j+1]; word {
 			case "<eps>":
-				toks = append(toks, token{tokEps, word, i})
+				p.emit(tokEps, i+j+1)
 			case "<empty>":
-				toks = append(toks, token{tokEmpty, word, i})
+				p.emit(tokEmpty, i+j+1)
 			default:
-				return nil, fmt.Errorf("regex: unknown token %q at offset %d", word, i)
+				// string([]rune(…)) spells invalid bytes as U+FFFD.
+				return fmt.Errorf("regex: unknown token %q at offset %d", string([]rune(word)), p.runeOffset(i))
 			}
-			prevAtomEnd = j + 1
-			i = j + 1
-		case isLabelRune(r):
-			j := i
-			for j < len(rs) && isLabelRune(rs[j]) {
-				j++
-			}
-			toks = append(toks, token{tokLabel, string(rs[i:j]), i})
-			prevAtomEnd = j
-			i = j
+			p.prevAtomEnd = p.off
 		default:
-			return nil, fmt.Errorf("regex: invalid character %q at offset %d in %q", r, i, s)
+			if !isLabelByte(c) {
+				return fmt.Errorf("regex: invalid character %q at offset %d in %q", rune(c), p.runeOffset(i), s)
+			}
+			p.scanLabel(i + 1)
+		}
+		return nil
+	}
+	p.emit(tokEOF, len(s))
+	return nil
+}
+
+// emit makes src[p.off:end] the current token.
+func (p *parser) emit(k tokKind, end int) {
+	p.tok, p.start, p.off = k, p.off, end
+}
+
+// scanLabel emits the label that starts at p.off and continues at j.
+func (p *parser) scanLabel(j int) {
+	s := p.src
+	for j < len(s) {
+		if c := s[j]; c < utf8.RuneSelf {
+			if !isLabelByte(c) {
+				break
+			}
+			j++
+		} else {
+			r, n := utf8.DecodeRuneInString(s[j:])
+			if !isLabelRune(r) {
+				break
+			}
+			j += n
 		}
 	}
-	return toks, nil
+	p.emit(tokLabel, j)
+	p.prevAtomEnd = j
 }
 
-type parser struct {
-	toks []token
-	pos  int
-	src  string
-}
+func (p *parser) runeOffset(i int) int { return utf8.RuneCountInString(p.src[:i]) }
 
-func (p *parser) peek() (token, bool) {
-	if p.pos < len(p.toks) {
-		return p.toks[p.pos], true
+// fail returns the first lexical error after the current token, if any,
+// and the parse error err otherwise.
+func (p *parser) fail(err error) error {
+	for p.tok != tokEOF {
+		if lerr := p.next(); lerr != nil {
+			return lerr
+		}
 	}
-	return token{}, false
+	return err
+}
+
+func (p *parser) unexpected() error {
+	return fmt.Errorf("regex: unexpected %q at offset %d in %q", p.src[p.start:p.off], p.runeOffset(p.start), p.src)
+}
+
+// node returns a fresh node of kind k from the node slab.
+func (p *parser) node(k Kind) *Expr {
+	if len(p.nodes) == cap(p.nodes) {
+		p.nodes = make([]Expr, 0, p.slab)
+	}
+	p.nodes = p.nodes[:len(p.nodes)+1]
+	e := &p.nodes[len(p.nodes)-1]
+	e.Kind = k
+	return e
+}
+
+// children returns an n-element child list from the child-list slab.
+// Its capacity is n, so an append to it copies rather than overwriting
+// the next list.
+func (p *parser) children(n int) []*Expr {
+	if cap(p.subs)-len(p.subs) < n {
+		p.subs = make([]*Expr, 0, max(p.slab, n))
+	}
+	a := len(p.subs)
+	p.subs = p.subs[:a+n]
+	return p.subs[a : a+n : a+n]
+}
+
+// gather builds a node of kind k whose children are stack[mark:], and
+// pops them.
+func (p *parser) gather(k Kind, mark int) *Expr {
+	e := p.node(k)
+	e.Subs = p.children(len(p.stack) - mark)
+	copy(e.Subs, p.stack[mark:])
+	p.stack = p.stack[:mark]
+	return e
 }
 
 func (p *parser) parseUnion() (*Expr, error) {
 	first, err := p.parseConcat()
-	if err != nil {
-		return nil, err
+	if err != nil || p.tok != tokUnion {
+		return first, err
 	}
-	subs := []*Expr{first}
-	for {
-		t, ok := p.peek()
-		if !ok || t.kind != tokUnion {
-			break
+	mark := len(p.stack)
+	p.stack = append(p.stack, first)
+	for p.tok == tokUnion {
+		if err := p.next(); err != nil {
+			return nil, err
 		}
-		p.pos++
-		next, err := p.parseConcat()
+		e, err := p.parseConcat()
 		if err != nil {
 			return nil, err
 		}
-		subs = append(subs, next)
+		p.stack = append(p.stack, e)
 	}
-	if len(subs) == 1 {
-		return subs[0], nil
-	}
-	return &Expr{Kind: Union, Subs: subs}, nil
+	return p.gather(Union, mark), nil
+}
+
+// startsAtom reports whether k can begin an atom, and so continue a
+// concatenation.
+func startsAtom(k tokKind) bool {
+	return k == tokLabel || k == tokLParen || k == tokEps || k == tokEmpty
 }
 
 func (p *parser) parseConcat() (*Expr, error) {
 	first, err := p.parsePostfix()
-	if err != nil {
-		return nil, err
+	if err != nil || !startsAtom(p.tok) {
+		return first, err
 	}
-	subs := []*Expr{first}
-	for {
-		t, ok := p.peek()
-		if !ok {
-			break
-		}
-		if t.kind != tokLabel && t.kind != tokLParen && t.kind != tokEps && t.kind != tokEmpty {
-			break
-		}
-		next, err := p.parsePostfix()
+	mark := len(p.stack)
+	p.stack = append(p.stack, first)
+	for startsAtom(p.tok) {
+		e, err := p.parsePostfix()
 		if err != nil {
 			return nil, err
 		}
-		subs = append(subs, next)
+		p.stack = append(p.stack, e)
 	}
-	if len(subs) == 1 {
-		return subs[0], nil
-	}
-	return &Expr{Kind: Concat, Subs: subs}, nil
+	return p.gather(Concat, mark), nil
 }
 
 func (p *parser) parsePostfix() (*Expr, error) {
@@ -211,54 +306,58 @@ func (p *parser) parsePostfix() (*Expr, error) {
 		return nil, err
 	}
 	for {
-		t, ok := p.peek()
-		if !ok {
-			break
-		}
-		switch t.kind {
+		var k Kind
+		switch p.tok {
 		case tokStar:
-			e = NewStar(e)
+			k = Star
 		case tokPlusPost:
-			e = NewPlus(e)
+			k = Plus
 		case tokOpt:
-			e = NewOpt(e)
+			k = Opt
 		default:
 			return e, nil
 		}
-		p.pos++
+		u := p.node(k)
+		u.Subs = p.children(1)
+		u.Subs[0] = e
+		e = u
+		if err := p.next(); err != nil {
+			return nil, err
+		}
 	}
-	return e, nil
 }
 
 func (p *parser) parseAtom() (*Expr, error) {
-	t, ok := p.peek()
-	if !ok {
-		return nil, fmt.Errorf("regex: unexpected end of input in %q", p.src)
-	}
-	switch t.kind {
+	var e *Expr
+	switch p.tok {
 	case tokLabel:
-		p.pos++
-		return NewSymbol(t.text), nil
+		e = p.node(Symbol)
+		e.Sym = p.src[p.start:p.off]
 	case tokEps:
-		p.pos++
-		return NewEpsilon(), nil
+		e = p.node(Epsilon)
 	case tokEmpty:
-		p.pos++
-		return NewEmpty(), nil
+		e = p.node(Empty)
 	case tokLParen:
-		p.pos++
-		e, err := p.parseUnion()
+		if err := p.next(); err != nil {
+			return nil, err
+		}
+		inner, err := p.parseUnion()
 		if err != nil {
 			return nil, err
 		}
-		t, ok := p.peek()
-		if !ok || t.kind != tokRParen {
-			return nil, fmt.Errorf("regex: missing ')' in %q", p.src)
+		if p.tok != tokRParen {
+			return nil, p.fail(fmt.Errorf("regex: missing ')' in %q", p.src))
 		}
-		p.pos++
-		return e, nil
+		e = inner
+	case tokEOF:
+		return nil, p.fail(fmt.Errorf("regex: unexpected end of input in %q", p.src))
+	default:
+		return nil, p.fail(p.unexpected())
 	}
-	return nil, fmt.Errorf("regex: unexpected %q at offset %d in %q", t.text, t.off, p.src)
+	if err := p.next(); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // ParseDTDContent parses a DTD content model in the XML 1.1 syntax used by

@@ -12,7 +12,6 @@ package regex
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Kind identifies the top-level operator of an expression.
@@ -297,66 +296,70 @@ func (e *Expr) IsEmptyLanguage() bool {
 // * / + / ? for iteration. ∅ renders as "<empty>" and ε as "<eps>".
 // Multi-character labels render as-is; the output is re-parseable by Parse.
 func (e *Expr) String() string {
-	var b strings.Builder
-	e.render(&b, 0)
-	return b.String()
+	var buf [64]byte
+	return string(e.AppendTo(buf[:0]))
 }
 
+// AppendTo appends the String rendering of e to b and returns the
+// extended buffer.
+func (e *Expr) AppendTo(b []byte) []byte { return e.appendTo(b, 0) }
+
 // precedence levels: union < concat < unary.
-func (e *Expr) render(b *strings.Builder, prec int) {
+func (e *Expr) appendTo(b []byte, prec int) []byte {
 	switch e.Kind {
 	case Empty:
-		b.WriteString("<empty>")
+		b = append(b, "<empty>"...)
 	case Epsilon:
-		b.WriteString("<eps>")
+		b = append(b, "<eps>"...)
 	case Symbol:
-		b.WriteString(e.Sym)
+		b = append(b, e.Sym...)
 	case Union:
 		if prec > 0 {
-			b.WriteByte('(')
+			b = append(b, '(')
 		}
 		for i, s := range e.Subs {
 			if i > 0 {
-				b.WriteString(" + ")
+				b = append(b, " + "...)
 			}
-			s.render(b, 1)
+			b = s.appendTo(b, 1)
 		}
 		if prec > 0 {
-			b.WriteByte(')')
+			b = append(b, ')')
 		}
 	case Concat:
 		if prec > 1 {
-			b.WriteByte('(')
+			b = append(b, '(')
 		}
 		for i, s := range e.Subs {
 			if i > 0 {
-				b.WriteByte(' ')
+				b = append(b, ' ')
 			}
-			s.render(b, 2)
+			b = s.appendTo(b, 2)
 		}
 		if prec > 1 {
-			b.WriteByte(')')
+			b = append(b, ')')
 		}
 	case Star, Plus, Opt:
 		sub := e.Sub()
 		needParen := sub.Kind == Concat || sub.Kind == Union ||
 			sub.Kind == Star || sub.Kind == Plus || sub.Kind == Opt
 		if needParen {
-			b.WriteByte('(')
-			sub.render(b, 0)
-			b.WriteByte(')')
+			b = append(b, '(')
+			b = sub.appendTo(b, 0)
+			b = append(b, ')')
 		} else {
-			sub.render(b, 3)
+			b = sub.appendTo(b, 3)
 		}
 		switch e.Kind {
 		case Star:
-			b.WriteByte('*')
+			b = append(b, '*')
 		case Plus:
-			b.WriteByte('+')
+			b = append(b, '+')
 		case Opt:
-			b.WriteByte('?')
+			b = append(b, '?')
 		}
 	}
+	return b
 }
 
 // Simplify returns a language-equivalent expression with trivial identities

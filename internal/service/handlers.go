@@ -133,7 +133,7 @@ func (s *Server) decideContainment(ctx context.Context, body []byte, explain boo
 		if err != nil {
 			return nil, errBadRequest("right: %v", err)
 		}
-		key = cacheKey(req.Engine, e1.String(), e2.String())
+		key = containmentKey(req.Engine, e1, e2)
 		contains := automata.ContainsCtx
 		if req.Engine == "kore" {
 			contains = kore.ContainmentCtx
@@ -253,6 +253,32 @@ func appendKeyPart(b []byte, p string) []byte {
 	b = strconv.AppendInt(b, int64(len(p)), 10)
 	b = append(b, ':')
 	return append(b, p...)
+}
+
+// containmentKey is cacheKey(engine, e1.String(), e2.String()), built
+// in one buffer: each side renders straight into the key.
+func containmentKey(engine string, e1, e2 *regex.Expr) string {
+	var buf [512]byte
+	b := append(buf[:0], engine...)
+	b = appendExprKeyPart(b, e1)
+	b = appendExprKeyPart(b, e2)
+	return string(b)
+}
+
+// appendExprKeyPart is appendKeyPart(b, e.String()). The length prefix
+// is known only once e is rendered, so e renders in place and then
+// moves right past the prefix.
+func appendExprKeyPart(b []byte, e *regex.Expr) []byte {
+	b = append(b, 0x1f)
+	start := len(b)
+	b = e.AppendTo(b)
+	n := len(b) - start
+	var digits [24]byte
+	prefix := append(strconv.AppendInt(digits[:0], int64(n), 10), ':')
+	b = append(b, prefix...)
+	copy(b[start+len(prefix):], b[start:start+n])
+	copy(b[start:], prefix)
+	return b
 }
 
 // canonicalJSON re-renders a JSON document with sorted object keys and no
