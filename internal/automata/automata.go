@@ -177,118 +177,6 @@ func sortedSet(s []int) []int {
 	return slices.Compact(s)
 }
 
-// Project returns the automaton whose transitions are n's with each
-// label a renamed to f(a); transitions whose label f rejects are
-// dropped. States, initial and final states are kept, so the result
-// accepts the renamed words of n that use only labels f keeps.
-func (n *NFA) Project(f func(a string) (string, bool)) *NFA {
-	out := NewNFA(n.NumStates)
-	out.Initial = append([]int(nil), n.Initial...)
-	for q, final := range n.Final {
-		out.Final[q] = final
-	}
-	for q, trans := range n.Trans {
-		for a, ps := range trans {
-			if b, ok := f(a); ok {
-				for _, p := range ps {
-					out.AddTransition(q, b, p)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Restrict returns n without the transitions whose label is not in
-// allowed: an automaton for L(n) ∩ allowed*.
-func (n *NFA) Restrict(allowed map[string]bool) *NFA {
-	return n.Project(func(a string) (string, bool) { return a, allowed[a] })
-}
-
-// UsefulLabels returns, sorted, the labels on the transitions of the
-// trimmed automaton — those reachable from an initial state and
-// co-reachable to a final one — which are exactly the labels occurring
-// in some accepted word.
-func (n *NFA) UsefulLabels() []string {
-	succ, pred := make([][]int, n.NumStates), make([][]int, n.NumStates)
-	for q, trans := range n.Trans {
-		for _, ps := range trans {
-			for _, p := range ps {
-				succ[q] = append(succ[q], p)
-				pred[p] = append(pred[p], q)
-			}
-		}
-	}
-	var finals []int
-	for q, final := range n.Final {
-		if final {
-			finals = append(finals, q)
-		}
-	}
-	reached, coreached := reach(succ, n.Initial), reach(pred, finals)
-	set := map[string]bool{}
-	for q, trans := range n.Trans {
-		for a, ps := range trans {
-			for _, p := range ps {
-				if reached[q] && coreached[p] {
-					set[a] = true
-				}
-			}
-		}
-	}
-	labels := make([]string, 0, len(set))
-	for a := range set {
-		labels = append(labels, a)
-	}
-	sort.Strings(labels)
-	return labels
-}
-
-// reach marks the vertices of the graph adj reachable from roots.
-func reach(adj [][]int, roots []int) []bool {
-	seen := make([]bool, len(adj))
-	stack := append([]int(nil), roots...)
-	for _, q := range roots {
-		seen[q] = true
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range adj[q] {
-			if !seen[p] {
-				seen[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return seen
-}
-
-// IsEmpty reports whether L(n) = ∅ (no final state reachable).
-func (n *NFA) IsEmpty() bool {
-	seen := make([]bool, n.NumStates)
-	stack := append([]int(nil), n.Initial...)
-	for _, q := range stack {
-		seen[q] = true
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n.Final[q] {
-			return false
-		}
-		for _, succs := range n.Trans[q] {
-			for _, p := range succs {
-				if !seen[p] {
-					seen[p] = true
-					stack = append(stack, p)
-				}
-			}
-		}
-	}
-	return true
-}
-
 // ShortestWitness returns a shortest accepted word, or (nil, false) if the
 // language is empty. The empty word is returned as an empty non-nil slice.
 func (n *NFA) ShortestWitness() ([]string, bool) {
@@ -643,15 +531,6 @@ func Contains(e1, e2 *regex.Expr) bool {
 // Equivalent reports whether L(e1) = L(e2).
 func Equivalent(e1, e2 *regex.Expr) bool {
 	return Contains(e1, e2) && Contains(e2, e1)
-}
-
-// NFAContains reports whether L(n1) ⊆ L(e2), with the same antichain
-// construction as Contains. The NFA form lets callers pre-restrict the
-// left language (e.g. DTD containment restricts content models to
-// realizable labels before comparing).
-func NFAContains(n1 *NFA, e2 *regex.Expr) bool {
-	ok, _ := NFAContainsCtx(context.Background(), n1, e2)
-	return ok
 }
 
 // IntersectionNonEmpty decides RE-Intersection (Section 4.2.2): whether

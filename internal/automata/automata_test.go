@@ -347,13 +347,13 @@ func TestShortestWitness(t *testing.T) {
 }
 
 func TestIsEmpty(t *testing.T) {
-	if !Glushkov(regex.MustParse("<empty>")).IsEmpty() {
+	if !ToDFA(regex.MustParse("<empty>")).IsEmpty() {
 		t.Error("∅ not empty")
 	}
-	if !Glushkov(regex.MustParse("a <empty>")).IsEmpty() {
+	if !ToDFA(regex.MustParse("a <empty>")).IsEmpty() {
 		t.Error("a∅ not empty")
 	}
-	if Glushkov(regex.MustParse("a?")).IsEmpty() {
+	if ToDFA(regex.MustParse("a?")).IsEmpty() {
 		t.Error("a? empty")
 	}
 }
@@ -394,40 +394,37 @@ func TestKOREDFABound(t *testing.T) {
 	}
 }
 
-// TestProjectRestrictUsefulLabels checks the primitives the schema
-// packages reduce to, on an automaton with a dead branch, an unreachable
-// state and a label that restriction removes:
+// TestProjectRestrictUsefulLabels checks what the schema packages
+// reduce to — a label map on the left side of ContainsMappedCtx and
+// regex.Restrict's useful labels — on an expression with a dead branch
+// and a symbol under ∅, and a label that restriction removes:
 //
-//	0 -a-> 1 -b-> 2 (final)    live path
-//	0 -e-> 5 -b-> 2            live path through e
-//	0 -c-> 3 -c-> 3            dead branch: 3 cannot reach a final state
-//	4 -d-> 2                   4 is unreachable
+//	a b + e b        live words
+//	c c* <empty>     dead branch: c c* cannot complete a word
+//	<empty> d        d sits under ∅
+//
+// Each case maps the symbols with mapSymbols to check acceptance and
+// intersection witnesses on the Glushkov automaton of the result.
 func TestProjectRestrictUsefulLabels(t *testing.T) {
-	base := NewNFA(6)
-	base.Initial = []int{0}
-	base.Final[2] = true
-	for _, tr := range []struct {
-		q int
-		a string
-		p int
-	}{{0, "a", 1}, {1, "b", 2}, {0, "e", 5}, {5, "b", 2}, {0, "c", 3}, {3, "c", 3}, {4, "d", 2}} {
-		base.AddTransition(tr.q, tr.a, tr.p)
+	base := regex.MustParse("a b + e b + c c* <empty> + <empty> d")
+	restrict := func(labels ...string) func(string) (string, bool) {
+		return func(a string) (string, bool) { return a, slices.Contains(labels, a) }
 	}
-	other := Glushkov(regex.MustParse("(a|x) b"))
+	other := regex.MustParse("(a|x) b")
 	cases := []struct {
 		name    string
-		n       *NFA
+		rename  func(string) (string, bool)
 		useful  []string
 		word    []string // accepted iff accepts
 		accepts bool
 		witness []string // shortest word also in L((a|x) b); nil when none
 	}{
-		{"dead branch and unreachable state", base, []string{"a", "b", "e"}, []string{"e", "b"}, true, []string{"a", "b"}},
-		{"restriction removes e", base.Restrict(map[string]bool{"a": true, "b": true, "c": true, "d": true}),
+		{"dead branch and unreachable state", restrict("a", "b", "c", "d", "e"), []string{"a", "b", "e"}, []string{"e", "b"}, true, []string{"a", "b"}},
+		{"restriction removes e", restrict("a", "b", "c", "d"),
 			[]string{"a", "b"}, []string{"e", "b"}, false, []string{"a", "b"}},
-		{"restriction removes b, so no state reaches a final one", base.Restrict(map[string]bool{"a": true, "c": true, "d": true, "e": true}),
-			[]string{}, []string{"a"}, false, nil},
-		{"projection renames a and e to x and drops c", base.Project(func(a string) (string, bool) {
+		{"restriction removes b, so no state reaches a final one", restrict("a", "c", "d", "e"),
+			nil, []string{"a"}, false, nil},
+		{"projection renames a and e to x and drops c", func(a string) (string, bool) {
 			switch a {
 			case "a", "e":
 				return "x", true
@@ -435,22 +432,33 @@ func TestProjectRestrictUsefulLabels(t *testing.T) {
 				return "", false
 			}
 			return a, true
-		}), []string{"b", "x"}, []string{"x", "b"}, true, []string{"x", "b"}},
+		}, []string{"b", "x"}, []string{"x", "b"}, true, []string{"x", "b"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if c.n.NumStates != base.NumStates || !slices.Equal(c.n.Initial, base.Initial) || !c.n.Final[2] || len(c.n.Final) != 1 {
-				t.Fatalf("states changed: %d states, initial %v, final %v", c.n.NumStates, c.n.Initial, c.n.Final)
+			kept, _ := base.Restrict(func(a string) bool { _, ok := c.rename(a); return ok })
+			var useful []string
+			for _, a := range kept {
+				b, _ := c.rename(a)
+				useful = append(useful, b)
 			}
-			if got := c.n.UsefulLabels(); !slices.Equal(got, c.useful) {
-				t.Errorf("UsefulLabels = %v, want %v", got, c.useful)
+			slices.Sort(useful)
+			if useful = slices.Compact(useful); !slices.Equal(useful, c.useful) {
+				t.Errorf("useful labels = %v, want %v", useful, c.useful)
 			}
-			if got := c.n.Accepts(c.word); got != c.accepts {
+			n := Glushkov(mapSymbols(base, c.rename))
+			if got := n.Accepts(c.word); got != c.accepts {
 				t.Errorf("Accepts(%v) = %v, want %v", c.word, got, c.accepts)
 			}
-			w, ok, err := NFAIntersectionWitnessCtx(context.Background(), c.n, other)
+			w, ok, err := NFAIntersectionWitnessCtx(context.Background(), n, Glushkov(other))
 			if err != nil || ok != (c.witness != nil) || !slices.Equal(w, c.witness) {
 				t.Errorf("NFAIntersectionWitnessCtx = %v, %v, %v; want %v", w, ok, err, c.witness)
+			}
+			// The label map agrees with containment of the mapped
+			// expression.
+			got, err := ContainsMappedCtx(context.Background(), base, c.rename, other)
+			if want := Contains(mapSymbols(base, c.rename), other); err != nil || got != want {
+				t.Errorf("ContainsMappedCtx(_, %s) = %v, %v; want %v", other, got, err, want)
 			}
 		})
 	}

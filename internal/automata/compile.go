@@ -12,14 +12,14 @@ package automata
 // pos[l]. Both tables live in pointer-free []uint64 slabs, one row of
 // ⌈states/64⌉ words per state or label.
 //
-// There is one layout with two feeders. lowerExpr runs the Glushkov
-// visit below (glushkovBuilder, the same pass Glushkov runs) with the
-// follow rows as its sink; bindLabels then fills pos once both sides'
-// labels are numbered. compileNFA lowers an *NFA (the left side dtd and
-// edtd pass) and panics unless it is homogeneous.
+// lowerExpr runs the Glushkov visit below (glushkovBuilder, the same
+// pass Glushkov runs) with the follow rows as its sink; bindLabels then
+// fills pos once both sides' labels are numbered. A label map on the
+// left side (ContainsMappedCtx) acts there too: a position whose label
+// the map drops gets no pos bit, so no transition enters it, and a
+// renamed one goes to its new label's row.
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/automata/bitset"
@@ -101,42 +101,12 @@ func (c *posNFA) posRow(l int) bitset.StateSet {
 	return c.pos[l*c.words : (l+1)*c.words : (l+1)*c.words]
 }
 
-// compileNFA lowers n onto the label table, whose ids must already cover
-// n's alphabet. It panics unless n is homogeneous: Glushkov automata
-// are, and Restrict and Project keep them so.
-func compileNFA(n *NFA, labels *labelTable) *posNFA {
-	c := newPosNFA(n.NumStates, labels.len())
-	c.initial = append([]int(nil), n.Initial...)
-	for q, final := range n.Final {
-		if final {
-			c.final.Add(q)
-		}
-	}
-	entered := make([]int, n.NumStates) // 1 + the label id entering each state
-	for q, row := range n.Trans {
-		follow := c.followRow(q)
-		for a, succs := range row {
-			l := labels.id(a)
-			for _, p := range succs {
-				if entered[p] != 0 && entered[p] != l+1 {
-					panic(fmt.Sprintf("automata: compileNFA needs a homogeneous NFA, but state %d is entered on both %q and %q",
-						p, labels.names[entered[p]-1], a))
-				}
-				entered[p] = l + 1
-				follow.Add(p)
-				c.posRow(l).Add(p)
-			}
-		}
-	}
-	return c
-}
-
 // lowerExpr builds the Glushkov automaton of e (see Glushkov) without
 // its pos rows, which bindLabels adds, and returns it with the label of
 // each position: syms[p-1] labels position p. The visit is Glushkov's,
-// with c's follow rows as the sink. The tables equal those of
-// compileNFA(Glushkov(e), labels) after bindLabels, row for row, except
-// pos bits of positions no transition enters, such as those under ∅
+// with c's follow rows as the sink. After bindLabels the tables hold
+// Glushkov(e)'s transitions, row for row, and pos bits of positions no
+// transition enters, such as those under ∅
 // (TestLowerExprMatchesGlushkov).
 func lowerExpr(e *regex.Expr) (c *posNFA, syms []string) {
 	n, nodes := measure(e)
@@ -192,7 +162,8 @@ func (c *posNFA) addFollow(from, to []int32) {
 
 // alphabetOf returns the sorted label set of syms — the alphabet of the
 // Glushkov automaton, which counts every symbol occurrence, even one
-// under ∅ that no transition enters.
+// under ∅ that no transition enters — without the "" of positions a
+// label map dropped.
 //
 // Expressions repeat few labels many times, so it collects the distinct
 // labels first, by a linear search while there are few of them and a
@@ -201,6 +172,9 @@ func alphabetOf(syms []string) []string {
 	alpha := make([]string, 0, min(len(syms), maxLinearAlphabet))
 	var seen map[string]bool
 	for _, a := range syms {
+		if a == "" {
+			continue
+		}
 		if seen != nil {
 			if seen[a] {
 				continue
@@ -226,12 +200,15 @@ func alphabetOf(syms []string) []string {
 const maxLinearAlphabet = 32
 
 // bindLabels sizes the pos rows of c to the label table, whose ids must
-// already cover syms, and sets position p in the row of syms[p-1].
+// already cover syms, and sets position p in the row of syms[p-1],
+// unless that is "" (a label map dropped it).
 func (c *posNFA) bindLabels(syms []string, labels *labelTable) {
 	c.width = labels.len()
 	c.pos = make([]uint64, c.width*c.words)
 	for i, a := range syms {
-		c.posRow(labels.id(a)).Add(i + 1)
+		if a != "" {
+			c.posRow(labels.id(a)).Add(i + 1)
+		}
 	}
 }
 

@@ -62,6 +62,35 @@ func requireSameTables(t *testing.T, e *regex.Expr, want, got *posNFA) {
 	}
 }
 
+// tablesOf lays out the Glushkov automaton n as position tables on the
+// label table, whose ids must already cover n's alphabet. It fails
+// unless n is homogeneous, as Glushkov automata are.
+func tablesOf(t *testing.T, n *NFA, labels *labelTable) *posNFA {
+	t.Helper()
+	c := newPosNFA(n.NumStates, labels.len())
+	c.initial = append([]int(nil), n.Initial...)
+	for q, final := range n.Final {
+		if final {
+			c.final.Add(q)
+		}
+	}
+	entered := make([]int, n.NumStates) // 1 + the label id entering each state
+	for q, row := range n.Trans {
+		for a, succs := range row {
+			l := labels.id(a)
+			for _, p := range succs {
+				if entered[p] != 0 && entered[p] != l+1 {
+					t.Fatalf("state %d is entered on both %q and %q", p, labels.names[entered[p]-1], a)
+				}
+				entered[p] = l + 1
+				c.followRow(q).Add(p)
+				c.posRow(l).Add(p)
+			}
+		}
+	}
+	return c
+}
+
 // checkLowering lowers e both ways onto one label table that already
 // holds other's labels, as the right side of a containment check sees
 // it, after checking that both ways agree on e's alphabet.
@@ -76,12 +105,12 @@ func checkLowering(t *testing.T, other, e *regex.Expr) {
 	labels.add(other.Alphabet())
 	labels.add(n.Alphabet)
 	got.bindLabels(syms, &labels)
-	requireSameTables(t, e, compileNFA(n, &labels), got)
+	requireSameTables(t, e, tablesOf(t, n, &labels), got)
 }
 
 // TestLowerExprMatchesGlushkov checks that the two follow sinks of the
 // Glushkov visit agree: the bitset rows lowerExpr writes equal, row for
-// row, compileNFA of the NFA that Glushkov writes through its sparse
+// row, the tables of the NFA that Glushkov writes through its sparse
 // sink, on seeded random expressions with ∅ and ε subexpressions.
 func TestLowerExprMatchesGlushkov(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
@@ -157,50 +186,38 @@ func TestAlphabetOf(t *testing.T) {
 	}
 }
 
-// TestCompileNFARejectsInhomogeneous pins the panic that guards the
-// position-table layout: a state entered on two labels cannot be one
-// pos bit.
-func TestCompileNFARejectsInhomogeneous(t *testing.T) {
-	n := NewNFA(2)
-	n.Initial = []int{0}
-	n.Final[1] = true
-	n.AddTransition(0, "a", 1)
-	n.AddTransition(0, "b", 1)
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "homogeneous") {
-			t.Fatalf("recovered %q, want a homogeneity panic", msg)
-		}
-	}()
-	NFAContainsCtx(context.Background(), n, regex.MustParse("a|b"))
-	t.Fatal("NFAContainsCtx accepted an inhomogeneous NFA")
-}
-
-// TestCompileNFAAcceptsProjections checks that the Restrict and Project
-// automata the schema layers pass stay homogeneous, including a
-// projection that merges two labels into one.
-func TestCompileNFAAcceptsProjections(t *testing.T) {
-	g := Glushkov(regex.MustParse("(a b | c)* a"))
-	merged := g.Project(func(a string) (string, bool) {
+// TestContainsMappedCtx checks the left-side label map: restricting to
+// two label sets and merging c into b, each against ContainsCtx on the
+// expression with the map applied to its symbols.
+func TestContainsMappedCtx(t *testing.T) {
+	left := regex.MustParse("(a b | c)* a")
+	keep := func(labels ...string) func(string) (string, bool) {
+		return func(a string) (string, bool) { return a, slices.Contains(labels, a) }
+	}
+	merge := func(a string) (string, bool) {
 		if a == "c" {
 			return "b", true
 		}
 		return a, true
-	})
+	}
 	cases := []struct {
-		n    *NFA
-		e    string
-		want bool
+		rename func(string) (string, bool)
+		e      string
+		want   bool
 	}{
-		{g.Restrict(map[string]bool{"a": true, "b": true}), "(a b)* a", true},
-		{g.Restrict(map[string]bool{"a": true, "c": true}), "c* a", true},
-		{merged, "(a b | b)* a", true},
-		{merged, "(a b)* a", false},
+		{keep("a", "b"), "(a b)* a", true},
+		{keep("a", "c"), "c* a", true},
+		{merge, "(a b | b)* a", true},
+		{merge, "(a b)* a", false},
 	}
 	for _, c := range cases {
-		got, err := NFAContainsCtx(context.Background(), c.n, regex.MustParse(c.e))
+		right := regex.MustParse(c.e)
+		got, err := ContainsMappedCtx(context.Background(), left, c.rename, right)
 		if err != nil || got != c.want {
-			t.Fatalf("NFAContainsCtx(_, %s) = %v, %v, want %v", c.e, got, err, c.want)
+			t.Fatalf("ContainsMappedCtx(_, %s) = %v, %v, want %v", c.e, got, err, c.want)
+		}
+		if ref := Contains(mapSymbols(left, c.rename), right); ref != got {
+			t.Fatalf("ContainsMappedCtx(_, %s) = %v, but ContainsCtx on the mapped expression = %v", c.e, got, ref)
 		}
 	}
 }

@@ -147,8 +147,27 @@ func DeterminizeCtx(ctx context.Context, n *NFA) (*DFA, error) {
 // differential reference. On cancellation the boolean is meaningless
 // and the error is ctx.Err().
 func ContainsCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
+	return ContainsMappedCtx(ctx, e1, nil, e2)
+}
+
+// ContainsMappedCtx is ContainsCtx with the labels of e1 read through
+// rename: a symbol a of e1 reads as b when rename(a) = (b, true) and as
+// ∅ when rename rejects it. With R the labels rename keeps, it decides
+// rename(L(e1) ∩ R*) ⊆ L(e2), the check the schema layers make on a
+// content model restricted to realizable labels (dtd) or projected from
+// types to labels (edtd). A nil rename is the identity.
+func ContainsMappedCtx(ctx context.Context, e1 *regex.Expr, rename func(string) (string, bool), e2 *regex.Expr) (bool, error) {
 	c1, syms1 := lowerExpr(e1)
 	c2, syms2 := lowerExpr(e2)
+	if rename != nil {
+		for i, a := range syms1 {
+			if b, ok := rename(a); ok {
+				syms1[i] = b
+			} else {
+				syms1[i] = "" // no pos bit: nothing enters the position
+			}
+		}
+	}
 	// Number both alphabets before binding either side, so the pos
 	// rows of each automaton cover the union alphabet.
 	var labels labelTable
@@ -157,18 +176,6 @@ func ContainsCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
 	c1.bindLabels(syms1, &labels)
 	c2.bindLabels(syms2, &labels)
 	return containsAntichainCtx(ctx, c1, c2)
-}
-
-// NFAContainsCtx is NFAContains with cooperative cancellation, on the
-// antichain engine. n1 must be homogeneous, as Glushkov automata and
-// their Restrict and Project are; compileNFA panics otherwise.
-func NFAContainsCtx(ctx context.Context, n1 *NFA, e2 *regex.Expr) (bool, error) {
-	c2, syms2 := lowerExpr(e2)
-	var labels labelTable
-	labels.add(n1.Alphabet)
-	labels.add(alphabetOf(syms2))
-	c2.bindLabels(syms2, &labels)
-	return containsAntichainCtx(ctx, compileNFA(n1, &labels), c2)
 }
 
 // ContainsClassicCtx is ContainsClassic with cooperative cancellation:

@@ -37,6 +37,8 @@ func ContainsCtx(ctx context.Context, d1, d2 *DTD) (bool, error) {
 		return false, err
 	}
 	labelsChecked := span.Counter("labels_checked")
+	keep := func(b string) bool { return real[b] }
+	restrict := func(b string) (string, bool) { return b, real[b] }
 	// Walk the reachable ∩ realizable labels of d1 from its realizable
 	// starts, checking each content language on the way.
 	reachable := map[string]bool{}
@@ -57,12 +59,13 @@ func ContainsCtx(ctx context.Context, d1, d2 *DTD) (bool, error) {
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		labelsChecked.Inc()
-		n := automata.Glushkov(d1.Rule(a)).Restrict(real)
-		ok, err := automata.NFAContainsCtx(ctx, n, d2.Rule(a))
+		e := d1.Rule(a)
+		ok, err := automata.ContainsMappedCtx(ctx, e, restrict, d2.Rule(a))
 		if err != nil || !ok {
 			return false, err
 		}
-		for _, b := range n.UsefulLabels() {
+		useful, _ := e.Restrict(keep)
+		for _, b := range useful {
 			if !reachable[b] {
 				reachable[b] = true
 				stack = append(stack, b)

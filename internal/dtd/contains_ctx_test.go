@@ -3,6 +3,8 @@ package dtd
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -95,5 +97,40 @@ func TestContainsCtxPreCanceled(t *testing.T) {
 	cancel()
 	if _, err := ContainsCtx(ctx, d1, d2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestContainsAllocBound bounds the bytes that self-containment of two
+// DTD families allocates. Both lower each content model once into
+// position tables and read realizability off the syntax tree; building
+// a map NFA per label instead cost 727 MB for the wide union and
+// 476 MB for the ANY declarations. No wall-clock bound: CI runs -race.
+func TestContainsAllocBound(t *testing.T) {
+	var anys strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&anys, "<!ELEMENT e%d ANY>\n", i)
+	}
+	for _, c := range []struct {
+		name, src string
+		bound     uint64
+	}{
+		{"wide union, n = 2000", "<!ELEMENT r (" + strings.Repeat("a|", 1999) + "a)*> <!ELEMENT a EMPTY>", 32 << 20},
+		{"100 ANY declarations", anys.String(), 64 << 20},
+	} {
+		d, err := ParseText(c.src, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ok, err := ContainsCtx(context.Background(), d, d)
+		runtime.ReadMemStats(&after)
+		if err != nil || !ok {
+			t.Fatalf("%s: self-containment = %v, %v", c.name, ok, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > c.bound {
+			t.Errorf("%s: allocated %d bytes, want <= %d MB", c.name, alloc, c.bound>>20)
+		}
 	}
 }

@@ -242,7 +242,8 @@ func (d *DTD) realizableCtx(ctx context.Context) (map[string]bool, error) {
 	_, span := obs.StartSpan(ctx, "dtd.realizable")
 	defer span.Finish()
 	return leastFixpoint(ctx, d.Alphabet(), span.Counter("fixpoint_rounds"), func(a string, real map[string]bool) bool {
-		return !automata.Glushkov(d.Rule(a)).Restrict(real).IsEmpty()
+		_, empty := d.Rule(a).Restrict(func(b string) bool { return real[b] })
+		return !empty
 	})
 }
 
@@ -277,6 +278,7 @@ func (d *DTD) MaxDepth() (int, bool) {
 		return 0, false
 	}
 	real := d.Realizable()
+	keep := func(b string) bool { return real[b] }
 	memo := map[string]int{}
 	var depth func(label string) int
 	depth = func(label string) int {
@@ -285,7 +287,8 @@ func (d *DTD) MaxDepth() (int, bool) {
 		}
 		best := 0
 		// the labels occurring in some word of L(ρ(label)) ∩ real*
-		for _, b := range automata.Glushkov(d.Rule(label)).Restrict(real).UsefulLabels() {
+		useful, _ := d.Rule(label).Restrict(keep)
+		for _, b := range useful {
 			if dep := depth(b); dep > best {
 				best = dep
 			}

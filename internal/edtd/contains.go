@@ -1,6 +1,8 @@
 package edtd
 
 import (
+	"context"
+
 	"repro/internal/automata"
 	"repro/internal/dtd"
 )
@@ -28,6 +30,8 @@ func Contains(d1, d2 *EDTD) bool {
 		panic("edtd: Contains requires single-type EDTDs")
 	}
 	real1 := d1.Realizable()
+	keep := func(ty string) bool { return real1[ty] }
+	project := func(ty string) (string, bool) { return d1.Label(ty), real1[ty] }
 
 	// label → unique type maps per rule are implied by single-typedness;
 	// we walk pairs (t1, t2) of types assigned to the same document node.
@@ -59,27 +63,21 @@ func Contains(d1, d2 *EDTD) bool {
 		queue = queue[:len(queue)-1]
 		// label-projected, realizability-restricted content of t1 must be
 		// contained in the label-projected content of t2
-		n1 := automata.Glushkov(d1.Rule(p.a)).Project(func(ty string) (string, bool) {
-			return d1.Label(ty), real1[ty]
-		})
-		e2 := d2.LabelRule(p.b)
-		if !automata.NFAContains(n1, e2) {
+		e1 := d1.Rule(p.a)
+		if ok, _ := automata.ContainsMappedCtx(context.TODO(), e1, project, d2.LabelRule(p.b)); !ok {
 			return false
 		}
-		// successor pairs: for each label realizable under t1, pair the
-		// unique child types
-		t1ByLabel := typeByLabel(d1, p.a)
+		// successor pairs: each type useful under t1 is the unique child
+		// type of its label there; pair it with d2's type of that label
 		t2ByLabel := typeByLabel(d2, p.b)
-		for _, lab := range n1.UsefulLabels() {
-			c1, ok1 := t1ByLabel[lab]
-			c2, ok2 := t2ByLabel[lab]
-			if !ok1 {
-				continue
-			}
-			if !ok2 {
+		useful, _ := e1.Restrict(keep)
+		for _, c1 := range useful {
+			c2, ok := t2ByLabel[d1.Label(c1)]
+			if !ok {
 				// d2's content language admitted the label only if some
-				// type carries it; NFAContains above would have failed
-				// otherwise, so this cannot happen for single-type d2.
+				// type carries it; the containment check above would
+				// have failed otherwise, so this cannot happen for
+				// single-type d2.
 				return false
 			}
 			np := pair{c1, c2}

@@ -11,6 +11,7 @@ package regex
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -265,30 +266,71 @@ func (e *Expr) Nullable() bool {
 }
 
 // IsEmptyLanguage reports whether L(e) = ∅.
-func (e *Expr) IsEmptyLanguage() bool {
+func (e *Expr) IsEmptyLanguage() bool { return e.restrict(nil, nil) }
+
+// Restrict reads every symbol of e that keep rejects as ∅, which gives
+// L(e) ∩ R* for the set R of labels keep accepts, and reports on that
+// language in one O(|e|) pass: empty says whether it is ∅, and useful
+// lists, sorted and distinct, the labels of its useful positions — the
+// symbol occurrences some word of it uses. A position is useful iff no
+// node on its path from the root has an empty language under that
+// reading, so useful is also the set of labels occurring in a word of
+// L(e) ∩ R*.
+func (e *Expr) Restrict(keep func(label string) bool) (useful []string, empty bool) {
+	empty = e.restrict(keep, &useful)
+	slices.Sort(useful)
+	return slices.Compact(useful), empty
+}
+
+// restrict reports whether e is empty with the symbols keep rejects
+// read as ∅ (a nil keep rejects none). Unless syms is nil it appends
+// the labels of e's positions that no empty node on their path up to e
+// cuts off: each node takes back what its children appended once it
+// turns out empty.
+func (e *Expr) restrict(keep func(string) bool, syms *[]string) (empty bool) {
+	start := 0
+	if syms != nil {
+		start = len(*syms)
+	}
 	switch e.Kind {
 	case Empty:
-		return true
-	case Epsilon, Symbol, Star, Opt:
-		return false
+		empty = true
+	case Epsilon:
+	case Symbol:
+		empty = keep != nil && !keep(e.Sym)
+		if !empty && syms != nil {
+			*syms = append(*syms, e.Sym)
+		}
+	case Star, Opt:
+		e.Sub().restrict(keep, syms)
 	case Plus:
-		return e.Sub().IsEmptyLanguage()
+		empty = e.Sub().restrict(keep, syms)
 	case Concat:
 		for _, s := range e.Subs {
-			if s.IsEmptyLanguage() {
-				return true
+			if s.restrict(keep, syms) {
+				empty = true
+				break
 			}
 		}
-		return false
 	case Union:
+		// Every branch may hold useful positions, so a collecting
+		// visit cannot stop at the first non-empty one.
+		empty = true
 		for _, s := range e.Subs {
-			if !s.IsEmptyLanguage() {
-				return false
+			if !s.restrict(keep, syms) {
+				empty = false
+				if syms == nil {
+					break
+				}
 			}
 		}
-		return true
+	default:
+		panic("regex: unknown kind")
 	}
-	panic("regex: unknown kind")
+	if empty && syms != nil {
+		*syms = (*syms)[:start]
+	}
+	return empty
 }
 
 // String renders e with minimal parentheses using '+' for union (the paper's

@@ -2,6 +2,7 @@ package regex
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -146,6 +147,33 @@ func TestIsEmptyLanguage(t *testing.T) {
 	for _, c := range cases {
 		if got := MustParse(c.in).IsEmptyLanguage(); got != c.want {
 			t.Errorf("IsEmptyLanguage(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestRestrict checks Restrict on hand-picked cases; the differential
+// test and fuzz target in internal/automata check it against Glushkov
+// automata.
+func TestRestrict(t *testing.T) {
+	cases := []struct {
+		in     string
+		keep   string // the kept labels, space-separated; "*" keeps every label
+		useful []string
+		empty  bool
+	}{
+		{"(a + b <empty>)* c", "*", []string{"a", "c"}, false},
+		{"(a b)* c", "a c", []string{"c"}, false},
+		{"a (b + c)", "a b", []string{"a", "b"}, false},
+		{"a b+ + c", "a c", []string{"c"}, false},
+		{"a? b", "a", nil, true},
+		{"(a + <empty>)+ b?", "a b", []string{"a", "b"}, false},
+		{"<empty>*", "", nil, false},
+	}
+	for _, c := range cases {
+		keep := func(a string) bool { return c.keep == "*" || slices.Contains(strings.Fields(c.keep), a) }
+		useful, empty := MustParse(c.in).Restrict(keep)
+		if !slices.Equal(useful, c.useful) || empty != c.empty {
+			t.Errorf("Restrict(%q, {%s}) = %v, %v; want %v, %v", c.in, c.keep, useful, empty, c.useful, c.empty)
 		}
 	}
 }

@@ -75,6 +75,8 @@ func storeError(err error) *apiError {
 		return &apiError{http.StatusNotFound, err.Error()}
 	case errors.Is(err, store.ErrWrongKind):
 		return &apiError{http.StatusConflict, err.Error()}
+	case errors.Is(err, store.ErrBadCorpusName):
+		return &apiError{http.StatusBadRequest, err.Error()}
 	}
 	return &apiError{http.StatusInternalServerError, err.Error()}
 }

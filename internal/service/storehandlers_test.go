@@ -158,6 +158,29 @@ func TestCorpusIngestValidation(t *testing.T) {
 	}
 }
 
+// TestCorpusNameBound: a corpus name over store.MaxCorpusName bytes is
+// refused with a 400 that names the limit, and no corpus is created.
+func TestCorpusNameBound(t *testing.T) {
+	_, base := newStoreServer(t)
+	body, _ := json.Marshal(map[string]any{"name": strings.Repeat("n", 1<<20), "queries": []string{"q"}})
+	var resp map[string]any
+	if code := post(t, base, "/v1/corpora", string(body), &resp); code != http.StatusBadRequest {
+		t.Fatalf("1 MiB name: code %d, want 400", code)
+	}
+	if msg, _ := resp["error"].(string); !strings.Contains(msg, "at most 256 bytes") {
+		t.Fatalf("1 MiB name: error %q does not name the limit", msg)
+	}
+	get, err := http.Get(base + "/v1/corpora")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer get.Body.Close()
+	var list corporaResponse
+	if err := json.NewDecoder(get.Body).Decode(&list); err != nil || len(list.Corpora) != 0 {
+		t.Fatalf("corpora after a refused create: %+v, %v", list.Corpora, err)
+	}
+}
+
 // TestCorpusWrongKindIsConflict: data of the other kind POSTed to an
 // existing corpus is the client's mistake, 409, in both directions.
 func TestCorpusWrongKindIsConflict(t *testing.T) {

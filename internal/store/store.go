@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/cache"
 	"repro/internal/obs"
@@ -60,6 +61,15 @@ var ErrUnknownCorpus = errors.New("unknown corpus")
 // as a triples view of a log corpus: the caller's mistake, not damage
 // to the store.
 var ErrWrongKind = errors.New("wrong corpus kind")
+
+// MaxCorpusName is the longest corpus name, in bytes, that CreateCorpus
+// registers. Names must also be valid UTF-8. A registry that already
+// holds a longer name still opens, and its corpus still answers.
+const MaxCorpusName = 256
+
+// ErrBadCorpusName reports a new corpus name that is not valid UTF-8
+// or longer than MaxCorpusName bytes.
+var ErrBadCorpusName = fmt.Errorf("corpus name must be valid UTF-8 of at most %d bytes", MaxCorpusName)
 
 // CorruptError reports that an on-disk structure failed validation —
 // a committed segment or mid-log dictionary record with a bad CRC,
@@ -370,7 +380,7 @@ func (s *Store) closeLocked() error {
 
 // CreateCorpus registers a corpus. Creating an existing corpus with
 // the same kind is a no-op (ingest is additive); a kind mismatch is an
-// error.
+// error, and so is a new name that ErrBadCorpusName rules out.
 func (s *Store) CreateCorpus(name string, kind CorpusKind) (Corpus, error) {
 	if name == "" {
 		return Corpus{}, errors.New("store: corpus name must be non-empty")
@@ -385,6 +395,9 @@ func (s *Store) CreateCorpus(name string, kind CorpusKind) (Corpus, error) {
 			return Corpus{}, fmt.Errorf("store: corpus %q is kind %q, not %q: %w", name, c.Kind, kind, ErrWrongKind)
 		}
 		return c, nil
+	}
+	if len(name) > MaxCorpusName || !utf8.ValidString(name) {
+		return Corpus{}, fmt.Errorf("store: new corpus name of %d bytes: %w", len(name), ErrBadCorpusName)
 	}
 	c := Corpus{Name: name, Kind: kind, ID: s.nextID}
 	s.nextID++

@@ -855,6 +855,59 @@ func TestCorpusKindMismatch(t *testing.T) {
 	}
 }
 
+// TestCorpusNameBound checks that CreateCorpus refuses new names over
+// MaxCorpusName bytes or not valid UTF-8, and that a registry written
+// with a longer name still opens, lists it and reads its lines.
+func TestCorpusNameBound(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, name := range []string{strings.Repeat("n", MaxCorpusName+1), "bad\xff"} {
+		if _, err := st.IngestLog(ctx, name, []string{"x"}); !errors.Is(err, ErrBadCorpusName) {
+			t.Fatalf("IngestLog into a %d-byte name: %v, want ErrBadCorpusName", len(name), err)
+		}
+	}
+	if _, err := st.IngestLog(ctx, strings.Repeat("n", MaxCorpusName), []string{"x"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.IngestLog(ctx, "short", []string{"q1", "q2"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rename "short" in the registry as an older store could have.
+	long := strings.Repeat("long name ", 10000)
+	path := filepath.Join(dir, "corpora.json")
+	reg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted, _ := json.Marshal(long)
+	reg = bytes.Replace(reg, []byte(`"short"`), quoted, 1)
+	if err := os.WriteFile(path, reg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = OpenExisting(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	list, err := st.Corpora(ctx)
+	if err != nil || len(list) != 2 || list[0].Name != long {
+		t.Fatalf("Corpora = %+v, %v; want the long name listed", list, err)
+	}
+	if lines, err := st.LogLines(ctx, long); err != nil || !reflect.DeepEqual(lines, []string{"q1", "q2"}) {
+		t.Fatalf("LogLines(long name) = %v, %v", lines, err)
+	}
+	if _, err := st.IngestLog(ctx, long, []string{"q3"}); err != nil {
+		t.Fatalf("IngestLog into the existing long name: %v", err)
+	}
+}
+
 func TestContextCancellationStopsScan(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
