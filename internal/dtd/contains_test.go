@@ -49,6 +49,11 @@ func TestDTDContainmentIgnoresUnrealizableParts(t *testing.T) {
 	if !Contains(d1, d2) {
 		t.Error("unrealizable rules must not break containment")
 	}
+	// A reachable rule that mentions b reads as if b were ∅.
+	d1.AddRule("r", regex.MustParse("x + b"))
+	if !Contains(d1, d2) {
+		t.Error("an unrealizable alternative must not break containment")
+	}
 }
 
 func TestDTDContainmentAgainstSampling(t *testing.T) {
