@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/chare"
+	"repro/internal/determinism"
 	"repro/internal/reduction"
 	"repro/internal/regex"
 )
@@ -70,5 +71,5 @@ func main() {
 
 	// --- descriptional complexity: determinization ----------------------
 	e := regex.MustParse("(a + b)* a")
-	fmt.Printf("\n%q is deterministic per BKW? %v\n", e, automata.Glushkov(e).IsDeterministic())
+	fmt.Printf("\n%q is deterministic per BKW? %v\n", e, determinism.IsDeterministic(e))
 }

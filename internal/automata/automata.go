@@ -1,11 +1,11 @@
 // Package automata implements finite automata over label alphabets: the
 // Glushkov construction from regular expressions (one First/Last/Follow
-// pass over the syntax tree, in compile.go, that writes either an NFA
-// or the containment engine's position tables), subset construction,
-// DFA minimization, Boolean operations, and the decision procedures
-// (membership, emptiness, containment, equivalence, intersection
-// non-emptiness) that underpin the complexity landscape of Sections 4.2
-// and 9.6 of "Towards Theory for Real-World Data".
+// pass over the syntax tree, in compile.go, read as an NFA, as the
+// membership Matcher or as the containment engine's position tables),
+// subset construction, DFA minimization, Boolean operations, and the
+// decision procedures (membership, emptiness, containment, equivalence,
+// intersection non-emptiness) that underpin the complexity landscape of
+// Sections 4.2 and 9.6 of "Towards Theory for Real-World Data".
 package automata
 
 import (
@@ -76,45 +76,31 @@ func (n *NFA) WithAlphabet(labels []string) *NFA {
 // Glushkov constructs the position automaton of e: state 0 is initial,
 // states 1..n correspond to the symbol occurrences of e in preorder
 // (Section 4.2.1; the expression is deterministic in the sense of
-// Brüggemann-Klein & Wood iff this automaton is deterministic). It runs
-// the containment lowering's visit (compile.go) with sparse transitions
-// as the follow sink.
+// Brüggemann-Klein & Wood iff this automaton is deterministic). It
+// expands the products of the Glushkov visit (compile.go) into
+// transitions; the automaton is homogeneous, so the edge into q carries
+// q's label.
 func Glushkov(e *regex.Expr) *NFA {
-	positions, nodes := measure(e)
-	n := NewNFA(positions + 1)
-	b := newGlushkovBuilder(positions, nodes)
-	b.sink = &nfaFollow{nfa: n, syms: &b.syms}
-	info := b.visit(e)
-	for _, p := range info.first {
-		n.AddTransition(0, b.syms[p-1], int(p))
+	b, ps, info := visitProducts(e)
+	n := NewNFA(len(b.syms) + 1)
+	for k := 0; k < len(ps); k += 2 {
+		for _, p := range b.set(ps[k]) {
+			for _, q := range b.set(ps[k+1]) {
+				n.AddTransition(int(p), b.syms[q-1], int(q))
+			}
+		}
 	}
 	n.Initial = []int{0}
 	if info.nullable {
 		n.Final[0] = true
 	}
-	for _, p := range info.last {
+	for _, p := range b.set(info.last) {
 		n.Final[int(p)] = true
 	}
 	// Symbols of an empty-language subexpression still extend the
 	// alphabet, though they enter no transition.
 	n.WithAlphabet(b.syms)
 	return n
-}
-
-// nfaFollow adds follow edges as transitions of nfa. Glushkov automata
-// are homogeneous, so the edge into q carries q's label, syms[q-1].
-type nfaFollow struct {
-	nfa  *NFA
-	syms *[]string
-}
-
-func (s *nfaFollow) addFollow(from, to []int32) {
-	syms := *s.syms
-	for _, p := range from {
-		for _, q := range to {
-			s.nfa.AddTransition(int(p), syms[q-1], int(q))
-		}
-	}
 }
 
 // IsDeterministic reports whether the NFA has a single initial state and at
@@ -496,22 +482,6 @@ func (d *DFA) IsEmpty() bool {
 		}
 	}
 	return true
-}
-
-// ToNFA converts d to an equivalent NFA.
-func (d *DFA) ToNFA() *NFA {
-	n := NewNFA(d.NumStates)
-	n.Initial = []int{0}
-	for q, m := range d.Trans {
-		for a, p := range m {
-			n.AddTransition(q, a, p)
-		}
-	}
-	for q := range d.Final {
-		n.Final[q] = true
-	}
-	n.WithAlphabet(d.Alphabet)
-	return n
 }
 
 // Contains reports whether L(e1) ⊆ L(e2), deciding

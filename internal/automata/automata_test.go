@@ -463,20 +463,3 @@ func TestProjectRestrictUsefulLabels(t *testing.T) {
 		})
 	}
 }
-
-// BenchmarkGlushkov times Glushkov and NewMatcher on 200 seeded random
-// depth-5 expressions, the compile step of a cold membership request.
-func BenchmarkGlushkov(b *testing.B) {
-	r := rand.New(rand.NewSource(5))
-	g := regex.DefaultGen([]string{"a", "b", "c", "d"})
-	g.MaxDepth = 5
-	exprs := make([]*regex.Expr, 200)
-	for i := range exprs {
-		exprs[i] = g.Random(r)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewMatcher(Glushkov(exprs[i%len(exprs)]))
-	}
-}

@@ -115,16 +115,13 @@ func lowerExpr(e *regex.Expr) (c *posNFA, syms []string) {
 	b := newGlushkovBuilder(n, nodes)
 	b.sink = c
 	info := b.visit(e)
+	c.addFollow(b.sets, span{0, 1}, info.first)
 	c.scratch = nil
 	c.initial = []int{0}
 	if info.nullable {
 		c.final.Add(0)
 	}
-	first := c.followRow(0)
-	for _, p := range info.first {
-		first.Add(int(p))
-	}
-	for _, p := range info.last {
+	for _, p := range b.set(info.last) {
 		c.final.Add(int(p))
 	}
 	return c, b.syms
@@ -132,7 +129,8 @@ func lowerExpr(e *regex.Expr) (c *posNFA, syms []string) {
 
 // addFollow adds to ⊆ follow(p) for every p in from. A dense target
 // set is ORed in as one word range; a sparse one bit by bit.
-func (c *posNFA) addFollow(from, to []int32) {
+func (c *posNFA) addFollow(sets []int32, fromSpan, toSpan span) {
+	from, to := fromSpan.of(sets), toSpan.of(sets)
 	if len(from) == 0 || len(to) == 0 {
 		return
 	}
@@ -163,40 +161,34 @@ func (c *posNFA) addFollow(from, to []int32) {
 // alphabetOf returns the sorted label set of syms — the alphabet of the
 // Glushkov automaton, which counts every symbol occurrence, even one
 // under ∅ that no transition enters — without the "" of positions a
-// label map dropped.
-//
-// Expressions repeat few labels many times, so it collects the distinct
-// labels first, by a linear search while there are few of them and a
-// set beyond, and sorts only those.
+// label map dropped. Expressions repeat few labels many times, so it
+// finds them by a linear search while there are few of them, and beyond
+// that sorts the remaining occurrences, which takes less memory than a
+// set. Few labels get a slice of their own size.
 func alphabetOf(syms []string) []string {
-	alpha := make([]string, 0, min(len(syms), maxLinearAlphabet))
-	var seen map[string]bool
-	for _, a := range syms {
-		if a == "" {
+	var buf [maxLinearAlphabet]string
+	alpha := buf[:0]
+	for i, a := range syms {
+		if a == "" || slices.Contains(alpha, a) {
 			continue
 		}
-		if seen != nil {
-			if seen[a] {
-				continue
+		if len(alpha) == maxLinearAlphabet {
+			all := append(append(make([]string, 0, len(alpha)+len(syms)-i), alpha...), syms[i:]...)
+			slices.Sort(all)
+			all = slices.Compact(all)
+			if all[0] == "" {
+				all = all[1:]
 			}
-			seen[a] = true
-		} else if slices.Contains(alpha, a) {
-			continue
-		} else if len(alpha) == maxLinearAlphabet {
-			seen = make(map[string]bool, 2*maxLinearAlphabet)
-			for _, b := range alpha {
-				seen[b] = true
-			}
-			seen[a] = true
+			return all
 		}
 		alpha = append(alpha, a)
 	}
 	slices.Sort(alpha)
-	return alpha
+	return slices.Clone(alpha)
 }
 
 // maxLinearAlphabet is how many distinct labels alphabetOf finds by
-// linear search before it switches to a set.
+// linear search before it switches to sorting.
 const maxLinearAlphabet = 32
 
 // bindLabels sizes the pos rows of c to the label table, whose ids must
@@ -227,28 +219,51 @@ func measure(e *regex.Expr) (positions, nodes int) {
 	return positions, nodes
 }
 
+// span is a run sets[lo:hi] of a glushkovBuilder's arena.
+type span struct{ lo, hi int32 }
+
+func (s span) of(sets []int32) []int32 { return sets[s.lo:s.hi:s.hi] }
+
 // nodeInfo is what a subexpression tells its parent. First and Last of
 // disjoint subtrees are disjoint, so unions of them never need
 // deduplication.
 type nodeInfo struct {
 	nullable bool
 	empty    bool // L = ∅
-	first    []int32
-	last     []int32
+	first    span
+	last     span
 }
 
 // followSink receives the follow edges of a Glushkov visit as last ×
-// first products: every position of to follows every position of from.
-// The position tables (*posNFA) keep them as bitset rows; Glushkov's
-// NFA (*nfaFollow) as sparse transitions, which stay linear in the
-// edges where a^n alone would take n² follow bits.
+// first products of arena spans: every position of to.of(sets) follows
+// every position of from.of(sets). The position tables (*posNFA) OR
+// them into rows; Glushkov and NewMatcher read them after the visit.
 type followSink interface {
-	addFollow(from, to []int32)
+	addFollow(sets []int32, from, to span)
 }
 
-// glushkovBuilder is the one pass behind both Glushkov and lowerExpr.
-// Positions are numbered 1..n in preorder; First and Last sets are
-// carved from one arena, and Follow goes straight into the sink.
+// products keeps a visit's products as they come, linear where
+// (a + … + a)* alone has n² follow pairs: product k is ps[2k] × ps[2k+1].
+type products []span
+
+func (ps *products) addFollow(_ []int32, from, to span) { *ps = append(*ps, from, to) }
+
+// visitProducts runs the Glushkov visit of e and returns its builder,
+// its products, the first being {0} × First(e), and the root's info.
+func visitProducts(e *regex.Expr) (*glushkovBuilder, products, nodeInfo) {
+	n, nodes := measure(e)
+	b := newGlushkovBuilder(n, nodes)
+	ps := make(products, 2, 2+2*nodes)
+	b.sink = &ps
+	info := b.visit(e)
+	ps[0], ps[1] = span{0, 1}, info.first
+	return &b, ps, info
+}
+
+// glushkovBuilder is the one pass behind lowerExpr, Glushkov and
+// NewMatcher. Positions are numbered 1..n in preorder; First and Last
+// sets are spans of one arena, which only grows, and Follow goes
+// straight into the sink.
 type glushkovBuilder struct {
 	sink  followSink
 	syms  []string
@@ -258,26 +273,30 @@ type glushkovBuilder struct {
 
 // newGlushkovBuilder sizes a builder for an expression with the given
 // numbers of positions and nodes (see measure); the caller sets its sink.
+// Its arena starts with span{0, 1}, the set {0} of the initial state,
+// and twice the node count is a first guess for the rest.
 func newGlushkovBuilder(positions, nodes int) glushkovBuilder {
-	// Twice the node count is a first guess for the arena.
 	return glushkovBuilder{
-		syms: make([]string, 0, positions),
-		sets: make([]int32, 0, 2*nodes),
+		syms:  make([]string, 0, positions),
+		sets:  append(make([]int32, 0, 2*nodes+1), 0),
+		stack: make([]nodeInfo, 0, nodes),
 	}
 }
 
+func (b *glushkovBuilder) set(s span) []int32 { return s.of(b.sets) }
+
 // union returns the union of the first (or last) sets of infos, carved
 // from the arena.
-func (b *glushkovBuilder) union(infos []nodeInfo, last bool) []int32 {
+func (b *glushkovBuilder) union(infos []nodeInfo, last bool) span {
 	start := len(b.sets)
 	for _, in := range infos {
+		s := in.first
 		if last {
-			b.sets = append(b.sets, in.last...)
-		} else {
-			b.sets = append(b.sets, in.first...)
+			s = in.last
 		}
+		b.sets = append(b.sets, b.set(s)...)
 	}
-	return b.sets[start:len(b.sets):len(b.sets)]
+	return span{int32(start), int32(len(b.sets))}
 }
 
 // children visits subs and returns their infos. The stack is already
@@ -301,9 +320,8 @@ func (b *glushkovBuilder) visit(e *regex.Expr) nodeInfo {
 		return nodeInfo{nullable: true}
 	case regex.Symbol:
 		b.syms = append(b.syms, e.Sym)
-		start := len(b.sets)
 		b.sets = append(b.sets, int32(len(b.syms)))
-		set := b.sets[start : start+1 : start+1]
+		set := span{int32(len(b.sets) - 1), int32(len(b.sets))}
 		return nodeInfo{first: set, last: set}
 	case regex.Union:
 		infos := b.children(e.Subs)
@@ -344,7 +362,7 @@ func (b *glushkovBuilder) visit(e *regex.Expr) nodeInfo {
 		// factors between them.
 		for j := 1; j < len(infos); j++ {
 			for i := j - 1; i >= 0; i-- {
-				b.sink.addFollow(infos[i].last, infos[j].first)
+				b.sink.addFollow(b.sets, infos[i].last, infos[j].first)
 				if !infos[i].nullable {
 					break
 				}
@@ -356,7 +374,7 @@ func (b *glushkovBuilder) visit(e *regex.Expr) nodeInfo {
 		if in.empty {
 			return nodeInfo{nullable: e.Kind == regex.Star, empty: e.Kind == regex.Plus}
 		}
-		b.sink.addFollow(in.last, in.first)
+		b.sink.addFollow(b.sets, in.last, in.first)
 		in.nullable = in.nullable || e.Kind == regex.Star
 		return in
 	case regex.Opt:

@@ -11,12 +11,10 @@ package automata
 // checkpoint then costs one counter increment plus a predictable
 // branch, which benchmarks put well under 5% (BenchmarkContainsCtx).
 //
-// Only the searches check ctx. The lowering ContainsCtx runs first
-// (compile.go) is polynomial and has no checkpoint: it ORs whole
-// bitset rows, so a dense follow relation costs words, not pairs, and
-// the 8,000-alternative (a|…|a)* of a 16 KB request lowers in a few
-// milliseconds (TestContainsWideUnionAllocBound,
-// TestContainmentWideUnionAnswers).
+// The searches and Matcher.Accepts check ctx. The lowering ContainsCtx
+// runs first (compile.go) has no checkpoint: it ORs whole bitset rows,
+// so the 8,000-alternative (a|…|a)* of a 16 KB request lowers in a few
+// milliseconds (TestContainsWideUnionAllocBound).
 
 import (
 	"context"

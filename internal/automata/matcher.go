@@ -1,155 +1,183 @@
 package automata
 
 import (
+	"cmp"
+	"context"
 	"slices"
 	"sort"
+
+	"repro/internal/automata/bitset"
+	"repro/internal/regex"
 )
 
-// Matcher is the compiled form of an NFA for repeated membership tests:
-// compact, immutable once built, and safe for concurrent use, so one
-// Matcher can be cached and shared by every request that asks about the
-// same expression.
-//
-// Labels are interned into a sorted slice; a label's index is its id.
-// The transitions are kept in CSR form, grouped by state and then by
-// label, so a Matcher's size is linear in the number of transitions of
-// the NFA it was built from, however many labels there are. Accepts
-// simulates the NFA on the fly, which is polynomial in the word and the
-// automaton, where determinizing could be exponential. On a
-// deterministic automaton — always the case for the Glushkov automaton
-// of a deterministic expression (Section 4.2.1), which real schemas
-// overwhelmingly use — the simulated set never holds more than one
-// state, so each symbol costs two binary searches and no allocation.
+// Matcher is the Glushkov automaton of an expression, compiled for
+// repeated membership tests and safe for concurrent use. It keeps the
+// Glushkov visit's products unexpanded (visitProducts), linear in the
+// expression where (a + … + a)* has n² transitions. A step from a state
+// set S on label a is the union of the label-a runs of the products S
+// hits. On a deterministic expression (Section 4.2.1), as real schemas
+// overwhelmingly are, S never holds more than one state, and a symbol
+// costs a binary search per product of that state and no allocation.
 type Matcher struct {
-	labels        []string
-	final         []bool
-	initial       []int32
+	labels        []string // sorted; a label's index is its id
+	final         bitset.StateSet
 	deterministic bool
-	// State q's transitions are the entries row[q] to row[q+1]-1, sorted
-	// by label id: entry i is on label lab[i] and its successors are
-	// succ[off[i]:off[i+1]].
-	row, lab, off, succ []int32
+	// lab[p] is the label id of position p ≥ 1. Product k's targets are
+	// to[toOff[k]:toOff[k+1]], by label id and then position. Position q
+	// is in the sources of products in[inOff[q]:inOff[q+1]], ascending.
+	lab, to, toOff, in, inOff []int32
 }
 
-// NewMatcher compiles n. The NFA is only read; later changes to it do not
-// affect the Matcher.
-func NewMatcher(n *NFA) *Matcher {
-	m := &Matcher{
-		labels:        append([]string(nil), n.Alphabet...),
-		final:         make([]bool, n.NumStates),
-		initial:       make([]int32, len(n.Initial)),
-		deterministic: n.IsDeterministic(),
-		row:           make([]int32, n.NumStates+1),
+// NewMatcher compiles the Glushkov automaton of e (see Glushkov): the
+// same verdicts, and Deterministic is Glushkov(e).IsDeterministic().
+func NewMatcher(e *regex.Expr) *Matcher {
+	b, ps, info := visitProducts(e)
+	n := len(b.syms)
+	m := &Matcher{labels: alphabetOf(b.syms), final: bitset.New(n + 1)}
+	if info.nullable {
+		m.final.Add(0)
 	}
-	for q := range n.Final {
-		m.final[q] = n.Final[q]
+	for _, p := range b.set(info.last) {
+		m.final.Add(int(p))
 	}
-	for i, q := range n.Initial {
-		m.initial[i] = int32(q)
+	numProds, numTo, numIn := len(ps)/2, 0, 0
+	for k := 0; k < len(ps); k += 2 {
+		numIn, numTo = numIn+int(ps[k].hi-ps[k].lo), numTo+int(ps[k+1].hi-ps[k+1].lo)
 	}
-	entries, total := 0, 0
-	for _, trans := range n.Trans {
-		entries += len(trans)
-		for _, ps := range trans {
-			total += len(ps)
+	slab := make([]int32, 2*n+4+numTo+numProds+1+numIn)
+	carve := func(size int) []int32 {
+		s := slab[:size:size]
+		slab = slab[size:]
+		return s
+	}
+	m.lab, m.to, m.toOff, m.in, m.inOff = carve(n+1), carve(numTo), carve(numProds+1), carve(numIn), carve(n+3)
+	for i, a := range b.syms {
+		m.lab[i+1] = m.label(a)
+	}
+	for k := 0; k < numProds; k++ {
+		end := m.toOff[k] + int32(copy(m.to[m.toOff[k]:], b.set(ps[2*k+1])))
+		slices.SortFunc(m.to[m.toOff[k]:end], m.byLabel)
+		m.toOff[k+1] = end
+	}
+	// The inverse index by counting sort: q's count goes to inOff[q+2],
+	// then the prefix sums make inOff[q+1] q's cursor (inOff[n+2] spare).
+	for k := 0; k < len(ps); k += 2 {
+		for _, q := range b.set(ps[k]) {
+			m.inOff[q+2]++
 		}
 	}
-	m.lab = make([]int32, 0, entries)
-	m.off = make([]int32, 1, entries+1)
-	m.succ = make([]int32, 0, total)
-	for q, trans := range n.Trans {
-		start := len(m.lab)
-		for a := range trans {
-			m.lab = append(m.lab, int32(m.label(a)))
-		}
-		slices.Sort(m.lab[start:])
-		for _, l := range m.lab[start:] {
-			for _, p := range trans[m.labels[l]] {
-				m.succ = append(m.succ, int32(p))
-			}
-			m.off = append(m.off, int32(len(m.succ)))
-		}
-		m.row[q+1] = int32(len(m.lab))
+	for q := 1; q < len(m.inOff); q++ {
+		m.inOff[q] += m.inOff[q-1]
 	}
+	for k := 0; k < len(ps); k += 2 {
+		for _, q := range b.set(ps[k]) {
+			m.in[m.inOff[q+1]] = int32(k / 2)
+			m.inOff[q+1]++
+		}
+	}
+	m.deterministic = m.isDeterministic()
 	return m
 }
 
-// Deterministic reports whether the compiled NFA was deterministic
-// (NFA.IsDeterministic).
+// byLabel orders positions by label id, then by position.
+func (m *Matcher) byLabel(p, q int32) int {
+	return cmp.Or(cmp.Compare(m.lab[p], m.lab[q]), cmp.Compare(p, q))
+}
+
+// isDeterministic reports whether no position, reachable or not, has two
+// successors with one label; one with its predecessor's products shares
+// its verdict.
+func (m *Matcher) isDeterministic() bool {
+	var succ, prev []int32
+	for q := 0; q+1 < len(m.inOff); q++ {
+		if ks := m.in[m.inOff[q]:m.inOff[q+1]]; !slices.Equal(ks, prev) {
+			prev, succ = ks, succ[:0]
+			for _, k := range ks {
+				succ = append(succ, m.to[m.toOff[k]:m.toOff[k+1]]...)
+			}
+			slices.SortFunc(succ, m.byLabel)
+			succ = slices.Compact(succ)
+			for i := 1; i < len(succ); i++ {
+				if m.lab[succ[i]] == m.lab[succ[i-1]] {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// Deterministic reports whether the expression is (Section 4.2.1).
 func (m *Matcher) Deterministic() bool { return m.deterministic }
 
 // label returns the id of a, or -1 when a is not in the alphabet.
-func (m *Matcher) label(a string) int {
-	i := sort.SearchStrings(m.labels, a)
-	if i < len(m.labels) && m.labels[i] == a {
-		return i
+func (m *Matcher) label(a string) int32 {
+	if i, ok := slices.BinarySearch(m.labels, a); ok {
+		return int32(i)
 	}
 	return -1
 }
 
-// successors returns the successors of q on label l, sorted and
-// duplicate-free.
-func (m *Matcher) successors(q, l int32) []int32 {
-	lo, hi := m.row[q], m.row[q+1]
-	end := hi
-	for lo < hi {
-		mid := int32(uint32(lo+hi) >> 1)
-		if m.lab[mid] < l {
-			lo = mid + 1
-		} else {
-			hi = mid
+// step appends to next the states reached from cur on label l (none for
+// l = -1), and to ks the products cur hits; it returns both.
+func (m *Matcher) step(next, ks, cur []int32, l int32) ([]int32, []int32) {
+	for _, q := range cur {
+		for _, k := range m.in[m.inOff[q]:m.inOff[q+1]] {
+			if len(ks) == 0 || ks[len(ks)-1] != k { // neighbours often share
+				ks = append(ks, k)
+			}
 		}
 	}
-	if lo == end || m.lab[lo] != l {
-		return nil
+	if len(cur) > 1 {
+		slices.Sort(ks)
+		ks = slices.Compact(ks)
 	}
-	return m.succ[m.off[lo]:m.off[lo+1]]
+	for _, k := range ks {
+		run := m.to[m.toOff[k]:m.toOff[k+1]]
+		i := sort.Search(len(run), func(i int) bool { return m.lab[run[i]] >= l })
+		for ; i < len(run) && m.lab[run[i]] == l; i++ {
+			next = append(next, run[i])
+		}
+	}
+	switch {
+	case len(ks) < 2:
+	case m.deterministic: // every target found is one position
+		next = next[:min(len(next), 1)]
+	default:
+		slices.Sort(next)
+		next = slices.Compact(next)
+	}
+	return next, ks
 }
 
-// Accepts reports whether the automaton accepts word. It keeps the set of
-// current states per symbol. A step from one state needs no duplicate
-// check, since a successor list is duplicate-free; a step from several
-// marks each state added, with mark = step+1, so the marks never need
-// clearing.
-func (m *Matcher) Accepts(word []string) bool {
-	var curBuf, nextBuf, markBuf [64]int32
-	cur, next := append(curBuf[:0], m.initial...), nextBuf[:0]
-	var mark []int32
-	for i, a := range word {
-		l := m.label(a)
-		if l < 0 {
-			return false
+// Accepts reports whether the automaton accepts word. It returns
+// ctx.Err() if that is set at the first symbol or at a later checkpoint.
+func (m *Matcher) Accepts(ctx context.Context, word []string) (bool, error) {
+	c := canceler{ctx: ctx, tick: checkEvery - 1}
+	var curBuf, nextBuf, ksBuf [64]int32
+	cur, next, ks := append(curBuf[:0], 0), nextBuf[:0], ksBuf[:0]
+	for _, a := range word {
+		if err := c.checkpoint(); err != nil {
+			return false, err
 		}
-		next = next[:0]
-		if len(cur) == 1 {
-			next = append(next, m.successors(cur[0], int32(l))...)
-		} else {
-			if mark == nil {
-				if n := len(m.final); n <= len(markBuf) {
-					mark = markBuf[:n]
-				} else {
-					mark = make([]int32, n)
-				}
-			}
-			stamp := int32(i + 1)
-			for _, q := range cur {
-				for _, p := range m.successors(q, int32(l)) {
-					if mark[p] != stamp {
-						mark[p] = stamp
-						next = append(next, p)
-					}
-				}
-			}
-		}
-		if len(next) == 0 {
-			return false
+		if next, ks = m.step(next[:0], ks[:0], cur, m.label(a)); len(next) == 0 {
+			return false, nil
 		}
 		cur, next = next, cur
 	}
-	for _, q := range cur {
-		if m.final[q] {
-			return true
-		}
-	}
-	return false
+	return m.AnyFinal(cur), nil
+}
+
+// Start returns the state set before the first symbol (see Step).
+func (m *Matcher) Start() []int32 { return []int32{0} }
+
+// Step returns the states reached from set on a, in a new slice.
+func (m *Matcher) Step(set []int32, a string) []int32 {
+	next, _ := m.step(nil, nil, set, m.label(a))
+	return next
+}
+
+// AnyFinal reports whether set holds a final state.
+func (m *Matcher) AnyFinal(set []int32) bool {
+	return slices.ContainsFunc(set, func(q int32) bool { return m.final.Has(int(q)) })
 }

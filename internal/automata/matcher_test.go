@@ -1,26 +1,45 @@
 package automata
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/regex"
 )
 
-// matcherVerdicts returns the verdicts on w of the Matcher compiled from
-// the Glushkov automaton of e, the Matcher compiled from its determinized
-// DFA (so always deterministic), the Glushkov NFA itself, and the DFA.
-func matcherVerdicts(e *regex.Expr, w []string) [4]bool {
-	n := Glushkov(e)
-	d := Determinize(n)
-	return [4]bool{
-		NewMatcher(n).Accepts(w),
-		NewMatcher(d.ToNFA()).Accepts(w),
-		n.Accepts(w),
-		d.Accepts(w),
+// accepts is Accepts without a deadline.
+func accepts(m *Matcher, w []string) bool {
+	ok, err := m.Accepts(context.Background(), w)
+	if err != nil {
+		panic(err)
+	}
+	return ok
+}
+
+// checkMatcher compares the Matcher of e with the Glushkov NFA on w and
+// on determinism, and, when the NFA has at most maxDFAStates states,
+// with the determinized DFA on w. The Matcher and the NFA share only the
+// Glushkov visit.
+func checkMatcher(t *testing.T, e *regex.Expr, w []string, maxDFAStates int) {
+	t.Helper()
+	m, n := NewMatcher(e), Glushkov(e)
+	if got, want := m.Deterministic(), n.IsDeterministic(); got != want {
+		t.Fatalf("e=%s: Deterministic()=%v, NFA IsDeterministic()=%v", e, got, want)
+	}
+	got, want := accepts(m, w), n.Accepts(w)
+	if got != want {
+		t.Fatalf("e=%s w=%q: Matcher=%v NFA=%v", e, w, got, want)
+	}
+	if n.NumStates <= maxDFAStates {
+		if dfa := Determinize(n).Accepts(w); dfa != want {
+			t.Fatalf("e=%s w=%q: Matcher=%v NFA=%v DFA=%v", e, w, got, want, dfa)
+		}
 	}
 }
 
@@ -39,20 +58,24 @@ func TestMatcherCases(t *testing.T) {
 		{"(a + b)* a", false, []string{"a", "b a", "a b a"}, []string{"", "b", "a b"}},
 		{"(a + b)* a (a + b) (a + b)", false, []string{"a a a", "b a b b"}, []string{"a", "b b b", "a b a b"}},
 		{"a a + a b", false, []string{"a a", "a b"}, []string{"a", "b b", "a a a"}},
+		// Two products lead from a to a: one position, so deterministic.
+		{"(a*)*", true, []string{"", "a", "a a"}, []string{"b"}},
+		// From c, one product leads to a1 and b, another to a3.
+		{"c (a + b)* a", false, []string{"c a", "c b a a"}, []string{"c", "c b", "a"}},
 	}
 	for _, c := range cases {
-		n := Glushkov(regex.MustParse(c.re))
-		m := NewMatcher(n)
-		if m.Deterministic() != c.det || m.Deterministic() != n.IsDeterministic() {
+		e := regex.MustParse(c.re)
+		m := NewMatcher(e)
+		if m.Deterministic() != c.det || m.Deterministic() != Glushkov(e).IsDeterministic() {
 			t.Fatalf("%q: Deterministic() = %v, want %v", c.re, m.Deterministic(), c.det)
 		}
 		for _, w := range words(c.yes...) {
-			if !m.Accepts(w) {
+			if !accepts(m, w) {
 				t.Errorf("Matcher(%q) rejects %v", c.re, w)
 			}
 		}
 		for _, w := range words(c.no...) {
-			if m.Accepts(w) {
+			if accepts(m, w) {
 				t.Errorf("Matcher(%q) accepts %v", c.re, w)
 			}
 		}
@@ -60,9 +83,10 @@ func TestMatcherCases(t *testing.T) {
 }
 
 // TestMatcherAgreesWithAutomata checks matchers of deterministic and
-// nondeterministic automata against the NFA and the DFA on random
-// expressions, some of them too large for an eager
-// subset construction to be the reference (those compare to the NFA only).
+// nondeterministic expressions against the NFA and the DFA on random
+// expressions, verdicts and determinism both, some of them too large for
+// an eager subset construction to be the reference (those compare to the
+// NFA only).
 func TestMatcherAgreesWithAutomata(t *testing.T) {
 	g := regex.DefaultGen([]string{"a", "b", "c"})
 	r := rand.New(rand.NewSource(7))
@@ -85,15 +109,7 @@ func TestMatcherAgreesWithAutomata(t *testing.T) {
 					w = s
 				}
 			}
-			if n.NumStates > 16 {
-				if got, want := NewMatcher(n).Accepts(w), n.Accepts(w); got != want {
-					t.Fatalf("e=%s w=%v: Matcher=%v NFA=%v", e, w, got, want)
-				}
-				continue
-			}
-			if v := matcherVerdicts(e, w); v[0] != v[2] || v[1] != v[2] || v[3] != v[2] {
-				t.Fatalf("e=%s w=%v: Matcher=%v DFA-Matcher=%v NFA=%v DFA=%v", e, w, v[0], v[1], v[2], v[3])
-			}
+			checkMatcher(t, e, w, 16)
 		}
 	}
 	if det == 0 || nondet == 0 {
@@ -105,7 +121,7 @@ func TestMatcherAgreesWithAutomata(t *testing.T) {
 func TestMatcherLargeStateSet(t *testing.T) {
 	e := regex.MustParse(AntichainHardExpr(40))
 	n := Glushkov(e)
-	m := NewMatcher(n)
+	m := NewMatcher(e)
 	if m.Deterministic() || n.NumStates <= 64 {
 		t.Fatalf("want a nondeterministic automaton with more than 64 states, got %d states", n.NumStates)
 	}
@@ -115,60 +131,152 @@ func TestMatcherLargeStateSet(t *testing.T) {
 		if !ok {
 			t.Fatal("empty language")
 		}
-		if !m.Accepts(w) {
+		if !accepts(m, w) {
 			t.Fatalf("rejects its own word %v", w)
 		}
 		w[r.Intn(len(w))] = "c"
-		if m.Accepts(w) != n.Accepts(w) {
+		if accepts(m, w) != n.Accepts(w) {
 			t.Fatalf("disagrees with the NFA on %v", w)
 		}
 	}
 }
 
-// TestMatcherSizeLinear pins the Matcher's size to the transitions of its
-// NFA: a concatenation of 20000 distinct symbols has 20001 states and
-// 20000 transitions, and a states × labels table of it would take 1.6 GB.
+// TestMatcherSizeLinear pins the Matcher's size to the length of its
+// expression: a concatenation of 20000 distinct symbols has 20001
+// states and 20000 transitions, and a states × labels table of it would
+// take 1.6 GB.
 func TestMatcherSizeLinear(t *testing.T) {
 	const k = 20000
 	syms := make([]string, k)
 	for i := range syms {
 		syms[i] = fmt.Sprintf("s%d", i)
 	}
-	n := Glushkov(regex.MustParse(strings.Join(syms, " ")))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m := NewMatcher(n)
-	runtime.ReadMemStats(&after)
-	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 2<<20 {
+	e := regex.MustParse(strings.Join(syms, " "))
+	var m *Matcher
+	if bytes := allocated(func() { m = NewMatcher(e) }); bytes > 2<<20 {
 		t.Fatalf("NewMatcher allocated %d bytes for %d transitions, want < 2 MiB", bytes, k)
 	}
-	if !m.Deterministic() || !m.Accepts(syms) {
+	if !m.Deterministic() || !accepts(m, syms) {
 		t.Fatal("rejects the concatenation's only word")
 	}
-	if m.Accepts(syms[1:]) || m.Accepts(append(syms[:k-1:k-1], "s0")) {
+	if accepts(m, syms[1:]) || accepts(m, append(syms[:k-1:k-1], "s0")) {
 		t.Fatal("accepts a word outside the language")
 	}
-	if allocs := testing.AllocsPerRun(10, func() { m.Accepts(syms) }); allocs != 0 {
+	ctx := context.Background()
+	if allocs := testing.AllocsPerRun(10, func() { m.Accepts(ctx, syms) }); allocs != 0 {
 		t.Fatalf("Accepts on a deterministic matcher allocated %v times", allocs)
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMatcherSizeDoubling pins linear growth on the families whose
+// Glushkov automata are quadratic or long: doubling n may grow
+// NewMatcher's allocation at most 2.5-fold. (a + … + a)* with n
+// alternatives has n² transitions, and (x0 + … + xn)* as many with n
+// labels; expanding them, as Glushkov does, takes hundreds of MB at
+// n = 4,000.
+func TestMatcherSizeDoubling(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int
+		expr func(n int) string
+	}{
+		{"(a+…+a)*", 4000, func(n int) string { return "(" + strings.Repeat("a + ", n-1) + "a)*" }},
+		{"(x0+…+xn)*", 4000, func(n int) string {
+			alts := make([]string, n)
+			for i := range alts {
+				alts[i] = fmt.Sprintf("x%d", i)
+			}
+			return "(" + strings.Join(alts, " + ") + ")*"
+		}},
+		{"a a … a", 40000, func(n int) string { return strings.Repeat("a ", n) }},
+	} {
+		small, large := regex.MustParse(c.expr(c.n)), regex.MustParse(c.expr(2*c.n))
+		NewMatcher(small)
+		b1 := allocated(func() { NewMatcher(small) })
+		b2 := allocated(func() { NewMatcher(large) })
+		if float64(b2) > 2.5*float64(b1) {
+			t.Errorf("%s: NewMatcher allocated %d bytes at n=%d and %d at n=%d, more than 2.5×", c.name, b1, c.n, b2, 2*c.n)
+		}
+		t.Logf("%s: %d bytes at n=%d, %d at n=%d", c.name, b1, c.n, b2, 2*c.n)
+	}
+}
+
+// TestMatcherAcceptsCancels stops a long word on a wide nondeterministic
+// expression, whose every step visits all 8,000 positions, at a canceled
+// context, and checks a context already canceled before the first symbol.
+func TestMatcherAcceptsCancels(t *testing.T) {
+	m := NewMatcher(regex.MustParse("(" + strings.Repeat("a + ", 7999) + "a)*"))
+	if m.Deterministic() {
+		t.Fatal("(a + … + a)* is not deterministic")
+	}
+	word := make([]string, 1_000_000)
+	for i := range word {
+		word[i] = "a"
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := m.Accepts(ctx, word); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Accepts = %v, want DeadlineExceeded", err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("Accepts returned %v after its deadline of 20ms", el)
+	}
+	if _, err := m.Accepts(ctx, word[:1]); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Accepts of one symbol on an expired context = %v", err)
+	}
+	if ok, err := m.Accepts(ctx, nil); !ok || err != nil {
+		t.Fatalf("Accepts of the empty word = %v, %v; it reads no symbol", ok, err)
+	}
+}
+
+// TestMatcherStep checks the symbol-at-a-time interface against Accepts.
+func TestMatcherStep(t *testing.T) {
+	g := regex.DefaultGen([]string{"a", "b", "c"})
+	r := rand.New(rand.NewSource(9))
+	for i := 0; i < 300; i++ {
+		e := g.Random(r)
+		m := NewMatcher(e)
+		w := make([]string, r.Intn(6))
+		for k := range w {
+			w[k] = []string{"a", "b", "c", "d"}[r.Intn(4)]
+		}
+		set := m.Start()
+		for _, a := range w {
+			set = m.Step(set, a)
+		}
+		if got, want := m.AnyFinal(set), accepts(m, w); got != want {
+			t.Fatalf("e=%s w=%q: Step=%v Accepts=%v", e, w, got, want)
+		}
 	}
 }
 
 // BenchmarkMatcher times Accepts on a deterministic and a
 // nondeterministic expression of the size decide-hot sends.
 func BenchmarkMatcher(b *testing.B) {
+	ctx := context.Background()
 	for _, c := range []struct{ name, re, word string }{
 		{"deterministic", "b* a (b* a)* c? (d + e)*", "b a b b a a c d e d"},
 		{"nondeterministic", "(a (b + c)* d?)+ (a + b)* c", "a b c d a c"},
 	} {
-		m := NewMatcher(Glushkov(regex.MustParse(c.re)))
+		m := NewMatcher(regex.MustParse(c.re))
 		w := strings.Fields(c.word)
-		if !m.Accepts(w) {
+		if !accepts(m, w) {
 			b.Fatalf("%s rejects %v", c.re, w)
 		}
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				matcherSink = m.Accepts(w)
+				matcherSink, _ = m.Accepts(ctx, w)
 			}
 		})
 	}
@@ -177,9 +285,26 @@ func BenchmarkMatcher(b *testing.B) {
 // matcherSink keeps BenchmarkMatcher's calls from being optimized away.
 var matcherSink bool
 
+// BenchmarkNewMatcher times NewMatcher on 200 seeded random depth-5
+// expressions, the compile step of a cold membership request.
+func BenchmarkNewMatcher(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	g := regex.DefaultGen([]string{"a", "b", "c", "d"})
+	g.MaxDepth = 5
+	exprs := make([]*regex.Expr, 200)
+	for i := range exprs {
+		exprs[i] = g.Random(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewMatcher(exprs[i%len(exprs)])
+	}
+}
+
 // FuzzMatcher checks the Matcher against the Glushkov NFA and the
-// determinized DFA on arbitrary expression/word texts, through both the
-// Glushkov matcher and the DFA's matcher.
+// determinized DFA on arbitrary expression/word texts, and its
+// Deterministic against the NFA's.
 func FuzzMatcher(f *testing.F) {
 	f.Add("b* a (b* a)*", "b a b a")
 	f.Add("(a + b)* a (a + b)", "b a b")
@@ -198,8 +323,6 @@ func FuzzMatcher(f *testing.F) {
 		if len(w) > 12 {
 			w = w[:12]
 		}
-		if v := matcherVerdicts(e, w); v[0] != v[2] || v[1] != v[2] || v[3] != v[2] {
-			t.Fatalf("e=%s w=%q: Matcher=%v DFA-Matcher=%v NFA=%v DFA=%v", e, w, v[0], v[1], v[2], v[3])
-		}
+		checkMatcher(t, e, w, 13)
 	})
 }

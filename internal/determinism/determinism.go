@@ -28,7 +28,7 @@ import (
 // Example from the paper: (a + b)* a is NOT deterministic, while the
 // equivalent b* a (b* a)* is.
 func IsDeterministic(e *regex.Expr) bool {
-	return automata.Glushkov(e).IsDeterministic()
+	return automata.NewMatcher(e).Deterministic()
 }
 
 // Violations returns a human-readable description of each determinism
@@ -104,12 +104,12 @@ func Determinize(e *regex.Expr) DeterminizeResult {
 	if cand != nil && cand.Size() > 64*e.Size() {
 		cand = nil
 	}
-	if cand != nil && automata.Glushkov(cand).IsDeterministic() && automata.Equivalent(e, cand) {
+	if cand != nil && IsDeterministic(cand) && automata.Equivalent(e, cand) {
 		return DeterminizeResult{Expr: cand, OK: true, DFAStates: dfa.NumStates}
 	}
 	// Fall back: try per-state unrolled form a la b*a(b*a)* for simple loops.
 	if cand2 := unrollLoops(dfa); cand2 != nil &&
-		automata.Glushkov(cand2).IsDeterministic() && automata.Equivalent(e, cand2) {
+		IsDeterministic(cand2) && automata.Equivalent(e, cand2) {
 		return DeterminizeResult{Expr: cand2, OK: true, DFAStates: dfa.NumStates}
 	}
 	return DeterminizeResult{OK: false, DFAStates: dfa.NumStates}

@@ -113,65 +113,62 @@ func (e *ValidationError) Error() string { return "dtd: " + e.Msg }
 // means valid. To validate many documents against one DTD, Compile it
 // once and call Compiled.Validate.
 func (d *DTD) Validate(t *tree.Node) error {
-	return d.Compile().Validate(t)
+	return d.Compile().Validate(context.Background(), t)
 }
 
 // Compiled is a DTD compiled for validation: an automata.Matcher per
-// content model, built from its Glushkov automaton the first time a
-// document needs it and shared by every rule with the same *regex.Expr
-// (ParseText gives all ANY rules one). It is safe for concurrent use, so
-// it can be cached and shared across documents and requests. Compiling
-// never determinizes, so it stays polynomial in the DTD even for
-// nondeterministic content models.
+// content model, built the first time a document needs it and shared by
+// every rule with the same *regex.Expr (ParseText gives all ANY rules
+// one). It is safe for concurrent use, so it can be cached and shared
+// across documents and requests.
 type Compiled struct {
 	d     *DTD
-	rules map[string]*lazyMatcher
+	rules map[string]func() *automata.Matcher
 }
 
-// lazyMatcher is the matcher of one content model, built once on first
-// use.
-type lazyMatcher struct {
-	e    *regex.Expr
-	once sync.Once
-	m    *automata.Matcher
-}
-
-func (l *lazyMatcher) matcher() *automata.Matcher {
-	l.once.Do(func() { l.m = automata.NewMatcher(automata.Glushkov(l.e)) })
-	return l.m
-}
+// leaf is the matcher of ε, the content model of a label without a rule.
+var leaf = automata.NewMatcher(regex.NewEpsilon())
 
 // Compile prepares d for validating many documents; each content model
 // is compiled when a document first needs it. The result refers to d,
 // which must not change while the result is in use.
 func (d *DTD) Compile() *Compiled {
-	c := &Compiled{d: d, rules: make(map[string]*lazyMatcher, len(d.Rules))}
-	shared := map[*regex.Expr]*lazyMatcher{}
+	c := &Compiled{d: d, rules: make(map[string]func() *automata.Matcher, len(d.Rules))}
+	shared := map[*regex.Expr]func() *automata.Matcher{}
 	for a, e := range d.Rules {
-		l, ok := shared[e]
-		if !ok {
-			l = &lazyMatcher{e: e}
-			shared[e] = l
+		if shared[e] == nil {
+			shared[e] = sync.OnceValue(func() *automata.Matcher { return automata.NewMatcher(e) })
 		}
-		c.rules[a] = l
+		c.rules[a] = shared[e]
 	}
 	return c
 }
 
+// matcher returns the matcher of ρ(label).
+func (c *Compiled) matcher(label string) *automata.Matcher {
+	if m, ok := c.rules[label]; ok {
+		return m()
+	}
+	return leaf
+}
+
 // Validate checks validity of t w.r.t. the compiled DTD, with the same
-// verdicts and the same ValidationError as DTD.Validate.
-func (c *Compiled) Validate(t *tree.Node) error {
+// verdicts and the same ValidationError as DTD.Validate, or ctx.Err()
+// once a child word's Matcher.Accepts finds it set.
+func (c *Compiled) Validate(ctx context.Context, t *tree.Node) error {
 	if !c.d.Start[t.Label] {
 		return &ValidationError{Msg: fmt.Sprintf("root label %q not in start labels", t.Label)}
 	}
-	return c.check(t)
+	return c.check(ctx, t)
 }
 
-func (c *Compiled) check(n *tree.Node) error {
+func (c *Compiled) check(ctx context.Context, n *tree.Node) error {
 	w := n.ChildWord()
-	l, ok := c.rules[n.Label]
-	// A label without a rule has ρ = ε: it must be a leaf.
-	if ok && !l.matcher().Accepts(w) || !ok && len(w) > 0 {
+	ok, err := c.matcher(n.Label).Accepts(ctx, w)
+	if err != nil {
+		return err
+	}
+	if !ok {
 		return &ValidationError{
 			Label: n.Label,
 			Word:  w,
@@ -179,7 +176,7 @@ func (c *Compiled) check(n *tree.Node) error {
 		}
 	}
 	for _, ch := range n.Children {
-		if err := c.check(ch); err != nil {
+		if err := c.check(ctx, ch); err != nil {
 			return err
 		}
 	}

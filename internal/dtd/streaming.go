@@ -3,7 +3,6 @@ package dtd
 import (
 	"fmt"
 
-	"repro/internal/automata"
 	"repro/internal/tree"
 )
 
@@ -38,8 +37,7 @@ func Events(t *tree.Node) []Event {
 // streaming validation regime of Segoufin & Vianu discussed in Section 4.1.
 // (For recursive DTDs the stack can grow with the document.)
 type StreamValidator struct {
-	d     *DTD
-	nfas  map[string]*automata.NFA
+	c     *Compiled // its matchers step the open elements' states
 	stack []frame
 	// HighWater is the maximum stack depth observed — the memory measure
 	// reported by the streaming experiments.
@@ -50,21 +48,12 @@ type StreamValidator struct {
 
 type frame struct {
 	label  string
-	states []int
+	states []int32
 }
 
 // NewStreamValidator returns a validator for d.
 func NewStreamValidator(d *DTD) *StreamValidator {
-	return &StreamValidator{d: d, nfas: map[string]*automata.NFA{}}
-}
-
-func (v *StreamValidator) nfa(label string) *automata.NFA {
-	n, ok := v.nfas[label]
-	if !ok {
-		n = automata.Glushkov(v.d.Rule(label))
-		v.nfas[label] = n
-	}
-	return n
+	return &StreamValidator{c: d.Compile()}
 }
 
 // Feed consumes one event; a non-nil error means the stream is already
@@ -76,7 +65,7 @@ func (v *StreamValidator) Feed(ev Event) error {
 	if ev.Open {
 		if !v.started {
 			v.started = true
-			if !v.d.Start[ev.Label] {
+			if !v.c.d.Start[ev.Label] {
 				return fmt.Errorf("dtd: root label %q not in start labels", ev.Label)
 			}
 		} else {
@@ -84,11 +73,11 @@ func (v *StreamValidator) Feed(ev Event) error {
 				return fmt.Errorf("dtd: second root element %q", ev.Label)
 			}
 			top := &v.stack[len(v.stack)-1]
-			if top.states = v.nfa(top.label).Step(top.states, ev.Label); len(top.states) == 0 {
+			if top.states = v.c.matcher(top.label).Step(top.states, ev.Label); len(top.states) == 0 {
 				return fmt.Errorf("dtd: child %q not allowed under %q here", ev.Label, top.label)
 			}
 		}
-		v.stack = append(v.stack, frame{label: ev.Label, states: v.nfa(ev.Label).Start()})
+		v.stack = append(v.stack, frame{label: ev.Label, states: v.c.matcher(ev.Label).Start()})
 		if len(v.stack) > v.HighWater {
 			v.HighWater = len(v.stack)
 		}
@@ -99,7 +88,7 @@ func (v *StreamValidator) Feed(ev Event) error {
 	}
 	top := v.stack[len(v.stack)-1]
 	v.stack = v.stack[:len(v.stack)-1]
-	if !v.nfa(top.label).AnyFinal(top.states) {
+	if !v.c.matcher(top.label).AnyFinal(top.states) {
 		return fmt.Errorf("dtd: element %q closed with incomplete content", top.label)
 	}
 	if len(v.stack) == 0 {

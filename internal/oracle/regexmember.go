@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -32,12 +33,13 @@ func memberVerdicts(e *regex.Expr, w []string) [5]bool {
 	if injectedBug == "regex-membership" && len(w) >= 2 {
 		dfa = !dfa
 	}
+	matcher, _ := automata.NewMatcher(e).Accepts(context.Background(), w)
 	return [5]bool{
 		regex.Matches(e, w),
 		regex.MatchesDerivative(e, w),
 		nfa.Accepts(w),
 		dfa,
-		automata.NewMatcher(nfa).Accepts(w),
+		matcher,
 	}
 }
 

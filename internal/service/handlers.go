@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/core"
+	"repro/internal/determinism"
 	"repro/internal/dtd"
 	"repro/internal/edtd"
 	"repro/internal/inference"
@@ -313,7 +314,7 @@ type membershipResponse struct {
 
 // decideMembership answers from the expression's compiled Matcher,
 // cached under the raw expression text.
-func (s *Server) decideMembership(_ context.Context, body []byte, _ bool) (any, *apiError) {
+func (s *Server) decideMembership(ctx context.Context, body []byte, _ bool) (any, *apiError) {
 	var req membershipRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, errBadRequest("invalid JSON: %v", err)
@@ -323,16 +324,17 @@ func (s *Server) decideMembership(_ context.Context, body []byte, _ bool) (any, 
 		if err != nil {
 			return nil, errBadRequest("expr: %v", err)
 		}
-		return automata.NewMatcher(automata.Glushkov(e)), nil
+		return automata.NewMatcher(e), nil
 	})
 	if aerr != nil {
 		return nil, aerr
 	}
 	m := v.(*automata.Matcher)
-	return membershipResponse{
-		Member:        m.Accepts(req.Word),
-		Deterministic: m.Deterministic(),
-	}, nil
+	member, err := m.Accepts(ctx, req.Word)
+	if err != nil {
+		return nil, ctxError(err)
+	}
+	return membershipResponse{Member: member, Deterministic: m.Deterministic()}, nil
 }
 
 // maxCompileKey bounds the raw request text the compile cache keys on.
@@ -429,7 +431,7 @@ func (s *Server) decideValidate(ctx context.Context, body []byte, _ bool) (any, 
 		}
 		d := v.(*dtd.Compiled)
 		check = func(t *tree.Node) validateResult {
-			if err := d.Validate(t); err != nil {
+			if err := d.Validate(ctx, t); err != nil {
 				return validateResult{Valid: false, Error: err.Error()}
 			}
 			return validateResult{Valid: true}
@@ -458,10 +460,10 @@ func (s *Server) decideValidate(ctx context.Context, body []byte, _ bool) (any, 
 
 	resp := validateResponse{Kind: req.Kind, Results: make([]validateResult, len(docs))}
 	for i, t := range docs {
+		resp.Results[i] = check(t) // the error of a deadline inside t is not sent
 		if err := ctx.Err(); err != nil {
 			return nil, ctxError(err)
 		}
-		resp.Results[i] = check(t)
 	}
 	return resp, nil
 }
@@ -562,15 +564,13 @@ func (s *Server) decideInfer(ctx context.Context, body []byte, explain bool) (an
 		if k < 1 {
 			k = 4
 		}
-		e, k = inference.InferBestKORECtx(ctx, sample, k, func(e *regex.Expr) bool {
-			return automata.Glushkov(e).IsDeterministic()
-		})
+		e, k = inference.InferBestKORECtx(ctx, sample, k, determinism.IsDeterministic)
 	}
 	resp := inferResponse{
 		Algorithm:     req.Algorithm,
 		Expr:          e.String(),
 		K:             k,
-		Deterministic: automata.Glushkov(e).IsDeterministic(),
+		Deterministic: determinism.IsDeterministic(e),
 	}
 	if useCache && ctx.Err() == nil {
 		s.cache.Put(key, resp)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -76,18 +77,95 @@ func TestContainmentRegex(t *testing.T) {
 	}
 }
 
-// TestContainmentWideUnionAnswers sends a 16 KB right side whose
-// follow relation is dense — (a|…|a)* with 8,000 alternatives, 64M
-// follow pairs — and expects an answer, not a 504, within the default
-// deadline.
+// wideUnions are two 16–23 KB expressions with dense follow relations:
+// (a|…|a)* with 8,000 alternatives has 64M follow pairs, and
+// (x0|…|x3999)* 16M over 4,000 labels. member is a word of each.
+var wideUnions = []struct {
+	name, expr string
+	member     []string
+}{
+	{"a8000", "(" + strings.Repeat("a|", 7999) + "a)*", []string{"a", "a", "a"}},
+	{"x4000", "(" + strings.Join(wideLabels(4000), "|") + ")*", []string{"x0", "x3999", "x17"}},
+}
+
+func wideLabels(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = "x" + strconv.Itoa(i)
+	}
+	return out
+}
+
+// TestContainmentWideUnionAnswers sends each wide union to every decide
+// endpoint — as a membership expression, as a DTD content model and as
+// a containment right side — and expects an answer, not a 504, within
+// the default deadline.
 func TestContainmentWideUnionAnswers(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	right := "(" + strings.Repeat("a|", 7999) + "a)*"
-	var resp containmentResponse
-	code := post(t, ts.URL, "/v1/containment",
-		`{"engine":"regex","left":"a","right":"`+right+`"}`, &resp)
-	if code != 200 || !resp.Contained {
-		t.Fatalf("code=%d resp=%+v", code, resp)
+	for _, u := range wideUnions {
+		for _, c := range []struct {
+			path string
+			body map[string]any
+			want string
+		}{
+			{"/v1/membership", map[string]any{"expr": u.expr, "word": u.member}, `"member":true`},
+			{"/v1/validate", map[string]any{
+				"kind": "dtd", "schema": "<!ELEMENT r " + u.expr + ">",
+				"docs": []string{"r(" + strings.Join(u.member, ", ") + ")"},
+			}, `"valid":true`},
+			{"/v1/containment", map[string]any{
+				"engine": "regex", "left": strings.Join(u.member, " "), "right": u.expr,
+			}, `"contained":true`},
+		} {
+			t.Run(u.name+c.path, func(t *testing.T) {
+				body, _ := json.Marshal(c.body)
+				var resp json.RawMessage
+				if code := post(t, ts.URL, c.path, string(body), &resp); code != 200 || !strings.Contains(string(resp), c.want) {
+					t.Fatalf("code=%d resp=%s", code, resp)
+				}
+			})
+		}
+	}
+}
+
+// TestLongWordDeadline sends a word the 8 KB (a|…|a)* cannot finish
+// within its deadline: every symbol steps all 8,000 positions. The
+// matcher checks the request context inside the word, so the request
+// answers 504 and its engine gives its admission slot back soon after.
+// Under the race detector the word has 100k symbols: decoding a body of
+// 1M takes about 1 s there, and the decode does not check the context.
+func TestLongWordDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	expr := wideUnions[0].expr
+	word := make([]string, 1_000_000)
+	if raceEnabled {
+		word = word[:100_000]
+	}
+	for i := range word {
+		word[i] = "a"
+	}
+	for _, c := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/membership", map[string]any{"expr": expr, "word": word, "deadline_ms": 100}},
+		{"/v1/validate", map[string]any{
+			"kind": "dtd", "schema": "<!ELEMENT r " + expr + ">",
+			"docs": []string{"r(" + strings.Join(word[:20_000], ", ") + ")"}, "deadline_ms": 100,
+		}},
+	} {
+		t.Run(c.path, func(t *testing.T) {
+			body, _ := json.Marshal(c.body)
+			if code := post(t, ts.URL, c.path, string(body), nil); code != http.StatusGatewayTimeout {
+				t.Fatalf("code=%d, want 504", code)
+			}
+			for stop := time.Now().Add(200 * time.Millisecond); len(s.sem) != 0 || s.detached.Load() != 0; {
+				if time.Now().After(stop) {
+					t.Fatalf("inflight %d, detached engines %d: not drained 200ms after the 504", len(s.sem), s.detached.Load())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 
