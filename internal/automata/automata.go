@@ -119,48 +119,22 @@ func (n *NFA) IsDeterministic() bool {
 	return true
 }
 
-// Accepts reports whether the NFA accepts the word.
+// Accepts reports whether the NFA accepts the word, simulating the set
+// of states reached so far.
 func (n *NFA) Accepts(word []string) bool {
-	set := n.Start()
+	set := n.Initial
 	for _, a := range word {
-		if set = n.Step(set, a); len(set) == 0 {
+		var next []int
+		for _, q := range set {
+			next = append(next, n.Trans[q][a]...)
+		}
+		if len(next) == 0 {
 			return false
 		}
+		slices.Sort(next)
+		set = slices.Compact(next)
 	}
-	return n.AnyFinal(set)
-}
-
-// Start returns the initial state set of the on-the-fly subset
-// simulation (Step, AnyFinal): the initial states, sorted and
-// duplicate-free.
-func (n *NFA) Start() []int {
-	return sortedSet(append([]int(nil), n.Initial...))
-}
-
-// Step returns the states reached from set by one a-transition, sorted
-// and duplicate-free. A simulated set never holds more than NumStates
-// states, however long the word read so far.
-func (n *NFA) Step(set []int, a string) []int {
-	var next []int
-	for _, q := range set {
-		next = append(next, n.Trans[q][a]...)
-	}
-	return sortedSet(next)
-}
-
-// AnyFinal reports whether set contains a final state.
-func (n *NFA) AnyFinal(set []int) bool {
-	for _, q := range set {
-		if n.Final[q] {
-			return true
-		}
-	}
-	return false
-}
-
-func sortedSet(s []int) []int {
-	sort.Ints(s)
-	return slices.Compact(s)
+	return slices.ContainsFunc(set, func(q int) bool { return n.Final[q] })
 }
 
 // ShortestWitness returns a shortest accepted word, or (nil, false) if the
@@ -463,27 +437,6 @@ func Product(d1, d2 *DFA, intersect bool) *DFA {
 	return out
 }
 
-// IsEmpty reports whether L(d) = ∅.
-func (d *DFA) IsEmpty() bool {
-	seen := make([]bool, d.NumStates)
-	stack := []int{0}
-	seen[0] = true
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if d.Final[q] {
-			return false
-		}
-		for _, p := range d.Trans[q] {
-			if !seen[p] {
-				seen[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return true
-}
-
 // Contains reports whether L(e1) ⊆ L(e2), deciding
 // L(e1) ∩ complement(L(e2)) = ∅ with the antichain engine of
 // antichain.go: a lazy product of the Glushkov NFA of e1 with the
@@ -504,7 +457,7 @@ func Equivalent(e1, e2 *regex.Expr) bool {
 }
 
 // IntersectionNonEmpty decides RE-Intersection (Section 4.2.2): whether
-// L(e1) ∩ … ∩ L(en) ≠ ∅, by an on-the-fly product of the Glushkov automata.
+// L(e1) ∩ … ∩ L(en) ≠ ∅, by an on-the-fly product of their Matchers.
 // The state space is exponential in the number of expressions in the worst
 // case (the problem is PSPACE-complete); package chare provides the
 // polynomial cases of Theorem 4.5.

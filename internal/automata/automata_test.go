@@ -98,7 +98,8 @@ func successors(n *NFA, q int) []int {
 	for _, ps := range n.Trans[q] {
 		out = append(out, ps...)
 	}
-	return sortedSet(out)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // TestGlushkovPositions pins the position automaton of (a + b)* a, with
@@ -347,14 +348,10 @@ func TestShortestWitness(t *testing.T) {
 }
 
 func TestIsEmpty(t *testing.T) {
-	if !ToDFA(regex.MustParse("<empty>")).IsEmpty() {
-		t.Error("∅ not empty")
-	}
-	if !ToDFA(regex.MustParse("a <empty>")).IsEmpty() {
-		t.Error("a∅ not empty")
-	}
-	if ToDFA(regex.MustParse("a?")).IsEmpty() {
-		t.Error("a? empty")
+	for re, want := range map[string]bool{"<empty>": true, "a <empty>": true, "a?": false, "(a <empty>)*": false} {
+		if got := !IntersectionNonEmpty(regex.MustParse(re)); got != want {
+			t.Errorf("L(%s) empty = %v, want %v", re, got, want)
+		}
 	}
 }
 
@@ -403,8 +400,8 @@ func TestKOREDFABound(t *testing.T) {
 //	c c* <empty>     dead branch: c c* cannot complete a word
 //	<empty> d        d sits under ∅
 //
-// Each case maps the symbols with mapSymbols to check acceptance and
-// intersection witnesses on the Glushkov automaton of the result.
+// Each case maps the symbols with mapSymbols to check acceptance on the
+// Glushkov automaton of the result and its intersection witnesses.
 func TestProjectRestrictUsefulLabels(t *testing.T) {
 	base := regex.MustParse("a b + e b + c c* <empty> + <empty> d")
 	restrict := func(labels ...string) func(string) (string, bool) {
@@ -450,9 +447,9 @@ func TestProjectRestrictUsefulLabels(t *testing.T) {
 			if got := n.Accepts(c.word); got != c.accepts {
 				t.Errorf("Accepts(%v) = %v, want %v", c.word, got, c.accepts)
 			}
-			w, ok, err := NFAIntersectionWitnessCtx(context.Background(), n, Glushkov(other))
+			w, ok, err := IntersectionWitnessCtx(context.Background(), mapSymbols(base, c.rename), other)
 			if err != nil || ok != (c.witness != nil) || !slices.Equal(w, c.witness) {
-				t.Errorf("NFAIntersectionWitnessCtx = %v, %v, %v; want %v", w, ok, err, c.witness)
+				t.Errorf("IntersectionWitnessCtx = %v, %v, %v; want %v", w, ok, err, c.witness)
 			}
 			// The label map agrees with containment of the mapped
 			// expression.

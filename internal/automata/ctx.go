@@ -226,29 +226,22 @@ func ContainsClassicCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
 	return true, nil
 }
 
-// IntersectionWitnessCtx returns a word in the intersection of the
-// languages, or (nil, false) if the intersection is empty, with
-// cooperative cancellation of the on-the-fly product BFS.
+// IntersectionWitnessCtx returns a shortest word in the intersection of
+// the languages, or (nil, false) if the intersection is empty. It runs a
+// BFS over tuples of state sets of the expressions' Matchers, one step
+// per component and label, checking ctx between label expansions.
 func IntersectionWitnessCtx(ctx context.Context, es ...*regex.Expr) ([]string, bool, error) {
-	nfas := make([]*NFA, len(es))
-	for i, e := range es {
-		nfas[i] = Glushkov(e)
-	}
-	return NFAIntersectionWitnessCtx(ctx, nfas...)
-}
-
-// NFAIntersectionWitnessCtx returns a shortest word accepted by every
-// automaton, or (nil, false) when their intersection is empty. It runs a
-// BFS over tuples of state sets, one Step per component and label,
-// checking ctx between label expansions.
-func NFAIntersectionWitnessCtx(ctx context.Context, nfas ...*NFA) ([]string, bool, error) {
-	if len(nfas) == 0 {
+	if len(es) == 0 {
 		return []string{}, true, nil
 	}
 	ctx, span := obs.StartSpan(ctx, "automata.intersection")
 	defer span.Finish()
 	tuples := span.Counter("tuples_expanded")
-	key := func(tuple [][]int) string {
+	ms := make([]*Matcher, len(es))
+	for i, e := range es {
+		ms[i] = NewMatcher(e)
+	}
+	key := func(tuple [][]int32) string {
 		var b []byte
 		for _, set := range tuple {
 			for _, q := range set {
@@ -258,26 +251,24 @@ func NFAIntersectionWitnessCtx(ctx context.Context, nfas ...*NFA) ([]string, boo
 		}
 		return string(b)
 	}
-	start := make([][]int, len(nfas))
-	for i, n := range nfas {
-		start[i] = n.Start()
+	start := make([][]int32, len(ms))
+	for i, m := range ms {
+		start[i] = m.Start()
 	}
-	allFinal := func(tuple [][]int) bool {
+	allFinal := func(tuple [][]int32) bool {
 		for i, set := range tuple {
-			if !nfas[i].AnyFinal(set) {
+			if !ms[i].AnyFinal(set) {
 				return false
 			}
 		}
 		return true
 	}
 	// BFS items record only a parent index and the label that reached
-	// them; the witness word is reconstructed once at the end. The old
-	// shape — `queue = queue[1:]` plus a full word copy per item — both
-	// pinned the queue's backing array for the whole search and made
-	// total allocation quadratic in the witness length
-	// (TestIntersectionWitnessAllocBound is the regression test).
+	// them; the witness word is reconstructed once at the end, so total
+	// allocation stays linear in the witness length
+	// (TestIntersectionWitnessAllocBound).
 	type item struct {
-		tuple  [][]int
+		tuple  [][]int32
 		parent int
 		label  string
 	}
@@ -299,9 +290,9 @@ func NFAIntersectionWitnessCtx(ctx context.Context, nfas ...*NFA) ([]string, boo
 		return w
 	}
 	// candidate labels: intersection of alphabets
-	labels := nfas[0].Alphabet
-	for _, n := range nfas[1:] {
-		labels = intersectSorted(labels, n.Alphabet)
+	labels := ms[0].labels
+	for _, m := range ms[1:] {
+		labels = intersectSorted(labels, m.labels)
 	}
 	cc := newCanceler(ctx, span)
 	for head := 0; head < len(items); head++ {
@@ -312,9 +303,9 @@ func NFAIntersectionWitnessCtx(ctx context.Context, nfas ...*NFA) ([]string, boo
 			if err := cc.checkpoint(); err != nil {
 				return nil, false, err
 			}
-			succ := make([][]int, len(nfas))
+			succ := make([][]int32, len(ms))
 			for i, set := range tuple {
-				if succ[i] = nfas[i].Step(set, a); len(succ[i]) == 0 {
+				if succ[i] = ms[i].Step(set, a); len(succ[i]) == 0 {
 					continue next
 				}
 			}

@@ -11,7 +11,8 @@ import (
 )
 
 // Matcher is the Glushkov automaton of an expression, compiled for
-// repeated membership tests and safe for concurrent use. It keeps the
+// stepping state sets (membership, validation, intersection, property
+// paths) and safe for concurrent use. It keeps the
 // Glushkov visit's products unexpanded (visitProducts), linear in the
 // expression where (a + … + a)* has n² transitions. A step from a state
 // set S on label a is the union of the label-a runs of the products S
@@ -75,7 +76,8 @@ func NewMatcher(e *regex.Expr) *Matcher {
 			m.inOff[q+1]++
 		}
 	}
-	m.deterministic = m.isDeterministic()
+	m.deterministic = true
+	m.Conflicts(func(int32, []int32) bool { m.deterministic = false; return false })
 	return m
 }
 
@@ -84,31 +86,46 @@ func (m *Matcher) byLabel(p, q int32) int {
 	return cmp.Or(cmp.Compare(m.lab[p], m.lab[q]), cmp.Compare(p, q))
 }
 
-// isDeterministic reports whether no position, reachable or not, has two
-// successors with one label; one with its predecessor's products shares
-// its verdict.
-func (m *Matcher) isDeterministic() bool {
+// Conflicts calls f with each state q, in increasing order, and each run
+// of two or more successors of q that share a label, sorted, until f
+// returns false: the violations of determinism (Section 4.2.1), states
+// under ∅ included. A state with its predecessor's products reuses their
+// merged targets, so a pass is linear in the product lists and the runs.
+func (m *Matcher) Conflicts(f func(q int32, run []int32) bool) {
 	var succ, prev []int32
-	for q := 0; q+1 < len(m.inOff); q++ {
+	var buf [4][2]int
+	runs := buf[:0] // conflicting runs of succ
+	for q := range m.lab {
 		if ks := m.in[m.inOff[q]:m.inOff[q+1]]; !slices.Equal(ks, prev) {
-			prev, succ = ks, succ[:0]
+			prev, succ, runs = ks, succ[:0], runs[:0]
 			for _, k := range ks {
 				succ = append(succ, m.to[m.toOff[k]:m.toOff[k+1]]...)
 			}
 			slices.SortFunc(succ, m.byLabel)
 			succ = slices.Compact(succ)
-			for i := 1; i < len(succ); i++ {
-				if m.lab[succ[i]] == m.lab[succ[i-1]] {
-					return false
+			for i, j := 0, 1; j <= len(succ); j++ {
+				if j == len(succ) || m.lab[succ[j]] != m.lab[succ[i]] {
+					if j-i > 1 {
+						runs = append(runs, [2]int{i, j})
+					}
+					i = j
 				}
 			}
 		}
+		for _, r := range runs {
+			if !f(int32(q), succ[r[0]:r[1]]) {
+				return
+			}
+		}
 	}
-	return true
 }
 
 // Deterministic reports whether the expression is (Section 4.2.1).
 func (m *Matcher) Deterministic() bool { return m.deterministic }
+
+// Alphabet returns the sorted labels of the expression's symbols, those
+// under ∅ included. The caller must not modify it.
+func (m *Matcher) Alphabet() []string { return m.labels }
 
 // label returns the id of a, or -1 when a is not in the alphabet.
 func (m *Matcher) label(a string) int32 {
@@ -175,6 +192,27 @@ func (m *Matcher) Start() []int32 { return []int32{0} }
 func (m *Matcher) Step(set []int32, a string) []int32 {
 	next, _ := m.step(nil, nil, set, m.label(a))
 	return next
+}
+
+// StepAny returns the states reached from set on any of labels, in a new
+// slice: the step of a word position that may carry any of them. The
+// products the set hits are collected once.
+func (m *Matcher) StepAny(set []int32, labels []string) []int32 {
+	var next []int32
+	_, ks := m.step(nil, nil, set, -1) // only the products
+	for _, a := range labels {
+		if l := m.label(a); l >= 0 {
+			for _, k := range ks {
+				run := m.to[m.toOff[k]:m.toOff[k+1]]
+				i := sort.Search(len(run), func(i int) bool { return m.lab[run[i]] >= l })
+				for ; i < len(run) && m.lab[run[i]] == l; i++ {
+					next = append(next, run[i])
+				}
+			}
+		}
+	}
+	slices.Sort(next)
+	return slices.Compact(next)
 }
 
 // AnyFinal reports whether set holds a final state.

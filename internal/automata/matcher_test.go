@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -22,15 +23,31 @@ func accepts(m *Matcher, w []string) bool {
 	return ok
 }
 
-// checkMatcher compares the Matcher of e with the Glushkov NFA on w and
-// on determinism, and, when the NFA has at most maxDFAStates states,
-// with the determinized DFA on w. The Matcher and the NFA share only the
-// Glushkov visit.
+// checkMatcher compares the Matcher of e with the Glushkov NFA on w, on
+// determinism and on its conflicts (states with two successors on one
+// label), and, when the NFA has at most maxDFAStates states, with the
+// determinized DFA on w. The Matcher and the NFA share only the Glushkov
+// visit.
 func checkMatcher(t *testing.T, e *regex.Expr, w []string, maxDFAStates int) {
 	t.Helper()
 	m, n := NewMatcher(e), Glushkov(e)
 	if got, want := m.Deterministic(), n.IsDeterministic(); got != want {
 		t.Fatalf("e=%s: Deterministic()=%v, NFA IsDeterministic()=%v", e, got, want)
+	}
+	var conflicts, nfaConflicts []string
+	m.Conflicts(func(q int32, run []int32) bool {
+		conflicts = append(conflicts, fmt.Sprint(q, run))
+		return true
+	})
+	for q := range n.Trans {
+		for _, a := range n.Alphabet {
+			if succ := n.Trans[q][a]; len(succ) > 1 {
+				nfaConflicts = append(nfaConflicts, fmt.Sprint(q, succ))
+			}
+		}
+	}
+	if !slices.Equal(conflicts, nfaConflicts) {
+		t.Fatalf("e=%s: Conflicts %v, NFA %v", e, conflicts, nfaConflicts)
 	}
 	got, want := accepts(m, w), n.Accepts(w)
 	if got != want {

@@ -35,7 +35,6 @@ func IsDeterministic(e *regex.Expr) bool {
 // violation: pairs of positions with the same label reachable from the same
 // state. It returns nil iff e is deterministic.
 func Violations(e *regex.Expr) []string {
-	n := automata.Glushkov(e)
 	// Position p is the p-th symbol occurrence in preorder. Its label is
 	// read from the tree, not from a transition entering p: a position
 	// under ∅ may have none.
@@ -46,21 +45,18 @@ func Violations(e *regex.Expr) []string {
 		}
 	})
 	var out []string
-	for q := 0; q < n.NumStates; q++ {
-		for a, succ := range n.Trans[q] {
-			if len(succ) > 1 {
-				var ps []string
-				for _, p := range succ {
-					ps = append(ps, fmt.Sprintf("%d", p))
-				}
-				from := "start"
-				if q > 0 {
-					from = fmt.Sprintf("position %d (%s)", q, syms[q])
-				}
-				out = append(out, fmt.Sprintf("from %s, label %q can continue at positions {%s}", from, a, strings.Join(ps, ",")))
-			}
+	automata.NewMatcher(e).Conflicts(func(q int32, run []int32) bool {
+		ps := make([]string, len(run))
+		for i, p := range run {
+			ps[i] = fmt.Sprint(p)
 		}
-	}
+		from := "start"
+		if q > 0 {
+			from = fmt.Sprintf("position %d (%s)", q, syms[q])
+		}
+		out = append(out, fmt.Sprintf("from %s, label %q can continue at positions {%s}", from, syms[run[0]], strings.Join(ps, ",")))
+		return true
+	})
 	sort.Strings(out)
 	return out
 }

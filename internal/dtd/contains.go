@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/obs"
+	"repro/internal/regex"
 )
 
 // Contains decides L(d1) ⊆ L(d2) — DTD containment, which Section 4.2.2
@@ -98,19 +99,19 @@ func IntersectionNonEmpty(ds ...*DTD) bool {
 	}
 	sort.Strings(alpha)
 	real, _ := leastFixpoint(context.Background(), alpha, nil, func(a string, real map[string]bool) bool {
-		// One more factor, the one-state automaton of real*, restricts
-		// the product to jointly realizable labels.
-		star := automata.NewNFA(1)
-		star.Initial = []int{0}
-		star.Final[0] = true
-		nfas := []*automata.NFA{star}
-		for b := range real {
-			star.AddTransition(0, b, 0)
+		// One more factor, (b1|…|bk)* over the jointly realizable
+		// labels, restricts the product to them.
+		var syms []*regex.Expr
+		for _, b := range alpha {
+			if real[b] {
+				syms = append(syms, regex.NewSymbol(b))
+			}
 		}
+		es := []*regex.Expr{regex.NewStar(regex.NewUnion(syms...))}
 		for _, d := range ds {
-			nfas = append(nfas, automata.Glushkov(d.Rule(a)))
+			es = append(es, d.Rule(a))
 		}
-		_, ok, _ := automata.NFAIntersectionWitnessCtx(context.Background(), nfas...)
+		_, ok, _ := automata.IntersectionWitnessCtx(context.Background(), es...)
 		return ok
 	})
 	for s := range ds[0].Start {

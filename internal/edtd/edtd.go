@@ -13,7 +13,9 @@
 package edtd
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -103,63 +105,111 @@ func (d *EDTD) String() string {
 }
 
 // Valid reports whether t satisfies the EDTD (Definition 4.10): some
-// witness typing exists. The implementation computes, bottom-up, the set
-// of possible types of every node.
+// witness typing exists. To validate many documents, Compile the EDTD
+// once and call Compiled.Valid.
 func (d *EDTD) Valid(t *tree.Node) bool {
-	types := d.possibleTypes(t)
-	for s := range d.Start {
-		if types[s] && d.Label(s) == t.Label {
-			return true
-		}
-	}
-	return false
+	ok, _ := d.Compile().Valid(context.Background(), t)
+	return ok
 }
 
-// possibleTypes returns the set of types assignable to the root of t such
-// that the whole subtree admits a valid typing.
-func (d *EDTD) possibleTypes(t *tree.Node) map[string]bool {
-	childSets := make([]map[string]bool, len(t.Children))
-	for i, c := range t.Children {
-		childSets[i] = d.possibleTypes(c)
-	}
-	out := map[string]bool{}
+// Compiled is an EDTD compiled for validation: a Matcher per content
+// model, built once, and the types of each label.
+type Compiled struct {
+	d        *EDTD
+	byLabel  map[string][]string          // sorted
+	matchers map[string]*automata.Matcher // by type
+	tick     int                          // children stepped; the context is checked every 256
+}
+
+// Compile prepares d for validation. The result refers to d, which must
+// not change while the result is in use, and is not safe for concurrent
+// use.
+func (d *EDTD) Compile() *Compiled {
+	c := &Compiled{d: d, byLabel: map[string][]string{}, matchers: map[string]*automata.Matcher{}}
 	for _, typ := range d.Types() {
-		if d.Label(typ) != t.Label {
-			continue
+		c.byLabel[d.Label(typ)] = append(c.byLabel[d.Label(typ)], typ)
+		c.matchers[typ] = automata.NewMatcher(d.Rule(typ))
+	}
+	return c
+}
+
+// Valid reports whether t satisfies the EDTD, or returns ctx.Err() once
+// a check between children finds it set.
+func (c *Compiled) Valid(ctx context.Context, t *tree.Node) (bool, error) {
+	types, err := c.possibleTypes(ctx, t)
+	return slices.ContainsFunc(types, func(s string) bool { return c.d.Start[s] }), err
+}
+
+// possibleTypes returns, sorted, the types the root of t can take in a
+// valid typing of its subtree: those of its label whose content model
+// accepts some word of possible child types. It runs the Glushkov state
+// sets of every candidate type over the children at once, bottom-up (an
+// unranked tree automaton run).
+func (c *Compiled) possibleTypes(ctx context.Context, t *tree.Node) ([]string, error) {
+	cands := c.byLabel[t.Label]
+	if len(cands) == 0 {
+		return nil, nil
+	}
+	sets := make([][]int32, len(cands))
+	for i, typ := range cands {
+		sets[i] = c.matchers[typ].Start()
+	}
+	for _, ch := range t.Children {
+		if c.tick++; c.tick%256 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
-		if _, ok := d.childWordWitness(d.Rule(typ), childSets); ok {
-			out[typ] = true
+		kids, err := c.possibleTypes(ctx, ch)
+		if err != nil {
+			return nil, err
+		}
+		live := false
+		for i, typ := range cands {
+			sets[i] = c.matchers[typ].StepAny(sets[i], kids)
+			live = live || len(sets[i]) > 0
+		}
+		if !live {
+			return nil, nil
 		}
 	}
-	return out
+	var out []string
+	for i, typ := range cands {
+		if c.matchers[typ].AnyFinal(sets[i]) {
+			out = append(out, typ)
+		}
+	}
+	return out, nil
 }
 
 // Witness returns a typed tree T^Γ with μ(T^Γ) = t witnessing validity
-// (Definition 4.10), or nil when t is invalid.
+// (Definition 4.10), or nil when t is invalid. It tries start types and
+// child types in sorted order, so its answer is a function of d and t.
 func (d *EDTD) Witness(t *tree.Node) *tree.Node {
-	for s := range d.Start {
+	c := d.Compile()
+	for _, s := range keys(d.Start) {
 		if d.Label(s) != t.Label {
 			continue
 		}
-		if w := d.typeAs(t, s); w != nil {
+		if w := c.typeAs(t, s); w != nil {
 			return w
 		}
 	}
 	return nil
 }
 
-func (d *EDTD) typeAs(t *tree.Node, typ string) *tree.Node {
-	childSets := make([]map[string]bool, len(t.Children))
-	for i, c := range t.Children {
-		childSets[i] = d.possibleTypes(c)
+func (c *Compiled) typeAs(t *tree.Node, typ string) *tree.Node {
+	childSets := make([][]string, len(t.Children))
+	for i, ch := range t.Children {
+		childSets[i], _ = c.possibleTypes(context.Background(), ch)
 	}
-	word, ok := d.childWordWitness(d.Rule(typ), childSets)
+	word, ok := childWordWitness(c.matchers[typ], childSets)
 	if !ok {
 		return nil
 	}
 	out := tree.New(typ)
-	for i, c := range t.Children {
-		sub := d.typeAs(c, word[i])
+	for i, ch := range t.Children {
+		sub := c.typeAs(ch, word[i])
 		if sub == nil {
 			return nil
 		}
@@ -168,40 +218,34 @@ func (d *EDTD) typeAs(t *tree.Node, typ string) *tree.Node {
 	return out
 }
 
-// childWordWitness finds a concrete type word accepted by e with ti ∈
-// sets[i], if any.
-func (d *EDTD) childWordWitness(e *regex.Expr, sets []map[string]bool) ([]string, bool) {
-	n := automata.Glushkov(e)
-	type key struct{ pos, state int }
-	// BFS over (position, state) with parent pointers.
+// childWordWitness returns the first word t1 … tn that m accepts with
+// each ti in sets[i], by BFS over (child, state) pairs, stepping child
+// types in the order of sets[i].
+func childWordWitness(m *automata.Matcher, sets [][]string) ([]string, bool) {
+	type key struct {
+		pos   int
+		state int32
+	}
 	type crumb struct {
 		prev key
 		typ  string
 	}
-	from := map[key]crumb{}
-	var queue []key
-	for _, q := range n.Initial {
-		k := key{0, q}
-		from[k] = crumb{prev: key{-1, -1}}
-		queue = append(queue, k)
-	}
-	var final key
-	found := false
-	for len(queue) > 0 && !found {
-		k := queue[0]
-		queue = queue[1:]
+	from := map[key]crumb{{0, 0}: {}}
+	queue := []key{{0, 0}}
+	for head := 0; head < len(queue); head++ {
+		k := queue[head]
 		if k.pos == len(sets) {
-			if n.Final[k.state] {
-				final = k
-				found = true
-			}
-			continue
-		}
-		for typ, ps := range n.Trans[k.state] {
-			if !sets[k.pos][typ] {
+			if !m.AnyFinal([]int32{k.state}) {
 				continue
 			}
-			for _, p := range ps {
+			word := make([]string, len(sets))
+			for ; k.pos > 0; k = from[k].prev {
+				word[k.pos-1] = from[k].typ
+			}
+			return word, true
+		}
+		for _, typ := range sets[k.pos] {
+			for _, p := range m.Step([]int32{k.state}, typ) {
 				nk := key{k.pos + 1, p}
 				if _, seen := from[nk]; !seen {
 					from[nk] = crumb{prev: k, typ: typ}
@@ -210,23 +254,8 @@ func (d *EDTD) childWordWitness(e *regex.Expr, sets []map[string]bool) ([]string
 			}
 		}
 	}
-	if !found {
-		// also allow acceptance when no children and initial state final
-		return nil, false
-	}
-	var word []string
-	for k := final; k.pos > 0; k = from[k].prev {
-		word = append(word, from[k].typ)
-	}
-	for i, j := 0, len(word)-1; i < j; i, j = i+1, j-1 {
-		word[i], word[j] = word[j], word[i]
-	}
-	return word, true
+	return nil, false
 }
-
-// typeAs requires d.Valid-style acceptance; when sets is empty,
-// childWordWitness must accept iff a final initial state exists — handled
-// by the pos == len(sets) check above.
 
 // IsSingleType reports whether the EDTD is a single-type EDTD
 // (Definition 4.12): no regular expression ρ(t) — and not S either —
@@ -292,7 +321,9 @@ func (d *EDTD) EDCViolations() []string {
 
 // ValidSingleType validates t against a single-type EDTD by deterministic
 // top-down typing (the reason XML Schema validation is efficiently
-// streamable). It panics if the EDTD is not single-type.
+// streamable). It panics if the EDTD is not single-type. It is the schema
+// oracle's reference for top-down typing and is not served: /v1/validate
+// answers single-type requests with Compiled.Valid, as it does edtd ones.
 func (d *EDTD) ValidSingleType(t *tree.Node) bool {
 	if !d.IsSingleType() {
 		panic("edtd: ValidSingleType on non-single-type EDTD")

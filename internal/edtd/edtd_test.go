@@ -1,7 +1,10 @@
 package edtd
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/regex"
 	"repro/internal/tree"
@@ -84,6 +87,63 @@ func TestWitnessTyping(t *testing.T) {
 	if d.Witness(tree.MustParse("persons(name)")) != nil {
 		t.Error("witness for invalid tree")
 	}
+	// Four types per child: the first in sorted order, on every call.
+	d = New().AddType("r", "r", regex.MustParse("(x1|x2|x3|x4)(x1|x2|x3|x4)"))
+	for _, x := range []string{"x1", "x2", "x3", "x4"} {
+		d.AddType(x, "a", regex.NewEpsilon())
+	}
+	d.AddStart("r")
+	for i := 0; i < 100; i++ {
+		if w := d.Witness(tree.MustParse("r(a, a)")); w == nil || w.String() != "r(x1, x1)" {
+			t.Fatalf("call %d: Witness = %v, want r(x1, x1)", i, w)
+		}
+	}
+}
+
+// TestValidStepsEveryChildType validates against r → t1 t2 with both
+// types labeled a: each child may take either type, and the content
+// model needs t1 for the first and t2 for the second.
+func TestValidStepsEveryChildType(t *testing.T) {
+	d := New().AddType("r", "r", regex.MustParse("t1 t2")).
+		AddType("t1", "a", regex.NewEpsilon()).AddType("t2", "a", regex.NewEpsilon()).AddStart("r")
+	for doc, want := range map[string]bool{"r(a, a)": true, "r(a)": false, "r(a, a, a)": false} {
+		if got := d.Valid(tree.MustParse(doc)); got != want {
+			t.Errorf("Valid(%s) = %v, want %v", doc, got, want)
+		}
+	}
+}
+
+// TestValidLinear validates r(a, a, a) against r → (t | … | t)*, whose
+// Glushkov automaton has n² transitions: the time stays small and the
+// bytes allocated grow about linearly in n.
+func TestValidLinear(t *testing.T) {
+	doc := tree.MustParse("r(a, a, a)")
+	schema := func(n int) *EDTD {
+		return New().AddType("r", "r", regex.MustParse("("+strings.Repeat("t|", n-1)+"t)*")).
+			AddType("t", "a", regex.NewEpsilon()).AddStart("r")
+	}
+	allocated := func(d *EDTD) (uint64, time.Duration) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		if !d.Valid(doc) {
+			t.Fatal("r(a, a, a) is valid")
+		}
+		el := time.Since(start)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, el
+	}
+	small, large := schema(4000), schema(8000)
+	b1, el := allocated(small)
+	if el > 100*time.Millisecond {
+		t.Errorf("n=4000: Valid took %v", el)
+	}
+	b2, _ := allocated(large)
+	if float64(b2) > 2.5*float64(b1) {
+		t.Errorf("Valid allocated %d bytes at n=4000 and %d at n=8000, more than 2.5×", b1, b2)
+	}
+	t.Logf("%d bytes at n=4000 in %v, %d at n=8000", b1, el, b2)
 }
 
 func TestEDCViolation(t *testing.T) {

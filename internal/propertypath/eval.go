@@ -92,14 +92,14 @@ func parseNegSymbol(sym string) (forbidden map[string]bool, forbiddenInv map[str
 
 // Eval returns the nodes y such that (start, y) is in the answer of the
 // property path under the W3C regular semantics (existence of any path),
-// computed by BFS over the product of the graph with the path's NFA —
-// polynomial time, as for all RPQs under this semantics.
+// computed by BFS over the product of the graph with the path's Glushkov
+// automaton — polynomial time, as for all RPQs under this semantics.
 func Eval(g *rdf.Graph, p *Path, start string) []string {
-	n := automata.Glushkov(ToRegex(p))
+	n := automata.NewMatcher(ToRegex(p))
 	m := atomMatcher{g}
 	type pstate struct {
 		node  string
-		state int
+		state int32
 	}
 	seen := map[pstate]bool{}
 	var queue []pstate
@@ -108,18 +108,20 @@ func Eval(g *rdf.Graph, p *Path, start string) []string {
 		if !seen[ps] {
 			seen[ps] = true
 			queue = append(queue, ps)
-			if n.Final[ps.state] {
+			if n.AnyFinal([]int32{ps.state}) {
 				results[ps.node] = true
 			}
 		}
 	}
-	for _, q := range n.Initial {
-		push(pstate{start, q})
-	}
+	push(pstate{start, 0})
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for sym, succs := range n.Trans[cur.state] {
+		for _, sym := range n.Alphabet() {
+			succs := n.Step([]int32{cur.state}, sym)
+			if len(succs) == 0 {
+				continue
+			}
 			for _, h := range m.step(cur.node, sym) {
 				for _, q2 := range succs {
 					push(pstate{h.to, q2})
@@ -145,10 +147,10 @@ func EvalTrails(g *rdf.Graph, p *Path, start string) []string {
 }
 
 // evalNoRepeat enumerates by DFS the paths from start that match p,
-// stepping the path's NFA state set along each path. With nodes set no
+// stepping the path's Glushkov state set along each path. With nodes set no
 // node repeats (start counts as visited); otherwise no edge repeats.
 func evalNoRepeat(g *rdf.Graph, p *Path, start string, nodes bool) []string {
-	n := automata.Glushkov(ToRegex(p))
+	n := automata.NewMatcher(ToRegex(p))
 	m := atomMatcher{g}
 	results := map[string]bool{}
 	used := map[any]bool{}
@@ -157,12 +159,12 @@ func evalNoRepeat(g *rdf.Graph, p *Path, start string, nodes bool) []string {
 		key = func(h hop) any { return h.to }
 		used[start] = true
 	}
-	var dfs func(node string, states []int)
-	dfs = func(node string, states []int) {
+	var dfs func(node string, states []int32)
+	dfs = func(node string, states []int32) {
 		if n.AnyFinal(states) {
 			results[node] = true
 		}
-		for _, sym := range n.Alphabet {
+		for _, sym := range n.Alphabet() {
 			next := n.Step(states, sym)
 			if len(next) == 0 {
 				continue

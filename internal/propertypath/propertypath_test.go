@@ -1,10 +1,13 @@
 package propertypath
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/automata"
 	"repro/internal/rdf"
+	"repro/internal/regex"
 )
 
 func TestParseAndPrint(t *testing.T) {
@@ -187,12 +190,48 @@ func TestIsDownwardClosed(t *testing.T) {
 		{"a+", false}, // ε missing
 		{"(a|b)*", true},
 		{"a/b*", false},
+		{"a/b", false},
+		{"(a/a)*", false}, // deleting one edge leaves an odd length
 	}
 	for _, c := range cases {
 		if got := IsDownwardClosed(MustParse(c.in)); got != c.want {
 			t.Errorf("IsDownwardClosed(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
+}
+
+// TestDownwardClosedSound samples words of every random expression found
+// downward closed and checks by Brzozowski derivatives, which share no
+// code with the containment engine, that deleting any one letter keeps
+// them in the language.
+func TestDownwardClosedSound(t *testing.T) {
+	g := regex.DefaultGen([]string{"a", "b"})
+	g.MaxDepth = 4
+	r := rand.New(rand.NewSource(1))
+	closed := 0
+	for i := 0; i < 2000; i++ {
+		e := g.Random(r)
+		if !downwardClosedRegex(e) {
+			continue
+		}
+		closed++
+		for j := 0; j < 5; j++ {
+			w, _ := regex.RandomWord(e, r)
+			if len(w) > 10 { // derivatives grow with the word
+				continue
+			}
+			for k := range w {
+				del := append(slices.Clone(w[:k]), w[k+1:]...)
+				if !regex.MatchesDerivative(e, del) {
+					t.Fatalf("%s is reported downward closed, but has %q and not %q", e, w, del)
+				}
+			}
+		}
+	}
+	if closed == 0 {
+		t.Fatal("no sampled expression is downward closed")
+	}
+	t.Logf("%d of 2000 downward closed", closed)
 }
 
 func TestInTtractApprox(t *testing.T) {

@@ -203,57 +203,23 @@ func IsDownwardClosed(p *Path) bool {
 	return downwardClosedRegex(ToRegex(p))
 }
 
+// downwardClosedRegex decides L(e) = ↓L(e). Since ↓L(e) = L(e↓) and
+// L(e) ⊆ L(e↓) always holds, that is one containment check.
 func downwardClosedRegex(e *regex.Expr) bool {
-	// subsequence closure NFA: for every transition q --a--> p also allow
-	// skipping a (an ε-move q→p); compare with the original language.
-	d := automata.ToDFA(e)
-	n := automata.NewNFA(d.NumStates)
-	n.Initial = []int{0}
-	for q := range d.Final {
-		n.Final[q] = true
+	return automata.Contains(down(e), e)
+}
+
+// down returns e↓, e with every symbol a read as a?: its language is the
+// set of subsequences of the words of L(e).
+func down(e *regex.Expr) *regex.Expr {
+	if e.Kind == regex.Symbol {
+		return regex.NewOpt(e)
 	}
-	// ε-closure via reachability over skip edges, folded into transitions
-	skip := make([][]int, d.NumStates)
-	for q := 0; q < d.NumStates; q++ {
-		for _, p := range d.Trans[q] {
-			skip[q] = append(skip[q], p)
-		}
+	d := &regex.Expr{Kind: e.Kind}
+	for _, s := range e.Subs {
+		d.Subs = append(d.Subs, down(s))
 	}
-	closure := func(q int) []int {
-		seen := map[int]bool{q: true}
-		stack := []int{q}
-		var out []int
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			out = append(out, x)
-			for _, y := range skip[x] {
-				if !seen[y] {
-					seen[y] = true
-					stack = append(stack, y)
-				}
-			}
-		}
-		return out
-	}
-	for q := 0; q < d.NumStates; q++ {
-		for _, mid := range closure(q) {
-			for a, p := range d.Trans[mid] {
-				for _, end := range closure(p) {
-					n.AddTransition(q, a, end)
-				}
-			}
-			if d.Final[mid] {
-				n.Final[q] = true
-			}
-		}
-	}
-	n.WithAlphabet(d.Alphabet)
-	// downward closed iff closure language ⊆ original (⊇ always holds)
-	closed := automata.Determinize(n)
-	comp := d.Complement(nil)
-	inter := automata.Product(closed, comp, true)
-	return inter.IsEmpty()
+	return d
 }
 
 // InTtractApprox is a documented approximation of the trail-semantics

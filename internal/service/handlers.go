@@ -395,7 +395,7 @@ type validateResponse struct {
 }
 
 // decideValidate validates every document. A DTD is compiled once per
-// schema text and root, and cached.
+// schema text and root, and cached; an EDTD is compiled once per request.
 func (s *Server) decideValidate(ctx context.Context, body []byte, _ bool) (any, *apiError) {
 	var req validateRequest
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -441,15 +441,12 @@ func (s *Server) decideValidate(ctx context.Context, body []byte, _ bool) (any, 
 		if aerr != nil {
 			return nil, aerr
 		}
-		valid := d.Valid
-		if req.Kind == "single-type" {
-			if !d.IsSingleType() {
-				return nil, errBadRequest("the given EDTD is not single-type")
-			}
-			valid = d.ValidSingleType
+		if req.Kind == "single-type" && !d.IsSingleType() {
+			return nil, errBadRequest("the given EDTD is not single-type")
 		}
+		c := d.Compile()
 		check = func(t *tree.Node) validateResult {
-			if !valid(t) {
+			if ok, err := c.Valid(ctx, t); err != nil || !ok {
 				return validateResult{Valid: false, Error: "no valid typing exists"}
 			}
 			return validateResult{Valid: true}

@@ -169,6 +169,38 @@ func TestLongWordDeadline(t *testing.T) {
 	}
 }
 
+// TestEDTDValidateDeadline sends an EDTD document of 250k children
+// (25k under the race detector) whose label has 64 types, about 3 s of
+// validation. EDTD validation checks the request context between
+// children, so the request answers 504 and its engine gives its
+// admission slot back soon after. The document is not larger because
+// parsing it does not check the context: 1M children take ~0.2 s.
+func TestEDTDValidateDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	n := 250_000
+	if raceEnabled {
+		n = 25_000
+	}
+	types := []map[string]string{{"name": "r", "label": "r", "content": "(" + strings.Join(wideLabels(64), "|") + ")*"}}
+	for _, x := range wideLabels(64) {
+		types = append(types, map[string]string{"name": x, "label": "a", "content": ""})
+	}
+	body, _ := json.Marshal(map[string]any{
+		"kind": "edtd", "types": types, "start": []string{"r"},
+		"docs":        []string{"r(" + strings.Repeat("a, ", n-1) + "a)"},
+		"deadline_ms": 50,
+	})
+	if code := post(t, ts.URL, "/v1/validate", string(body), nil); code != http.StatusGatewayTimeout {
+		t.Fatalf("code=%d, want 504", code)
+	}
+	for stop := time.Now().Add(200 * time.Millisecond); len(s.sem) != 0 || s.detached.Load() != 0; {
+		if time.Now().After(stop) {
+			t.Fatalf("inflight %d, detached engines %d: not drained 200ms after the 504", len(s.sem), s.detached.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestContainmentKore(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var resp containmentResponse
