@@ -76,16 +76,21 @@ type setTable struct {
 }
 
 // chunkWords is the slab size a chunk aims at: small enough that a
-// search interning a handful of one-word sets allocates little, large
-// enough that big searches allocate rarely.
+// search interning a handful of one-word sets uses little, large enough
+// that big searches add chunks rarely.
 const chunkWords = 128
 
-func newSetTable(words int) *setTable {
-	t := &setTable{words: words, heads: make([]int32, 16)}
+// reset empties t for sets of the given number of words. It keeps t's
+// chunks for reuse; their words are overwritten as sets are interned.
+func (t *setTable) reset(words int) {
+	t.words, t.shift = words, 0
 	for words<<(t.shift+1) <= chunkWords {
 		t.shift++
 	}
-	return t
+	t.chunks = t.chunks[:0]
+	t.hashes = t.hashes[:0]
+	t.next = t.next[:0]
+	t.heads = resize(t.heads, 16)
 }
 
 func (t *setTable) len() int { return len(t.hashes) }
@@ -109,7 +114,7 @@ func (t *setTable) intern(s bitset.StateSet) (id int, fresh bool) {
 	}
 	id = t.len()
 	if id&(1<<t.shift-1) == 0 {
-		t.chunks = append(t.chunks, make([]uint64, t.words<<t.shift))
+		t.addChunk()
 	}
 	copy(t.set(id), s)
 	t.hashes = append(t.hashes, h)
@@ -121,9 +126,22 @@ func (t *setTable) intern(s bitset.StateSet) (id int, fresh bool) {
 	return id, true
 }
 
+// addChunk appends a chunk, reusing one an earlier search left past
+// the end of chunks when it is large enough.
+func (t *setTable) addChunk() {
+	size := t.words << t.shift
+	if k := len(t.chunks); k < cap(t.chunks) {
+		if spare := t.chunks[:k+1][k]; cap(spare) >= size {
+			t.chunks = append(t.chunks, spare[:size])
+			return
+		}
+	}
+	t.chunks = append(t.chunks, make([]uint64, size))
+}
+
 // rehash doubles the bucket count and rethreads every chain.
 func (t *setTable) rehash() {
-	t.heads = make([]int32, 2*len(t.heads))
+	t.heads = resize(t.heads, 2*len(t.heads))
 	mask := uint64(len(t.heads) - 1)
 	for id, h := range t.hashes {
 		t.next[id] = t.heads[h&mask]
@@ -141,9 +159,10 @@ func hashWords(s []uint64) uint64 {
 	return h
 }
 
-// containsAntichainCtx decides L(c1) ⊆ L(c2). Both sides must share one
-// label table, and c2's pos rows must cover every label id of c1.
-func containsAntichainCtx(ctx context.Context, c1, c2 *posNFA) (bool, error) {
+// containsAntichainCtx decides L(c1) ⊆ L(c2) in the tables of sc. Both
+// sides must share one label table, and c2's pos rows must cover every
+// label id of c1.
+func containsAntichainCtx(ctx context.Context, c1, c2 *posNFA, sc *antichainScratch) (bool, error) {
 	ctx, span := obs.StartSpan(ctx, "automata.contains")
 	defer span.Finish()
 	span.SetAttr("engine", "antichain")
@@ -157,8 +176,9 @@ func containsAntichainCtx(ctx context.Context, c1, c2 *posNFA) (bool, error) {
 	productStates := span.Counter("product_states")
 	pruned := span.Counter("antichain_pruned")
 
-	sets := newSetTable(c2.words)
-	var accepting []bool // per sid: does the set contain a right-final state?
+	sets := &sc.sets
+	sets.reset(c2.words)
+	accepting := sc.accepting[:0] // per sid: does the set contain a right-final state?
 	intern := func(s bitset.StateSet) int {
 		sid, fresh := sets.intern(s)
 		if fresh {
@@ -170,9 +190,16 @@ func containsAntichainCtx(ctx context.Context, c1, c2 *posNFA) (bool, error) {
 
 	// The ⊆-minimal antichain of subset-state ids paired with left
 	// state q is a list threaded through one node slab from heads[q].
-	heads := make([]int32, c1.numStates) // 1 + the first node, 0 when empty
-	var nodes []chainNode
-	var stack []pairItem
+	heads := resize(sc.heads, c1.numStates) // 1 + the first node, 0 when empty
+	nodes := sc.nodes[:0]
+	stack := sc.stack[:0]
+	next := resize(sc.next, c2.words)
+	union := resize(sc.union, c2.words)
+	succ := resize(sc.succ, c1.words)
+	defer func() {
+		sc.accepting, sc.heads, sc.nodes, sc.stack = accepting, heads, nodes, stack
+		sc.next, sc.union, sc.succ = next, union, succ
+	}()
 
 	// offer runs the counterexample check and the antichain insertion
 	// for a candidate pair; it reports a counterexample via the bool.
@@ -206,7 +233,6 @@ func containsAntichainCtx(ctx context.Context, c1, c2 *posNFA) (bool, error) {
 		return false
 	}
 
-	next := bitset.New(c2.numStates)
 	for _, q := range c2.initial {
 		next.Add(q)
 	}
@@ -217,8 +243,6 @@ func containsAntichainCtx(ctx context.Context, c1, c2 *posNFA) (bool, error) {
 		}
 	}
 
-	union := bitset.New(c2.numStates)
-	succ := bitset.New(c1.numStates)
 	cc := newCanceler(ctx, span)
 	for len(stack) > 0 {
 		if err := cc.checkpoint(); err != nil {

@@ -63,6 +63,11 @@ func (t *labelTable) id(a string) int {
 
 func (t *labelTable) len() int { return len(t.names) }
 
+// reset empties t, keeping its buffers.
+func (t *labelTable) reset() {
+	t.names, t.runs = t.names[:0], t.runs[:0]
+}
+
 // posNFA is a homogeneous automaton as position tables: with w =
 // ⌈numStates/64⌉, follow[q·w:(q+1)·w] is follow row q and
 // pos[l·w:(l+1)·w] is the row of label l, for l < width.
@@ -74,23 +79,20 @@ type posNFA struct {
 	pos       []uint64
 	final     bitset.StateSet
 	initial   []int
-	// scratch holds the target set of a dense addFollow while lowerExpr
-	// runs; it is nil afterwards.
+	// scratch holds the target set of a dense addFollow.
 	scratch bitset.StateSet
 }
 
-// newPosNFA sizes the tables of a numStates-state automaton with width
-// label rows.
-func newPosNFA(numStates, width int) *posNFA {
+// reset sizes the tables for a numStates-state automaton with no label
+// rows and clears them, reusing c's buffers where they are large enough.
+func (c *posNFA) reset(numStates int) {
 	w := (numStates + 63) / 64
-	return &posNFA{
-		numStates: numStates,
-		words:     w,
-		width:     width,
-		follow:    make([]uint64, numStates*w),
-		pos:       make([]uint64, width*w),
-		final:     bitset.New(numStates),
-	}
+	c.numStates, c.words, c.width = numStates, w, 0
+	c.follow = resize(c.follow, numStates*w)
+	c.pos = c.pos[:0]
+	c.final = resize(c.final, w)
+	c.initial = c.initial[:0]
+	c.scratch = resize(c.scratch, w)
 }
 
 func (c *posNFA) followRow(q int) bitset.StateSet {
@@ -101,23 +103,23 @@ func (c *posNFA) posRow(l int) bitset.StateSet {
 	return c.pos[l*c.words : (l+1)*c.words : (l+1)*c.words]
 }
 
-// lowerExpr builds the Glushkov automaton of e (see Glushkov) without
-// its pos rows, which bindLabels adds, and returns it with the label of
-// each position: syms[p-1] labels position p. The visit is Glushkov's,
-// with c's follow rows as the sink. After bindLabels the tables hold
-// Glushkov(e)'s transitions, row for row, and pos bits of positions no
-// transition enters, such as those under ∅
-// (TestLowerExprMatchesGlushkov).
-func lowerExpr(e *regex.Expr) (c *posNFA, syms []string) {
+// lowerExpr builds the Glushkov automaton of e (see Glushkov) into the
+// buffers of s, without its pos rows, which bindLabels adds, and returns
+// it with the label of each position: syms[p-1] labels position p. The
+// visit is Glushkov's, with c's follow rows as the sink. After
+// bindLabels the tables hold Glushkov(e)'s transitions, row for row, and
+// pos bits of positions no transition enters, such as those under ∅
+// (TestLowerExprMatchesGlushkov). Both results live in s until its next
+// lowering.
+func lowerExpr(e *regex.Expr, s *side) (c *posNFA, syms []string) {
 	n, nodes := measure(e)
-	c = newPosNFA(n+1, 0)
-	c.scratch = bitset.New(n + 1)
-	b := newGlushkovBuilder(n, nodes)
+	c, b := &s.c, &s.b
+	c.reset(n + 1)
+	b.reset(n, nodes)
 	b.sink = c
 	info := b.visit(e)
 	c.addFollow(b.sets, span{0, 1}, info.first)
-	c.scratch = nil
-	c.initial = []int{0}
+	c.initial = append(c.initial, 0)
 	if info.nullable {
 		c.final.Add(0)
 	}
@@ -161,30 +163,54 @@ func (c *posNFA) addFollow(sets []int32, fromSpan, toSpan span) {
 // alphabetOf returns the sorted label set of syms — the alphabet of the
 // Glushkov automaton, which counts every symbol occurrence, even one
 // under ∅ that no transition enters — without the "" of positions a
-// label map dropped. Expressions repeat few labels many times, so it
-// finds them by a linear search while there are few of them, and beyond
-// that sorts the remaining occurrences, which takes less memory than a
-// set. Few labels get a slice of their own size.
+// label map dropped, in a slice of its own size.
 func alphabetOf(syms []string) []string {
 	var buf [maxLinearAlphabet]string
-	alpha := buf[:0]
-	for i, a := range syms {
-		if a == "" || slices.Contains(alpha, a) {
+	if alpha, ok := fewLabels(buf[:0], syms); ok {
+		return slices.Clone(alpha)
+	}
+	return manyLabels(nil, syms)
+}
+
+// appendAlphabet is alphabetOf into dst[:0].
+func appendAlphabet(dst, syms []string) []string {
+	if alpha, ok := fewLabels(dst[:0], syms); ok {
+		return alpha
+	}
+	return manyLabels(dst[:0], syms)
+}
+
+// fewLabels appends the distinct labels of syms to dst, sorted. It
+// finds them by a linear search, as expressions repeat few labels many
+// times, and gives up (ok false) past maxLinearAlphabet of them.
+func fewLabels(dst, syms []string) (alpha []string, ok bool) {
+	for _, a := range syms {
+		if a == "" || slices.Contains(dst, a) {
 			continue
 		}
-		if len(alpha) == maxLinearAlphabet {
-			all := append(append(make([]string, 0, len(alpha)+len(syms)-i), alpha...), syms[i:]...)
-			slices.Sort(all)
-			all = slices.Compact(all)
-			if all[0] == "" {
-				all = all[1:]
-			}
-			return all
+		if len(dst) == maxLinearAlphabet {
+			return nil, false
 		}
-		alpha = append(alpha, a)
+		dst = append(dst, a)
 	}
-	slices.Sort(alpha)
-	return slices.Clone(alpha)
+	slices.Sort(dst)
+	return dst, true
+}
+
+// manyLabels appends the labels of syms to dst, sorted and without
+// repeats: it sorts every occurrence, which takes less memory than a
+// set.
+func manyLabels(dst, syms []string) []string {
+	if cap(dst)-len(dst) < len(syms) {
+		dst = append(make([]string, 0, len(dst)+len(syms)), dst...)
+	}
+	for _, a := range syms {
+		if a != "" {
+			dst = append(dst, a)
+		}
+	}
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // maxLinearAlphabet is how many distinct labels alphabetOf finds by
@@ -196,7 +222,7 @@ const maxLinearAlphabet = 32
 // unless that is "" (a label map dropped it).
 func (c *posNFA) bindLabels(syms []string, labels *labelTable) {
 	c.width = labels.len()
-	c.pos = make([]uint64, c.width*c.words)
+	c.pos = resize(c.pos, c.width*c.words)
 	for i, a := range syms {
 		if a != "" {
 			c.posRow(labels.id(a)).Add(i + 1)
@@ -273,14 +299,20 @@ type glushkovBuilder struct {
 
 // newGlushkovBuilder sizes a builder for an expression with the given
 // numbers of positions and nodes (see measure); the caller sets its sink.
-// Its arena starts with span{0, 1}, the set {0} of the initial state,
-// and twice the node count is a first guess for the rest.
 func newGlushkovBuilder(positions, nodes int) glushkovBuilder {
-	return glushkovBuilder{
-		syms:  make([]string, 0, positions),
-		sets:  append(make([]int32, 0, 2*nodes+1), 0),
-		stack: make([]nodeInfo, 0, nodes),
-	}
+	var b glushkovBuilder
+	b.reset(positions, nodes)
+	return b
+}
+
+// reset empties b for an expression with the given numbers of positions
+// and nodes, reusing its buffers where they are large enough. The arena
+// starts with span{0, 1}, the set {0} of the initial state, and twice
+// the node count is a first guess for the rest.
+func (b *glushkovBuilder) reset(positions, nodes int) {
+	b.syms = reuse(b.syms, positions)
+	b.sets = append(reuse(b.sets, 2*nodes+1), 0)
+	b.stack = reuse(b.stack, nodes)
 }
 
 func (b *glushkovBuilder) set(s span) []int32 { return s.of(b.sets) }

@@ -67,7 +67,9 @@ func requireSameTables(t *testing.T, e *regex.Expr, want, got *posNFA) {
 // unless n is homogeneous, as Glushkov automata are.
 func tablesOf(t *testing.T, n *NFA, labels *labelTable) *posNFA {
 	t.Helper()
-	c := newPosNFA(n.NumStates, labels.len())
+	c := new(posNFA)
+	c.reset(n.NumStates)
+	c.bindLabels(nil, labels)
 	c.initial = append([]int(nil), n.Initial...)
 	for q, final := range n.Final {
 		if final {
@@ -96,7 +98,7 @@ func tablesOf(t *testing.T, n *NFA, labels *labelTable) *posNFA {
 // it, after checking that both ways agree on e's alphabet.
 func checkLowering(t *testing.T, other, e *regex.Expr) {
 	t.Helper()
-	got, syms := lowerExpr(e)
+	got, syms := lowerExpr(e, new(side))
 	n := Glushkov(e)
 	if alpha := alphabetOf(syms); !slices.Equal(alpha, n.Alphabet) {
 		t.Fatalf("%s: alphabet %v, want %v", e, alpha, n.Alphabet)
@@ -134,18 +136,25 @@ func TestLowerExprMatchesGlushkov(t *testing.T) {
 }
 
 // TestLowerExprAllocs pins the allocations of one side's lowering on
-// the containment path: the follow sink must add none, so a sink that
-// allocates (a closure, a fresh scratch row) fails here.
+// the containment path, into a warm decision: none. A follow sink that
+// allocates (a closure, a fresh scratch row) or a table that is not
+// reused fails here.
 func TestLowerExprAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	e := regex.MustParse("(a (b + c)* d?)+ (a + b)* c")
-	var labels labelTable
-	labels.add(e.Alphabet())
-	allocs := testing.AllocsPerRun(100, func() {
-		c, syms := lowerExpr(e)
-		c.bindLabels(syms, &labels)
-	})
-	if allocs > 11 {
-		t.Fatalf("lowerExpr + bindLabels: %v allocations, want ≤ 11", allocs)
+	d := new(decision)
+	lower := func() {
+		c, syms := lowerExpr(e, &d.sides[0])
+		d.labels.reset()
+		d.alpha = appendAlphabet(d.alpha, syms)
+		d.labels.add(d.alpha)
+		c.bindLabels(syms, &d.labels)
+	}
+	lower()
+	if allocs := testing.AllocsPerRun(100, lower); allocs != 0 {
+		t.Fatalf("lowerExpr + bindLabels into a warm decision: %v allocations, want 0", allocs)
 	}
 }
 

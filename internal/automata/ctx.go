@@ -155,8 +155,15 @@ func ContainsCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
 // content model restricted to realizable labels (dtd) or projected from
 // types to labels (edtd). A nil rename is the identity.
 func ContainsMappedCtx(ctx context.Context, e1 *regex.Expr, rename func(string) (string, bool), e2 *regex.Expr) (bool, error) {
-	c1, syms1 := lowerExpr(e1)
-	c2, syms2 := lowerExpr(e2)
+	d := decisions.Get().(*decision)
+	defer d.release()
+	return d.containsMapped(ctx, e1, rename, e2)
+}
+
+// containsMapped is ContainsMappedCtx in the buffers of d.
+func (d *decision) containsMapped(ctx context.Context, e1 *regex.Expr, rename func(string) (string, bool), e2 *regex.Expr) (bool, error) {
+	c1, syms1 := lowerExpr(e1, &d.sides[0])
+	c2, syms2 := lowerExpr(e2, &d.sides[1])
 	if rename != nil {
 		for i, a := range syms1 {
 			if b, ok := rename(a); ok {
@@ -168,12 +175,14 @@ func ContainsMappedCtx(ctx context.Context, e1 *regex.Expr, rename func(string) 
 	}
 	// Number both alphabets before binding either side, so the pos
 	// rows of each automaton cover the union alphabet.
-	var labels labelTable
-	labels.add(alphabetOf(syms1))
-	labels.add(alphabetOf(syms2))
-	c1.bindLabels(syms1, &labels)
-	c2.bindLabels(syms2, &labels)
-	return containsAntichainCtx(ctx, c1, c2)
+	d.labels.reset()
+	d.alpha = appendAlphabet(d.alpha, syms1)
+	d.labels.add(d.alpha)
+	d.alpha = appendAlphabet(d.alpha, syms2)
+	d.labels.add(d.alpha)
+	c1.bindLabels(syms1, &d.labels)
+	c2.bindLabels(syms2, &d.labels)
+	return containsAntichainCtx(ctx, c1, c2, &d.search)
 }
 
 // ContainsClassicCtx is ContainsClassic with cooperative cancellation:

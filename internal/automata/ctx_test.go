@@ -168,16 +168,15 @@ func BenchmarkContainsCtx(b *testing.B) {
 	}
 }
 
-// BenchmarkContainsDecideColdMix times ContainsCtx on seeded random
-// pairs shaped like rwdperf's decide-cold mix: DefaultGen over {a,b,c,d}
-// at depth 6, every other pair (e1, e1|e2) so half the verdicts are
-// "contained" and run the search to its end. Each pair is decided from
-// the expressions, so construction is timed with the search.
-func BenchmarkContainsDecideColdMix(b *testing.B) {
+// decideColdPairs returns n seeded random pairs shaped like rwdperf's
+// decide-cold mix: DefaultGen over {a,b,c,d} at depth 6, every other
+// pair (e1, e1|e2) so half the verdicts are "contained" and run the
+// search to its end.
+func decideColdPairs(n int) [][2]*regex.Expr {
 	r := rand.New(rand.NewSource(1))
 	g := regex.DefaultGen([]string{"a", "b", "c", "d"})
 	g.MaxDepth = 6
-	pairs := make([][2]*regex.Expr, 256)
+	pairs := make([][2]*regex.Expr, n)
 	for i := range pairs {
 		e1, e2 := g.Random(r), g.Random(r)
 		if i%2 == 0 {
@@ -185,6 +184,14 @@ func BenchmarkContainsDecideColdMix(b *testing.B) {
 		}
 		pairs[i] = [2]*regex.Expr{e1, e2}
 	}
+	return pairs
+}
+
+// BenchmarkContainsDecideColdMix times ContainsCtx on decideColdPairs.
+// Each pair is decided from the expressions, so construction is timed
+// with the search.
+func BenchmarkContainsDecideColdMix(b *testing.B) {
+	pairs := decideColdPairs(256)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -35,6 +35,7 @@ func BenchmarkServeContainmentCold(b *testing.B) {
 		bodies[i] = fmt.Sprintf(
 			`{"engine":"regex","left":"(a|b)* x%d","right":"(a|b)* (a|b) x%d"}`, i, i)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if code := doContainment(b, s, bodies[i]); code != 200 {
@@ -52,6 +53,7 @@ func BenchmarkServeContainmentCacheHit(b *testing.B) {
 	if code := doContainment(b, s, body); code != 200 {
 		b.Fatalf("warmup code=%d", code)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if code := doContainment(b, s, body); code != 200 {
