@@ -140,9 +140,6 @@ func TestLowerExprMatchesGlushkov(t *testing.T) {
 // allocates (a closure, a fresh scratch row) or a table that is not
 // reused fails here.
 func TestLowerExprAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
 	e := regex.MustParse("(a (b + c)* d?)+ (a + b)* c")
 	d := new(decision)
 	lower := func() {

@@ -46,11 +46,8 @@ func newCanceler(ctx context.Context, span *obs.Span) *canceler {
 	return &canceler{ctx: ctx, checks: span.Counter("checkpoints")}
 }
 
-func (c *canceler) checkpoint() error { return c.checkpointN(1) }
-
-// checkpointN is checkpoint for an iteration that costs n ≥ 1 of them.
-func (c *canceler) checkpointN(n int) error {
-	c.tick += n
+func (c *canceler) checkpoint() error {
+	c.tick++
 	if c.tick < checkEvery {
 		return nil
 	}

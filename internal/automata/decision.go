@@ -53,16 +53,21 @@ var decisions = sync.Pool{New: func() any { return new(decision) }}
 
 // release returns d to the pool unless its buffers exceed
 // maxPooledBytes. Labels alias request input, so they are dropped
-// first.
+// first, up to each buffer's capacity: a later, shorter use leaves
+// an earlier one's labels past its length.
 func (d *decision) release() {
 	if d.bytes() > maxPooledBytes {
 		return
 	}
-	clear(d.sides[0].b.syms)
-	clear(d.sides[1].b.syms)
-	clear(d.labels.names)
-	clear(d.alpha)
+	for _, labels := range d.labelBuffers() {
+		clear(labels[:cap(labels)])
+	}
 	decisions.Put(d)
+}
+
+// labelBuffers returns the buffers of d that hold label strings.
+func (d *decision) labelBuffers() [4][]string {
+	return [4][]string{d.sides[0].b.syms, d.sides[1].b.syms, d.labels.names, d.alpha}
 }
 
 // bytes is the capacity of d's buffers in bytes.

@@ -169,15 +169,12 @@ func (m *Matcher) step(next, ks, cur []int32, l int32) ([]int32, []int32) {
 
 // Accepts reports whether the automaton accepts word. It returns
 // ctx.Err() if that is set at the first symbol or at a later checkpoint.
-// A symbol's step costs about one iteration per state it steps from, so
-// checkpoints come every 256 symbols on a deterministic expression and
-// at every symbol once 256 states are live.
 func (m *Matcher) Accepts(ctx context.Context, word []string) (bool, error) {
 	c := canceler{ctx: ctx, tick: checkEvery - 1}
 	var curBuf, nextBuf, ksBuf [64]int32
 	cur, next, ks := append(curBuf[:0], 0), nextBuf[:0], ksBuf[:0]
 	for _, a := range word {
-		if err := c.checkpointN(len(cur)); err != nil {
+		if err := c.checkpoint(); err != nil {
 			return false, err
 		}
 		if next, ks = m.step(next[:0], ks[:0], cur, m.label(a)); len(next) == 0 {

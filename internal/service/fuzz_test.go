@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -318,52 +317,6 @@ func FuzzNDJSONAnalyze(f *testing.F) {
 					len(s.sem), s.detached.Load(), 20*maxDeadline)
 			}
 			time.Sleep(time.Millisecond)
-		}
-	})
-}
-
-// FuzzDecodeMembership checks decodeMembership against json.Unmarshal
-// into a membershipRequest: the same request, nil and empty words told
-// apart, and the same error text. The seeds cover each way the fast
-// path hands a body to the standard decode.
-func FuzzDecodeMembership(f *testing.F) {
-	for _, body := range []string{
-		`{"expr":"a b*","word":["a","b","b"],"deadline_ms":5}`,
-		`{"expr":"a","word":[]}`,
-		`{"expr":"a","word":null}`,
-		`{"expr":"a"}`,
-		"{ \"word\" : [ \"a\" ,\t\"bc\"\n, \"\" ] , \"expr\":\"a\" }",
-		`{"WORD":["a"],"Expr":"a"}`,
-		`{"word":["é","日本"]}`,
-		"{\"word\":[\"\xff\"]}",
-		`{"word":["a\"b","c"]}`,
-		`{"word":["a\nb","\u0061"]}`,
-		`{"word":["a"]}`,
-		`{"word":["a",null,"b"]}`,
-		`{"word":["a",1]}`,
-		`{"word":"a"}`,
-		`{"word":5}`,
-		`{"word":{"a":1}}`,
-		`{"word":5,"word":["a"]}`,
-		`{"word":["a"],"word":null}`,
-		`{"word":["a"],"word":["b","c"]}`,
-		`{"expr":5,"word":["a"]}`,
-		`{"word":[["a"]]}`,
-		`{"word":["a"]`,
-		`not json`,
-		``,
-	} {
-		f.Add([]byte(body))
-	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var want membershipRequest
-		wantErr := json.Unmarshal(body, &want)
-		got, gotErr := decodeMembership(body)
-		if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
-			t.Fatalf("%q: error %v, want %v", body, gotErr, wantErr)
-		}
-		if wantErr == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("%q: decoded %#v, want %#v", body, got, want)
 		}
 	})
 }

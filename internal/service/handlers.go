@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"strconv"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/automata"
 	"repro/internal/core"
@@ -313,97 +312,11 @@ type membershipResponse struct {
 	Deterministic bool `json:"deterministic"`
 }
 
-// decodeMembership is json.Unmarshal(body, &req) with a fast path for
-// the word. encoding/json decodes a []string through reflection, about
-// 250 ns a symbol on a 2-vCPU guest, and no context check can stop it:
-// a body of 1M symbols took ~0.3 s to decode, so its engine ran on
-// ~0.2 s after a 100 ms deadline's 504. Each "word" value goes to
-// wordJSON instead, which splits an array of plain strings; that body
-// now decodes in ~0.08 s. If a value is anything else, the body is
-// decoded again the standard way, so the request and any error are
-// always the standard ones (FuzzDecodeMembership).
-func decodeMembership(body []byte) (membershipRequest, error) {
-	var fast struct {
-		membershipRequest
-		Word wordJSON `json:"word"`
-	}
-	if json.Unmarshal(body, &fast) == nil && !fast.Word.slow {
-		req := fast.membershipRequest
-		req.Word = fast.Word.word
-		return req, nil
-	}
-	var req membershipRequest
-	err := json.Unmarshal(body, &req)
-	return req, err
-}
-
-// wordJSON takes a JSON null, or an array of strings that hold no escape
-// and are valid UTF-8, which encoding/json decodes to their bytes; slow
-// records that a value was neither.
-type wordJSON struct {
-	word []string
-	slow bool
-}
-
-func (w *wordJSON) UnmarshalJSON(data []byte) error {
-	word, ok := splitWord(data)
-	w.word, w.slow = word, w.slow || !ok
-	return nil
-}
-
-// splitWord decodes data as wordJSON describes, or reports false. data is
-// one valid JSON value, as encoding/json hands it to an Unmarshaler.
-func splitWord(data []byte) ([]string, bool) {
-	if string(data) == "null" {
-		return nil, true
-	}
-	if len(data) == 0 || data[0] != '[' {
-		return nil, false
-	}
-	word := make([]string, 0, bytes.Count(data, []byte{','})+1)
-	i := skipSpace(data, 1)
-	if i < len(data) && data[i] == ']' {
-		return word, true
-	}
-	for i < len(data) && data[i] == '"' {
-		n := bytes.IndexByte(data[i+1:], '"')
-		if n < 0 {
-			return nil, false
-		}
-		sym := data[i+1 : i+1+n]
-		if bytes.IndexByte(sym, '\\') >= 0 || !utf8.Valid(sym) {
-			return nil, false
-		}
-		word = append(word, string(sym))
-		if i = skipSpace(data, i+n+2); i == len(data) {
-			return nil, false
-		}
-		switch data[i] {
-		case ']':
-			return word, true
-		case ',':
-			i = skipSpace(data, i+1)
-		default:
-			return nil, false
-		}
-	}
-	return nil, false
-}
-
-// skipSpace returns the index of the first byte at or after i that is
-// not JSON whitespace, or len(data).
-func skipSpace(data []byte, i int) int {
-	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
-		i++
-	}
-	return i
-}
-
 // decideMembership answers from the expression's compiled Matcher,
 // cached under the raw expression text.
 func (s *Server) decideMembership(ctx context.Context, body []byte, _ bool) (any, *apiError) {
-	req, err := decodeMembership(body)
-	if err != nil {
+	var req membershipRequest
+	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, errBadRequest("invalid JSON: %v", err)
 	}
 	v, aerr := s.compile(cacheKey("membership", req.Expr), func() (any, *apiError) {
