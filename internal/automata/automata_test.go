@@ -2,6 +2,8 @@ package automata
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -232,6 +234,44 @@ func TestMinimizeIdempotent(t *testing.T) {
 		if m.NumStates != m2.NumStates {
 			t.Fatalf("Minimize not idempotent on %q: %d -> %d states", e, m.NumStates, m2.NumStates)
 		}
+	}
+}
+
+// toDFAGoldenDigest is the SHA-256 of the lines TestToDFAGolden writes.
+// A change means ToDFA returns another automaton for some expression —
+// other states, finality or transitions — not a flaky test.
+const toDFAGoldenDigest = "4f09ec46a1b2bb153a37c89a3f8c0c427020b772dba3da6a9e2f3ca0c28761d5"
+
+// TestToDFAGolden hashes the minimal DFA of ToDFA — its state count and
+// alphabet, then per state in order its finality and its successor on
+// each label in alphabet order — on ~5,000 seeded expressions with ∅
+// and ε subexpressions.
+func TestToDFAGolden(t *testing.T) {
+	h := sha256.New()
+	r := rand.New(rand.NewSource(61))
+	g := regex.DefaultGen([]string{"a", "b", "c", "d"})
+	for i := 0; i < 5000; i++ {
+		g.MaxDepth = 1 + r.Intn(5)
+		e := sprinkleVoid(r, g.Random(r))
+		if positions, _ := measure(e); positions > 16 {
+			continue // keep the subset construction cheap
+		}
+		d := ToDFA(e)
+		fmt.Fprintf(h, "%s\t%d\t%q\n", e, d.NumStates, d.Alphabet)
+		for q := 0; q < d.NumStates; q++ {
+			fmt.Fprintf(h, "%v", d.Final[q])
+			for _, a := range d.Alphabet {
+				p, ok := d.Trans[q][a]
+				if !ok {
+					p = -1
+				}
+				fmt.Fprintf(h, " %d", p)
+			}
+			fmt.Fprintln(h)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != toDFAGoldenDigest {
+		t.Fatalf("ToDFA digest = %s, want %s", got, toDFAGoldenDigest)
 	}
 }
 
