@@ -2,7 +2,7 @@ package automata
 
 // Antichain containment engine. Deciding L(n1) ⊆ L(e2) classically
 // determinizes e2 eagerly (2^n subset states up front, see
-// DeterminizeCtx) and then searches the product with the complement.
+// determinizeCtx) and then searches the product with the complement.
 // This engine instead explores the product of n1 with the subset
 // automaton of e2 lazily, on word-packed bitsets interned in a
 // search-local table, and prunes with the antichain order of De
@@ -310,7 +310,7 @@ func AntichainHardExpr(k int) string {
 }
 
 // ContainsClassic is the retained reference implementation of Contains:
-// eager subset construction of e2 (DeterminizeCtx), complementation,
+// eager subset construction of e2 (determinizeCtx), complementation,
 // and a product emptiness search — the textbook PSPACE procedure the
 // antichain engine is differentially tested against.
 func ContainsClassic(e1, e2 *regex.Expr) bool {

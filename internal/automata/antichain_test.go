@@ -26,7 +26,7 @@ func TestAntichainAgreesWithClassicRandom(t *testing.T) {
 	g.MaxFanout = 3
 	for trial := 0; trial < 400; trial++ {
 		e1, e2 := g.Random(r), g.Random(r)
-		if Glushkov(e1).NumStates > 10 || Glushkov(e2).NumStates > 10 {
+		if numStates(e1) > 10 || numStates(e2) > 10 {
 			continue // the classic side determinizes eagerly; keep it cheap
 		}
 		for _, dir := range [][2]*regex.Expr{{e1, e2}, {e2, e1}} {
@@ -72,6 +72,13 @@ func TestAntichainKnownFamilies(t *testing.T) {
 			t.Fatalf("hard(%d) ⊆ hard(%d) = true, want false", k, k+1)
 		}
 	}
+}
+
+// numStates is the number of states of the Glushkov automaton of e: its
+// positions and the initial state.
+func numStates(e *regex.Expr) int {
+	positions, _ := measure(e)
+	return positions + 1
 }
 
 // containsEngine is the signature shared by ContainsCtx and
@@ -124,7 +131,7 @@ func costFamilies() []struct {
 	var easy [][2]*regex.Expr
 	for len(easy) < 10 {
 		e1, e2 := g.Random(r), g.Random(r)
-		if Glushkov(e1).NumStates > 10 || Glushkov(e2).NumStates > 10 {
+		if numStates(e1) > 10 || numStates(e2) > 10 {
 			continue // the classic side determinizes eagerly; keep it cheap
 		}
 		easy = append(easy, [2]*regex.Expr{e1, e2})
@@ -169,11 +176,9 @@ func TestAntichainCostCountersAllFamilies(t *testing.T) {
 }
 
 // TestAntichainCountersDeterministic runs every cost family twice on
-// each engine: states_expanded and antichain_pruned must be identical
-// across the two runs (wall time varies; these counters must not).
-// product_states is left out: the classic engine's witness search walks
-// transitions in map order and stops at the first witness, so its count
-// varies on non-contained pairs.
+// each engine: states_expanded, product_states and antichain_pruned
+// must be identical across the two runs (wall time varies; these
+// counters must not).
 func TestAntichainCountersDeterministic(t *testing.T) {
 	engines := []struct {
 		name   string
@@ -184,9 +189,7 @@ func TestAntichainCountersDeterministic(t *testing.T) {
 			for _, p := range f.pairs {
 				_, first := tracedContains(t, eng.engine, p[0], p[1])
 				_, second := tracedContains(t, eng.engine, p[0], p[1])
-				a := [2]int64{sumCounter(first, "states_expanded"), sumCounter(first, "antichain_pruned")}
-				b := [2]int64{sumCounter(second, "states_expanded"), sumCounter(second, "antichain_pruned")}
-				if a != b {
+				if a, b := costCounters(first), costCounters(second); a != b {
 					t.Fatalf("%s/%s: counters %v then %v across identical runs on %s ⊆ %s",
 						f.name, eng.name, a, b, p[0], p[1])
 				}

@@ -1,8 +1,8 @@
 // Package automata implements finite automata over label alphabets: the
 // Glushkov construction from regular expressions (one First/Last/Follow
-// pass over the syntax tree, in compile.go, read as an NFA, as the
-// membership Matcher or as the containment engine's position tables),
-// subset construction, DFA minimization, Boolean operations, and the
+// pass over the syntax tree, in compile.go, read as the Matcher or as
+// the containment engine's position tables), subset construction over
+// the Matcher, DFA minimization, Boolean operations, and the
 // decision procedures (membership, emptiness, containment, equivalence,
 // intersection non-emptiness) that underpin the complexity landscape of
 // Sections 4.2 and 9.6 of "Towards Theory for Real-World Data".
@@ -11,173 +11,30 @@ package automata
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/regex"
 )
 
-// NFA is a nondeterministic finite automaton without ε-transitions.
-// States are 0..NumStates-1.
-type NFA struct {
-	NumStates int
-	Initial   []int
-	Final     map[int]bool
-	// Trans[q][a] is the sorted set of successor states of q on label a.
-	Trans []map[string][]int
-	// Alphabet is the sorted set of labels with at least one transition,
-	// possibly extended explicitly via WithAlphabet.
-	Alphabet []string
-}
+// NFA is the Glushkov automaton of an expression, behind the two calls
+// internal/perfbench (a separate module) makes: Accepts and
+// IsDeterministic. It exists only for perfbench; ROADMAP item 12 moves
+// those calls to NewMatcher and deletes it.
+type NFA struct{ m *Matcher }
 
-// NewNFA returns an empty NFA with n states and no transitions.
-func NewNFA(n int) *NFA {
-	t := make([]map[string][]int, n)
-	for i := range t {
-		t[i] = map[string][]int{}
-	}
-	return &NFA{NumStates: n, Final: map[int]bool{}, Trans: t}
-}
+// Glushkov returns the Glushkov automaton of e (see NewMatcher).
+func Glushkov(e *regex.Expr) *NFA { return &NFA{NewMatcher(e)} }
 
-// AddTransition adds q --a--> p, keeping successor sets sorted and unique.
-func (n *NFA) AddTransition(q int, a string, p int) {
-	succ := n.Trans[q][a]
-	i := sort.SearchInts(succ, p)
-	if i < len(succ) && succ[i] == p {
-		return
-	}
-	succ = append(succ, 0)
-	copy(succ[i+1:], succ[i:])
-	succ[i] = p
-	n.Trans[q][a] = succ
-	n.addLabel(a)
-}
-
-func (n *NFA) addLabel(a string) {
-	i := sort.SearchStrings(n.Alphabet, a)
-	if i < len(n.Alphabet) && n.Alphabet[i] == a {
-		return
-	}
-	n.Alphabet = append(n.Alphabet, "")
-	copy(n.Alphabet[i+1:], n.Alphabet[i:])
-	n.Alphabet[i] = a
-}
-
-// WithAlphabet extends the automaton's alphabet (needed, e.g., before
-// complementation so that both sides of a containment check agree).
-func (n *NFA) WithAlphabet(labels []string) *NFA {
-	for _, a := range labels {
-		n.addLabel(a)
-	}
-	return n
-}
-
-// Glushkov constructs the position automaton of e: state 0 is initial,
-// states 1..n correspond to the symbol occurrences of e in preorder
-// (Section 4.2.1; the expression is deterministic in the sense of
-// Brüggemann-Klein & Wood iff this automaton is deterministic). It
-// expands the products of the Glushkov visit (compile.go) into
-// transitions; the automaton is homogeneous, so the edge into q carries
-// q's label.
-func Glushkov(e *regex.Expr) *NFA {
-	b, ps, info := visitProducts(e)
-	n := NewNFA(len(b.syms) + 1)
-	for k := 0; k < len(ps); k += 2 {
-		for _, p := range b.set(ps[k]) {
-			for _, q := range b.set(ps[k+1]) {
-				n.AddTransition(int(p), b.syms[q-1], int(q))
-			}
-		}
-	}
-	n.Initial = []int{0}
-	if info.nullable {
-		n.Final[0] = true
-	}
-	for _, p := range b.set(info.last) {
-		n.Final[int(p)] = true
-	}
-	// Symbols of an empty-language subexpression still extend the
-	// alphabet, though they enter no transition.
-	n.WithAlphabet(b.syms)
-	return n
-}
-
-// IsDeterministic reports whether the NFA has a single initial state and at
-// most one successor per state and label.
-func (n *NFA) IsDeterministic() bool {
-	if len(n.Initial) > 1 {
-		return false
-	}
-	for _, m := range n.Trans {
-		for _, succ := range m {
-			if len(succ) > 1 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Accepts reports whether the NFA accepts the word, simulating the set
-// of states reached so far.
+// Accepts reports whether the automaton accepts word.
 func (n *NFA) Accepts(word []string) bool {
-	set := n.Initial
-	for _, a := range word {
-		var next []int
-		for _, q := range set {
-			next = append(next, n.Trans[q][a]...)
-		}
-		if len(next) == 0 {
-			return false
-		}
-		slices.Sort(next)
-		set = slices.Compact(next)
-	}
-	return slices.ContainsFunc(set, func(q int) bool { return n.Final[q] })
+	ok, _ := n.m.Accepts(context.Background(), word)
+	return ok
 }
 
-// ShortestWitness returns a shortest accepted word, or (nil, false) if the
-// language is empty. The empty word is returned as an empty non-nil slice.
-func (n *NFA) ShortestWitness() ([]string, bool) {
-	type item struct {
-		state int
-		word  []string
-	}
-	seen := make([]bool, n.NumStates)
-	var queue []item
-	for _, q := range n.Initial {
-		if n.Final[q] {
-			return []string{}, true
-		}
-		seen[q] = true
-		queue = append(queue, item{q, nil})
-	}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		// Deterministic order: iterate labels sorted.
-		labels := make([]string, 0, len(n.Trans[it.state]))
-		for a := range n.Trans[it.state] {
-			labels = append(labels, a)
-		}
-		sort.Strings(labels)
-		for _, a := range labels {
-			for _, p := range n.Trans[it.state][a] {
-				if seen[p] {
-					continue
-				}
-				seen[p] = true
-				w := append(append([]string(nil), it.word...), a)
-				if n.Final[p] {
-					return w, true
-				}
-				queue = append(queue, item{p, w})
-			}
-		}
-	}
-	return nil, false
-}
+// IsDeterministic reports whether the expression is deterministic
+// (Section 4.2.1).
+func (n *NFA) IsDeterministic() bool { return n.m.Deterministic() }
 
 // DFA is a deterministic finite automaton. State 0 is the initial state.
 // A missing transition means the word is rejected (partial DFA); Totalize
@@ -221,14 +78,6 @@ func (d *DFA) Accepts(word []string) bool {
 		q = p
 	}
 	return d.Final[q]
-}
-
-// Determinize applies the subset construction, producing a partial DFA whose
-// states are the reachable subsets. DeterminizeCtx adds cooperative
-// cancellation for callers facing adversarial inputs.
-func Determinize(n *NFA) *DFA {
-	d, _ := DeterminizeCtx(context.Background(), n)
-	return d
 }
 
 // Totalize returns an equivalent total DFA over the union of d's alphabet and
@@ -439,7 +288,7 @@ func Product(d1, d2 *DFA, intersect bool) *DFA {
 
 // Contains reports whether L(e1) ⊆ L(e2), deciding
 // L(e1) ∩ complement(L(e2)) = ∅ with the antichain engine of
-// antichain.go: a lazy product of the Glushkov NFA of e1 with the
+// antichain.go: a lazy product of the Glushkov automaton of e1 with the
 // on-the-fly subset automaton of e2 over interned bitsets, pruned by
 // subsumption. This is the general (PSPACE-complete, Section 4.2.2)
 // decision procedure — the problem stays exponential in the worst case,
@@ -500,7 +349,11 @@ func intersectSorted(a, b []string) []string {
 	return out
 }
 
-// ToDFA is a convenience: minimal DFA of a regular expression.
+// ToDFA returns the minimal DFA of e: the subset construction over its
+// Matcher (determinizeCtx), minimized. Minimize numbers states
+// canonically, so the result depends only on L(e) and the alphabet of
+// e, which counts symbols under ∅ too.
 func ToDFA(e *regex.Expr) *DFA {
-	return Determinize(Glushkov(e)).Minimize()
+	d, _ := determinizeCtx(context.Background(), NewMatcher(e))
+	return d.Minimize()
 }

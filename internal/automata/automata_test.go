@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -42,15 +41,15 @@ func TestGlushkovAccepts(t *testing.T) {
 		{"a <empty> b + c", []string{"c"}, []string{"a b", ""}},
 	}
 	for _, c := range cases {
-		n := Glushkov(regex.MustParse(c.re))
+		m := NewMatcher(regex.MustParse(c.re))
 		for _, w := range words(c.yes...) {
-			if !n.Accepts(w) {
-				t.Errorf("Glushkov(%q) rejects %v", c.re, w)
+			if !accepts(m, w) {
+				t.Errorf("NewMatcher(%q) rejects %v", c.re, w)
 			}
 		}
 		for _, w := range words(c.no...) {
-			if n.Accepts(w) {
-				t.Errorf("Glushkov(%q) accepts %v", c.re, w)
+			if accepts(m, w) {
+				t.Errorf("NewMatcher(%q) accepts %v", c.re, w)
 			}
 		}
 	}
@@ -69,14 +68,14 @@ func TestGlushkovAgreesWithMatcher(t *testing.T) {
 	}
 	for i := 0; i < 400; i++ {
 		e := g.Random(r)
-		n := Glushkov(e)
-		d := Determinize(n)
+		n := NewMatcher(e)
+		d, _ := determinizeCtx(context.Background(), n)
 		m := d.Minimize()
 		for j := 0; j < 10; j++ {
 			w := wordGen()
 			want := regex.Matches(e, w)
-			if got := n.Accepts(w); got != want {
-				t.Fatalf("NFA(%q).Accepts(%v) = %v, oracle %v", e, w, got, want)
+			if got := accepts(n, w); got != want {
+				t.Fatalf("Matcher(%q).Accepts(%v) = %v, oracle %v", e, w, got, want)
 			}
 			if got := d.Accepts(w); got != want {
 				t.Fatalf("DFA(%q).Accepts(%v) = %v, oracle %v", e, w, got, want)
@@ -94,11 +93,12 @@ func TestGlushkovAgreesWithMatcher(t *testing.T) {
 	}
 }
 
-// successors returns the sorted states q steps to on any label.
-func successors(n *NFA, q int) []int {
-	var out []int
-	for _, ps := range n.Trans[q] {
-		out = append(out, ps...)
+// successors returns the sorted states q steps to on any label: the
+// targets of the products q is a source of.
+func successors(m *Matcher, q int) []int32 {
+	var out []int32
+	for _, k := range m.in[m.inOff[q]:m.inOff[q+1]] {
+		out = append(out, m.to[m.toOff[k]:m.toOff[k+1]]...)
 	}
 	slices.Sort(out)
 	return slices.Compact(out)
@@ -108,102 +108,26 @@ func successors(n *NFA, q int) []int {
 // positions 1=a, 2=b, 3=a: First = {1,2,3}, Last = {3}, and positions 1
 // and 2 each step to {1,2,3}.
 func TestGlushkovPositions(t *testing.T) {
-	n := Glushkov(regex.MustParse("(a + b)* a"))
-	if n.NumStates != 4 || !slices.Equal(n.Initial, []int{0}) {
-		t.Fatalf("%d states, initial %v, want 4 states, initial [0]", n.NumStates, n.Initial)
+	m := NewMatcher(regex.MustParse("(a + b)* a"))
+	if len(m.lab) != 4 || !slices.Equal(m.Start(), []int32{0}) {
+		t.Fatalf("%d states, initial %v, want 4 states, initial [0]", len(m.lab), m.Start())
 	}
-	for q, want := range [][]int{{1, 2, 3}, {1, 2, 3}, {1, 2, 3}, nil} {
-		if got := successors(n, q); !slices.Equal(got, want) {
+	for q, want := range [][]int32{{1, 2, 3}, {1, 2, 3}, {1, 2, 3}, nil} {
+		if got := successors(m, q); !slices.Equal(got, want) {
 			t.Errorf("successors of %d = %v, want %v", q, got, want)
 		}
 	}
-	if got := n.Trans[0]["a"]; !slices.Equal(got, []int{1, 3}) {
+	if got := m.Step([]int32{0}, "a"); !slices.Equal(got, []int32{1, 3}) {
 		t.Errorf("0 --a--> %v, want [1 3]", got)
 	}
-	if got := n.Trans[0]["b"]; !slices.Equal(got, []int{2}) {
+	if got := m.Step([]int32{0}, "b"); !slices.Equal(got, []int32{2}) {
 		t.Errorf("0 --b--> %v, want [2]", got)
 	}
-	for q := 0; q < n.NumStates; q++ {
-		if n.Final[q] != (q == 3) {
-			t.Errorf("Final[%d] = %v, want only 3 final", q, n.Final[q])
+	for q := range m.lab {
+		if m.final.Has(q) != (q == 3) {
+			t.Errorf("final(%d) = %v, want only 3 final", q, m.final.Has(q))
 		}
 	}
-}
-
-// numTransitions counts the (state, label, successor) triples of n.
-func numTransitions(n *NFA) int {
-	k := 0
-	for _, row := range n.Trans {
-		for _, ps := range row {
-			k += len(ps)
-		}
-	}
-	return k
-}
-
-// TestGlushkovAllocsLinear bounds the allocations of Glushkov linearly
-// by the size of its output, positions plus transitions, on growing
-// families. The NFA itself takes about one allocation per item (a map
-// per state, a successor slice per state and label); one allocation per
-// node or per deduplicated merge of two position sets on top of that
-// exceeds the bound on these shapes.
-func TestGlushkovAllocsLinear(t *testing.T) {
-	syms := func(k int) []*regex.Expr {
-		out := make([]*regex.Expr, k)
-		for i := range out {
-			out[i] = regex.NewSymbol(fmt.Sprintf("a%d", i))
-		}
-		return out
-	}
-	families := []struct {
-		name  string
-		build func(k int) *regex.Expr
-	}{
-		// (((a0 a1)* a2)* … ak-1)*: k nested stars.
-		{"nested-star", func(k int) *regex.Expr {
-			s := syms(k)
-			e := s[0]
-			for _, x := range s[1:] {
-				e = regex.NewStar(regex.NewConcat(e, x))
-			}
-			return e
-		}},
-		// a0 + a1 + … + ak-1: k positions, k transitions from the start.
-		{"wide-union", func(k int) *regex.Expr { return regex.NewUnion(syms(k)...) }},
-		// (a0 + … + ak-1)*: k positions, k² + k transitions.
-		{"wide-union-star", func(k int) *regex.Expr { return regex.NewStar(regex.NewUnion(syms(k)...)) }},
-	}
-	for _, f := range families {
-		for _, k := range []int{16, 64, 256} {
-			e := f.build(k)
-			n := Glushkov(e)
-			size := n.NumStates - 1 + numTransitions(n)
-			allocs := testing.AllocsPerRun(5, func() { Glushkov(e) })
-			if allocs > float64(2*size+32) {
-				t.Errorf("%s k=%d: %.0f allocations for %d positions + transitions", f.name, k, allocs, size)
-			}
-			t.Logf("%s k=%d: %.0f allocations, output size %d", f.name, k, allocs, size)
-		}
-	}
-}
-
-// TestGlushkovBytesLinear bounds the bytes Glushkov allocates on a long
-// concatenation a b? a b? … by its positions plus transitions. Follow
-// sets kept as per-position bitsets would take n²/8 bytes for n
-// positions: 50 MB here, twice the bound.
-func TestGlushkovBytesLinear(t *testing.T) {
-	e := regex.MustParse(strings.Repeat("a b? ", 10000))
-	n := Glushkov(e)
-	size := n.NumStates - 1 + numTransitions(n)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	Glushkov(e)
-	runtime.ReadMemStats(&after)
-	bytes := after.TotalAlloc - before.TotalAlloc
-	if bytes > uint64(500*size) {
-		t.Fatalf("Glushkov allocated %d bytes for %d positions + transitions, want ≤ 500 per item", bytes, size)
-	}
-	t.Logf("%d bytes for %d positions + transitions", bytes, size)
 }
 
 func TestMinimizeCanonical(t *testing.T) {
@@ -276,8 +200,8 @@ func TestToDFAGolden(t *testing.T) {
 }
 
 func TestComplement(t *testing.T) {
-	e := regex.MustParse("(a + b)* a")
-	c := Determinize(Glushkov(e)).Complement(nil)
+	d, _ := determinizeCtx(context.Background(), NewMatcher(regex.MustParse("(a + b)* a")))
+	c := d.Complement(nil)
 	for _, w := range words("", "b", "a b") {
 		if !c.Accepts(w) {
 			t.Errorf("complement rejects %v", w)
@@ -372,21 +296,6 @@ func TestIntersection(t *testing.T) {
 	}
 }
 
-func TestShortestWitness(t *testing.T) {
-	n := Glushkov(regex.MustParse("a a (b + a)"))
-	w, ok := n.ShortestWitness()
-	if !ok || len(w) != 3 {
-		t.Errorf("ShortestWitness = %v, %v", w, ok)
-	}
-	if _, ok := Glushkov(regex.MustParse("<empty>")).ShortestWitness(); ok {
-		t.Error("empty language has witness")
-	}
-	w, ok = Glushkov(regex.MustParse("a*")).ShortestWitness()
-	if !ok || len(w) != 0 {
-		t.Errorf("a* shortest witness = %v", w)
-	}
-}
-
 func TestIsEmpty(t *testing.T) {
 	for re, want := range map[string]bool{"<empty>": true, "a <empty>": true, "a?": false, "(a <empty>)*": false} {
 		if got := !IntersectionNonEmpty(regex.MustParse(re)); got != want {
@@ -399,12 +308,12 @@ func TestDeterministicGlushkov(t *testing.T) {
 	det := []string{"b* a (b* a)*", "a b c", "(a + b) c", "a* b", "city state country?"}
 	nondet := []string{"(a + b)* a", "a? a", "(a b)* a"}
 	for _, s := range det {
-		if !Glushkov(regex.MustParse(s)).IsDeterministic() {
+		if !NewMatcher(regex.MustParse(s)).Deterministic() {
 			t.Errorf("%q should be deterministic", s)
 		}
 	}
 	for _, s := range nondet {
-		if Glushkov(regex.MustParse(s)).IsDeterministic() {
+		if NewMatcher(regex.MustParse(s)).Deterministic() {
 			t.Errorf("%q should not be deterministic", s)
 		}
 	}
@@ -441,7 +350,7 @@ func TestKOREDFABound(t *testing.T) {
 //	<empty> d        d sits under ∅
 //
 // Each case maps the symbols with mapSymbols to check acceptance on the
-// Glushkov automaton of the result and its intersection witnesses.
+// Matcher of the result and its intersection witnesses.
 func TestProjectRestrictUsefulLabels(t *testing.T) {
 	base := regex.MustParse("a b + e b + c c* <empty> + <empty> d")
 	restrict := func(labels ...string) func(string) (string, bool) {
@@ -483,8 +392,7 @@ func TestProjectRestrictUsefulLabels(t *testing.T) {
 			if useful = slices.Compact(useful); !slices.Equal(useful, c.useful) {
 				t.Errorf("useful labels = %v, want %v", useful, c.useful)
 			}
-			n := Glushkov(mapSymbols(base, c.rename))
-			if got := n.Accepts(c.word); got != c.accepts {
+			if got := accepts(NewMatcher(mapSymbols(base, c.rename)), c.word); got != c.accepts {
 				t.Errorf("Accepts(%v) = %v, want %v", c.word, got, c.accepts)
 			}
 			w, ok, err := IntersectionWitnessCtx(context.Background(), mapSymbols(base, c.rename), other)

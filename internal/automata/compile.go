@@ -13,7 +13,7 @@ package automata
 // ⌈states/64⌉ words per state or label.
 //
 // lowerExpr runs the Glushkov visit below (glushkovBuilder, the same
-// pass Glushkov runs) with the follow rows as its sink; bindLabels then
+// pass NewMatcher runs) with the follow rows as its sink; bindLabels then
 // fills pos once both sides' labels are numbered. A label map on the
 // left side (ContainsMappedCtx) acts there too: a position whose label
 // the map drops gets no pos bit, so no transition enters it, and a
@@ -103,14 +103,14 @@ func (c *posNFA) posRow(l int) bitset.StateSet {
 	return c.pos[l*c.words : (l+1)*c.words : (l+1)*c.words]
 }
 
-// lowerExpr builds the Glushkov automaton of e (see Glushkov) into the
+// lowerExpr builds the Glushkov automaton of e (see NewMatcher) into the
 // buffers of s, without its pos rows, which bindLabels adds, and returns
 // it with the label of each position: syms[p-1] labels position p. The
-// visit is Glushkov's, with c's follow rows as the sink. After
-// bindLabels the tables hold Glushkov(e)'s transitions, row for row, and
-// pos bits of positions no transition enters, such as those under ∅
-// (TestLowerExprMatchesGlushkov). Both results live in s until its next
-// lowering.
+// visit is NewMatcher's, with c's follow rows as the sink. After
+// bindLabels the tables hold the transitions of NewMatcher(e), row for
+// row, and pos bits of positions no transition enters, such as those
+// under ∅ (TestLowerExprMatchesGlushkov). Both results live in s until
+// its next lowering.
 func lowerExpr(e *regex.Expr, s *side) (c *posNFA, syms []string) {
 	n, nodes := measure(e)
 	c, b := &s.c, &s.b
@@ -263,7 +263,7 @@ type nodeInfo struct {
 // followSink receives the follow edges of a Glushkov visit as last ×
 // first products of arena spans: every position of to.of(sets) follows
 // every position of from.of(sets). The position tables (*posNFA) OR
-// them into rows; Glushkov and NewMatcher read them after the visit.
+// them into rows; NewMatcher reads them after the visit.
 type followSink interface {
 	addFollow(sets []int32, from, to span)
 }
@@ -286,8 +286,7 @@ func visitProducts(e *regex.Expr) (*glushkovBuilder, products, nodeInfo) {
 	return &b, ps, info
 }
 
-// glushkovBuilder is the one pass behind lowerExpr, Glushkov and
-// NewMatcher. Positions are numbered 1..n in preorder; First and Last
+// glushkovBuilder is the one pass behind lowerExpr and NewMatcher. Positions are numbered 1..n in preorder; First and Last
 // sets are spans of one arena, which only grows, and Follow goes
 // straight into the sink.
 type glushkovBuilder struct {

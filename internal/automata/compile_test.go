@@ -62,31 +62,22 @@ func requireSameTables(t *testing.T, e *regex.Expr, want, got *posNFA) {
 	}
 }
 
-// tablesOf lays out the Glushkov automaton n as position tables on the
-// label table, whose ids must already cover n's alphabet. It fails
-// unless n is homogeneous, as Glushkov automata are.
-func tablesOf(t *testing.T, n *NFA, labels *labelTable) *posNFA {
-	t.Helper()
+// tablesOf lays out the automaton of m as position tables on the label
+// table, whose ids must already cover m's alphabet: the follow row of a
+// state holds the targets of the products it is a source of.
+func tablesOf(m *Matcher, labels *labelTable) *posNFA {
 	c := new(posNFA)
-	c.reset(n.NumStates)
+	c.reset(len(m.lab))
 	c.bindLabels(nil, labels)
-	c.initial = append([]int(nil), n.Initial...)
-	for q, final := range n.Final {
-		if final {
+	c.initial = append(c.initial, 0)
+	for q := range m.lab {
+		if m.final.Has(q) {
 			c.final.Add(q)
 		}
-	}
-	entered := make([]int, n.NumStates) // 1 + the label id entering each state
-	for q, row := range n.Trans {
-		for a, succs := range row {
-			l := labels.id(a)
-			for _, p := range succs {
-				if entered[p] != 0 && entered[p] != l+1 {
-					t.Fatalf("state %d is entered on both %q and %q", p, labels.names[entered[p]-1], a)
-				}
-				entered[p] = l + 1
-				c.followRow(q).Add(p)
-				c.posRow(l).Add(p)
+		for _, k := range m.in[m.inOff[q]:m.inOff[q+1]] {
+			for _, p := range m.to[m.toOff[k]:m.toOff[k+1]] {
+				c.followRow(q).Add(int(p))
+				c.posRow(labels.id(m.labels[m.lab[p]])).Add(int(p))
 			}
 		}
 	}
@@ -95,25 +86,25 @@ func tablesOf(t *testing.T, n *NFA, labels *labelTable) *posNFA {
 
 // checkLowering lowers e both ways onto one label table that already
 // holds other's labels, as the right side of a containment check sees
-// it, after checking that both ways agree on e's alphabet.
+// it, after checking that the lowering's alphabet is e's.
 func checkLowering(t *testing.T, other, e *regex.Expr) {
 	t.Helper()
 	got, syms := lowerExpr(e, new(side))
-	n := Glushkov(e)
-	if alpha := alphabetOf(syms); !slices.Equal(alpha, n.Alphabet) {
-		t.Fatalf("%s: alphabet %v, want %v", e, alpha, n.Alphabet)
+	if alpha := alphabetOf(syms); !slices.Equal(alpha, e.Alphabet()) {
+		t.Fatalf("%s: alphabet %v, want %v", e, alpha, e.Alphabet())
 	}
+	m := NewMatcher(e)
 	var labels labelTable
 	labels.add(other.Alphabet())
-	labels.add(n.Alphabet)
+	labels.add(m.Alphabet())
 	got.bindLabels(syms, &labels)
-	requireSameTables(t, e, tablesOf(t, n, &labels), got)
+	requireSameTables(t, e, tablesOf(m, &labels), got)
 }
 
 // TestLowerExprMatchesGlushkov checks that the two follow sinks of the
 // Glushkov visit agree: the bitset rows lowerExpr writes equal, row for
-// row, the tables of the NFA that Glushkov writes through its sparse
-// sink, on seeded random expressions with ∅ and ε subexpressions.
+// row, the Matcher's products expanded into transitions, on seeded
+// random expressions with ∅ and ε subexpressions.
 func TestLowerExprMatchesGlushkov(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	g := regex.DefaultGen([]string{"a", "b", "c", "d", "e"})

@@ -6,7 +6,7 @@ package automata
 // call them on untrusted requests without a way to abort: the *Ctx
 // functions check ctx between hot-loop iterations and return ctx.Err()
 // once the deadline passes or the caller cancels. The context-free
-// entry points (Contains, Determinize, …) are thin wrappers over these
+// entry points (Contains, ToDFA, …) are thin wrappers over these
 // with context.Background(), whose Err is a constant nil — the
 // checkpoint then costs one counter increment plus a predictable
 // branch, which benchmarks put well under 5% (BenchmarkContainsCtx).
@@ -18,10 +18,9 @@ package automata
 
 import (
 	"context"
-	"fmt"
-	"sort"
+	"encoding/binary"
+	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/regex"
@@ -56,85 +55,104 @@ func (c *canceler) checkpoint() error {
 	return c.ctx.Err()
 }
 
-// DeterminizeCtx is Determinize with cooperative cancellation: the
-// subset construction — the exponential step of every containment and
-// equivalence check — aborts with ctx.Err() once ctx is done. Under a
-// traced context it records an "automata.determinize" span whose
-// states_expanded counter is the number of subset states it
-// materialized — the quantity the 2ⁿ blow-up bound of Section 4.2.1
-// is about.
-func DeterminizeCtx(ctx context.Context, n *NFA) (*DFA, error) {
+// determinizeCtx applies the subset construction to the automaton of m,
+// producing a partial DFA over m's alphabet whose states are the
+// reachable state sets, and aborts with ctx.Err() once ctx is done.
+// Positions with the same follow set and finality are merged first
+// (followClasses), so a DFA state is a sorted list of classes, and the
+// successors of a state on each label come from the to runs of the
+// products its classes hit. Under a traced context it records an
+// "automata.determinize" span whose states_expanded counter is the
+// number of state sets it materialized — the quantity the 2ⁿ blow-up
+// bound of Section 4.2.1 is about.
+func determinizeCtx(ctx context.Context, m *Matcher) (*DFA, error) {
 	ctx, span := obs.StartSpan(ctx, "automata.determinize")
 	defer span.Finish()
 	expanded := span.Counter("states_expanded")
-	key := func(set []int) string {
-		var b strings.Builder
-		for i, q := range set {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d", q)
+	class, rep := m.followClasses()
+	d := &DFA{Final: map[int]bool{}, Alphabet: slices.Clone(m.labels)}
+	index := map[string]int{}
+	var sets [][]int32 // by DFA state: its sorted classes
+	var key []byte
+	intern := func(set []int32) int {
+		key = key[:0]
+		for _, c := range set {
+			key = binary.LittleEndian.AppendUint32(key, uint32(c))
 		}
-		return b.String()
+		if j, ok := index[string(key)]; ok {
+			return j
+		}
+		index[string(key)] = len(sets)
+		sets = append(sets, slices.Clone(set))
+		d.Trans = append(d.Trans, map[string]int{})
+		d.NumStates++
+		return len(sets) - 1
 	}
-	init := append([]int(nil), n.Initial...)
-	sort.Ints(init)
-	index := map[string]int{key(init): 0}
-	sets := [][]int{init}
-	d := NewDFA(1)
-	d.Alphabet = append([]string(nil), n.Alphabet...)
+	intern([]int32{class[0]})
+	var ks, next []int32
+	var hits []uint64 // label id << 32 | class of each target
 	cc := newCanceler(ctx, span)
 	for i := 0; i < len(sets); i++ {
 		if err := cc.checkpoint(); err != nil {
 			return nil, err
 		}
 		expanded.Inc()
-		set := sets[i]
-		for _, q := range set {
-			if n.Final[q] {
+		ks = ks[:0]
+		for _, c := range sets[i] {
+			q := rep[c]
+			if m.final.Has(int(q)) {
 				d.Final[i] = true
-				break
+			}
+			ks = append(ks, m.in[m.inOff[q]:m.inOff[q+1]]...)
+		}
+		slices.Sort(ks)
+		hits = hits[:0]
+		for _, k := range slices.Compact(ks) {
+			for _, p := range m.to[m.toOff[k]:m.toOff[k+1]] {
+				hits = append(hits, uint64(m.lab[p])<<32|uint64(class[p]))
 			}
 		}
-		// successor sets per label
-		succ := map[string]map[int]bool{}
-		for _, q := range set {
-			for a, ps := range n.Trans[q] {
-				m := succ[a]
-				if m == nil {
-					m = map[int]bool{}
-					succ[a] = m
-				}
-				for _, p := range ps {
-					m[p] = true
-				}
+		slices.Sort(hits)
+		hits = slices.Compact(hits)
+		for lo, hi := 0, 0; lo < len(hits); lo = hi {
+			next = next[:0]
+			for ; hi < len(hits) && hits[hi]>>32 == hits[lo]>>32; hi++ {
+				next = append(next, int32(uint32(hits[hi])))
 			}
-		}
-		labels := make([]string, 0, len(succ))
-		for a := range succ {
-			labels = append(labels, a)
-		}
-		sort.Strings(labels)
-		for _, a := range labels {
-			m := succ[a]
-			next := make([]int, 0, len(m))
-			for p := range m {
-				next = append(next, p)
-			}
-			sort.Ints(next)
-			k := key(next)
-			j, ok := index[k]
-			if !ok {
-				j = len(sets)
-				index[k] = j
-				sets = append(sets, next)
-				d.Trans = append(d.Trans, map[string]int{})
-				d.NumStates++
-			}
-			d.SetTransition(i, a, j)
+			j := intern(next)
+			d.Trans[i][m.labels[hits[lo]>>32]] = j
 		}
 	}
 	return d, nil
+}
+
+// followClasses numbers the follow classes of m's states. Two states
+// that are sources of the same products and agree on finality have the
+// same follow set, and so the same future; merging them yields the
+// follow automaton of Ilie & Yu ("Follow automata", Information and
+// Computation, 2003). class[q] is the class of q, numbered in order of
+// first state, and rep[c] is the first state of class c.
+func (m *Matcher) followClasses() (class, rep []int32) {
+	class = make([]int32, len(m.lab))
+	ids := map[string]int32{}
+	var key []byte
+	for q := range m.lab {
+		key = append(key[:0], 0)
+		if m.final.Has(q) {
+			key[0] = 1
+		}
+		for _, k := range m.in[m.inOff[q]:m.inOff[q+1]] {
+			key = binary.LittleEndian.AppendUint32(key, uint32(k))
+		}
+		c, ok := ids[string(key)]
+		if !ok {
+			c = int32(len(rep))
+			ids[string(key)] = c
+			rep = append(rep, int32(q))
+		}
+		class[q] = c
+	}
+	return class, rep
 }
 
 // ContainsCtx is Contains with cooperative cancellation. It lowers both
@@ -187,27 +205,26 @@ func (d *decision) containsMapped(ctx context.Context, e1 *regex.Expr, rename fu
 
 // ContainsClassicCtx is ContainsClassic with cooperative cancellation:
 // eager determinization of e2, complementation over the union alphabet,
-// and a DFS for a product state witnessing L(e1) \ L(e2) ≠ ∅.
+// and a DFS for a product state witnessing L(e1) \ L(e2) ≠ ∅, which
+// steps e1's Matcher in label-id and position order.
 func ContainsClassicCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
 	ctx, span := obs.StartSpan(ctx, "automata.contains_classic")
 	defer span.Finish()
-	n1 := Glushkov(e1)
-	alpha := unionAlpha(n1.Alphabet, e2.Alphabet())
-	det, err := DeterminizeCtx(ctx, Glushkov(e2))
+	m1 := NewMatcher(e1)
+	det, err := determinizeCtx(ctx, NewMatcher(e2))
 	if err != nil {
 		return false, err
 	}
-	comp := det.Complement(alpha)
-	type pair struct{ q, s int }
-	seen := map[pair]bool{}
-	var stack []pair
-	for _, q := range n1.Initial {
-		p := pair{q, 0}
-		seen[p] = true
-		stack = append(stack, p)
+	comp := det.Complement(unionAlpha(m1.labels, e2.Alphabet()))
+	type pair struct {
+		q int32
+		s int
 	}
+	seen := map[pair]bool{{0, 0}: true}
+	stack := []pair{{0, 0}}
 	productStates := span.Counter("product_states")
 	cc := newCanceler(ctx, span)
+	var next, ks []int32
 	for len(stack) > 0 {
 		if err := cc.checkpoint(); err != nil {
 			return false, err
@@ -215,17 +232,15 @@ func ContainsClassicCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
 		productStates.Inc()
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if n1.Final[p.q] && comp.Final[p.s] {
+		if m1.final.Has(int(p.q)) && comp.Final[p.s] {
 			return false, nil // witness in L(e1) \ L(e2)
 		}
-		for a, succs := range n1.Trans[p.q] {
-			s2, ok := comp.Trans[p.s][a]
-			if !ok {
-				continue
-			}
-			for _, q2 := range succs {
-				np := pair{q2, s2}
-				if !seen[np] {
+		cur := [1]int32{p.q}
+		for l, a := range m1.labels {
+			next, ks = m1.step(next[:0], ks[:0], cur[:], int32(l))
+			s2 := comp.Trans[p.s][a] // comp is total over m1's labels
+			for _, q2 := range next {
+				if np := (pair{q2, s2}); !seen[np] {
 					seen[np] = true
 					stack = append(stack, np)
 				}

@@ -94,7 +94,7 @@ func TestContainsClassicCtxDeadlineAbortsBlowup(t *testing.T) {
 func TestDeterminizeCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DeterminizeCtx(ctx, Glushkov(adversarialRight(20))); !errors.Is(err, context.Canceled) {
+	if _, err := determinizeCtx(ctx, NewMatcher(adversarialRight(20))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

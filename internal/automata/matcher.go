@@ -29,8 +29,11 @@ type Matcher struct {
 	lab, to, toOff, in, inOff []int32
 }
 
-// NewMatcher compiles the Glushkov automaton of e (see Glushkov): the
-// same verdicts, and Deterministic is Glushkov(e).IsDeterministic().
+// NewMatcher compiles the Glushkov automaton of e, its position
+// automaton: state 0 is initial, states 1..n are the symbol occurrences
+// of e in preorder, and the automaton is homogeneous, every transition
+// into q carrying q's label (Section 4.2.1; e is deterministic in the
+// sense of Brüggemann-Klein & Wood iff this automaton is).
 func NewMatcher(e *regex.Expr) *Matcher {
 	b, ps, info := visitProducts(e)
 	n := len(b.syms)

@@ -23,39 +23,59 @@ func accepts(m *Matcher, w []string) bool {
 	return ok
 }
 
-// checkMatcher compares the Matcher of e with the Glushkov NFA on w, on
-// determinism and on its conflicts (states with two successors on one
-// label), and, when the NFA has at most maxDFAStates states, with the
-// determinized DFA on w. The Matcher and the NFA share only the Glushkov
-// visit.
+// tableConflicts returns the conflicts of e's Glushkov automaton read
+// off the follow rows lowerExpr writes, in the format checkMatcher
+// compares: for each state in order, and each label in sorted order, the
+// sorted successors of the state on that label, where there are two or
+// more.
+func tableConflicts(e *regex.Expr) []string {
+	c, syms := lowerExpr(e, new(side))
+	var out []string
+	for q := 0; q < c.numStates; q++ {
+		row := c.followRow(q)
+		for _, a := range alphabetOf(syms) {
+			var succ []int32
+			for p := row.Next(0); p >= 0; p = row.Next(p + 1) {
+				if syms[p-1] == a {
+					succ = append(succ, int32(p))
+				}
+			}
+			if len(succ) > 1 {
+				out = append(out, fmt.Sprint(q, succ))
+			}
+		}
+	}
+	return out
+}
+
+// checkMatcher compares the Matcher of e with the follow rows of
+// lowerExpr on determinism and on its conflicts (states with two
+// successors on one label), with regex.Matches on w, and, when the
+// automaton has at most maxDFAStates states, with the DFA of the subset
+// construction on w. The Matcher and the follow rows share only the
+// Glushkov visit, and regex.Matches shares none of it.
 func checkMatcher(t *testing.T, e *regex.Expr, w []string, maxDFAStates int) {
 	t.Helper()
-	m, n := NewMatcher(e), Glushkov(e)
-	if got, want := m.Deterministic(), n.IsDeterministic(); got != want {
-		t.Fatalf("e=%s: Deterministic()=%v, NFA IsDeterministic()=%v", e, got, want)
+	m, tables := NewMatcher(e), tableConflicts(e)
+	if got, want := m.Deterministic(), len(tables) == 0; got != want {
+		t.Fatalf("e=%s: Deterministic()=%v, follow rows deterministic=%v", e, got, want)
 	}
-	var conflicts, nfaConflicts []string
+	var conflicts []string
 	m.Conflicts(func(q int32, run []int32) bool {
 		conflicts = append(conflicts, fmt.Sprint(q, run))
 		return true
 	})
-	for q := range n.Trans {
-		for _, a := range n.Alphabet {
-			if succ := n.Trans[q][a]; len(succ) > 1 {
-				nfaConflicts = append(nfaConflicts, fmt.Sprint(q, succ))
-			}
-		}
+	if !slices.Equal(conflicts, tables) {
+		t.Fatalf("e=%s: Conflicts %v, follow rows %v", e, conflicts, tables)
 	}
-	if !slices.Equal(conflicts, nfaConflicts) {
-		t.Fatalf("e=%s: Conflicts %v, NFA %v", e, conflicts, nfaConflicts)
-	}
-	got, want := accepts(m, w), n.Accepts(w)
+	got, want := accepts(m, w), regex.Matches(e, w)
 	if got != want {
-		t.Fatalf("e=%s w=%q: Matcher=%v NFA=%v", e, w, got, want)
+		t.Fatalf("e=%s w=%q: Matcher=%v Matches=%v", e, w, got, want)
 	}
-	if n.NumStates <= maxDFAStates {
-		if dfa := Determinize(n).Accepts(w); dfa != want {
-			t.Fatalf("e=%s w=%q: Matcher=%v NFA=%v DFA=%v", e, w, got, want, dfa)
+	if numStates(e) <= maxDFAStates {
+		d, _ := determinizeCtx(context.Background(), m)
+		if dfa := d.Accepts(w); dfa != want {
+			t.Fatalf("e=%s w=%q: Matcher=%v Matches=%v DFA=%v", e, w, got, want, dfa)
 		}
 	}
 }
@@ -83,7 +103,7 @@ func TestMatcherCases(t *testing.T) {
 	for _, c := range cases {
 		e := regex.MustParse(c.re)
 		m := NewMatcher(e)
-		if m.Deterministic() != c.det || m.Deterministic() != Glushkov(e).IsDeterministic() {
+		if m.Deterministic() != c.det {
 			t.Fatalf("%q: Deterministic() = %v, want %v", c.re, m.Deterministic(), c.det)
 		}
 		for _, w := range words(c.yes...) {
@@ -100,18 +120,16 @@ func TestMatcherCases(t *testing.T) {
 }
 
 // TestMatcherAgreesWithAutomata checks matchers of deterministic and
-// nondeterministic expressions against the NFA and the DFA on random
-// expressions, verdicts and determinism both, some of them too large for
-// an eager subset construction to be the reference (those compare to the
-// NFA only).
+// nondeterministic expressions with checkMatcher on random expressions,
+// verdicts and determinism both, some of them too large for an eager
+// subset construction to be the reference (those skip the DFA).
 func TestMatcherAgreesWithAutomata(t *testing.T) {
 	g := regex.DefaultGen([]string{"a", "b", "c"})
 	r := rand.New(rand.NewSource(7))
 	var det, nondet int
 	for i := 0; i < 400; i++ {
 		e := g.Random(r)
-		n := Glushkov(e)
-		if n.IsDeterministic() {
+		if NewMatcher(e).Deterministic() {
 			det++
 		} else {
 			nondet++
@@ -137,10 +155,9 @@ func TestMatcherAgreesWithAutomata(t *testing.T) {
 // TestMatcherLargeStateSet runs the simulation past its stack buffers.
 func TestMatcherLargeStateSet(t *testing.T) {
 	e := regex.MustParse(AntichainHardExpr(40))
-	n := Glushkov(e)
 	m := NewMatcher(e)
-	if m.Deterministic() || n.NumStates <= 64 {
-		t.Fatalf("want a nondeterministic automaton with more than 64 states, got %d states", n.NumStates)
+	if m.Deterministic() || numStates(e) <= 64 {
+		t.Fatalf("want a nondeterministic automaton with more than 64 states, got %d states", numStates(e))
 	}
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 50; i++ {
@@ -152,8 +169,8 @@ func TestMatcherLargeStateSet(t *testing.T) {
 			t.Fatalf("rejects its own word %v", w)
 		}
 		w[r.Intn(len(w))] = "c"
-		if accepts(m, w) != n.Accepts(w) {
-			t.Fatalf("disagrees with the NFA on %v", w)
+		if accepts(m, w) != regex.Matches(e, w) {
+			t.Fatalf("disagrees with regex.Matches on %v", w)
 		}
 	}
 }
@@ -198,8 +215,8 @@ func allocated(f func()) uint64 {
 // Glushkov automata are quadratic or long: doubling n may grow
 // NewMatcher's allocation at most 2.5-fold. (a + … + a)* with n
 // alternatives has n² transitions, and (x0 + … + xn)* as many with n
-// labels; expanding them, as Glushkov does, takes hundreds of MB at
-// n = 4,000.
+// labels; expanding them into a transition table takes hundreds of MB
+// at n = 4,000.
 func TestMatcherSizeDoubling(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -319,9 +336,7 @@ func BenchmarkNewMatcher(b *testing.B) {
 	}
 }
 
-// FuzzMatcher checks the Matcher against the Glushkov NFA and the
-// determinized DFA on arbitrary expression/word texts, and its
-// Deterministic against the NFA's.
+// FuzzMatcher runs checkMatcher on arbitrary expression/word texts.
 func FuzzMatcher(f *testing.F) {
 	f.Add("b* a (b* a)*", "b a b a")
 	f.Add("(a + b)* a (a + b)", "b a b")

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/jsonschema"
 	"repro/internal/loggen"
@@ -82,6 +87,47 @@ func TestAnalyzerNeverPanicsOnCorpus(t *testing.T) {
 		}
 		if a.Report.Valid == 0 {
 			t.Errorf("%s: analyzer rejected everything", s.Name)
+		}
+	}
+}
+
+// wideStarredUnion returns the query
+// SELECT * WHERE { ?x (<http://x/p0>|…|<http://x/p{n-1}>)* ?y }: one
+// property path, a starred union of n IRIs.
+func wideStarredUnion(n int) string {
+	iris := make([]string, n)
+	for i := range iris {
+		iris[i] = fmt.Sprintf("<http://x/p%d>", i)
+	}
+	return "SELECT * WHERE { ?x (" + strings.Join(iris, "|") + ")* ?y }"
+}
+
+// wideStarredUnionBytesPerByte is c in the bound of
+// TestAnalyzeWideStarredUnion: bytes allocated per byte of the query.
+const wideStarredUnionBytesPerByte = 400
+
+// TestAnalyzeWideStarredUnion analyzes the starred union of 250, 500
+// and 1,000 IRIs (4–16 KB), one query per run, and bounds the bytes
+// allocated at wideStarredUnionBytesPerByte × the query's bytes. The
+// §9.6 classifiers build the path's minimal DFA; expanding the union's
+// n² follow pairs into transitions first took 1.6 GB at n = 1,000.
+func TestAnalyzeWideStarredUnion(t *testing.T) {
+	for _, n := range []int{250, 500, 1000} {
+		q := wideStarredUnion(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		r := AnalyzeQueriesCtx(context.Background(), "wide", []string{q}, 1)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if r.Valid != 1 || r.PPTotal.V != 1 {
+			t.Fatalf("n=%d: %d valid queries and %d property paths, want 1 and 1", n, r.Valid, r.PPTotal.V)
+		}
+		bytes := after.TotalAlloc - before.TotalAlloc
+		ratio := float64(bytes) / float64(len(q))
+		t.Logf("n=%d: %d query bytes, %v, %d bytes allocated (%.0f per query byte)", n, len(q), elapsed, bytes, ratio)
+		if ratio > wideStarredUnionBytesPerByte {
+			t.Errorf("n=%d: allocated %.0f bytes per query byte, want ≤ %d", n, ratio, wideStarredUnionBytesPerByte)
 		}
 	}
 }

@@ -61,7 +61,7 @@ func TestDeterminizePaperExample(t *testing.T) {
 	if !res.OK {
 		t.Fatal("failed to determinize (a + b)* a")
 	}
-	if !automata.Glushkov(res.Expr).IsDeterministic() {
+	if !automata.NewMatcher(res.Expr).Deterministic() {
 		t.Fatalf("result %q is not deterministic", res.Expr)
 	}
 	if !automata.Equivalent(res.Expr, regex.MustParse("b* a (b* a)*")) {
@@ -75,7 +75,7 @@ func TestDeterminizeImpossible(t *testing.T) {
 	// incomplete procedure must not produce one.
 	res := Determinize(regex.MustParse("(a + b)* a (a + b)"))
 	if res.OK {
-		if automata.Glushkov(res.Expr).IsDeterministic() &&
+		if automata.NewMatcher(res.Expr).Deterministic() &&
 			automata.Equivalent(res.Expr, regex.MustParse("(a + b)* a (a + b)")) {
 			t.Fatalf("found deterministic equivalent %q for a language proven not deterministic-definable", res.Expr)
 		}
@@ -92,7 +92,7 @@ func TestDeterminizeSoundness(t *testing.T) {
 		res := Determinize(e)
 		if res.OK {
 			okCount++
-			if !automata.Glushkov(res.Expr).IsDeterministic() {
+			if !automata.NewMatcher(res.Expr).Deterministic() {
 				t.Fatalf("Determinize(%q) returned non-deterministic %q", e, res.Expr)
 			}
 			if !automata.Equivalent(e, res.Expr) {

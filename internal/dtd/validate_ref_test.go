@@ -17,8 +17,8 @@ import (
 )
 
 // refValidate is the per-document validator that DTD.Validate used to
-// run, kept as the reference for the compiled one: it determinizes the
-// Glushkov automaton of each rule the document meets, per document.
+// run, kept as the reference for the compiled one: it builds the minimal
+// DFA of each rule the document meets, per document.
 func refValidate(d *DTD, t *tree.Node) error {
 	if !d.Start[t.Label] {
 		return &ValidationError{Msg: fmt.Sprintf("root label %q not in start labels", t.Label)}
@@ -28,7 +28,7 @@ func refValidate(d *DTD, t *tree.Node) error {
 	check = func(n *tree.Node) error {
 		dfa, ok := dfas[n.Label]
 		if !ok {
-			dfa = automata.Determinize(automata.Glushkov(d.Rule(n.Label)))
+			dfa = automata.ToDFA(d.Rule(n.Label))
 			dfas[n.Label] = dfa
 		}
 		w := n.ChildWord()

@@ -39,3 +39,46 @@ func TestInferenceGolden(t *testing.T) {
 		t.Errorf("learner outputs hash to %s, want %s", got, goldenInferenceHash)
 	}
 }
+
+// characteristicSampleHash is the hash of the characteristic samples of
+// TestCharacteristicSampleGolden's seeded SOREs. A change means other
+// words or another order, not a flaky test.
+const characteristicSampleHash = "dc5a488ce38f444cda6126cf6c2b2e905081fc5abcb21ac3ece50f7687caaf31"
+
+// TestCharacteristicSampleGolden hashes CharacteristicSample over 1,000
+// seeded SOREs: random expressions whose symbol occurrences are
+// relabeled s0, s1, … in preorder. Every word must be in the language.
+func TestCharacteristicSampleGolden(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	g := regex.DefaultGen([]string{"a"})
+	h := sha256.New()
+	for i := 0; i < 1000; i++ {
+		g.MaxDepth = 1 + r.Intn(4)
+		next := 0
+		e := relabel(g.Random(r), &next)
+		cs := CharacteristicSample(e)
+		for _, w := range cs {
+			if !regex.Matches(e, w) {
+				t.Fatalf("characteristic sample word %v outside L(%s)", w, e)
+			}
+		}
+		fmt.Fprintf(h, "%s|%q\n", e, cs)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != characteristicSampleHash {
+		t.Errorf("characteristic samples hash to %s, want %s", got, characteristicSampleHash)
+	}
+}
+
+// relabel returns e with its symbol occurrences, in preorder, labeled
+// s<next>, s<next+1>, …, advancing next past them.
+func relabel(e *regex.Expr, next *int) *regex.Expr {
+	out := &regex.Expr{Kind: e.Kind, Sym: e.Sym}
+	if e.Kind == regex.Symbol {
+		out.Sym = fmt.Sprintf("s%d", *next)
+		*next++
+	}
+	for _, s := range e.Subs {
+		out.Subs = append(out.Subs, relabel(s, next))
+	}
+	return out
+}

@@ -3,6 +3,7 @@ package inference
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -86,20 +87,23 @@ func TestInferSOREExact(t *testing.T) {
 	}
 }
 
+// soreTargets are the SOREs whose characteristic samples the tests
+// below check.
+var soreTargets = []string{
+	"a b* c",
+	"(a + b)+ c?",
+	"a? b? c?",
+	"a (b + c)* d",
+	"person*",
+	"name birthplace",
+	"city state country?",
+	"(a + b) (c + d)+",
+}
+
 func TestCharacteristicSampleRecoversSORE(t *testing.T) {
 	// Theorem 4.9 in action for k = 1: from the characteristic sample,
 	// InferSORE recovers the expression up to language equivalence.
-	targets := []string{
-		"a b* c",
-		"(a + b)+ c?",
-		"a? b? c?",
-		"a (b + c)* d",
-		"person*",
-		"name birthplace",
-		"city state country?",
-		"(a + b) (c + d)+",
-	}
-	for _, s := range targets {
+	for _, s := range soreTargets {
 		e := regex.MustParse(s)
 		if !kore.IsSORE(e) {
 			t.Fatalf("target %q is not a SORE", s)
@@ -113,6 +117,21 @@ func TestCharacteristicSampleRecoversSORE(t *testing.T) {
 		got := InferSORE(cs)
 		if !automata.Equivalent(got, e) {
 			t.Errorf("InferSORE(CharacteristicSample(%q)) = %q, not equivalent", s, got)
+		}
+	}
+}
+
+// TestCharacteristicSampleDeterministic calls CharacteristicSample 20
+// times on each target and requires the same words in the same order
+// every time.
+func TestCharacteristicSampleDeterministic(t *testing.T) {
+	for _, s := range soreTargets {
+		e := regex.MustParse(s)
+		first := CharacteristicSample(e)
+		for i := 1; i < 20; i++ {
+			if got := CharacteristicSample(e); !reflect.DeepEqual(got, first) {
+				t.Fatalf("CharacteristicSample(%q) = %v, then %v", s, first, got)
+			}
 		}
 	}
 }

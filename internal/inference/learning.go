@@ -1,6 +1,8 @@
 package inference
 
 import (
+	"slices"
+
 	"repro/internal/automata"
 	"repro/internal/regex"
 )
@@ -24,37 +26,30 @@ import (
 // single-occurrence. The construction covers every state and every edge of
 // the Glushkov automaton of e: one shortest word through each transition,
 // plus a shortest accepted word, plus — for each loop — a word taking the
-// loop twice (so that RWR discovers the iteration).
+// loop twice (so that RWR discovers the iteration). Ties between shortest
+// words break by sorted label and then by state, so the sample is the
+// same on every call.
 func CharacteristicSample(e *regex.Expr) Sample {
-	n := automata.Glushkov(e)
+	g := explore(automata.NewMatcher(e))
 	var sample Sample
-	if w, ok := n.ShortestWitness(); ok {
-		sample = append(sample, w)
+	// A shortest accepted word: the first final state reached.
+	if q := slices.Index(g.final, true); q >= 0 {
+		sample = append(sample, g.prefix[q])
 	}
 	// For every transition p --a--> q, produce a word: shortest path from
 	// the initial state to p, then a, then shortest completion from q.
-	toState := shortestPrefixes(n)
-	fromState := shortestSuffixes(n)
-	for p := 0; p < n.NumStates; p++ {
-		if toState[p] == nil {
-			continue
-		}
-		for a, qs := range n.Trans[p] {
-			for _, q := range qs {
-				if fromState[q] == nil {
-					continue
-				}
-				w := append(append([]string{}, toState[p]...), a)
-				w = append(w, fromState[q]...)
-				sample = append(sample, w)
-				// If q is reachable from itself (a loop), also pump once
-				// more so counts exceed 1.
-				if w2, ok := pumpOnce(n, q); ok {
-					full := append(append([]string{}, toState[p]...), a)
-					full = append(full, w2...)
-					full = append(full, fromState[q]...)
-					sample = append(sample, full)
-				}
+	fromState := g.shortestSuffixes()
+	for p, edges := range g.edges {
+		for _, ed := range edges {
+			suffix := fromState[ed.to]
+			if suffix == nil {
+				continue
+			}
+			sample = append(sample, slices.Concat(g.prefix[p], []string{ed.label}, suffix))
+			// If q is reachable from itself (a loop), also pump once
+			// more so counts exceed 1.
+			if loop, ok := g.pumpOnce(ed.to); ok {
+				sample = append(sample, slices.Concat(g.prefix[p], []string{ed.label}, loop, suffix))
 			}
 		}
 	}
@@ -77,97 +72,98 @@ func dedup(s Sample) Sample {
 	return out
 }
 
-// shortestPrefixes returns, per state, a shortest word leading from the
-// initial state to it (nil if unreachable).
-func shortestPrefixes(n *automata.NFA) [][]string {
-	l := make([][]string, n.NumStates)
-	var queue []int
-	for _, q := range n.Initial {
-		l[q] = []string{}
-		queue = append(queue, q)
+// glushkovGraph is the part of a Glushkov automaton reachable from its
+// initial state, explored breadth first through the Matcher, labels in
+// sorted order and successors in ascending order. States are numbered
+// in the order they are first reached.
+type glushkovGraph struct {
+	edges  [][]edge   // by state: its transitions, by label, then target
+	final  []bool     // by state
+	prefix [][]string // by state: the first shortest word reaching it
+}
+
+// edge is a transition on label to state to.
+type edge struct {
+	label string
+	to    int
+}
+
+// explore builds the glushkovGraph of m.
+func explore(m *automata.Matcher) *glushkovGraph {
+	g := &glushkovGraph{}
+	ids := map[int32]int{}
+	var states []int32 // by number
+	reach := func(q int32, prefix []string) int {
+		if i, ok := ids[q]; ok {
+			return i
+		}
+		ids[q] = len(states)
+		states = append(states, q)
+		g.edges = append(g.edges, nil)
+		g.final = append(g.final, m.AnyFinal([]int32{q}))
+		g.prefix = append(g.prefix, slices.Clip(prefix))
+		return len(states) - 1
 	}
-	for len(queue) > 0 {
-		q := queue[0]
-		queue = queue[1:]
-		for a, ps := range n.Trans[q] {
-			for _, p := range ps {
-				if l[p] == nil {
-					l[p] = append(append([]string{}, l[q]...), a)
-					queue = append(queue, p)
-				}
+	for _, q := range m.Start() {
+		reach(q, []string{})
+	}
+	for p := 0; p < len(states); p++ {
+		from := []int32{states[p]}
+		for _, a := range m.Alphabet() {
+			for _, q := range m.Step(from, a) {
+				to := reach(q, append(slices.Clip(g.prefix[p]), a))
+				g.edges[p] = append(g.edges[p], edge{a, to})
 			}
 		}
 	}
-	return l
+	return g
 }
 
 // shortestSuffixes returns, per state, a shortest word from it to
-// acceptance (nil if none).
-func shortestSuffixes(n *automata.NFA) [][]string {
-	// reverse BFS
-	type redge struct {
-		to    int
-		label string
-	}
-	rev := make([][]redge, n.NumStates)
-	for q := 0; q < n.NumStates; q++ {
-		for a, ps := range n.Trans[q] {
-			for _, p := range ps {
-				rev[p] = append(rev[p], redge{q, a})
-			}
+// acceptance (nil if none), by a reverse breadth-first search from the
+// final states in order.
+func (g *glushkovGraph) shortestSuffixes() [][]string {
+	rev := make([][]edge, len(g.edges)) // edge{a, p} in rev[q]: p --a--> q
+	for p, edges := range g.edges {
+		for _, ed := range edges {
+			rev[ed.to] = append(rev[ed.to], edge{ed.label, p})
 		}
 	}
-	l := make([][]string, n.NumStates)
+	suffix := make([][]string, len(g.edges))
 	var queue []int
-	for q := range n.Final {
-		l[q] = []string{}
-		queue = append(queue, q)
+	for q, final := range g.final {
+		if final {
+			suffix[q] = []string{}
+			queue = append(queue, q)
+		}
 	}
-	for len(queue) > 0 {
-		q := queue[0]
-		queue = queue[1:]
-		for _, re := range rev[q] {
-			if l[re.to] == nil {
-				l[re.to] = append([]string{re.label}, l[q]...)
-				queue = append(queue, re.to)
+	for head := 0; head < len(queue); head++ {
+		q := queue[head]
+		for _, ed := range rev[q] {
+			if suffix[ed.to] == nil {
+				suffix[ed.to] = slices.Concat([]string{ed.label}, suffix[q])
+				queue = append(queue, ed.to)
 			}
 		}
 	}
-	return l
+	return suffix
 }
 
 // pumpOnce returns a shortest non-empty word leading from q back to q, if
 // one exists.
-func pumpOnce(n *automata.NFA, q int) ([]string, bool) {
-	type item struct {
-		state int
-		word  []string
-	}
-	seen := map[int]bool{}
-	var queue []item
-	for a, ps := range n.Trans[q] {
-		for _, p := range ps {
-			if p == q {
-				return []string{a}, true
+func (g *glushkovGraph) pumpOnce(q int) ([]string, bool) {
+	words := make([][]string, len(g.edges)) // nil until reached
+	queue := []int{q}
+	for head := 0; head < len(queue); head++ {
+		p := queue[head]
+		for _, ed := range g.edges[p] {
+			w := append(slices.Clip(words[p]), ed.label)
+			if ed.to == q {
+				return w, true
 			}
-			if !seen[p] {
-				seen[p] = true
-				queue = append(queue, item{p, []string{a}})
-			}
-		}
-	}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		for a, ps := range n.Trans[it.state] {
-			for _, p := range ps {
-				if p == q {
-					return append(append([]string{}, it.word...), a), true
-				}
-				if !seen[p] {
-					seen[p] = true
-					queue = append(queue, item{p, append(append([]string{}, it.word...), a)})
-				}
+			if words[ed.to] == nil {
+				words[ed.to] = w
+				queue = append(queue, ed.to)
 			}
 		}
 	}

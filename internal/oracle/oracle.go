@@ -2,8 +2,8 @@
 // metamorphic-oracle subsystem for the decision-procedure stack. Each
 // Oracle pits independent implementations of the same problem against
 // each other on randomly generated instances — regex membership via the
-// memoized matcher vs. Brzozowski derivatives vs. the Glushkov NFA vs.
-// the determinized DFA vs. the compiled Matcher, schema containment verdicts vs. randomized
+// memoized matcher vs. Brzozowski derivatives vs. the minimal DFA vs.
+// the compiled Matcher, schema containment verdicts vs. randomized
 // counterexample search over sampled documents, property-path evaluation
 // vs. a derivative-product and brute-force path enumeration, SPARQL
 // algebra evaluation vs. exhaustive assignment enumeration, the

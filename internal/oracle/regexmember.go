@@ -10,34 +10,33 @@ import (
 	"repro/internal/regex"
 )
 
-// regexMembership cross-checks five independent word-membership
-// implementations: the memoized matcher (regex.Matches), Brzozowski
-// derivatives (regex.MatchesDerivative), the Glushkov NFA, the
-// determinized DFA, and the compiled automata.Matcher the service caches.
+// regexMembership cross-checks four word-membership implementations:
+// the memoized matcher (regex.Matches), Brzozowski derivatives
+// (regex.MatchesDerivative), the minimal DFA of automata.ToDFA, and the
+// compiled automata.Matcher the service caches. The last two share the
+// Glushkov visit; the first two share no automata code.
 type regexMembership struct{}
 
 func (regexMembership) Name() string { return "regex-membership" }
 
 func (regexMembership) Description() string {
-	return "regex.Matches vs MatchesDerivative vs Glushkov NFA vs determinized DFA vs compiled Matcher on sampled and random words"
+	return "regex.Matches vs MatchesDerivative vs determinized DFA vs compiled Matcher on sampled and random words"
 }
 
 var memberAlphabet = []string{"a", "b", "c"}
 
-// memberVerdicts returns the five membership verdicts for (e, w). The
+// memberVerdicts returns the four membership verdicts for (e, w). The
 // DFA verdict carries the deliberate-mutation hook used to prove the
 // oracle catches and shrinks injected bugs.
-func memberVerdicts(e *regex.Expr, w []string) [5]bool {
-	nfa := automata.Glushkov(e)
-	dfa := automata.Determinize(nfa).Accepts(w)
+func memberVerdicts(e *regex.Expr, w []string) [4]bool {
+	dfa := automata.ToDFA(e).Accepts(w)
 	if injectedBug == "regex-membership" && len(w) >= 2 {
 		dfa = !dfa
 	}
 	matcher, _ := automata.NewMatcher(e).Accepts(context.Background(), w)
-	return [5]bool{
+	return [4]bool{
 		regex.Matches(e, w),
 		regex.MatchesDerivative(e, w),
-		nfa.Accepts(w),
 		dfa,
 		matcher,
 	}
@@ -45,7 +44,7 @@ func memberVerdicts(e *regex.Expr, w []string) [5]bool {
 
 func memberDisagree(e *regex.Expr, w []string) bool {
 	v := memberVerdicts(e, w)
-	return v[0] != v[1] || v[0] != v[2] || v[0] != v[3] || v[0] != v[4]
+	return v[0] != v[1] || v[0] != v[2] || v[0] != v[3]
 }
 
 func (o regexMembership) Trial(r *rand.Rand) *Divergence {
@@ -122,7 +121,7 @@ func shrinkMemberDivergence(e *regex.Expr, w []string) *Divergence {
 	v := memberVerdicts(e, w)
 	return &Divergence{
 		Input: fmt.Sprintf("expr=%s word=%q", e, strings.Join(w, " ")),
-		Detail: fmt.Sprintf("Matches=%v MatchesDerivative=%v GlushkovNFA=%v DeterminizedDFA=%v Matcher=%v",
-			v[0], v[1], v[2], v[3], v[4]),
+		Detail: fmt.Sprintf("Matches=%v MatchesDerivative=%v DeterminizedDFA=%v Matcher=%v",
+			v[0], v[1], v[2], v[3]),
 	}
 }

@@ -5,7 +5,7 @@ import "sort"
 // Brzozowski derivatives. These provide a membership test that is independent
 // of the Glushkov/automata pipeline and serves as an oracle in property-based
 // tests: for every expression e and word w,
-// automata.Glushkov(e).Accepts(w) must agree with regex.Matches(e, w).
+// automata.NewMatcher(e).Accepts(ctx, w) must agree with regex.Matches(e, w).
 
 // Derivative returns an expression for a⁻¹L(e) = { w | a·w ∈ L(e) }.
 // The result is built with the simplifying constructors to keep growth in
