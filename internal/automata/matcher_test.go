@@ -30,10 +30,11 @@ func accepts(m *Matcher, w []string) bool {
 // more.
 func tableConflicts(e *regex.Expr) []string {
 	c, syms := lowerExpr(e, new(side))
+	alpha := alphabetOf(syms)
 	var out []string
 	for q := 0; q < c.numStates; q++ {
 		row := c.followRow(q)
-		for _, a := range alphabetOf(syms) {
+		for _, a := range alpha {
 			var succ []int32
 			for p := row.Next(0); p >= 0; p = row.Next(p + 1) {
 				if syms[p-1] == a {

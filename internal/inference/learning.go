@@ -101,7 +101,7 @@ func explore(m *automata.Matcher) *glushkovGraph {
 		states = append(states, q)
 		g.edges = append(g.edges, nil)
 		g.final = append(g.final, m.AnyFinal([]int32{q}))
-		g.prefix = append(g.prefix, slices.Clip(prefix))
+		g.prefix = append(g.prefix, prefix)
 		return len(states) - 1
 	}
 	for _, q := range m.Start() {
