@@ -286,9 +286,10 @@ func visitProducts(e *regex.Expr) (*glushkovBuilder, products, nodeInfo) {
 	return &b, ps, info
 }
 
-// glushkovBuilder is the one pass behind lowerExpr and NewMatcher. Positions are numbered 1..n in preorder; First and Last
-// sets are spans of one arena, which only grows, and Follow goes
-// straight into the sink.
+// glushkovBuilder is the one pass behind lowerExpr and NewMatcher.
+// Positions are numbered 1..n in preorder; First and Last sets are
+// spans of one arena, which only grows, and Follow goes straight into
+// the sink.
 type glushkovBuilder struct {
 	sink  followSink
 	syms  []string
