@@ -174,7 +174,7 @@ func TestWithTraceMatchesMapMerge(t *testing.T) {
 		h               handlerFunc
 	}{
 		{"containment", `{"engine":"regex","left":"a b","right":"a (b|c)","explain":true}`, "", s.decideHandler(decideOps["containment"])},
-		{"membership", `{"expr":"(a|b)* a","word":["b","a"],"explain":true}`, "", s.decideHandler(decideOps["membership"])},
+		{"membership", `{"expr":"(a|b)* a","word":["b","a"],"explain":true}`, "", s.handleMembership},
 		{"validate", `{"kind":"dtd","schema":"<!ELEMENT r (a*)> <!ELEMENT a EMPTY>","docs":["r(a, a)","r(r)"],"explain":true}`, "", s.decideHandler(decideOps["validate"])},
 		{"infer", `{"algorithm":"sore","words":[["a","b"],["b"]],"explain":true}`, "", s.decideHandler(decideOps["infer"])},
 		{"analyze", `{"name":"mix","queries":["SELECT ?x WHERE { ?x ?p ?y }","ASK { ?a ?b ?c }"],"explain":true}`, "", s.handleAnalyze},

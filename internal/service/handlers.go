@@ -312,13 +312,45 @@ type membershipResponse struct {
 	Deterministic bool `json:"deterministic"`
 }
 
-// decideMembership answers from the expression's compiled Matcher,
-// cached under the raw expression text.
+// decideMembership decodes a membership body and decides it with
+// membership; /v1/batch calls it per item.
 func (s *Server) decideMembership(ctx context.Context, body []byte, _ bool) (any, *apiError) {
+	req, aerr := decodeMembership(body)
+	if aerr != nil {
+		return nil, aerr
+	}
+	return s.membership(ctx, req)
+}
+
+// handleMembership serves /v1/membership. It decodes the body on the
+// request goroutine and runs only membership under the runEngine
+// deadline harness: encoding/json checks no context, and a word of
+// megabytes takes a good part of a second to decode, so a decode in the
+// engine goroutine would hold the admission slot that long past the
+// 504. Here a slow decode delays the 504 instead, by at most the decode
+// of a body of MaxBodyBytes.
+func (s *Server) handleMembership(ctx context.Context, req *request) (any, *apiError) {
+	m, aerr := decodeMembership(req.body)
+	if aerr != nil {
+		return nil, aerr
+	}
+	return runEngine(ctx, req, func(ctx context.Context) (any, *apiError) {
+		return s.membership(ctx, m)
+	})
+}
+
+// decodeMembership decodes a membership body.
+func decodeMembership(body []byte) (membershipRequest, *apiError) {
 	var req membershipRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, errBadRequest("invalid JSON: %v", err)
+		return req, errBadRequest("invalid JSON: %v", err)
 	}
+	return req, nil
+}
+
+// membership answers from the expression's compiled Matcher, cached
+// under the raw expression text.
+func (s *Server) membership(ctx context.Context, req membershipRequest) (any, *apiError) {
 	v, aerr := s.compile(cacheKey("membership", req.Expr), func() (any, *apiError) {
 		e, err := regex.Parse(req.Expr)
 		if err != nil {

@@ -287,7 +287,11 @@ func New(cfg Config) *Server {
 		"go_version").With(runtime.Version()).Set(1)
 
 	for op, decide := range decideOps {
-		s.mux.Handle("POST /v1/"+op, s.endpoint(op, s.decideHandler(decide)))
+		h := s.decideHandler(decide)
+		if op == "membership" {
+			h = s.handleMembership // decodes before the deadline harness
+		}
+		s.mux.Handle("POST /v1/"+op, s.endpoint(op, h))
 	}
 	s.mux.Handle("POST /v1/analyze", s.endpoint("analyze", s.handleAnalyze))
 	s.mux.Handle("POST /v1/batch", s.endpoint("batch", s.handleBatch))

@@ -134,7 +134,8 @@ func TestContainmentWideUnionAnswers(t *testing.T) {
 // matcher checks the request context inside the word, so the request
 // answers 504 and its engine gives its admission slot back soon after.
 // Under the race detector the word has 100k symbols: decoding a body of
-// 1M takes about 1 s there, and the decode does not check the context.
+// 1M takes about 1 s there, and the decode, which checks no context,
+// delays the 504.
 func TestLongWordDeadline(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	expr := wideUnions[0].expr
