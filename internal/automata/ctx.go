@@ -26,13 +26,14 @@ import (
 	"repro/internal/regex"
 )
 
-// checkEvery is the number of hot-loop iterations between context
-// checks. Iterations are sub-microsecond, so a canceled computation
-// stops within tens of microseconds while the steady-state overhead
-// stays negligible.
+// checkEvery is the number of units of work between context checks. A
+// unit is one hot-loop iteration, or one state a Matcher step reads, so
+// a canceled computation stops within tens of microseconds of cheap
+// iterations, or within one step over a set of thousands of states,
+// while the steady-state overhead stays negligible.
 const checkEvery = 256
 
-// canceler amortizes ctx.Err() checks over checkEvery iterations and
+// canceler amortizes ctx.Err() checks over checkEvery units and
 // accounts each check to the enclosing span's "checkpoints" counter
 // (nil and free when tracing is disabled).
 type canceler struct {
@@ -45,8 +46,12 @@ func newCanceler(ctx context.Context, span *obs.Span) *canceler {
 	return &canceler{ctx: ctx, checks: span.Counter("checkpoints")}
 }
 
-func (c *canceler) checkpoint() error {
-	c.tick++
+func (c *canceler) checkpoint() error { return c.checkpointN(1) }
+
+// checkpointN counts n units of work and checks ctx once checkEvery
+// have passed since the last check.
+func (c *canceler) checkpointN(n int) error {
+	c.tick += n
 	if c.tick < checkEvery {
 		return nil
 	}

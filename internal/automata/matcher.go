@@ -172,12 +172,15 @@ func (m *Matcher) step(next, ks, cur []int32, l int32) ([]int32, []int32) {
 
 // Accepts reports whether the automaton accepts word. It returns
 // ctx.Err() if that is set at the first symbol or at a later checkpoint.
+// A step counts the states it reads toward the next check, so a step
+// over a wide set is checked every time and a deterministic run every
+// checkEvery symbols.
 func (m *Matcher) Accepts(ctx context.Context, word []string) (bool, error) {
 	c := canceler{ctx: ctx, tick: checkEvery - 1}
 	var curBuf, nextBuf, ksBuf [64]int32
 	cur, next, ks := append(curBuf[:0], 0), nextBuf[:0], ksBuf[:0]
 	for _, a := range word {
-		if err := c.checkpoint(); err != nil {
+		if err := c.checkpointN(len(cur)); err != nil {
 			return false, err
 		}
 		if next, ks = m.step(next[:0], ks[:0], cur, m.label(a)); len(next) == 0 {

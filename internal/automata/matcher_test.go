@@ -274,6 +274,44 @@ func TestMatcherAcceptsCancels(t *testing.T) {
 	}
 }
 
+// countingCtx is a live context that counts the calls of its Err.
+type countingCtx struct {
+	context.Context
+	errs int
+}
+
+func (c *countingCtx) Err() error {
+	c.errs++
+	return nil
+}
+
+// TestMatcherAcceptsCheckStride pins how often Accepts checks its
+// context: a step counts the states it reads, so a step over the 8,000
+// positions of (a + … + a)* is checked every time, and a deterministic
+// run once per checkEvery symbols, the first symbol included.
+func TestMatcherAcceptsCheckStride(t *testing.T) {
+	for _, c := range []struct {
+		expr  string
+		n     int
+		wantN int
+	}{
+		{"(" + strings.Repeat("a + ", 7999) + "a)*", 10, 10},
+		{"a*", 1000, 4},
+	} {
+		word := make([]string, c.n)
+		for i := range word {
+			word[i] = "a"
+		}
+		ctx := &countingCtx{Context: context.Background()}
+		if ok, err := NewMatcher(regex.MustParse(c.expr)).Accepts(ctx, word); !ok || err != nil {
+			t.Fatalf("%.20s: Accepts = %v, %v", c.expr, ok, err)
+		}
+		if ctx.errs != c.wantN {
+			t.Errorf("%.20s on %d symbols: %d context checks, want %d", c.expr, c.n, ctx.errs, c.wantN)
+		}
+	}
+}
+
 // TestMatcherStep checks the symbol-at-a-time interface against Accepts.
 func TestMatcherStep(t *testing.T) {
 	g := regex.DefaultGen([]string{"a", "b", "c"})

@@ -75,11 +75,11 @@ func (s *Server) handleBatch(ctx context.Context, req *request) (any, *apiError)
 	return resp, nil
 }
 
-// runBatchItem decides one item under its own child span. The item runs
-// inside the per-item runEngine watchdog, so an engine without
-// cancellation checkpoints cannot drag the whole batch past the
-// deadline; once the deadline has passed, the remaining items are marked
-// without starting their engines.
+// runBatchItem decides one item through decide, under its own child
+// span. An item's run gets its own runEngine watchdog, so an engine
+// without cancellation checkpoints cannot drag the whole batch past the
+// deadline; once the deadline has passed, the remaining items are
+// marked without starting their engines.
 func (s *Server) runBatchItem(ctx context.Context, req *request, i int, it batchItem) batchItemResult {
 	out := batchItemResult{Op: it.Op}
 	if err := ctx.Err(); err != nil {
@@ -91,13 +91,13 @@ func (s *Server) runBatchItem(ctx context.Context, req *request, i int, it batch
 	span.SetAttr("op", it.Op)
 	span.SetAttr("index", strconv.Itoa(i))
 	defer span.Finish()
-	v, aerr := runEngine(ctx, req, func(ctx context.Context) (any, *apiError) {
-		decide := decideOps[it.Op]
-		if decide == nil {
-			return nil, errBadRequest("unknown op %q (want containment, membership, validate, or infer)", it.Op)
-		}
-		return decide(s, ctx, it.Request, req.env.Explain)
-	})
+	var v any
+	var aerr *apiError
+	if prepare := decideOps[it.Op]; prepare != nil {
+		v, aerr = s.decide(ctx, req, prepare, it.Request)
+	} else {
+		aerr = errBadRequest("unknown op %q (want containment, membership, validate, or infer)", it.Op)
+	}
 	if aerr != nil {
 		out.Status, out.Error = aerr.status, aerr.msg
 		return out

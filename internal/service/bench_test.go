@@ -66,15 +66,27 @@ func BenchmarkServeContainmentCacheHit(b *testing.B) {
 	}
 }
 
+// decideSync runs both stages of op on body on the calling goroutine:
+// prepare, then its run, if any, under ctx.
+func decideSync(s *Server, ctx context.Context, op string, body []byte, explain bool) (any, *apiError) {
+	answer, run, aerr := decideOps[op](s, body, explain)
+	if run == nil {
+		return answer, aerr
+	}
+	return run(ctx)
+}
+
 // BenchmarkDecide measures the decide layer of each decide-hot op on a
-// repeated input, called directly (no HTTP, no JSON encode): a
-// containment verdict-cache hit, membership and DTD validation. Each runs
-// with a warm compile cache, so an exact repeat skips parsing and
-// compiling, and with a cold one (capacity 0), so every call parses and
-// compiles as an uncached server would.
+// repeated input, called directly through the op table (no HTTP, no
+// goroutine, no JSON encode): a containment and an infer verdict-cache
+// hit, membership and DTD validation. Each runs with a warm compile
+// cache, so an exact repeat skips parsing and compiling, and with a cold
+// one (capacity 0), so every call parses and compiles as an uncached
+// server would.
 func BenchmarkDecide(b *testing.B) {
 	ops := []struct{ name, op, body string }{
 		{"containment-hit", "containment", `{"engine":"regex","left":"(a|b)* a (c|d)?","right":"(a|b|c|d)* (a|c) d? (a|b)*"}`},
+		{"infer-hit", "infer", `{"algorithm":"sore","words":[["a","b","c"],["a","c"],["b","b","c"]]}`},
 		{"membership", "membership", `{"expr":"(a (b|c)* d?)+ (a|b)* c","word":["a","b","c","d","a","c"]}`},
 		{"validate", "validate", `{"kind":"dtd","schema":"<!ELEMENT r ((a|b)+, c?, (a|c)*)> <!ELEMENT a EMPTY> <!ELEMENT b EMPTY> <!ELEMENT c EMPTY>","docs":["r(a, b, c, a)","r(b, c)","r(c, a)"]}`},
 	}
@@ -91,18 +103,17 @@ func BenchmarkDecide(b *testing.B) {
 				}
 				ctx := context.Background()
 				body := []byte(o.body)
-				decide := decideOps[o.op]
 				// two warm-up calls: the first fills the verdict cache, the
 				// second writes the containment alias
 				for i := 0; i < 2; i++ {
-					if _, aerr := decide(s, ctx, body, false); aerr != nil {
+					if _, aerr := decideSync(s, ctx, o.op, body, false); aerr != nil {
 						b.Fatal(aerr)
 					}
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, aerr := decide(s, ctx, body, false); aerr != nil {
+					if _, aerr := decideSync(s, ctx, o.op, body, false); aerr != nil {
 						b.Fatal(aerr)
 					}
 				}

@@ -249,14 +249,14 @@ func TestInferMemoSkipsEndedContext(t *testing.T) {
 	body := []byte(`{"algorithm":"sore","words":[["a","b"],["b","a"]]}`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, aerr := s.decideInfer(ctx, body, false); aerr != nil {
-		t.Fatalf("decideInfer: %d %s", aerr.status, aerr.msg)
+	if _, aerr := decideSync(s, ctx, "infer", body, false); aerr != nil {
+		t.Fatalf("decide: %d %s", aerr.status, aerr.msg)
 	}
 	if st := s.CacheStats(); st.Len != 0 {
 		t.Fatalf("an answer under an ended context was stored: %+v", st)
 	}
-	if _, aerr := s.decideInfer(context.Background(), body, false); aerr != nil {
-		t.Fatalf("decideInfer: %d %s", aerr.status, aerr.msg)
+	if _, aerr := decideSync(s, context.Background(), "infer", body, false); aerr != nil {
+		t.Fatalf("decide: %d %s", aerr.status, aerr.msg)
 	}
 	if st := s.CacheStats(); st.Len != 1 {
 		t.Fatalf("an answer under a live context was not stored: %+v", st)

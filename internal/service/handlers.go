@@ -27,33 +27,47 @@ import (
 // are deterministic and therefore cacheable.
 const jsonschemaSamples = 200
 
-// Every endpoint body is parsed and decided by a decide* function that
-// runs synchronously under ctx: parse, per-instance cache lookup where a
-// cache exists, engine, cache fill. The single-decision endpoints wrap
-// one decide call in the runEngine deadline harness; /v1/batch calls the
-// same functions once per item, so a batch verdict is identical to the
-// verdict the dedicated endpoint would have produced.
+// Every decision op runs in two stages. Its prepare function runs on
+// the request goroutine: it decodes and validates the body, makes the
+// cache lookups keyed on raw request text and answers a verdict-cache
+// hit. The run it returns otherwise parses, canonicalizes, decides and
+// fills the caches, and is the only stage under the runEngine deadline
+// harness: the parsers check no context, so a slow parse holds a slot
+// counted as detached instead of delaying the 504. /v1/batch calls the
+// same functions per item, so its verdicts are the endpoints' verdicts.
 
-// decideFunc decides one endpoint body; explain is the request
-// envelope's explain flag.
-type decideFunc func(s *Server, ctx context.Context, body []byte, explain bool) (any, *apiError)
+// prepareFunc is the first stage of a decision op. It returns an error,
+// an answer, or the run that computes one; explain is the envelope's
+// explain flag, and an explain request skips the verdict reads, so its
+// trace shows the engine.
+type prepareFunc func(s *Server, body []byte, explain bool) (answer any, run runFunc, aerr *apiError)
+
+// runFunc is the second stage of a decision op, run under ctx.
+type runFunc func(ctx context.Context) (any, *apiError)
 
 // decideOps is the table of decision ops: New serves each on
 // POST /v1/<op>, and /v1/batch dispatches its items through it.
-var decideOps = map[string]decideFunc{
-	"containment": (*Server).decideContainment,
-	"membership":  (*Server).decideMembership,
-	"validate":    (*Server).decideValidate,
-	"infer":       (*Server).decideInfer,
+var decideOps = map[string]prepareFunc{
+	"containment": (*Server).prepareContainment,
+	"membership":  (*Server).prepareMembership,
+	"validate":    (*Server).prepareValidate,
+	"infer":       (*Server).prepareInfer,
 }
 
-// decideHandler serves one decision op: its decide function under the
-// runEngine deadline harness.
-func (s *Server) decideHandler(decide decideFunc) handlerFunc {
+// decide runs one op on body: prepare on the calling goroutine, then
+// its run, if any, under runEngine.
+func (s *Server) decide(ctx context.Context, req *request, prepare prepareFunc, body []byte) (any, *apiError) {
+	answer, run, aerr := prepare(s, body, req.env.Explain)
+	if run == nil {
+		return answer, aerr
+	}
+	return runEngine(ctx, req, run)
+}
+
+// decideHandler serves one decision op on the request body.
+func (s *Server) decideHandler(prepare prepareFunc) handlerFunc {
 	return func(ctx context.Context, req *request) (any, *apiError) {
-		return runEngine(ctx, req, func(ctx context.Context) (any, *apiError) {
-			return decide(s, ctx, req.body, req.env.Explain)
-		})
+		return s.decide(ctx, req, prepare, req.body)
 	}
 }
 
@@ -85,23 +99,20 @@ type containmentResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// decideContainment parses one containment instance, consults the
-// verdict cache under the canonical key, runs the selected engine, and
-// fills the cache. Shared by /v1/containment and /v1/batch.
-//
-// A repeat of a request whose canonical key has hit before skips the
-// parse: the compile cache aliases the raw request text to its canonical
-// key, so the one verdict-cache lookup uses that key directly. The
-// alias is written only when a canonical lookup hits, so a stream of
-// unique requests adds nothing to the compile cache, and only for texts
-// up to maxCompileKey.
-func (s *Server) decideContainment(ctx context.Context, body []byte, explain bool) (any, *apiError) {
+// prepareContainment decodes one containment instance. A repeat of a
+// request whose canonical key has hit before is answered here, without
+// a parse: the compile cache aliases the raw request text to its
+// canonical key, so the one verdict-cache lookup uses that key
+// directly. The alias is written only when a canonical lookup hits, so
+// a stream of unique requests adds nothing to the compile cache, and
+// only for texts up to maxCompileKey.
+func (s *Server) prepareContainment(body []byte, explain bool) (any, runFunc, *apiError) {
 	var req containmentRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, errBadRequest("invalid JSON: %v", err)
+		return nil, nil, errBadRequest("invalid JSON: %v", err)
 	}
 	if req.Left == "" || req.Right == "" {
-		return nil, errBadRequest("left and right are required")
+		return nil, nil, errBadRequest("left and right are required")
 	}
 
 	// Explain requests bypass both reads: a hit would short-circuit the
@@ -112,105 +123,107 @@ func (s *Server) decideContainment(ctx context.Context, body []byte, explain boo
 	if useAlias {
 		if v, ok := s.compiled.Get(alias); ok {
 			if resp, ok := s.cachedVerdict(v.(string)); ok {
-				return resp, nil
+				return resp, nil, nil
 			}
 			// The verdict was evicted. Parsing yields the key just looked
 			// up, so decide without a second lookup.
 			skipRead = true
 		}
 	}
-
-	// Parse and canonicalize both sides up front: the canonical rendering
-	// is the cache key, so "a|b" and "( a | b )" share an entry.
-	var engine func(ctx context.Context) (bool, string, string, error) // contained, verdict, witness
-	var key string
-	switch req.Engine {
-	case "regex", "kore":
-		e1, err := regex.Parse(req.Left)
-		if err != nil {
-			return nil, errBadRequest("left: %v", err)
-		}
-		e2, err := regex.Parse(req.Right)
-		if err != nil {
-			return nil, errBadRequest("right: %v", err)
-		}
-		key = containmentKey(req.Engine, e1, e2)
-		contains := automata.ContainsCtx
-		if req.Engine == "kore" {
-			contains = kore.ContainmentCtx
-		}
-		engine = func(ctx context.Context) (bool, string, string, error) {
-			ok, err := contains(ctx, e1, e2)
-			return ok, boolVerdict(ok), "", err
-		}
-	case "dtd":
-		d1, err := dtd.ParseText(req.Left, "")
-		if err != nil {
-			return nil, errBadRequest("left: %v", err)
-		}
-		d2, err := dtd.ParseText(req.Right, "")
-		if err != nil {
-			return nil, errBadRequest("right: %v", err)
-		}
-		key = cacheKey("dtd", d1.String(), d2.String())
-		engine = func(ctx context.Context) (bool, string, string, error) {
-			ok, err := dtd.ContainsCtx(ctx, d1, d2)
-			return ok, boolVerdict(ok), "", err
-		}
-	case "jsonschema":
-		s1, err := jsonschema.Parse(req.Left)
-		if err != nil {
-			return nil, errBadRequest("left: %v", err)
-		}
-		s2, err := jsonschema.Parse(req.Right)
-		if err != nil {
-			return nil, errBadRequest("right: %v", err)
-		}
-		cl, err := canonicalJSON(req.Left)
-		if err != nil {
-			return nil, errBadRequest("left: %v", err)
-		}
-		cr, err := canonicalJSON(req.Right)
-		if err != nil {
-			return nil, errBadRequest("right: %v", err)
-		}
-		key = cacheKey("jsonschema", cl, cr)
-		engine = func(ctx context.Context) (bool, string, string, error) {
-			v, witness := jsonschema.ContainsCtx(ctx, s1, s2, jsonschemaSamples, 1)
-			switch v {
-			case jsonschema.Contained:
-				return true, "contained", "", nil
-			case jsonschema.NotContained:
-				return false, "not_contained", witness, nil
+	return nil, func(ctx context.Context) (any, *apiError) {
+		// Parse and canonicalize both sides up front: the canonical
+		// rendering is the cache key, so "a|b" and "( a | b )" share an
+		// entry.
+		var engine func(ctx context.Context) (bool, string, string, error) // contained, verdict, witness
+		var key string
+		switch req.Engine {
+		case "regex", "kore":
+			e1, err := regex.Parse(req.Left)
+			if err != nil {
+				return nil, errBadRequest("left: %v", err)
 			}
-			return false, "unknown", "", nil
-		}
-	default:
-		return nil, errBadRequest("unknown engine %q (want regex, kore, dtd, or jsonschema)", req.Engine)
-	}
-
-	if !skipRead {
-		if resp, ok := s.cachedVerdict(key); ok {
-			if useAlias {
-				s.compiled.Put(alias, key)
+			e2, err := regex.Parse(req.Right)
+			if err != nil {
+				return nil, errBadRequest("right: %v", err)
 			}
-			return resp, nil
+			key = containmentKey(req.Engine, e1, e2)
+			contains := automata.ContainsCtx
+			if req.Engine == "kore" {
+				contains = kore.ContainmentCtx
+			}
+			engine = func(ctx context.Context) (bool, string, string, error) {
+				ok, err := contains(ctx, e1, e2)
+				return ok, boolVerdict(ok), "", err
+			}
+		case "dtd":
+			d1, err := dtd.ParseText(req.Left, "")
+			if err != nil {
+				return nil, errBadRequest("left: %v", err)
+			}
+			d2, err := dtd.ParseText(req.Right, "")
+			if err != nil {
+				return nil, errBadRequest("right: %v", err)
+			}
+			key = cacheKey("dtd", d1.String(), d2.String())
+			engine = func(ctx context.Context) (bool, string, string, error) {
+				ok, err := dtd.ContainsCtx(ctx, d1, d2)
+				return ok, boolVerdict(ok), "", err
+			}
+		case "jsonschema":
+			s1, err := jsonschema.Parse(req.Left)
+			if err != nil {
+				return nil, errBadRequest("left: %v", err)
+			}
+			s2, err := jsonschema.Parse(req.Right)
+			if err != nil {
+				return nil, errBadRequest("right: %v", err)
+			}
+			cl, err := canonicalJSON(req.Left)
+			if err != nil {
+				return nil, errBadRequest("left: %v", err)
+			}
+			cr, err := canonicalJSON(req.Right)
+			if err != nil {
+				return nil, errBadRequest("right: %v", err)
+			}
+			key = cacheKey("jsonschema", cl, cr)
+			engine = func(ctx context.Context) (bool, string, string, error) {
+				v, witness := jsonschema.ContainsCtx(ctx, s1, s2, jsonschemaSamples, 1)
+				switch v {
+				case jsonschema.Contained:
+					return true, "contained", "", nil
+				case jsonschema.NotContained:
+					return false, "not_contained", witness, nil
+				}
+				return false, "unknown", "", nil
+			}
+		default:
+			return nil, errBadRequest("unknown engine %q (want regex, kore, dtd, or jsonschema)", req.Engine)
 		}
-	}
-	start := time.Now()
-	ok, verdict, witness, err := engine(ctx)
-	if err != nil {
-		return nil, engineError(ctx, err) // timeouts are not cached: the verdict is unknown
-	}
-	resp := containmentResponse{
-		Engine:    req.Engine,
-		Contained: ok,
-		Verdict:   verdict,
-		Witness:   witness,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-	}
-	s.cache.Put(key, resp)
-	return resp, nil
+
+		if !skipRead {
+			if resp, ok := s.cachedVerdict(key); ok {
+				if useAlias {
+					s.compiled.Put(alias, key)
+				}
+				return resp, nil
+			}
+		}
+		start := time.Now()
+		ok, verdict, witness, err := engine(ctx)
+		if err != nil {
+			return nil, engineError(ctx, err) // timeouts are not cached: the verdict is unknown
+		}
+		resp := containmentResponse{
+			Engine:    req.Engine,
+			Contained: ok,
+			Verdict:   verdict,
+			Witness:   witness,
+			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
+		}
+		s.cache.Put(key, resp)
+		return resp, nil
+	}, nil
 }
 
 // cachedVerdict looks key up in the verdict cache.
@@ -312,61 +325,35 @@ type membershipResponse struct {
 	Deterministic bool `json:"deterministic"`
 }
 
-// decideMembership decodes a membership body and decides it with
-// membership; /v1/batch calls it per item.
-func (s *Server) decideMembership(ctx context.Context, body []byte, _ bool) (any, *apiError) {
-	req, aerr := decodeMembership(body)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return s.membership(ctx, req)
-}
-
-// handleMembership serves /v1/membership. It decodes the body on the
-// request goroutine and runs only membership under the runEngine
-// deadline harness: encoding/json checks no context, and a word of
-// megabytes takes a good part of a second to decode, so a decode in the
-// engine goroutine would hold the admission slot that long past the
-// 504. Here a slow decode delays the 504 instead, by at most the decode
-// of a body of MaxBodyBytes.
-func (s *Server) handleMembership(ctx context.Context, req *request) (any, *apiError) {
-	m, aerr := decodeMembership(req.body)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return runEngine(ctx, req, func(ctx context.Context) (any, *apiError) {
-		return s.membership(ctx, m)
-	})
-}
-
-// decodeMembership decodes a membership body.
-func decodeMembership(body []byte) (membershipRequest, *apiError) {
+// prepareMembership decodes a membership body and looks its Matcher up
+// in the compile cache, under the raw expression text. Its run matches
+// the word, hit or not: a word of megabytes takes its time whatever the
+// Matcher.
+func (s *Server) prepareMembership(body []byte, _ bool) (any, runFunc, *apiError) {
 	var req membershipRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return req, errBadRequest("invalid JSON: %v", err)
+		return nil, nil, errBadRequest("invalid JSON: %v", err)
 	}
-	return req, nil
-}
-
-// membership answers from the expression's compiled Matcher, cached
-// under the raw expression text.
-func (s *Server) membership(ctx context.Context, req membershipRequest) (any, *apiError) {
-	v, aerr := s.compile(cacheKey("membership", req.Expr), func() (any, *apiError) {
-		e, err := regex.Parse(req.Expr)
-		if err != nil {
-			return nil, errBadRequest("expr: %v", err)
+	key := cacheKey("membership", req.Expr)
+	hit := s.compiledEntry(key)
+	return nil, func(ctx context.Context) (any, *apiError) {
+		v, aerr := s.compile(hit, key, func() (any, *apiError) {
+			e, err := regex.Parse(req.Expr)
+			if err != nil {
+				return nil, errBadRequest("expr: %v", err)
+			}
+			return automata.NewMatcher(e), nil
+		})
+		if aerr != nil {
+			return nil, aerr
 		}
-		return automata.NewMatcher(e), nil
-	})
-	if aerr != nil {
-		return nil, aerr
-	}
-	m := v.(*automata.Matcher)
-	member, err := m.Accepts(ctx, req.Word)
-	if err != nil {
-		return nil, ctxError(err)
-	}
-	return membershipResponse{Member: member, Deterministic: m.Deterministic()}, nil
+		m := v.(*automata.Matcher)
+		member, err := m.Accepts(ctx, req.Word)
+		if err != nil {
+			return nil, ctxError(err)
+		}
+		return membershipResponse{Member: member, Deterministic: m.Deterministic()}, nil
+	}, nil
 }
 
 // maxCompileKey bounds the raw request text the compile cache keys on.
@@ -374,23 +361,29 @@ func (s *Server) membership(ctx context.Context, req membershipRequest) (any, *a
 // cache, so one entry never pins a request text of megabytes.
 const maxCompileKey = 64 << 10
 
-// compile returns the compile-cache entry under key, building and
-// caching it on a miss. Keys are raw request texts, so an entry is
-// sound by construction: parsing them again would build the same thing.
-// A failed build is not cached.
-func (s *Server) compile(key string, build func() (any, *apiError)) (any, *apiError) {
+// compiledEntry returns the compile-cache entry under key, or nil on a
+// miss and for a key over maxCompileKey. Keys are raw request texts, so
+// an entry is sound by construction: parsing them again would build the
+// same thing.
+func (s *Server) compiledEntry(key string) any {
 	if len(key) > maxCompileKey {
-		return build()
+		return nil
 	}
-	if v, ok := s.compiled.Get(key); ok {
-		return v, nil
+	v, _ := s.compiled.Get(key)
+	return v
+}
+
+// compile returns hit, the entry compiledEntry found under key, or on
+// a miss builds the entry and caches it. A failed build is not cached.
+func (s *Server) compile(hit any, key string, build func() (any, *apiError)) (any, *apiError) {
+	if hit != nil {
+		return hit, nil
 	}
 	v, aerr := build()
-	if aerr != nil {
-		return nil, aerr
+	if aerr == nil && len(key) <= maxCompileKey {
+		s.compiled.Put(key, v)
 	}
-	s.compiled.Put(key, v)
-	return v, nil
+	return v, aerr
 }
 
 // ---- POST /v1/validate ----
@@ -426,75 +419,83 @@ type validateResponse struct {
 	Results []validateResult `json:"results"`
 }
 
-// decideValidate validates every document. A DTD is compiled once per
-// schema text and root, and cached; an EDTD is compiled once per request.
-func (s *Server) decideValidate(ctx context.Context, body []byte, _ bool) (any, *apiError) {
+// prepareValidate decodes a validate body and looks up a DTD's compiled
+// form; its run parses the documents and builds an EDTD per request.
+func (s *Server) prepareValidate(body []byte, _ bool) (any, runFunc, *apiError) {
 	var req validateRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, errBadRequest("invalid JSON: %v", err)
+		return nil, nil, errBadRequest("invalid JSON: %v", err)
 	}
 	if len(req.Docs) == 0 {
-		return nil, errBadRequest("docs is required")
+		return nil, nil, errBadRequest("docs is required")
 	}
-	docs := make([]*tree.Node, len(req.Docs))
-	for i, d := range req.Docs {
-		t, err := tree.Parse(d)
-		if err != nil {
-			return nil, errBadRequest("docs[%d]: %v", i, err)
-		}
-		docs[i] = t
+	var key string
+	var hit any
+	if req.Kind == "dtd" && req.Schema != "" {
+		key = cacheKey("dtd", req.Schema, req.Root)
+		hit = s.compiledEntry(key)
 	}
-
-	var check func(*tree.Node) validateResult
-	switch req.Kind {
-	case "dtd":
-		if req.Schema == "" {
-			return nil, errBadRequest("schema (DTD text) is required for kind=dtd")
-		}
-		v, aerr := s.compile(cacheKey("dtd", req.Schema, req.Root), func() (any, *apiError) {
-			d, err := dtd.ParseText(req.Schema, req.Root)
+	return nil, func(ctx context.Context) (any, *apiError) {
+		docs := make([]*tree.Node, len(req.Docs))
+		for i, d := range req.Docs {
+			t, err := tree.Parse(d)
 			if err != nil {
-				return nil, errBadRequest("schema: %v", err)
+				return nil, errBadRequest("docs[%d]: %v", i, err)
 			}
-			return d.Compile(), nil
-		})
-		if aerr != nil {
-			return nil, aerr
+			docs[i] = t
 		}
-		d := v.(*dtd.Compiled)
-		check = func(t *tree.Node) validateResult {
-			if err := d.Validate(ctx, t); err != nil {
-				return validateResult{Valid: false, Error: err.Error()}
-			}
-			return validateResult{Valid: true}
-		}
-	case "edtd", "single-type":
-		d, aerr := buildEDTD(req.Types, req.Start)
-		if aerr != nil {
-			return nil, aerr
-		}
-		if req.Kind == "single-type" && !d.IsSingleType() {
-			return nil, errBadRequest("the given EDTD is not single-type")
-		}
-		c := d.Compile()
-		check = func(t *tree.Node) validateResult {
-			if ok, err := c.Valid(ctx, t); err != nil || !ok {
-				return validateResult{Valid: false, Error: "no valid typing exists"}
-			}
-			return validateResult{Valid: true}
-		}
-	default:
-		return nil, errBadRequest("unknown kind %q (want dtd, edtd, or single-type)", req.Kind)
-	}
 
-	resp := validateResponse{Kind: req.Kind, Results: make([]validateResult, len(docs))}
-	for i, t := range docs {
-		resp.Results[i] = check(t) // the error of a deadline inside t is not sent
-		if err := ctx.Err(); err != nil {
-			return nil, ctxError(err)
+		var check func(*tree.Node) validateResult
+		switch req.Kind {
+		case "dtd":
+			if req.Schema == "" {
+				return nil, errBadRequest("schema (DTD text) is required for kind=dtd")
+			}
+			v, aerr := s.compile(hit, key, func() (any, *apiError) {
+				d, err := dtd.ParseText(req.Schema, req.Root)
+				if err != nil {
+					return nil, errBadRequest("schema: %v", err)
+				}
+				return d.Compile(), nil
+			})
+			if aerr != nil {
+				return nil, aerr
+			}
+			d := v.(*dtd.Compiled)
+			check = func(t *tree.Node) validateResult {
+				if err := d.Validate(ctx, t); err != nil {
+					return validateResult{Valid: false, Error: err.Error()}
+				}
+				return validateResult{Valid: true}
+			}
+		case "edtd", "single-type":
+			d, aerr := buildEDTD(req.Types, req.Start)
+			if aerr != nil {
+				return nil, aerr
+			}
+			if req.Kind == "single-type" && !d.IsSingleType() {
+				return nil, errBadRequest("the given EDTD is not single-type")
+			}
+			c := d.Compile()
+			check = func(t *tree.Node) validateResult {
+				if ok, err := c.Valid(ctx, t); err != nil || !ok {
+					return validateResult{Valid: false, Error: "no valid typing exists"}
+				}
+				return validateResult{Valid: true}
+			}
+		default:
+			return nil, errBadRequest("unknown kind %q (want dtd, edtd, or single-type)", req.Kind)
 		}
-	}
-	return resp, nil
+
+		resp := validateResponse{Kind: req.Kind, Results: make([]validateResult, len(docs))}
+		for i, t := range docs {
+			resp.Results[i] = check(t) // the error of a deadline inside t is not sent
+			if err := ctx.Err(); err != nil {
+				return nil, ctxError(err)
+			}
+		}
+		return resp, nil
+	}, nil
 }
 
 func buildEDTD(types []edtdTypeJSON, start []string) (*edtd.EDTD, *apiError) {
@@ -542,30 +543,30 @@ type inferResponse struct {
 	Deterministic bool   `json:"deterministic"`
 }
 
-// decideInfer runs the selected learner on the sample, consulting the
-// verdict cache under inferKey first. Shared by /v1/infer and /v1/batch.
-// The key holds the request's own fields only, so an entry is sound by
-// construction, as the compile cache's raw-text keys are. Explain
-// requests skip the read, so their trace shows the inference spans; an
-// answer is stored only when the request's deadline has not passed, and
-// only for keys up to maxCompileKey.
-func (s *Server) decideInfer(ctx context.Context, body []byte, explain bool) (any, *apiError) {
+// prepareInfer decodes an infer body and answers a repeat from the
+// verdict cache, under inferKey; its run runs the selected learner on
+// the sample. The key holds the request's own fields only, so an entry
+// is sound by construction, as the compile cache's raw-text keys are.
+// Explain requests skip the read, so their trace shows the inference
+// spans; an answer is stored only when the request's deadline has not
+// passed, and only for keys up to maxCompileKey.
+func (s *Server) prepareInfer(body []byte, explain bool) (any, runFunc, *apiError) {
 	var req inferRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, errBadRequest("invalid JSON: %v", err)
+		return nil, nil, errBadRequest("invalid JSON: %v", err)
 	}
 	if len(req.Words) == 0 {
-		return nil, errBadRequest("words is required")
+		return nil, nil, errBadRequest("words is required")
 	}
 	switch req.Algorithm {
 	case "sore", "chare", "kore", "best-kore":
 	default:
-		return nil, errBadRequest("unknown algorithm %q (want sore, chare, kore, or best-kore)", req.Algorithm)
+		return nil, nil, errBadRequest("unknown algorithm %q (want sore, chare, kore, or best-kore)", req.Algorithm)
 	}
 	for i, w := range req.Words {
 		for j, sym := range w {
 			if sym == "" {
-				return nil, errBadRequest("words[%d][%d]: empty symbol", i, j)
+				return nil, nil, errBadRequest("words[%d][%d]: empty symbol", i, j)
 			}
 		}
 	}
@@ -573,38 +574,40 @@ func (s *Server) decideInfer(ctx context.Context, body []byte, explain bool) (an
 	useCache := len(key) <= maxCompileKey
 	if useCache && !explain {
 		if v, ok := s.cache.Get(key); ok {
-			return v, nil
+			return v, nil, nil
 		}
 	}
-	sample := inference.Sample(req.Words)
-	var e *regex.Expr
-	k := req.K
-	switch req.Algorithm {
-	case "sore":
-		e = inference.InferSORECtx(ctx, sample)
-	case "chare":
-		e = inference.InferCHARECtx(ctx, sample)
-	case "kore":
-		if k < 1 {
-			k = 2
+	return nil, func(ctx context.Context) (any, *apiError) {
+		sample := inference.Sample(req.Words)
+		var e *regex.Expr
+		k := req.K
+		switch req.Algorithm {
+		case "sore":
+			e = inference.InferSORECtx(ctx, sample)
+		case "chare":
+			e = inference.InferCHARECtx(ctx, sample)
+		case "kore":
+			if k < 1 {
+				k = 2
+			}
+			e = inference.InferKORECtx(ctx, sample, k)
+		case "best-kore":
+			if k < 1 {
+				k = 4
+			}
+			e, k = inference.InferBestKORECtx(ctx, sample, k, determinism.IsDeterministic)
 		}
-		e = inference.InferKORECtx(ctx, sample, k)
-	case "best-kore":
-		if k < 1 {
-			k = 4
+		resp := inferResponse{
+			Algorithm:     req.Algorithm,
+			Expr:          e.String(),
+			K:             k,
+			Deterministic: determinism.IsDeterministic(e),
 		}
-		e, k = inference.InferBestKORECtx(ctx, sample, k, determinism.IsDeterministic)
-	}
-	resp := inferResponse{
-		Algorithm:     req.Algorithm,
-		Expr:          e.String(),
-		K:             k,
-		Deterministic: determinism.IsDeterministic(e),
-	}
-	if useCache && ctx.Err() == nil {
-		s.cache.Put(key, resp)
-	}
-	return resp, nil
+		if useCache && ctx.Err() == nil {
+			s.cache.Put(key, resp)
+		}
+		return resp, nil
+	}, nil
 }
 
 // inferKey is the verdict-cache key of an infer request: the kind

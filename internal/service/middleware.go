@@ -308,7 +308,7 @@ func (s *Server) deadline(env envelope) time.Duration {
 // HTTP deadline. An engine goroutine that outlives its request keeps the
 // admission slot (via req.slot) until it exits, so detached engines count
 // against the in-flight cap instead of silently exceeding it.
-func runEngine(ctx context.Context, req *request, f func(ctx context.Context) (any, *apiError)) (any, *apiError) {
+func runEngine(ctx context.Context, req *request, f runFunc) (any, *apiError) {
 	type result struct {
 		v    any
 		aerr *apiError

@@ -286,12 +286,8 @@ func New(cfg Config) *Server {
 		"Constant 1; build information is carried in the labels.",
 		"go_version").With(runtime.Version()).Set(1)
 
-	for op, decide := range decideOps {
-		h := s.decideHandler(decide)
-		if op == "membership" {
-			h = s.handleMembership // decodes before the deadline harness
-		}
-		s.mux.Handle("POST /v1/"+op, s.endpoint(op, h))
+	for op, prepare := range decideOps {
+		s.mux.Handle("POST /v1/"+op, s.endpoint(op, s.decideHandler(prepare)))
 	}
 	s.mux.Handle("POST /v1/analyze", s.endpoint("analyze", s.handleAnalyze))
 	s.mux.Handle("POST /v1/batch", s.endpoint("batch", s.handleBatch))

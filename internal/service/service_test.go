@@ -570,9 +570,9 @@ func TestMetricsTotalsAreCounters(t *testing.T) {
 // pair per run, shaped like rwdperf's decide-cold mix, so every run
 // parses both sides, misses the verdict cache and runs the engine. The
 // engine's tables come from a pooled scratch; what remains is the JSON
-// decode, the parser's slabs, the cache key and entry, and the engine
-// goroutine: 19 allocations, against 69 when the engine allocated its
-// tables. The bound adds 5 for growth of the cache's tables.
+// decode, the parser's slabs, the cache key and entry, and the closure
+// of the op's run: 20 allocations, against 69 when the engine allocated
+// its tables. The bound leaves 4 for growth of the cache's tables.
 func TestDecideContainmentColdAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -593,12 +593,55 @@ func TestDecideContainmentColdAllocs(t *testing.T) {
 	ctx := context.Background()
 	i := 0
 	allocs := testing.AllocsPerRun(runs, func() {
-		if _, aerr := s.decideContainment(ctx, bodies[i], false); aerr != nil {
+		if _, aerr := decideSync(s, ctx, "containment", bodies[i], false); aerr != nil {
 			t.Fatal(aerr)
 		}
 		i++
 	})
 	if allocs > 24 {
-		t.Fatalf("decideContainment on a fresh pair: %v allocations, want ≤ 24", allocs)
+		t.Fatalf("decide on a fresh pair: %v allocations, want ≤ 24", allocs)
+	}
+}
+
+// TestServeCacheHitAllocs pins the allocations of two verdict-cache
+// hits served through Server.Handler(), httptest request and recorder
+// included: a containment repeat answered through its alias and an
+// infer repeat. Both are answered on the request goroutine, with no
+// engine goroutine or channel: 69 and 81 allocations, against 74 and 86
+// when every hit ran under the runEngine harness.
+func TestServeCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, c := range []struct {
+		path, body string
+		max        float64
+	}{
+		{"/v1/containment", `{"engine":"regex","left":"(a|b)* x","right":"(a|b)* (a|b) x"}`, 69},
+		{"/v1/infer", `{"algorithm":"sore","words":[["a","b","c"],["a","c"],["b","b","c"]]}`, 81},
+	} {
+		s := New(Config{Logger: discardLogger()})
+		serve := func() {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", c.path, strings.NewReader(c.body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: code=%d %s", c.path, rec.Code, rec.Body)
+			}
+		}
+		// The first request fills the verdict cache and the second writes
+		// the containment alias; the rest let the trace ring and the
+		// workload profile reach their steady state.
+		for i := 0; i < 200; i++ {
+			serve()
+		}
+		hits := s.CacheStats().Hits
+		allocs := testing.AllocsPerRun(200, serve)
+		if got := s.CacheStats().Hits - hits; got != 201 {
+			t.Fatalf("%s: %d verdict-cache hits in 201 requests", c.path, got)
+		}
+		t.Logf("%s: %v allocations per hit", c.path, allocs)
+		if allocs > c.max {
+			t.Errorf("%s: %v allocations per hit, want ≤ %v", c.path, allocs, c.max)
+		}
 	}
 }
