@@ -22,10 +22,10 @@ func main() {
 	paths := []string{"a*", "(a/a)*", "a/a/a/a/a"}
 	for _, s := range paths {
 		p := propertypath.MustParse(s)
+		ctract, ttract := propertypath.Tractability(p)
 		fmt.Printf("path %-10s  type %-6s  Table8 row %-10q  STE %-5v  C_tract %-5v  T_tract %v\n",
 			s, propertypath.TypeString(p), string(propertypath.Classify(p)),
-			propertypath.IsSimpleTransitive(p), propertypath.InCtract(p),
-			propertypath.InTtractApprox(p))
+			propertypath.IsSimpleTransitive(p), ctract, ttract)
 		fmt.Printf("  regular:      %v\n", propertypath.Eval(g, p, "n1"))
 		fmt.Printf("  simple paths: %v\n", propertypath.EvalSimplePaths(g, p, "n1"))
 		fmt.Printf("  trails:       %v\n\n", propertypath.EvalTrails(g, p, "n1"))

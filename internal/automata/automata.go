@@ -10,9 +10,8 @@ package automata
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"strings"
+	"encoding/binary"
+	"slices"
 
 	"repro/internal/regex"
 )
@@ -36,46 +35,40 @@ func (n *NFA) Accepts(word []string) bool {
 // (Section 4.2.1).
 func (n *NFA) IsDeterministic() bool { return n.m.Deterministic() }
 
-// DFA is a deterministic finite automaton. State 0 is the initial state.
-// A missing transition means the word is rejected (partial DFA); Totalize
-// adds an explicit sink.
+// DFA is a deterministic finite automaton over the sorted Alphabet, one
+// table indexed by label id. State 0 is the initial state, and
+// Next[q·|Σ|+l] is the successor of q on Alphabet[l], or -1 when there
+// is none: a missing transition rejects the word (partial DFA), and
+// Totalize adds an explicit sink.
 type DFA struct {
-	NumStates int
-	Final     map[int]bool
-	Trans     []map[string]int
-	Alphabet  []string
+	Alphabet []string
+	Next     []int
+	Final    []bool
 }
 
-// NewDFA returns a DFA with n states and no transitions.
-func NewDFA(n int) *DFA {
-	t := make([]map[string]int, n)
-	for i := range t {
-		t[i] = map[string]int{}
-	}
-	return &DFA{NumStates: n, Final: map[int]bool{}, Trans: t}
-}
+// NumStates returns the number of states of d.
+func (d *DFA) NumStates() int { return len(d.Final) }
 
-// SetTransition sets δ(q, a) = p.
-func (d *DFA) SetTransition(q int, a string, p int) {
-	d.Trans[q][a] = p
-	i := sort.SearchStrings(d.Alphabet, a)
-	if i < len(d.Alphabet) && d.Alphabet[i] == a {
-		return
-	}
-	d.Alphabet = append(d.Alphabet, "")
-	copy(d.Alphabet[i+1:], d.Alphabet[i:])
-	d.Alphabet[i] = a
+// Step returns the successor of q on label id l, or -1.
+func (d *DFA) Step(q, l int) int { return d.Next[q*len(d.Alphabet)+l] }
+
+// row returns the successors of q, by label id.
+func (d *DFA) row(q int) []int {
+	k := len(d.Alphabet)
+	return d.Next[q*k : (q+1)*k]
 }
 
 // Accepts reports whether d accepts the word.
 func (d *DFA) Accepts(word []string) bool {
 	q := 0
 	for _, a := range word {
-		p, ok := d.Trans[q][a]
+		l, ok := slices.BinarySearch(d.Alphabet, a)
 		if !ok {
 			return false
 		}
-		q = p
+		if q = d.Step(q, l); q < 0 {
+			return false
+		}
 	}
 	return d.Final[q]
 }
@@ -83,45 +76,32 @@ func (d *DFA) Accepts(word []string) bool {
 // Totalize returns an equivalent total DFA over the union of d's alphabet and
 // extra, adding a non-final sink state if any transition is missing.
 func (d *DFA) Totalize(extra []string) *DFA {
-	alpha := append([]string(nil), d.Alphabet...)
-	for _, a := range extra {
-		i := sort.SearchStrings(alpha, a)
-		if i >= len(alpha) || alpha[i] != a {
-			alpha = append(alpha, "")
-			copy(alpha[i+1:], alpha[i:])
-			alpha[i] = a
-		}
-	}
-	needSink := false
-	for q := 0; q < d.NumStates; q++ {
-		if len(d.Trans[q]) < len(alpha) {
-			needSink = true
-			break
-		}
-	}
-	out := NewDFA(d.NumStates)
-	out.Alphabet = alpha
-	for q := range d.Final {
-		out.Final[q] = d.Final[q]
-	}
+	alpha := slices.Concat(d.Alphabet, extra)
+	slices.Sort(alpha)
+	alpha = slices.Compact(alpha)
+	n := d.NumStates()
 	sink := -1
-	if needSink {
-		sink = d.NumStates
-		out.NumStates++
-		out.Trans = append(out.Trans, map[string]int{})
+	if len(alpha) > len(d.Alphabet) || slices.Contains(d.Next, -1) {
+		sink = n
 	}
-	for q := 0; q < d.NumStates; q++ {
+	out := &DFA{Alphabet: alpha, Next: make([]int, 0, (n+1)*len(alpha)), Final: slices.Clone(d.Final)}
+	for q := 0; q < n; q++ {
+		l := 0
 		for _, a := range alpha {
-			if p, ok := d.Trans[q][a]; ok {
-				out.Trans[q][a] = p
-			} else {
-				out.Trans[q][a] = sink
+			p := sink
+			if l < len(d.Alphabet) && d.Alphabet[l] == a {
+				if s := d.Step(q, l); s >= 0 {
+					p = s
+				}
+				l++
 			}
+			out.Next = append(out.Next, p)
 		}
 	}
-	if needSink {
-		for _, a := range alpha {
-			out.Trans[sink][a] = sink
+	if sink >= 0 {
+		out.Final = append(out.Final, false)
+		for range alpha {
+			out.Next = append(out.Next, sink)
 		}
 	}
 	return out
@@ -131,156 +111,121 @@ func (d *DFA) Totalize(extra []string) *DFA {
 // of d's alphabet and extra.
 func (d *DFA) Complement(extra []string) *DFA {
 	t := d.Totalize(extra)
-	for q := 0; q < t.NumStates; q++ {
-		if t.Final[q] {
-			delete(t.Final, q)
-		} else {
-			t.Final[q] = true
-		}
+	for q := range t.Final {
+		t.Final[q] = !t.Final[q]
 	}
 	return t
 }
 
 // Minimize returns the minimal total DFA equivalent to d (Moore's algorithm
-// over the totalized automaton, with unreachable-state pruning).
+// over the totalized automaton, with unreachable-state pruning). States
+// are numbered breadth first from the initial one in label order, so
+// equivalent automata over one alphabet minimize to the same table.
 func (d *DFA) Minimize() *DFA {
 	t := d.Totalize(nil)
-	// prune unreachable
-	reach := make([]bool, t.NumStates)
-	stack := []int{0}
+	n := t.NumStates()
+	reach := make([]bool, n)
 	reach[0] = true
-	for len(stack) > 0 {
+	for stack := []int{0}; len(stack) > 0; {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range t.Trans[q] {
+		for _, p := range t.row(q) {
 			if !reach[p] {
 				reach[p] = true
 				stack = append(stack, p)
 			}
 		}
 	}
-	// Moore partition refinement
-	class := make([]int, t.NumStates)
-	for q := 0; q < t.NumStates; q++ {
-		if t.Final[q] {
+	// Moore partition refinement: a state's signature is its class and
+	// the classes of its successors in label order, as uvarints. Each
+	// round refines the last, so it is stable once the count stops growing.
+	class := make([]int, n)
+	for q, f := range t.Final {
+		if f {
 			class[q] = 1
 		}
 	}
+	var key []byte
+	classes := 0
 	for {
-		// signature = (class, class of successor per alphabet label)
-		sig := make([]string, t.NumStates)
-		for q := 0; q < t.NumStates; q++ {
+		next := make([]int, n)
+		ids := map[string]int{}
+		for q := 0; q < n; q++ {
 			if !reach[q] {
 				continue
 			}
-			var b strings.Builder
-			fmt.Fprintf(&b, "%d", class[q])
-			for _, a := range t.Alphabet {
-				fmt.Fprintf(&b, "|%d", class[t.Trans[q][a]])
+			key = binary.AppendUvarint(key[:0], uint64(class[q]))
+			for _, p := range t.row(q) {
+				key = binary.AppendUvarint(key, uint64(class[p]))
 			}
-			sig[q] = b.String()
-		}
-		newClass := make([]int, t.NumStates)
-		idx := map[string]int{}
-		n := 0
-		for q := 0; q < t.NumStates; q++ {
-			if !reach[q] {
-				continue
-			}
-			c, ok := idx[sig[q]]
+			c, ok := ids[string(key)]
 			if !ok {
-				c = n
-				n++
-				idx[sig[q]] = c
+				c = len(ids)
+				ids[string(key)] = c
 			}
-			newClass[q] = c
+			next[q] = c
 		}
-		same := true
-		for q := 0; q < t.NumStates; q++ {
-			if reach[q] && newClass[q] != class[q] {
-				same = false
-			}
-		}
-		class = newClass
-		if same {
+		class = next
+		if len(ids) == classes {
 			break
 		}
+		classes = len(ids)
 	}
-	// renumber with initial state's class first
-	nClasses := 0
-	for q := 0; q < t.NumStates; q++ {
-		if reach[q] && class[q]+1 > nClasses {
-			nClasses = class[q] + 1
-		}
-	}
-	remap := make([]int, nClasses)
+	// Number the classes breadth first from the initial state's.
+	remap := make([]int, classes)
 	for i := range remap {
 		remap[i] = -1
 	}
-	next := 0
-	order := make([]int, 0, t.NumStates)
-	order = append(order, 0)
-	seen := map[int]bool{class[0]: true}
-	remap[class[0]] = next
-	next++
-	// BFS over class graph for stable numbering
+	remap[class[0]] = 0
+	order := []int{0} // a state of each class, by new number
 	for i := 0; i < len(order); i++ {
-		q := order[i]
-		for _, a := range t.Alphabet {
-			p := t.Trans[q][a]
-			if !seen[class[p]] {
-				seen[class[p]] = true
-				remap[class[p]] = next
-				next++
+		for _, p := range t.row(order[i]) {
+			if remap[class[p]] < 0 {
+				remap[class[p]] = len(order)
 				order = append(order, p)
 			}
 		}
 	}
-	out := NewDFA(next)
-	out.Alphabet = append([]string(nil), t.Alphabet...)
+	out := &DFA{Alphabet: t.Alphabet, Next: make([]int, 0, len(order)*len(t.Alphabet)), Final: make([]bool, len(order))}
 	for i, q := range order {
-		for _, a := range t.Alphabet {
-			out.Trans[i][a] = remap[class[t.Trans[q][a]]]
+		for _, p := range t.row(q) {
+			out.Next = append(out.Next, remap[class[p]])
 		}
-		if t.Final[q] {
-			out.Final[i] = true
-		}
+		out.Final[i] = t.Final[q]
 	}
 	return out
 }
 
-// Product returns a partial DFA for L(d1) ∩ L(d2) (on intersect=true) or
-// L(d1) ∪ L(d2) (intersect=false; both inputs are totalized first).
-func Product(d1, d2 *DFA, intersect bool) *DFA {
-	if !intersect {
-		d1 = d1.Totalize(d2.Alphabet)
-		d2 = d2.Totalize(d1.Alphabet)
+// Intersect returns a partial DFA for L(d1) ∩ L(d2) over the labels both
+// alphabets share: the pairs of states reachable from (0, 0), numbered
+// breadth first in label order.
+func Intersect(d1, d2 *DFA) *DFA {
+	alpha := intersectSorted(d1.Alphabet, d2.Alphabet)
+	ids1, ids2 := make([]int, len(alpha)), make([]int, len(alpha))
+	for l, a := range alpha {
+		ids1[l], _ = slices.BinarySearch(d1.Alphabet, a)
+		ids2[l], _ = slices.BinarySearch(d2.Alphabet, a)
 	}
 	type pair struct{ a, b int }
 	index := map[pair]int{{0, 0}: 0}
 	states := []pair{{0, 0}}
-	out := NewDFA(1)
+	out := &DFA{Alphabet: alpha}
 	for i := 0; i < len(states); i++ {
 		st := states[i]
-		f1, f2 := d1.Final[st.a], d2.Final[st.b]
-		if (intersect && f1 && f2) || (!intersect && (f1 || f2)) {
-			out.Final[i] = true
-		}
-		for a, p1 := range d1.Trans[st.a] {
-			p2, ok := d2.Trans[st.b][a]
-			if !ok {
-				continue // missing transition rejects in both modes after totalization
+		out.Final = append(out.Final, d1.Final[st.a] && d2.Final[st.b])
+		for l := range alpha {
+			np := pair{d1.Step(st.a, ids1[l]), d2.Step(st.b, ids2[l])}
+			if np.a < 0 || np.b < 0 {
+				out.Next = append(out.Next, -1)
+				continue
 			}
-			np := pair{p1, p2}
 			j, ok := index[np]
 			if !ok {
 				j = len(states)
 				index[np] = j
 				states = append(states, np)
-				out.Trans = append(out.Trans, map[string]int{})
-				out.NumStates++
 			}
-			out.SetTransition(i, a, j)
+			out.Next = append(out.Next, j)
 		}
 	}
 	return out
@@ -313,22 +258,6 @@ func Equivalent(e1, e2 *regex.Expr) bool {
 func IntersectionNonEmpty(es ...*regex.Expr) bool {
 	_, ok, _ := IntersectionWitnessCtx(context.Background(), es...)
 	return ok
-}
-
-func unionAlpha(a, b []string) []string {
-	m := map[string]bool{}
-	for _, x := range a {
-		m[x] = true
-	}
-	for _, x := range b {
-		m[x] = true
-	}
-	out := make([]string, 0, len(m))
-	for x := range m {
-		out = append(out, x)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func intersectSorted(a, b []string) []string {

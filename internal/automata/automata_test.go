@@ -141,9 +141,9 @@ func TestMinimizeCanonical(t *testing.T) {
 	for _, p := range pairs {
 		d1 := ToDFA(regex.MustParse(p[0]))
 		d2 := ToDFA(regex.MustParse(p[1]))
-		if d1.NumStates != d2.NumStates {
+		if d1.NumStates() != d2.NumStates() {
 			t.Errorf("minimal DFA sizes differ for %q (%d) vs %q (%d)",
-				p[0], d1.NumStates, p[1], d2.NumStates)
+				p[0], d1.NumStates(), p[1], d2.NumStates())
 		}
 	}
 }
@@ -155,8 +155,8 @@ func TestMinimizeIdempotent(t *testing.T) {
 		e := g.Random(r)
 		m := ToDFA(e)
 		m2 := m.Minimize()
-		if m.NumStates != m2.NumStates {
-			t.Fatalf("Minimize not idempotent on %q: %d -> %d states", e, m.NumStates, m2.NumStates)
+		if m.NumStates() != m2.NumStates() {
+			t.Fatalf("Minimize not idempotent on %q: %d -> %d states", e, m.NumStates(), m2.NumStates())
 		}
 	}
 }
@@ -181,15 +181,11 @@ func TestToDFAGolden(t *testing.T) {
 			continue // keep the subset construction cheap
 		}
 		d := ToDFA(e)
-		fmt.Fprintf(h, "%s\t%d\t%q\n", e, d.NumStates, d.Alphabet)
-		for q := 0; q < d.NumStates; q++ {
+		fmt.Fprintf(h, "%s\t%d\t%q\n", e, d.NumStates(), d.Alphabet)
+		for q := 0; q < d.NumStates(); q++ {
 			fmt.Fprintf(h, "%v", d.Final[q])
-			for _, a := range d.Alphabet {
-				p, ok := d.Trans[q][a]
-				if !ok {
-					p = -1
-				}
-				fmt.Fprintf(h, " %d", p)
+			for l := range d.Alphabet {
+				fmt.Fprintf(h, " %d", d.Step(q, l))
 			}
 			fmt.Fprintln(h)
 		}
@@ -212,6 +208,56 @@ func TestComplement(t *testing.T) {
 			t.Errorf("complement accepts %v", w)
 		}
 	}
+}
+
+// FuzzDFA checks the DFA table on two expressions and a word: ToDFA
+// agrees with the Matcher, Intersect with both Matchers, Minimize
+// returns the same table for a minimal DFA, and Complement over the
+// union alphabet inverts acceptance of every word over it.
+func FuzzDFA(f *testing.F) {
+	f.Add("(a + b)* a", "b* a (b* a)*", "b a b a")
+	f.Add("(x + y + z) (x + y + z)*", "x* y", "x x y")
+	f.Add("a? b+", "(a + c)* b b", "b b")
+	f.Add("a <empty> + <eps>", "a*", "")
+	f.Add("(a b* + c)+", "c <empty>", "a b d")
+	f.Fuzz(func(t *testing.T, src1, src2, wordSrc string) {
+		var ds [2]*DFA
+		var in [2]bool
+		w := strings.Fields(wordSrc)
+		if len(w) > 12 {
+			w = w[:12]
+		}
+		for i, src := range []string{src1, src2} {
+			e, err := regex.Parse(src)
+			if err != nil || e.Size() > 60 {
+				t.Skip()
+			}
+			if positions, _ := measure(e); positions > 12 {
+				t.Skip()
+			}
+			ds[i], in[i] = ToDFA(e), accepts(NewMatcher(e), w)
+			if got := ds[i].Accepts(w); got != in[i] {
+				t.Fatalf("ToDFA(%s).Accepts(%q) = %v, Matcher %v", e, w, got, in[i])
+			}
+			m := ds[i].Minimize()
+			if !slices.Equal(m.Alphabet, ds[i].Alphabet) || !slices.Equal(m.Next, ds[i].Next) || !slices.Equal(m.Final, ds[i].Final) {
+				t.Fatalf("Minimize of ToDFA(%s) = %+v, want the same table %+v", e, m, ds[i])
+			}
+		}
+		if got := Intersect(ds[0], ds[1]).Accepts(w); got != (in[0] && in[1]) {
+			t.Fatalf("Intersect(%q, %q).Accepts(%q) = %v, Matchers %v and %v", src1, src2, w, got, in[0], in[1])
+		}
+		c := ds[0].Complement(ds[1].Alphabet)
+		want := !in[0]
+		for _, a := range w {
+			if _, ok := slices.BinarySearch(c.Alphabet, a); !ok {
+				want = false // a label outside the union alphabet
+			}
+		}
+		if got := c.Accepts(w); got != want {
+			t.Fatalf("Complement(%q) over %q accepts %q: %v, want %v", src1, c.Alphabet, w, got, want)
+		}
+	})
 }
 
 func TestContains(t *testing.T) {
@@ -334,8 +380,8 @@ func TestKOREDFABound(t *testing.T) {
 		sigma := len(e.Alphabet())
 		d := ToDFA(e)
 		bound := sigma*(1<<uint(k)) + 2
-		if d.NumStates > bound {
-			t.Fatalf("DFA for %d-ORE %q has %d states > bound %d", k, e, d.NumStates, bound)
+		if d.NumStates() > bound {
+			t.Fatalf("DFA for %d-ORE %q has %d states > bound %d", k, e, d.NumStates(), bound)
 		}
 	}
 }

@@ -75,7 +75,7 @@ func determinizeCtx(ctx context.Context, m *Matcher) (*DFA, error) {
 	defer span.Finish()
 	expanded := span.Counter("states_expanded")
 	class, rep := m.followClasses()
-	d := &DFA{Final: map[int]bool{}, Alphabet: slices.Clone(m.labels)}
+	d := &DFA{Alphabet: slices.Clone(m.labels)}
 	index := map[string]int{}
 	var sets [][]int32 // by DFA state: its sorted classes
 	var key []byte
@@ -89,8 +89,10 @@ func determinizeCtx(ctx context.Context, m *Matcher) (*DFA, error) {
 		}
 		index[string(key)] = len(sets)
 		sets = append(sets, slices.Clone(set))
-		d.Trans = append(d.Trans, map[string]int{})
-		d.NumStates++
+		d.Final = append(d.Final, false)
+		for range d.Alphabet {
+			d.Next = append(d.Next, -1)
+		}
 		return len(sets) - 1
 	}
 	intern([]int32{class[0]})
@@ -125,7 +127,7 @@ func determinizeCtx(ctx context.Context, m *Matcher) (*DFA, error) {
 				next = append(next, int32(uint32(hits[hi])))
 			}
 			j := intern(next)
-			d.Trans[i][m.labels[hits[lo]>>32]] = j
+			d.Next[i*len(d.Alphabet)+int(hits[lo]>>32)] = j
 		}
 	}
 	return d, nil
@@ -220,7 +222,11 @@ func ContainsClassicCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	comp := det.Complement(unionAlpha(m1.labels, e2.Alphabet()))
+	comp := det.Complement(m1.labels)
+	compLab := make([]int, len(m1.labels)) // id in comp of each label of m1
+	for l, a := range m1.labels {
+		compLab[l], _ = slices.BinarySearch(comp.Alphabet, a)
+	}
 	type pair struct {
 		q int32
 		s int
@@ -241,9 +247,9 @@ func ContainsClassicCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
 			return false, nil // witness in L(e1) \ L(e2)
 		}
 		cur := [1]int32{p.q}
-		for l, a := range m1.labels {
+		for l := range m1.labels {
 			next, ks = m1.step(next[:0], ks[:0], cur[:], int32(l))
-			s2 := comp.Trans[p.s][a] // comp is total over m1's labels
+			s2 := comp.Step(p.s, compLab[l]) // comp is total over m1's labels
 			for _, q2 := range next {
 				if np := (pair{q2, s2}); !seen[np] {
 					seen[np] = true

@@ -358,7 +358,7 @@ func intersectExprs(es []*regex.Expr) *regex.Expr {
 	}
 	d := automata.ToDFA(es[0])
 	for _, e := range es[1:] {
-		d = automata.Product(d, automata.ToDFA(e), true).Minimize()
+		d = automata.Intersect(d, automata.ToDFA(e)).Minimize()
 	}
 	return determinism.SynthesizeFromDFA(d)
 }

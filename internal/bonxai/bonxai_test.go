@@ -249,3 +249,23 @@ func TestFromEDTDRejectsUnboundedContext(t *testing.T) {
 		t.Error("non-single-type EDTD must not convert")
 	}
 }
+
+// TestToEDTDDeterministic compiles a schema whose rules intersect, so
+// content models come from intersection DFAs: every compilation must
+// print the same EDTD.
+func TestToEDTDDeterministic(t *testing.T) {
+	s := (&Schema{}).
+		Add("a", "(b + c + d)*").
+		Add("//b", "(c + d) (c + d)*").
+		Add("/a/b", "(c + d + e)*").
+		Add("//c", "c*").
+		Add("//d", "d*").
+		Root("a")
+	alphabet := []string{"a", "b", "c", "d"}
+	want := s.ToEDTD(alphabet).String()
+	for i := 0; i < 50; i++ {
+		if got := s.ToEDTD(alphabet).String(); got != want {
+			t.Fatalf("ToEDTD printed\n%s\nthen\n%s", want, got)
+		}
+	}
+}

@@ -342,9 +342,8 @@ func (a *Analyzer) classifyPP(pp *propertypath.Path) ppClass {
 	c := ppClass{
 		row:              propertypath.Classify(pp),
 		simpleTransitive: propertypath.IsSimpleTransitive(pp),
-		ctract:           propertypath.InCtract(pp),
-		ttract:           propertypath.InTtractApprox(pp),
 	}
+	c.ctract, c.ttract = propertypath.Tractability(pp)
 	a.ppCache[key] = c
 	return c
 }

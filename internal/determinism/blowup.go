@@ -29,5 +29,5 @@ func ExponentialFamily(n int) *regex.Expr {
 // demonstrating the exponential gap empirically.
 func MeasureFamily(n int) (exprSize, dfaStates int) {
 	e := ExponentialFamily(n)
-	return e.Size(), automata.ToDFA(e).NumStates
+	return e.Size(), automata.ToDFA(e).NumStates()
 }

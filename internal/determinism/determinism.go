@@ -90,7 +90,7 @@ type DeterminizeResult struct {
 // OK is false.
 func Determinize(e *regex.Expr) DeterminizeResult {
 	if IsDeterministic(e) {
-		return DeterminizeResult{Expr: e, OK: true, DFAStates: automata.ToDFA(e).NumStates}
+		return DeterminizeResult{Expr: e, OK: true, DFAStates: automata.ToDFA(e).NumStates()}
 	}
 	dfa := automata.ToDFA(e)
 	cand := SynthesizeFromDFA(dfa)
@@ -101,14 +101,14 @@ func Determinize(e *regex.Expr) DeterminizeResult {
 		cand = nil
 	}
 	if cand != nil && IsDeterministic(cand) && automata.Equivalent(e, cand) {
-		return DeterminizeResult{Expr: cand, OK: true, DFAStates: dfa.NumStates}
+		return DeterminizeResult{Expr: cand, OK: true, DFAStates: dfa.NumStates()}
 	}
 	// Fall back: try per-state unrolled form a la b*a(b*a)* for simple loops.
 	if cand2 := unrollLoops(dfa); cand2 != nil &&
 		IsDeterministic(cand2) && automata.Equivalent(e, cand2) {
-		return DeterminizeResult{Expr: cand2, OK: true, DFAStates: dfa.NumStates}
+		return DeterminizeResult{Expr: cand2, OK: true, DFAStates: dfa.NumStates()}
 	}
-	return DeterminizeResult{OK: false, DFAStates: dfa.NumStates}
+	return DeterminizeResult{OK: false, DFAStates: dfa.NumStates()}
 }
 
 // SynthesizeFromDFA converts a DFA to a regular expression by state
@@ -117,7 +117,7 @@ func Determinize(e *regex.Expr) DeterminizeResult {
 func SynthesizeFromDFA(d *automata.DFA) *regex.Expr {
 	// Matrix of expressions between states 0..n-1 plus virtual initial n
 	// and final n+1.
-	n := d.NumStates
+	n := d.NumStates()
 	type edge map[int]*regex.Expr // target -> expr
 	g := make([]edge, n+2)
 	for i := range g {
@@ -131,13 +131,17 @@ func SynthesizeFromDFA(d *automata.DFA) *regex.Expr {
 		}
 	}
 	for q := 0; q < n; q++ {
-		for a, p := range d.Trans[q] {
-			addEdge(q, p, regex.NewSymbol(a))
+		for l, a := range d.Alphabet {
+			if p := d.Step(q, l); p >= 0 {
+				addEdge(q, p, regex.NewSymbol(a))
+			}
 		}
 	}
 	addEdge(n, 0, regex.NewEpsilon())
-	for q := range d.Final {
-		addEdge(q, n+1, regex.NewEpsilon())
+	for q, f := range d.Final {
+		if f {
+			addEdge(q, n+1, regex.NewEpsilon())
+		}
 	}
 	// Eliminate states 0..n-1 (higher-numbered last: BFS numbering from
 	// Minimize makes low numbers near the initial state).
@@ -186,13 +190,15 @@ func SynthesizeFromDFA(d *automata.DFA) *regex.Expr {
 // a simple cycle structure: it rewrites e.g. (a+b)*a as b*a(b*a)*. It works
 // on 2-state DFAs only and returns nil otherwise.
 func unrollLoops(d *automata.DFA) *regex.Expr {
-	if d.NumStates > 3 { // allow for a sink
+	if d.NumStates() > 3 { // allow for a sink
 		return nil
 	}
 	// Identify: initial state 0, one final state f != sink.
 	var finals []int
-	for q := range d.Final {
-		finals = append(finals, q)
+	for q, f := range d.Final {
+		if f {
+			finals = append(finals, q)
+		}
 	}
 	if len(finals) != 1 {
 		return nil
@@ -201,18 +207,17 @@ func unrollLoops(d *automata.DFA) *regex.Expr {
 	if f == 0 {
 		return nil
 	}
-	// Loop labels on 0 and f, and switch labels 0->f and f->0.
+	// Loop labels on 0 and f, and switch labels 0->f and f->0, each in
+	// label order.
 	var loop0, loopF, to, back []string
-	for a, p := range d.Trans[0] {
-		switch p {
+	for l, a := range d.Alphabet {
+		switch d.Step(0, l) {
 		case 0:
 			loop0 = append(loop0, a)
 		case f:
 			to = append(to, a)
 		}
-	}
-	for a, p := range d.Trans[f] {
-		switch p {
+		switch d.Step(f, l) {
 		case f:
 			loopF = append(loopF, a)
 		case 0:
@@ -222,10 +227,6 @@ func unrollLoops(d *automata.DFA) *regex.Expr {
 	if len(to) == 0 {
 		return nil
 	}
-	sort.Strings(loop0)
-	sort.Strings(loopF)
-	sort.Strings(to)
-	sort.Strings(back)
 	syms := func(labels []string) *regex.Expr {
 		subs := make([]*regex.Expr, len(labels))
 		for i, a := range labels {

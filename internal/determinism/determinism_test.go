@@ -154,3 +154,17 @@ func TestExponentialFamily(t *testing.T) {
 		t.Error("(a+b)*a(a+b) is not deterministic-definable (Brüggemann-Klein & Wood)")
 	}
 }
+
+// TestSynthesizeFromDFADeterministic: state elimination reads the DFA
+// in label order, so one expression always renders the same way.
+func TestSynthesizeFromDFADeterministic(t *testing.T) {
+	for _, s := range []string{"(x + y + z) (x + y + z)*", "(a + b + c + d)* e", "a (b + c)* d?"} {
+		e := regex.MustParse(s)
+		want := SynthesizeFromDFA(automata.ToDFA(e)).String()
+		for i := 0; i < 50; i++ {
+			if got := SynthesizeFromDFA(automata.ToDFA(e)).String(); got != want {
+				t.Fatalf("SynthesizeFromDFA(ToDFA(%q)) = %q, then %q", s, want, got)
+			}
+		}
+	}
+}

@@ -45,7 +45,7 @@ func DeterminizeWithinBound(e *regex.Expr) (states, bound int, ok bool) {
 	d := automata.ToDFA(e)
 	k := K(e)
 	bound = DFABound(len(e.Alphabet()), k)
-	return d.NumStates, bound, d.NumStates <= bound
+	return d.NumStates(), bound, d.NumStates() <= bound
 }
 
 // ContainmentCtx decides L(e1) ⊆ L(e2) for k-OREs. Per Theorem 4.6(a) this

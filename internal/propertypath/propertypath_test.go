@@ -165,14 +165,12 @@ func TestInCtract(t *testing.T) {
 // functions {id, a, b, ab}. A key that kept only the last two decimal
 // digits of each state id would take a and b for the identity.
 func TestTransitionMonoidLargeStateIDs(t *testing.T) {
-	d := automata.NewDFA(107)
-	d.Alphabet = []string{"a", "b"}
-	for q := 0; q < d.NumStates; q++ {
-		d.Trans[q]["a"] = q
-		d.Trans[q]["b"] = q
+	d := &automata.DFA{Alphabet: []string{"a", "b"}, Final: make([]bool, 107)}
+	for q := range d.Final {
+		d.Next = append(d.Next, q, q)
 	}
-	d.Trans[5]["a"], d.Trans[105]["a"] = 105, 5
-	d.Trans[6]["b"], d.Trans[106]["b"] = 106, 6
+	d.Next[2*5], d.Next[2*105] = 105, 5
+	d.Next[2*6+1], d.Next[2*106+1] = 106, 6
 	if elements, _ := transitionMonoid(d); len(elements) != 4 {
 		t.Fatalf("monoid has %d elements, want 4", len(elements))
 	}
@@ -235,14 +233,19 @@ func TestDownwardClosedSound(t *testing.T) {
 }
 
 func TestInTtractApprox(t *testing.T) {
-	if !InTtractApprox(MustParse("a*")) {
-		t.Error("a* should be trail-tractable")
+	cases := []struct {
+		in             string
+		ctract, ttract bool
+	}{
+		{"a*", true, true},
+		{"a*/b*", true, true}, // downward closed
+		{"(a/a)*", false, false},
+		{"a/b", true, true},
 	}
-	if !InTtractApprox(MustParse("a*/b*")) {
-		t.Error("a*b* should be trail-tractable (downward closed)")
-	}
-	if InTtractApprox(MustParse("(a/a)*")) {
-		t.Error("(aa)* should not be in the approximation")
+	for _, c := range cases {
+		if ctract, ttract := Tractability(MustParse(c.in)); ctract != c.ctract || ttract != c.ttract {
+			t.Errorf("Tractability(%q) = %v, %v, want %v, %v", c.in, ctract, ttract, c.ctract, c.ttract)
+		}
 	}
 }
 

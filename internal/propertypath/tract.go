@@ -89,7 +89,7 @@ func IsSimpleTransitive(p *Path) bool {
 // DFA of e: all functions states→states induced by words, including the
 // identity (empty word).
 func transitionMonoid(d *automata.DFA) (elements [][]int, finalOf func([]int) bool) {
-	n := d.NumStates
+	n := d.NumStates()
 	id := make([]int, n)
 	for i := range id {
 		id[i] = i
@@ -105,10 +105,10 @@ func transitionMonoid(d *automata.DFA) (elements [][]int, finalOf func([]int) bo
 		return buf
 	}
 	gens := make([][]int, 0, len(d.Alphabet))
-	for _, a := range d.Alphabet {
+	for l := range d.Alphabet {
 		g := make([]int, n)
 		for q := 0; q < n; q++ {
-			g[q] = d.Trans[q][a]
+			g[q] = d.Step(q, l)
 		}
 		gens = append(gens, g)
 	}
@@ -222,13 +222,15 @@ func down(e *regex.Expr) *regex.Expr {
 	return d
 }
 
-// InTtractApprox is a documented approximation of the trail-semantics
-// tractability class T_tract of Martens, Niewerth & Trautner: C_tract is
-// a subclass of T_tract, and downward-closed languages are trail-
-// tractable; the union of the two covers every property path shape
-// occurring in the log study (the paper reports only 93 (14) paths outside
-// T_tract in 55M). A full implementation of the MNT characterization is
-// out of scope; see DESIGN.md.
-func InTtractApprox(p *Path) bool {
-	return InCtract(p) || IsDownwardClosed(p)
+// Tractability returns InCtract(p) and a documented approximation of the
+// trail-semantics tractability class T_tract of Martens, Niewerth &
+// Trautner: C_tract is a subclass of T_tract, and downward-closed
+// languages are trail-tractable; the union of the two covers every
+// property path shape occurring in the log study (the paper reports only
+// 93 (14) paths outside T_tract in 55M). A full implementation of the MNT
+// characterization is out of scope; see DESIGN.md.
+func Tractability(p *Path) (ctract, ttract bool) {
+	e := ToRegex(p)
+	ctract = ctractOfRegex(e)
+	return ctract, ctract || downwardClosedRegex(e)
 }
