@@ -1,10 +1,10 @@
 package automata
 
 // Antichain containment engine. Deciding L(n1) ⊆ L(e2) classically
-// determinizes e2 eagerly (2^n subset states up front, see
-// determinizeCtx) and then searches the product with the complement.
-// This engine instead explores the product of n1 with the subset
-// automaton of e2 lazily, on word-packed bitsets interned in a
+// determinizes e2 eagerly (2^n subset states up front, as
+// determinizeCtx does) and then searches the product with the
+// complement. This engine instead explores the product of n1 with the
+// subset automaton of e2 lazily, on word-packed bitsets interned in a
 // search-local table, and prunes with the antichain order of De
 // Wulf–Doyen–Henzinger–Raskin ("Antichains: A New Algorithm for
 // Checking Universality of Finite Automata", CAV 2006), adapted to
@@ -22,9 +22,9 @@ package automata
 // subset-state is a superset of a new one are evicted. Discarding is
 // sound (the kept smaller set preserves every counterexample) and
 // complete (we only ever drop pairs whose counterexamples survive
-// elsewhere), so the verdict is exactly that of the classic engine —
-// which is retained as ContainsClassic/ContainsClassicCtx and pitted
-// against this engine by the antichain-containment oracle.
+// elsewhere), so the verdict is exactly that of the classic
+// construction. The antichain-containment oracle checks it against
+// ref.Contains, a derivative search that shares no Glushkov code.
 //
 // Both sides are position tables (compile.go). Expanding a pair (q, S)
 // takes U = ∪_{p∈S} follow₂[p] once; then for each label l, in id
@@ -34,8 +34,9 @@ package automata
 // Under a traced context the "automata.contains" span accounts:
 //
 //	states_expanded  — distinct right-side subset-states materialized
-//	                   (lazily; the classic engine's determinize span
-//	                   counts all 2^n reachable ones up front)
+//	                   (lazily; the automata.determinize span of the
+//	                   subset construction counts all 2^n reachable
+//	                   ones up front)
 //	product_states   — product pairs (q, S) expanded
 //	antichain_pruned — candidate pairs discarded or evicted by the
 //	                   subsumption order
@@ -47,7 +48,6 @@ import (
 
 	"repro/internal/automata/bitset"
 	"repro/internal/obs"
-	"repro/internal/regex"
 )
 
 // chainNode is one member of a left state's antichain: a subset-state
@@ -300,20 +300,10 @@ func inChain(nodes []chainNode, head int32, sid int) bool {
 // with a separate position for 'a' and for 'b' at every offset, so any
 // two distinct windows are ⊆-incomparable and antichain pruning never
 // fires: self-containment of this family is exponential for the lazy
-// engine too (and quadratically worse for the classic one). The
-// deadline/504 tests and the load generator use it as the instance
-// that must time out; k = 16 needs tens of seconds on 2025 hardware
-// while staying small on the wire.
+// engine too. The deadline/504 tests and the load generator use it as
+// the instance that must time out; k = 16 needs tens of seconds on
+// 2025 hardware while staying small on the wire.
 func AntichainHardExpr(k int) string {
 	mid := strings.Repeat("(a|b) ", k)
 	return fmt.Sprintf("(a|b)* (a %sa | b %sb)", mid, mid)
-}
-
-// ContainsClassic is the retained reference implementation of Contains:
-// eager subset construction of e2 (determinizeCtx), complementation,
-// and a product emptiness search — the textbook PSPACE procedure the
-// antichain engine is differentially tested against.
-func ContainsClassic(e1, e2 *regex.Expr) bool {
-	ok, _ := ContainsClassicCtx(context.Background(), e1, e2)
-	return ok
 }

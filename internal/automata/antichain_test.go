@@ -5,21 +5,23 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/oracle/ref"
 	"repro/internal/regex"
 )
 
-// TestAntichainAgreesWithClassicRandom differentially tests the
-// antichain engine against the retained classic engine on seeded random
-// expression pairs, in both directions, plus the derived equivalence.
-// The dedicated oracle (internal/oracle/antichain.go) runs the same
-// comparison at fuzzing scale; this is the always-on regression net.
-func TestAntichainAgreesWithClassicRandom(t *testing.T) {
+// TestAntichainAgreesWithReferenceRandom differentially tests the
+// antichain engine against the derivative reference ref.Contains on
+// seeded random expression pairs, in both directions. The dedicated
+// oracle (internal/oracle/antichain.go) runs the same comparison at
+// fuzzing scale; this is the always-on regression net.
+func TestAntichainAgreesWithReferenceRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	g := regex.DefaultGen([]string{"a", "b"})
 	g.MaxDepth = 3
@@ -27,16 +29,19 @@ func TestAntichainAgreesWithClassicRandom(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		e1, e2 := g.Random(r), g.Random(r)
 		if numStates(e1) > 10 || numStates(e2) > 10 {
-			continue // the classic side determinizes eagerly; keep it cheap
+			continue // keep the reference's derivative search small
 		}
 		for _, dir := range [][2]*regex.Expr{{e1, e2}, {e2, e1}} {
-			want := ContainsClassic(dir[0], dir[1])
+			want, decided := ref.Contains(dir[0], dir[1])
+			if !decided {
+				t.Fatalf("ref.Contains(%s, %s) undecided", dir[0], dir[1])
+			}
 			got, err := ContainsCtx(context.Background(), dir[0], dir[1])
 			if err != nil {
 				t.Fatalf("ContainsCtx(%s, %s): %v", dir[0], dir[1], err)
 			}
 			if got != want {
-				t.Fatalf("antichain Contains(%s, %s) = %v, classic = %v",
+				t.Fatalf("antichain Contains(%s, %s) = %v, ref.Contains = %v",
 					dir[0], dir[1], got, want)
 			}
 		}
@@ -81,22 +86,33 @@ func numStates(e *regex.Expr) int {
 	return positions + 1
 }
 
-// containsEngine is the signature shared by ContainsCtx and
-// ContainsClassicCtx.
-type containsEngine func(ctx context.Context, e1, e2 *regex.Expr) (bool, error)
-
-// tracedContains runs one containment check under a fresh tracer and
-// returns the verdict with the finished span tree.
-func tracedContains(t *testing.T, engine containsEngine, e1, e2 *regex.Expr) (bool, *obs.Node) {
+// tracedContains runs ContainsCtx under a fresh tracer and returns the
+// verdict with the finished span tree.
+func tracedContains(t *testing.T, e1, e2 *regex.Expr) (bool, *obs.Node) {
 	t.Helper()
 	tr := &obs.Tracer{}
 	ctx, root := tr.StartRoot(context.Background(), "test")
-	ok, err := engine(ctx, e1, e2)
+	ok, err := ContainsCtx(ctx, e1, e2)
 	if err != nil {
 		t.Fatalf("Contains(%s, %s): %v", e1, e2, err)
 	}
 	root.Finish()
 	return ok, root.Tree()
+}
+
+// tracedDeterminize runs the subset construction of e's Matcher under a
+// fresh tracer and returns the finished span tree. It is the eager
+// side of the cost comparisons: the classic containment engine ran
+// exactly this on its right side before searching the product.
+func tracedDeterminize(t *testing.T, e *regex.Expr) *obs.Node {
+	t.Helper()
+	tr := &obs.Tracer{}
+	ctx, root := tr.StartRoot(context.Background(), "test")
+	if _, err := determinizeCtx(ctx, NewMatcher(e)); err != nil {
+		t.Fatalf("determinize(%s): %v", e, err)
+	}
+	root.Finish()
+	return root.Tree()
 }
 
 // sumCounter totals one cost counter over a span tree.
@@ -117,8 +133,8 @@ func costCounters(n *obs.Node) [3]int64 {
 	}
 }
 
-// costFamilies are the instance families the engines' cost counters
-// are compared on: small random pairs, the subset-construction blowup,
+// costFamilies are the instance families the cost counters are
+// compared on: small random pairs, the subset-construction blowup,
 // and the family built to defeat antichain pruning.
 func costFamilies() []struct {
 	name  string
@@ -132,7 +148,7 @@ func costFamilies() []struct {
 	for len(easy) < 10 {
 		e1, e2 := g.Random(r), g.Random(r)
 		if numStates(e1) > 10 || numStates(e2) > 10 {
-			continue // the classic side determinizes eagerly; keep it cheap
+			continue // the eager side determinizes; keep it cheap
 		}
 		easy = append(easy, [2]*regex.Expr{e1, e2})
 	}
@@ -149,47 +165,51 @@ func costFamilies() []struct {
 }
 
 // TestAntichainCostCountersAllFamilies runs every cost family through
-// both engines under tracing: the verdicts must agree, and both engines
-// must report nonzero states_expanded and product_states per family.
+// the engine under tracing: the verdicts must agree with ref.Contains,
+// the engine must report nonzero states_expanded and product_states per
+// family, and the eager determinization of the right sides nonzero
+// states_expanded.
 func TestAntichainCostCountersAllFamilies(t *testing.T) {
 	for _, f := range costFamilies() {
-		var anti, classic [3]int64
+		var anti [3]int64
+		var eager int64
 		for _, p := range f.pairs {
-			okA, treeA := tracedContains(t, ContainsCtx, p[0], p[1])
-			okC, treeC := tracedContains(t, ContainsClassicCtx, p[0], p[1])
-			if okA != okC {
-				t.Fatalf("%s: Contains(%s, %s) antichain = %v, classic = %v", f.name, p[0], p[1], okA, okC)
+			ok, tree := tracedContains(t, p[0], p[1])
+			if want, decided := ref.Contains(p[0], p[1]); !decided || ok != want {
+				t.Fatalf("%s: Contains(%s, %s) = %v, ref.Contains = %v (decided %v)", f.name, p[0], p[1], ok, want, decided)
 			}
-			a, c := costCounters(treeA), costCounters(treeC)
+			a := costCounters(tree)
 			for i := range anti {
 				anti[i] += a[i]
-				classic[i] += c[i]
 			}
+			eager += sumCounter(tracedDeterminize(t, p[1]), "states_expanded")
 		}
-		if anti[0] == 0 || classic[0] == 0 {
-			t.Fatalf("%s: states_expanded antichain=%d classic=%d, want both > 0", f.name, anti[0], classic[0])
+		if anti[0] == 0 || eager == 0 {
+			t.Fatalf("%s: states_expanded antichain=%d eager=%d, want both > 0", f.name, anti[0], eager)
 		}
-		if anti[1] == 0 || classic[1] == 0 {
-			t.Fatalf("%s: product_states antichain=%d classic=%d, want both > 0", f.name, anti[1], classic[1])
+		if anti[1] == 0 {
+			t.Fatalf("%s: product_states = 0, want > 0", f.name)
 		}
 	}
 }
 
-// TestAntichainCountersDeterministic runs every cost family twice on
-// each engine: states_expanded, product_states and antichain_pruned
-// must be identical across the two runs (wall time varies; these
-// counters must not).
+// TestAntichainCountersDeterministic runs every cost family twice
+// through the engine and the eager determinization of its right side:
+// states_expanded, product_states and antichain_pruned must be
+// identical across the two runs (wall time varies; these counters must
+// not).
 func TestAntichainCountersDeterministic(t *testing.T) {
 	engines := []struct {
-		name   string
-		engine containsEngine
-	}{{"antichain", ContainsCtx}, {"classic", ContainsClassicCtx}}
+		name string
+		run  func(p [2]*regex.Expr) *obs.Node
+	}{
+		{"antichain", func(p [2]*regex.Expr) *obs.Node { _, tree := tracedContains(t, p[0], p[1]); return tree }},
+		{"eager", func(p [2]*regex.Expr) *obs.Node { return tracedDeterminize(t, p[1]) }},
+	}
 	for _, f := range costFamilies() {
 		for _, eng := range engines {
 			for _, p := range f.pairs {
-				_, first := tracedContains(t, eng.engine, p[0], p[1])
-				_, second := tracedContains(t, eng.engine, p[0], p[1])
-				if a, b := costCounters(first), costCounters(second); a != b {
+				if a, b := costCounters(eng.run(p)), costCounters(eng.run(p)); a != b {
 					t.Fatalf("%s/%s: counters %v then %v across identical runs on %s ⊆ %s",
 						f.name, eng.name, a, b, p[0], p[1])
 				}
@@ -210,7 +230,7 @@ const searchGoldenDigest = "1858c7d339067e873e0407142c0435f119ef4dbfd609c6fc6bf4
 func TestAntichainSearchGolden(t *testing.T) {
 	h := sha256.New()
 	record := func(e1, e2 *regex.Expr) {
-		ok, tree := tracedContains(t, ContainsCtx, e1, e2)
+		ok, tree := tracedContains(t, e1, e2)
 		c := costCounters(tree)
 		fmt.Fprintf(h, "%s\t%s\t%v\t%d %d %d\n", e1, e2, ok, c[0], c[1], c[2])
 	}
@@ -236,31 +256,26 @@ func TestAntichainSearchGolden(t *testing.T) {
 }
 
 // TestAntichainPruningBeatsClassic runs blowup-family self-containment
-// under tracing on both engines and checks the acceptance ratio: the
-// lazy engine must expand at least 10× fewer subset-states than the
-// eager determinization. BenchmarkAntichainVsClassicBlowup times the
-// same family.
+// under tracing and checks the acceptance ratio: the lazy engine must
+// expand at least 10× fewer subset-states than the eager determinization
+// of the right side, which the classic engine ran before its product
+// search. BenchmarkAntichainVsClassicBlowup times the same family.
 func TestAntichainPruningBeatsClassic(t *testing.T) {
 	e := adversarialRight(10)
 
-	okLazy, lazyTree := tracedContains(t, ContainsCtx, e, e)
+	okLazy, lazyTree := tracedContains(t, e, e)
 	if !okLazy {
 		t.Fatal("self-containment = false")
 	}
-	okClassic, classicTree := tracedContains(t, ContainsClassicCtx, e, e)
-	if !okClassic {
-		t.Fatal("classic self-containment = false")
-	}
-
 	lazy := sumCounter(lazyTree, "states_expanded")
-	classic := sumCounter(classicTree, "states_expanded")
-	if lazy == 0 || classic == 0 {
-		t.Fatalf("states_expanded: lazy=%d classic=%d, want both > 0", lazy, classic)
+	eager := sumCounter(tracedDeterminize(t, e), "states_expanded")
+	if lazy == 0 || eager == 0 {
+		t.Fatalf("states_expanded: lazy=%d eager=%d, want both > 0", lazy, eager)
 	}
-	if classic < 10*lazy {
-		t.Fatalf("states_expanded: lazy=%d classic=%d, want >= 10x reduction", lazy, classic)
+	if eager < 10*lazy {
+		t.Fatalf("states_expanded: lazy=%d eager=%d, want >= 10x reduction", lazy, eager)
 	}
-	t.Logf("states_expanded: antichain %d, classic %d (%.1fx)", lazy, classic, float64(classic)/float64(lazy))
+	t.Logf("states_expanded: antichain %d, eager %d (%.1fx)", lazy, eager, float64(eager)/float64(lazy))
 	if pruned := sumCounter(lazyTree, "antichain_pruned"); pruned == 0 {
 		t.Fatal("antichain_pruned = 0, want > 0 on the blowup family")
 	}
@@ -293,8 +308,8 @@ func TestAntichainEdgeCases(t *testing.T) {
 		if got != c.want {
 			t.Fatalf("%s: Contains(%s, %s) = %v, want %v", c.name, c.e1, c.e2, got, c.want)
 		}
-		if want := ContainsClassic(c.e1, c.e2); want != c.want {
-			t.Fatalf("%s: classic engine disagrees with the table (%v)", c.name, want)
+		if want, decided := ref.Contains(c.e1, c.e2); !decided || want != c.want {
+			t.Fatalf("%s: ref.Contains disagrees with the table (%v, decided %v)", c.name, want, decided)
 		}
 	}
 }
@@ -341,8 +356,10 @@ func BenchmarkAntichainHard(b *testing.B) {
 	}
 }
 
-// BenchmarkAntichainVsClassicBlowup reports both engines on the same
-// pruning-friendly instance for paired comparison via -bench.
+// BenchmarkAntichainVsClassicBlowup reports the engine and the eager
+// determinization of the right side, the classic engine's first step,
+// on the same pruning-friendly instance for paired comparison via
+// -bench.
 func BenchmarkAntichainVsClassicBlowup(b *testing.B) {
 	e := adversarialRight(12)
 	b.Run(fmt.Sprintf("antichain/k=%d", 12), func(b *testing.B) {
@@ -352,11 +369,62 @@ func BenchmarkAntichainVsClassicBlowup(b *testing.B) {
 			}
 		}
 	})
-	b.Run(fmt.Sprintf("classic/k=%d", 12), func(b *testing.B) {
+	b.Run(fmt.Sprintf("determinize/k=%d", 12), func(b *testing.B) {
+		m := NewMatcher(e)
 		for i := 0; i < b.N; i++ {
-			if ok, err := ContainsClassicCtx(context.Background(), e, e); err != nil || !ok {
-				b.Fatalf("= %v, %v", ok, err)
+			if _, err := determinizeCtx(context.Background(), m); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// TestReferenceSeesDroppedFollowEdge shows that ref.Contains catches a
+// bug in the Glushkov visit, which the engine and the Matcher share. It
+// lowers both sides as ContainsMappedCtx does, clears the last follow
+// bit of the left side's table, and searches the mutated tables. The
+// dropped edge shrinks L(e1), so the search can answer a spurious true,
+// which the derivative reference, sharing no code with the visit,
+// contradicts.
+func TestReferenceSeesDroppedFollowEdge(t *testing.T) {
+	mutated := func(e1, e2 *regex.Expr) bool {
+		d := new(decision)
+		c1, syms1 := lowerExpr(e1, &d.sides[0])
+		c2, syms2 := lowerExpr(e2, &d.sides[1])
+		d.alpha = appendAlphabet(d.alpha, syms1)
+		d.labels.add(d.alpha)
+		d.alpha = appendAlphabet(d.alpha, syms2)
+		d.labels.add(d.alpha)
+		c1.bindLabels(syms1, &d.labels)
+		c2.bindLabels(syms2, &d.labels)
+		for i := len(c1.follow) - 1; i >= 0; i-- {
+			if w := c1.follow[i]; w != 0 {
+				c1.follow[i] = w &^ (1 << (63 - bits.LeadingZeros64(w)))
+				break
+			}
+		}
+		ok, err := containsAntichainCtx(context.Background(), c1, c2, &d.search)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	e1, e2 := regex.MustParse("a b"), regex.MustParse("a")
+	if want, _ := ref.Contains(e1, e2); want || !mutated(e1, e2) {
+		t.Fatalf("a b ⊆ a: mutated search %v, ref.Contains %v; want a spurious true against false", mutated(e1, e2), want)
+	}
+	r := rand.New(rand.NewSource(3))
+	g := regex.DefaultGen([]string{"a", "b"})
+	g.MaxDepth = 3
+	caught := 0
+	for i := 0; i < 200; i++ {
+		e1, e2 := g.Random(r), g.Random(r)
+		if want, decided := ref.Contains(e1, e2); decided && want != mutated(e1, e2) {
+			caught++
+		}
+	}
+	if caught == 0 {
+		t.Fatal("ref.Contains agreed with the mutated search on all 200 seeded pairs")
+	}
+	t.Logf("ref.Contains caught the dropped edge on %d of 200 seeded pairs", caught)
 }

@@ -73,48 +73,24 @@ func (d *DFA) Accepts(word []string) bool {
 	return d.Final[q]
 }
 
-// Totalize returns an equivalent total DFA over the union of d's alphabet and
-// extra, adding a non-final sink state if any transition is missing.
-func (d *DFA) Totalize(extra []string) *DFA {
-	alpha := slices.Concat(d.Alphabet, extra)
-	slices.Sort(alpha)
-	alpha = slices.Compact(alpha)
+// Totalize returns an equivalent total DFA, adding a non-final sink
+// state if any transition is missing.
+func (d *DFA) Totalize() *DFA {
 	n := d.NumStates()
-	sink := -1
-	if len(alpha) > len(d.Alphabet) || slices.Contains(d.Next, -1) {
-		sink = n
+	out := &DFA{Alphabet: slices.Clone(d.Alphabet), Next: slices.Clone(d.Next), Final: slices.Clone(d.Final)}
+	if !slices.Contains(out.Next, -1) {
+		return out
 	}
-	out := &DFA{Alphabet: alpha, Next: make([]int, 0, (n+1)*len(alpha)), Final: slices.Clone(d.Final)}
-	for q := 0; q < n; q++ {
-		l := 0
-		for _, a := range alpha {
-			p := sink
-			if l < len(d.Alphabet) && d.Alphabet[l] == a {
-				if s := d.Step(q, l); s >= 0 {
-					p = s
-				}
-				l++
-			}
-			out.Next = append(out.Next, p)
+	for i, p := range out.Next {
+		if p < 0 {
+			out.Next[i] = n
 		}
 	}
-	if sink >= 0 {
-		out.Final = append(out.Final, false)
-		for range alpha {
-			out.Next = append(out.Next, sink)
-		}
+	out.Final = append(out.Final, false)
+	for range out.Alphabet {
+		out.Next = append(out.Next, n)
 	}
 	return out
-}
-
-// Complement returns a total DFA for the complement of L(d) w.r.t. the union
-// of d's alphabet and extra.
-func (d *DFA) Complement(extra []string) *DFA {
-	t := d.Totalize(extra)
-	for q := range t.Final {
-		t.Final[q] = !t.Final[q]
-	}
-	return t
 }
 
 // Minimize returns the minimal total DFA equivalent to d (Moore's algorithm
@@ -122,7 +98,7 @@ func (d *DFA) Complement(extra []string) *DFA {
 // are numbered breadth first from the initial one in label order, so
 // equivalent automata over one alphabet minimize to the same table.
 func (d *DFA) Minimize() *DFA {
-	t := d.Totalize(nil)
+	t := d.Totalize()
 	n := t.NumStates()
 	reach := make([]bool, n)
 	reach[0] = true
@@ -237,8 +213,7 @@ func Intersect(d1, d2 *DFA) *DFA {
 // on-the-fly subset automaton of e2 over interned bitsets, pruned by
 // subsumption. This is the general (PSPACE-complete, Section 4.2.2)
 // decision procedure — the problem stays exponential in the worst case,
-// the engine just reaches it far later; ContainsClassic retains the
-// eager textbook construction, and package chare provides the
+// the engine just reaches it far later; package chare provides the
 // polynomial-time algorithms for the fragments of Theorem 4.4.
 func Contains(e1, e2 *regex.Expr) bool {
 	ok, _ := ContainsCtx(context.Background(), e1, e2)

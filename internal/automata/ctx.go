@@ -165,10 +165,8 @@ func (m *Matcher) followClasses() (class, rep []int32) {
 // ContainsCtx is Contains with cooperative cancellation. It lowers both
 // sides straight from the syntax tree into position tables
 // (compile.go) and runs the antichain engine (antichain.go): lazy,
-// interned-bitset subset construction with subsumption pruning.
-// ContainsClassicCtx retains the eager textbook construction as the
-// differential reference. On cancellation the boolean is meaningless
-// and the error is ctx.Err().
+// interned-bitset subset construction with subsumption pruning. On
+// cancellation the boolean is meaningless and the error is ctx.Err().
 func ContainsCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
 	return ContainsMappedCtx(ctx, e1, nil, e2)
 }
@@ -208,57 +206,6 @@ func (d *decision) containsMapped(ctx context.Context, e1 *regex.Expr, rename fu
 	c1.bindLabels(syms1, &d.labels)
 	c2.bindLabels(syms2, &d.labels)
 	return containsAntichainCtx(ctx, c1, c2, &d.search)
-}
-
-// ContainsClassicCtx is ContainsClassic with cooperative cancellation:
-// eager determinization of e2, complementation over the union alphabet,
-// and a DFS for a product state witnessing L(e1) \ L(e2) ≠ ∅, which
-// steps e1's Matcher in label-id and position order.
-func ContainsClassicCtx(ctx context.Context, e1, e2 *regex.Expr) (bool, error) {
-	ctx, span := obs.StartSpan(ctx, "automata.contains_classic")
-	defer span.Finish()
-	m1 := NewMatcher(e1)
-	det, err := determinizeCtx(ctx, NewMatcher(e2))
-	if err != nil {
-		return false, err
-	}
-	comp := det.Complement(m1.labels)
-	compLab := make([]int, len(m1.labels)) // id in comp of each label of m1
-	for l, a := range m1.labels {
-		compLab[l], _ = slices.BinarySearch(comp.Alphabet, a)
-	}
-	type pair struct {
-		q int32
-		s int
-	}
-	seen := map[pair]bool{{0, 0}: true}
-	stack := []pair{{0, 0}}
-	productStates := span.Counter("product_states")
-	cc := newCanceler(ctx, span)
-	var next, ks []int32
-	for len(stack) > 0 {
-		if err := cc.checkpoint(); err != nil {
-			return false, err
-		}
-		productStates.Inc()
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if m1.final.Has(int(p.q)) && comp.Final[p.s] {
-			return false, nil // witness in L(e1) \ L(e2)
-		}
-		cur := [1]int32{p.q}
-		for l := range m1.labels {
-			next, ks = m1.step(next[:0], ks[:0], cur[:], int32(l))
-			s2 := comp.Step(p.s, compLab[l]) // comp is total over m1's labels
-			for _, q2 := range next {
-				if np := (pair{q2, s2}); !seen[np] {
-					seen[np] = true
-					stack = append(stack, np)
-				}
-			}
-		}
-	}
-	return true, nil
 }
 
 // IntersectionWitnessCtx returns a shortest word in the intersection of

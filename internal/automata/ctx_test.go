@@ -74,14 +74,14 @@ func TestContainsCtxDeadlineAbortsHardFamily(t *testing.T) {
 	}
 }
 
-func TestContainsClassicCtxDeadlineAbortsBlowup(t *testing.T) {
-	// The retained classic engine still determinizes eagerly; 2^26 subset
-	// states cannot be materialized in 100ms and the deadline must abort
-	// the determinization instead of letting it run away.
+func TestDeterminizeCtxDeadlineAbortsBlowup(t *testing.T) {
+	// The subset construction is eager: 2^26 subset states cannot be
+	// materialized in 100ms, and the deadline must abort it instead of
+	// letting it run away.
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := ContainsClassicCtx(ctx, regex.MustParse("(a|b)*"), adversarialRight(26))
+	_, err := determinizeCtx(ctx, NewMatcher(adversarialRight(26)))
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)

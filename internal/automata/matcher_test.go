@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/oracle/ref"
 	"repro/internal/regex"
 )
 
@@ -51,10 +52,10 @@ func tableConflicts(e *regex.Expr) []string {
 
 // checkMatcher compares the Matcher of e with the follow rows of
 // lowerExpr on determinism and on its conflicts (states with two
-// successors on one label), with regex.Matches on w, and, when the
+// successors on one label), with ref.Matches on w, and, when the
 // automaton has at most maxDFAStates states, with the DFA of the subset
 // construction on w. The Matcher and the follow rows share only the
-// Glushkov visit, and regex.Matches shares none of it.
+// Glushkov visit, and ref.Matches shares none of it.
 func checkMatcher(t *testing.T, e *regex.Expr, w []string, maxDFAStates int) {
 	t.Helper()
 	m, tables := NewMatcher(e), tableConflicts(e)
@@ -69,7 +70,7 @@ func checkMatcher(t *testing.T, e *regex.Expr, w []string, maxDFAStates int) {
 	if !slices.Equal(conflicts, tables) {
 		t.Fatalf("e=%s: Conflicts %v, follow rows %v", e, conflicts, tables)
 	}
-	got, want := accepts(m, w), regex.Matches(e, w)
+	got, want := accepts(m, w), ref.Matches(e, w)
 	if got != want {
 		t.Fatalf("e=%s w=%q: Matcher=%v Matches=%v", e, w, got, want)
 	}
@@ -170,8 +171,8 @@ func TestMatcherLargeStateSet(t *testing.T) {
 			t.Fatalf("rejects its own word %v", w)
 		}
 		w[r.Intn(len(w))] = "c"
-		if accepts(m, w) != regex.Matches(e, w) {
-			t.Fatalf("disagrees with regex.Matches on %v", w)
+		if accepts(m, w) != ref.Matches(e, w) {
+			t.Fatalf("disagrees with ref.Matches on %v", w)
 		}
 	}
 }

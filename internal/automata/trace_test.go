@@ -46,33 +46,23 @@ func TestContainsCtxRecordsSpans(t *testing.T) {
 	}
 }
 
-// TestContainsClassicCtxRecordsSpans pins the retained reference
-// engine's span shape: an automata.contains_classic span with an eager
-// automata.determinize child accounting all 2^n subset states.
-func TestContainsClassicCtxRecordsSpans(t *testing.T) {
+// TestDeterminizeCtxRecordsSpan pins the subset construction's span:
+// an automata.determinize span accounting all 2^n subset states.
+func TestDeterminizeCtxRecordsSpan(t *testing.T) {
 	tr := &obs.Tracer{}
 	ctx, root := tr.StartRoot(context.Background(), "test")
-	e1, e2 := regex.MustParse("b* a (b* a)*"), adversarialRight(6)
-	if _, err := ContainsClassicCtx(ctx, e1, e2); err != nil {
+	if _, err := determinizeCtx(ctx, NewMatcher(adversarialRight(6))); err != nil {
 		t.Fatal(err)
 	}
 	root.Finish()
 	tree := root.Tree()
-	if len(tree.Children) != 1 || tree.Children[0].Name != "automata.contains_classic" {
-		t.Fatalf("children = %+v, want one automata.contains_classic span", tree.Children)
+	if len(tree.Children) != 1 || tree.Children[0].Name != "automata.determinize" {
+		t.Fatalf("children = %+v, want one automata.determinize span", tree.Children)
 	}
-	classic := tree.Children[0]
-	if classic.Counters["product_states"] == 0 {
-		t.Fatalf("product_states = 0, want > 0: %+v", classic)
-	}
-	if len(classic.Children) != 1 || classic.Children[0].Name != "automata.determinize" {
-		t.Fatalf("classic children = %+v, want one determinize span", classic.Children)
-	}
-	det := classic.Children[0]
 	// The subset construction for (a|b)* a (a|b)^6 materializes 2^6 = 64
 	// reachable subset states (plus the initial one); every one of them
 	// must have been accounted.
-	if det.Counters["states_expanded"] < 64 {
+	if det := tree.Children[0]; det.Counters["states_expanded"] < 64 {
 		t.Fatalf("states_expanded = %d, want >= 64", det.Counters["states_expanded"])
 	}
 }

@@ -15,6 +15,7 @@
 package bonxai
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -177,6 +178,10 @@ func (s *Schema) Validate(t *tree.Node) error {
 	if s.Roots != nil && !s.Roots[t.Label] {
 		return fmt.Errorf("bonxai: root label %q not allowed", t.Label)
 	}
+	ms := make([]*automata.Matcher, len(s.Rules))
+	for i, r := range s.Rules {
+		ms[i] = automata.NewMatcher(r.Expr)
+	}
 	var fail error
 	t.WalkPath(func(n *tree.Node, anc []string) {
 		if fail != nil {
@@ -184,12 +189,12 @@ func (s *Schema) Validate(t *tree.Node) error {
 		}
 		path := append(append([]string{}, anc...), n.Label)
 		selected := false
-		for _, r := range s.Rules {
+		for i, r := range s.Rules {
 			if !r.Pattern.Matches(path) {
 				continue
 			}
 			selected = true
-			if !regex.Matches(r.Expr, n.ChildWord()) {
+			if ok, _ := ms[i].Accepts(context.Background(), n.ChildWord()); !ok {
 				fail = fmt.Errorf("bonxai: children %v of node at %s violate rule %s -> %s",
 					n.ChildWord(), strings.Join(path, "/"), r.Pattern, r.Expr)
 				return
@@ -250,6 +255,7 @@ func (a *patNFA) accepting(states map[int]bool) bool { return states[len(a.steps
 // intersection DFA of the selecting rules and are language-equivalent, not
 // syntactically identical, to hand-written ones.
 func (s *Schema) ToEDTD(alphabet []string) *edtd.EDTD {
+	alphabet = append([]string(nil), alphabet...) // the caller's order stays
 	sort.Strings(alphabet)
 	nfas := make([]*patNFA, len(s.Rules))
 	for i, r := range s.Rules {

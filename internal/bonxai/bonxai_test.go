@@ -2,6 +2,7 @@ package bonxai
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/edtd"
@@ -267,5 +268,24 @@ func TestToEDTDDeterministic(t *testing.T) {
 		if got := s.ToEDTD(alphabet).String(); got != want {
 			t.Fatalf("ToEDTD printed\n%s\nthen\n%s", want, got)
 		}
+	}
+}
+
+// TestToEDTDKeepsCallerAlphabet checks that ToEDTD sorts a copy of its
+// alphabet: the caller's slice keeps its order, and an unsorted
+// alphabet compiles to the same EDTD as the sorted one.
+func TestToEDTDKeepsCallerAlphabet(t *testing.T) {
+	s := (&Schema{}).
+		Add("a", "(b + c)*").
+		Add("//b", "c?").
+		Add("//c", "<eps>").
+		Root("a")
+	want := s.ToEDTD([]string{"a", "b", "c"}).String()
+	alphabet := []string{"c", "a", "b"}
+	if got := s.ToEDTD(alphabet).String(); got != want {
+		t.Fatalf("ToEDTD on an unsorted alphabet printed\n%s\nwant\n%s", got, want)
+	}
+	if !slices.Equal(alphabet, []string{"c", "a", "b"}) {
+		t.Fatalf("ToEDTD reordered the caller's alphabet to %q", alphabet)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/automata"
+	"repro/internal/oracle/ref"
 	"repro/internal/regex"
 )
 
@@ -256,7 +257,7 @@ func TestMemberRLEAgainstExpansion(t *testing.T) {
 				expanded = append(expanded, run.Label)
 			}
 		}
-		if got, want := MemberRLE(c, w), regex.Matches(c.Expr(), expanded); got != want {
+		if got, want := MemberRLE(c, w), ref.Matches(c.Expr(), expanded); got != want {
 			t.Fatalf("MemberRLE(%q, %v) = %v, expansion says %v", c, w, got, want)
 		}
 	}

@@ -1,6 +1,8 @@
 package chare
 
 import (
+	"context"
+
 	"repro/internal/automata"
 	"repro/internal/regex"
 )
@@ -336,5 +338,6 @@ func MemberRLE(c *CHARE, w RLEWord) bool {
 			word = append(word, r.Label)
 		}
 	}
-	return regex.Matches(c.Expr(), word)
+	ok, _ := automata.NewMatcher(c.Expr()).Accepts(context.Background(), word)
+	return ok
 }

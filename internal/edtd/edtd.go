@@ -319,50 +319,6 @@ func (d *EDTD) EDCViolations() []string {
 	return out
 }
 
-// ValidSingleType validates t against a single-type EDTD by deterministic
-// top-down typing (the reason XML Schema validation is efficiently
-// streamable). It panics if the EDTD is not single-type. It is the schema
-// oracle's reference for top-down typing and is not served: /v1/validate
-// answers single-type requests with Compiled.Valid, as it does edtd ones.
-func (d *EDTD) ValidSingleType(t *tree.Node) bool {
-	if !d.IsSingleType() {
-		panic("edtd: ValidSingleType on non-single-type EDTD")
-	}
-	var rootType string
-	for s := range d.Start {
-		if d.Label(s) == t.Label {
-			rootType = s
-			break
-		}
-	}
-	if rootType == "" {
-		return false
-	}
-	return d.validAs(t, rootType)
-}
-
-func (d *EDTD) validAs(t *tree.Node, typ string) bool {
-	// Map each label to its unique type in ρ(typ) (single-type property).
-	typeOf := map[string]string{}
-	for _, ty := range d.Rule(typ).Alphabet() {
-		typeOf[d.Label(ty)] = ty
-	}
-	// The children's label word must match μ(ρ(typ)).
-	if !regex.Matches(d.LabelRule(typ), t.ChildWord()) {
-		return false
-	}
-	for _, c := range t.Children {
-		ct, ok := typeOf[c.Label]
-		if !ok {
-			return false
-		}
-		if !d.validAs(c, ct) {
-			return false
-		}
-	}
-	return true
-}
-
 // LabelRule returns μ(ρ(typ)): the content model of typ with every type
 // replaced by its label.
 func (d *EDTD) LabelRule(typ string) *regex.Expr {

@@ -183,34 +183,10 @@ func TestFigure2aValidation(t *testing.T) {
 		if !d.Valid(tree.MustParse(s)) {
 			t.Errorf("tree %q should be valid", s)
 		}
-		if !d.ValidSingleType(tree.MustParse(s)) {
-			t.Errorf("single-type validation rejects %q", s)
-		}
 	}
 	for _, s := range bad {
 		if d.Valid(tree.MustParse(s)) {
 			t.Errorf("tree %q should be invalid", s)
-		}
-		if d.ValidSingleType(tree.MustParse(s)) {
-			t.Errorf("single-type validation accepts %q", s)
-		}
-	}
-}
-
-func TestSingleTypeAgreesWithGeneralValidation(t *testing.T) {
-	d := figure2a()
-	trees := []string{
-		"a(b(e, d(g, h(j), i), f))",
-		"a(c(e, d(g, h(k), i), f))",
-		"a(b(e, d(g, h(j), i), f), b(e, d(g, h(j), i), f))",
-		"a(b(e, d(g, h(j, j), i), f))",
-		"a",
-		"x",
-	}
-	for _, s := range trees {
-		tr := tree.MustParse(s)
-		if d.Valid(tr) != d.ValidSingleType(tr) {
-			t.Errorf("general and single-type validation disagree on %q", s)
 		}
 	}
 }

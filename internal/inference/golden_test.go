@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/determinism"
+	"repro/internal/oracle/ref"
 	"repro/internal/regex"
 )
 
@@ -58,7 +59,7 @@ func TestCharacteristicSampleGolden(t *testing.T) {
 		e := relabel(g.Random(r), &next)
 		cs := CharacteristicSample(e)
 		for _, w := range cs {
-			if !regex.Matches(e, w) {
+			if !ref.Matches(e, w) {
 				t.Fatalf("characteristic sample word %v outside L(%s)", w, e)
 			}
 		}

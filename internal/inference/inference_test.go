@@ -11,6 +11,7 @@ import (
 	"repro/internal/chare"
 	"repro/internal/determinism"
 	"repro/internal/kore"
+	"repro/internal/oracle/ref"
 	"repro/internal/regex"
 )
 
@@ -59,7 +60,7 @@ func TestInferSOREContainsSample(t *testing.T) {
 			t.Fatalf("InferSORE produced non-SORE %q", got)
 		}
 		for _, w := range s {
-			if !regex.Matches(got, w) {
+			if !ref.Matches(got, w) {
 				t.Fatalf("InferSORE(%v) = %q does not contain sample word %v", s, got, w)
 			}
 		}
@@ -110,7 +111,7 @@ func TestCharacteristicSampleRecoversSORE(t *testing.T) {
 		}
 		cs := CharacteristicSample(e)
 		for _, w := range cs {
-			if !regex.Matches(e, w) {
+			if !ref.Matches(e, w) {
 				t.Fatalf("characteristic sample word %v outside L(%q)", w, s)
 			}
 		}
@@ -161,12 +162,12 @@ func TestGoldStyleNonLearnability(t *testing.T) {
 	s2 := sample("a", "b a", "b b a")
 	e1, e2 := InferSORE(s1), InferSORE(s2)
 	for _, w := range s1 {
-		if !regex.Matches(e1, w) {
+		if !ref.Matches(e1, w) {
 			t.Errorf("e1 misses %v", w)
 		}
 	}
 	for _, w := range s2 {
-		if !regex.Matches(e2, w) {
+		if !ref.Matches(e2, w) {
 			t.Errorf("e2 misses %v", w)
 		}
 	}
@@ -193,7 +194,7 @@ func TestInferCHAREShape(t *testing.T) {
 			t.Fatalf("InferCHARE(%v) = %q is not a SORE", c.s, e)
 		}
 		for _, w := range c.s {
-			if !regex.Matches(e, w) {
+			if !ref.Matches(e, w) {
 				t.Fatalf("InferCHARE(%v) = %q misses %v", c.s, e, w)
 			}
 		}
@@ -223,7 +224,7 @@ func TestInferKORE(t *testing.T) {
 		t.Fatalf("InferKORE(2) produced %d-ORE %q", got, e2)
 	}
 	for _, w := range s {
-		if !regex.Matches(e1, w) || !regex.Matches(e2, w) {
+		if !ref.Matches(e1, w) || !ref.Matches(e2, w) {
 			t.Fatal("k-ORE learners miss the sample")
 		}
 	}
@@ -243,7 +244,7 @@ func TestInferBestKORE(t *testing.T) {
 		t.Errorf("InferBestKORECtx returned non-deterministic %q (k=%d)", e, k)
 	}
 	for _, w := range s {
-		if !regex.Matches(e, w) {
+		if !ref.Matches(e, w) {
 			t.Errorf("result %q misses %v", e, w)
 		}
 	}
@@ -254,7 +255,7 @@ func TestInferEmptyAndEpsilon(t *testing.T) {
 		t.Errorf("InferSORE(∅ sample) = %q", e)
 	}
 	e := InferSORE(sample(""))
-	if !regex.Matches(e, nil) {
+	if !ref.Matches(e, nil) {
 		t.Errorf("InferSORE({ε}) = %q does not accept ε", e)
 	}
 }

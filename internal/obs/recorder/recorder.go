@@ -92,8 +92,8 @@ func CounterSum(n *obs.Node, name string) int64 {
 
 // TraceCounters sums every cost counter over the whole span tree,
 // returning name -> total. The workload-profile engine feeds these into
-// its per-counter distributions and cost-model fits; rwdtrace uses the
-// key set to validate `top -by` names.
+// its per-counter distributions; rwdtrace uses the key set to validate
+// `top -by` names.
 func TraceCounters(n *obs.Node) map[string]int64 {
 	if n == nil {
 		return nil

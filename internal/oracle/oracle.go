@@ -70,7 +70,6 @@ func SetInjectedBug(oracle string) { injectedBug = oracle }
 func All() []Oracle {
 	return []Oracle{
 		regexMembership{},
-		regexContainment{},
 		antichainContainment{},
 		schemaContainment{},
 		jsonSchemaContainment{},

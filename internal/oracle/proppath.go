@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/oracle/ref"
 	"repro/internal/propertypath"
 	"repro/internal/rdf"
 	"repro/internal/regex"
@@ -172,7 +173,7 @@ func derivativeEval(g *rdf.Graph, p *propertypath.Path, start string, maxStates 
 		queue = queue[1:]
 		e := exprs[cur.expr]
 		for _, sym := range alphabet {
-			d := regex.Derivative(e, sym).Simplify()
+			d := ref.Derivative(e, sym).Simplify()
 			if d.IsEmptyLanguage() {
 				continue
 			}
@@ -201,7 +202,7 @@ func enumEval(g *rdf.Graph, re *regex.Expr, start string, trail bool) []string {
 	var word []string
 	var walk func(node string)
 	walk = func(node string) {
-		if regex.Matches(re, word) {
+		if ref.Matches(re, word) {
 			results[node] = true
 		}
 		type move struct {

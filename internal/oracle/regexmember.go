@@ -7,12 +7,13 @@ import (
 	"strings"
 
 	"repro/internal/automata"
+	"repro/internal/oracle/ref"
 	"repro/internal/regex"
 )
 
 // regexMembership cross-checks four word-membership implementations:
-// the memoized matcher (regex.Matches), Brzozowski derivatives
-// (regex.MatchesDerivative), the minimal DFA of automata.ToDFA, and the
+// the memoized matcher (ref.Matches), Brzozowski derivatives
+// (ref.MatchesDerivative), the minimal DFA of automata.ToDFA, and the
 // compiled automata.Matcher the service caches. The last two share the
 // Glushkov visit; the first two share no automata code.
 type regexMembership struct{}
@@ -20,7 +21,7 @@ type regexMembership struct{}
 func (regexMembership) Name() string { return "regex-membership" }
 
 func (regexMembership) Description() string {
-	return "regex.Matches vs MatchesDerivative vs determinized DFA vs compiled Matcher on sampled and random words"
+	return "ref.Matches vs ref.MatchesDerivative vs determinized DFA vs compiled Matcher on sampled and random words"
 }
 
 var memberAlphabet = []string{"a", "b", "c"}
@@ -35,8 +36,8 @@ func memberVerdicts(e *regex.Expr, w []string) [4]bool {
 	}
 	matcher, _ := automata.NewMatcher(e).Accepts(context.Background(), w)
 	return [4]bool{
-		regex.Matches(e, w),
-		regex.MatchesDerivative(e, w),
+		ref.Matches(e, w),
+		ref.MatchesDerivative(e, w),
 		dfa,
 		matcher,
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dtd"
 	"repro/internal/edtd"
+	"repro/internal/oracle/ref"
 	"repro/internal/regex"
 	"repro/internal/tree"
 )
@@ -24,7 +25,7 @@ type schemaContainment struct{}
 func (schemaContainment) Name() string { return "schema-containment" }
 
 func (schemaContainment) Description() string {
-	return "dtd.Contains vs edtd.Contains on trivial EDTDs, vs sampled trees; Valid vs ValidSingleType vs dtd.Validate vs ValidateStream; IntersectionNonEmpty vs realizability and sampled trees"
+	return "dtd.Contains vs edtd.Contains on trivial EDTDs, vs sampled trees; Valid vs top-down single-type typing vs dtd.Validate vs ValidateStream; IntersectionNonEmpty vs realizability and sampled trees"
 }
 
 // schemaLabels is layered: the content model of labels[i] only uses
@@ -209,13 +210,13 @@ func (o schemaContainment) Trial(r *rand.Rand) *Divergence {
 				Detail: fmt.Sprintf("edtd.Valid=%v but dtd.Validate says %v on the trivial embedding", e1.Valid(t), d1.Validate(t) == nil),
 			}
 		}
-		if got, want := e1.ValidSingleType(t), e1.Valid(t); got != want {
+		if got, want := validSingleType(e1, t), e1.Valid(t); got != want {
 			t = shrinkTree(t, func(c2 *tree.Node) bool {
-				return e1.ValidSingleType(c2) != e1.Valid(c2)
+				return validSingleType(e1, c2) != e1.Valid(c2)
 			})
 			return &Divergence{
 				Input:  fmt.Sprintf("d1=%q tree=%s", d1.String(), t),
-				Detail: fmt.Sprintf("ValidSingleType=%v but Valid=%v on a single-type EDTD", e1.ValidSingleType(t), e1.Valid(t)),
+				Detail: fmt.Sprintf("validSingleType=%v but Valid=%v on a single-type EDTD", validSingleType(e1, t), e1.Valid(t)),
 			}
 		}
 		if e1.Valid(t) && toDTD.Validate(t) != nil {
@@ -239,17 +240,53 @@ func (o schemaContainment) Trial(r *rand.Rand) *Divergence {
 				return div
 			}
 		}
-		if got, want := e1.ValidSingleType(mt), e1.Valid(mt); got != want {
+		if got, want := validSingleType(e1, mt), e1.Valid(mt); got != want {
 			mt = shrinkTree(mt, func(c2 *tree.Node) bool {
-				return e1.ValidSingleType(c2) != e1.Valid(c2)
+				return validSingleType(e1, c2) != e1.Valid(c2)
 			})
 			return &Divergence{
 				Input:  fmt.Sprintf("d1=%q tree=%s", d1.String(), mt),
-				Detail: fmt.Sprintf("ValidSingleType=%v but Valid=%v on a single-type EDTD (mutated document)", e1.ValidSingleType(mt), e1.Valid(mt)),
+				Detail: fmt.Sprintf("validSingleType=%v but Valid=%v on a single-type EDTD (mutated document)", validSingleType(e1, mt), e1.Valid(mt)),
 			}
 		}
 	}
 	return nil
+}
+
+// validSingleType validates t against a single-type EDTD by
+// deterministic top-down typing (the reason XML Schema validation is
+// streamable), matching each child word with ref.Matches. It is the
+// reference for edtd's bottom-up Valid, which /v1/validate serves for
+// both edtd and single-type requests. It panics if d is not single-type.
+func validSingleType(d *edtd.EDTD, t *tree.Node) bool {
+	if !d.IsSingleType() {
+		panic("oracle: validSingleType on a non-single-type EDTD")
+	}
+	for s := range d.Start {
+		if d.Label(s) == t.Label {
+			return validAs(d, t, s)
+		}
+	}
+	return false
+}
+
+// validAs reports whether t is valid under type typ of d.
+func validAs(d *edtd.EDTD, t *tree.Node, typ string) bool {
+	if !ref.Matches(d.LabelRule(typ), t.ChildWord()) {
+		return false
+	}
+	// Each label has one type in ρ(typ) (the single-type property).
+	typeOf := map[string]string{}
+	for _, ty := range d.Rule(typ).Alphabet() {
+		typeOf[d.Label(ty)] = ty
+	}
+	for _, c := range t.Children {
+		ct, ok := typeOf[c.Label]
+		if !ok || !validAs(d, c, ct) {
+			return false
+		}
+	}
+	return true
 }
 
 // mutateTree returns a copy of t with one random structural edit:

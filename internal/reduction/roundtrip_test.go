@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/automata"
+	"repro/internal/oracle/ref"
 	"repro/internal/regex"
 )
 
@@ -65,7 +66,7 @@ func TestReductionWordLevel(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: L(e1) empty for valid formula", e.name)
 			}
-			if !regex.Matches(e2, w) || !regex.MatchesDerivative(e2, w) {
+			if !ref.Matches(e2, w) || !ref.MatchesDerivative(e2, w) {
 				t.Fatalf("%s: valid formula but sampled word %v of L(e1) not in L(e2)", e.name, w)
 			}
 		}
@@ -76,8 +77,8 @@ func TestReductionWordLevel(t *testing.T) {
 			if !ok {
 				break
 			}
-			if !regex.Matches(e2, w) {
-				if regex.MatchesDerivative(e2, w) {
+			if !ref.Matches(e2, w) {
+				if ref.MatchesDerivative(e2, w) {
 					t.Fatalf("%s: membership implementations disagree on witness %v", e.name, w)
 				}
 				found = true

@@ -30,10 +30,5 @@ func FuzzParse(f *testing.F) {
 		if got := e2.String(); got != printed {
 			t.Fatalf("String not a fixpoint: %q -> %q -> %q", src, printed, got)
 		}
-		// the empty word is cheap to decide on any expression and ties the
-		// matcher to the syntactic nullability predicate
-		if Matches(e, nil) != e.Nullable() {
-			t.Fatalf("Matches(e, ε)=%v but Nullable=%v for %q", Matches(e, nil), e.Nullable(), printed)
-		}
 	})
 }
