@@ -6,8 +6,11 @@ import "testing"
 // agrees with refParse (the same tree or the same error string), and
 // that accepted expressions survive a String/Parse round-trip: re-parsing
 // the printed form must succeed and print identically (String is a
-// fixpoint).
+// fixpoint). ParseInto parses every input into one Slabs that earlier
+// inputs left dirty, and must print what Parse prints or fail with the
+// same error.
 func FuzzParse(f *testing.F) {
+	var sl Slabs
 	f.Add("(a b* + c)+")
 	f.Add("a? (b + ()) c*")
 	f.Add("((a))")
@@ -19,6 +22,15 @@ func FuzzParse(f *testing.F) {
 	f.Add("(a b <eps\xff")
 	f.Fuzz(func(t *testing.T, src string) {
 		e, err := checkParseMatchesReference(t, src)
+		into, intoErr := ParseInto(src, &sl)
+		switch {
+		case (err == nil) != (intoErr == nil):
+			t.Fatalf("ParseInto(%q) error = %v, Parse error = %v", src, intoErr, err)
+		case err != nil && intoErr.Error() != err.Error():
+			t.Fatalf("ParseInto(%q) error\n got %v\nwant %v", src, intoErr, err)
+		case err == nil && into.String() != e.String():
+			t.Fatalf("ParseInto(%q) = %q, Parse = %q", src, into, e)
+		}
 		if err != nil {
 			return
 		}

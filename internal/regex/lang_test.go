@@ -47,3 +47,29 @@ func TestRandomWordInLanguage(t *testing.T) {
 		}
 	}
 }
+
+// TestParseDTDContentMixedKeepsEpsilon pins the syntax of mixed content:
+// each #PCDATA member stays in its union as ε, so the model prints with
+// "<eps>", while a starred model's language is its element part's.
+func TestParseDTDContentMixedKeepsEpsilon(t *testing.T) {
+	for _, c := range []struct{ in, want, elements string }{
+		{"(#PCDATA | a | b)*", "(<eps> + a + b)*", "(a + b)*"},
+		{"(#PCDATA|a)*", "(<eps> + a)*", "a*"},
+		{"(a | #PCDATA | b)*", "(a + <eps> + b)*", "(a + b)*"},
+		{"(#PCDATA | a)", "<eps> + a", "a?"},
+	} {
+		e, err := regex.ParseDTDContent(c.in, nil)
+		if err != nil {
+			t.Fatalf("ParseDTDContent(%q): %v", c.in, err)
+		}
+		if got := e.String(); got != c.want {
+			t.Errorf("ParseDTDContent(%q) = %q, want %q", c.in, got, c.want)
+		}
+		elements := regex.MustParse(c.elements)
+		sub, ok1 := ref.Contains(e, elements)
+		sup, ok2 := ref.Contains(elements, e)
+		if !ok1 || !ok2 || !sub || !sup {
+			t.Errorf("L(%q) ≠ L(%q)", c.want, c.elements)
+		}
+	}
+}
