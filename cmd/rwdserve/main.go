@@ -3,8 +3,7 @@
 // DTD, JSON Schema), membership, DTD/EDTD validation, schema inference,
 // and batch SPARQL log analysis, hardened for untrusted traffic with
 // per-request deadlines, admission control, request-size caps, a
-// canonicalizing verdict cache, a compile cache, and Prometheus-style
-// metrics.
+// verdict cache, a compile cache, and Prometheus-style metrics.
 //
 // Usage:
 //

@@ -56,8 +56,13 @@ func (d *DTD) AddStart(label string) *DTD {
 // Alphabet returns the sorted set Σ of labels mentioned by the DTD.
 func (d *DTD) Alphabet() []string {
 	set := map[string]bool{}
+	walked := map[*regex.Expr]bool{} // rules may share a content model
 	for a, e := range d.Rules {
 		set[a] = true
+		if walked[e] {
+			continue
+		}
+		walked[e] = true
 		for _, b := range e.Alphabet() {
 			set[b] = true
 		}

@@ -16,6 +16,7 @@ package jsonschema
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 )
 
@@ -59,6 +60,9 @@ func Parse(doc string) (*Schema, error) {
 	dec.UseNumber()
 	if err := dec.Decode(&raw); err != nil {
 		return nil, fmt.Errorf("jsonschema: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("jsonschema: data after the top-level value")
 	}
 	return fromRaw(raw)
 }

@@ -285,3 +285,18 @@ func TestContainmentDeterministicPerSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRejectsTrailingData checks that a schema document is one
+// JSON value: anything but whitespace after it is an error.
+func TestParseRejectsTrailingData(t *testing.T) {
+	for _, doc := range []string{`{"type":"integer"} x`, `{} {}`, `{} ]`, `true,`} {
+		if _, err := Parse(doc); err == nil {
+			t.Errorf("Parse(%q) accepted data after the top-level value", doc)
+		}
+	}
+	for _, doc := range []string{`{"type":"integer"}`, " {}\n\t ", `true`} {
+		if _, err := Parse(doc); err != nil {
+			t.Errorf("Parse(%q): %v", doc, err)
+		}
+	}
+}

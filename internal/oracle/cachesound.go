@@ -21,20 +21,19 @@ import (
 )
 
 // cacheSoundness checks that the service's caches never change an
-// answer. The verdict cache is keyed on canonical renderings and on
-// infer requests' fields, and the compile cache on raw request text, so
-// a key collision, a stale alias or a non-canonical String() would
-// serve a wrong answer to every later caller. Each trial draws two
-// containment (regex, kore, dtd or jsonschema), membership, validate or
-// infer bodies of one kind, each with a variant that has the same key
-// (other spacing and parentheses, or for infer other whitespace and
-// field order), and sends them in turn to a warm server with two-entry
-// caches: first, exact repeats, the variants, a repeat after the
-// verdicts were evicted and one after the compile entries were. Every
-// response must equal a cache-less server's response to the same body,
-// ignoring "cached" and "elapsed_ms". For expression bodies it also
-// checks that parse(String(e)) renders the same key and is
-// language-equivalent to e.
+// answer. Both caches are keyed on raw request fields, so a key
+// collision or a stale entry would serve a wrong answer to every later
+// caller. Each trial draws two containment (regex, kore, dtd or
+// jsonschema), membership, validate or infer bodies of one kind, each
+// with a variant that must get the same answer (other spacing and
+// parentheses, or for infer other whitespace and field order; a
+// containment variant is a new key and misses), and sends them in turn
+// to a warm server with two-entry caches: first, exact repeats, the
+// variants, a repeat after the verdicts were evicted and one after the
+// compile entries were. Every response must equal a cache-less server's
+// response to the same body, ignoring "cached" and "elapsed_ms". For
+// expression bodies it also checks that parse(String(e)) renders the
+// same text and is language-equivalent to e.
 type cacheSoundness struct{}
 
 func (cacheSoundness) Name() string { return "cache-soundness" }
@@ -43,8 +42,8 @@ func (cacheSoundness) Description() string {
 	return "rwdserve with warm caches (repeats, canonical variants, after eviction) vs a cache-less server; parse(String(e)) ≡ e"
 }
 
-// probe is one request body and a variant of it that must share its
-// canonical key; exprs are the regular expressions it carries.
+// probe is one request body and a variant of it that must get the same
+// answer; exprs are the regular expressions it carries.
 type probe struct {
 	kind, path    string
 	body, variant string
@@ -52,7 +51,7 @@ type probe struct {
 }
 
 // side is one schema or expression of a request: its text, a variant
-// text with the same canonical key, and the expression, if it is one.
+// text with the same parse, and the expression, if it is one.
 type side struct {
 	text, variant string
 	expr          *regex.Expr
@@ -363,8 +362,9 @@ func (o cacheSoundness) Trial(r *rand.Rand) *Divergence {
 	return nil
 }
 
-// roundTripDivergence checks the property the verdict cache relies on:
-// String() is a fixpoint of parsing, and parse(String(e)) has the
+// roundTripDivergence checks the property the trials' bodies rely on,
+// since each side is sent as e.String(): String() is a fixpoint of
+// parsing, and parse(String(e)) has the
 // language of e — by the antichain engine in both directions and on
 // words sampled from either side.
 func roundTripDivergence(e *regex.Expr, r *rand.Rand) *Divergence {

@@ -339,12 +339,8 @@ func (e *Expr) restrict(keep func(string) bool, syms *[]string) (empty bool) {
 // Multi-character labels render as-is; the output is re-parseable by Parse.
 func (e *Expr) String() string {
 	var buf [64]byte
-	return string(e.AppendTo(buf[:0]))
+	return string(e.appendTo(buf[:0], 0))
 }
-
-// AppendTo appends the String rendering of e to b and returns the
-// extended buffer.
-func (e *Expr) AppendTo(b []byte) []byte { return e.appendTo(b, 0) }
 
 // precedence levels: union < concat < unary.
 func (e *Expr) appendTo(b []byte, prec int) []byte {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -55,8 +56,8 @@ func TestCompileCacheMembershipAndValidate(t *testing.T) {
 }
 
 // TestCompileCacheSkipsLargeInputs checks that request texts over
-// maxCompileKey are answered as before but leave nothing in the compile
-// cache: no matcher, no compiled DTD, no containment alias.
+// maxCompileKey are answered as before but leave nothing in either
+// cache: no matcher, no compiled DTD, no containment verdict.
 func TestCompileCacheSkipsLargeInputs(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	syms := make([]string, 12000)
@@ -93,8 +94,8 @@ func TestCompileCacheSkipsLargeInputs(t *testing.T) {
 	if st := s.CompileCacheStats(); st.Len != 0 || st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("compile cache %+v, want untouched", st)
 	}
-	if st := s.CacheStats(); st.Hits != 2 {
-		t.Fatalf("verdict cache %+v, want the two containment repeats to hit", st)
+	if st := s.CacheStats(); st.Len != 0 || st.Hits != 0 {
+		t.Fatalf("verdict cache %+v, want no containment verdict stored", st)
 	}
 }
 
@@ -113,37 +114,11 @@ func TestCompileCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestContainmentAliasPromotedOnRepeat walks the alias life cycle: a
-// first request fills the verdict cache, the first repeat hits it under
-// the canonical key and only then writes the alias, and later repeats
-// hit the alias.
-func TestContainmentAliasPromotedOnRepeat(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	body := `{"engine":"regex","left":"a b","right":"a (b|c)"}`
-	var resp containmentResponse
-	for i, want := range []struct {
-		cached             bool
-		aliases, aliasHits uint64
-	}{{false, 0, 0}, {true, 1, 0}, {true, 1, 1}, {true, 1, 2}} {
-		if code := post(t, ts.URL, "/v1/containment", body, &resp); code != 200 || !resp.Contained || resp.Cached != want.cached {
-			t.Fatalf("request %d: code=%d resp=%+v", i, code, resp)
-		}
-		if st := s.CompileCacheStats(); uint64(st.Len) != want.aliases || st.Hits != want.aliasHits {
-			t.Fatalf("request %d: compile cache %+v, want %d entries and %d hits", i, st, want.aliases, want.aliasHits)
-		}
-	}
-	// a unique request leaves no alias behind
-	post(t, ts.URL, "/v1/containment", `{"engine":"regex","left":"a","right":"a|b"}`, &resp)
-	if st := s.CompileCacheStats(); st.Len != 1 {
-		t.Fatalf("a unique request added an alias: %+v", st)
-	}
-}
-
 // TestVerdictLookupsMatchRequests pins the accounting of the verdict
-// cache under the alias path: every non-explain containment request
-// makes exactly one verdict-cache lookup, whether it was answered from
-// an alias, the canonical key, or the engine, and also when its aliased
-// verdict has been evicted. Explain requests make none.
+// cache: every non-explain containment request makes exactly one
+// verdict-cache lookup, whether it was answered from the cache or the
+// engine, and also when its verdict has been evicted. Explain requests
+// make none.
 func TestVerdictLookupsMatchRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheSize: 2})
 	dtdLeft := `<!ELEMENT r (a)> <!ELEMENT a EMPTY>`
@@ -154,15 +129,15 @@ func TestVerdictLookupsMatchRequests(t *testing.T) {
 	}
 	seq := []string{
 		body("regex", "a b", "a (b|c)", false),
-		body("regex", "a b", "a (b|c)", false),    // canonical hit: alias written
-		body("regex", "a b", "a (b|c)", false),    // alias hit
-		body("regex", "a  b", "(a (b|c))", false), // variant: canonical hit
+		body("regex", "a b", "a (b|c)", false),    // hit
+		body("regex", "a b", "a (b|c)", false),    // hit
+		body("regex", "a  b", "(a (b|c))", false), // variant: miss
 		body("regex", "a b", "a (b|c)", true),     // explain: no lookup
 		body("kore", "a a", "a* a*", false),
 		body("dtd", dtdLeft, dtdRight, false),
 		body("jsonschema", `{"type":"integer"}`, `{"type":"integer"}`, false),
-		body("regex", "a b", "a (b|c)", false), // alias hit, verdict evicted
-		body("regex", "a b", "a (b|c)", false), // alias hit, verdict refilled
+		body("regex", "a b", "a (b|c)", false), // miss: verdict evicted
+		body("regex", "a b", "a (b|c)", false), // hit: verdict refilled
 	}
 	nonExplain := 0
 	for i, b := range seq {
@@ -264,7 +239,7 @@ func TestInferMemoSkipsEndedContext(t *testing.T) {
 }
 
 // TestCompileCacheConcurrent shares one cached Matcher, one compiled DTD,
-// one containment alias and one inference answer among concurrent
+// one containment verdict and one inference answer among concurrent
 // requests; every answer must equal the first.
 func TestCompileCacheConcurrent(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxInFlight: 16})
@@ -312,4 +287,43 @@ func TestCompileCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestContainmentKeyLinearInBody bounds the bytes one containment
+// request allocates before its engine runs, on a pair of DTDs of 2,000
+// ANY declarations (38 KB each): decode, verdict key and both parses,
+// run under an already-cancelled context so that the engine stops at
+// its first checkpoint. The verdict key is the raw request text, so the
+// bound is linear in the body; keying on DTD.String() rendered every
+// ANY rule over all 2,000 names, a 59.6 MB key and 833 MB allocated.
+func TestContainmentKeyLinearInBody(t *testing.T) {
+	const perByte, constant = 16, 1 << 20
+	var b strings.Builder
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&b, "<!ELEMENT e%d ANY>\n", i)
+	}
+	body, _ := json.Marshal(map[string]string{"engine": "dtd", "left": b.String(), "right": b.String()})
+	s := New(Config{Logger: discardLogger()})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, run, aerr := s.prepareContainment(body, false)
+	if aerr != nil || run == nil {
+		t.Fatalf("prepare: %v, run %v", aerr, run != nil)
+	}
+	_, aerr = run(ctx)
+	runtime.ReadMemStats(&after)
+	if aerr == nil || aerr.status != http.StatusRequestTimeout {
+		t.Fatalf("run under a cancelled context answered %+v, want 408", aerr)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d-byte body: %d bytes allocated (%.1f per body byte)", len(body), alloc, float64(alloc)/float64(len(body)))
+	if bound := perByte*uint64(len(body)) + constant; alloc > bound {
+		t.Fatalf("%d-byte body: %d bytes allocated, want ≤ %d × body + %d = %d", len(body), alloc, perByte, constant, bound)
+	}
+	if st := s.CacheStats(); st.Len != 0 {
+		t.Fatalf("a run ended by its context stored a verdict: %+v", st)
+	}
 }

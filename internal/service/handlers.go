@@ -31,8 +31,8 @@ const jsonschemaSamples = 200
 // Every decision op runs in two stages. Its prepare function runs on
 // the request goroutine: it decodes and validates the body, makes the
 // cache lookups keyed on raw request text and answers a verdict-cache
-// hit. The run it returns otherwise parses, canonicalizes, decides and
-// fills the caches, and is the only stage under the runEngine deadline
+// hit. The run it returns otherwise parses, decides and fills the
+// caches, and is the only stage under the runEngine deadline
 // harness: the parsers check no context, so a slow parse holds a slot
 // counted as detached instead of delaying the 504. /v1/batch calls the
 // same functions per item, so its verdicts are the endpoints' verdicts.
@@ -100,13 +100,11 @@ type containmentResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// prepareContainment decodes one containment instance. A repeat of a
-// request whose canonical key has hit before is answered here, without
-// a parse: the compile cache aliases the raw request text to its
-// canonical key, so the one verdict-cache lookup uses that key
-// directly. The alias is written only when a canonical lookup hits, so
-// a stream of unique requests adds nothing to the compile cache, and
-// only for texts up to maxCompileKey.
+// prepareContainment decodes one containment instance and answers a
+// repeat from the verdict cache, under the raw request fields: the key
+// holds them only, so an entry is sound by construction, as inferKey's
+// are. Explain requests skip the read, so their trace shows the engine;
+// a verdict is stored only for keys up to maxCompileKey.
 func (s *Server) prepareContainment(body []byte, explain bool) (any, runFunc, *apiError) {
 	var req containmentRequest
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -115,28 +113,21 @@ func (s *Server) prepareContainment(body []byte, explain bool) (any, runFunc, *a
 	if req.Left == "" || req.Right == "" {
 		return nil, nil, errBadRequest("left and right are required")
 	}
-
-	// Explain requests bypass both reads: a hit would short-circuit the
-	// engine and return an empty trace.
-	alias := cacheKey("containment", req.Engine, req.Left, req.Right)
-	useAlias := !explain && len(alias) <= maxCompileKey
-	skipRead := explain
-	if useAlias {
-		if v, ok := s.compiled.Get(alias); ok {
-			if resp, ok := s.cachedVerdict(v.(string)); ok {
-				return resp, nil, nil
-			}
-			// The verdict was evicted. Parsing yields the key just looked
-			// up, so decide without a second lookup.
-			skipRead = true
+	switch req.Engine {
+	case "regex", "kore", "dtd", "jsonschema":
+	default:
+		return nil, nil, errBadRequest("unknown engine %q (want regex, kore, dtd, or jsonschema)", req.Engine)
+	}
+	key := cacheKey("containment", req.Engine, req.Left, req.Right)
+	if !explain {
+		if v, ok := s.cache.Get(key); ok {
+			resp := v.(containmentResponse)
+			resp.Cached = true
+			return resp, nil, nil
 		}
 	}
 	return nil, func(ctx context.Context) (any, *apiError) {
-		// Parse and canonicalize both sides up front: the canonical
-		// rendering is the cache key, so "a|b" and "( a | b )" share an
-		// entry.
 		var engine func(ctx context.Context) (bool, string, string, error) // contained, verdict, witness
-		var key string
 		switch req.Engine {
 		case "regex", "kore":
 			// Nothing this run returns or caches points into the trees,
@@ -154,7 +145,6 @@ func (s *Server) prepareContainment(body []byte, explain bool) (any, runFunc, *a
 			if err != nil {
 				return nil, errBadRequest("right: %v", err)
 			}
-			key = containmentKey(req.Engine, e1, e2)
 			contains := automata.ContainsCtx
 			if req.Engine == "kore" {
 				contains = kore.ContainmentCtx
@@ -172,7 +162,6 @@ func (s *Server) prepareContainment(body []byte, explain bool) (any, runFunc, *a
 			if err != nil {
 				return nil, errBadRequest("right: %v", err)
 			}
-			key = cacheKey("dtd", d1.String(), d2.String())
 			engine = func(ctx context.Context) (bool, string, string, error) {
 				ok, err := dtd.ContainsCtx(ctx, d1, d2)
 				return ok, boolVerdict(ok), "", err
@@ -186,15 +175,6 @@ func (s *Server) prepareContainment(body []byte, explain bool) (any, runFunc, *a
 			if err != nil {
 				return nil, errBadRequest("right: %v", err)
 			}
-			cl, err := canonicalJSON(req.Left)
-			if err != nil {
-				return nil, errBadRequest("left: %v", err)
-			}
-			cr, err := canonicalJSON(req.Right)
-			if err != nil {
-				return nil, errBadRequest("right: %v", err)
-			}
-			key = cacheKey("jsonschema", cl, cr)
 			engine = func(ctx context.Context) (bool, string, string, error) {
 				v, witness := jsonschema.ContainsCtx(ctx, s1, s2, jsonschemaSamples, 1)
 				switch v {
@@ -205,18 +185,8 @@ func (s *Server) prepareContainment(body []byte, explain bool) (any, runFunc, *a
 				}
 				return false, "unknown", "", nil
 			}
-		default:
-			return nil, errBadRequest("unknown engine %q (want regex, kore, dtd, or jsonschema)", req.Engine)
 		}
 
-		if !skipRead {
-			if resp, ok := s.cachedVerdict(key); ok {
-				if useAlias {
-					s.compiled.Put(alias, key)
-				}
-				return resp, nil
-			}
-		}
 		start := time.Now()
 		ok, verdict, witness, err := engine(ctx)
 		if err != nil {
@@ -229,7 +199,9 @@ func (s *Server) prepareContainment(body []byte, explain bool) (any, runFunc, *a
 			Witness:   witness,
 			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 		}
-		s.cache.Put(key, resp)
+		if len(key) <= maxCompileKey {
+			s.cache.Put(key, resp)
+		}
 		return resp, nil
 	}, nil
 }
@@ -252,17 +224,6 @@ func (p *slabPair) release() {
 	p.sides[0].Clear()
 	p.sides[1].Clear()
 	slabPairs.Put(p)
-}
-
-// cachedVerdict looks key up in the verdict cache.
-func (s *Server) cachedVerdict(key string) (containmentResponse, bool) {
-	v, ok := s.cache.Get(key)
-	if !ok {
-		return containmentResponse{}, false
-	}
-	resp := v.(containmentResponse)
-	resp.Cached = true
-	return resp, true
 }
 
 func boolVerdict(ok bool) string {
@@ -295,47 +256,6 @@ func appendKeyPart(b []byte, p string) []byte {
 	b = strconv.AppendInt(b, int64(len(p)), 10)
 	b = append(b, ':')
 	return append(b, p...)
-}
-
-// containmentKey is cacheKey(engine, e1.String(), e2.String()), built
-// in one buffer: each side renders straight into the key.
-func containmentKey(engine string, e1, e2 *regex.Expr) string {
-	var buf [512]byte
-	b := append(buf[:0], engine...)
-	b = appendExprKeyPart(b, e1)
-	b = appendExprKeyPart(b, e2)
-	return string(b)
-}
-
-// appendExprKeyPart is appendKeyPart(b, e.String()). The length prefix
-// is known only once e is rendered, so e renders in place and then
-// moves right past the prefix.
-func appendExprKeyPart(b []byte, e *regex.Expr) []byte {
-	b = append(b, 0x1f)
-	start := len(b)
-	b = e.AppendTo(b)
-	n := len(b) - start
-	var digits [24]byte
-	prefix := append(strconv.AppendInt(digits[:0], int64(n), 10), ':')
-	b = append(b, prefix...)
-	copy(b[start+len(prefix):], b[start:start+n])
-	copy(b[start:], prefix)
-	return b
-}
-
-// canonicalJSON re-renders a JSON document with sorted object keys and no
-// insignificant whitespace, so syntactically different but identical
-// schemas share a cache entry.
-func canonicalJSON(doc string) (string, error) {
-	var v any
-	if err := json.Unmarshal([]byte(doc), &v); err != nil {
-		return "", err
-	}
-	out, err := json.Marshal(v) // Go marshals map keys in sorted order
-	if err != nil {
-		return "", err
-	}
-	return string(out), nil
 }
 
 // ---- POST /v1/membership ----
@@ -384,9 +304,9 @@ func (s *Server) prepareMembership(body []byte, _ bool) (any, runFunc, *apiError
 	}, nil
 }
 
-// maxCompileKey bounds the raw request text the compile cache keys on.
-// A larger input is parsed and compiled on every request, as with no
-// cache, so one entry never pins a request text of megabytes.
+// maxCompileKey bounds the keys both caches store. A request with a
+// larger key is parsed, compiled and decided on every request, as with
+// no cache, so one entry never pins a request text of megabytes.
 const maxCompileKey = 64 << 10
 
 // compiledEntry returns the compile-cache entry under key, or nil on a

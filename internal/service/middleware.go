@@ -307,7 +307,9 @@ func (s *Server) deadline(env envelope) time.Duration {
 // on their own; for engines without checkpoints this still guarantees the
 // HTTP deadline. An engine goroutine that outlives its request keeps the
 // admission slot (via req.slot) until it exits, so detached engines count
-// against the in-flight cap instead of silently exceeding it.
+// against the in-flight cap instead of silently exceeding it. The
+// engine exits before its result is sent, so a handler that answers
+// holds no running engine and releases the slot when it returns.
 func runEngine(ctx context.Context, req *request, f runFunc) (any, *apiError) {
 	type result struct {
 		v    any
@@ -316,8 +318,8 @@ func runEngine(ctx context.Context, req *request, f runFunc) (any, *apiError) {
 	done := make(chan result, 1)
 	req.slot.engineStarted()
 	go func() {
-		defer req.slot.engineExited()
 		v, aerr := f(ctx)
+		req.slot.engineExited()
 		done <- result{v, aerr}
 	}()
 	select {

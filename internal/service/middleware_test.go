@@ -268,11 +268,6 @@ func TestSlotReleasedOnCleanFinish(t *testing.T) {
 	if aerr != nil || out.(int) != 42 {
 		t.Fatalf("runEngine = %v, %v", out, aerr)
 	}
-	waitFor(t, "engine bookkeeping", func() bool {
-		slot.mu.Lock()
-		defer slot.mu.Unlock()
-		return slot.engines == 0
-	})
 	if len(s.sem) != 1 {
 		t.Fatal("slot released before the handler returned")
 	}
@@ -283,6 +278,34 @@ func TestSlotReleasedOnCleanFinish(t *testing.T) {
 	slot.handlerReturned() // idempotent: never double-releases
 	if len(s.sem) != 0 {
 		t.Fatal("double release")
+	}
+}
+
+// TestEngineExitsBeforeResult checks that runEngine's engine has
+// exited by the time its result is received: over 1,000 calls the
+// guard counts no running engine when runEngine returns, so the
+// handler's return releases the slot at once and counts nothing as
+// detached.
+func TestEngineExitsBeforeResult(t *testing.T) {
+	s := New(Config{MaxInFlight: 1, Logger: discardLogger()})
+	for i := 0; i < 1000; i++ {
+		s.sem <- struct{}{}
+		slot := &slotGuard{sem: s.sem, detached: &s.detached}
+		if _, aerr := runEngine(context.Background(), &request{slot: slot}, func(context.Context) (any, *apiError) {
+			return i, nil
+		}); aerr != nil {
+			t.Fatalf("call %d: %d %s", i, aerr.status, aerr.msg)
+		}
+		slot.mu.Lock()
+		engines := slot.engines
+		slot.mu.Unlock()
+		if engines != 0 {
+			t.Fatalf("call %d: %d engines still running after the result was received", i, engines)
+		}
+		slot.handlerReturned()
+		if len(s.sem) != 0 || s.detached.Load() != 0 {
+			t.Fatalf("call %d: sem=%d detached=%d after the handler returned", i, len(s.sem), s.detached.Load())
+		}
 	}
 }
 

@@ -16,13 +16,11 @@
 //   - admission control: a bounded semaphore sheds load with 429 before
 //     work starts;
 //   - request-size caps: bodies beyond MaxBodyBytes are rejected with 413;
-//   - two bounded caches: the verdict cache holds containment verdicts
-//     under canonical renderings of the parsed inputs, so syntactically
-//     different but identical requests hit, and inference answers under
-//     the algorithm, k and ordered word sample; the compile cache holds
-//     compiled membership matchers and DTDs, and aliases from raw
-//     containment texts to canonical keys, all under raw request text,
-//     so an exact repeat skips parsing and compiling;
+//   - two bounded caches, both keyed on the raw request fields: the
+//     verdict cache holds containment verdicts and inference answers,
+//     so an exact repeat skips parsing and deciding; the compile cache
+//     holds compiled membership matchers and DTDs, so an exact repeat
+//     skips parsing and compiling;
 //   - observability: every request runs under a root span whose finish
 //     is the one place its latency and status are recorded — the
 //     rwd_op_duration_seconds{op,status} histogram on GET /metrics
@@ -118,10 +116,9 @@ type Server struct {
 	log *log.Logger
 	mux *http.ServeMux
 	reg *metrics.Registry
-	// cache is the verdict cache: containment verdicts under canonical
-	// keys and inference answers under inferKey. compiled is the compile cache: membership matchers, compiled
-	// DTDs and containment aliases (raw text → canonical key), under raw
-	// request text.
+	// cache is the verdict cache: containment verdicts and inference
+	// answers. compiled is the compile cache: membership matchers and
+	// compiled DTDs. Both are keyed on raw request fields.
 	cache    *cache.Cache
 	compiled *cache.Cache
 	sem      chan struct{}
@@ -176,14 +173,13 @@ func New(cfg Config) *Server {
 		"Verdict-cache evictions: containment verdicts and inference answers.", func() float64 { return float64(s.cache.Stats().Evictions) })
 	s.reg.GaugeFunc("rwdserve_cache_entries",
 		"Verdict-cache occupancy: containment verdicts and inference answers.", func() float64 { return float64(s.cache.Stats().Len) })
-	// One compile-cache lookup per membership request, per DTD validate
-	// request, and per non-explain containment request (its alias probe),
-	// for request texts up to maxCompileKey.
+	// One compile-cache lookup per membership request and per DTD
+	// validate request, for request texts up to maxCompileKey.
 	s.reg.CounterFunc("rwdserve_compile_cache_hits_total",
-		"Compile-cache hits: membership matchers, compiled DTDs and containment aliases.",
+		"Compile-cache hits: membership matchers and compiled DTDs.",
 		func() float64 { return float64(s.compiled.Stats().Hits) })
 	s.reg.CounterFunc("rwdserve_compile_cache_misses_total",
-		"Compile-cache misses, including every containment request with no alias yet.",
+		"Compile-cache misses: membership matchers and compiled DTDs.",
 		func() float64 { return float64(s.compiled.Stats().Misses) })
 	s.reg.CounterFunc("rwdserve_compile_cache_evictions_total",
 		"Compile-cache evictions.", func() float64 { return float64(s.compiled.Stats().Evictions) })

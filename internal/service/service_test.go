@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/automata"
+	"repro/internal/cache"
 	"repro/internal/regex"
 )
 
@@ -262,47 +263,24 @@ func TestContainmentBadRequests(t *testing.T) {
 	}
 }
 
-func TestContainmentCacheCanonicalization(t *testing.T) {
+// TestContainmentCacheRawKey checks that verdicts are keyed on the raw
+// request text: a spelling variant with the same parse is a miss with
+// the same verdict, and only a verbatim repeat hits.
+func TestContainmentCacheRawKey(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	var first, second containmentResponse
-	post(t, ts.URL, "/v1/containment", `{"engine":"regex","left":"a|b","right":"(a|b)*"}`, &first)
-	// syntactically different, identical after canonicalization
-	post(t, ts.URL, "/v1/containment", `{"engine":"regex","left":"( a | b )","right":"( ( a | b ) )*"}`, &second)
-	if first.Cached {
-		t.Fatalf("first request must be a miss: %+v", first)
+	bodies := []string{
+		`{"engine":"regex","left":"a|b","right":"(a|b)*"}`,
+		`{"engine":"regex","left":"( a | b )","right":"( ( a | b ) )*"}`, // same parse
+		`{"engine":"regex","left":"( a | b )","right":"( ( a | b ) )*"}`,
 	}
-	if !second.Cached {
-		t.Fatalf("canonically identical request must hit the cache: %+v", second)
-	}
-	st := s.CacheStats()
-	if st.Hits != 1 {
-		t.Fatalf("cache hits = %d, want 1", st.Hits)
-	}
-}
-
-// TestContainmentKeyMatchesCacheKey checks that the one-buffer key of
-// a regex containment instance has the bytes of the two-string one,
-// for renderings of every prefix length from one digit to four and
-// past the key's stack buffer.
-func TestContainmentKeyMatchesCacheKey(t *testing.T) {
-	g := regex.DefaultGen([]string{"a", "b", "label_c", "d"})
-	g.MaxDepth = 7
-	r := rand.New(rand.NewSource(7))
-	exprs := []*regex.Expr{regex.MustParse("a"), regex.MustParse("<eps>"), regex.MustParse("(a|b)* c+ d?")}
-	for i := 0; i < 200; i++ {
-		exprs = append(exprs, g.Random(r))
-	}
-	longest := 0
-	for i, e1 := range exprs {
-		e2 := exprs[(i*7+3)%len(exprs)]
-		got := containmentKey("regex", e1, e2)
-		if want := cacheKey("regex", e1.String(), e2.String()); got != want {
-			t.Fatalf("containmentKey(%v, %v)\n got %q\nwant %q", e1, e2, got, want)
+	for i, b := range bodies {
+		var resp containmentResponse
+		if code := post(t, ts.URL, "/v1/containment", b, &resp); code != 200 || !resp.Contained || resp.Cached != (i == 2) {
+			t.Fatalf("request %d: code=%d resp=%+v", i, code, resp)
 		}
-		longest = max(longest, len(e1.String()))
 	}
-	if longest < 1000 {
-		t.Fatalf("longest rendering is %d bytes; want a four-digit length prefix", longest)
+	if st := s.CacheStats(); st.Hits != 1 || st.Misses != 2 || st.Len != 2 {
+		t.Fatalf("verdict cache %+v, want 1 hit, 2 misses, 2 entries", st)
 	}
 }
 
@@ -635,22 +613,29 @@ func decideColdBodies(engine string, n int) [][]byte {
 	return bodies
 }
 
-// TestServeCacheHitAllocs pins the allocations of two verdict-cache
-// hits served through Server.Handler(), httptest request and recorder
-// included: a containment repeat answered through its alias and an
-// infer repeat. Both are answered on the request goroutine, with no
-// engine goroutine or channel: 69 and 81 allocations, against 74 and 86
-// when every hit ran under the runEngine harness.
+// TestServeCacheHitAllocs pins the allocations of warm cache hits
+// served through Server.Handler(), httptest request and recorder
+// included. A containment and an infer repeat are verdict-cache hits,
+// answered on the request goroutine with no engine goroutine or
+// channel: 69 and 81 allocations, against 74 and 86 when every hit ran
+// under the runEngine harness. A membership and a DTD validate repeat
+// are compile-cache hits whose run still matches the word or the
+// documents under runEngine: 77 and 101 allocations.
 func TestServeCacheHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	verdicts := (*Server).CacheStats
+	compiles := (*Server).CompileCacheStats
 	for _, c := range []struct {
 		path, body string
+		stats      func(*Server) cache.Stats
 		max        float64
 	}{
-		{"/v1/containment", `{"engine":"regex","left":"(a|b)* x","right":"(a|b)* (a|b) x"}`, 69},
-		{"/v1/infer", `{"algorithm":"sore","words":[["a","b","c"],["a","c"],["b","b","c"]]}`, 81},
+		{"/v1/containment", `{"engine":"regex","left":"(a|b)* x","right":"(a|b)* (a|b) x"}`, verdicts, 69},
+		{"/v1/infer", `{"algorithm":"sore","words":[["a","b","c"],["a","c"],["b","b","c"]]}`, verdicts, 81},
+		{"/v1/membership", `{"expr":"(a|b)* a (a|b)","word":["b","a","b"]}`, compiles, 77},
+		{"/v1/validate", `{"kind":"dtd","schema":"<!ELEMENT r ((a|b)*, a)> <!ELEMENT a EMPTY> <!ELEMENT b EMPTY>","docs":["r(b, a)","r(a, b)"]}`, compiles, 101},
 	} {
 		s := New(Config{Logger: discardLogger()})
 		serve := func() {
@@ -660,16 +645,15 @@ func TestServeCacheHitAllocs(t *testing.T) {
 				t.Fatalf("%s: code=%d %s", c.path, rec.Code, rec.Body)
 			}
 		}
-		// The first request fills the verdict cache and the second writes
-		// the containment alias; the rest let the trace ring and the
-		// workload profile reach their steady state.
+		// The first request fills the cache; the rest let the trace ring
+		// and the workload profile reach their steady state.
 		for i := 0; i < 200; i++ {
 			serve()
 		}
-		hits := s.CacheStats().Hits
+		hits := c.stats(s).Hits
 		allocs := testing.AllocsPerRun(200, serve)
-		if got := s.CacheStats().Hits - hits; got != 201 {
-			t.Fatalf("%s: %d verdict-cache hits in 201 requests", c.path, got)
+		if got := c.stats(s).Hits - hits; got != 201 {
+			t.Fatalf("%s: %d cache hits in 201 requests", c.path, got)
 		}
 		t.Logf("%s: %v allocations per hit", c.path, allocs)
 		if allocs > c.max {
