@@ -506,7 +506,7 @@ func BenchmarkStreamingDTDValidation(b *testing.B) {
 // Section 9.6 on a small power-law graph.
 func BenchmarkRPQSemantics(b *testing.B) {
 	g := rdf.DefaultGen().Graph(rand.New(rand.NewSource(31)), 300)
-	p := propertypath.MustParse("rdf:type/foaf:knows*")
+	p := sparql.MustParsePath("rdf:type/foaf:knows*")
 	subjects := g.Subjects()
 	b.Run("regular", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/propertypath"
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 )
 
 func main() {
@@ -21,7 +22,7 @@ func main() {
 
 	paths := []string{"a*", "(a/a)*", "a/a/a/a/a"}
 	for _, s := range paths {
-		p := propertypath.MustParse(s)
+		p := sparql.MustParsePath(s)
 		ctract, ttract := propertypath.Tractability(p)
 		fmt.Printf("path %-10s  type %-6s  Table8 row %-10q  STE %-5v  C_tract %-5v  T_tract %v\n",
 			s, propertypath.TypeString(p), string(propertypath.Classify(p)),
@@ -38,6 +39,6 @@ func main() {
 	fmt.Println("paths is NP-hard, and the classifier flags it.")
 
 	// downward-closed ⇒ trail-tractable
-	dc := propertypath.MustParse("a*/a*")
+	dc := sparql.MustParsePath("a*/a*")
 	fmt.Printf("\na*/a* downward-closed: %v (⇒ trail-tractable)\n", propertypath.IsDownwardClosed(dc))
 }

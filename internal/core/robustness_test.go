@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/jsonschema"
 	"repro/internal/loggen"
-	"repro/internal/propertypath"
 	"repro/internal/regex"
 	"repro/internal/sparql"
 	"repro/internal/tree"
@@ -68,7 +67,7 @@ func TestParserRobustness(t *testing.T) {
 		sparql.Parse(input)
 		xmllite.Parse(input)
 		xpath.Parse(input)
-		propertypath.Parse(input)
+		sparql.ParsePath(input)
 		regex.Parse(input)
 		tree.Parse(input)
 		jsonschema.Parse(input)

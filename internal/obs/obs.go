@@ -48,8 +48,6 @@ type Tracer struct {
 	// uses it to feed span-duration histograms and cost counters into
 	// the metrics registry). It may be called concurrently.
 	OnFinish func(*Span)
-
-	ids atomic.Uint64
 }
 
 // traceIDs seeds process-unique trace ids; the high bits come from the
@@ -69,7 +67,6 @@ func (t *Tracer) StartRoot(ctx context.Context, name string) (context.Context, *
 		tracer:  t,
 		name:    name,
 		traceID: traceIDs.Add(1),
-		id:      t.ids.Add(1),
 		start:   time.Now(),
 	}
 	return ContextWithSpan(ctx, s), s
@@ -116,7 +113,6 @@ type Span struct {
 	parent  *Span
 	name    string
 	traceID uint64
-	id      uint64
 	start   time.Time
 
 	mu       sync.Mutex
@@ -232,7 +228,6 @@ func (s *Span) newChild(name string) *Span {
 		parent:  s,
 		name:    name,
 		traceID: s.traceID,
-		id:      s.tracer.ids.Add(1),
 		start:   time.Now(),
 	}
 	s.mu.Lock()

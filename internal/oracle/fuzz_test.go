@@ -213,11 +213,11 @@ func FuzzJSONSchemaContainment(f *testing.F) {
 // FuzzPropertyPathEval parses a path text and checks the Glushkov
 // product against the derivative product on a seeded random graph.
 func FuzzPropertyPathEval(f *testing.F) {
-	f.Add("p/q*", int64(1))
-	f.Add("^p|!(q)", int64(2))
-	f.Add("(p/^q)+", int64(3))
+	f.Add(":p/:q*", int64(1))
+	f.Add("^:p|!(:q)", int64(2))
+	f.Add("(:p/^:q)+", int64(3))
 	f.Fuzz(func(t *testing.T, pathSrc string, seed int64) {
-		p, err := propertypath.Parse(pathSrc)
+		p, err := sparql.ParsePath(pathSrc)
 		if err != nil {
 			t.Skip()
 		}

@@ -26,7 +26,7 @@ func (propertyPathEval) Description() string {
 	return "propertypath.Eval vs derivative-product BFS; EvalSimplePaths/EvalTrails vs exhaustive path enumeration"
 }
 
-var ppPreds = []string{"p", "q"}
+var ppPreds = []string{":p", ":q"}
 
 // randomPPGraph draws a small graph over nodes n0..n4 and ppPreds.
 func randomPPGraph(r *rand.Rand) *rdf.Graph {

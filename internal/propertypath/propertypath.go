@@ -5,14 +5,11 @@
 // Martens & Trautner (covering over 99% of real property paths), the
 // tractability classes C_tract (Bagan, Bonifati & Groz; simple-path
 // semantics) and T_tract (trail semantics), and evaluation under regular,
-// simple-path and trail semantics.
+// simple-path and trail semantics. Paths are parsed from SPARQL tokens by
+// package sparql (sparql.ParsePath for a standalone path).
 package propertypath
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Kind discriminates property-path AST nodes.
 type Kind int
@@ -91,226 +88,6 @@ func (p *Path) render(prec int) string {
 		return "!(" + strings.Join(parts, "|") + ")"
 	}
 	return "?"
-}
-
-// Parse parses a SPARQL property path. IRIs are prefixed names
-// (wdt:P31), full IRIs in angle brackets, or the keyword a (rdf:type).
-func Parse(s string) (*Path, error) {
-	p := &ppParser{src: s}
-	path, err := p.parseAlt()
-	if err != nil {
-		return nil, err
-	}
-	p.skip()
-	if p.pos != len(p.src) {
-		return nil, fmt.Errorf("propertypath: trailing input %q in %q", p.src[p.pos:], p.src)
-	}
-	return path, nil
-}
-
-// MustParse panics on error.
-func MustParse(s string) *Path {
-	path, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return path
-}
-
-type ppParser struct {
-	src string
-	pos int
-}
-
-func (p *ppParser) skip() {
-	for p.pos < len(p.src) && (p.src[p.pos] == ' ' || p.src[p.pos] == '\t' || p.src[p.pos] == '\n') {
-		p.pos++
-	}
-}
-
-func (p *ppParser) peek() byte {
-	if p.pos < len(p.src) {
-		return p.src[p.pos]
-	}
-	return 0
-}
-
-func (p *ppParser) parseAlt() (*Path, error) {
-	first, err := p.parseSeq()
-	if err != nil {
-		return nil, err
-	}
-	subs := []*Path{first}
-	for {
-		p.skip()
-		if p.peek() != '|' {
-			break
-		}
-		p.pos++
-		next, err := p.parseSeq()
-		if err != nil {
-			return nil, err
-		}
-		subs = append(subs, next)
-	}
-	if len(subs) == 1 {
-		return subs[0], nil
-	}
-	return &Path{Kind: Alt, Subs: subs}, nil
-}
-
-func (p *ppParser) parseSeq() (*Path, error) {
-	first, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	subs := []*Path{first}
-	for {
-		p.skip()
-		if p.peek() != '/' {
-			break
-		}
-		p.pos++
-		next, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		subs = append(subs, next)
-	}
-	if len(subs) == 1 {
-		return subs[0], nil
-	}
-	return &Path{Kind: Seq, Subs: subs}, nil
-}
-
-func (p *ppParser) parseUnary() (*Path, error) {
-	atom, err := p.parseAtom()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch p.peek() {
-		case '*':
-			p.pos++
-			atom = &Path{Kind: Star, Subs: []*Path{atom}}
-		case '+':
-			p.pos++
-			atom = &Path{Kind: Plus, Subs: []*Path{atom}}
-		case '?':
-			p.pos++
-			atom = &Path{Kind: Opt, Subs: []*Path{atom}}
-		default:
-			return atom, nil
-		}
-	}
-}
-
-func (p *ppParser) parseAtom() (*Path, error) {
-	p.skip()
-	switch {
-	case p.peek() == '(':
-		p.pos++
-		inner, err := p.parseAlt()
-		if err != nil {
-			return nil, err
-		}
-		p.skip()
-		if p.peek() != ')' {
-			return nil, fmt.Errorf("propertypath: missing ')' in %q", p.src)
-		}
-		p.pos++
-		return inner, nil
-	case p.peek() == '^':
-		p.pos++
-		inner, err := p.parseAtom()
-		if err != nil {
-			return nil, err
-		}
-		return &Path{Kind: Inverse, Subs: []*Path{inner}}, nil
-	case p.peek() == '!':
-		p.pos++
-		return p.parseNegSet()
-	default:
-		iri, err := p.parseIRI()
-		if err != nil {
-			return nil, err
-		}
-		return &Path{Kind: IRI, IRI: iri}, nil
-	}
-}
-
-func (p *ppParser) parseNegSet() (*Path, error) {
-	p.skip()
-	out := &Path{Kind: NegSet}
-	addOne := func() error {
-		p.skip()
-		inv := false
-		if p.peek() == '^' {
-			inv = true
-			p.pos++
-		}
-		iri, err := p.parseIRI()
-		if err != nil {
-			return err
-		}
-		if inv {
-			out.NegInv = append(out.NegInv, iri)
-		} else {
-			out.Neg = append(out.Neg, iri)
-		}
-		return nil
-	}
-	if p.peek() == '(' {
-		p.pos++
-		for {
-			if err := addOne(); err != nil {
-				return nil, err
-			}
-			p.skip()
-			if p.peek() == '|' {
-				p.pos++
-				continue
-			}
-			if p.peek() == ')' {
-				p.pos++
-				break
-			}
-			return nil, fmt.Errorf("propertypath: malformed negated property set in %q", p.src)
-		}
-		sort.Strings(out.Neg)
-		sort.Strings(out.NegInv)
-		return out, nil
-	}
-	if err := addOne(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func isIRIByte(b byte) bool {
-	return b == ':' || b == '_' || b == '-' || b == '.' ||
-		(b >= '0' && b <= '9') || (b >= 'A' && b <= 'Z') || (b >= 'a' && b <= 'z')
-}
-
-func (p *ppParser) parseIRI() (string, error) {
-	p.skip()
-	if p.peek() == '<' {
-		end := strings.IndexByte(p.src[p.pos:], '>')
-		if end < 0 {
-			return "", fmt.Errorf("propertypath: unterminated IRI in %q", p.src)
-		}
-		iri := p.src[p.pos : p.pos+end+1]
-		p.pos += end + 1
-		return iri, nil
-	}
-	start := p.pos
-	for p.pos < len(p.src) && isIRIByte(p.src[p.pos]) {
-		p.pos++
-	}
-	if p.pos == start {
-		return "", fmt.Errorf("propertypath: expected IRI at offset %d in %q", p.pos, p.src)
-	}
-	return p.src[start:p.pos], nil
 }
 
 // Walk visits the path tree in preorder.

@@ -211,22 +211,10 @@ var typeToRow = map[string]Table8Row{
 // reverseType reverses a type string at the factor level ("ab*" → "a*b",
 // then letters are re-canonicalized; e.g. reverse of "ab*" is "a*b" whose
 // canonical form after renaming is "a*b" — the table aggregates it into
-// the ab* row).
+// the ab* row). A type that is not a plain factor sequence, such as
+// "a*|b", reverses to "", which is no row.
 func reverseType(t string) string {
-	// split into factors: letter (or A) plus optional modifier
-	var factors []string
-	for i := 0; i < len(t); {
-		j := i + 1
-		// multi-char letters (a10) — rare; consume digits
-		for j < len(t) && t[j] >= '0' && t[j] <= '9' {
-			j++
-		}
-		if j < len(t) && (t[j] == '*' || t[j] == '+' || t[j] == '?') {
-			j++
-		}
-		factors = append(factors, t[i:j])
-		i = j
-	}
+	factors := splitFactors(t)
 	// reverse and re-letter
 	rename := map[byte]byte{}
 	var b strings.Builder

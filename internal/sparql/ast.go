@@ -11,6 +11,7 @@
 package sparql
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/propertypath"
@@ -177,7 +178,7 @@ func (e *Expr) Vars() []string {
 	for v := range set {
 		out = append(out, v)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -283,14 +284,6 @@ func walkExprPatterns(e *Expr, f func(*Pattern)) {
 	}
 	for _, s := range e.Subs {
 		walkExprPatterns(s, f)
-	}
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }
 

@@ -5,7 +5,8 @@ import "testing"
 // FuzzParse asserts the SPARQL parser never panics on arbitrary input and
 // that every accepted query supports the analysis surface the log studies
 // rely on: Canonical is deterministic, and the feature/classification
-// battery runs without panicking.
+// battery runs without panicking, and every property path round-trips
+// through ParsePath with the same rendering.
 func FuzzParse(f *testing.F) {
 	f.Add("SELECT * WHERE { ?s ?p ?o . }")
 	f.Add("SELECT DISTINCT ?s WHERE { ?s wdt:P31/wdt:P279* wd:Q5 . FILTER(?s != wd:Q1) }")
@@ -13,6 +14,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("SELECT (COUNT(?x) AS ?n) WHERE { ?x ?p ?y } GROUP BY ?p HAVING (COUNT(?x) > 1) ORDER BY ?n LIMIT 5")
 	f.Add("PREFIX f: <http://x/> DESCRIBE f:e")
 	f.Add("SELECT * WHERE { ?s !(ex:p|^ex:q) ?o }")
+	f.Add("SELECT * WHERE { ?x p:a*|p:b ?y }")
+	f.Add("SELECT * WHERE { ?x ex:café/ex:b* ?y }")
 	f.Fuzz(func(t *testing.T, src string) {
 		q, err := Parse(src)
 		if err != nil {
@@ -30,7 +33,16 @@ func FuzzParse(f *testing.F) {
 		q.Features()
 		q.Operators()
 		q.TripleCount()
-		q.PropertyPaths()
+		for _, pp := range q.PropertyPaths() {
+			s := pp.String()
+			back, err := ParsePath(s)
+			if err != nil {
+				t.Fatalf("path %q of %q does not parse: %v", s, src, err)
+			}
+			if got := back.String(); got != s {
+				t.Fatalf("path %q of %q re-renders as %q", s, src, got)
+			}
+		}
 		q.IsCQ()
 		q.IsCQF()
 		q.IsC2RPQF()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokKind int
@@ -40,7 +41,7 @@ var keywords = map[string]bool{
 }
 
 // lexer tokenizes SPARQL text. Punctuation relevant to property paths is
-// produced as single-character tokens; the parser reassembles paths.
+// produced as single-character tokens; the parser reads paths from them.
 type lexer struct {
 	src  string
 	pos  int
@@ -60,15 +61,10 @@ func lexSPARQL(src string) ([]token, error) {
 		case c == '?' || c == '$':
 			// variable — or a bare '?' path operator when not followed by
 			// a name character
-			if l.pos+1 < len(l.src) && isVarChar(rune(l.src[l.pos+1])) {
-				start := l.pos + 1
-				l.pos++
-				for l.pos < len(l.src) && isVarChar(rune(l.src[l.pos])) {
-					l.pos++
-				}
+			l.pos++
+			if start := l.pos; l.scanName(isVarChar) > start {
 				l.emit(tokVar, l.src[start:l.pos])
 			} else {
-				l.pos++
 				l.emit(tokPunct, "?")
 			}
 		case c == '<':
@@ -91,14 +87,9 @@ func lexSPARQL(src string) ([]token, error) {
 			}
 			l.emit(tokLiteral, lit)
 		case c == '_' && strings.HasPrefix(l.src[l.pos:], "_:"):
-			start := l.pos + 2
 			l.pos += 2
-			for l.pos < len(l.src) && isPNChar(rune(l.src[l.pos])) {
-				l.pos++
-			}
-			for l.pos > start && l.src[l.pos-1] == '.' {
-				l.pos--
-			}
+			start := l.pos
+			l.scanName(isPNChar)
 			l.emit(tokBlank, l.src[start:l.pos])
 		case c >= '0' && c <= '9' || (c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9'):
 			start := l.pos
@@ -118,25 +109,14 @@ func lexSPARQL(src string) ([]token, error) {
 		case strings.ContainsRune("{}().;,=>!+-*/^|[]", rune(c)):
 			l.emit(tokPunct, string(c))
 			l.pos++
-		case unicode.IsLetter(rune(c)) || c == '_':
+		case c == '_' || unicode.IsLetter(l.runeAt()):
 			start := l.pos
-			for l.pos < len(l.src) && isPNChar(rune(l.src[l.pos])) {
-				l.pos++
-			}
-			// a trailing dot belongs to the surrounding syntax
-			for l.pos > start && l.src[l.pos-1] == '.' {
-				l.pos--
-			}
+			l.scanName(isPNChar)
 			word := l.src[start:l.pos]
 			// prefixed name? (word containing or followed by ':')
 			if l.pos < len(l.src) && l.src[l.pos] == ':' {
 				l.pos++
-				for l.pos < len(l.src) && isPNChar(rune(l.src[l.pos])) {
-					l.pos++
-				}
-				for l.src[l.pos-1] == '.' {
-					l.pos--
-				}
+				l.scanName(isPNChar)
 				l.emit(tokIRI, l.src[start:l.pos])
 				continue
 			}
@@ -157,23 +137,43 @@ func lexSPARQL(src string) ([]token, error) {
 			// prefixed name with empty prefix (:name)
 			start := l.pos
 			l.pos++
-			for l.pos < len(l.src) && isPNChar(rune(l.src[l.pos])) {
-				l.pos++
-			}
-			for l.src[l.pos-1] == '.' {
-				l.pos--
-			}
+			l.scanName(isPNChar)
 			l.emit(tokIRI, l.src[start:l.pos])
 		case c == '@':
 			// language tag: attach to nothing; skip
 			l.pos++
-			for l.pos < len(l.src) && (unicode.IsLetter(rune(l.src[l.pos])) || l.src[l.pos] == '-') {
-				l.pos++
-			}
+			l.scanName(isLangChar)
 		default:
 			return nil, fmt.Errorf("sparql: unexpected character %q at offset %d", c, l.pos)
 		}
 	}
+}
+
+// runeAt decodes the rune at l.pos; invalid UTF-8 gives utf8.RuneError,
+// which no name accepts.
+func (l *lexer) runeAt() rune {
+	if c := l.src[l.pos]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+	return r
+}
+
+// scanName advances past the runes ok accepts, backs off trailing dots,
+// which belong to the surrounding syntax, and returns the new offset.
+func (l *lexer) scanName(ok func(rune) bool) int {
+	start := l.pos
+	for l.pos < len(l.src) {
+		r := l.runeAt()
+		if !ok(r) {
+			break
+		}
+		l.pos += utf8.RuneLen(r)
+	}
+	for l.pos > start && l.src[l.pos-1] == '.' {
+		l.pos--
+	}
+	return l.pos
 }
 
 func (l *lexer) emit(k tokKind, text string) {
@@ -235,6 +235,10 @@ func (l *lexer) lexLiteral(quote byte) (string, error) {
 
 func isPNChar(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '.'
+}
+
+func isLangChar(r rune) bool {
+	return unicode.IsLetter(r) || r == '-'
 }
 
 // isVarChar matches SPARQL VARNAME characters (no '-' or '.').

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -13,28 +14,51 @@ import (
 // Table 2 contain millions of those) return an error; the analysis
 // pipeline counts them as non-Valid.
 func Parse(src string) (*Query, error) {
-	toks, err := lexSPARQL(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	q, err := p.parseQuery()
-	if err != nil {
-		return nil, err
-	}
-	if p.peek().kind != tokEOF {
-		return nil, p.errf("trailing input %q", p.peek().text)
-	}
-	return q, nil
+	return parseAll(src, (*parser).parseQuery)
 }
 
 // MustParse panics on error; for tests.
 func MustParse(src string) *Query {
-	q, err := Parse(src)
+	return must(Parse(src))
+}
+
+// ParsePath parses a standalone property path such as wdt:P31/wdt:P279*
+// with the grammar of a predicate position. IRIs are SPARQL IRI tokens:
+// prefixed names, <…> IRIs, or the keyword a (rdf:type); a bare word
+// other than a is a keyword, not an IRI.
+func ParsePath(src string) (*propertypath.Path, error) {
+	return parseAll(src, (*parser).parsePropertyPath)
+}
+
+// MustParsePath panics on error; for tests and examples.
+func MustParsePath(src string) *propertypath.Path {
+	return must(ParsePath(src))
+}
+
+// parseAll lexes src and parses it with parse, which must read every
+// token.
+func parseAll[T any](src string, parse func(*parser) (T, error)) (T, error) {
+	var zero T
+	toks, err := lexSPARQL(src)
+	if err != nil {
+		return zero, err
+	}
+	p := &parser{toks: toks}
+	x, err := parse(p)
+	if err != nil {
+		return zero, err
+	}
+	if p.peek().kind != tokEOF {
+		return zero, p.errf("trailing input %q", p.peek().text)
+	}
+	return x, nil
+}
+
+func must[T any](x T, err error) T {
 	if err != nil {
 		panic(err)
 	}
-	return q
+	return x
 }
 
 type parser struct {
@@ -656,53 +680,131 @@ func (p *parser) parseTerm(subjectPos bool) (Term, error) {
 	return Term{}, p.errf("expected RDF term, found %q", t.text)
 }
 
-// parsePropertyPath parses a property path at predicate position by
-// reassembling path tokens into a string for the propertypath parser.
+// parsePropertyPath parses a property path at predicate position: its
+// |-alternatives of /-sequences of unary items. Only tokens that continue
+// the path are read, so the object term after it stays in place.
 func (p *parser) parsePropertyPath() (*propertypath.Path, error) {
-	// Reassemble path tokens with an expectation state machine so that the
-	// object term following the path is not swallowed: an IRI is consumed
-	// only where an atom is expected (start, after / | ^ ! or '(').
-	var b strings.Builder
-	depth := 0
-	start := p.pos
-	expectAtom := true
-	for {
-		t := p.peek()
-		switch {
-		case t.kind == tokIRI && expectAtom:
-			b.WriteString(t.text)
-			p.pos++
-			expectAtom = false
-		case t.kind == tokPunct && (t.text == "/" || t.text == "|") && !expectAtom:
-			// '|' continues the path only inside parentheses or between
-			// atoms of the same predicate position
-			b.WriteString(t.text)
-			p.pos++
-			expectAtom = true
-		case t.kind == tokPunct && (t.text == "^" || t.text == "!") && expectAtom:
-			b.WriteString(t.text)
-			p.pos++
-		case t.kind == tokPunct && (t.text == "*" || t.text == "+" || t.text == "?") && !expectAtom:
-			b.WriteString(t.text)
-			p.pos++
-		case t.kind == tokPunct && t.text == "(" && expectAtom:
-			depth++
-			b.WriteString("(")
-			p.pos++
-		case t.kind == tokPunct && t.text == ")" && depth > 0 && !expectAtom:
-			depth--
-			b.WriteString(")")
-			p.pos++
-		default:
-			if p.pos == start {
-				return nil, p.errf("expected predicate, found %q", t.text)
-			}
-			if depth != 0 || expectAtom {
-				return nil, p.errf("malformed property path")
-			}
-			return propertypath.Parse(b.String())
-		}
+	return p.parsePathList("|")
+}
+
+// parsePathList parses one or more items separated by sep: /-sequences
+// when sep is "|", unary items when sep is "/". Two or more items make an
+// Alt or Seq node.
+func (p *parser) parsePathList(sep string) (*propertypath.Path, error) {
+	first, err := p.parsePathItem(sep)
+	if err != nil || !p.isPunct(sep) {
+		return first, err
 	}
+	kind := propertypath.Alt
+	if sep == "/" {
+		kind = propertypath.Seq
+	}
+	list := &propertypath.Path{Kind: kind, Subs: []*propertypath.Path{first}}
+	for p.isPunct(sep) {
+		p.pos++
+		next, err := p.parsePathItem(sep)
+		if err != nil {
+			return nil, err
+		}
+		list.Subs = append(list.Subs, next)
+	}
+	return list, nil
+}
+
+func (p *parser) parsePathItem(sep string) (*propertypath.Path, error) {
+	if sep == "|" {
+		return p.parsePathList("/")
+	}
+	return p.parsePathUnary()
+}
+
+var pathRepeats = map[string]propertypath.Kind{"*": propertypath.Star, "+": propertypath.Plus, "?": propertypath.Opt}
+
+// parsePathUnary parses an atom followed by any run of *, + and ?.
+func (p *parser) parsePathUnary() (*propertypath.Path, error) {
+	x, err := p.parsePathAtom()
+	if err != nil {
+		return nil, err
+	}
+	for t := p.peek(); t.kind == tokPunct; t = p.peek() {
+		kind, ok := pathRepeats[t.text]
+		if !ok {
+			break
+		}
+		p.pos++
+		x = &propertypath.Path{Kind: kind, Subs: []*propertypath.Path{x}}
+	}
+	return x, nil
+}
+
+// parsePathAtom parses an IRI, ^atom, a negated property set, or a
+// parenthesized path.
+func (p *parser) parsePathAtom() (*propertypath.Path, error) {
+	switch t := p.peek(); {
+	case t.kind == tokIRI:
+		p.pos++
+		return &propertypath.Path{Kind: propertypath.IRI, IRI: t.text}, nil
+	case p.isPunct("^"):
+		p.pos++
+		x, err := p.parsePathAtom()
+		if err != nil {
+			return nil, err
+		}
+		return &propertypath.Path{Kind: propertypath.Inverse, Subs: []*propertypath.Path{x}}, nil
+	case p.isPunct("!"):
+		p.pos++
+		return p.parseNegatedSet()
+	case p.isPunct("("):
+		p.pos++
+		x, err := p.parsePathList("|")
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expectPunct(")"); err != nil {
+			return nil, err
+		}
+		return x, nil
+	default:
+		return nil, p.errf("expected predicate, found %q", t.text)
+	}
+}
+
+// parseNegatedSet parses what follows '!': one [^]IRI, or a parenthesized
+// |-list of them, whose labels are sorted.
+func (p *parser) parseNegatedSet() (*propertypath.Path, error) {
+	out := &propertypath.Path{Kind: propertypath.NegSet}
+	paren := p.isPunct("(")
+	if paren {
+		p.pos++
+	}
+	for {
+		inv := p.isPunct("^")
+		if inv {
+			p.pos++
+		}
+		switch t := p.peek(); {
+		case t.kind != tokIRI:
+			return nil, p.errf("expected IRI in negated property set, found %q", t.text)
+		case inv:
+			out.NegInv = append(out.NegInv, t.text)
+		default:
+			out.Neg = append(out.Neg, t.text)
+		}
+		p.pos++
+		if !paren {
+			return out, nil
+		}
+		if !p.isPunct("|") {
+			break
+		}
+		p.pos++
+	}
+	if err := p.expectPunct(")"); err != nil {
+		return nil, err
+	}
+	slices.Sort(out.Neg)
+	slices.Sort(out.NegInv)
+	return out, nil
 }
 
 func (p *parser) parseFilterConstraint() (*Expr, error) {

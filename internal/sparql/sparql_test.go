@@ -254,3 +254,38 @@ func TestCanonicalStable(t *testing.T) {
 		t.Errorf("canonical lost the property path: %q", c1)
 	}
 }
+
+// TestNonASCIINames: names are read as UTF-8 runes, so non-ASCII local
+// names, paths over them, variables and language tags parse, and bytes
+// that are not UTF-8 are still rejected.
+func TestNonASCIINames(t *testing.T) {
+	for _, c := range []struct{ src, path string }{
+		{"SELECT * WHERE { ?x ex:café ?y }", ""},
+		{"SELECT * WHERE { ?x ex:café* ?y }", "ex:café*"},
+		{"SELECT * WHERE { ?x ex:p ?é }", ""},
+		{"SELECT * WHERE { ?x ex:p :été }", ""},
+		{"SELECT * WHERE { _:bé ex:p \"x\"@fr-ça }", ""},
+	} {
+		q, err := Parse(c.src)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", c.src, err)
+			continue
+		}
+		pps := q.PropertyPaths()
+		if c.path == "" && len(pps) != 0 || c.path != "" && (len(pps) != 1 || pps[0].String() != c.path) {
+			t.Errorf("Parse(%q) paths = %v, want %q", c.src, pps, c.path)
+		}
+	}
+	if q := MustParse("SELECT ?é WHERE { ?é ex:p ?y }"); q.Items[0].Var != "é" {
+		t.Errorf("variable = %q, want é", q.Items[0].Var)
+	}
+	for _, bad := range []string{
+		"SELECT * WHERE { ?x ex:caf\xe9 ?y }",
+		"SELECT * WHERE { ?x ex:\xaa ?y }",
+		"SELECT * WHERE { ?x ex:p ?\xc3 }",
+	} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) accepted invalid UTF-8", bad)
+		}
+	}
+}
