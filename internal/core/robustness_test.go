@@ -77,6 +77,24 @@ func TestParserRobustness(t *testing.T) {
 // TestAnalyzerNeverPanicsOnCorpus runs every generated query of every
 // source through the full analyzer battery at small scale — including the
 // deliberately corrupted queries.
+// TestAnalyzeDeepNestingIsInvalid sends /v1/analyze's NDJSON path two
+// queries nested 3M levels deep, in groups and in property-path
+// parentheses. Recursion that deep overflowed the goroutine stack, a
+// fatal error no recover catches; past sparql.Parse's nesting limit each
+// is an invalid query, and the valid query beside them still counts.
+func TestAnalyzeDeepNestingIsInvalid(t *testing.T) {
+	const n = 3_000_000
+	queries := []string{
+		"SELECT * WHERE " + strings.Repeat("{", n) + "?s ?p ?o" + strings.Repeat("}", n),
+		"SELECT * WHERE { ?x " + strings.Repeat("(", n) + "<http://x/p>" + strings.Repeat(")", n) + " ?y }",
+		"SELECT * WHERE { ?s ?p ?o }",
+	}
+	r := AnalyzeQueries("deep", queries, 1)
+	if r.Total != 3 || r.Valid != 1 {
+		t.Fatalf("total=%d valid=%d, want 3 and 1", r.Total, r.Valid)
+	}
+}
+
 func TestAnalyzerNeverPanicsOnCorpus(t *testing.T) {
 	for i, s := range loggen.Sources() {
 		g := loggen.NewGen(s, int64(1000+i))

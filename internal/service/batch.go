@@ -32,11 +32,10 @@ type batchItem struct {
 }
 
 type batchRequest struct {
+	// envelope: explain returns the root span tree with one batch.item
+	// child per item.
+	envelope
 	Items []batchItem `json:"items"`
-	// DeadlineMS and Explain form the shared envelope; explain returns
-	// the root span tree with one batch.item child per item.
-	DeadlineMS int  `json:"deadline_ms"`
-	Explain    bool `json:"explain"`
 }
 
 type batchItemResult struct {
@@ -60,9 +59,12 @@ func (s *Server) handleBatch(ctx context.Context, req *request) (any, *apiError)
 	if err := json.Unmarshal(req.body, &br); err != nil {
 		return nil, errBadRequest("invalid JSON: %v", err)
 	}
+	req.env = br.envelope
 	if len(br.Items) == 0 {
 		return nil, errBadRequest("items is required")
 	}
+	req.batch = true
+	ctx = s.arm(ctx, req)
 	start := time.Now()
 	resp := batchResponse{Count: len(br.Items), Items: make([]batchItemResult, len(br.Items))}
 	for i, it := range br.Items {

@@ -68,8 +68,8 @@ func BenchmarkServeContainmentCacheHit(b *testing.B) {
 
 // decideSync runs both stages of op on body on the calling goroutine:
 // prepare, then its run, if any, under ctx.
-func decideSync(s *Server, ctx context.Context, op string, body []byte, explain bool) (any, *apiError) {
-	answer, run, aerr := decideOps[op](s, body, explain)
+func decideSync(s *Server, ctx context.Context, op string, body []byte) (any, *apiError) {
+	answer, run, aerr := decideOps[op](s, &request{}, body)
 	if run == nil {
 		return answer, aerr
 	}
@@ -104,13 +104,13 @@ func BenchmarkDecide(b *testing.B) {
 				ctx := context.Background()
 				body := []byte(o.body)
 				// a warm-up call fills the verdict cache or the compile cache
-				if _, aerr := decideSync(s, ctx, o.op, body, false); aerr != nil {
+				if _, aerr := decideSync(s, ctx, o.op, body); aerr != nil {
 					b.Fatal(aerr)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, aerr := decideSync(s, ctx, o.op, body, false); aerr != nil {
+					if _, aerr := decideSync(s, ctx, o.op, body); aerr != nil {
 						b.Fatal(aerr)
 					}
 				}

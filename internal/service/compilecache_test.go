@@ -224,13 +224,13 @@ func TestInferMemoSkipsEndedContext(t *testing.T) {
 	body := []byte(`{"algorithm":"sore","words":[["a","b"],["b","a"]]}`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, aerr := decideSync(s, ctx, "infer", body, false); aerr != nil {
+	if _, aerr := decideSync(s, ctx, "infer", body); aerr != nil {
 		t.Fatalf("decide: %d %s", aerr.status, aerr.msg)
 	}
 	if st := s.CacheStats(); st.Len != 0 {
 		t.Fatalf("an answer under an ended context was stored: %+v", st)
 	}
-	if _, aerr := decideSync(s, context.Background(), "infer", body, false); aerr != nil {
+	if _, aerr := decideSync(s, context.Background(), "infer", body); aerr != nil {
 		t.Fatalf("decide: %d %s", aerr.status, aerr.msg)
 	}
 	if st := s.CacheStats(); st.Len != 1 {
@@ -309,7 +309,7 @@ func TestContainmentKeyLinearInBody(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, run, aerr := s.prepareContainment(body, false)
+	_, run, aerr := s.prepareContainment(&request{}, body)
 	if aerr != nil || run == nil {
 		t.Fatalf("prepare: %v, run %v", aerr, run != nil)
 	}

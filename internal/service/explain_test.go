@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/automata"
 	"repro/internal/obs"
@@ -185,9 +186,11 @@ func TestWithTraceMatchesMapMerge(t *testing.T) {
 	} {
 		ctx, root := s.tracer.StartRoot(context.Background(), "http."+c.op)
 		q, _ := url.ParseQuery(c.query)
-		req := &request{body: []byte(c.body), ndjson: c.query != "", query: q}
-		req.env = parseEnvelope(req)
+		req := &request{body: []byte(c.body), start: time.Now(), ndjson: c.query != "", query: q}
 		out, aerr := c.h(ctx, req)
+		if req.cancel != nil {
+			req.cancel()
+		}
 		if aerr != nil {
 			t.Fatalf("%s: %d %s", c.op, aerr.status, aerr.msg)
 		}

@@ -37,11 +37,11 @@ const jsonschemaSamples = 200
 // counted as detached instead of delaying the 504. /v1/batch calls the
 // same functions per item, so its verdicts are the endpoints' verdicts.
 
-// prepareFunc is the first stage of a decision op. It returns an error,
-// an answer, or the run that computes one; explain is the envelope's
-// explain flag, and an explain request skips the verdict reads, so its
-// trace shows the engine.
-type prepareFunc func(s *Server, body []byte, explain bool) (answer any, run runFunc, aerr *apiError)
+// prepareFunc is the first stage of a decision op. It decodes body, the
+// op's JSON with its envelope (request.decodeOp), and returns an error,
+// an answer, or the run that computes one. An explain request skips the
+// verdict reads, so its trace shows the engine.
+type prepareFunc func(s *Server, req *request, body []byte) (answer any, run runFunc, aerr *apiError)
 
 // runFunc is the second stage of a decision op, run under ctx.
 type runFunc func(ctx context.Context) (any, *apiError)
@@ -56,13 +56,31 @@ var decideOps = map[string]prepareFunc{
 }
 
 // decide runs one op on body: prepare on the calling goroutine, then
-// its run, if any, under runEngine.
+// its run, if any, under runEngine. Only a run arms the deadline, so a
+// verdict-cache hit starts no timer; a /v1/batch item runs under the
+// batch's.
 func (s *Server) decide(ctx context.Context, req *request, prepare prepareFunc, body []byte) (any, *apiError) {
-	answer, run, aerr := prepare(s, body, req.env.Explain)
+	answer, run, aerr := prepare(s, req, body)
 	if run == nil {
 		return answer, aerr
 	}
+	if !req.batch {
+		ctx = s.arm(ctx, req)
+	}
 	return runEngine(ctx, req, run)
+}
+
+// decodeOp decodes a decision op's body into v, a request type that
+// embeds env. On a decide endpoint the body's envelope becomes the
+// request's; a /v1/batch item keeps the batch's.
+func (req *request) decodeOp(body []byte, v any, env *envelope) *apiError {
+	if err := json.Unmarshal(body, v); err != nil {
+		return errBadRequest("invalid JSON: %v", err)
+	}
+	if !req.batch {
+		req.env = *env
+	}
+	return nil
 }
 
 // decideHandler serves one decision op on the request body.
@@ -75,20 +93,16 @@ func (s *Server) decideHandler(prepare prepareFunc) handlerFunc {
 // ---- POST /v1/containment ----
 
 type containmentRequest struct {
+	// envelope: explain asks for the span tree of the decision alongside
+	// the verdict. Explain requests bypass the verdict-cache read: a
+	// cache hit would short-circuit the engine and return an empty trace.
+	envelope
 	// Engine selects the decision procedure: regex (general, PSPACE),
 	// kore (k-ORE, Theorem 4.6), dtd (Definition 4.1 reduction), or
 	// jsonschema (sound-but-incomplete three-valued check).
 	Engine string `json:"engine"`
 	Left   string `json:"left"`
 	Right  string `json:"right"`
-	// DeadlineMS overrides the server's default deadline (clamped to the
-	// configured maximum). Parsed by the middleware envelope; listed here
-	// so the request shape documents itself.
-	DeadlineMS int `json:"deadline_ms"`
-	// Explain asks for the span tree of the decision alongside the
-	// verdict. Explain requests bypass the verdict-cache read: a cache
-	// hit would short-circuit the engine and return an empty trace.
-	Explain bool `json:"explain"`
 }
 
 type containmentResponse struct {
@@ -105,10 +119,10 @@ type containmentResponse struct {
 // holds them only, so an entry is sound by construction, as inferKey's
 // are. Explain requests skip the read, so their trace shows the engine;
 // a verdict is stored only for keys up to maxCompileKey.
-func (s *Server) prepareContainment(body []byte, explain bool) (any, runFunc, *apiError) {
+func (s *Server) prepareContainment(r *request, body []byte) (any, runFunc, *apiError) {
 	var req containmentRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, errBadRequest("invalid JSON: %v", err)
+	if aerr := r.decodeOp(body, &req, &req.envelope); aerr != nil {
+		return nil, nil, aerr
 	}
 	if req.Left == "" || req.Right == "" {
 		return nil, nil, errBadRequest("left and right are required")
@@ -119,7 +133,7 @@ func (s *Server) prepareContainment(body []byte, explain bool) (any, runFunc, *a
 		return nil, nil, errBadRequest("unknown engine %q (want regex, kore, dtd, or jsonschema)", req.Engine)
 	}
 	key := cacheKey("containment", req.Engine, req.Left, req.Right)
-	if !explain {
+	if !r.env.Explain {
 		if v, ok := s.cache.Get(key); ok {
 			resp := v.(containmentResponse)
 			resp.Cached = true
@@ -261,9 +275,9 @@ func appendKeyPart(b []byte, p string) []byte {
 // ---- POST /v1/membership ----
 
 type membershipRequest struct {
-	Expr       string   `json:"expr"`
-	Word       []string `json:"word"`
-	DeadlineMS int      `json:"deadline_ms"`
+	envelope
+	Expr string   `json:"expr"`
+	Word []string `json:"word"`
 }
 
 type membershipResponse struct {
@@ -277,10 +291,10 @@ type membershipResponse struct {
 // in the compile cache, under the raw expression text. Its run matches
 // the word, hit or not: a word of megabytes takes its time whatever the
 // Matcher.
-func (s *Server) prepareMembership(body []byte, _ bool) (any, runFunc, *apiError) {
+func (s *Server) prepareMembership(r *request, body []byte) (any, runFunc, *apiError) {
 	var req membershipRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, errBadRequest("invalid JSON: %v", err)
+	if aerr := r.decodeOp(body, &req, &req.envelope); aerr != nil {
+		return nil, nil, aerr
 	}
 	key := cacheKey("membership", req.Expr)
 	hit := s.compiledEntry(key)
@@ -343,6 +357,7 @@ type edtdTypeJSON struct {
 }
 
 type validateRequest struct {
+	envelope
 	// Kind selects the schema language: dtd, edtd, or single-type.
 	Kind string `json:"kind"`
 	// Schema is DTD text (<!ELEMENT …>) for kind=dtd.
@@ -353,8 +368,7 @@ type validateRequest struct {
 	Types []edtdTypeJSON `json:"types,omitempty"`
 	Start []string       `json:"start,omitempty"`
 	// Docs are documents in label(child, …) tree syntax.
-	Docs       []string `json:"docs"`
-	DeadlineMS int      `json:"deadline_ms"`
+	Docs []string `json:"docs"`
 }
 
 type validateResult struct {
@@ -369,10 +383,10 @@ type validateResponse struct {
 
 // prepareValidate decodes a validate body and looks up a DTD's compiled
 // form; its run parses the documents and builds an EDTD per request.
-func (s *Server) prepareValidate(body []byte, _ bool) (any, runFunc, *apiError) {
+func (s *Server) prepareValidate(r *request, body []byte) (any, runFunc, *apiError) {
 	var req validateRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, errBadRequest("invalid JSON: %v", err)
+	if aerr := r.decodeOp(body, &req, &req.envelope); aerr != nil {
+		return nil, nil, aerr
 	}
 	if len(req.Docs) == 0 {
 		return nil, nil, errBadRequest("docs is required")
@@ -476,12 +490,12 @@ func buildEDTD(types []edtdTypeJSON, start []string) (*edtd.EDTD, *apiError) {
 // ---- POST /v1/infer ----
 
 type inferRequest struct {
+	envelope
 	// Algorithm: sore (2T-INF + RWR), chare (CRX), kore (fixed k), or
 	// best-kore (smallest k <= K yielding a deterministic expression).
-	Algorithm  string     `json:"algorithm"`
-	K          int        `json:"k,omitempty"`
-	Words      [][]string `json:"words"`
-	DeadlineMS int        `json:"deadline_ms"`
+	Algorithm string     `json:"algorithm"`
+	K         int        `json:"k,omitempty"`
+	Words     [][]string `json:"words"`
 }
 
 type inferResponse struct {
@@ -498,10 +512,10 @@ type inferResponse struct {
 // Explain requests skip the read, so their trace shows the inference
 // spans; an answer is stored only when the request's deadline has not
 // passed, and only for keys up to maxCompileKey.
-func (s *Server) prepareInfer(body []byte, explain bool) (any, runFunc, *apiError) {
+func (s *Server) prepareInfer(r *request, body []byte) (any, runFunc, *apiError) {
 	var req inferRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, errBadRequest("invalid JSON: %v", err)
+	if aerr := r.decodeOp(body, &req, &req.envelope); aerr != nil {
+		return nil, nil, aerr
 	}
 	if len(req.Words) == 0 {
 		return nil, nil, errBadRequest("words is required")
@@ -520,7 +534,7 @@ func (s *Server) prepareInfer(body []byte, explain bool) (any, runFunc, *apiErro
 	}
 	key := inferKey(&req)
 	useCache := len(key) <= maxCompileKey
-	if useCache && !explain {
+	if useCache && !r.env.Explain {
 		if v, ok := s.cache.Get(key); ok {
 			return v, nil, nil
 		}
@@ -590,15 +604,15 @@ func inferKey(req *inferRequest) string {
 // ---- POST /v1/analyze ----
 
 type analyzeRequest struct {
+	envelope
 	Name    string   `json:"name"`
 	Queries []string `json:"queries"`
 	// Corpus names a stored corpus to analyze instead of inline
 	// queries: a log corpus runs through the same query analysis as
 	// inline queries (byte-identical report); a triples corpus runs the
 	// Section 7.1 RDF analyses. Requires an attached store.
-	Corpus     string `json:"corpus,omitempty"`
-	Workers    int    `json:"workers,omitempty"`
-	DeadlineMS int    `json:"deadline_ms"`
+	Corpus  string `json:"corpus,omitempty"`
+	Workers int    `json:"workers,omitempty"`
 }
 
 type analyzeResponse struct {
@@ -622,7 +636,7 @@ func (s *Server) handleAnalyze(ctx context.Context, req *request) (any, *apiErro
 		if err != nil {
 			return nil, errBadRequest("reading query log: %v", err)
 		}
-		in = analyzeRequest{Name: req.query.Get("name"), Queries: queries}
+		in = analyzeRequest{envelope: queryEnvelope(req.query), Name: req.query.Get("name"), Queries: queries}
 		in.Corpus = req.query.Get("corpus")
 		if w, err := strconv.Atoi(req.query.Get("workers")); err == nil {
 			in.Workers = w
@@ -630,6 +644,7 @@ func (s *Server) handleAnalyze(ctx context.Context, req *request) (any, *apiErro
 	} else if err := json.Unmarshal(req.body, &in); err != nil {
 		return nil, errBadRequest("invalid JSON: %v", err)
 	}
+	req.env = in.envelope
 	if in.Corpus != "" && len(in.Queries) > 0 {
 		return nil, errBadRequest("corpus and queries are mutually exclusive")
 	}
@@ -655,6 +670,7 @@ func (s *Server) handleAnalyze(ctx context.Context, req *request) (any, *apiErro
 		workers = s.cfg.AnalyzeWorkers
 	}
 	start := time.Now()
+	ctx = s.arm(ctx, req)
 	return runEngine(ctx, req, func(ctx context.Context) (any, *apiError) {
 		elapsed := func() float64 { return float64(time.Since(start).Microseconds()) / 1000 }
 		queries := in.Queries

@@ -55,29 +55,40 @@ func engineError(ctx context.Context, err error) *apiError {
 }
 
 // envelope is the shared request envelope: the fields that ride beside
-// every endpoint's specific body. JSON bodies carry them inline; NDJSON
-// streaming bodies are raw query logs, so the envelope moves to the URL
-// query string. The middleware parses it exactly once per request.
+// every endpoint's specific body. Every JSON request type embeds it, so
+// the handler's one decode of the body fills it; NDJSON streaming bodies
+// are raw query logs, so there the envelope moves to the URL query
+// string.
 type envelope struct {
 	Explain    bool `json:"explain"`
 	DeadlineMS int  `json:"deadline_ms"`
 }
 
 // request is what the middleware hands every handler: the size-capped
-// body, the envelope (parsed once), whether the body is a line stream
+// body and when its read ended, whether the body is a line stream
 // rather than a JSON document, the query parameters (the envelope and
-// option carrier in stream mode), and the admission-slot guard.
+// option carrier in stream mode), and the admission-slot guard. The
+// handler fills env with its decode and then arms the deadline.
 type request struct {
 	env    envelope
 	body   []byte
+	start  time.Time // the end of the body read; the deadline counts from it
 	ndjson bool
 	query  url.Values
 	slot   *slotGuard
+
+	// deadline ends the context arm returns; cancel stops its timer.
+	deadline time.Time
+	cancel   context.CancelFunc
+	// batch is set while /v1/batch runs its items: the batch's envelope
+	// governs them, and their own envelope fields are ignored.
+	batch bool
 }
 
-// handlerFunc is an endpoint body: it gets the deadline-bearing context
-// and the parsed request, and returns either a JSON-marshalable response
-// or an apiError.
+// handlerFunc is an endpoint body: it gets the root span's context and
+// the request, decodes the body with its envelope, arms the deadline
+// (Server.arm) for the work the deadline bounds, and returns either a
+// JSON-marshalable response or an apiError.
 type handlerFunc func(ctx context.Context, req *request) (any, *apiError)
 
 // slotGuard owns one admission-semaphore slot. The HTTP goroutine holds
@@ -148,9 +159,9 @@ func (g *slotGuard) maybeReleaseLocked() {
 
 // endpoint wraps h in the shared middleware stack: root span (with the
 // trace id echoed in the X-Trace-Id response header), admission control,
-// request-size cap, one envelope parse, per-request deadline, response
-// rendering (with the span tree merged in for "explain": true), and the
-// shared tail of finishRequest.
+// one size-capped body read, response rendering (with the span tree
+// merged in for "explain": true), and the shared tail of finishRequest.
+// h decodes the envelope with its body and arms the deadline itself.
 func (s *Server) endpoint(name string, h handlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		code := http.StatusOK
@@ -177,29 +188,22 @@ func (s *Server) endpoint(name string, h handlerFunc) http.Handler {
 		slot := &slotGuard{sem: s.sem, detached: &s.detached}
 		defer slot.handlerReturned()
 
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-		if err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				code = http.StatusRequestEntityTooLarge
-				writeJSON(w, code, map[string]string{
-					"error": fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
-				return
-			}
-			code = http.StatusBadRequest
-			writeJSON(w, code, map[string]string{"error": "reading body: " + err.Error()})
+		body, aerr := readBody(w, r, s.cfg.MaxBodyBytes)
+		if aerr != nil {
+			code = aerr.status
+			writeJSON(w, code, map[string]string{"error": aerr.msg})
 			return
 		}
-
-		req := &request{body: body, slot: slot}
+		req := &request{body: body, start: time.Now(), slot: slot}
 		req.ndjson = streamingBody(r)
 		req.query = r.URL.Query()
-		req.env = parseEnvelope(req)
+		defer func() {
+			if req.cancel != nil {
+				req.cancel()
+			}
+		}()
 
-		ctx, cancel := context.WithTimeout(rctx, s.deadline(req.env))
-		defer cancel()
-
-		out, aerr := h(ctx, req)
+		out, aerr := h(rctx, req)
 		if aerr != nil {
 			code = aerr.status
 			writeJSON(w, code, map[string]string{"error": aerr.msg})
@@ -213,6 +217,44 @@ func (s *Server) endpoint(name string, h handlerFunc) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, out)
 	})
+}
+
+// readBody reads r's body into one buffer sized from its Content-Length,
+// never larger than max+1 bytes whatever the header claims: a declared
+// length over max is refused before any read, and a body that outgrows
+// its declared length grows the buffer as io.ReadAll would, up to the
+// cap. A body over max is a 413.
+func readBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, *apiError) {
+	tooLarge := func() *apiError {
+		return &apiError{http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", max)}
+	}
+	if r.ContentLength > max {
+		return nil, tooLarge()
+	}
+	size := r.ContentLength
+	if size < 0 {
+		size = 512 // unknown length: start where io.ReadAll does
+	}
+	// one byte past the body, so the read that finds EOF needs no growth
+	buf := make([]byte, 0, size+1)
+	body := http.MaxBytesReader(w, r.Body, max)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			var mbe *http.MaxBytesError
+			if errors.As(err, &mbe) {
+				return nil, tooLarge()
+			}
+			return nil, errBadRequest("reading body: %v", err)
+		}
+	}
 }
 
 // finishRequest is the shared tail of endpoint and traceEndpoint: it
@@ -246,22 +288,14 @@ func streamingBody(r *http.Request) bool {
 	return false
 }
 
-// parseEnvelope extracts the shared envelope exactly once per request —
-// the handlers receive it instead of re-unmarshaling the body for each
-// shared field, which batch-sized bodies make measurably expensive. A
-// body that fails to parse gets the zero envelope; the handler reports
-// the parse error itself. Stream-mode requests carry the envelope in the
+// queryEnvelope reads a stream-mode request's envelope from its URL
 // query string (?deadline_ms=…&explain=true).
-func parseEnvelope(req *request) envelope {
+func queryEnvelope(q url.Values) envelope {
 	var env envelope
-	if req.ndjson {
-		if v, err := strconv.Atoi(req.query.Get("deadline_ms")); err == nil {
-			env.DeadlineMS = v
-		}
-		env.Explain = req.query.Get("explain") == "true"
-		return env
+	if v, err := strconv.Atoi(q.Get("deadline_ms")); err == nil {
+		env.DeadlineMS = v
 	}
-	_ = json.Unmarshal(req.body, &env)
+	env.Explain = q.Get("explain") == "true"
 	return env
 }
 
@@ -286,6 +320,17 @@ func withTrace(out any, tree *obs.Node) any {
 	merged := append(raw[:len(raw)-1], sep+`"trace":`...)
 	merged = append(merged, t...)
 	return json.RawMessage(append(merged, '}'))
+}
+
+// arm bounds ctx by the request's deadline: the end of the body read
+// plus the envelope's deadline_ms, defaulted and clamped. A handler arms
+// once its decode has filled the envelope, and a decide op only when it
+// has a run to bound; the middleware stops the timer when the handler
+// returns.
+func (s *Server) arm(ctx context.Context, req *request) context.Context {
+	req.deadline = req.start.Add(s.deadline(req.env))
+	ctx, req.cancel = context.WithDeadline(ctx, req.deadline)
+	return ctx
 }
 
 // deadline applies the default to the envelope's deadline and clamps to

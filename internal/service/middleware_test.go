@@ -2,17 +2,21 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
-	"net/url"
+	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 func discardLogger() *log.Logger { return log.New(io.Discard, "", 0) }
@@ -309,28 +313,199 @@ func TestEngineExitsBeforeResult(t *testing.T) {
 	}
 }
 
-// TestParseEnvelopeOnce covers the three envelope sources: inline JSON,
-// query string in stream mode, and the zero envelope for malformed JSON.
-func TestParseEnvelope(t *testing.T) {
-	jsonReq := &request{body: []byte(`{"explain":true,"deadline_ms":250,"left":"a"}`)}
-	if env := parseEnvelope(jsonReq); !env.Explain || env.DeadlineMS != 250 {
-		t.Fatalf("json envelope = %+v", env)
+// captured serves h as endpoint name does and keeps the request h saw,
+// so a test can read the envelope and deadline the handler armed.
+func captured(s *Server, name string, h handlerFunc, got **request) http.Handler {
+	return s.endpoint(name, func(ctx context.Context, req *request) (any, *apiError) {
+		*got = req
+		return h(ctx, req)
+	})
+}
+
+// TestEnvelopeSingleDecode sends every kind of request with an envelope
+// through the middleware and the endpoint's own handler: the handler's
+// one decode (the query string's, for NDJSON) must yield the envelope,
+// explain must return a trace, and the deadline armed for the run must
+// be deadline_ms after the body read. A /v1/batch item's own envelope
+// fields change nothing.
+func TestEnvelopeSingleDecode(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	s := New(Config{Logger: discardLogger()})
+	s.AttachStore(st)
+
+	const env = `"explain":true,"deadline_ms":4321`
+	item := `{"engine":"regex","left":"a","right":"a|b","explain":false,"deadline_ms":1}`
+	for _, c := range []struct {
+		name, path, ctype, body string
+		h                       handlerFunc
+	}{
+		{"containment", "/v1/containment", "", `{"engine":"regex","left":"a b","right":"a (b|c)",` + env + `}`, s.decideHandler(decideOps["containment"])},
+		{"membership", "/v1/membership", "", `{"expr":"(a|b)* a","word":["b","a"],` + env + `}`, s.decideHandler(decideOps["membership"])},
+		{"validate", "/v1/validate", "", `{"kind":"dtd","schema":"<!ELEMENT r (a*)> <!ELEMENT a EMPTY>","docs":["r(a)"],` + env + `}`, s.decideHandler(decideOps["validate"])},
+		{"infer", "/v1/infer", "", `{"algorithm":"sore","words":[["a","b"],["b"]],` + env + `}`, s.decideHandler(decideOps["infer"])},
+		{"analyze", "/v1/analyze", "", `{"queries":["SELECT ?x WHERE { ?x ?p ?y }"],` + env + `}`, s.handleAnalyze},
+		// a stream's envelope is its query string: a JSON-shaped line is
+		// one more (invalid) query
+		{"analyze-ndjson", "/v1/analyze?explain=true&deadline_ms=4321", "application/x-ndjson", "SELECT ?x WHERE { ?x ?p ?y }\n" + `{"explain":false,"deadline_ms":1}` + "\n", s.handleAnalyze},
+		{"batch", "/v1/batch", "", `{"items":[{"op":"containment","request":` + item + `}],` + env + `}`, s.handleBatch},
+		{"corpora_ingest", "/v1/corpora", "", `{"name":"g","triples":[["a","p","b"]],` + env + `}`, s.handleCorporaIngest},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var req *request
+			w := httptest.NewRecorder()
+			r := httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body))
+			if c.ctype != "" {
+				r.Header.Set("Content-Type", c.ctype)
+			}
+			captured(s, c.name, c.h, &req).ServeHTTP(w, r)
+			if w.Code != http.StatusOK {
+				t.Fatalf("code=%d body=%s", w.Code, w.Body)
+			}
+			if req.env != (envelope{Explain: true, DeadlineMS: 4321}) {
+				t.Fatalf("envelope = %+v", req.env)
+			}
+			if want := req.start.Add(4321 * time.Millisecond); !req.deadline.Equal(want) {
+				t.Fatalf("deadline %v, want the body read's end %v + 4321ms", req.deadline, req.start)
+			}
+			var out struct {
+				Trace *obs.Node `json:"trace"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil || out.Trace == nil {
+				t.Fatalf("explain returned no trace (%v): %s", err, w.Body)
+			}
+		})
 	}
 
-	q, _ := url.ParseQuery("deadline_ms=90&explain=true&name=log")
-	streamReq := &request{body: []byte("not json at all\n"), ndjson: true, query: q}
-	if env := parseEnvelope(streamReq); !env.Explain || env.DeadlineMS != 90 {
-		t.Fatalf("stream envelope = %+v", env)
+	// a batch without an envelope keeps its own, whatever its items say
+	var req *request
+	w := httptest.NewRecorder()
+	captured(s, "batch", s.handleBatch, &req).ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/batch",
+		strings.NewReader(`{"items":[{"op":"containment","request":{"engine":"regex","left":"a","right":"b","explain":true,"deadline_ms":1}}]}`)))
+	if w.Code != http.StatusOK || req.env != (envelope{}) || strings.Contains(w.Body.String(), `"trace"`) {
+		t.Fatalf("code=%d envelope=%+v body=%s: an item's envelope leaked into the batch's", w.Code, req.env, w.Body)
+	}
+	if want := req.start.Add(s.cfg.DefaultDeadline); !req.deadline.Equal(want) {
+		t.Fatalf("batch deadline %v, want %v", req.deadline, want)
+	}
+}
+
+// TestCacheHitArmsNoDeadline checks that a verdict-cache hit is answered
+// without arming a deadline: only a run starts a timer.
+func TestCacheHitArmsNoDeadline(t *testing.T) {
+	s := New(Config{Logger: discardLogger()})
+	body := `{"engine":"regex","left":"a","right":"a|b"}`
+	for i, wantArmed := range []bool{true, false} {
+		var req *request
+		w := httptest.NewRecorder()
+		captured(s, "containment", s.decideHandler(decideOps["containment"]), &req).
+			ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/containment", strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("call %d: code=%d body=%s", i, w.Code, w.Body)
+		}
+		if armed := req.cancel != nil; armed != wantArmed {
+			t.Fatalf("call %d: armed=%v, want %v", i, armed, wantArmed)
+		}
+	}
+}
+
+// stampReader reads a body and records when it returned EOF.
+type stampReader struct {
+	r   io.Reader
+	eof time.Time
+}
+
+func (s *stampReader) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if err == io.EOF && s.eof.IsZero() {
+		s.eof = time.Now()
+	}
+	return n, err
+}
+
+// TestDeadlineCountsFromBodyRead pins the deadline instant: no earlier
+// than the end of the body read plus deadline_ms, no later than the
+// handler's return plus the same amount.
+func TestDeadlineCountsFromBodyRead(t *testing.T) {
+	s := New(Config{Logger: discardLogger()})
+	body := `{"expr":"(a|b)* a","word":["b","a"],"deadline_ms":750}`
+	for _, declared := range []bool{true, false} {
+		var req *request
+		sr := &stampReader{r: strings.NewReader(body)}
+		r := httptest.NewRequest(http.MethodPost, "/v1/membership", sr)
+		r.ContentLength = -1
+		if declared {
+			r.ContentLength = int64(len(body))
+		}
+		w := httptest.NewRecorder()
+		captured(s, "membership", s.decideHandler(decideOps["membership"]), &req).ServeHTTP(w, r)
+		returned := time.Now()
+		if w.Code != http.StatusOK {
+			t.Fatalf("code=%d body=%s", w.Code, w.Body)
+		}
+		d := 750 * time.Millisecond
+		if req.deadline.Before(sr.eof.Add(d)) || req.deadline.After(returned.Add(d)) {
+			t.Fatalf("declared=%v: deadline %v outside [%v, %v]", declared, req.deadline, sr.eof.Add(d), returned.Add(d))
+		}
+	}
+}
+
+// TestBodyReadContentLength covers a declared length over the cap,
+// refused with a 413 before any buffer of the declared size exists, and
+// declared lengths larger and smaller than the body, both answered as
+// with the true length.
+func TestBodyReadContentLength(t *testing.T) {
+	s := New(Config{Logger: discardLogger(), MaxBodyBytes: 1 << 20})
+	h := s.Handler()
+	body := `{"expr":"(a|b)* a","word":["b","a"]}`
+	serve := func(declared int64) *httptest.ResponseRecorder {
+		r := httptest.NewRequest(http.MethodPost, "/v1/membership", strings.NewReader(body))
+		r.ContentLength = declared
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		return w
 	}
 
-	// stream mode must NOT read the body even if it looks like JSON
-	streamReq2 := &request{body: []byte(`{"deadline_ms":1}`), ndjson: true, query: url.Values{}}
-	if env := parseEnvelope(streamReq2); env.DeadlineMS != 0 {
-		t.Fatalf("stream envelope read the body: %+v", env)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := serve(1 << 40)
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), "exceeds 1048576 bytes") {
+		t.Fatalf("declared 1 TiB: code=%d body=%s, want 413", w.Code, w.Body)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("refusing a declared 1 TiB body allocated %d bytes", n)
 	}
 
-	if env := parseEnvelope(&request{body: []byte("garbage")}); env != (envelope{}) {
-		t.Fatalf("malformed body envelope = %+v, want zero", env)
+	want := serve(int64(len(body)))
+	if want.Code != http.StatusOK {
+		t.Fatalf("true length: code=%d body=%s", want.Code, want.Body)
+	}
+	for _, declared := range []int64{int64(len(body)) + 100, int64(len(body)) - 5} {
+		if w := serve(declared); w.Code != want.Code || w.Body.String() != want.Body.String() {
+			t.Fatalf("declared %d of %d bytes: code=%d body=%s, want %d %s",
+				declared, len(body), w.Code, w.Body, want.Code, want.Body)
+		}
+	}
+}
+
+// TestNonBoolExplainIs400 checks that every decide op rejects a
+// non-boolean explain: the envelope is decoded with the op's body.
+func TestNonBoolExplainIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for path, body := range map[string]string{
+		"/v1/containment": `{"engine":"regex","left":"a","right":"a","explain":"yes"}`,
+		"/v1/membership":  `{"expr":"a","word":["a"],"explain":"yes"}`,
+		"/v1/validate":    `{"kind":"dtd","schema":"<!ELEMENT r EMPTY>","docs":["r"],"explain":"yes"}`,
+		"/v1/infer":       `{"algorithm":"sore","words":[["a"]],"explain":"yes"}`,
+	} {
+		var e map[string]string
+		if code := post(t, ts.URL, path, body, &e); code != http.StatusBadRequest || !strings.Contains(e["error"], "invalid JSON") {
+			t.Errorf("%s: code=%d error=%q, want 400 invalid JSON", path, code, e["error"])
+		}
 	}
 }
 

@@ -570,7 +570,7 @@ func TestDecideContainmentColdAllocs(t *testing.T) {
 	ctx := context.Background()
 	i := 0
 	decide := func() {
-		if _, aerr := decideSync(s, ctx, "containment", bodies[i], false); aerr != nil {
+		if _, aerr := decideSync(s, ctx, "containment", bodies[i]); aerr != nil {
 			t.Fatal(aerr)
 		}
 		i++
@@ -616,11 +616,11 @@ func decideColdBodies(engine string, n int) [][]byte {
 // TestServeCacheHitAllocs pins the allocations of warm cache hits
 // served through Server.Handler(), httptest request and recorder
 // included. A containment and an infer repeat are verdict-cache hits,
-// answered on the request goroutine with no engine goroutine or
-// channel: 69 and 81 allocations, against 74 and 86 when every hit ran
-// under the runEngine harness. A membership and a DTD validate repeat
-// are compile-cache hits whose run still matches the word or the
-// documents under runEngine: 77 and 101 allocations.
+// answered on the request goroutine with no engine goroutine, channel
+// or deadline timer: 61 and 71 allocations. A membership and a DTD
+// validate repeat are compile-cache hits whose run still matches the
+// word or the documents under runEngine and its deadline: 72 and 96
+// allocations. Each body is read into one buffer and decoded once.
 func TestServeCacheHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -632,10 +632,10 @@ func TestServeCacheHitAllocs(t *testing.T) {
 		stats      func(*Server) cache.Stats
 		max        float64
 	}{
-		{"/v1/containment", `{"engine":"regex","left":"(a|b)* x","right":"(a|b)* (a|b) x"}`, verdicts, 69},
-		{"/v1/infer", `{"algorithm":"sore","words":[["a","b","c"],["a","c"],["b","b","c"]]}`, verdicts, 81},
-		{"/v1/membership", `{"expr":"(a|b)* a (a|b)","word":["b","a","b"]}`, compiles, 77},
-		{"/v1/validate", `{"kind":"dtd","schema":"<!ELEMENT r ((a|b)*, a)> <!ELEMENT a EMPTY> <!ELEMENT b EMPTY>","docs":["r(b, a)","r(a, b)"]}`, compiles, 101},
+		{"/v1/containment", `{"engine":"regex","left":"(a|b)* x","right":"(a|b)* (a|b) x"}`, verdicts, 61},
+		{"/v1/infer", `{"algorithm":"sore","words":[["a","b","c"],["a","c"],["b","b","c"]]}`, verdicts, 71},
+		{"/v1/membership", `{"expr":"(a|b)* a (a|b)","word":["b","a","b"]}`, compiles, 72},
+		{"/v1/validate", `{"kind":"dtd","schema":"<!ELEMENT r ((a|b)*, a)> <!ELEMENT a EMPTY> <!ELEMENT b EMPTY>","docs":["r(b, a)","r(a, b)"]}`, compiles, 96},
 	} {
 		s := New(Config{Logger: discardLogger()})
 		serve := func() {

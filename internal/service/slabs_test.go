@@ -83,9 +83,9 @@ func TestSlabPairRetention(t *testing.T) {
 	want := make([]string, len(bodies))
 	reused := 0
 	for i, body := range bodies {
-		v, aerr := decideSync(fresh, ctx, "containment", body, false)
+		v, aerr := decideSync(fresh, ctx, "containment", body)
 		want[i] = containmentOutcome(t, v, aerr)
-		v, aerr = decideSync(s, ctx, "containment", body, false)
+		v, aerr = decideSync(s, ctx, "containment", body)
 		if got := containmentOutcome(t, v, aerr); got != want[i] {
 			t.Fatalf("%s: answered %s, cache-less server %s", body, got, want[i])
 		}
@@ -118,7 +118,7 @@ func TestSlabPairRetention(t *testing.T) {
 
 	hits := s.CacheStats().Hits
 	for i, body := range bodies {
-		v, aerr := decideSync(s, ctx, "containment", body, false)
+		v, aerr := decideSync(s, ctx, "containment", body)
 		if got := containmentOutcome(t, v, aerr); got != want[i] {
 			t.Fatalf("%s: replay answered %s, cache-less server %s", body, got, want[i])
 		}

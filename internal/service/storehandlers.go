@@ -91,7 +91,7 @@ func (s *Server) handleCorporaList(ctx context.Context, req *request) (any, *api
 	if s.store == nil {
 		return nil, errNoStoreAttached
 	}
-	list, err := s.store.Corpora(ctx)
+	list, err := s.store.Corpora(s.arm(ctx, req))
 	if err != nil {
 		return nil, storeError(err)
 	}
@@ -104,15 +104,13 @@ func (s *Server) handleCorporaList(ctx context.Context, req *request) (any, *api
 // ---- POST /v1/corpora ----
 
 type corpusIngestRequest struct {
+	envelope
 	Name string `json:"name"`
 	// Kind is "triples" or "log"; optional when exactly one of Triples
 	// and Queries says which it is.
 	Kind    string      `json:"kind,omitempty"`
 	Triples [][3]string `json:"triples,omitempty"` // [s, p, o] rows
 	Queries []string    `json:"queries,omitempty"` // raw query lines
-	// DeadlineMS rides in the shared envelope; listed so the request
-	// shape documents itself.
-	DeadlineMS int `json:"deadline_ms"`
 }
 
 type corpusIngestResponse struct {
@@ -134,6 +132,7 @@ func (s *Server) handleCorporaIngest(ctx context.Context, req *request) (any, *a
 	if err := json.Unmarshal(req.body, &in); err != nil {
 		return nil, errBadRequest("invalid JSON: %v", err)
 	}
+	req.env = in.envelope
 	if in.Name == "" {
 		return nil, errBadRequest("name is required")
 	}
@@ -159,6 +158,7 @@ func (s *Server) handleCorporaIngest(ctx context.Context, req *request) (any, *a
 	}
 
 	start := time.Now()
+	ctx = s.arm(ctx, req)
 	return runEngine(ctx, req, func(ctx context.Context) (any, *apiError) {
 		var added, offered int
 		var err error

@@ -66,16 +66,9 @@ type Term struct {
 func (t Term) IsVarLike() bool { return t.Kind == TermVar || t.Kind == TermBlank }
 
 func (t Term) String() string {
-	switch t.Kind {
-	case TermVar:
-		return "?" + t.Value
-	case TermBlank:
-		return "_:" + t.Value
-	case TermLiteral:
-		return "\"" + t.Value + "\""
-	default:
-		return t.Value
-	}
+	var b strings.Builder
+	writeTerm(&b, t, nil)
+	return b.String()
 }
 
 // PatternKind discriminates pattern nodes.
@@ -249,6 +242,8 @@ type Query struct {
 	OrderBy int // number of ORDER BY conditions
 	Limit   int // -1 when absent
 	Offset  int // -1 when absent
+
+	size int // length of the parsed text; Canonical's capacity hint
 }
 
 // Walk visits every pattern node of the query (including subqueries and
@@ -293,6 +288,7 @@ func walkExprPatterns(e *Expr, f func(*Pattern)) {
 // duplicates, matching the studies' dedup-after-parse approach.
 func (q *Query) Canonical() string {
 	var b strings.Builder
+	b.Grow(q.size + 32)
 	writeCanonical(q, &b)
 	return b.String()
 }

@@ -3,6 +3,7 @@ package sparql
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -31,7 +32,7 @@ func writeCanonical(q *Query, b *strings.Builder) {
 			if it.Expr != nil {
 				fmt.Fprintf(b, "(%s AS ?%s) ", canonExpr(it.Expr, q), it.Var)
 			} else {
-				fmt.Fprintf(b, "?%s ", it.Var)
+				b.WriteString("?" + it.Var + " ")
 			}
 		}
 	case Ask:
@@ -45,7 +46,7 @@ func writeCanonical(q *Query, b *strings.Builder) {
 	case Describe:
 		b.WriteString("DESCRIBE ")
 		for _, t := range q.DescribeTerms {
-			b.WriteString(canonTerm(t, q))
+			writeTerm(b, t, q)
 			b.WriteByte(' ')
 		}
 	}
@@ -64,18 +65,30 @@ func writeCanonical(q *Query, b *strings.Builder) {
 		fmt.Fprintf(b, "ORDER BY [%d] ", q.OrderBy)
 	}
 	if q.Limit >= 0 {
-		fmt.Fprintf(b, "LIMIT %d ", q.Limit)
+		b.WriteString("LIMIT " + strconv.Itoa(q.Limit) + " ")
 	}
 	if q.Offset >= 0 {
-		fmt.Fprintf(b, "OFFSET %d ", q.Offset)
+		b.WriteString("OFFSET " + strconv.Itoa(q.Offset) + " ")
 	}
 }
 
-func canonTerm(t Term, q *Query) string {
-	if t.Kind == TermIRI {
-		return expandIRI(t.Value, q)
+// writeTerm writes t: a variable as ?x, a blank node as _:b, a literal
+// in quotes, and an IRI with its prefix expanded against q's prologue
+// when q is not nil.
+func writeTerm(b *strings.Builder, t Term, q *Query) {
+	switch t.Kind {
+	case TermIRI:
+		b.WriteString(expandIRI(t.Value, q))
+		return
+	case TermVar:
+		b.WriteByte('?')
+	case TermBlank:
+		b.WriteString("_:")
+	case TermLiteral:
+		b.WriteString(`"` + t.Value + `"`)
+		return
 	}
-	return t.String()
+	b.WriteString(t.Value)
 }
 
 // expandIRI resolves a prefixed name against the query's prologue.
@@ -99,10 +112,17 @@ func writeCanonPattern(p *Pattern, q *Query, b *strings.Builder) {
 		for _, s := range p.Subs {
 			writeCanonPattern(s, q, b)
 		}
-	case PTriple:
-		fmt.Fprintf(b, "%s %s %s . ", canonTerm(p.S, q), canonTerm(p.P, q), canonTerm(p.O, q))
-	case PPath:
-		fmt.Fprintf(b, "%s %s %s . ", canonTerm(p.S, q), p.Path, canonTerm(p.O, q))
+	case PTriple, PPath:
+		writeTerm(b, p.S, q)
+		if p.Kind == PPath {
+			b.WriteString(" " + p.Path.String() + " ")
+		} else {
+			b.WriteByte(' ')
+			writeTerm(b, p.P, q)
+			b.WriteByte(' ')
+		}
+		writeTerm(b, p.O, q)
+		b.WriteString(" . ")
 	case PFilter:
 		fmt.Fprintf(b, "FILTER(%s) ", canonExpr(p.Expr, q))
 	case PUnion:
@@ -116,7 +136,9 @@ func writeCanonPattern(p *Pattern, q *Query, b *strings.Builder) {
 		writeCanonPattern(p.Subs[0], q, b)
 		b.WriteString("} ")
 	case PGraph:
-		fmt.Fprintf(b, "GRAPH %s { ", canonTerm(p.Name, q))
+		b.WriteString("GRAPH ")
+		writeTerm(b, p.Name, q)
+		b.WriteString(" { ")
 		writeCanonPattern(p.Subs[0], q, b)
 		b.WriteString("} ")
 	case PBind:
@@ -124,7 +146,9 @@ func writeCanonPattern(p *Pattern, q *Query, b *strings.Builder) {
 	case PValues:
 		fmt.Fprintf(b, "VALUES (%s) [%d rows] ", strings.Join(p.ValuesVars, " "), p.ValuesRows)
 	case PService:
-		fmt.Fprintf(b, "SERVICE %s { ", canonTerm(p.Name, q))
+		b.WriteString("SERVICE ")
+		writeTerm(b, p.Name, q)
+		b.WriteString(" { ")
 		writeCanonPattern(p.Subs[0], q, b)
 		b.WriteString("} ")
 	case PMinus:

@@ -1,6 +1,10 @@
 package sparql
 
-import "repro/internal/propertypath"
+import (
+	"strings"
+
+	"repro/internal/propertypath"
+)
 
 // Feature identifies a SPARQL feature counted in Table 3.
 type Feature string
@@ -154,29 +158,17 @@ func markExprFeatures(e *Expr, f map[Feature]bool) {
 }
 
 // TripleCount returns the number of triple patterns (including property-
-// path patterns) in the query — the measure of Figure 3.
+// path patterns) in the query's pattern — the measure of Figure 3; a
+// CONSTRUCT template does not count.
 func (q *Query) TripleCount() int {
 	n := 0
-	q.Walk(func(p *Pattern) {
-		if p.Kind == PTriple || p.Kind == PPath {
-			n++
-		}
-	})
-	// template triples of CONSTRUCT are part of Walk; Figure 3 counts the
-	// pattern's triples, so subtract the template.
-	for _, t := range q.Template {
-		n -= countTriples(t)
+	if q.Where != nil {
+		walkPattern(q.Where, func(p *Pattern) {
+			if p.Kind == PTriple || p.Kind == PPath {
+				n++
+			}
+		})
 	}
-	return n
-}
-
-func countTriples(p *Pattern) int {
-	n := 0
-	walkPattern(p, func(x *Pattern) {
-		if x.Kind == PTriple || x.Kind == PPath {
-			n++
-		}
-	})
 	return n
 }
 
@@ -221,11 +213,7 @@ func (s OperatorSet) Name() string {
 	if len(parts) == 0 {
 		return "none"
 	}
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out += ", " + p
-	}
-	return out
+	return strings.Join(parts, ", ")
 }
 
 // Operators computes the operator set of the query's pattern.

@@ -2,11 +2,12 @@ package sparql
 
 import "testing"
 
-// FuzzParse asserts the SPARQL parser never panics on arbitrary input and
-// that every accepted query supports the analysis surface the log studies
-// rely on: Canonical is deterministic, and the feature/classification
-// battery runs without panicking, and every property path round-trips
-// through ParsePath with the same rendering.
+// FuzzParse asserts the SPARQL parser never panics on arbitrary input,
+// agrees with the two-pass reference parser (diffRef), and that every
+// accepted query supports the analysis surface the log studies rely on:
+// Canonical is deterministic, and the feature/classification battery
+// runs without panicking, and every property path round-trips through
+// ParsePath with the same rendering.
 func FuzzParse(f *testing.F) {
 	f.Add("SELECT * WHERE { ?s ?p ?o . }")
 	f.Add("SELECT DISTINCT ?s WHERE { ?s wdt:P31/wdt:P279* wd:Q5 . FILTER(?s != wd:Q1) }")
@@ -16,7 +17,17 @@ func FuzzParse(f *testing.F) {
 	f.Add("SELECT * WHERE { ?s !(ex:p|^ex:q) ?o }")
 	f.Add("SELECT * WHERE { ?x p:a*|p:b ?y }")
 	f.Add("SELECT * WHERE { ?x ex:café/ex:b* ?y }")
+	// [] blank nodes are named by their token index
+	f.Add("SELECT * WHERE { [] ex:p [] . ?s ex:q [] }")
+	// a parse error, then a lexical error later in the text: the lexical
+	// error wins
+	f.Add("SELECT * WHERE { ?s ?p } ?o % }")
+	f.Add("sElEcT DiStInCt ?s wHeRe { ?s ?p ?o fIlTeR(lAnG(?o) = 'en') } LiMiT 3")
+	f.Add("SELECT ?ñame WHERE { ?ñame ex:名前 \"日本\"@ja . ?ñame ſum ?x }")
 	f.Fuzz(func(t *testing.T, src string) {
+		if msg := diffRef(src); msg != "" {
+			t.Fatal(msg)
+		}
 		q, err := Parse(src)
 		if err != nil {
 			return

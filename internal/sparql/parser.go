@@ -1,20 +1,29 @@
 package sparql
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/propertypath"
+	"repro/internal/textio"
 )
 
 // Parse parses a SPARQL query string in the Section 9 fragment. Queries
 // outside the fragment (or syntactically invalid ones — the logs of
 // Table 2 contain millions of those) return an error; the analysis
-// pipeline counts them as non-Valid.
+// pipeline counts them as non-Valid. Groups, expressions and path atoms
+// nested deeper than textio.MaxDepth are a parse error.
 func Parse(src string) (*Query, error) {
-	return parseAll(src, (*parser).parseQuery)
+	q, err := parseAll(src, (*parser).parseQuery)
+	if err == nil {
+		q.size = len(src)
+	}
+	return q, err
 }
 
 // MustParse panics on error; for tests.
@@ -35,21 +44,33 @@ func MustParsePath(src string) *propertypath.Path {
 	return must(ParsePath(src))
 }
 
-// parseAll lexes src and parses it with parse, which must read every
-// token.
+// parseAll parses src with parse, which must read every token. The
+// scanner runs one token ahead of the parser, so a parse error scans the
+// rest of src: a lexical error anywhere in src wins over a parse error,
+// as it did when the whole text was lexed before parsing.
 func parseAll[T any](src string, parse func(*parser) (T, error)) (T, error) {
 	var zero T
-	toks, err := lexSPARQL(src)
-	if err != nil {
-		return zero, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{src: src}
+	p.stack = p.stackBuf[:0]
+	// the first pattern chunk is sized from the text: log queries spend
+	// about 40 bytes on each pattern
+	p.patNodes.next = min(max(len(src)/40, 2), 64)
+	// a plain predicate's path node goes back to the slab, so one node
+	// serves most queries
+	p.pathNodes.next = 1
+	p.scan()
 	x, err := parse(p)
+	if err == nil && p.tok.kind != tokEOF {
+		err = p.errf("trailing input %q", p.tok.show())
+	}
+	for err != nil && p.lexErr == nil && p.tok.kind != tokEOF {
+		p.scan()
+	}
+	if p.lexErr != nil {
+		return zero, p.lexErr
+	}
 	if err != nil {
 		return zero, err
-	}
-	if p.peek().kind != tokEOF {
-		return zero, p.errf("trailing input %q", p.peek().text)
 	}
 	return x, nil
 }
@@ -61,70 +82,400 @@ func must[T any](x T, err error) T {
 	return x
 }
 
-type parser struct {
-	toks []token
-	pos  int
+type tokKind uint8
+
+const (
+	tokEOF     tokKind = iota
+	tokWord            // a bare word as written: a keyword or function name
+	tokVar             // ?x or $x
+	tokIRI             // <…>, a prefixed name, or a (rdf:type)
+	tokLiteral         // "…"; an @lang after it is skipped, ^^ is punctuation
+	tokNumber
+	tokPunct // { } ( ) . ; , = != < > <= >= && || ! + - * / ^ ^^ | ? [ ]
+	tokBlank // _:b
+)
+
+// token is one lexical token. Its text aliases the source, except for a
+// literal with escapes; variables and blank nodes omit their sigils.
+// off is the offset error messages print: the start of a punctuation
+// token, the end of any other.
+type token struct {
+	kind tokKind
+	text string
+	off  int
 }
 
-// peek clamps at the trailing EOF token so that error paths after an
-// over-eager next() cannot index out of range.
-func (p *parser) peek() token {
-	if p.pos >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+// show renders t for error messages, words upper-cased as keywords are.
+func (t token) show() string {
+	if t.kind == tokWord {
+		return upperWord(t.text)
 	}
-	return p.toks[p.pos]
+	return t.text
 }
 
+// parser reads a query in one pass: it scans the next token from a byte
+// offset when the current one is consumed, and takes the tree's nodes
+// and child lists from slabs.
+type parser struct {
+	src    string
+	pos    int   // where the next token's scan starts
+	tok    token // the current token
+	n      int   // tokens consumed; names the [] blank nodes
+	lexErr error // the first lexical error; the scan ends there
+	depth  int   // nesting of groups, expressions and path atoms
+
+	patNodes  slab[Pattern]
+	patLists  slab[*Pattern]
+	exprNodes slab[Expr]
+	exprLists slab[*Expr]
+	pathNodes slab[propertypath.Path]
+	pathLists slab[*propertypath.Path]
+
+	// stack holds the children of the open groups, innermost last; a
+	// group moves its own to patLists when it closes.
+	stack    []*Pattern
+	stackBuf [16]*Pattern
+}
+
+// slab hands out values from chunks, so the nodes of one query cost a
+// few allocations rather than one each. The first chunk holds next
+// elements, or 4 when next is 0; each later one doubles, up to 256,
+// unless one request needs more.
+type slab[T any] struct {
+	chunk []T
+	used  int
+	next  int
+}
+
+// put copies xs into the slab and returns the copy, or nil for no xs.
+func (s *slab[T]) put(xs ...T) []T {
+	if len(xs) == 0 {
+		return nil
+	}
+	if len(s.chunk)-s.used < len(xs) {
+		size := max(len(xs), cmp.Or(s.next, 4))
+		s.chunk, s.used = make([]T, size), 0
+		s.next = min(2*size, 256)
+	}
+	out := s.chunk[s.used : s.used+len(xs) : s.used+len(xs)]
+	s.used += len(xs)
+	copy(out, xs)
+	return out
+}
+
+// drop takes back the value put last, which nothing may reference.
+func (s *slab[T]) drop() {
+	s.used--
+	clear(s.chunk[s.used : s.used+1])
+}
+
+func (p *parser) pattern(x Pattern) *Pattern         { return &p.patNodes.put(x)[0] }
+func (p *parser) patterns(xs ...*Pattern) []*Pattern { return p.patLists.put(xs...) }
+func (p *parser) expr(x Expr) *Expr                  { return &p.exprNodes.put(x)[0] }
+func (p *parser) exprs(xs ...*Expr) []*Expr          { return p.exprLists.put(xs...) }
+
+func (p *parser) path(x propertypath.Path) *propertypath.Path {
+	return &p.pathNodes.put(x)[0]
+}
+
+func (p *parser) paths(xs ...*propertypath.Path) []*propertypath.Path {
+	return p.pathLists.put(xs...)
+}
+
+// push adds x to the children of the innermost open group.
+func (p *parser) push(x Pattern) { p.stack = append(p.stack, p.pattern(x)) }
+
+// ---------------------------------- scanner ----------------------------------
+
+// scan reads the token at p.pos into p.tok, past blanks, comments and
+// language tags. A lexical error is kept in lexErr and ends the scan:
+// every later token is EOF.
+func (p *parser) scan() {
+	s := p.src
+	for {
+		p.skipSpaceAndComments()
+		start := p.pos
+		if start >= len(s) {
+			p.tok = token{tokEOF, "", len(s)}
+			return
+		}
+		switch c := s[start]; {
+		case c == '?' || c == '$':
+			// a variable, or a bare ? path operator when no name follows
+			p.pos++
+			if p.scanName(isVarChar) > start+1 {
+				p.tok = token{tokVar, s[start+1 : p.pos], p.pos}
+			} else {
+				p.tok = token{tokPunct, "?", p.pos}
+			}
+		case c == '<':
+			// an IRI when a '>' comes before any blank or brace, else a
+			// comparison operator
+			if j := strings.IndexAny(s[start:], "> \t\n{}"); j >= 0 && s[start+j] == '>' {
+				p.pos += j + 1
+				p.tok = token{tokIRI, s[start:p.pos], p.pos}
+			} else if strings.HasPrefix(s[start:], "<=") {
+				p.pos += 2
+				p.tok = token{tokPunct, "<=", p.pos}
+			} else {
+				p.pos++
+				p.tok = token{tokPunct, "<", p.pos}
+			}
+		case c == '"' || c == '\'':
+			p.scanLiteral(c)
+		case c == '_' && strings.HasPrefix(s[start:], "_:"):
+			p.pos += 2
+			p.scanName(isPNChar)
+			p.tok = token{tokBlank, s[start+2 : p.pos], p.pos}
+		case isDigit(c) || c == '.' && start+1 < len(s) && isDigit(s[start+1]):
+			for p.pos < len(s) && (isDigit(s[p.pos]) || s[p.pos] == '.' || s[p.pos] == 'e' || s[p.pos] == 'E') {
+				p.pos++
+			}
+			// a trailing dot is the triple terminator, not part of the number
+			if s[p.pos-1] == '.' {
+				p.pos--
+			}
+			p.tok = token{tokNumber, s[start:p.pos], p.pos}
+		case strings.HasPrefix(s[start:], "&&"), strings.HasPrefix(s[start:], "||"),
+			strings.HasPrefix(s[start:], "!="), strings.HasPrefix(s[start:], ">="),
+			strings.HasPrefix(s[start:], "^^"):
+			p.pos += 2
+			p.tok = token{tokPunct, s[start:p.pos], start}
+		case strings.IndexByte("{}().;,=>!+-*/^|[]", c) >= 0:
+			p.pos++
+			p.tok = token{tokPunct, s[start:p.pos], start}
+		case c == '_' || unicode.IsLetter(p.runeAt()):
+			p.scanName(isPNChar)
+			switch {
+			case p.pos < len(s) && s[p.pos] == ':':
+				// a prefixed name
+				p.pos++
+				p.scanName(isPNChar)
+				p.tok = token{tokIRI, s[start:p.pos], p.pos}
+			case s[start:p.pos] == "a":
+				p.tok = token{tokIRI, "a", p.pos} // rdf:type shorthand
+			default:
+				p.tok = token{tokWord, s[start:p.pos], p.pos}
+			}
+		case c == ':':
+			// prefixed name with empty prefix (:name)
+			p.pos++
+			p.scanName(isPNChar)
+			p.tok = token{tokIRI, s[start:p.pos], p.pos}
+		case c == '@':
+			// language tag: attach to nothing; skip
+			p.pos++
+			p.scanName(isLangChar)
+			continue
+		default:
+			p.fail("unexpected character %q at offset %d", c, start)
+		}
+		return
+	}
+}
+
+// fail keeps a lexical error and ends the scan.
+func (p *parser) fail(format string, args ...any) {
+	p.lexErr = fmt.Errorf("sparql: "+format, args...)
+	p.pos = len(p.src)
+	p.tok = token{tokEOF, "", len(p.src)}
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// runeAt decodes the rune at p.pos; invalid UTF-8 gives utf8.RuneError,
+// which no name accepts.
+func (p *parser) runeAt() rune {
+	if c := p.src[p.pos]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(p.src[p.pos:])
+	return r
+}
+
+// scanName advances past the runes ok accepts, backs off trailing dots,
+// which belong to the surrounding syntax, and returns the new offset.
+func (p *parser) scanName(ok func(rune) bool) int {
+	start := p.pos
+	for p.pos < len(p.src) {
+		r, size := rune(p.src[p.pos]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(p.src[p.pos:])
+		}
+		if !ok(r) {
+			break
+		}
+		p.pos += size
+	}
+	for p.pos > start && p.src[p.pos-1] == '.' {
+		p.pos--
+	}
+	return p.pos
+}
+
+func (p *parser) skipSpaceAndComments() {
+	for p.pos < len(p.src) {
+		switch p.src[p.pos] {
+		case ' ', '\t', '\n', '\r':
+			p.pos++
+		case '#':
+			for p.pos < len(p.src) && p.src[p.pos] != '\n' {
+				p.pos++
+			}
+		default:
+			return
+		}
+	}
+}
+
+// scanLiteral scans the literal that opens at p.pos with quote. Its text
+// aliases the source unless it has escapes; a backslash keeps the byte
+// after it.
+func (p *parser) scanLiteral(quote byte) {
+	s, start := p.src, p.pos
+	if start+2 < len(s) && s[start+1] == quote && s[start+2] == quote {
+		end := strings.Index(s[start+3:], s[start:start+3])
+		if end < 0 {
+			p.fail("unterminated long literal at offset %d", start)
+			return
+		}
+		p.pos = start + 6 + end
+		p.tok = token{tokLiteral, s[start+3 : start+3+end], p.pos}
+		return
+	}
+	escaped := false
+	for i := start + 1; i < len(s) && s[i] != '\n'; i++ {
+		if s[i] == '\\' && i+1 < len(s) {
+			escaped = true
+			i++
+		} else if s[i] == quote {
+			p.pos = i + 1
+			p.tok = token{tokLiteral, s[start+1 : i], p.pos}
+			if escaped {
+				p.tok.text = unescape(p.tok.text)
+			}
+			return
+		}
+	}
+	p.fail("unterminated literal at offset %d", start)
+}
+
+func unescape(s string) string {
+	b := make([]byte, 0, len(s))
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' {
+			i++
+		}
+		b = append(b, s[i])
+	}
+	return string(b)
+}
+
+func isPNChar(r rune) bool {
+	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '.'
+}
+
+func isLangChar(r rune) bool {
+	return unicode.IsLetter(r) || r == '-'
+}
+
+// isVarChar matches SPARQL VARNAME characters (no '-' or '.').
+func isVarChar(r rune) bool {
+	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
+}
+
+// upperWord upper-cases a word, as function names and error messages
+// show it. A letter becomes ASCII only if it was ASCII: SPARQL keywords
+// are ASCII, so ſum (long s) stays a function of its own, not SUM.
+func upperWord(w string) string {
+	return strings.Map(func(r rune) rune {
+		if u := unicode.ToUpper(r); r < utf8.RuneSelf || u >= utf8.RuneSelf {
+			return u
+		}
+		return r
+	}, w)
+}
+
+// ---------------------------------- parser -----------------------------------
+
+// next consumes the current token and returns it.
 func (p *parser) next() token {
-	t := p.peek()
-	if p.pos < len(p.toks) {
-		p.pos++
+	t := p.tok
+	if t.kind != tokEOF {
+		p.n++
+		p.scan()
 	}
 	return t
 }
+
 func (p *parser) errf(format string, args ...interface{}) error {
-	return fmt.Errorf("sparql: %s (near offset %d)", fmt.Sprintf(format, args...), p.peek().off)
+	return fmt.Errorf("sparql: %s (near offset %d)", fmt.Sprintf(format, args...), p.tok.off)
+}
+
+// enter counts one level of nesting and fails past textio.MaxDepth,
+// before the recursion can exhaust the stack; leave undoes it.
+func (p *parser) enter() error {
+	if p.depth++; p.depth > textio.MaxDepth {
+		return p.errf("nesting deeper than %d levels", textio.MaxDepth)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
+
+// isWord reports whether the current token is the keyword kw, given in
+// upper case. Keywords match ASCII-case-insensitively and only so: they
+// are ASCII, so no other letter folds into one (ſ is not s, ı is not i).
+func (p *parser) isWord(kw string) bool {
+	w := p.tok.text
+	if p.tok.kind != tokWord || len(w) != len(kw) {
+		return false
+	}
+	for i := 0; i < len(kw); i++ {
+		if c := w[i]; c != kw[i] && !('a' <= c && c <= 'z' && c-('a'-'A') == kw[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func (p *parser) acceptKeyword(kw string) bool {
-	if t := p.peek(); t.kind == tokKeyword && t.text == kw {
-		p.pos++
+	if p.isWord(kw) {
+		p.next()
 		return true
 	}
 	return false
 }
 
 func (p *parser) expectPunct(s string) error {
-	if t := p.peek(); t.kind == tokPunct && t.text == s {
-		p.pos++
+	if p.isPunct(s) {
+		p.next()
 		return nil
 	}
-	return p.errf("expected %q, found %q", s, p.peek().text)
+	return p.errf("expected %q, found %q", s, p.tok.show())
 }
 
 func (p *parser) isPunct(s string) bool {
-	t := p.peek()
-	return t.kind == tokPunct && t.text == s
+	return p.tok.kind == tokPunct && p.tok.text == s
 }
 
 func (p *parser) parseQuery() (*Query, error) {
-	q := &Query{Prefixes: map[string]string{}, Limit: -1, Offset: -1}
+	q := &Query{Limit: -1, Offset: -1}
 	// prologue
 	for {
 		if p.acceptKeyword("PREFIX") {
 			name := p.next()
-			if name.kind != tokIRI || !strings.HasSuffix(name.text, ":") && !strings.Contains(name.text, ":") {
+			if name.kind != tokIRI || !strings.Contains(name.text, ":") {
 				return nil, p.errf("malformed PREFIX declaration")
 			}
 			iri := p.next()
 			if iri.kind != tokIRI {
 				return nil, p.errf("PREFIX needs an IRI")
 			}
-			pref := name.text
-			if i := strings.IndexByte(pref, ':'); i >= 0 {
-				pref = pref[:i]
+			if q.Prefixes == nil {
+				q.Prefixes = map[string]string{}
 			}
-			q.Prefixes[pref] = iri.text
+			q.Prefixes[name.text[:strings.IndexByte(name.text, ':')]] = iri.text
 			continue
 		}
 		if p.acceptKeyword("BASE") {
@@ -155,7 +506,7 @@ func (p *parser) parseQuery() (*Query, error) {
 	case p.acceptKeyword("DESCRIBE"):
 		q.Type = Describe
 		for {
-			t := p.peek()
+			t := p.tok
 			if t.kind == tokVar {
 				p.next()
 				q.DescribeTerms = append(q.DescribeTerms, Term{TermVar, t.text})
@@ -166,7 +517,7 @@ func (p *parser) parseQuery() (*Query, error) {
 				q.DescribeTerms = append(q.DescribeTerms, Term{TermIRI, t.text})
 				continue
 			}
-			if t.kind == tokPunct && t.text == "*" {
+			if p.isPunct("*") {
 				p.next()
 				q.Star = true
 				continue
@@ -177,7 +528,7 @@ func (p *parser) parseQuery() (*Query, error) {
 			return nil, p.errf("DESCRIBE needs targets")
 		}
 	default:
-		return nil, p.errf("expected query form, found %q", p.peek().text)
+		return nil, p.errf("expected query form, found %q", p.tok.show())
 	}
 	// datasets
 	for p.acceptKeyword("FROM") {
@@ -212,19 +563,19 @@ func (p *parser) parseSelectClause(q *Query) error {
 		q.Reduced = true
 	}
 	if p.isPunct("*") {
-		p.pos++
+		p.next()
 		q.Star = true
 		return nil
 	}
+	q.Items = make([]SelectItem, 0, 4)
 	for {
-		t := p.peek()
-		if t.kind == tokVar {
-			p.pos++
+		if t := p.tok; t.kind == tokVar {
+			p.next()
 			q.Items = append(q.Items, SelectItem{Var: t.text})
 			continue
 		}
 		if p.isPunct("(") {
-			p.pos++
+			p.next()
 			e, err := p.parseExpr()
 			if err != nil {
 				return err
@@ -259,15 +610,14 @@ func (p *parser) parseSolutionModifiers(q *Query) error {
 			}
 			n := 0
 			for {
-				t := p.peek()
-				if t.kind == tokVar {
-					p.pos++
+				if t := p.tok; t.kind == tokVar {
+					p.next()
 					q.GroupBy = append(q.GroupBy, t.text)
 					n++
 					continue
 				}
 				if p.isPunct("(") {
-					p.pos++
+					p.next()
 					if _, err := p.parseExpr(); err != nil {
 						return err
 					}
@@ -313,13 +663,12 @@ func (p *parser) parseSolutionModifiers(q *Query) error {
 					n++
 					continue
 				}
-				t := p.peek()
-				if t.kind == tokVar {
-					p.pos++
+				if p.tok.kind == tokVar {
+					p.next()
 					n++
 					continue
 				}
-				if t.kind == tokKeyword && isBuiltinFunc(t.text) {
+				if p.isAggregate() {
 					if _, err := p.parseExpr(); err != nil {
 						return err
 					}
@@ -337,15 +686,13 @@ func (p *parser) parseSolutionModifiers(q *Query) error {
 			if t.kind != tokNumber {
 				return p.errf("LIMIT needs a number")
 			}
-			v, _ := strconv.Atoi(t.text)
-			q.Limit = v
+			q.Limit, _ = strconv.Atoi(t.text)
 		case p.acceptKeyword("OFFSET"):
 			t := p.next()
 			if t.kind != tokNumber {
 				return p.errf("OFFSET needs a number")
 			}
-			v, _ := strconv.Atoi(t.text)
-			q.Offset = v
+			q.Offset, _ = strconv.Atoi(t.text)
 		case p.acceptKeyword("VALUES"):
 			// trailing VALUES block
 			vals, err := p.parseValues()
@@ -355,7 +702,7 @@ func (p *parser) parseSolutionModifiers(q *Query) error {
 			if q.Where == nil {
 				q.Where = vals
 			} else {
-				q.Where = &Pattern{Kind: PGroup, Subs: []*Pattern{q.Where, vals}}
+				q.Where = p.pattern(Pattern{Kind: PGroup, Subs: p.patterns(q.Where, vals)})
 			}
 		default:
 			return nil
@@ -365,7 +712,7 @@ func (p *parser) parseSolutionModifiers(q *Query) error {
 
 func (p *parser) parseBracketedOrPlainExpr() (*Expr, error) {
 	if p.isPunct("(") {
-		p.pos++
+		p.next()
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -383,38 +730,39 @@ func (p *parser) parseGroup() (*Pattern, error) {
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
-	group := &Pattern{Kind: PGroup}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
+	base := len(p.stack)
 	for {
-		t := p.peek()
 		switch {
-		case t.kind == tokPunct && t.text == "}":
-			p.pos++
+		case p.isPunct("}"):
+			p.next()
+			group := p.pattern(Pattern{Kind: PGroup, Subs: p.patterns(p.stack[base:]...)})
+			p.stack = p.stack[:base]
 			return group, nil
-		case t.kind == tokEOF:
+		case p.tok.kind == tokEOF:
 			return nil, p.errf("unterminated group")
-		case t.kind == tokKeyword && t.text == "OPTIONAL":
-			p.pos++
+		case p.acceptKeyword("OPTIONAL"):
 			sub, err := p.parseGroup()
 			if err != nil {
 				return nil, err
 			}
-			group.Subs = append(group.Subs, &Pattern{Kind: POptional, Subs: []*Pattern{sub}})
-		case t.kind == tokKeyword && t.text == "MINUS":
-			p.pos++
+			p.push(Pattern{Kind: POptional, Subs: p.patterns(sub)})
+		case p.acceptKeyword("MINUS"):
 			sub, err := p.parseGroup()
 			if err != nil {
 				return nil, err
 			}
-			group.Subs = append(group.Subs, &Pattern{Kind: PMinus, Subs: []*Pattern{sub}})
-		case t.kind == tokKeyword && t.text == "FILTER":
-			p.pos++
+			p.push(Pattern{Kind: PMinus, Subs: p.patterns(sub)})
+		case p.acceptKeyword("FILTER"):
 			e, err := p.parseFilterConstraint()
 			if err != nil {
 				return nil, err
 			}
-			group.Subs = append(group.Subs, &Pattern{Kind: PFilter, Expr: e})
-		case t.kind == tokKeyword && t.text == "BIND":
-			p.pos++
+			p.push(Pattern{Kind: PFilter, Expr: e})
+		case p.acceptKeyword("BIND"):
 			if err := p.expectPunct("("); err != nil {
 				return nil, err
 			}
@@ -432,9 +780,8 @@ func (p *parser) parseGroup() (*Pattern, error) {
 			if err := p.expectPunct(")"); err != nil {
 				return nil, err
 			}
-			group.Subs = append(group.Subs, &Pattern{Kind: PBind, Expr: e, BindVar: v.text})
-		case t.kind == tokKeyword && t.text == "GRAPH":
-			p.pos++
+			p.push(Pattern{Kind: PBind, Expr: e, BindVar: v.text})
+		case p.acceptKeyword("GRAPH"):
 			name, err := p.parseVarOrIRI()
 			if err != nil {
 				return nil, err
@@ -443,9 +790,8 @@ func (p *parser) parseGroup() (*Pattern, error) {
 			if err != nil {
 				return nil, err
 			}
-			group.Subs = append(group.Subs, &Pattern{Kind: PGraph, Name: name, Subs: []*Pattern{sub}})
-		case t.kind == tokKeyword && t.text == "SERVICE":
-			p.pos++
+			p.push(Pattern{Kind: PGraph, Name: name, Subs: p.patterns(sub)})
+		case p.acceptKeyword("SERVICE"):
 			silent := p.acceptKeyword("SILENT")
 			name, err := p.parseVarOrIRI()
 			if err != nil {
@@ -455,60 +801,55 @@ func (p *parser) parseGroup() (*Pattern, error) {
 			if err != nil {
 				return nil, err
 			}
-			group.Subs = append(group.Subs, &Pattern{Kind: PService, Name: name, Subs: []*Pattern{sub}, Silent: silent})
-		case t.kind == tokKeyword && t.text == "VALUES":
-			p.pos++
+			p.push(Pattern{Kind: PService, Name: name, Subs: p.patterns(sub), Silent: silent})
+		case p.acceptKeyword("VALUES"):
 			vals, err := p.parseValues()
 			if err != nil {
 				return nil, err
 			}
-			group.Subs = append(group.Subs, vals)
-		case t.kind == tokKeyword && (t.text == "SELECT"):
+			p.stack = append(p.stack, vals)
+		case p.isWord("SELECT"):
 			// subquery
 			sub, err := p.parseQuery()
 			if err != nil {
 				return nil, err
 			}
-			group.Subs = append(group.Subs, &Pattern{Kind: PSubquery, Query: sub})
-		case t.kind == tokPunct && t.text == "{":
+			p.push(Pattern{Kind: PSubquery, Query: sub})
+		case p.isPunct("{"):
 			// nested group, possibly a UNION chain
-			first, err := p.parseGroup()
+			node, err := p.parseGroup()
 			if err != nil {
 				return nil, err
 			}
-			node := first
 			for p.acceptKeyword("UNION") {
 				right, err := p.parseGroup()
 				if err != nil {
 					return nil, err
 				}
-				node = &Pattern{Kind: PUnion, Subs: []*Pattern{node, right}}
+				node = p.pattern(Pattern{Kind: PUnion, Subs: p.patterns(node, right)})
 			}
-			group.Subs = append(group.Subs, node)
-		case t.kind == tokPunct && t.text == ".":
-			p.pos++ // stray dot separators are fine
+			p.stack = append(p.stack, node)
+		case p.isPunct("."):
+			p.next() // stray dot separators are fine
 		default:
 			// triples block
-			triples, err := p.parseTriplesBlock()
-			if err != nil {
+			if err := p.parseTriplesBlock(); err != nil {
 				return nil, err
 			}
-			group.Subs = append(group.Subs, triples...)
 		}
 	}
 }
 
 func (p *parser) parseValues() (*Pattern, error) {
-	out := &Pattern{Kind: PValues}
+	out := Pattern{Kind: PValues}
 	single := false
-	switch t := p.peek(); {
-	case t.kind == tokVar:
-		p.pos++
-		out.ValuesVars = []string{t.text}
+	switch {
+	case p.tok.kind == tokVar:
+		out.ValuesVars = []string{p.next().text}
 		single = true
 	case p.isPunct("("):
-		p.pos++
-		for p.peek().kind == tokVar {
+		p.next()
+		for p.tok.kind == tokVar {
 			out.ValuesVars = append(out.ValuesVars, p.next().text)
 		}
 		if err := p.expectPunct(")"); err != nil {
@@ -521,16 +862,16 @@ func (p *parser) parseValues() (*Pattern, error) {
 		return nil, err
 	}
 	for !p.isPunct("}") {
-		if p.peek().kind == tokEOF {
+		if p.tok.kind == tokEOF {
 			return nil, p.errf("unterminated VALUES block")
 		}
 		if single {
-			t := p.next()
-			if t.kind != tokIRI && t.kind != tokLiteral && t.kind != tokNumber && !(t.kind == tokKeyword && t.text == "UNDEF") {
-				return nil, p.errf("bad VALUES row entry %q", t.text)
+			entry, err := p.valuesEntry()
+			if err != nil {
+				return nil, err
 			}
 			out.ValuesRows++
-			out.ValuesData = append(out.ValuesData, []string{valuesEntry(t)})
+			out.ValuesData = append(out.ValuesData, []string{entry})
 			continue
 		}
 		if err := p.expectPunct("("); err != nil {
@@ -538,26 +879,32 @@ func (p *parser) parseValues() (*Pattern, error) {
 		}
 		var row []string
 		for !p.isPunct(")") {
-			t := p.next()
-			if t.kind != tokIRI && t.kind != tokLiteral && t.kind != tokNumber && !(t.kind == tokKeyword && t.text == "UNDEF") {
-				return nil, p.errf("bad VALUES row entry %q", t.text)
+			entry, err := p.valuesEntry()
+			if err != nil {
+				return nil, err
 			}
-			row = append(row, valuesEntry(t))
+			row = append(row, entry)
 		}
-		p.pos++
+		p.next()
 		out.ValuesRows++
 		out.ValuesData = append(out.ValuesData, row)
 	}
-	p.pos++
-	return out, nil
+	p.next()
+	return p.pattern(out), nil
 }
 
-// valuesEntry renders a VALUES row token; UNDEF becomes the empty string.
-func valuesEntry(t token) string {
-	if t.kind == tokKeyword && t.text == "UNDEF" {
-		return ""
+// valuesEntry consumes one VALUES row entry; UNDEF becomes the empty
+// string.
+func (p *parser) valuesEntry() (string, error) {
+	undef := p.isWord("UNDEF")
+	t := p.next()
+	switch {
+	case undef:
+		return "", nil
+	case t.kind == tokIRI || t.kind == tokLiteral || t.kind == tokNumber:
+		return t.text, nil
 	}
-	return t.text
+	return "", p.errf("bad VALUES row entry %q", t.show())
 }
 
 func (p *parser) parseVarOrIRI() (Term, error) {
@@ -568,32 +915,34 @@ func (p *parser) parseVarOrIRI() (Term, error) {
 	case tokIRI:
 		return Term{TermIRI, t.text}, nil
 	}
-	return Term{}, p.errf("expected variable or IRI, found %q", t.text)
+	return Term{}, p.errf("expected variable or IRI, found %q", t.show())
 }
 
 // parseTriplesBlock parses a run of triples with ';' and ',' abbreviations
-// until a non-triple token.
-func (p *parser) parseTriplesBlock() ([]*Pattern, error) {
-	var out []*Pattern
+// until a non-triple token, and adds them to the innermost group.
+func (p *parser) parseTriplesBlock() error {
 	for {
 		s, err := p.parseTerm(true)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for {
 			// predicate: variable or property path
 			var pred Term
 			var path *propertypath.Path
-			if t := p.peek(); t.kind == tokVar {
-				p.pos++
+			if t := p.tok; t.kind == tokVar {
+				p.next()
 				pred = Term{TermVar, t.text}
 			} else {
 				pp, err := p.parsePropertyPath()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if pp.Kind == propertypath.IRI {
+					// a plain predicate: its path node, the last put,
+					// goes back to the slab
 					pred = Term{TermIRI, pp.IRI}
+					p.pathNodes.drop()
 				} else {
 					path = pp
 				}
@@ -601,24 +950,23 @@ func (p *parser) parseTriplesBlock() ([]*Pattern, error) {
 			for {
 				o, err := p.parseTerm(false)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				tp := &Pattern{Kind: PTriple, S: s, P: pred, O: o}
 				if path != nil {
-					tp.Kind = PPath
-					tp.Path = path
+					p.push(Pattern{Kind: PPath, S: s, P: pred, O: o, Path: path})
+				} else {
+					p.push(Pattern{Kind: PTriple, S: s, P: pred, O: o})
 				}
-				out = append(out, tp)
 				if p.isPunct(",") {
-					p.pos++
+					p.next()
 					continue
 				}
 				break
 			}
 			if p.isPunct(";") {
-				p.pos++
+				p.next()
 				// allow trailing ';' before '.' or '}'
-				if t := p.peek(); t.kind == tokPunct && (t.text == "." || t.text == "}") {
+				if p.isPunct(".") || p.isPunct("}") {
 					break
 				}
 				continue
@@ -626,19 +974,19 @@ func (p *parser) parseTriplesBlock() ([]*Pattern, error) {
 			break
 		}
 		if p.isPunct(".") {
-			p.pos++
+			p.next()
 			// another triples run may follow; stop on non-term tokens
-			t := p.peek()
-			if t.kind == tokVar || t.kind == tokIRI || t.kind == tokBlank ||
-				t.kind == tokLiteral || t.kind == tokNumber {
+			switch p.tok.kind {
+			case tokVar, tokIRI, tokBlank, tokLiteral, tokNumber:
 				continue
 			}
 		}
-		return out, nil
+		return nil
 	}
 }
 
 func (p *parser) parseTerm(subjectPos bool) (Term, error) {
+	boolean := p.isWord("TRUE") || p.isWord("FALSE")
 	t := p.next()
 	switch t.kind {
 	case tokVar:
@@ -650,7 +998,7 @@ func (p *parser) parseTerm(subjectPos bool) (Term, error) {
 	case tokLiteral:
 		// consume optional ^^type
 		if p.isPunct("^^") {
-			p.pos++
+			p.next()
 			if p.next().kind != tokIRI {
 				return Term{}, p.errf("datatype needs an IRI")
 			}
@@ -664,20 +1012,18 @@ func (p *parser) parseTerm(subjectPos bool) (Term, error) {
 			return Term{}, p.errf("number in subject position")
 		}
 		return Term{TermLiteral, t.text}, nil
-	case tokKeyword:
-		if t.text == "TRUE" || t.text == "FALSE" {
+	case tokWord:
+		if boolean {
 			return Term{TermLiteral, strings.ToLower(t.text)}, nil
 		}
 	case tokPunct:
-		if t.text == "[" {
-			// anonymous blank node [] (property lists unsupported)
-			if p.isPunct("]") {
-				p.pos++
-				return Term{TermBlank, fmt.Sprintf("anon%d", p.pos)}, nil
-			}
+		// anonymous blank node [] (property lists unsupported)
+		if t.text == "[" && p.isPunct("]") {
+			p.next()
+			return Term{TermBlank, "anon" + strconv.Itoa(p.n)}, nil
 		}
 	}
-	return Term{}, p.errf("expected RDF term, found %q", t.text)
+	return Term{}, p.errf("expected RDF term, found %q", t.show())
 }
 
 // parsePropertyPath parses a property path at predicate position: its
@@ -699,16 +1045,17 @@ func (p *parser) parsePathList(sep string) (*propertypath.Path, error) {
 	if sep == "/" {
 		kind = propertypath.Seq
 	}
-	list := &propertypath.Path{Kind: kind, Subs: []*propertypath.Path{first}}
+	var buf [8]*propertypath.Path
+	items := append(buf[:0], first)
 	for p.isPunct(sep) {
-		p.pos++
+		p.next()
 		next, err := p.parsePathItem(sep)
 		if err != nil {
 			return nil, err
 		}
-		list.Subs = append(list.Subs, next)
+		items = append(items, next)
 	}
-	return list, nil
+	return p.path(propertypath.Path{Kind: kind, Subs: p.paths(items...)}), nil
 }
 
 func (p *parser) parsePathItem(sep string) (*propertypath.Path, error) {
@@ -718,21 +1065,26 @@ func (p *parser) parsePathItem(sep string) (*propertypath.Path, error) {
 	return p.parsePathUnary()
 }
 
-var pathRepeats = map[string]propertypath.Kind{"*": propertypath.Star, "+": propertypath.Plus, "?": propertypath.Opt}
-
 // parsePathUnary parses an atom followed by any run of *, + and ?.
 func (p *parser) parsePathUnary() (*propertypath.Path, error) {
 	x, err := p.parsePathAtom()
 	if err != nil {
 		return nil, err
 	}
-	for t := p.peek(); t.kind == tokPunct; t = p.peek() {
-		kind, ok := pathRepeats[t.text]
-		if !ok {
-			break
+	for p.tok.kind == tokPunct {
+		var kind propertypath.Kind
+		switch p.tok.text {
+		case "*":
+			kind = propertypath.Star
+		case "+":
+			kind = propertypath.Plus
+		case "?":
+			kind = propertypath.Opt
+		default:
+			return x, nil
 		}
-		p.pos++
-		x = &propertypath.Path{Kind: kind, Subs: []*propertypath.Path{x}}
+		p.next()
+		x = p.path(propertypath.Path{Kind: kind, Subs: p.paths(x)})
 	}
 	return x, nil
 }
@@ -740,22 +1092,26 @@ func (p *parser) parsePathUnary() (*propertypath.Path, error) {
 // parsePathAtom parses an IRI, ^atom, a negated property set, or a
 // parenthesized path.
 func (p *parser) parsePathAtom() (*propertypath.Path, error) {
-	switch t := p.peek(); {
+	switch t := p.tok; {
 	case t.kind == tokIRI:
-		p.pos++
-		return &propertypath.Path{Kind: propertypath.IRI, IRI: t.text}, nil
-	case p.isPunct("^"):
-		p.pos++
-		x, err := p.parsePathAtom()
-		if err != nil {
+		p.next()
+		return p.path(propertypath.Path{Kind: propertypath.IRI, IRI: t.text}), nil
+	case p.isPunct("!"):
+		p.next()
+		return p.parseNegatedSet()
+	case p.isPunct("^"), p.isPunct("("):
+		if err := p.enter(); err != nil {
 			return nil, err
 		}
-		return &propertypath.Path{Kind: propertypath.Inverse, Subs: []*propertypath.Path{x}}, nil
-	case p.isPunct("!"):
-		p.pos++
-		return p.parseNegatedSet()
-	case p.isPunct("("):
-		p.pos++
+		defer p.leave()
+		p.next()
+		if t.text == "^" {
+			x, err := p.parsePathAtom()
+			if err != nil {
+				return nil, err
+			}
+			return p.path(propertypath.Path{Kind: propertypath.Inverse, Subs: p.paths(x)}), nil
+		}
 		x, err := p.parsePathList("|")
 		if err != nil {
 			return nil, err
@@ -765,74 +1121,75 @@ func (p *parser) parsePathAtom() (*propertypath.Path, error) {
 		}
 		return x, nil
 	default:
-		return nil, p.errf("expected predicate, found %q", t.text)
+		return nil, p.errf("expected predicate, found %q", t.show())
 	}
 }
 
 // parseNegatedSet parses what follows '!': one [^]IRI, or a parenthesized
 // |-list of them, whose labels are sorted.
 func (p *parser) parseNegatedSet() (*propertypath.Path, error) {
-	out := &propertypath.Path{Kind: propertypath.NegSet}
+	out := propertypath.Path{Kind: propertypath.NegSet}
 	paren := p.isPunct("(")
 	if paren {
-		p.pos++
+		p.next()
 	}
 	for {
 		inv := p.isPunct("^")
 		if inv {
-			p.pos++
+			p.next()
 		}
-		switch t := p.peek(); {
+		switch t := p.tok; {
 		case t.kind != tokIRI:
-			return nil, p.errf("expected IRI in negated property set, found %q", t.text)
+			return nil, p.errf("expected IRI in negated property set, found %q", t.show())
 		case inv:
 			out.NegInv = append(out.NegInv, t.text)
 		default:
 			out.Neg = append(out.Neg, t.text)
 		}
-		p.pos++
+		p.next()
 		if !paren {
-			return out, nil
+			return p.path(out), nil
 		}
 		if !p.isPunct("|") {
 			break
 		}
-		p.pos++
+		p.next()
 	}
 	if err := p.expectPunct(")"); err != nil {
 		return nil, err
 	}
 	slices.Sort(out.Neg)
 	slices.Sort(out.NegInv)
-	return out, nil
+	return p.path(out), nil
 }
 
 func (p *parser) parseFilterConstraint() (*Expr, error) {
-	// FILTER EXISTS {…} / FILTER NOT EXISTS {…} / FILTER (expr) /
-	// FILTER builtin(…)
-	if p.acceptKeyword("NOT") {
-		if !p.acceptKeyword("EXISTS") {
-			return nil, p.errf("NOT must be followed by EXISTS")
-		}
-		g, err := p.parseGroup()
-		if err != nil {
-			return nil, err
-		}
-		return &Expr{Kind: EExists, Pattern: g, Negated: true}, nil
-	}
-	if p.acceptKeyword("EXISTS") {
-		g, err := p.parseGroup()
-		if err != nil {
-			return nil, err
-		}
-		return &Expr{Kind: EExists, Pattern: g}, nil
+	// FILTER EXISTS {…} / FILTER NOT EXISTS {…}, which parseUnaryExpr
+	// reads, / FILTER (expr) / FILTER builtin(…)
+	if p.isWord("NOT") || p.isWord("EXISTS") {
+		return p.parseUnaryExpr()
 	}
 	return p.parseBracketedOrPlainExpr()
 }
 
+// parseExists parses the group of an EXISTS or NOT EXISTS.
+func (p *parser) parseExists(negated bool) (*Expr, error) {
+	g, err := p.parseGroup()
+	if err != nil {
+		return nil, err
+	}
+	return p.expr(Expr{Kind: EExists, Pattern: g, Negated: negated}), nil
+}
+
 // ------------------------------- expressions -------------------------------
 
-func (p *parser) parseExpr() (*Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (*Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
+	return p.parseOr()
+}
 
 func (p *parser) parseOr() (*Expr, error) {
 	left, err := p.parseAnd()
@@ -840,12 +1197,12 @@ func (p *parser) parseOr() (*Expr, error) {
 		return nil, err
 	}
 	for p.isPunct("||") {
-		p.pos++
+		p.next()
 		right, err := p.parseAnd()
 		if err != nil {
 			return nil, err
 		}
-		left = &Expr{Kind: EBool, Op: "||", Subs: []*Expr{left, right}}
+		left = p.expr(Expr{Kind: EBool, Op: "||", Subs: p.exprs(left, right)})
 	}
 	return left, nil
 }
@@ -856,47 +1213,42 @@ func (p *parser) parseAnd() (*Expr, error) {
 		return nil, err
 	}
 	for p.isPunct("&&") {
-		p.pos++
+		p.next()
 		right, err := p.parseCompare()
 		if err != nil {
 			return nil, err
 		}
-		left = &Expr{Kind: EBool, Op: "&&", Subs: []*Expr{left, right}}
+		left = p.expr(Expr{Kind: EBool, Op: "&&", Subs: p.exprs(left, right)})
 	}
 	return left, nil
 }
-
-var compareOps = map[string]bool{"=": true, "!=": true, "<": true, ">": true, "<=": true, ">=": true}
 
 func (p *parser) parseCompare() (*Expr, error) {
 	left, err := p.parseAdditive()
 	if err != nil {
 		return nil, err
 	}
-	if t := p.peek(); t.kind == tokPunct && compareOps[t.text] {
-		p.pos++
-		right, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
+	if t := p.tok; t.kind == tokPunct {
+		switch t.text {
+		case "=", "!=", "<", ">", "<=", ">=":
+			p.next()
+			right, err := p.parseAdditive()
+			if err != nil {
+				return nil, err
+			}
+			return p.expr(Expr{Kind: ECompare, Op: t.text, Subs: p.exprs(left, right)}), nil
 		}
-		return &Expr{Kind: ECompare, Op: t.text, Subs: []*Expr{left, right}}, nil
+	}
+	negated := p.acceptKeyword("NOT")
+	if negated && !p.isWord("IN") {
+		return nil, p.errf("NOT must be followed by IN")
 	}
 	if p.acceptKeyword("IN") {
 		args, err := p.parseArgList()
 		if err != nil {
 			return nil, err
 		}
-		return &Expr{Kind: EIn, Subs: append([]*Expr{left}, args...)}, nil
-	}
-	if p.acceptKeyword("NOT") {
-		if !p.acceptKeyword("IN") {
-			return nil, p.errf("NOT must be followed by IN")
-		}
-		args, err := p.parseArgList()
-		if err != nil {
-			return nil, err
-		}
-		return &Expr{Kind: EIn, Negated: true, Subs: append([]*Expr{left}, args...)}, nil
+		return p.expr(Expr{Kind: EIn, Negated: negated, Subs: p.exprs(append([]*Expr{left}, args...)...)}), nil
 	}
 	return left, nil
 }
@@ -907,38 +1259,38 @@ func (p *parser) parseAdditive() (*Expr, error) {
 		return nil, err
 	}
 	for {
-		t := p.peek()
+		t := p.tok
 		if t.kind != tokPunct || (t.text != "+" && t.text != "-" && t.text != "*" && t.text != "/") {
 			return left, nil
 		}
-		p.pos++
+		p.next()
 		right, err := p.parseUnaryExpr()
 		if err != nil {
 			return nil, err
 		}
-		left = &Expr{Kind: EArith, Op: t.text, Subs: []*Expr{left, right}}
+		left = p.expr(Expr{Kind: EArith, Op: t.text, Subs: p.exprs(left, right)})
 	}
 }
 
 func (p *parser) parseUnaryExpr() (*Expr, error) {
-	t := p.peek()
+	t := p.tok
 	switch {
-	case t.kind == tokPunct && t.text == "!":
-		p.pos++
+	case p.isPunct("!"), p.isPunct("-"):
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
+		p.next()
 		sub, err := p.parseUnaryExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &Expr{Kind: ENot, Subs: []*Expr{sub}}, nil
-	case t.kind == tokPunct && t.text == "-":
-		p.pos++
-		sub, err := p.parseUnaryExpr()
-		if err != nil {
-			return nil, err
+		if t.text == "!" {
+			return p.expr(Expr{Kind: ENot, Subs: p.exprs(sub)}), nil
 		}
-		return &Expr{Kind: EArith, Op: "neg", Subs: []*Expr{sub}}, nil
-	case t.kind == tokPunct && t.text == "(":
-		p.pos++
+		return p.expr(Expr{Kind: EArith, Op: "neg", Subs: p.exprs(sub)}), nil
+	case p.isPunct("("):
+		p.next()
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -948,62 +1300,51 @@ func (p *parser) parseUnaryExpr() (*Expr, error) {
 		}
 		return e, nil
 	case t.kind == tokVar:
-		p.pos++
-		return &Expr{Kind: EVar, Var: t.text}, nil
+		p.next()
+		return p.expr(Expr{Kind: EVar, Var: t.text}), nil
 	case t.kind == tokLiteral || t.kind == tokNumber:
-		p.pos++
+		p.next()
 		if p.isPunct("^^") {
-			p.pos++
+			p.next()
 			if p.next().kind != tokIRI {
 				return nil, p.errf("datatype needs an IRI")
 			}
 		}
-		return &Expr{Kind: EConst, Const: t.text}, nil
+		return p.expr(Expr{Kind: EConst, Const: t.text}), nil
 	case t.kind == tokIRI:
-		p.pos++
+		p.next()
 		// IRI constant or IRI-function call iri(…)
 		if p.isPunct("(") {
 			args, err := p.parseArgList()
 			if err != nil {
 				return nil, err
 			}
-			return &Expr{Kind: EFunc, Func: strings.ToUpper(t.text), Subs: args}, nil
+			return p.expr(Expr{Kind: EFunc, Func: strings.ToUpper(t.text), Subs: p.exprs(args...)}), nil
 		}
-		return &Expr{Kind: EConst, Const: t.text}, nil
-	case t.kind == tokKeyword && t.text == "NOT":
-		p.pos++
+		return p.expr(Expr{Kind: EConst, Const: t.text}), nil
+	case p.acceptKeyword("NOT"):
 		if !p.acceptKeyword("EXISTS") {
 			return nil, p.errf("NOT must be followed by EXISTS")
 		}
-		g, err := p.parseGroup()
-		if err != nil {
-			return nil, err
-		}
-		return &Expr{Kind: EExists, Pattern: g, Negated: true}, nil
-	case t.kind == tokKeyword && t.text == "EXISTS":
-		p.pos++
-		g, err := p.parseGroup()
-		if err != nil {
-			return nil, err
-		}
-		return &Expr{Kind: EExists, Pattern: g}, nil
-	case t.kind == tokKeyword && (t.text == "TRUE" || t.text == "FALSE"):
-		p.pos++
-		return &Expr{Kind: EConst, Const: strings.ToLower(t.text)}, nil
-	case t.kind == tokKeyword:
+		return p.parseExists(true)
+	case p.acceptKeyword("EXISTS"):
+		return p.parseExists(false)
+	case p.isWord("TRUE") || p.isWord("FALSE"):
+		p.next()
+		return p.expr(Expr{Kind: EConst, Const: strings.ToLower(t.text)}), nil
+	case t.kind == tokWord:
 		// builtin or aggregate: NAME(…)
-		name := t.text
-		p.pos++
+		p.next()
 		if !p.isPunct("(") {
-			return nil, p.errf("unexpected keyword %q in expression", name)
+			return nil, p.errf("unexpected keyword %q in expression", t.show())
 		}
-		args, err := p.parseAggArgList(name)
+		args, err := p.parseAggArgList()
 		if err != nil {
 			return nil, err
 		}
-		return &Expr{Kind: EFunc, Func: name, Subs: args}, nil
+		return p.expr(Expr{Kind: EFunc, Func: upperWord(t.text), Subs: p.exprs(args...)}), nil
 	}
-	return nil, p.errf("unexpected %q in expression", t.text)
+	return nil, p.errf("unexpected %q in expression", t.show())
 }
 
 func (p *parser) parseArgList() ([]*Expr, error) {
@@ -1012,7 +1353,7 @@ func (p *parser) parseArgList() ([]*Expr, error) {
 	}
 	var args []*Expr
 	if p.isPunct(")") {
-		p.pos++
+		p.next()
 		return args, nil
 	}
 	for {
@@ -1022,7 +1363,7 @@ func (p *parser) parseArgList() ([]*Expr, error) {
 		}
 		args = append(args, e)
 		if p.isPunct(",") {
-			p.pos++
+			p.next()
 			continue
 		}
 		break
@@ -1035,14 +1376,14 @@ func (p *parser) parseArgList() ([]*Expr, error) {
 
 // parseAggArgList handles COUNT(*), DISTINCT inside aggregates, and
 // GROUP_CONCAT separators.
-func (p *parser) parseAggArgList(name string) ([]*Expr, error) {
+func (p *parser) parseAggArgList() ([]*Expr, error) {
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
 	p.acceptKeyword("DISTINCT")
 	var args []*Expr
 	if p.isPunct("*") {
-		p.pos++
+		p.next()
 	} else if !p.isPunct(")") {
 		for {
 			e, err := p.parseExpr()
@@ -1051,11 +1392,11 @@ func (p *parser) parseAggArgList(name string) ([]*Expr, error) {
 			}
 			args = append(args, e)
 			if p.isPunct(",") {
-				p.pos++
+				p.next()
 				continue
 			}
 			if p.isPunct(";") { // GROUP_CONCAT(… ; SEPARATOR="…")
-				p.pos++
+				p.next()
 				p.acceptKeyword("SEPARATOR")
 				p.expectPunct("=")
 				p.next()
@@ -1066,14 +1407,15 @@ func (p *parser) parseAggArgList(name string) ([]*Expr, error) {
 	if err := p.expectPunct(")"); err != nil {
 		return nil, err
 	}
-	_ = name
 	return args, nil
 }
 
-func isBuiltinFunc(name string) bool {
-	switch name {
-	case "COUNT", "SUM", "AVG", "MIN", "MAX", "SAMPLE", "GROUP_CONCAT":
-		return true
+// isAggregate reports whether the current token names an aggregate.
+func (p *parser) isAggregate() bool {
+	for _, name := range [...]string{"COUNT", "SUM", "AVG", "MIN", "MAX", "SAMPLE", "GROUP_CONCAT"} {
+		if p.isWord(name) {
+			return true
+		}
 	}
 	return false
 }

@@ -3,6 +3,8 @@ package sparql
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/textio"
 )
 
 // wikidataExample is the paper's example query (Section 9, "Locations of
@@ -287,5 +289,80 @@ func TestNonASCIINames(t *testing.T) {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted invalid UTF-8", bad)
 		}
+	}
+}
+
+// TestKeywordsFoldASCIIOnly checks that keywords match case-insensitively
+// in ASCII only. strings.ToUpper maps ſ (U+017F) to S and ı (U+0131) to
+// I, so a Unicode fold read ſelect as SELECT and lımıt as LIMIT, and
+// both deduplicated with the ASCII queries.
+func TestKeywordsFoldASCIIOnly(t *testing.T) {
+	for _, src := range []string{
+		"ſelect * where { ?s ?p ?o }",
+		"SELECT * WHERE { ?s ?p ?o } lımıt 5",
+		"SELECT * WHERE { ?s ?p ?o OPTıONAL { ?o ?q ?r } }",
+	} {
+		if q, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) = %s, want an error", src, q.Canonical())
+		}
+	}
+	q := MustParse("SELECT * WHERE { ?s ?p ?o FILTER(ſum(?o) > 1) }")
+	if got := q.Canonical(); !strings.Contains(got, "ſUM(") {
+		t.Errorf("Canonical = %q, want the function ſUM, not SUM", got)
+	}
+	if q.Features()[FSum] {
+		t.Error("ſum counted as the SUM aggregate")
+	}
+	want := MustParse("SELECT * WHERE { ?s ?p ?o } LIMIT 5").Canonical()
+	if got := MustParse("sElEcT * wHeRe { ?s ?p ?o } lImIt 5").Canonical(); got != want {
+		t.Errorf("mixed-case ASCII keywords: %q, want %q", got, want)
+	}
+}
+
+// TestNestingLimit checks that groups, expressions and property paths
+// nested past textio.MaxDepth are a parse error, the recursion never
+// getting deeper than the limit.
+func TestNestingLimit(t *testing.T) {
+	nest := func(open, inner, close string, n int) string {
+		return strings.Repeat(open, n) + inner + strings.Repeat(close, n)
+	}
+	for _, c := range []struct {
+		name string
+		src  func(n int) string
+	}{
+		{"groups", func(n int) string { return "SELECT * WHERE " + nest("{", "?s ?p ?o", "}", n) }},
+		{"expressions", func(n int) string { return "SELECT * WHERE { ?s ?p ?o FILTER" + nest("(", "?o", ")", n) + " }" }},
+		{"negations", func(n int) string { return "SELECT * WHERE { ?s ?p ?o FILTER(" + strings.Repeat("!", n) + "?o) }" }},
+		{"paths", func(n int) string { return "SELECT * WHERE { ?s " + nest("(", "ex:p", ")", n) + " ?o }" }},
+		{"inverses", func(n int) string { return "SELECT * WHERE { ?s " + strings.Repeat("^ ", n) + "ex:p ?o }" }},
+	} {
+		if _, err := Parse(c.src(10)); err != nil {
+			t.Errorf("%s: 10 levels: %v", c.name, err)
+		}
+		_, err := Parse(c.src(textio.MaxDepth + 1))
+		if err == nil || !strings.Contains(err.Error(), "nesting deeper than 1000 levels") {
+			t.Errorf("%s: %d levels: err = %v", c.name, textio.MaxDepth+1, err)
+		}
+	}
+	if _, err := ParsePath(strings.Repeat("(", 5000) + "ex:p" + strings.Repeat(")", 5000)); err == nil {
+		t.Error("ParsePath accepted 5000 nested parentheses")
+	}
+}
+
+// TestParseAllocs pins the allocations of one Parse of a DBpedia17-shaped
+// query at 7: the parser, the Query, its projection, two chunks of
+// patterns (the first sized from the text, the second for the fifth
+// pattern) and one of child pointers; 31 before the scanner read tokens
+// from the text in place and nodes came from slabs.
+func TestParseAllocs(t *testing.T) {
+	const q = "SELECT DISTINCT ?v0 ?v1 ?v2 WHERE { ?v0 foaf:homepage ?v1 . ?v1 dbo:birthPlace ?v2 . ?v2 foaf:homepage ?v3 . ?v3 dbo:birthPlace ?v4 . }"
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Parse(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%v allocations per Parse", allocs)
+	if allocs > 7 {
+		t.Errorf("%v allocations per Parse, want ≤ 7", allocs)
 	}
 }

@@ -8,6 +8,8 @@
 package sparqlalg
 
 import (
+	"sync"
+
 	"repro/internal/sparql"
 )
 
@@ -15,30 +17,50 @@ import (
 // and Optional (plus triple and property-path patterns) — the fragment in
 // which well-designedness is defined.
 func UsesOnlyAFO(q *sparql.Query) bool {
-	ok := true
-	q.Walk(func(p *sparql.Pattern) {
-		switch p.Kind {
-		case sparql.PGroup, sparql.PTriple, sparql.PPath, sparql.PFilter, sparql.POptional:
-		default:
-			ok = false
+	if q.Where != nil && !afo(q.Where) {
+		return false
+	}
+	for _, t := range q.Template {
+		if !afo(t) {
+			return false
 		}
-		if p.Kind == sparql.PFilter && p.Expr != nil {
-			for _, sub := range flattenExpr(p.Expr) {
-				if sub.Kind == sparql.EExists {
-					ok = false
-				}
-			}
-		}
-	})
-	return ok
+	}
+	return true
 }
 
-func flattenExpr(e *sparql.Expr) []*sparql.Expr {
-	out := []*sparql.Expr{e}
-	for _, s := range e.Subs {
-		out = append(out, flattenExpr(s)...)
+// afo reports whether p is an And/Filter/Optional pattern without
+// (NOT) EXISTS filters.
+func afo(p *sparql.Pattern) bool {
+	switch p.Kind {
+	case sparql.PGroup, sparql.PTriple, sparql.PPath, sparql.POptional:
+	case sparql.PFilter:
+		if hasExists(p.Expr) {
+			return false
+		}
+	default:
+		return false
 	}
-	return out
+	for _, s := range p.Subs {
+		if !afo(s) {
+			return false
+		}
+	}
+	return true
+}
+
+func hasExists(e *sparql.Expr) bool {
+	if e == nil {
+		return false
+	}
+	if e.Kind == sparql.EExists {
+		return true
+	}
+	for _, s := range e.Subs {
+		if hasExists(s) {
+			return true
+		}
+	}
+	return false
 }
 
 // IsWellDesigned implements Pérez et al.'s condition: for every subpattern
@@ -48,135 +70,205 @@ func flattenExpr(e *sparql.Expr) []*sparql.Expr {
 // It returns false when the query is outside the And/Filter/Optional
 // fragment.
 func IsWellDesigned(q *sparql.Query) bool {
-	if !UsesOnlyAFO(q) {
-		return false
-	}
-	if q.Where == nil {
-		return true
-	}
-	root := toBinary(q.Where)
-	if root == nil {
-		return true
-	}
-	all := root.vars()
-	return checkWD(root, all, nil)
+	return UsesOnlyAFO(q) && (q.Where == nil || wellDesigned(q.Where))
 }
 
-// binNode is the binary And/Opt algebra with triple/filter leaves.
-type binNode struct {
-	op          string // "leaf", "and", "opt"
-	left, right *binNode
-	leafVars    map[string]bool
-}
-
-func (b *binNode) vars() map[string]bool {
-	if b == nil {
-		return map[string]bool{}
+// wellDesigned checks the condition on an And/Filter/Optional pattern.
+// Each node of the binary algebra gets the set of variables under it
+// once, as a bitset over the pattern's variables.
+func wellDesigned(p *sparql.Pattern) bool {
+	a := algebras.Get().(*algebra)
+	defer a.release()
+	root := a.toBinary(p)
+	if root < 0 {
+		return true
 	}
-	if b.op == "leaf" {
-		out := map[string]bool{}
-		for v := range b.leafVars {
-			out[v] = true
+	a.w = (len(a.ids) + 63) / 64
+	// one set per node, the empty set, and one scratch set per level of
+	// check's recursion, which is at most one per node
+	size := a.w * (2*len(a.nodes) + 1)
+	if cap(a.bits) < size {
+		a.bits = make([]uint64, size)
+	}
+	bits := a.bits[:size]
+	clear(bits)
+	a.empty, bits = bits[:a.w], bits[a.w:]
+	for i := range a.nodes {
+		n := &a.nodes[i]
+		n.vars, bits = bits[:a.w], bits[a.w:]
+		if n.op == leaf {
+			for _, id := range a.leafVars[n.lo:n.hi] {
+				n.vars[id/64] |= 1 << (id % 64)
+			}
+			continue
 		}
-		return out
+		left, right := a.vars(n.left), a.vars(n.right)
+		for j := range n.vars {
+			n.vars[j] = left[j] | right[j]
+		}
 	}
-	out := b.left.vars()
-	for v := range b.right.vars() {
-		out[v] = true
-	}
-	return out
+	return a.check(root, a.empty, bits)
 }
 
-func toBinary(p *sparql.Pattern) *binNode {
+type nodeOp uint8
+
+const (
+	leaf nodeOp = iota // a triple, path or filter
+	and
+	opt
+)
+
+// algebra is the binary And/Opt algebra of one pattern, with triple and
+// filter leaves. Nodes are stored in post-order, children before their
+// parent, and refer to each other by index; -1 is no node.
+type algebra struct {
+	ids      map[string]int // variable → bit
+	leafVars []int          // the variable bits of each leaf, leaf by leaf
+	nodes    []binNode
+	w        int      // words per variable set
+	bits     []uint64 // the sets' storage
+	empty    []uint64 // the empty set
+}
+
+// algebras pools the scratch of wellDesigned, so that a query's check
+// allocates nothing once the pool is warm.
+var algebras = sync.Pool{New: func() any { return &algebra{ids: map[string]int{}} }}
+
+// release empties a and returns it to the pool, unless a large pattern
+// grew its nodes or sets past maxPooled elements.
+func (a *algebra) release() {
+	if cap(a.nodes) > maxPooled || cap(a.bits) > maxPooled {
+		return
+	}
+	clear(a.ids)
+	a.leafVars, a.nodes = a.leafVars[:0], a.nodes[:0]
+	algebras.Put(a)
+}
+
+const maxPooled = 1 << 14
+
+type binNode struct {
+	op          nodeOp
+	left, right int
+	lo, hi      int      // a leaf's variables are leafVars[lo:hi]
+	vars        []uint64 // the variables under the node
+}
+
+func (a *algebra) add(n binNode) int {
+	a.nodes = append(a.nodes, n)
+	return len(a.nodes) - 1
+}
+
+// addLeaf adds a leaf over the variables added to leafVars since lo.
+func (a *algebra) addLeaf(lo int) int {
+	return a.add(binNode{op: leaf, left: -1, right: -1, lo: lo, hi: len(a.leafVars)})
+}
+
+func (a *algebra) addVar(name string) {
+	id, ok := a.ids[name]
+	if !ok {
+		id = len(a.ids)
+		a.ids[name] = id
+	}
+	a.leafVars = append(a.leafVars, id)
+}
+
+// addExprVars adds the variables of e, except those inside EXISTS
+// patterns, which scope separately.
+func (a *algebra) addExprVars(e *sparql.Expr) {
+	if e == nil {
+		return
+	}
+	if e.Kind == sparql.EVar {
+		a.addVar(e.Var)
+	}
+	if e.Kind == sparql.EExists {
+		return
+	}
+	for _, s := range e.Subs {
+		a.addExprVars(s)
+	}
+}
+
+func (a *algebra) vars(n int) []uint64 {
+	if n < 0 {
+		return a.empty
+	}
+	return a.nodes[n].vars
+}
+
+func (a *algebra) toBinary(p *sparql.Pattern) int {
 	switch p.Kind {
 	case sparql.PTriple, sparql.PPath:
-		vars := map[string]bool{}
-		for _, t := range []sparql.Term{p.S, p.P, p.O} {
+		lo := len(a.leafVars)
+		for _, t := range [...]sparql.Term{p.S, p.P, p.O} {
 			if t.IsVarLike() && t.Value != "" {
-				vars[t.Value] = true
+				a.addVar(t.Value)
 			}
 		}
-		return &binNode{op: "leaf", leafVars: vars}
+		return a.addLeaf(lo)
 	case sparql.PFilter:
-		vars := map[string]bool{}
-		if p.Expr != nil {
-			for _, v := range p.Expr.Vars() {
-				vars[v] = true
-			}
-		}
-		return &binNode{op: "leaf", leafVars: vars}
+		lo := len(a.leafVars)
+		a.addExprVars(p.Expr)
+		return a.addLeaf(lo)
 	case sparql.POptional:
 		// handled by the parent group; standalone OPTIONAL = ε OPT P
-		inner := toBinary(p.Subs[0])
-		return &binNode{op: "opt", left: &binNode{op: "leaf", leafVars: map[string]bool{}}, right: inner}
+		inner := a.toBinary(p.Subs[0])
+		return a.add(binNode{op: opt, left: a.addLeaf(len(a.leafVars)), right: inner})
 	case sparql.PGroup:
-		var acc *binNode
+		acc := -1
 		for _, c := range p.Subs {
 			if c.Kind == sparql.POptional {
-				inner := toBinary(c.Subs[0])
-				if acc == nil {
-					acc = &binNode{op: "leaf", leafVars: map[string]bool{}}
+				inner := a.toBinary(c.Subs[0])
+				if acc < 0 {
+					acc = a.addLeaf(len(a.leafVars))
 				}
-				acc = &binNode{op: "opt", left: acc, right: inner}
+				acc = a.add(binNode{op: opt, left: acc, right: inner})
 				continue
 			}
-			n := toBinary(c)
-			if n == nil {
+			n := a.toBinary(c)
+			if n < 0 {
 				continue
 			}
-			if acc == nil {
+			if acc < 0 {
 				acc = n
 			} else {
-				acc = &binNode{op: "and", left: acc, right: n}
+				acc = a.add(binNode{op: and, left: acc, right: n})
 			}
 		}
 		return acc
 	}
-	return nil
+	return -1
 }
 
-// checkWD verifies the condition on every OPT node. outside accumulates
-// the variables occurring in the pattern outside the current subtree.
-func checkWD(n *binNode, all map[string]bool, path []*binNode) bool {
-	if n == nil || n.op == "leaf" {
+// check verifies the condition on every OPT node under n. outside holds
+// the variables occurring outside n's subtree: those of the siblings of
+// n and of its ancestors. free is scratch for the sets of the levels
+// below.
+func (a *algebra) check(n int, outside, free []uint64) bool {
+	if n < 0 || a.nodes[n].op == leaf {
 		return true
 	}
-	if n.op == "opt" {
-		// vars outside this OPT subtree: all minus the subtree, plus any
-		// variable that also occurs elsewhere (a variable can be both
-		// inside and outside; compute occurrences structurally).
-		outside := varsOutside(all, n, path)
-		p1 := n.left.vars()
-		for v := range n.right.vars() {
-			if outside[v] && !p1[v] {
+	nd := &a.nodes[n]
+	left, right := a.vars(nd.left), a.vars(nd.right)
+	if nd.op == opt {
+		for i := range right {
+			if right[i]&outside[i]&^left[i] != 0 {
 				return false
 			}
 		}
 	}
-	return checkWD(n.left, all, append(path, n)) &&
-		checkWD(n.right, all, append(path, n))
-}
-
-// varsOutside computes the variables occurring outside the subtree n,
-// using the path of ancestors: for each ancestor, the sibling subtree's
-// variables are outside.
-func varsOutside(all map[string]bool, n *binNode, path []*binNode) map[string]bool {
-	outside := map[string]bool{}
-	cur := n
-	for i := len(path) - 1; i >= 0; i-- {
-		anc := path[i]
-		var sibling *binNode
-		if anc.left == cur {
-			sibling = anc.right
-		} else {
-			sibling = anc.left
-		}
-		for v := range sibling.vars() {
-			outside[v] = true
-		}
-		cur = anc
+	o, free := free[:a.w], free[a.w:]
+	for i := range o {
+		o[i] = outside[i] | right[i]
 	}
-	return outside
+	if !a.check(nd.left, o, free) {
+		return false
+	}
+	for i := range o {
+		o[i] = outside[i] | left[i]
+	}
+	return a.check(nd.right, o, free)
 }
 
 // IsUnionOfWellDesigned reports whether the query is a union of
@@ -193,8 +285,7 @@ func IsUnionOfWellDesigned(q *sparql.Query) bool {
 		return false
 	}
 	for _, b := range branches {
-		sub := &sparql.Query{Type: q.Type, Where: b}
-		if !UsesOnlyAFO(sub) || !IsWellDesigned(sub) {
+		if !afo(b) || !wellDesigned(b) {
 			return false
 		}
 	}
@@ -216,23 +307,22 @@ func topLevelUnionBranches(p *sparql.Pattern) ([]*sparql.Pattern, bool) {
 	}
 	// no top-level union: the whole pattern is one branch, which must not
 	// contain UNION anywhere inside
-	hasUnion := false
-	walkAll(p, func(x *sparql.Pattern) {
-		if x.Kind == sparql.PUnion {
-			hasUnion = true
-		}
-	})
-	if hasUnion {
+	if hasUnion(p) {
 		return nil, false
 	}
 	return []*sparql.Pattern{p}, true
 }
 
-func walkAll(p *sparql.Pattern, f func(*sparql.Pattern)) {
-	f(p)
-	for _, s := range p.Subs {
-		walkAll(s, f)
+func hasUnion(p *sparql.Pattern) bool {
+	if p.Kind == sparql.PUnion {
+		return true
 	}
+	for _, s := range p.Subs {
+		if hasUnion(s) {
+			return true
+		}
+	}
+	return false
 }
 
 // IsWellBehaved approximates the "even stronger condition" of Picalausa &

@@ -2,7 +2,8 @@
 // the command-line tools (and anything else that reads one-item-per-line
 // corpora): bounded line reading with a precise, line-numbered error when
 // an input line exceeds the limit, instead of bufio.Scanner's bare
-// "token too long".
+// "token too long"; and MaxDepth, the nesting limit the parsers of
+// untrusted text share.
 package textio
 
 import (
@@ -17,6 +18,14 @@ import (
 // the CLIs historically hard-coded): real query logs contain
 // machine-generated lines of several MiB.
 const DefaultMaxLineBytes = 16 << 20
+
+// MaxDepth is the deepest nesting a parser of untrusted text accepts.
+// The parsers and the passes over their trees recurse once per level, and
+// Go ends a goroutine whose stack passes 1 GB with a fatal error that no
+// recover can catch, so nesting past the limit is a parse error. Real
+// inputs nest a few levels deep: DTD content models 1–9, log queries
+// mostly 1–2 groups.
+const MaxDepth = 1000
 
 // LineTooLongError reports an input line exceeding the configured limit.
 type LineTooLongError struct {
