@@ -170,21 +170,16 @@ func main() {
 }
 
 // analyzeStoredGraph runs the Section 7.1 RDF analyses over a stored
-// triples corpus and prints them in the rwdbench -rdfstats format.
+// triples corpus and prints their summary, as rwdbench -experiment
+// rdfstats does.
 func analyzeStoredGraph(ctx context.Context, st *store.Store, corpus string) {
 	stats, err := st.RDFStats(ctx, corpus)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rwdanalyze: corpus %q: %v\n", corpus, err)
 		os.Exit(corpusExit(err))
 	}
-	fmt.Printf("triples: %d, subjects: %d, predicates: %d, objects: %d\n",
-		stats.Triples, stats.Subjects, stats.Predicates, stats.Objects)
-	fmt.Printf("in-degree: max %d, mean %.2f, alpha %.2f (power law; Bachlechner/Strang: max 7739 vs mean 9.56)\n",
-		stats.InDegree.Max, stats.InDegree.Mean, stats.InDegree.Alpha)
-	fmt.Printf("predicate lists: %d distinct; %.1f%% of subjects share a common list (Fernandez: ≈99%%)\n",
-		stats.PredicateLists, 100*stats.SharedListSubjectRate)
-	fmt.Printf("objects per (s,p): %.3f (≈1); subjects per (p,o): %.2f ± %.2f (skewed)\n",
-		stats.MeanObjectsPerSP, stats.MeanSubjectsPerPO, stats.StdDevSubjectsPerPO)
-	fmt.Printf("|P∩S|/|P∪S| = %.2g, |P∩O|/|P∪O| = %.2g (paper: 0 or 10⁻⁷..10⁻³)\n",
-		stats.PSOverlap, stats.POOverlap)
+	if err := stats.WriteSummary(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "render:", err)
+		os.Exit(1)
+	}
 }

@@ -216,16 +216,7 @@ func runRDFStats(s *study) {
 	g := rdf.DefaultGen()
 	r := rand.New(rand.NewSource(s.seed))
 	st := rdf.ComputeStats(g.Graph(r, 20000))
-	fmt.Fprintf(s.w, "triples: %d, subjects: %d, predicates: %d, objects: %d\n",
-		st.Triples, st.Subjects, st.Predicates, st.Objects)
-	fmt.Fprintf(s.w, "in-degree: max %d, mean %.2f, alpha %.2f (power law; Bachlechner/Strang: max 7739 vs mean 9.56)\n",
-		st.InDegree.Max, st.InDegree.Mean, st.InDegree.Alpha)
-	fmt.Fprintf(s.w, "predicate lists: %d distinct; %.1f%% of subjects share a common list (Fernandez: ≈99%%)\n",
-		st.PredicateLists, 100*st.SharedListSubjectRate)
-	fmt.Fprintf(s.w, "objects per (s,p): %.3f (≈1); subjects per (p,o): %.2f ± %.2f (skewed)\n",
-		st.MeanObjectsPerSP, st.MeanSubjectsPerPO, st.StdDevSubjectsPerPO)
-	fmt.Fprintf(s.w, "|P∩S|/|P∪S| = %.2g, |P∩O|/|P∪O| = %.2g (paper: 0 or 10⁻⁷..10⁻³)\n",
-		st.PSOverlap, st.POOverlap)
+	st.WriteSummary(s.w)
 }
 
 func pctOf(n, total int) float64 {

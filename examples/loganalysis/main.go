@@ -26,7 +26,7 @@ WHERE { ?subj wdt:P31/wdt:P279* wd:Q839954 .
 	fmt.Println("operator set:", q.Operators().Name())
 	for _, pp := range q.PropertyPaths() {
 		fmt.Printf("property path %s: type %s, Table 8 row %q, simple-transitive %v\n",
-			pp, propertypath.TypeString(pp), propertypath.Classify(pp),
+			sparql.PathString(pp), propertypath.TypeString(pp), propertypath.Classify(pp),
 			propertypath.IsSimpleTransitive(pp))
 	}
 

@@ -1,9 +1,8 @@
 // Package cache implements the bounded, thread-safe LRU map behind the
-// service layer's two caches: the verdict cache, keyed on canonical
-// renderings of containment inputs (the parsed input re-rendered, so
-// syntactically different but identical requests share an entry) and
-// on the fields of inference requests, and the compile cache, keyed on
-// raw request text. Hit/miss/eviction
+// service layer's two caches: the verdict cache, keyed on the raw text
+// of containment inputs and on the fields of inference requests, and the
+// compile cache, keyed on raw request text. Inputs are not re-rendered,
+// so two spellings of one input are two entries. Hit/miss/eviction
 // counters feed the /metrics endpoint.
 package cache
 

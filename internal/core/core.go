@@ -16,6 +16,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hypergraph"
 	"repro/internal/propertypath"
+	"repro/internal/regex"
 	"repro/internal/sparql"
 	"repro/internal/sparqlalg"
 )
@@ -143,8 +144,8 @@ type Analyzer struct {
 	cur      outcome // the outcome being recorded by analyze
 	key      []byte  // scratch buffer for intern keys
 	// ppCache memoizes the property-path classifier stack keyed on the
-	// path's canonical form: duplicate-heavy robotic logs hit the same
-	// paths millions of times.
+	// path's rendering (sparql.PathString): duplicate-heavy robotic logs
+	// hit the same paths millions of times.
 	ppCache map[string]ppClass
 }
 
@@ -334,8 +335,8 @@ func (a *Analyzer) analyzeSafe(q *sparql.Query, unique bool) (ok bool) {
 
 // classifyPP runs the property-path classifier stack through the
 // per-analyzer memoization cache.
-func (a *Analyzer) classifyPP(pp *propertypath.Path) ppClass {
-	key := pp.String()
+func (a *Analyzer) classifyPP(pp *regex.Expr) ppClass {
+	key := sparql.PathString(pp)
 	if c, hit := a.ppCache[key]; hit {
 		return c
 	}

@@ -3,6 +3,7 @@ package oracle
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -10,79 +11,82 @@ import (
 	"repro/internal/propertypath"
 	"repro/internal/rdf"
 	"repro/internal/regex"
+	"repro/internal/sparql"
 )
 
-// propertyPathEval cross-checks the Glushkov-product evaluator of
-// propertypath.Eval against an independent Brzozowski derivative-product
-// BFS, checks the semantics hierarchy (simple-path answers ⊆ trail
-// answers ⊆ regular answers), and, for paths without negated property
-// sets, compares the simple-path and trail evaluators against exhaustive
-// path enumeration over the graph.
+// propertyPathEval checks the inverse law of ^ (inverseLawViolation),
+// cross-checks the Glushkov-product evaluator of propertypath.Eval
+// against an independent Brzozowski derivative-product BFS, checks the
+// semantics hierarchy (simple-path answers ⊆ trail answers ⊆ regular
+// answers), and, for paths without negated property sets, compares the
+// simple-path and trail evaluators against exhaustive path enumeration
+// over the graph.
 type propertyPathEval struct{}
 
 func (propertyPathEval) Name() string { return "propertypath-eval" }
 
 func (propertyPathEval) Description() string {
-	return "propertypath.Eval vs derivative-product BFS; EvalSimplePaths/EvalTrails vs exhaustive path enumeration"
+	return "inverse law of ^; propertypath.Eval vs derivative-product BFS; EvalSimplePaths/EvalTrails vs exhaustive path enumeration"
 }
 
-var ppPreds = []string{":p", ":q"}
+var (
+	ppPreds = []string{":p", ":q"}
+	ppNodes = []string{"n0", "n1", "n2", "n3", "n4"}
+)
 
-// randomPPGraph draws a small graph over nodes n0..n4 and ppPreds.
+// randomPPGraph draws a small graph over ppNodes and ppPreds.
 func randomPPGraph(r *rand.Rand) *rdf.Graph {
 	g := rdf.NewGraph()
-	nodes := []string{"n0", "n1", "n2", "n3", "n4"}
 	// <= 6 triples keeps exhaustive trail enumeration cheap
 	m := 3 + r.Intn(4)
 	for i := 0; i < m; i++ {
-		g.Add(nodes[r.Intn(len(nodes))], ppPreds[r.Intn(len(ppPreds))], nodes[r.Intn(len(nodes))])
+		g.Add(ppNodes[r.Intn(len(ppNodes))], ppPreds[r.Intn(len(ppPreds))], ppNodes[r.Intn(len(ppNodes))])
 	}
 	return g
 }
 
-// randomPropertyPath draws a path AST of bounded depth; negated property
-// sets are included only when allowNeg is set (the exhaustive path
-// enumerators only handle plain forward/inverse atoms).
-func randomPropertyPath(r *rand.Rand, depth int, allowNeg bool) *propertypath.Path {
+// randomPropertyPath draws the SPARQL text of a path of bounded depth.
+// ^ applies to atoms, to negated sets and to compound paths alike.
+// Negated property sets are included only when allowNeg is set (the
+// exhaustive path enumerators only handle plain forward/inverse atoms).
+func randomPropertyPath(r *rand.Rand, depth int, allowNeg bool) string {
+	pred := func() string { return ppPreds[r.Intn(len(ppPreds))] }
+	var out string
 	if depth <= 0 || r.Float64() < 0.4 {
-		pred := ppPreds[r.Intn(len(ppPreds))]
-		switch x := r.Float64(); {
-		case allowNeg && x < 0.15:
-			np := &propertypath.Path{Kind: propertypath.NegSet}
+		if allowNeg && r.Float64() < 0.15 {
+			var members []string
 			if r.Intn(2) == 0 {
-				np.Neg = []string{pred}
+				members = append(members, pred())
 			}
 			if r.Intn(2) == 0 {
-				np.NegInv = []string{ppPreds[r.Intn(len(ppPreds))]}
+				members = append(members, "^"+pred())
 			}
-			if len(np.Neg) == 0 && len(np.NegInv) == 0 {
-				np.Neg = []string{pred}
+			if len(members) == 0 {
+				members = append(members, pred())
 			}
-			return np
-		case x < 0.5:
-			return &propertypath.Path{Kind: propertypath.Inverse,
-				Subs: []*propertypath.Path{{Kind: propertypath.IRI, IRI: pred}}}
+			out = "!(" + strings.Join(members, "|") + ")"
+		} else {
+			out = pred()
+		}
+	} else {
+		sub := func() string { return randomPropertyPath(r, depth-1, allowNeg) }
+		switch r.Intn(5) {
+		case 0:
+			out = "(" + sub() + "/" + sub() + ")"
+		case 1:
+			out = "(" + sub() + "|" + sub() + ")"
+		case 2:
+			out = "(" + sub() + ")*"
+		case 3:
+			out = "(" + sub() + ")+"
 		default:
-			return &propertypath.Path{Kind: propertypath.IRI, IRI: pred}
+			out = "(" + sub() + ")?"
 		}
 	}
-	switch r.Intn(5) {
-	case 0:
-		return &propertypath.Path{Kind: propertypath.Seq, Subs: []*propertypath.Path{
-			randomPropertyPath(r, depth-1, allowNeg), randomPropertyPath(r, depth-1, allowNeg)}}
-	case 1:
-		return &propertypath.Path{Kind: propertypath.Alt, Subs: []*propertypath.Path{
-			randomPropertyPath(r, depth-1, allowNeg), randomPropertyPath(r, depth-1, allowNeg)}}
-	case 2:
-		return &propertypath.Path{Kind: propertypath.Star,
-			Subs: []*propertypath.Path{randomPropertyPath(r, depth-1, allowNeg)}}
-	case 3:
-		return &propertypath.Path{Kind: propertypath.Plus,
-			Subs: []*propertypath.Path{randomPropertyPath(r, depth-1, allowNeg)}}
-	default:
-		return &propertypath.Path{Kind: propertypath.Opt,
-			Subs: []*propertypath.Path{randomPropertyPath(r, depth-1, allowNeg)}}
+	if r.Float64() < 0.25 {
+		out = "^" + out
 	}
+	return out
 }
 
 // stepAtom is the oracle's own reading of the extended-alphabet atoms —
@@ -139,8 +143,8 @@ func stepAtom(g *rdf.Graph, node, sym string) []string {
 // derivativeEval evaluates the path under regular semantics by BFS over
 // (node, Brzozowski derivative) pairs. Returns ok=false when the
 // derivative state space exceeds maxStates (the trial is then skipped).
-func derivativeEval(g *rdf.Graph, p *propertypath.Path, start string, maxStates int) ([]string, bool) {
-	re := propertypath.ToRegex(p).Simplify()
+func derivativeEval(g *rdf.Graph, e *regex.Expr, start string, maxStates int) ([]string, bool) {
+	re := e.Simplify()
 	alphabet := re.Alphabet()
 	type state struct{ node, expr string }
 	exprs := map[string]*regex.Expr{}
@@ -273,15 +277,47 @@ func subset(a, b []string) bool {
 	return true
 }
 
+// inverseLawViolation checks that ^(t), for t the rendering of e, answers
+// the converse of e: y ∈ Eval(^(t), x) ⇔ x ∈ Eval(e, y) for all nodes x,
+// y of randomPPGraph. It returns "" when the law holds.
+func inverseLawViolation(g *rdf.Graph, e *regex.Expr) string {
+	text := "^(" + sparql.PathString(e) + ")"
+	inv, err := sparql.ParsePath(text)
+	if err != nil {
+		return fmt.Sprintf("%s does not parse: %v", text, err)
+	}
+	for _, x := range ppNodes {
+		back := propertypath.Eval(g, inv, x)
+		for _, y := range ppNodes {
+			fwd := propertypath.Eval(g, e, y)
+			if slices.Contains(back, y) != slices.Contains(fwd, x) {
+				return fmt.Sprintf("Eval(%s, %s)=%v but Eval(%s, %s)=%v",
+					text, x, back, sparql.PathString(e), y, fwd)
+			}
+		}
+	}
+	return ""
+}
+
 func (o propertyPathEval) Trial(r *rand.Rand) *Divergence {
 	allowNeg := r.Float64() < 0.4
 	g := randomPPGraph(r)
-	p := randomPropertyPath(r, 3, allowNeg)
+	p := sparql.MustParsePath(randomPropertyPath(r, 3, allowNeg))
 	start := fmt.Sprintf("n%d", r.Intn(5))
+
+	if msg := inverseLawViolation(g, p); msg != "" {
+		g2, p2 := shrinkPPInstance(g, p, func(gg *rdf.Graph, pp *regex.Expr) bool {
+			return inverseLawViolation(gg, pp) != ""
+		})
+		return &Divergence{
+			Input:  ppInput(g2, p2, start),
+			Detail: "inverse law violated: " + inverseLawViolation(g2, p2),
+		}
+	}
 
 	reg := propertypath.Eval(g, p, start)
 	if naive, ok := derivativeEval(g, p, start, 20000); ok && !sameStrings(reg, naive) {
-		g2, p2 := shrinkPPInstance(g, p, func(gg *rdf.Graph, pp *propertypath.Path) bool {
+		g2, p2 := shrinkPPInstance(g, p, func(gg *rdf.Graph, pp *regex.Expr) bool {
 			n, ok2 := derivativeEval(gg, pp, start, 20000)
 			return ok2 && !sameStrings(propertypath.Eval(gg, pp, start), n)
 		})
@@ -295,7 +331,7 @@ func (o propertyPathEval) Trial(r *rand.Rand) *Divergence {
 	simple := propertypath.EvalSimplePaths(g, p, start)
 	trails := propertypath.EvalTrails(g, p, start)
 	if !subset(simple, trails) || !subset(trails, reg) {
-		g2, p2 := shrinkPPInstance(g, p, func(gg *rdf.Graph, pp *propertypath.Path) bool {
+		g2, p2 := shrinkPPInstance(g, p, func(gg *rdf.Graph, pp *regex.Expr) bool {
 			s := propertypath.EvalSimplePaths(gg, pp, start)
 			t := propertypath.EvalTrails(gg, pp, start)
 			return !subset(s, t) || !subset(t, propertypath.Eval(gg, pp, start))
@@ -308,46 +344,44 @@ func (o propertyPathEval) Trial(r *rand.Rand) *Divergence {
 	}
 
 	if !allowNeg && g.Len() <= 8 {
-		re := propertypath.ToRegex(p)
-		if brute := enumEval(g, re, start, false); !sameStrings(simple, brute) {
-			g2, p2 := shrinkPPInstance(g, p, func(gg *rdf.Graph, pp *propertypath.Path) bool {
-				return !sameStrings(propertypath.EvalSimplePaths(gg, pp, start),
-					enumEval(gg, propertypath.ToRegex(pp), start, false))
+		if brute := enumEval(g, p, start, false); !sameStrings(simple, brute) {
+			g2, p2 := shrinkPPInstance(g, p, func(gg *rdf.Graph, pp *regex.Expr) bool {
+				return !sameStrings(propertypath.EvalSimplePaths(gg, pp, start), enumEval(gg, pp, start, false))
 			})
 			return &Divergence{
 				Input: ppInput(g2, p2, start),
 				Detail: fmt.Sprintf("EvalSimplePaths=%v but exhaustive simple-path enumeration=%v",
-					propertypath.EvalSimplePaths(g2, p2, start), enumEval(g2, propertypath.ToRegex(p2), start, false)),
+					propertypath.EvalSimplePaths(g2, p2, start), enumEval(g2, p2, start, false)),
 			}
 		}
-		if brute := enumEval(g, re, start, true); !sameStrings(trails, brute) {
-			g2, p2 := shrinkPPInstance(g, p, func(gg *rdf.Graph, pp *propertypath.Path) bool {
-				return !sameStrings(propertypath.EvalTrails(gg, pp, start),
-					enumEval(gg, propertypath.ToRegex(pp), start, true))
+		if brute := enumEval(g, p, start, true); !sameStrings(trails, brute) {
+			g2, p2 := shrinkPPInstance(g, p, func(gg *rdf.Graph, pp *regex.Expr) bool {
+				return !sameStrings(propertypath.EvalTrails(gg, pp, start), enumEval(gg, pp, start, true))
 			})
 			return &Divergence{
 				Input: ppInput(g2, p2, start),
 				Detail: fmt.Sprintf("EvalTrails=%v but exhaustive trail enumeration=%v",
-					propertypath.EvalTrails(g2, p2, start), enumEval(g2, propertypath.ToRegex(p2), start, true)),
+					propertypath.EvalTrails(g2, p2, start), enumEval(g2, p2, start, true)),
 			}
 		}
 	}
 	return nil
 }
 
-func ppInput(g *rdf.Graph, p *propertypath.Path, start string) string {
+func ppInput(g *rdf.Graph, e *regex.Expr, start string) string {
 	var ts []string
 	for _, t := range g.Triples() {
 		ts = append(ts, fmt.Sprintf("(%s %s %s)", t.S, t.P, t.O))
 	}
 	sort.Strings(ts)
-	return fmt.Sprintf("path=%s start=%s graph=%s", p, start, strings.Join(ts, " "))
+	return fmt.Sprintf("path=%s start=%s graph=%s", sparql.PathString(e), start, strings.Join(ts, " "))
 }
 
 // shrinkPPInstance shrinks the graph (dropping triples) and the path
-// while the divergence predicate holds.
-func shrinkPPInstance(g *rdf.Graph, p *propertypath.Path,
-	diverges func(*rdf.Graph, *propertypath.Path) bool) (*rdf.Graph, *propertypath.Path) {
+// while the divergence predicate holds. A path candidate must stay a
+// property path: shrinkExpr also offers ε, which SPARQL cannot write.
+func shrinkPPInstance(g *rdf.Graph, e *regex.Expr,
+	diverges func(*rdf.Graph, *regex.Expr) bool) (*rdf.Graph, *regex.Expr) {
 	rebuild := func(ts []rdf.Triple) *rdf.Graph {
 		out := rdf.NewGraph()
 		for _, t := range ts {
@@ -356,9 +390,12 @@ func shrinkPPInstance(g *rdf.Graph, p *propertypath.Path,
 		return out
 	}
 	triples := shrinkList(g.Triples(), func(ts []rdf.Triple) bool {
-		return diverges(rebuild(ts), p)
+		return diverges(rebuild(ts), e)
 	})
 	g = rebuild(triples)
-	p = shrinkPath(p, func(c *propertypath.Path) bool { return diverges(g, c) })
-	return g, p
+	e = shrinkExpr(e, func(c *regex.Expr) bool {
+		_, err := sparql.ParsePath(sparql.PathString(c))
+		return err == nil && diverges(g, c)
+	})
+	return g, e
 }

@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"repro/internal/propertypath"
 	"repro/internal/regex"
 	"repro/internal/tree"
 )
@@ -157,58 +156,6 @@ func treeCandidates(t *tree.Node) []*tree.Node {
 			cand.Children = append(cand.Children, t.Children...)
 			cand.Children[i] = c
 			out = append(out, cand)
-		}
-	}
-	return out
-}
-
-// shrinkPath minimizes a property path under keep.
-func shrinkPath(p *propertypath.Path, keep func(*propertypath.Path) bool) *propertypath.Path {
-	for {
-		improved := false
-		for _, c := range pathCandidates(p) {
-			if pathSize(c) < pathSize(p) && keep(c) {
-				p = c
-				improved = true
-				break
-			}
-		}
-		if !improved {
-			return p
-		}
-	}
-}
-
-func pathSize(p *propertypath.Path) int {
-	n := 0
-	p.Walk(func(*propertypath.Path) { n++ })
-	return n
-}
-
-func pathCandidates(p *propertypath.Path) []*propertypath.Path {
-	var out []*propertypath.Path
-	switch p.Kind {
-	case propertypath.Star, propertypath.Plus, propertypath.Opt, propertypath.Inverse:
-		out = append(out, p.Subs[0])
-	case propertypath.Seq, propertypath.Alt:
-		for i := range p.Subs {
-			out = append(out, p.Subs[i])
-		}
-		if len(p.Subs) > 2 {
-			for i := range p.Subs {
-				rest := make([]*propertypath.Path, 0, len(p.Subs)-1)
-				rest = append(rest, p.Subs[:i]...)
-				rest = append(rest, p.Subs[i+1:]...)
-				out = append(out, &propertypath.Path{Kind: p.Kind, Subs: rest})
-			}
-		}
-	}
-	for i, sub := range p.Subs {
-		for _, c := range pathCandidates(sub) {
-			subs := make([]*propertypath.Path, len(p.Subs))
-			copy(subs, p.Subs)
-			subs[i] = c
-			out = append(out, &propertypath.Path{Kind: p.Kind, IRI: p.IRI, Subs: subs, Neg: p.Neg, NegInv: p.NegInv})
 		}
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/rdf"
+	"repro/internal/regex"
 )
 
 // Evaluation of property paths over RDF graphs under the three semantics
@@ -13,8 +14,8 @@ import (
 // the simple-path and trail semantics whose data complexity the classes
 // C_tract and T_tract characterize.
 
-// atomMatcher resolves the extended-alphabet symbols produced by ToRegex
-// against a graph: forward labels, inverse labels, and negated sets.
+// atomMatcher resolves the extended-alphabet symbols of a path against a
+// graph: forward labels, inverse labels, and negated sets.
 type atomMatcher struct {
 	g *rdf.Graph
 }
@@ -66,7 +67,7 @@ func (m atomMatcher) step(node, sym string) []hop {
 	return out
 }
 
-// parseNegSymbol decodes the "!(p|^q|…)" symbols emitted by ToRegex.
+// parseNegSymbol decodes a negated property set's "!(p|^q|…)" symbol.
 // A nil map means that direction is not traversable at all (it had no
 // members in the set).
 func parseNegSymbol(sym string) (forbidden map[string]bool, forbiddenInv map[string]bool) {
@@ -94,8 +95,8 @@ func parseNegSymbol(sym string) (forbidden map[string]bool, forbiddenInv map[str
 // property path under the W3C regular semantics (existence of any path),
 // computed by BFS over the product of the graph with the path's Glushkov
 // automaton — polynomial time, as for all RPQs under this semantics.
-func Eval(g *rdf.Graph, p *Path, start string) []string {
-	n := automata.NewMatcher(ToRegex(p))
+func Eval(g *rdf.Graph, e *regex.Expr, start string) []string {
+	n := automata.NewMatcher(e)
 	m := atomMatcher{g}
 	type pstate struct {
 		node  string
@@ -136,21 +137,21 @@ func Eval(g *rdf.Graph, p *Path, start string) []string {
 // repeated node) matching the path — the semantics whose data complexity
 // the class C_tract characterizes. Worst-case exponential (the problem is
 // NP-hard outside C_tract); intended for small graphs and experiments.
-func EvalSimplePaths(g *rdf.Graph, p *Path, start string) []string {
-	return evalNoRepeat(g, p, start, true)
+func EvalSimplePaths(g *rdf.Graph, e *regex.Expr, start string) []string {
+	return evalNoRepeat(g, e, start, true)
 }
 
 // EvalTrails returns the nodes reachable via a TRAIL (no repeated edge)
 // matching the path — the semantics of the class T_tract.
-func EvalTrails(g *rdf.Graph, p *Path, start string) []string {
-	return evalNoRepeat(g, p, start, false)
+func EvalTrails(g *rdf.Graph, e *regex.Expr, start string) []string {
+	return evalNoRepeat(g, e, start, false)
 }
 
-// evalNoRepeat enumerates by DFS the paths from start that match p,
+// evalNoRepeat enumerates by DFS the paths from start that match e,
 // stepping the path's Glushkov state set along each path. With nodes set no
 // node repeats (start counts as visited); otherwise no edge repeats.
-func evalNoRepeat(g *rdf.Graph, p *Path, start string, nodes bool) []string {
-	n := automata.NewMatcher(ToRegex(p))
+func evalNoRepeat(g *rdf.Graph, e *regex.Expr, start string, nodes bool) []string {
+	n := automata.NewMatcher(e)
 	m := atomMatcher{g}
 	results := map[string]bool{}
 	used := map[any]bool{}

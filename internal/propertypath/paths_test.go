@@ -1,10 +1,12 @@
 package propertypath_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/propertypath"
 	"repro/internal/rdf"
+	"repro/internal/regex"
 	"repro/internal/sparql"
 )
 
@@ -23,14 +25,28 @@ func TestParseAndPrint(t *testing.T) {
 		{"a/:b?/:c+", "a/:b?/:c+"},
 		{"<http://x.org/p>", "<http://x.org/p>"},
 		{"a/(:b|:c)", "a/(:b|:c)"},
+		{"!(^:b|a)", "!(a|^:b)"},
+		// same-operator groups are flattened
+		{"(a/:b)/:c", "a/:b/:c"},
+		{"a|(:b|:c)", "a|:b|:c"},
+		// ^ is pushed down to the atoms: a sequence is reversed, and each
+		// atom's direction flipped, negated-set members included
+		{"^(a/:b)", "^:b/^a"},
+		{"^(a/(:b/:c))", "^:c/^:b/^a"},
+		{"^(a|:b*)", "^a|^:b*"},
+		{"^((a/:b)+)", "(^:b/^a)+"},
+		{"^!(:b)", "!(^:b)"},
+		{"^!(a|^:b)", "!(:b|^a)"},
+		{"^(^a)", "a"},
+		{"^(a/^:b)/:c", ":b/^a/:c"},
 	}
 	for _, c := range cases {
 		p, err := sparql.ParsePath(c.in)
 		if err != nil {
 			t.Fatalf("ParsePath(%q): %v", c.in, err)
 		}
-		if got := p.String(); got != c.out {
-			t.Errorf("ParsePath(%q).String() = %q, want %q", c.in, got, c.out)
+		if got := sparql.PathString(p); got != c.out {
+			t.Errorf("PathString(ParsePath(%q)) = %q, want %q", c.in, got, c.out)
 		}
 	}
 	for _, bad := range []string{"", "a/", "|a", "a|", "(a", "a)", "!", "^", "a**?/", "!(a/:b)", "!()", "!((a))", "^^a"} {
@@ -53,6 +69,9 @@ func TestTypeString(t *testing.T) {
 		{"a/^:b*", "ab*"},
 		{"(a|:b)/:c*", "Aa*"}, // A does not consume a letter; c is the first letter
 		{"a*/:b*", "a*b*"},
+		{"(a/:b)/:c", "abc"},
+		{"(a|:b)|:c", "A"},
+		{"^(a/:b*)", "a*b"},
 	}
 	for _, c := range cases {
 		if got := propertypath.TypeString(sparql.MustParsePath(c.in)); got != c.want {
@@ -92,6 +111,12 @@ func TestClassify(t *testing.T) {
 		// a type with an alternative has no reverse row
 		{"p:a*|p:b", propertypath.RowOtherTrans},
 		{"p:b|p:a*", propertypath.RowOtherTrans},
+		// a redundant same-operator group changes no row
+		{"(a/:b)/:c", propertypath.RowSeq},
+		{"(a|:b)|:c", propertypath.RowCapA},
+		// ^ over a compound path classifies its pushed-down form
+		{"^(a/:b*)", propertypath.RowABStar},
+		{"^!(a)", propertypath.RowCapA},
 	}
 	for _, c := range cases {
 		if got := propertypath.Classify(sparql.MustParsePath(c.in)); got != c.want {
@@ -101,10 +126,13 @@ func TestClassify(t *testing.T) {
 }
 
 func TestIsTransitive(t *testing.T) {
-	if !sparql.MustParsePath("a/:b*").IsTransitive() {
+	if !propertypath.IsTransitive(sparql.MustParsePath("a/:b*")) {
 		t.Error("a/b* is transitive")
 	}
-	if sparql.MustParsePath("a/:b?").IsTransitive() {
+	if !propertypath.IsTransitive(sparql.MustParsePath("^(a/(:b|:c)+)")) {
+		t.Error("^(a/(b|c)+) is transitive")
+	}
+	if propertypath.IsTransitive(sparql.MustParsePath("a/:b?")) {
 		t.Error("a/b? is not transitive")
 	}
 }
@@ -240,6 +268,29 @@ func TestEvalRegularSemantics(t *testing.T) {
 	neg := propertypath.Eval(g, sparql.MustParsePath("!wdt:P625"), "site1")
 	if len(neg) != 1 || neg[0] != "cls1" {
 		t.Errorf("neg eval = %v", neg)
+	}
+}
+
+// TestEvalInverseCompound evaluates ^ over a sequence and over a negated
+// set on {s ex:a m, m ex:b o}: each must answer what its pushed-down
+// form answers, under all three semantics.
+func TestEvalInverseCompound(t *testing.T) {
+	g := rdf.NewGraph()
+	g.Add("s", "ex:a", "m")
+	g.Add("m", "ex:b", "o")
+	for _, c := range []struct{ path, pushed, start, want string }{
+		{"^(ex:a/ex:b)", "^ex:b/^ex:a", "o", "s"},
+		{"^!(ex:b)", "!(^ex:b)", "m", "s"},
+	} {
+		for _, eval := range []func(*rdf.Graph, *regex.Expr, string) []string{
+			propertypath.Eval, propertypath.EvalSimplePaths, propertypath.EvalTrails,
+		} {
+			got := eval(g, sparql.MustParsePath(c.path), c.start)
+			pushed := eval(g, sparql.MustParsePath(c.pushed), c.start)
+			if len(got) != 1 || got[0] != c.want || !slices.Equal(got, pushed) {
+				t.Errorf("%s from %s = %v, %s = %v, want [%s]", c.path, c.start, got, c.pushed, pushed, c.want)
+			}
+		}
 	}
 }
 

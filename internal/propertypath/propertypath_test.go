@@ -37,7 +37,7 @@ func TestDownwardClosedSound(t *testing.T) {
 	closed := 0
 	for i := 0; i < 2000; i++ {
 		e := g.Random(r)
-		if !downwardClosedRegex(e) {
+		if !IsDownwardClosed(e) {
 			continue
 		}
 		closed++

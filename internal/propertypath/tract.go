@@ -2,65 +2,11 @@ package propertypath
 
 import (
 	"encoding/binary"
-	"sort"
-	"strings"
 
 	"repro/internal/automata"
 	"repro/internal/chare"
 	"repro/internal/regex"
 )
-
-// ToRegex converts the property path to a regular expression over the
-// atom alphabet: a forward atom wdt:P31 becomes the symbol "wdt:P31", an
-// inverse atom becomes "^wdt:P31", and a negated property set becomes a
-// single fresh symbol (the standard 2RPQ abstraction over the extended
-// alphabet Σ ∪ Σ⁻).
-func ToRegex(p *Path) *regex.Expr {
-	switch p.Kind {
-	case IRI:
-		return regex.NewSymbol(p.IRI)
-	case Inverse:
-		inner := ToRegex(p.Sub())
-		out := inner.Clone()
-		out.Walk(func(x *regex.Expr) {
-			if x.Kind == regex.Symbol {
-				if strings.HasPrefix(x.Sym, "^") {
-					x.Sym = x.Sym[1:]
-				} else {
-					x.Sym = "^" + x.Sym
-				}
-			}
-		})
-		return out
-	case NegSet:
-		var parts []string
-		parts = append(parts, p.Neg...)
-		for _, x := range p.NegInv {
-			parts = append(parts, "^"+x)
-		}
-		sort.Strings(parts)
-		return regex.NewSymbol("!(" + strings.Join(parts, "|") + ")")
-	case Seq:
-		subs := make([]*regex.Expr, len(p.Subs))
-		for i, s := range p.Subs {
-			subs[i] = ToRegex(s)
-		}
-		return regex.NewConcat(subs...)
-	case Alt:
-		subs := make([]*regex.Expr, len(p.Subs))
-		for i, s := range p.Subs {
-			subs[i] = ToRegex(s)
-		}
-		return regex.NewUnion(subs...)
-	case Star:
-		return regex.NewStar(ToRegex(p.Sub()))
-	case Plus:
-		return regex.NewPlus(ToRegex(p.Sub()))
-	case Opt:
-		return regex.NewOpt(ToRegex(p.Sub()))
-	}
-	panic("propertypath: unknown kind")
-}
 
 // IsSimpleTransitive implements the simple transitive expressions of
 // Martens & Trautner (Section 9.6): expressions of the shape
@@ -70,8 +16,8 @@ func ToRegex(p *Path) *regex.Expr {
 // transitive factor is allowed; a*b* is the canonical non-member
 // (Section 9.6 reports it as the main reason real paths fall outside the
 // class).
-func IsSimpleTransitive(p *Path) bool {
-	c, ok := chare.Parse(ToRegex(p))
+func IsSimpleTransitive(e *regex.Expr) bool {
+	c, ok := chare.Parse(e)
 	if !ok {
 		return false
 	}
@@ -173,11 +119,7 @@ func equalFn(a, b []int) bool {
 // (parity breaks under pumping) from the tractable shapes the log study
 // found — a*, ab*, downward-closed languages, bounded languages — and is
 // documented as an approximation in DESIGN.md.
-func InCtract(p *Path) bool {
-	return ctractOfRegex(ToRegex(p))
-}
-
-func ctractOfRegex(e *regex.Expr) bool {
+func InCtract(e *regex.Expr) bool {
 	d := automata.ToDFA(e)
 	elements, finalOf := transitionMonoid(d)
 	for _, m := range elements {
@@ -196,16 +138,12 @@ func ctractOfRegex(e *regex.Expr) bool {
 	return true
 }
 
-// IsDownwardClosed reports whether L(p) is closed under subsequences
+// IsDownwardClosed reports whether L(e) is closed under subsequences
 // (deleting edges of a path keeps it matching). Downward-closed languages
-// are tractable under both simple-path and trail semantics.
-func IsDownwardClosed(p *Path) bool {
-	return downwardClosedRegex(ToRegex(p))
-}
-
-// downwardClosedRegex decides L(e) = ↓L(e). Since ↓L(e) = L(e↓) and
-// L(e) ⊆ L(e↓) always holds, that is one containment check.
-func downwardClosedRegex(e *regex.Expr) bool {
+// are tractable under both simple-path and trail semantics. It decides
+// L(e) = ↓L(e); since ↓L(e) = L(e↓) and L(e) ⊆ L(e↓) always holds, that
+// is one containment check.
+func IsDownwardClosed(e *regex.Expr) bool {
 	return automata.Contains(down(e), e)
 }
 
@@ -222,15 +160,14 @@ func down(e *regex.Expr) *regex.Expr {
 	return d
 }
 
-// Tractability returns InCtract(p) and a documented approximation of the
+// Tractability returns InCtract(e) and a documented approximation of the
 // trail-semantics tractability class T_tract of Martens, Niewerth &
 // Trautner: C_tract is a subclass of T_tract, and downward-closed
 // languages are trail-tractable; the union of the two covers every
 // property path shape occurring in the log study (the paper reports only
 // 93 (14) paths outside T_tract in 55M). A full implementation of the MNT
 // characterization is out of scope; see DESIGN.md.
-func Tractability(p *Path) (ctract, ttract bool) {
-	e := ToRegex(p)
-	ctract = ctractOfRegex(e)
-	return ctract, ctract || downwardClosedRegex(e)
+func Tractability(e *regex.Expr) (ctract, ttract bool) {
+	ctract = InCtract(e)
+	return ctract, ctract || IsDownwardClosed(e)
 }

@@ -3,6 +3,8 @@ package propertypath
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/regex"
 )
 
 // This file implements the *type* scheme of Section 9.6 / Table 8: the
@@ -17,10 +19,10 @@ import (
 // wdt:P31/wdt:P279* has type "ab*" and wdt:P31/wdt:P31* has type "aa*".
 // Inverse atoms render as the bare letter. Disjunctions of atoms render
 // as 'A', negated property sets as 'A'.
-func TypeString(p *Path) string {
+func TypeString(e *regex.Expr) string {
 	names := map[string]string{}
 	var b strings.Builder
-	writeType(p, names, &b, 0)
+	writeType(e, names, &b, 0)
 	return b.String()
 }
 
@@ -39,19 +41,19 @@ func letterFor(iri string, names map[string]string) string {
 	return l
 }
 
-func writeType(p *Path, names map[string]string, b *strings.Builder, prec int) {
-	switch p.Kind {
-	case IRI:
-		b.WriteString(letterFor(p.IRI, names))
-	case Inverse:
+func writeType(e *regex.Expr, names map[string]string, b *strings.Builder, prec int) {
+	switch e.Kind {
+	case regex.Symbol:
+		if isNegSet(e.Sym) {
+			b.WriteString("A")
+			return
+		}
 		// ^a is "treated the same as a single label" (Section 9.6)
-		writeType(p.Sub(), names, b, prec)
-	case NegSet:
-		b.WriteString("A")
-	case Alt:
+		b.WriteString(letterFor(strings.TrimPrefix(e.Sym, "^"), names))
+	case regex.Union:
 		// a disjunction of atoms is the class A; other disjunctions render
 		// structurally
-		if isAtomDisjunction(p) {
+		if isAtomDisjunction(e) {
 			// The table writes any disjunction of ≥ 2 atoms as A; its member
 			// IRIs do not consume letters (the paper's Ab* row has b as the
 			// first letter after the A).
@@ -61,7 +63,7 @@ func writeType(p *Path, names map[string]string, b *strings.Builder, prec int) {
 		if prec > 0 {
 			b.WriteByte('(')
 		}
-		for i, s := range p.Subs {
+		for i, s := range e.Subs {
 			if i > 0 {
 				b.WriteByte('|')
 			}
@@ -70,58 +72,50 @@ func writeType(p *Path, names map[string]string, b *strings.Builder, prec int) {
 		if prec > 0 {
 			b.WriteByte(')')
 		}
-	case Seq:
+	case regex.Concat:
 		if prec > 1 {
 			b.WriteByte('(')
 		}
-		for _, s := range p.Subs {
+		for _, s := range e.Subs {
 			writeType(s, names, b, 2)
 		}
 		if prec > 1 {
 			b.WriteByte(')')
 		}
-	case Star, Plus, Opt:
-		sub := p.Sub()
-		needParen := !isAtomic(sub)
-		if needParen && !isAtomDisjunction(sub) {
+	case regex.Star, regex.Plus, regex.Opt:
+		sub := e.Sub()
+		if sub.Kind != regex.Symbol && !isAtomDisjunction(sub) {
 			b.WriteByte('(')
 			writeType(sub, names, b, 0)
 			b.WriteByte(')')
 		} else {
 			writeType(sub, names, b, 3)
 		}
-		switch p.Kind {
-		case Star:
+		switch e.Kind {
+		case regex.Star:
 			b.WriteByte('*')
-		case Plus:
+		case regex.Plus:
 			b.WriteByte('+')
-		case Opt:
+		case regex.Opt:
 			b.WriteByte('?')
 		}
 	}
 }
 
-func isAtomic(p *Path) bool {
-	switch p.Kind {
-	case IRI, NegSet:
-		return true
-	case Inverse:
-		return isAtomic(p.Sub())
-	}
-	return false
-}
+// isNegSet reports whether sym is a negated property set's symbol.
+func isNegSet(sym string) bool { return strings.HasPrefix(sym, "!(") }
 
 // isAtomDisjunction recognizes the empirical A class: a disjunction of at
-// least two atoms (IRIs or inverses of IRIs).
-func isAtomDisjunction(p *Path) bool {
-	if p.Kind == NegSet {
-		return true
+// least two atoms (IRIs or inverses of IRIs), or a negated property set.
+func isAtomDisjunction(e *regex.Expr) bool {
+	if e.Kind == regex.Symbol {
+		return isNegSet(e.Sym)
 	}
-	if p.Kind != Alt || len(p.Subs) < 2 {
+	if e.Kind != regex.Union {
 		return false
 	}
-	for _, s := range p.Subs {
-		if !isAtomic(s) {
+	for _, s := range e.Subs {
+		if s.Kind != regex.Symbol {
 			return false
 		}
 	}
@@ -166,12 +160,12 @@ var Table8Rows = []Table8Row{
 // aggregations: a type and its reverse share a row, ^atom counts as an
 // atom (except for the bare ^a row), and disjunction subexpressions count
 // as A.
-func Classify(p *Path) Table8Row {
+func Classify(e *regex.Expr) Table8Row {
 	// the bare-inverse row is special-cased before letter canonicalization
-	if p.Kind == Inverse && p.Sub().Kind == IRI {
+	if e.Kind == regex.Symbol && strings.HasPrefix(e.Sym, "^") {
 		return RowInverse
 	}
-	t := TypeString(p)
+	t := TypeString(e)
 	if row, ok := typeToRow[t]; ok {
 		return row
 	}
@@ -182,7 +176,7 @@ func Classify(p *Path) Table8Row {
 	if row, ok := classifySequence(t); ok {
 		return row
 	}
-	if p.IsTransitive() {
+	if IsTransitive(e) {
 		return RowOtherTrans
 	}
 	return RowOtherNonTrans

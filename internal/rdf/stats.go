@@ -2,6 +2,8 @@ package rdf
 
 import (
 	"cmp"
+	"fmt"
+	"io"
 	"math"
 	"slices"
 	"sort"
@@ -76,6 +78,22 @@ func newDistribution(values []int) Distribution {
 		d.Alpha = 1 + float64(len(values))/logSum
 	}
 	return d
+}
+
+// WriteSummary writes the five-line Section 7.1 summary of s, each
+// statistic beside the figure the paper reports for it.
+func (s *Stats) WriteSummary(w io.Writer) error {
+	_, err := fmt.Fprintf(w, "triples: %d, subjects: %d, predicates: %d, objects: %d\n"+
+		"in-degree: max %d, mean %.2f, alpha %.2f (power law; Bachlechner/Strang: max 7739 vs mean 9.56)\n"+
+		"predicate lists: %d distinct; %.1f%% of subjects share a common list (Fernandez: ≈99%%)\n"+
+		"objects per (s,p): %.3f (≈1); subjects per (p,o): %.2f ± %.2f (skewed)\n"+
+		"|P∩S|/|P∪S| = %.2g, |P∩O|/|P∪O| = %.2g (paper: 0 or 10⁻⁷..10⁻³)\n",
+		s.Triples, s.Subjects, s.Predicates, s.Objects,
+		s.InDegree.Max, s.InDegree.Mean, s.InDegree.Alpha,
+		s.PredicateLists, 100*s.SharedListSubjectRate,
+		s.MeanObjectsPerSP, s.MeanSubjectsPerPO, s.StdDevSubjectsPerPO,
+		s.PSOverlap, s.POOverlap)
+	return err
 }
 
 // ComputeStats runs the Section 7.1 analyses over any GraphReader.

@@ -14,7 +14,7 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/propertypath"
+	"repro/internal/regex"
 )
 
 // QueryType is one of the four SPARQL query forms (Section 9).
@@ -98,10 +98,10 @@ type Pattern struct {
 	// Children: PGroup has any number; PUnion exactly 2; POptional,
 	// PGraph, PService, PMinus exactly 1.
 	Subs []*Pattern
-	// Triple fields (PTriple, PPath). For PPath, Path holds the parsed
-	// property path.
+	// Triple fields (PTriple, PPath). For PPath, Path holds the property
+	// path's 2RPQ expression (see ParsePath).
 	S, P, O Term
-	Path    *propertypath.Path
+	Path    *regex.Expr
 	// Filter (PFilter) and Bind (PBind) expressions.
 	Expr *Expr
 	// Bind target variable (PBind).

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/regex"
 )
 
 // writeCanonical renders a parsed query into a normalized single-line form
@@ -106,6 +108,65 @@ func expandIRI(iri string, q *Query) string {
 	return iri
 }
 
+// PathString renders a property path's expression in SPARQL syntax, its
+// IRIs as written: the text ParsePath reads back to the same expression.
+func PathString(e *regex.Expr) string {
+	var b strings.Builder
+	writePath(&b, e, nil, 0)
+	return b.String()
+}
+
+// writePath writes e in SPARQL syntax with the fewest parentheses, each
+// IRI expanded as writeTerm expands a predicate. prec is what the context
+// binds: 0 nothing, 1 a | member, 2 a / member, 3 the operand of *, + or ?.
+func writePath(b *strings.Builder, e *regex.Expr, q *Query, prec int) {
+	switch e.Kind {
+	case regex.Symbol:
+		// an IRI, ^IRI, or a negated set "!(…)" of |-separated [^]IRIs
+		body, neg := strings.CutPrefix(e.Sym, "!(")
+		if neg {
+			b.WriteString("!(")
+			body = body[:len(body)-1]
+		}
+		for {
+			m, rest, more := strings.Cut(body, "|")
+			if iri, inv := strings.CutPrefix(m, "^"); inv {
+				b.WriteByte('^')
+				m = iri
+			}
+			b.WriteString(expandIRI(m, q))
+			if !more {
+				break
+			}
+			b.WriteByte('|')
+			body = rest
+		}
+		if neg {
+			b.WriteByte(')')
+		}
+	case regex.Concat, regex.Union:
+		sep, own := byte('|'), 1
+		if e.Kind == regex.Concat {
+			sep, own = '/', 2
+		}
+		if prec >= own {
+			b.WriteByte('(')
+		}
+		for i, s := range e.Subs {
+			if i > 0 {
+				b.WriteByte(sep)
+			}
+			writePath(b, s, q, own)
+		}
+		if prec >= own {
+			b.WriteByte(')')
+		}
+	case regex.Star, regex.Plus, regex.Opt:
+		writePath(b, e.Sub(), q, 3)
+		b.WriteByte("*+?"[e.Kind-regex.Star])
+	}
+}
+
 func writeCanonPattern(p *Pattern, q *Query, b *strings.Builder) {
 	switch p.Kind {
 	case PGroup:
@@ -114,13 +175,13 @@ func writeCanonPattern(p *Pattern, q *Query, b *strings.Builder) {
 		}
 	case PTriple, PPath:
 		writeTerm(b, p.S, q)
+		b.WriteByte(' ')
 		if p.Kind == PPath {
-			b.WriteString(" " + p.Path.String() + " ")
+			writePath(b, p.Path, q, 0)
 		} else {
-			b.WriteByte(' ')
 			writeTerm(b, p.P, q)
-			b.WriteByte(' ')
 		}
+		b.WriteByte(' ')
 		writeTerm(b, p.O, q)
 		b.WriteString(" . ")
 	case PFilter:

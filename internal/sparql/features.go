@@ -3,7 +3,7 @@ package sparql
 import (
 	"strings"
 
-	"repro/internal/propertypath"
+	"repro/internal/regex"
 )
 
 // Feature identifies a SPARQL feature counted in Table 3.
@@ -173,8 +173,8 @@ func (q *Query) TripleCount() int {
 }
 
 // PropertyPaths returns every property path occurring in the query.
-func (q *Query) PropertyPaths() []*propertypath.Path {
-	var out []*propertypath.Path
+func (q *Query) PropertyPaths() []*regex.Expr {
+	var out []*regex.Expr
 	q.Walk(func(p *Pattern) {
 		if p.Kind == PPath {
 			out = append(out, p.Path)

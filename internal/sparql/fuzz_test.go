@@ -6,8 +6,8 @@ import "testing"
 // agrees with the two-pass reference parser (diffRef), and that every
 // accepted query supports the analysis surface the log studies rely on:
 // Canonical is deterministic, and the feature/classification battery
-// runs without panicking, and every property path round-trips through
-// ParsePath with the same rendering.
+// runs without panicking, and every property path's rendering parses
+// back to the same expression.
 func FuzzParse(f *testing.F) {
 	f.Add("SELECT * WHERE { ?s ?p ?o . }")
 	f.Add("SELECT DISTINCT ?s WHERE { ?s wdt:P31/wdt:P279* wd:Q5 . FILTER(?s != wd:Q1) }")
@@ -15,6 +15,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("SELECT (COUNT(?x) AS ?n) WHERE { ?x ?p ?y } GROUP BY ?p HAVING (COUNT(?x) > 1) ORDER BY ?n LIMIT 5")
 	f.Add("PREFIX f: <http://x/> DESCRIBE f:e")
 	f.Add("SELECT * WHERE { ?s !(ex:p|^ex:q) ?o }")
+	f.Add("SELECT * WHERE { ?s ^(ex:p/(ex:q|^ex:r)*)/^!(ex:p) ?o }")
 	f.Add("SELECT * WHERE { ?x p:a*|p:b ?y }")
 	f.Add("SELECT * WHERE { ?x ex:café/ex:b* ?y }")
 	// [] blank nodes are named by their token index
@@ -45,13 +46,13 @@ func FuzzParse(f *testing.F) {
 		q.Operators()
 		q.TripleCount()
 		for _, pp := range q.PropertyPaths() {
-			s := pp.String()
+			s := PathString(pp)
 			back, err := ParsePath(s)
 			if err != nil {
 				t.Fatalf("path %q of %q does not parse: %v", s, src, err)
 			}
-			if got := back.String(); got != s {
-				t.Fatalf("path %q of %q re-renders as %q", s, src, got)
+			if !back.Equal(pp) {
+				t.Fatalf("path %q of %q parses back as %q", s, src, PathString(back))
 			}
 		}
 		q.IsCQ()

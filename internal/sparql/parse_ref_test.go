@@ -5,7 +5,9 @@ package sparql
 // over the slice. It is kept, test-only, as the reference the one-pass
 // parser is compared against (TestParseMatchesReference, FuzzParse).
 // Its keywords fold with strings.ToUpper, so the comparisons skip inputs
-// with ſ or ı in a word (see foldTrap).
+// with ſ or ı in a word (see foldTrap). Its paths are built with the
+// regex constructors, and ^ is applied after its operand is parsed, by
+// refInverse rewriting that operand's tree.
 
 import (
 	"fmt"
@@ -17,7 +19,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/loggen"
-	"repro/internal/propertypath"
+	"repro/internal/regex"
 )
 
 // TestParseMatchesReference runs Parse and refParse over the first 1,500
@@ -60,7 +62,7 @@ func diffRef(src string) string {
 	}
 	if pp, err := ParsePath(src); !tooDeep(err) {
 		rp, rerr := refParsePath(src)
-		if fmt.Sprint(err) != fmt.Sprint(rerr) || err == nil && pp.String() != rp.String() {
+		if fmt.Sprint(err) != fmt.Sprint(rerr) || err == nil && !pp.Equal(rp) {
 			return fmt.Sprintf("path %q: %v %v, reference %v %v", src, pp, err, rp, rerr)
 		}
 	}
@@ -80,7 +82,7 @@ func battery(q *Query) string {
 	fmt.Fprintf(&b, "operators %s triples %d cq %v cqf %v c2rpqf %v\n",
 		q.Operators().Name(), q.TripleCount(), q.IsCQ(), q.IsCQF(), q.IsC2RPQF())
 	for _, pp := range q.PropertyPaths() {
-		fmt.Fprintf(&b, "path %s\n", pp)
+		fmt.Fprintf(&b, "path %s\n", PathString(pp))
 	}
 	q.Walk(func(p *Pattern) {
 		if p.Kind == PFilter {
@@ -354,7 +356,7 @@ func refParse(src string) (*Query, error) {
 // with the grammar of a predicate position. IRIs are SPARQL IRI tokens:
 // prefixed names, <…> IRIs, or the keyword a (rdf:type); a bare word
 // other than a is a keyword, not an IRI.
-func refParsePath(src string) (*propertypath.Path, error) {
+func refParsePath(src string) (*regex.Expr, error) {
 	return refParseAll(src, (*refParser).parsePropertyPath)
 }
 
@@ -899,7 +901,7 @@ func (p *refParser) parseTriplesBlock() ([]*Pattern, error) {
 		for {
 			// predicate: variable or property path
 			var pred Term
-			var path *propertypath.Path
+			var path *regex.Expr
 			if t := p.peek(); t.kind == refTokVar {
 				p.pos++
 				pred = Term{TermVar, t.text}
@@ -908,8 +910,8 @@ func (p *refParser) parseTriplesBlock() ([]*Pattern, error) {
 				if err != nil {
 					return nil, err
 				}
-				if pp.Kind == propertypath.IRI {
-					pred = Term{TermIRI, pp.IRI}
+				if pp.Kind == regex.Symbol && !strings.HasPrefix(pp.Sym, "^") && !strings.HasPrefix(pp.Sym, "!(") {
+					pred = Term{TermIRI, pp.Sym}
 				} else {
 					path = pp
 				}
@@ -999,74 +1001,73 @@ func (p *refParser) parseTerm(subjectPos bool) (Term, error) {
 // parsePropertyPath parses a property path at predicate position: its
 // |-alternatives of /-sequences of unary items. Only tokens that continue
 // the path are read, so the object term after it stays in place.
-func (p *refParser) parsePropertyPath() (*propertypath.Path, error) {
+func (p *refParser) parsePropertyPath() (*regex.Expr, error) {
 	return p.parsePathList("|")
 }
 
 // parsePathList parses one or more items separated by sep: /-sequences
-// when sep is "|", unary items when sep is "/". Two or more items make an
-// Alt or Seq node.
-func (p *refParser) parsePathList(sep string) (*propertypath.Path, error) {
+// when sep is "|", unary items when sep is "/". Two or more items make a
+// Union or Concat node.
+func (p *refParser) parsePathList(sep string) (*regex.Expr, error) {
 	first, err := p.parsePathItem(sep)
 	if err != nil || !p.isPunct(sep) {
 		return first, err
 	}
-	kind := propertypath.Alt
-	if sep == "/" {
-		kind = propertypath.Seq
-	}
-	list := &propertypath.Path{Kind: kind, Subs: []*propertypath.Path{first}}
+	items := []*regex.Expr{first}
 	for p.isPunct(sep) {
 		p.pos++
 		next, err := p.parsePathItem(sep)
 		if err != nil {
 			return nil, err
 		}
-		list.Subs = append(list.Subs, next)
+		items = append(items, next)
 	}
-	return list, nil
+	if sep == "/" {
+		return regex.NewConcat(items...), nil
+	}
+	return regex.NewUnion(items...), nil
 }
 
-func (p *refParser) parsePathItem(sep string) (*propertypath.Path, error) {
+func (p *refParser) parsePathItem(sep string) (*regex.Expr, error) {
 	if sep == "|" {
 		return p.parsePathList("/")
 	}
 	return p.parsePathUnary()
 }
 
-var refPathRepeats = map[string]propertypath.Kind{"*": propertypath.Star, "+": propertypath.Plus, "?": propertypath.Opt}
+var refPathRepeats = map[string]func(*regex.Expr) *regex.Expr{"*": regex.NewStar, "+": regex.NewPlus, "?": regex.NewOpt}
 
 // parsePathUnary parses an atom followed by any run of *, + and ?.
-func (p *refParser) parsePathUnary() (*propertypath.Path, error) {
+func (p *refParser) parsePathUnary() (*regex.Expr, error) {
 	x, err := p.parsePathAtom()
 	if err != nil {
 		return nil, err
 	}
 	for t := p.peek(); t.kind == refTokPunct; t = p.peek() {
-		kind, ok := refPathRepeats[t.text]
+		repeat, ok := refPathRepeats[t.text]
 		if !ok {
 			break
 		}
 		p.pos++
-		x = &propertypath.Path{Kind: kind, Subs: []*propertypath.Path{x}}
+		x = repeat(x)
 	}
 	return x, nil
 }
 
 // parsePathAtom parses an IRI, ^atom, a negated property set, or a
 // parenthesized path.
-func (p *refParser) parsePathAtom() (*propertypath.Path, error) {
+func (p *refParser) parsePathAtom() (*regex.Expr, error) {
 	switch t := p.peek(); {
 	case t.kind == refTokIRI:
 		p.pos++
-		return &propertypath.Path{Kind: propertypath.IRI, IRI: t.text}, nil
+		return regex.NewSymbol(t.text), nil
 	case p.isPunct("^"):
 		p.pos++
 		x, err := p.parsePathAtom()
 		if err != nil {
 			return nil, err
 		}
-		return &propertypath.Path{Kind: propertypath.Inverse, Subs: []*propertypath.Path{x}}, nil
+		return refInverse(x), nil
 	case p.isPunct("!"):
 		p.pos++
 		return p.parseNegatedSet()
@@ -1086,9 +1087,9 @@ func (p *refParser) parsePathAtom() (*propertypath.Path, error) {
 }
 
 // parseNegatedSet parses what follows '!': one [^]IRI, or a parenthesized
-// |-list of them, whose labels are sorted.
-func (p *refParser) parseNegatedSet() (*propertypath.Path, error) {
-	out := &propertypath.Path{Kind: propertypath.NegSet}
+// |-list of them, into one symbol (refNegSet).
+func (p *refParser) parseNegatedSet() (*regex.Expr, error) {
+	var members []string
 	paren := p.isPunct("(")
 	if paren {
 		p.pos++
@@ -1098,17 +1099,18 @@ func (p *refParser) parseNegatedSet() (*propertypath.Path, error) {
 		if inv {
 			p.pos++
 		}
-		switch t := p.peek(); {
-		case t.kind != refTokIRI:
+		t := p.peek()
+		if t.kind != refTokIRI {
 			return nil, p.errf("expected IRI in negated property set, found %q", t.text)
-		case inv:
-			out.NegInv = append(out.NegInv, t.text)
-		default:
-			out.Neg = append(out.Neg, t.text)
+		}
+		if inv {
+			members = append(members, "^"+t.text)
+		} else {
+			members = append(members, t.text)
 		}
 		p.pos++
 		if !paren {
-			return out, nil
+			return refNegSet(members), nil
 		}
 		if !p.isPunct("|") {
 			break
@@ -1118,9 +1120,56 @@ func (p *refParser) parseNegatedSet() (*propertypath.Path, error) {
 	if err := p.expectPunct(")"); err != nil {
 		return nil, err
 	}
-	slices.Sort(out.Neg)
-	slices.Sort(out.NegInv)
-	return out, nil
+	return refNegSet(members), nil
+}
+
+// refNegSet returns the symbol of a negated set with the given [^]IRI
+// members: "!(" and the forward members, then the inverse ones, each
+// sorted and all |-separated, then ")".
+func refNegSet(members []string) *regex.Expr {
+	var fwd, back []string
+	for _, m := range members {
+		if strings.HasPrefix(m, "^") {
+			back = append(back, m)
+		} else {
+			fwd = append(fwd, m)
+		}
+	}
+	slices.Sort(fwd)
+	slices.Sort(back)
+	return regex.NewSymbol("!(" + strings.Join(append(fwd, back...), "|") + ")")
+}
+
+// refInverse returns the expression of ^e: e's converse, a new tree with
+// every sequence reversed and every atom's direction flipped.
+func refInverse(e *regex.Expr) *regex.Expr {
+	flip := func(m string) string {
+		if iri, ok := strings.CutPrefix(m, "^"); ok {
+			return iri
+		}
+		return "^" + m
+	}
+	subs := make([]*regex.Expr, len(e.Subs))
+	for i, s := range e.Subs {
+		subs[i] = refInverse(s)
+	}
+	switch e.Kind {
+	case regex.Symbol:
+		if body, ok := strings.CutPrefix(e.Sym, "!("); ok {
+			members := strings.Split(strings.TrimSuffix(body, ")"), "|")
+			for i, m := range members {
+				members[i] = flip(m)
+			}
+			return refNegSet(members)
+		}
+		return regex.NewSymbol(flip(e.Sym))
+	case regex.Concat:
+		slices.Reverse(subs)
+		return regex.NewConcat(subs...)
+	case regex.Union:
+		return regex.NewUnion(subs...)
+	}
+	return &regex.Expr{Kind: e.Kind, Subs: subs}
 }
 
 func (p *refParser) parseFilterConstraint() (*Expr, error) {

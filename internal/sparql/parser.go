@@ -9,7 +9,7 @@ import (
 	"unicode"
 	"unicode/utf8"
 
-	"repro/internal/propertypath"
+	"repro/internal/regex"
 	"repro/internal/textio"
 )
 
@@ -32,15 +32,16 @@ func MustParse(src string) *Query {
 }
 
 // ParsePath parses a standalone property path such as wdt:P31/wdt:P279*
-// with the grammar of a predicate position. IRIs are SPARQL IRI tokens:
-// prefixed names, <…> IRIs, or the keyword a (rdf:type); a bare word
-// other than a is a keyword, not an IRI.
-func ParsePath(src string) (*propertypath.Path, error) {
+// with the grammar of a predicate position, into the 2RPQ expression that
+// package propertypath reads. IRIs are SPARQL IRI tokens: prefixed names,
+// <…> IRIs, or the keyword a (rdf:type); a bare word other than a is a
+// keyword, not an IRI.
+func ParsePath(src string) (*regex.Expr, error) {
 	return parseAll(src, (*parser).parsePropertyPath)
 }
 
 // MustParsePath panics on error; for tests and examples.
-func MustParsePath(src string) *propertypath.Path {
+func MustParsePath(src string) *regex.Expr {
 	return must(ParsePath(src))
 }
 
@@ -128,8 +129,8 @@ type parser struct {
 	patLists  slab[*Pattern]
 	exprNodes slab[Expr]
 	exprLists slab[*Expr]
-	pathNodes slab[propertypath.Path]
-	pathLists slab[*propertypath.Path]
+	pathNodes slab[regex.Expr]
+	pathLists slab[*regex.Expr]
 
 	// stack holds the children of the open groups, innermost last; a
 	// group moves its own to patLists when it closes.
@@ -174,13 +175,8 @@ func (p *parser) patterns(xs ...*Pattern) []*Pattern { return p.patLists.put(xs.
 func (p *parser) expr(x Expr) *Expr                  { return &p.exprNodes.put(x)[0] }
 func (p *parser) exprs(xs ...*Expr) []*Expr          { return p.exprLists.put(xs...) }
 
-func (p *parser) path(x propertypath.Path) *propertypath.Path {
-	return &p.pathNodes.put(x)[0]
-}
-
-func (p *parser) paths(xs ...*propertypath.Path) []*propertypath.Path {
-	return p.pathLists.put(xs...)
-}
+func (p *parser) path(x regex.Expr) *regex.Expr         { return &p.pathNodes.put(x)[0] }
+func (p *parser) paths(xs ...*regex.Expr) []*regex.Expr { return p.pathLists.put(xs...) }
 
 // push adds x to the children of the innermost open group.
 func (p *parser) push(x Pattern) { p.stack = append(p.stack, p.pattern(x)) }
@@ -929,7 +925,7 @@ func (p *parser) parseTriplesBlock() error {
 		for {
 			// predicate: variable or property path
 			var pred Term
-			var path *propertypath.Path
+			var path *regex.Expr
 			if t := p.tok; t.kind == tokVar {
 				p.next()
 				pred = Term{TermVar, t.text}
@@ -938,10 +934,10 @@ func (p *parser) parseTriplesBlock() error {
 				if err != nil {
 					return err
 				}
-				if pp.Kind == propertypath.IRI {
-					// a plain predicate: its path node, the last put,
-					// goes back to the slab
-					pred = Term{TermIRI, pp.IRI}
+				if pp.Kind == regex.Symbol && pp.Sym[0] != '^' && pp.Sym[0] != '!' {
+					// a plain predicate: its path node, the only one
+					// put, goes back to the slab
+					pred = Term{TermIRI, pp.Sym}
 					p.pathNodes.drop()
 				} else {
 					path = pp
@@ -1029,76 +1025,99 @@ func (p *parser) parseTerm(subjectPos bool) (Term, error) {
 // parsePropertyPath parses a property path at predicate position: its
 // |-alternatives of /-sequences of unary items. Only tokens that continue
 // the path are read, so the object term after it stays in place.
-func (p *parser) parsePropertyPath() (*propertypath.Path, error) {
-	return p.parsePathList("|")
+//
+// The path comes out as its 2RPQ expression, with ^ pushed down to the
+// atoms: each parse function takes inv, which is set under an odd number
+// of ^, and then reads the inverse of what is written. An inverse
+// sequence is reversed, and an inverse atom's direction flipped.
+func (p *parser) parsePropertyPath() (*regex.Expr, error) {
+	return p.parsePathList("|", false)
 }
 
 // parsePathList parses one or more items separated by sep: /-sequences
-// when sep is "|", unary items when sep is "/". Two or more items make an
-// Alt or Seq node.
-func (p *parser) parsePathList(sep string) (*propertypath.Path, error) {
-	first, err := p.parsePathItem(sep)
+// when sep is "|", unary items when sep is "/". Two or more items make a
+// Union or Concat node, flat as regex.NewUnion and NewConcat make them.
+func (p *parser) parsePathList(sep string, inv bool) (*regex.Expr, error) {
+	first, err := p.parsePathItem(sep, inv)
 	if err != nil || !p.isPunct(sep) {
 		return first, err
 	}
-	kind := propertypath.Alt
+	kind := regex.Union
 	if sep == "/" {
-		kind = propertypath.Seq
+		kind = regex.Concat
 	}
-	var buf [8]*propertypath.Path
+	var buf [8]*regex.Expr
 	items := append(buf[:0], first)
 	for p.isPunct(sep) {
 		p.next()
-		next, err := p.parsePathItem(sep)
+		next, err := p.parsePathItem(sep, inv)
 		if err != nil {
 			return nil, err
 		}
 		items = append(items, next)
 	}
-	return p.path(propertypath.Path{Kind: kind, Subs: p.paths(items...)}), nil
+	if inv && kind == regex.Concat {
+		slices.Reverse(items)
+	}
+	// a parenthesized list of the same kind is spliced in; its items are
+	// already in order
+	var flat [8]*regex.Expr
+	subs := flat[:0]
+	for _, x := range items {
+		if x.Kind == kind {
+			subs = append(subs, x.Subs...)
+		} else {
+			subs = append(subs, x)
+		}
+	}
+	return p.path(regex.Expr{Kind: kind, Subs: p.paths(subs...)}), nil
 }
 
-func (p *parser) parsePathItem(sep string) (*propertypath.Path, error) {
+func (p *parser) parsePathItem(sep string, inv bool) (*regex.Expr, error) {
 	if sep == "|" {
-		return p.parsePathList("/")
+		return p.parsePathList("/", inv)
 	}
-	return p.parsePathUnary()
+	return p.parsePathUnary(inv)
 }
 
 // parsePathUnary parses an atom followed by any run of *, + and ?.
-func (p *parser) parsePathUnary() (*propertypath.Path, error) {
-	x, err := p.parsePathAtom()
+func (p *parser) parsePathUnary(inv bool) (*regex.Expr, error) {
+	x, err := p.parsePathAtom(inv)
 	if err != nil {
 		return nil, err
 	}
 	for p.tok.kind == tokPunct {
-		var kind propertypath.Kind
+		var kind regex.Kind
 		switch p.tok.text {
 		case "*":
-			kind = propertypath.Star
+			kind = regex.Star
 		case "+":
-			kind = propertypath.Plus
+			kind = regex.Plus
 		case "?":
-			kind = propertypath.Opt
+			kind = regex.Opt
 		default:
 			return x, nil
 		}
 		p.next()
-		x = p.path(propertypath.Path{Kind: kind, Subs: p.paths(x)})
+		x = p.path(regex.Expr{Kind: kind, Subs: p.paths(x)})
 	}
 	return x, nil
 }
 
 // parsePathAtom parses an IRI, ^atom, a negated property set, or a
 // parenthesized path.
-func (p *parser) parsePathAtom() (*propertypath.Path, error) {
+func (p *parser) parsePathAtom(inv bool) (*regex.Expr, error) {
 	switch t := p.tok; {
 	case t.kind == tokIRI:
 		p.next()
-		return p.path(propertypath.Path{Kind: propertypath.IRI, IRI: t.text}), nil
+		sym := t.text
+		if inv {
+			sym = "^" + sym
+		}
+		return p.path(regex.Expr{Kind: regex.Symbol, Sym: sym}), nil
 	case p.isPunct("!"):
 		p.next()
-		return p.parseNegatedSet()
+		return p.parseNegatedSet(inv)
 	case p.isPunct("^"), p.isPunct("("):
 		if err := p.enter(); err != nil {
 			return nil, err
@@ -1106,13 +1125,9 @@ func (p *parser) parsePathAtom() (*propertypath.Path, error) {
 		defer p.leave()
 		p.next()
 		if t.text == "^" {
-			x, err := p.parsePathAtom()
-			if err != nil {
-				return nil, err
-			}
-			return p.path(propertypath.Path{Kind: propertypath.Inverse, Subs: p.paths(x)}), nil
+			return p.parsePathAtom(!inv)
 		}
-		x, err := p.parsePathList("|")
+		x, err := p.parsePathList("|", inv)
 		if err != nil {
 			return nil, err
 		}
@@ -1126,41 +1141,51 @@ func (p *parser) parsePathAtom() (*propertypath.Path, error) {
 }
 
 // parseNegatedSet parses what follows '!': one [^]IRI, or a parenthesized
-// |-list of them, whose labels are sorted.
-func (p *parser) parseNegatedSet() (*propertypath.Path, error) {
-	out := propertypath.Path{Kind: propertypath.NegSet}
+// |-list of them. The set is one symbol: "!(", its |-separated members
+// with the forward ones first and each direction sorted, then ")". Under
+// inv every member's direction is flipped.
+func (p *parser) parseNegatedSet(inv bool) (*regex.Expr, error) {
+	var buf [4]string
+	members := buf[:0]
 	paren := p.isPunct("(")
 	if paren {
 		p.next()
 	}
 	for {
-		inv := p.isPunct("^")
-		if inv {
+		flip := p.isPunct("^")
+		if flip {
 			p.next()
 		}
-		switch t := p.tok; {
-		case t.kind != tokIRI:
+		t := p.tok
+		if t.kind != tokIRI {
 			return nil, p.errf("expected IRI in negated property set, found %q", t.show())
-		case inv:
-			out.NegInv = append(out.NegInv, t.text)
-		default:
-			out.Neg = append(out.Neg, t.text)
+		}
+		if flip != inv {
+			members = append(members, "^"+t.text)
+		} else {
+			members = append(members, t.text)
 		}
 		p.next()
-		if !paren {
-			return p.path(out), nil
-		}
-		if !p.isPunct("|") {
+		if !paren || !p.isPunct("|") {
 			break
 		}
 		p.next()
 	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
+	if paren {
+		if err := p.expectPunct(")"); err != nil {
+			return nil, err
+		}
 	}
-	slices.Sort(out.Neg)
-	slices.Sort(out.NegInv)
-	return p.path(out), nil
+	inverse := func(m string) int {
+		if m[0] == '^' {
+			return 1
+		}
+		return 0
+	}
+	slices.SortFunc(members, func(a, b string) int {
+		return cmp.Or(inverse(a)-inverse(b), strings.Compare(a, b))
+	})
+	return p.path(regex.Expr{Kind: regex.Symbol, Sym: "!(" + strings.Join(members, "|") + ")"}), nil
 }
 
 func (p *parser) parseFilterConstraint() (*Expr, error) {

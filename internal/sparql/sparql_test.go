@@ -32,8 +32,8 @@ func TestParseWikidataExample(t *testing.T) {
 	if len(pps) != 1 {
 		t.Fatalf("property paths = %d, want 1", len(pps))
 	}
-	if pps[0].String() != "wdt:P31/wdt:P279*" {
-		t.Errorf("path = %q", pps[0])
+	if got := PathString(pps[0]); got != "wdt:P31/wdt:P279*" {
+		t.Errorf("path = %q", got)
 	}
 	f := q.Features()
 	for _, want := range []Feature{FFilter, FAnd, FPropertyPath} {
@@ -210,6 +210,42 @@ func TestCanonicalDedup(t *testing.T) {
 	}
 }
 
+// TestCanonicalPathPrefixes: a property path's IRIs are expanded as a
+// plain predicate's are, under ^ and in negated sets too, so a path
+// dedups with its full-IRI spelling and not with the same names bound
+// to another namespace.
+func TestCanonicalPathPrefixes(t *testing.T) {
+	const body = " SELECT * WHERE { ?x ex:p/^ex:q*|!(ex:r|^<http://a/s>) ?y }"
+	a := MustParse("PREFIX ex: <http://a/>" + body)
+	b := MustParse("PREFIX ex: <http://b/>" + body)
+	full := MustParse("SELECT * WHERE { ?x <http://a/p>/^<http://a/q>*|!(<http://a/r>|^<http://a/s>) ?y }")
+	const want = "SELECT * WHERE { ?x <http://a/p>/^<http://a/q>*|!(<http://a/r>|^<http://a/s>) ?y . } "
+	if got := a.Canonical(); got != want {
+		t.Errorf("Canonical = %q, want %q", got, want)
+	}
+	if a.Canonical() != full.Canonical() {
+		t.Errorf("prefixed and full-IRI paths should dedup:\n%q\n%q", a.Canonical(), full.Canonical())
+	}
+	if a.Canonical() == b.Canonical() {
+		t.Errorf("paths under different namespaces should not dedup: %q", a.Canonical())
+	}
+}
+
+// TestCanonicalPushesInverse: ^ over a compound path canonicalizes to
+// its pushed-down form, and a redundant group is flattened.
+func TestCanonicalPushesInverse(t *testing.T) {
+	for _, c := range [][2]string{
+		{"ASK { ?x ^(ex:a/ex:b) ?y }", "ASK { ?x ^ex:b/^ex:a ?y }"},
+		{"ASK { ?x ^!(ex:a|^ex:b) ?y }", "ASK { ?x !(ex:b|^ex:a) ?y }"},
+		{"ASK { ?x (ex:a/ex:b)/ex:c ?y }", "ASK { ?x ex:a/ex:b/ex:c ?y }"},
+		{"ASK { ?x (ex:a|ex:b)|ex:c ?y }", "ASK { ?x ex:a|(ex:b|ex:c) ?y }"},
+	} {
+		if a, b := MustParse(c[0]).Canonical(), MustParse(c[1]).Canonical(); a != b {
+			t.Errorf("%s and %s should dedup:\n%q\n%q", c[0], c[1], a, b)
+		}
+	}
+}
+
 func TestAggregateFeatures(t *testing.T) {
 	q := MustParse("SELECT (AVG(?x) AS ?a) (SUM(?y) AS ?s) WHERE { ?s :v ?x ; :w ?y } GROUP BY ?s HAVING (MAX(?x) > 2)")
 	f := q.Features()
@@ -274,7 +310,7 @@ func TestNonASCIINames(t *testing.T) {
 			continue
 		}
 		pps := q.PropertyPaths()
-		if c.path == "" && len(pps) != 0 || c.path != "" && (len(pps) != 1 || pps[0].String() != c.path) {
+		if c.path == "" && len(pps) != 0 || c.path != "" && (len(pps) != 1 || PathString(pps[0]) != c.path) {
 			t.Errorf("Parse(%q) paths = %v, want %q", c.src, pps, c.path)
 		}
 	}

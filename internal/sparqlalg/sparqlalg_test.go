@@ -107,6 +107,26 @@ func TestEvalPropertyPath(t *testing.T) {
 	}
 }
 
+// TestEvalInversePath: ^ over a sequence answers the converse of the
+// sequence, so ?x ^(<a>/<b>) ?y and ?y <a>/<b> ?x have the same solutions.
+func TestEvalInversePath(t *testing.T) {
+	g := rdf.NewGraph()
+	g.Add("s", "<a>", "m")
+	g.Add("m", "<b>", "o")
+	for _, src := range []string{
+		"SELECT * WHERE { ?x ^(<a>/<b>) ?y }",
+		"SELECT * WHERE { ?y <a>/<b> ?x }",
+	} {
+		sols, err := Eval(g, sparql.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sols) != 1 || sols[0]["x"] != "o" || sols[0]["y"] != "s" {
+			t.Errorf("%s: solutions = %v, want [{x:o y:s}]", src, sols)
+		}
+	}
+}
+
 func TestEvalModifiers(t *testing.T) {
 	g := testGraph()
 	q := sparql.MustParse("SELECT DISTINCT ?p WHERE { ?s ?p ?o } LIMIT 2")
