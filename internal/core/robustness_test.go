@@ -87,11 +87,16 @@ func TestAnalyzeDeepNestingIsInvalid(t *testing.T) {
 	queries := []string{
 		"SELECT * WHERE " + strings.Repeat("{", n) + "?s ?p ?o" + strings.Repeat("}", n),
 		"SELECT * WHERE { ?x " + strings.Repeat("(", n) + "<http://x/p>" + strings.Repeat(")", n) + " ?y }",
+		// a modifier run and an operator chain build trees as high as
+		// they are long without nesting (the second line is 8,000,038
+		// bytes, under the service's 8 MiB body cap)
+		"SELECT * WHERE { ?x <http://x/p>" + strings.Repeat("*", n) + " ?y }",
+		"SELECT * WHERE { ?s ?p ?o FILTER(?o" + strings.Repeat("+1", 4_000_000) + ") }",
 		"SELECT * WHERE { ?s ?p ?o }",
 	}
 	r := AnalyzeQueries("deep", queries, 1)
-	if r.Total != 3 || r.Valid != 1 {
-		t.Fatalf("total=%d valid=%d, want 3 and 1", r.Total, r.Valid)
+	if r.Total != 5 || r.Valid != 1 {
+		t.Fatalf("total=%d valid=%d, want 5 and 1", r.Total, r.Valid)
 	}
 }
 

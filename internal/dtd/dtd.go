@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"repro/internal/automata"
+	"repro/internal/graph"
 	"repro/internal/inference"
 	"repro/internal/obs"
 	"repro/internal/regex"
@@ -190,43 +191,19 @@ func (c *Compiled) check(ctx context.Context, n *tree.Node) error {
 
 // IsRecursive reports whether the DTD is recursive in the sense of
 // Section 4.1: the graph with an edge (a, b) whenever b appears in ρ(a) has
-// a directed cycle.
+// a directed cycle. Every label on a cycle has a rule, so the search
+// starts from the rule labels.
 func (d *DTD) IsRecursive() bool {
-	return len(d.recursiveLabels()) > 0
-}
-
-// recursiveLabels returns the labels on a cycle of the dependency graph.
-func (d *DTD) recursiveLabels() map[string]bool {
-	succ := map[string][]string{}
-	for a, e := range d.Rules {
-		succ[a] = e.Alphabet()
+	roots := make([]string, 0, len(d.Rules))
+	for a := range d.Rules {
+		roots = append(roots, a)
 	}
-	// A label is on a cycle iff it can reach itself.
-	out := map[string]bool{}
-	for a := range succ {
-		if reaches(succ, a, a) {
-			out[a] = true
+	return graph.CycleReachable(roots, func(a string) []string {
+		if e, ok := d.Rules[a]; ok {
+			return e.Alphabet()
 		}
-	}
-	return out
-}
-
-func reaches(succ map[string][]string, from, target string) bool {
-	seen := map[string]bool{}
-	stack := append([]string(nil), succ[from]...)
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if x == target {
-			return true
-		}
-		if seen[x] {
-			continue
-		}
-		seen[x] = true
-		stack = append(stack, succ[x]...)
-	}
-	return false
+		return nil
+	})
 }
 
 // Realizable returns the set of labels a for which some finite tree rooted

@@ -259,18 +259,10 @@ func childWordWitness(m *automata.Matcher, sets [][]string) ([]string, bool) {
 
 // IsSingleType reports whether the EDTD is a single-type EDTD
 // (Definition 4.12): no regular expression ρ(t) — and not S either —
-// contains two distinct types with the same label.
-func (d *EDTD) IsSingleType() bool {
-	if !singleTypeSet(keys(d.Start), d) {
-		return false
-	}
-	for _, e := range d.Rules {
-		if !singleTypeSet(e.Alphabet(), d) {
-			return false
-		}
-	}
-	return true
-}
+// contains two distinct types with the same label. This is XML Schema's
+// Element Declarations Consistent constraint, so the EDTD is single-type
+// exactly when EDCViolations finds nothing.
+func (d *EDTD) IsSingleType() bool { return len(d.EDCViolations()) == 0 }
 
 func keys(m map[string]bool) []string {
 	out := make([]string, 0, len(m))
@@ -279,18 +271,6 @@ func keys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func singleTypeSet(types []string, d *EDTD) bool {
-	seen := map[string]string{}
-	for _, t := range types {
-		l := d.Label(t)
-		if prev, ok := seen[l]; ok && prev != t {
-			return false
-		}
-		seen[l] = t
-	}
-	return true
 }
 
 // EDCViolations returns, per rule, the pairs of distinct same-label types

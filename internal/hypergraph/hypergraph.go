@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/automata/bitset"
 )
 
 // Hypergraph is a finite hypergraph over string vertices. Edges may repeat
@@ -178,74 +180,21 @@ func (h *Hypergraph) HypertreeWidthAtMost(k int) bool {
 }
 
 type decomposer struct {
-	h     *Hypergraph
-	k     int
 	vid   map[string]int
-	edges []vset          // edges as vertex sets
-	memo  map[string]int8 // 0 unknown/in-progress, 1 yes, 2 no
-	lams  [][]int         // candidate separators (index lists, size ≤ k)
-}
-
-// vset is a bitset over vertices.
-type vset []uint64
-
-func newVset(n int) vset { return make(vset, (n+63)/64) }
-
-func (s vset) set(i int)      { s[i/64] |= 1 << uint(i%64) }
-func (s vset) has(i int) bool { return s[i/64]&(1<<uint(i%64)) != 0 }
-func (s vset) clone() vset    { c := make(vset, len(s)); copy(c, s); return c }
-func (s vset) or(t vset) {
-	for i := range s {
-		s[i] |= t[i]
-	}
-}
-func (s vset) andNot(t vset) {
-	for i := range s {
-		s[i] &^= t[i]
-	}
-}
-func (s vset) empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-func (s vset) subsetOf(t vset) bool {
-	for i := range s {
-		if s[i]&^t[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-func (s vset) intersects(t vset) bool {
-	for i := range s {
-		if s[i]&t[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-func (s vset) key() string {
-	var b strings.Builder
-	for _, w := range s {
-		fmt.Fprintf(&b, "%x.", w)
-	}
-	return b.String()
+	edges []bitset.StateSet // edges as vertex sets
+	memo  map[string]int8   // 0 unknown/in-progress, 1 yes, 2 no
+	lams  [][]int           // candidate separators (index lists, size ≤ k)
 }
 
 func newDecomposer(h *Hypergraph, k int) *decomposer {
-	d := &decomposer{h: h, k: k, vid: map[string]int{}, memo: map[string]int8{}}
+	d := &decomposer{vid: map[string]int{}, memo: map[string]int8{}}
 	for _, v := range h.Vertices() {
 		d.vid[v] = len(d.vid)
 	}
-	n := len(d.vid)
 	for _, e := range h.Edges {
-		s := newVset(n)
+		s := d.newSet()
 		for _, v := range e {
-			s.set(d.vid[v])
+			s.Add(d.vid[v])
 		}
 		d.edges = append(d.edges, s)
 	}
@@ -269,17 +218,26 @@ func newDecomposer(h *Hypergraph, k int) *decomposer {
 	return d
 }
 
+// newSet returns an empty set over the hypergraph's vertices.
+func (d *decomposer) newSet() bitset.StateSet { return bitset.New(len(d.vid)) }
+
+// union returns the vertices of the given edges.
+func (d *decomposer) union(edgeIdx []int) bitset.StateSet {
+	s := d.newSet()
+	for _, ei := range edgeIdx {
+		s.UnionWith(d.edges[ei])
+	}
+	return s
+}
+
 func (d *decomposer) root() bool {
-	n := len(d.vid)
-	all := newVset(n)
-	var compEdges []int
-	for i, e := range d.edges {
-		all.or(e)
-		compEdges = append(compEdges, i)
+	compEdges := make([]int, len(d.edges))
+	for i := range compEdges {
+		compEdges[i] = i
 	}
 	// split into connected components first
-	for _, comp := range d.components(compEdges, newVset(n)) {
-		if !d.decompose(comp, newVset(n)) {
+	for _, comp := range d.components(compEdges, d.newSet()) {
+		if !d.decompose(comp, d.newSet()) {
 			return false
 		}
 	}
@@ -288,7 +246,7 @@ func (d *decomposer) root() bool {
 
 // components splits the given edges into connected components, where
 // vertices in `removed` do not connect.
-func (d *decomposer) components(edgeIdx []int, removed vset) [][]int {
+func (d *decomposer) components(edgeIdx []int, removed bitset.StateSet) [][]int {
 	n := len(edgeIdx)
 	parent := make([]int, n)
 	for i := range parent {
@@ -302,15 +260,11 @@ func (d *decomposer) components(edgeIdx []int, removed vset) [][]int {
 		}
 		return x
 	}
-	masked := make([]vset, n)
-	for i, ei := range edgeIdx {
-		m := d.edges[ei].clone()
-		m.andNot(removed)
-		masked[i] = m
-	}
+	// two edges connect when they share a vertex outside removed
+	shared := d.newSet()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if masked[i].intersects(masked[j]) {
+			if shared.And(d.edges[edgeIdx[i]], d.edges[edgeIdx[j]]) && !shared.SubsetOf(removed) {
 				ri, rj := find(i), find(j)
 				if ri != rj {
 					parent[ri] = rj
@@ -320,7 +274,7 @@ func (d *decomposer) components(edgeIdx []int, removed vset) [][]int {
 	}
 	groups := map[int][]int{}
 	for i, ei := range edgeIdx {
-		if masked[i].empty() {
+		if d.edges[ei].SubsetOf(removed) {
 			continue // edge fully covered: no residual component needed
 		}
 		groups[find(i)] = append(groups[find(i)], ei)
@@ -339,8 +293,8 @@ func (d *decomposer) components(edgeIdx []int, removed vset) [][]int {
 
 // decompose reports whether the component (a set of edges) with connector
 // conn admits a decomposition of width ≤ k.
-func (d *decomposer) decompose(compEdges []int, conn vset) bool {
-	key := fmt.Sprintf("%v|%s", compEdges, conn.key())
+func (d *decomposer) decompose(compEdges []int, conn bitset.StateSet) bool {
+	key := fmt.Sprint(compEdges, conn)
 	switch d.memo[key] {
 	case 1:
 		return true
@@ -348,40 +302,23 @@ func (d *decomposer) decompose(compEdges []int, conn vset) bool {
 		return false
 	}
 	d.memo[key] = 2 // in progress: assume false (a finite witness avoids cycles)
-	compVerts := newVset(len(d.vid))
-	for _, ei := range compEdges {
-		compVerts.or(d.edges[ei])
-	}
+	compVerts := d.union(compEdges)
 	for _, lam := range d.lams {
-		bag := newVset(len(d.vid))
-		for _, ei := range lam {
-			bag.or(d.edges[ei])
-		}
-		if !conn.subsetOf(bag) {
+		bag := d.union(lam)
+		if !conn.SubsetOf(bag) {
 			continue
 		}
 		// the bag must touch the component (progress requires covering at
 		// least one component vertex beyond the connector, or covering a
 		// full edge)
-		if !bag.intersects(compVerts) {
+		if !bag.Intersects(compVerts) {
 			continue
 		}
-		subs := d.components(compEdges, bag)
-		progress := len(subs) == 0
 		ok := true
-		for _, sub := range subs {
-			if len(sub) < len(compEdges) {
-				progress = true
-			}
-			subVerts := newVset(len(d.vid))
-			for _, ei := range sub {
-				subVerts.or(d.edges[ei])
-			}
-			subConn := bag.clone()
-			for i := range subConn {
-				subConn[i] &= subVerts[i]
-			}
-			if len(sub) == len(compEdges) && subConn.key() == conn.key() {
+		for _, sub := range d.components(compEdges, bag) {
+			subConn := d.newSet()
+			subConn.And(bag, d.union(sub))
+			if len(sub) == len(compEdges) && subConn.Equal(conn) {
 				ok = false // no progress with this separator
 				break
 			}
@@ -390,7 +327,6 @@ func (d *decomposer) decompose(compEdges []int, conn vset) bool {
 				break
 			}
 		}
-		_ = progress
 		if ok {
 			d.memo[key] = 1
 			return true

@@ -158,3 +158,37 @@ func TestWikidataExampleQueryHypergraph(t *testing.T) {
 		t.Error("star query should have width 1")
 	}
 }
+
+// TestWidthIdentities checks, on 3,000 seeded random hypergraphs, the
+// two identities Tables 6 and 7 rest on: α-acyclic ⇔ hypertree width
+// ≤ 1, and free-connex acyclic ⇒ acyclic, for a random set of free
+// vertices. Edges repeat and nest, as in the hypergraphs of real
+// queries.
+func TestWidthIdentities(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	vars := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	for i := 0; i < 3000; i++ {
+		nv := 2 + r.Intn(len(vars)-1)
+		h := New()
+		for e := 1 + r.Intn(7); e > 0; e-- {
+			var vs []string
+			for k := 1 + r.Intn(4); k > 0; k-- {
+				vs = append(vs, vars[r.Intn(nv)])
+			}
+			h.AddEdge(vs...)
+		}
+		var free []string
+		for _, v := range vars[:nv] {
+			if r.Intn(3) == 0 {
+				free = append(free, v)
+			}
+		}
+		acyclic := h.IsAcyclic()
+		if w1 := h.HypertreeWidthAtMost(1); acyclic != w1 {
+			t.Fatalf("%v: IsAcyclic = %v, HypertreeWidthAtMost(1) = %v", h, acyclic, w1)
+		}
+		if h.IsFreeConnexAcyclic(free) && !acyclic {
+			t.Fatalf("%v: free-connex acyclic for %v but not acyclic", h, free)
+		}
+	}
+}

@@ -1,31 +1,22 @@
 package jsonschema
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/graph"
+)
 
 // This file implements the structural analyses of the two JSON Schema
 // corpus studies quoted in Section 4.5.
 
 // IsRecursive reports whether the schema is recursive: following $ref
 // edges from the root (through properties, items, combinators and
-// definitions) reaches a cycle. Maiwald et al. found 26 recursive schemas
-// among 159.
+// definitions) reaches a cycle. Definitions the root never reaches do
+// not count: no document of the schema expands them. Maiwald et al.
+// found 26 recursive schemas among 159.
 func (s *Schema) IsRecursive() bool {
-	// Build the reference graph over definition names (plus "#").
-	// A schema is recursive iff some definition reachable from the root can
-	// reach itself.
-	reach := s.refTargets()
-	// nodes: "#" plus definition names
-	var nodes []string
-	nodes = append(nodes, "#")
-	for name := range s.Definitions {
-		nodes = append(nodes, name)
-	}
-	for _, n := range nodes {
-		if reachesSelf(reach, n) {
-			return true
-		}
-	}
-	return false
+	refs := s.refTargets()
+	return graph.CycleReachable([]string{"#"}, func(n string) []string { return refs[n] })
 }
 
 // refTargets maps each node ("#" or definition name) to the set of
@@ -94,24 +85,6 @@ func refName(ref string) string {
 		}
 	}
 	return "#"
-}
-
-func reachesSelf(g map[string][]string, start string) bool {
-	seen := map[string]bool{}
-	stack := append([]string(nil), g[start]...)
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if x == start {
-			return true
-		}
-		if seen[x] {
-			continue
-		}
-		seen[x] = true
-		stack = append(stack, g[x]...)
-	}
-	return false
 }
 
 // MaxNestingDepth returns the maximal nesting depth of documents the

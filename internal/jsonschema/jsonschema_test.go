@@ -163,6 +163,24 @@ func TestRecursionAndDepth(t *testing.T) {
 	}
 }
 
+// TestUnreachableRecursionIsNotRecursion checks that a recursive
+// definition the root never references leaves the schema non-recursive:
+// its documents are strings, one level deep.
+func TestUnreachableRecursionIsNotRecursion(t *testing.T) {
+	s := MustParse(`{"type":"string","definitions":{"n":{"type":"object","properties":{"c":{"$ref":"#/definitions/n"}}}}}`)
+	if s.IsRecursive() {
+		t.Error("IsRecursive = true for a cycle the root does not reach")
+	}
+	if d, ok := s.MaxNestingDepth(); !ok || d != 1 {
+		t.Errorf("MaxNestingDepth = %d, %v; want 1, true", d, ok)
+	}
+	// the same definition, referenced from the root, is recursion
+	r := MustParse(`{"type":"object","properties":{"m":{"$ref":"#/definitions/n"}},"definitions":{"n":{"type":"object","properties":{"c":{"$ref":"#/definitions/n"}}}}}`)
+	if !r.IsRecursive() {
+		t.Error("IsRecursive = false for a cycle the root reaches")
+	}
+}
+
 func TestUsesNegation(t *testing.T) {
 	if MustParse(personsSchema).UsesNegation() {
 		t.Error("persons schema uses no negation")

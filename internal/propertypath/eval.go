@@ -2,11 +2,11 @@ package propertypath
 
 import (
 	"sort"
-	"strings"
 
 	"repro/internal/automata"
 	"repro/internal/rdf"
 	"repro/internal/regex"
+	"repro/internal/sparql"
 )
 
 // Evaluation of property paths over RDF graphs under the three semantics
@@ -14,10 +14,35 @@ import (
 // the simple-path and trail semantics whose data complexity the classes
 // C_tract and T_tract characterize.
 
-// atomMatcher resolves the extended-alphabet symbols of a path against a
-// graph: forward labels, inverse labels, and negated sets.
-type atomMatcher struct {
-	g *rdf.Graph
+// atom is a symbol of the path's alphabet, resolved once per
+// evaluation into the IRIs it lists in each direction (0 forward, 1
+// inverse). An IRI atom steps along the edges whose predicate it lists,
+// a negated set along those whose predicate it does not. A direction
+// without IRIs is not traversed at all: under the W3C semantics !(^b)
+// matches reverse edges only.
+type atom struct {
+	iris    [2]map[string]bool
+	negated bool
+}
+
+// resolve reads the alphabet's symbols, in order.
+func resolve(alphabet []string) []atom {
+	out := make([]atom, len(alphabet))
+	for i, sym := range alphabet {
+		s := sparql.ReadPathSymbol(sym)
+		out[i].negated = s.Negated
+		for iri, inverse, ok := s.Next(); ok; iri, inverse, ok = s.Next() {
+			d := 0
+			if inverse {
+				d = 1
+			}
+			if out[i].iris[d] == nil {
+				out[i].iris[d] = map[string]bool{}
+			}
+			out[i].iris[d][iri] = true
+		}
+	}
+	return out
 }
 
 // hop is one traversal of a graph edge: the node reached and the triple
@@ -27,68 +52,28 @@ type hop struct {
 	t  rdf.Triple
 }
 
-// step returns the hops from node via the atom symbol.
-func (m atomMatcher) step(node, sym string) []hop {
+// step returns the hops of g from node via a, forward ones first.
+func step(g *rdf.Graph, node string, a atom) []hop {
 	var out []hop
-	switch {
-	case strings.HasPrefix(sym, "^"):
-		p := sym[1:]
-		for _, t := range m.g.InEdges(node) {
-			if t.P == p {
-				out = append(out, hop{t.S, t})
-			}
+	for d, iris := range a.iris {
+		if iris == nil {
+			continue
 		}
-	case strings.HasPrefix(sym, "!("):
-		forbidden, forbiddenInv := parseNegSymbol(sym)
-		// W3C semantics: the forward part of a negated property set is
-		// active only when it lists at least one forward IRI, and likewise
-		// for the inverse part (e.g. !(^b) matches reverse edges only).
-		if forbidden != nil {
-			for _, t := range m.g.OutEdges(node) {
-				if !forbidden[t.P] {
-					out = append(out, hop{t.O, t})
+		edges := g.OutEdges(node)
+		if d == 1 {
+			edges = g.InEdges(node)
+		}
+		for _, t := range edges {
+			if iris[t.P] != a.negated {
+				to := t.O
+				if d == 1 {
+					to = t.S
 				}
-			}
-		}
-		if forbiddenInv != nil {
-			for _, t := range m.g.InEdges(node) {
-				if !forbiddenInv[t.P] {
-					out = append(out, hop{t.S, t})
-				}
-			}
-		}
-	default:
-		for _, t := range m.g.OutEdges(node) {
-			if t.P == sym {
-				out = append(out, hop{t.O, t})
+				out = append(out, hop{to, t})
 			}
 		}
 	}
 	return out
-}
-
-// parseNegSymbol decodes a negated property set's "!(p|^q|…)" symbol.
-// A nil map means that direction is not traversable at all (it had no
-// members in the set).
-func parseNegSymbol(sym string) (forbidden map[string]bool, forbiddenInv map[string]bool) {
-	body := strings.TrimSuffix(strings.TrimPrefix(sym, "!("), ")")
-	if body == "" {
-		return nil, nil
-	}
-	for _, part := range strings.Split(body, "|") {
-		if strings.HasPrefix(part, "^") {
-			if forbiddenInv == nil {
-				forbiddenInv = map[string]bool{}
-			}
-			forbiddenInv[part[1:]] = true
-		} else {
-			if forbidden == nil {
-				forbidden = map[string]bool{}
-			}
-			forbidden[part] = true
-		}
-	}
-	return forbidden, forbiddenInv
 }
 
 // Eval returns the nodes y such that (start, y) is in the answer of the
@@ -97,7 +82,7 @@ func parseNegSymbol(sym string) (forbidden map[string]bool, forbiddenInv map[str
 // automaton — polynomial time, as for all RPQs under this semantics.
 func Eval(g *rdf.Graph, e *regex.Expr, start string) []string {
 	n := automata.NewMatcher(e)
-	m := atomMatcher{g}
+	atoms := resolve(n.Alphabet())
 	type pstate struct {
 		node  string
 		state int32
@@ -118,12 +103,12 @@ func Eval(g *rdf.Graph, e *regex.Expr, start string) []string {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, sym := range n.Alphabet() {
+		for i, sym := range n.Alphabet() {
 			succs := n.Step([]int32{cur.state}, sym)
 			if len(succs) == 0 {
 				continue
 			}
-			for _, h := range m.step(cur.node, sym) {
+			for _, h := range step(g, cur.node, atoms[i]) {
 				for _, q2 := range succs {
 					push(pstate{h.to, q2})
 				}
@@ -152,7 +137,7 @@ func EvalTrails(g *rdf.Graph, e *regex.Expr, start string) []string {
 // node repeats (start counts as visited); otherwise no edge repeats.
 func evalNoRepeat(g *rdf.Graph, e *regex.Expr, start string, nodes bool) []string {
 	n := automata.NewMatcher(e)
-	m := atomMatcher{g}
+	atoms := resolve(n.Alphabet())
 	results := map[string]bool{}
 	used := map[any]bool{}
 	key := func(h hop) any { return h.t }
@@ -165,12 +150,12 @@ func evalNoRepeat(g *rdf.Graph, e *regex.Expr, start string, nodes bool) []strin
 		if n.AnyFinal(states) {
 			results[node] = true
 		}
-		for _, sym := range n.Alphabet() {
+		for i, sym := range n.Alphabet() {
 			next := n.Step(states, sym)
 			if len(next) == 0 {
 				continue
 			}
-			for _, h := range m.step(node, sym) {
+			for _, h := range step(g, node, atoms[i]) {
 				k := key(h)
 				if used[k] {
 					continue

@@ -12,7 +12,9 @@
 // forward atom wdt:P31 is the symbol "wdt:P31", an inverse atom the symbol
 // "^wdt:P31", and a negated property set one symbol "!(a|^b|…)" listing
 // its forward members, then its inverse ones, each sorted. ^ over a
-// compound path is already pushed down to the atoms.
+// compound path is already pushed down to the atoms. Package sparql owns
+// this symbol format: its parser writes the symbols, and this package
+// reads them only through sparql.ReadPathSymbol.
 package propertypath
 
 import "repro/internal/regex"

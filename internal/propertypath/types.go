@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/regex"
+	"repro/internal/sparql"
 )
 
 // This file implements the *type* scheme of Section 9.6 / Table 8: the
@@ -44,12 +45,14 @@ func letterFor(iri string, names map[string]string) string {
 func writeType(e *regex.Expr, names map[string]string, b *strings.Builder, prec int) {
 	switch e.Kind {
 	case regex.Symbol:
-		if isNegSet(e.Sym) {
+		sym := sparql.ReadPathSymbol(e.Sym)
+		if sym.Negated {
 			b.WriteString("A")
 			return
 		}
 		// ^a is "treated the same as a single label" (Section 9.6)
-		b.WriteString(letterFor(strings.TrimPrefix(e.Sym, "^"), names))
+		iri, _, _ := sym.Next()
+		b.WriteString(letterFor(iri, names))
 	case regex.Union:
 		// a disjunction of atoms is the class A; other disjunctions render
 		// structurally
@@ -102,14 +105,11 @@ func writeType(e *regex.Expr, names map[string]string, b *strings.Builder, prec 
 	}
 }
 
-// isNegSet reports whether sym is a negated property set's symbol.
-func isNegSet(sym string) bool { return strings.HasPrefix(sym, "!(") }
-
 // isAtomDisjunction recognizes the empirical A class: a disjunction of at
 // least two atoms (IRIs or inverses of IRIs), or a negated property set.
 func isAtomDisjunction(e *regex.Expr) bool {
 	if e.Kind == regex.Symbol {
-		return isNegSet(e.Sym)
+		return sparql.ReadPathSymbol(e.Sym).Negated
 	}
 	if e.Kind != regex.Union {
 		return false
@@ -162,8 +162,12 @@ var Table8Rows = []Table8Row{
 // as A.
 func Classify(e *regex.Expr) Table8Row {
 	// the bare-inverse row is special-cased before letter canonicalization
-	if e.Kind == regex.Symbol && strings.HasPrefix(e.Sym, "^") {
-		return RowInverse
+	if e.Kind == regex.Symbol {
+		if sym := sparql.ReadPathSymbol(e.Sym); !sym.Negated {
+			if _, inverse, _ := sym.Next(); inverse {
+				return RowInverse
+			}
+		}
 	}
 	t := TypeString(e)
 	if row, ok := typeToRow[t]; ok {

@@ -1,6 +1,9 @@
 package regex
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParse asserts the parser never panics on arbitrary input, that it
 // agrees with refParse (the same tree or the same error string), and
@@ -20,6 +23,9 @@ func FuzzParse(f *testing.F) {
 	f.Add("a)$")
 	f.Add("a)&") // the parse error at ')' comes first; the lexical one at '&' wins
 	f.Add("(a b <eps\xff")
+	// one level past textio.MaxDepth: parentheses, a postfix run
+	f.Add(strings.Repeat("(", 1001) + "a" + strings.Repeat(")", 1001))
+	f.Add("a" + strings.Repeat("*", 1001))
 	f.Fuzz(func(t *testing.T, src string) {
 		e, err := checkParseMatchesReference(t, src)
 		into, intoErr := ParseInto(src, &sl)

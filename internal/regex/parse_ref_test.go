@@ -6,13 +6,18 @@ import (
 	"strings"
 	"testing"
 	"unicode"
+
+	"repro/internal/textio"
 )
 
 // refParse is the two-pass parser Parse replaced, kept as the
 // differential reference: it lexes the whole input into a token slice
 // over a []rune copy, then parses the tokens. Because lexing finishes
 // first, a lexical error anywhere beats an earlier parse error; Parse
-// must report the same error strings, rune offsets included.
+// must report the same error strings, rune offsets included. Nesting
+// past textio.MaxDepth is refused as Parse refuses it: a '(' that opens
+// one level too many, or a node one level too high, measured on the
+// finished subtree.
 func refParse(s string) (*Expr, error) {
 	toks, err := refLex(s)
 	if err != nil {
@@ -127,9 +132,28 @@ func refLex(s string) ([]refToken, error) {
 }
 
 type refParser struct {
-	toks []refToken
-	pos  int
-	src  string
+	toks  []refToken
+	pos   int
+	src   string
+	depth int // open parentheses
+}
+
+// refHeight returns the height of e: 0 for a leaf, one more than its
+// highest child otherwise.
+func refHeight(e *Expr) int {
+	h := 0
+	for _, s := range e.Subs {
+		h = max(h, refHeight(s)+1)
+	}
+	return h
+}
+
+// refCheck returns e, or the nesting error when e is too high.
+func refCheck(e *Expr) (*Expr, error) {
+	if refHeight(e) > textio.MaxDepth {
+		return nil, fmt.Errorf("regex: nesting deeper than %d levels", textio.MaxDepth)
+	}
+	return e, nil
 }
 
 func (p *refParser) peek() (refToken, bool) {
@@ -160,7 +184,7 @@ func (p *refParser) parseUnion() (*Expr, error) {
 	if len(subs) == 1 {
 		return subs[0], nil
 	}
-	return &Expr{Kind: Union, Subs: subs}, nil
+	return refCheck(&Expr{Kind: Union, Subs: subs})
 }
 
 func (p *refParser) parseConcat() (*Expr, error) {
@@ -186,7 +210,7 @@ func (p *refParser) parseConcat() (*Expr, error) {
 	if len(subs) == 1 {
 		return subs[0], nil
 	}
-	return &Expr{Kind: Concat, Subs: subs}, nil
+	return refCheck(&Expr{Kind: Concat, Subs: subs})
 }
 
 func (p *refParser) parsePostfix() (*Expr, error) {
@@ -209,6 +233,9 @@ func (p *refParser) parsePostfix() (*Expr, error) {
 		default:
 			return e, nil
 		}
+		if e, err = refCheck(e); err != nil {
+			return nil, err
+		}
 		p.pos++
 	}
 	return e, nil
@@ -230,6 +257,9 @@ func (p *refParser) parseAtom() (*Expr, error) {
 		p.pos++
 		return NewEmpty(), nil
 	case refLParen:
+		if p.depth++; p.depth > textio.MaxDepth {
+			return nil, fmt.Errorf("regex: nesting deeper than %d levels", textio.MaxDepth)
+		}
 		p.pos++
 		e, err := p.parseUnion()
 		if err != nil {
@@ -240,6 +270,7 @@ func (p *refParser) parseAtom() (*Expr, error) {
 			return nil, fmt.Errorf("regex: missing ')' in %q", p.src)
 		}
 		p.pos++
+		p.depth--
 		return e, nil
 	}
 	return nil, fmt.Errorf("regex: unexpected %q at offset %d in %q", t.text, t.off, p.src)

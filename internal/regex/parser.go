@@ -5,6 +5,8 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"repro/internal/textio"
 )
 
 // Parse parses the algebraic notation used throughout the paper:
@@ -21,6 +23,9 @@ import (
 // the postfix operator; any other '+' is union. The unambiguous '|' is also
 // accepted for union. Examples: "a+b" is a⁺·b while "a + b" and "a|b" are
 // a ∪ b; "b* a (b* a)*" is the deterministic expression of Section 4.2.1.
+//
+// Parentheses nested deeper than textio.MaxDepth, or a tree higher than
+// that (postfix runs count one level per operator), are a parse error.
 func Parse(s string) (*Expr, error) {
 	return ParseInto(s, new(Slabs))
 }
@@ -156,6 +161,20 @@ type parser struct {
 	// firstNodes and firstSubs are the lengths at which the parse left
 	// its first node and child-list slabs, or -1 while it is in them.
 	firstNodes, firstSubs int
+	depth                 int // open parentheses
+	h                     int // height of the tree last parsed
+}
+
+// errTooDeep is the parse error of input nested past textio.MaxDepth.
+var errTooDeep = fmt.Errorf("regex: nesting deeper than %d levels", textio.MaxDepth)
+
+// above sets p.h to the height of a node whose highest child has height
+// sub, and fails past textio.MaxDepth.
+func (p *parser) above(sub int) error {
+	if p.h = sub + 1; p.h > textio.MaxDepth {
+		return p.fail(errTooDeep)
+	}
+	return nil
 }
 
 // parse parses all of src.
@@ -316,14 +335,17 @@ func (p *parser) children(n int) []*Expr {
 	return p.subs[a : a+n : a+n]
 }
 
-// gather builds a node of kind k whose children are stack[mark:], and
-// pops them.
-func (p *parser) gather(k Kind, mark int) *Expr {
+// gatherAbove builds a node of kind k whose children are stack[mark:],
+// the highest of height sub, and pops them.
+func (p *parser) gatherAbove(k Kind, mark, sub int) (*Expr, error) {
+	if err := p.above(sub); err != nil {
+		return nil, err
+	}
 	e := p.node(k)
 	e.Subs = p.children(len(p.stack) - mark)
 	copy(e.Subs, p.stack[mark:])
 	p.stack = p.stack[:mark]
-	return e
+	return e, nil
 }
 
 func (p *parser) parseUnion() (*Expr, error) {
@@ -333,6 +355,7 @@ func (p *parser) parseUnion() (*Expr, error) {
 	}
 	mark := len(p.stack)
 	p.stack = append(p.stack, first)
+	sub := p.h
 	for p.tok == tokUnion {
 		if err := p.next(); err != nil {
 			return nil, err
@@ -342,8 +365,9 @@ func (p *parser) parseUnion() (*Expr, error) {
 			return nil, err
 		}
 		p.stack = append(p.stack, e)
+		sub = max(sub, p.h)
 	}
-	return p.gather(Union, mark), nil
+	return p.gatherAbove(Union, mark, sub)
 }
 
 // startsAtom reports whether k can begin an atom, and so continue a
@@ -359,14 +383,16 @@ func (p *parser) parseConcat() (*Expr, error) {
 	}
 	mark := len(p.stack)
 	p.stack = append(p.stack, first)
+	sub := p.h
 	for startsAtom(p.tok) {
 		e, err := p.parsePostfix()
 		if err != nil {
 			return nil, err
 		}
 		p.stack = append(p.stack, e)
+		sub = max(sub, p.h)
 	}
-	return p.gather(Concat, mark), nil
+	return p.gatherAbove(Concat, mark, sub)
 }
 
 func (p *parser) parsePostfix() (*Expr, error) {
@@ -386,6 +412,9 @@ func (p *parser) parsePostfix() (*Expr, error) {
 		default:
 			return e, nil
 		}
+		if err := p.above(p.h); err != nil {
+			return nil, err
+		}
 		u := p.node(k)
 		u.Subs = p.children(1)
 		u.Subs[0] = e
@@ -398,6 +427,7 @@ func (p *parser) parsePostfix() (*Expr, error) {
 
 func (p *parser) parseAtom() (*Expr, error) {
 	var e *Expr
+	p.h = 0
 	switch p.tok {
 	case tokLabel:
 		e = p.node(Symbol)
@@ -407,6 +437,9 @@ func (p *parser) parseAtom() (*Expr, error) {
 	case tokEmpty:
 		e = p.node(Empty)
 	case tokLParen:
+		if p.depth++; p.depth > textio.MaxDepth {
+			return nil, p.fail(errTooDeep)
+		}
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -417,6 +450,7 @@ func (p *parser) parseAtom() (*Expr, error) {
 		if p.tok != tokRParen {
 			return nil, p.fail(fmt.Errorf("regex: missing ')' in %q", p.src))
 		}
+		p.depth--
 		e = inner
 	case tokEOF:
 		return nil, p.fail(fmt.Errorf("regex: unexpected end of input in %q", p.src))
@@ -439,6 +473,9 @@ func (p *parser) parseAtom() (*Expr, error) {
 //
 // ANY is translated to (a1 + … + an)* over the supplied alphabet; the paper's
 // Section 4.5 discusses ANY as DTD's way to allow arbitrary content.
+//
+// Like Parse, it refuses parentheses nested deeper than textio.MaxDepth
+// and trees higher than that.
 func ParseDTDContent(s string, anyAlphabet []string) (*Expr, error) {
 	t := strings.TrimSpace(s)
 	switch t {
@@ -467,9 +504,13 @@ func ParseDTDContent(s string, anyAlphabet []string) (*Expr, error) {
 }
 
 type dtdParser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int // open parentheses
+	h     int // height of the tree last parsed
 }
+
+var errDTDTooDeep = fmt.Errorf("dtd content: nesting deeper than %d levels", textio.MaxDepth)
 
 func (p *dtdParser) skipSpace() {
 	for p.pos < len(p.src) && (p.src[p.pos] == ' ' || p.src[p.pos] == '\t' || p.src[p.pos] == '\n' || p.src[p.pos] == '\r') {
@@ -477,55 +518,41 @@ func (p *dtdParser) skipSpace() {
 	}
 }
 
-func (p *dtdParser) parseChoice() (*Expr, error) {
-	first, err := p.parseSeq()
-	if err != nil {
-		return nil, err
-	}
-	subs := []*Expr{first}
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.src) || p.src[p.pos] != '|' {
-			break
-		}
-		p.pos++
-		e, err := p.parseSeq()
-		if err != nil {
-			return nil, err
-		}
-		subs = append(subs, e)
-	}
-	// #PCDATA members parsed as ε and stay in the union, where structural
-	// metrics see them; starred mixed content still has the language of
-	// its element part.
-	if len(subs) == 1 {
-		return subs[0], nil
-	}
-	return &Expr{Kind: Union, Subs: subs}, nil
-}
+// #PCDATA members parse as ε and stay in a choice, where structural
+// metrics see them; starred mixed content still has the language of its
+// element part.
+func (p *dtdParser) parseChoice() (*Expr, error) { return p.parseList('|', Union, p.parseSeq) }
+func (p *dtdParser) parseSeq() (*Expr, error)    { return p.parseList(',', Concat, p.parseUnit) }
 
-func (p *dtdParser) parseSeq() (*Expr, error) {
-	first, err := p.parseUnit()
+// parseList parses items separated by sep; two or more make a node of
+// kind k.
+func (p *dtdParser) parseList(sep byte, k Kind, item func() (*Expr, error)) (*Expr, error) {
+	first, err := item()
 	if err != nil {
 		return nil, err
 	}
 	subs := []*Expr{first}
+	sub := p.h
 	for {
 		p.skipSpace()
-		if p.pos >= len(p.src) || p.src[p.pos] != ',' {
+		if p.pos >= len(p.src) || p.src[p.pos] != sep {
 			break
 		}
 		p.pos++
-		e, err := p.parseUnit()
+		e, err := item()
 		if err != nil {
 			return nil, err
 		}
 		subs = append(subs, e)
+		sub = max(sub, p.h)
 	}
 	if len(subs) == 1 {
 		return subs[0], nil
 	}
-	return &Expr{Kind: Concat, Subs: subs}, nil
+	if err := p.above(sub); err != nil {
+		return nil, err
+	}
+	return &Expr{Kind: k, Subs: subs}, nil
 }
 
 func (p *dtdParser) parseUnit() (*Expr, error) {
@@ -534,7 +561,11 @@ func (p *dtdParser) parseUnit() (*Expr, error) {
 		return nil, fmt.Errorf("dtd content: unexpected end of %q", p.src)
 	}
 	var e *Expr
+	p.h = 0
 	if p.src[p.pos] == '(' {
+		if p.depth++; p.depth > textio.MaxDepth {
+			return nil, errDTDTooDeep
+		}
 		p.pos++
 		inner, err := p.parseChoice()
 		if err != nil {
@@ -545,6 +576,7 @@ func (p *dtdParser) parseUnit() (*Expr, error) {
 			return nil, fmt.Errorf("dtd content: missing ')' in %q", p.src)
 		}
 		p.pos++
+		p.depth--
 		e = inner
 	} else {
 		start := p.pos
@@ -562,20 +594,29 @@ func (p *dtdParser) parseUnit() (*Expr, error) {
 		}
 	}
 	// Postfix operator.
-	if p.pos < len(p.src) {
+	if p.pos < len(p.src) && strings.IndexByte("*+?", p.src[p.pos]) >= 0 {
+		if err := p.above(p.h); err != nil {
+			return nil, err
+		}
 		switch p.src[p.pos] {
 		case '*':
-			p.pos++
 			e = NewStar(e)
 		case '+':
-			p.pos++
 			e = NewPlus(e)
 		case '?':
-			p.pos++
 			e = NewOpt(e)
 		}
+		p.pos++
 	}
 	return e, nil
+}
+
+// above is parser.above for content models.
+func (p *dtdParser) above(sub int) error {
+	if p.h = sub + 1; p.h > textio.MaxDepth {
+		return errDTDTooDeep
+	}
+	return nil
 }
 
 func isDTDNameByte(b byte) bool {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // decideColdPair returns two expression texts shaped like one
@@ -135,5 +136,66 @@ func TestParseChildListsAreCapped(t *testing.T) {
 	}
 	if got := second.String(); got != "c d" {
 		t.Fatalf("append to one child list changed another: %q", got)
+	}
+}
+
+// TestNestingLimit checks Parse and ParseDTDContent at textio.MaxDepth
+// and one level past it: nested parentheses, a postfix run, runs stacked
+// across parenthesized levels, and a list above a full-height child.
+// Parse must agree with refParse on each. The 3M-level inputs, which
+// overflowed the stack of the parser or of NewMatcher before the limit,
+// must be refused quickly.
+func TestNestingLimit(t *testing.T) {
+	nest := func(n int, inner, closer string) string {
+		return strings.Repeat("(", n) + inner + strings.Repeat(")"+closer, n)
+	}
+	stars := func(n int) string { return strings.Repeat("*", n) }
+	const limit = 1000 // textio.MaxDepth
+	for _, c := range []struct {
+		name     string
+		src      func(n int) string
+		dtd      bool // a DTD content model
+		deepest  int  // the deepest n that parses
+		tooDeep  int  // an n that is refused
+		quickOne int  // a huge n that must be refused quickly, or 0
+	}{
+		{"parentheses", func(n int) string { return nest(n, "a", "") }, false, limit, limit + 1, 3_000_000},
+		{"postfix run", func(n int) string { return "a" + stars(n) }, false, limit, limit + 1, 3_000_000},
+		{"stacked runs", func(n int) string { return "(a" + stars(n) + ")" + stars(limit/2) }, false, limit / 2, limit/2 + 1, 0},
+		{"run under a concatenation", func(n int) string { return "a" + stars(n) + " b" }, false, limit - 1, limit, 0},
+		{"run under a union", func(n int) string { return "b | c a" + stars(n) }, false, limit - 2, limit - 1, 0},
+		{"dtd parentheses", func(n int) string { return nest(n, "a", "") }, true, limit, limit + 1, 3_000_000},
+		{"dtd stacked postfix", func(n int) string { return nest(n, "a", "*") }, true, limit, limit + 1, 0},
+		// three levels per parenthesis: a union over a sequence over a
+		// starred group, with the parentheses a third of the limit deep
+		{"dtd lists", func(n int) string { return strings.Repeat("(b|b,", n) + "a" + strings.Repeat(")*", n) }, true, limit / 3, limit/3 + 1, 0},
+	} {
+		parse := func(src string) error {
+			if c.dtd {
+				_, err := ParseDTDContent(src, nil)
+				return err
+			}
+			_, err := checkParseMatchesReference(t, src)
+			return err
+		}
+		if err := parse(c.src(c.deepest)); err != nil {
+			t.Errorf("%s: %d levels: %v", c.name, c.deepest, err)
+		}
+		if err := parse(c.src(c.tooDeep)); err == nil || !strings.Contains(err.Error(), "nesting deeper than 1000 levels") {
+			t.Errorf("%s: %d levels: err = %v", c.name, c.tooDeep, err)
+		}
+		if c.quickOne > 0 {
+			src := c.src(c.quickOne)
+			start := time.Now()
+			var err error
+			if c.dtd {
+				_, err = ParseDTDContent(src, nil)
+			} else {
+				_, err = Parse(src)
+			}
+			if err == nil || time.Since(start) > time.Second {
+				t.Errorf("%s: %d levels: err = %v after %v", c.name, c.quickOne, err, time.Since(start))
+			}
+		}
 	}
 }

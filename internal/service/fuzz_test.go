@@ -120,6 +120,10 @@ func FuzzDecide(f *testing.F) {
 		`{"engine":"regex","left":"((","right":"a"}`,
 		`{"algorithm":"magic","words":[["a"]]}`,
 		adversarialContainment(60000),
+		// one level past textio.MaxDepth
+		`{"engine":"regex","left":"` + deepParens + `","right":"a"}`,
+		`{"expr":"` + deepStars + `","word":["a"]}`,
+		`{"kind":"dtd","schema":"<!ELEMENT r ` + deepParens + `> <!ELEMENT a EMPTY>","docs":["r(a)"]}`,
 	} {
 		f.Add(body)
 	}
@@ -188,6 +192,8 @@ func FuzzBatch(f *testing.F) {
 		`{"items":[{"op":"magic","request":{}}]}`,
 		`{"explain":true,"items":[{"op":"containment","request":` + adversarialContainment(60000) +
 			`},{"op":"membership","request":{"expr":"a","word":["a"]}}]}`,
+		`{"items":[{"op":"containment","request":{"engine":"kore","left":"` + deepParens + `","right":"a"}},` +
+			`{"op":"membership","request":{"expr":"` + deepStars + `","word":["a"]}}]}`,
 	} {
 		f.Add(body)
 	}
@@ -229,6 +235,13 @@ func FuzzBatch(f *testing.F) {
 		}
 	})
 }
+
+// deepParens and deepStars are regex and DTD content-model texts one
+// level past textio.MaxDepth: nested parentheses, and a postfix run.
+var (
+	deepParens = strings.Repeat("(", 1001) + "a" + strings.Repeat(")", 1001)
+	deepStars  = "a" + strings.Repeat("*", 1001)
+)
 
 // serve posts body to path on h and returns the status and body.
 func serve(h http.Handler, path, body string) (int, []byte) {
@@ -293,6 +306,9 @@ func FuzzNDJSONAnalyze(f *testing.F) {
 	f.Add(`{"corpus":"graph","explain":true}`, uint8(4), "", "", "", "", "")
 	f.Add(`{"queries":["SELECT ?x WHERE { ?x a ?y }"],"workers":3,"deadline_ms":1}`, uint8(5), "", "", "", "", "")
 	f.Add("\x00\xff\n{\n", uint8(0), "%zz", "1e3", "NaN", "TRUE", "%00")
+	// one level past textio.MaxDepth: a modifier run, an operator chain
+	f.Add("SELECT * WHERE { ?x <p>"+strings.Repeat("*", 1001)+" ?y }\nSELECT * WHERE { ?s ?p ?o FILTER(?o"+
+		strings.Repeat("+1", 1001)+") }\n", uint8(0), "", "", "", "", "")
 	f.Fuzz(func(t *testing.T, body string, ct uint8, name, workers, deadline, explain, corpus string) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body))
 		req.URL.RawQuery = "name=" + name + "&workers=" + workers + "&deadline_ms=" + deadline +

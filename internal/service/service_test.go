@@ -661,3 +661,58 @@ func TestServeCacheHitAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestDeepNestingIsRefused sends regex and DTD inputs nested a million
+// levels deep — under the body cap, and each a tree the parsers and the
+// engines would recurse through once per level — to every decide
+// endpoint that parses them and to /v1/batch. Each must be refused with
+// a 400, without running an engine, within a second (outside -race).
+func TestDeepNestingIsRefused(t *testing.T) {
+	const n = 1_000_000
+	h := New(Config{Logger: discardLogger()}).Handler()
+	parens := strings.Repeat("(", n) + "a" + strings.Repeat(")", n)
+	stars := "a" + strings.Repeat("*", n)
+	dtdOf := func(model string) string { return "<!ELEMENT r " + model + "> <!ELEMENT a EMPTY>" }
+	body := func(fields map[string]any) string {
+		raw, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	requests := []struct{ path, body string }{
+		{"/v1/containment", body(map[string]any{"engine": "regex", "left": parens, "right": "a"})},
+		{"/v1/containment", body(map[string]any{"engine": "kore", "left": "a", "right": stars})},
+		{"/v1/containment", body(map[string]any{"engine": "dtd", "left": dtdOf(parens), "right": dtdOf("(a)")})},
+		{"/v1/membership", body(map[string]any{"expr": stars, "word": []string{"a"}})},
+		{"/v1/membership", body(map[string]any{"expr": parens, "word": []string{"a"}})},
+		{"/v1/validate", body(map[string]any{"kind": "dtd", "schema": dtdOf(parens), "docs": []string{"r(a)"}})},
+	}
+	for _, r := range requests {
+		start := time.Now()
+		code, raw := serve(h, r.path, r.body)
+		elapsed := time.Since(start)
+		if code != http.StatusBadRequest || !strings.Contains(string(raw), "nesting deeper than 1000 levels") {
+			t.Errorf("POST %s (%d bytes) = %d: %.200s", r.path, len(r.body), code, raw)
+		}
+		if !raceEnabled && elapsed > time.Second {
+			t.Errorf("POST %s took %v", r.path, elapsed)
+		}
+	}
+	// one request per endpoint, together under the body cap
+	var items []map[string]any
+	for _, i := range []int{0, 3, 5} {
+		r := requests[i]
+		items = append(items, map[string]any{"op": strings.TrimPrefix(r.path, "/v1/"), "request": json.RawMessage(r.body)})
+	}
+	code, raw := serve(h, "/v1/batch", body(map[string]any{"items": items}))
+	var resp rawBatchResponse
+	if err := json.Unmarshal(raw, &resp); code != http.StatusOK || err != nil || len(resp.Items) != len(items) {
+		t.Fatalf("POST /v1/batch = %d (%v): %.200s", code, err, raw)
+	}
+	for i, item := range resp.Items {
+		if item.Status != http.StatusBadRequest {
+			t.Errorf("batch item %d (%s): status %d: %.200s", i, item.Op, item.Status, item.Error)
+		}
+	}
+}

@@ -122,26 +122,24 @@ func PathString(e *regex.Expr) string {
 func writePath(b *strings.Builder, e *regex.Expr, q *Query, prec int) {
 	switch e.Kind {
 	case regex.Symbol:
-		// an IRI, ^IRI, or a negated set "!(…)" of |-separated [^]IRIs
-		body, neg := strings.CutPrefix(e.Sym, "!(")
-		if neg {
+		sym := ReadPathSymbol(e.Sym)
+		if sym.Negated {
 			b.WriteString("!(")
-			body = body[:len(body)-1]
 		}
-		for {
-			m, rest, more := strings.Cut(body, "|")
-			if iri, inv := strings.CutPrefix(m, "^"); inv {
-				b.WriteByte('^')
-				m = iri
-			}
-			b.WriteString(expandIRI(m, q))
-			if !more {
+		for i := 0; ; i++ {
+			iri, inverse, ok := sym.Next()
+			if !ok {
 				break
 			}
-			b.WriteByte('|')
-			body = rest
+			if i > 0 {
+				b.WriteByte('|')
+			}
+			if inverse {
+				b.WriteByte('^')
+			}
+			b.WriteString(expandIRI(iri, q))
 		}
-		if neg {
+		if sym.Negated {
 			b.WriteByte(')')
 		}
 	case regex.Concat, regex.Union:

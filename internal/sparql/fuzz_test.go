@@ -1,6 +1,9 @@
 package sparql
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParse asserts the SPARQL parser never panics on arbitrary input,
 // agrees with the two-pass reference parser (diffRef), and that every
@@ -25,6 +28,11 @@ func FuzzParse(f *testing.F) {
 	f.Add("SELECT * WHERE { ?s ?p } ?o % }")
 	f.Add("sElEcT DiStInCt ?s wHeRe { ?s ?p ?o fIlTeR(lAnG(?o) = 'en') } LiMiT 3")
 	f.Add("SELECT ?ñame WHERE { ?ñame ex:名前 \"日本\"@ja . ?ñame ſum ?x }")
+	// one level past textio.MaxDepth: nested groups, a modifier run, an
+	// operator chain
+	f.Add("SELECT * WHERE " + strings.Repeat("{", 1001) + "?s ?p ?o" + strings.Repeat("}", 1001))
+	f.Add("SELECT * WHERE { ?x ex:p" + strings.Repeat("*", 1001) + " ?y }")
+	f.Add("SELECT * WHERE { ?s ?p ?o FILTER(?o" + strings.Repeat("+1", 1001) + ") }")
 	f.Fuzz(func(t *testing.T, src string) {
 		if msg := diffRef(src); msg != "" {
 			t.Fatal(msg)

@@ -7,7 +7,10 @@ package sparql
 // Its keywords fold with strings.ToUpper, so the comparisons skip inputs
 // with ſ or ı in a word (see foldTrap). Its paths are built with the
 // regex constructors, and ^ is applied after its operand is parsed, by
-// refInverse rewriting that operand's tree.
+// refInverse rewriting that operand's tree. It refuses nesting as Parse
+// does: it counts groups, expressions and path atoms on the way down,
+// and measures each path or expression node it builds against
+// textio.MaxDepth.
 
 import (
 	"fmt"
@@ -20,6 +23,7 @@ import (
 
 	"repro/internal/loggen"
 	"repro/internal/regex"
+	"repro/internal/textio"
 )
 
 // TestParseMatchesReference runs Parse and refParse over the first 1,500
@@ -40,31 +44,27 @@ func TestParseMatchesReference(t *testing.T) {
 
 // diffRef compares Parse with refParse, and ParsePath with refParsePath,
 // on src. Both must fail with the same error text, or both succeed with
-// the same Canonical() and feature battery, or the same path. It returns
-// "" when they agree or when the comparison does not apply: src has a
-// fold trap, or the one-pass parser refused nesting that the reference
-// has no limit for.
+// the same Canonical() and feature battery, or the same path; nesting
+// past the limit included. It returns "" when they agree or when src
+// has a fold trap, which the comparison does not apply to.
 func diffRef(src string) string {
 	if foldTrap(src) {
 		return ""
 	}
-	tooDeep := func(err error) bool { return err != nil && strings.Contains(err.Error(), "nesting deeper than") }
-	if q, err := Parse(src); !tooDeep(err) {
-		rq, rerr := refParse(src)
-		switch {
-		case err != nil || rerr != nil:
-			if fmt.Sprint(err) != fmt.Sprint(rerr) {
-				return fmt.Sprintf("%q: error %v, reference %v", src, err, rerr)
-			}
-		case battery(q) != battery(rq):
-			return fmt.Sprintf("%q:\n%s\nreference:\n%s", src, battery(q), battery(rq))
+	q, err := Parse(src)
+	rq, rerr := refParse(src)
+	switch {
+	case err != nil || rerr != nil:
+		if fmt.Sprint(err) != fmt.Sprint(rerr) {
+			return fmt.Sprintf("%q: error %v, reference %v", src, err, rerr)
 		}
+	case battery(q) != battery(rq):
+		return fmt.Sprintf("%q:\n%s\nreference:\n%s", src, battery(q), battery(rq))
 	}
-	if pp, err := ParsePath(src); !tooDeep(err) {
-		rp, rerr := refParsePath(src)
-		if fmt.Sprint(err) != fmt.Sprint(rerr) || err == nil && !pp.Equal(rp) {
-			return fmt.Sprintf("path %q: %v %v, reference %v %v", src, pp, err, rp, rerr)
-		}
+	pp, err := ParsePath(src)
+	rp, rerr := refParsePath(src)
+	if fmt.Sprint(err) != fmt.Sprint(rerr) || err == nil && !pp.Equal(rp) {
+		return fmt.Sprintf("path %q: %v %v, reference %v %v", src, pp, err, rp, rerr)
 	}
 	return ""
 }
@@ -380,8 +380,47 @@ func refParseAll[T any](src string, parse func(*refParser) (T, error)) (T, error
 }
 
 type refParser struct {
-	toks []refToken
-	pos  int
+	toks  []refToken
+	pos   int
+	depth int // nesting of groups, expressions and path atoms
+}
+
+func (p *refParser) tooDeep() error {
+	return p.errf("nesting deeper than %d levels", textio.MaxDepth)
+}
+
+// enter counts one level of nesting, failing past textio.MaxDepth.
+func (p *refParser) enter() error {
+	if p.depth++; p.depth > textio.MaxDepth {
+		return p.tooDeep()
+	}
+	return nil
+}
+
+// refHeight returns the height of a tree: 0 for a node without
+// children, one more than its highest child otherwise.
+func refHeight[T any](x T, subs func(T) []T) int {
+	h := 0
+	for _, s := range subs(x) {
+		h = max(h, refHeight(s, subs)+1)
+	}
+	return h
+}
+
+// checkExpr returns e, or the nesting error if e is too high.
+func (p *refParser) checkExpr(e *Expr) (*Expr, error) {
+	if refHeight(e, func(e *Expr) []*Expr { return e.Subs }) > textio.MaxDepth {
+		return nil, p.tooDeep()
+	}
+	return e, nil
+}
+
+// checkPath returns e, or the nesting error if e is too high.
+func (p *refParser) checkPath(e *regex.Expr) (*regex.Expr, error) {
+	if refHeight(e, func(e *regex.Expr) []*regex.Expr { return e.Subs }) > textio.MaxDepth {
+		return nil, p.tooDeep()
+	}
+	return e, nil
 }
 
 // peek clamps at the trailing EOF refToken so that error paths after an
@@ -701,6 +740,10 @@ func (p *refParser) parseGroup() (*Pattern, error) {
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	group := &Pattern{Kind: PGroup}
 	for {
 		t := p.peek()
@@ -1023,9 +1066,9 @@ func (p *refParser) parsePathList(sep string) (*regex.Expr, error) {
 		items = append(items, next)
 	}
 	if sep == "/" {
-		return regex.NewConcat(items...), nil
+		return p.checkPath(regex.NewConcat(items...))
 	}
-	return regex.NewUnion(items...), nil
+	return p.checkPath(regex.NewUnion(items...))
 }
 
 func (p *refParser) parsePathItem(sep string) (*regex.Expr, error) {
@@ -1048,8 +1091,10 @@ func (p *refParser) parsePathUnary() (*regex.Expr, error) {
 		if !ok {
 			break
 		}
+		if x, err = p.checkPath(repeat(x)); err != nil {
+			return nil, err
+		}
 		p.pos++
-		x = repeat(x)
 	}
 	return x, nil
 }
@@ -1062,6 +1107,10 @@ func (p *refParser) parsePathAtom() (*regex.Expr, error) {
 		p.pos++
 		return regex.NewSymbol(t.text), nil
 	case p.isPunct("^"):
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer func() { p.depth-- }()
 		p.pos++
 		x, err := p.parsePathAtom()
 		if err != nil {
@@ -1072,6 +1121,10 @@ func (p *refParser) parsePathAtom() (*regex.Expr, error) {
 		p.pos++
 		return p.parseNegatedSet()
 	case p.isPunct("("):
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer func() { p.depth-- }()
 		p.pos++
 		x, err := p.parsePathList("|")
 		if err != nil {
@@ -1197,7 +1250,13 @@ func (p *refParser) parseFilterConstraint() (*Expr, error) {
 
 // ------------------------------- expressions -------------------------------
 
-func (p *refParser) parseExpr() (*Expr, error) { return p.parseOr() }
+func (p *refParser) parseExpr() (*Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
+	return p.parseOr()
+}
 
 func (p *refParser) parseOr() (*Expr, error) {
 	left, err := p.parseAnd()
@@ -1210,7 +1269,9 @@ func (p *refParser) parseOr() (*Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &Expr{Kind: EBool, Op: "||", Subs: []*Expr{left, right}}
+		if left, err = p.checkExpr(&Expr{Kind: EBool, Op: "||", Subs: []*Expr{left, right}}); err != nil {
+			return nil, err
+		}
 	}
 	return left, nil
 }
@@ -1226,7 +1287,9 @@ func (p *refParser) parseAnd() (*Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &Expr{Kind: EBool, Op: "&&", Subs: []*Expr{left, right}}
+		if left, err = p.checkExpr(&Expr{Kind: EBool, Op: "&&", Subs: []*Expr{left, right}}); err != nil {
+			return nil, err
+		}
 	}
 	return left, nil
 }
@@ -1244,14 +1307,14 @@ func (p *refParser) parseCompare() (*Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Expr{Kind: ECompare, Op: t.text, Subs: []*Expr{left, right}}, nil
+		return p.checkExpr(&Expr{Kind: ECompare, Op: t.text, Subs: []*Expr{left, right}})
 	}
 	if p.acceptKeyword("IN") {
 		args, err := p.parseArgList()
 		if err != nil {
 			return nil, err
 		}
-		return &Expr{Kind: EIn, Subs: append([]*Expr{left}, args...)}, nil
+		return p.checkExpr(&Expr{Kind: EIn, Subs: append([]*Expr{left}, args...)})
 	}
 	if p.acceptKeyword("NOT") {
 		if !p.acceptKeyword("IN") {
@@ -1261,7 +1324,7 @@ func (p *refParser) parseCompare() (*Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Expr{Kind: EIn, Negated: true, Subs: append([]*Expr{left}, args...)}, nil
+		return p.checkExpr(&Expr{Kind: EIn, Negated: true, Subs: append([]*Expr{left}, args...)})
 	}
 	return left, nil
 }
@@ -1281,7 +1344,9 @@ func (p *refParser) parseAdditive() (*Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &Expr{Kind: EArith, Op: t.text, Subs: []*Expr{left, right}}
+		if left, err = p.checkExpr(&Expr{Kind: EArith, Op: t.text, Subs: []*Expr{left, right}}); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -1289,19 +1354,27 @@ func (p *refParser) parseUnaryExpr() (*Expr, error) {
 	t := p.peek()
 	switch {
 	case t.kind == refTokPunct && t.text == "!":
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer func() { p.depth-- }()
 		p.pos++
 		sub, err := p.parseUnaryExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &Expr{Kind: ENot, Subs: []*Expr{sub}}, nil
+		return p.checkExpr(&Expr{Kind: ENot, Subs: []*Expr{sub}})
 	case t.kind == refTokPunct && t.text == "-":
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer func() { p.depth-- }()
 		p.pos++
 		sub, err := p.parseUnaryExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &Expr{Kind: EArith, Op: "neg", Subs: []*Expr{sub}}, nil
+		return p.checkExpr(&Expr{Kind: EArith, Op: "neg", Subs: []*Expr{sub}})
 	case t.kind == refTokPunct && t.text == "(":
 		p.pos++
 		e, err := p.parseExpr()
@@ -1332,7 +1405,7 @@ func (p *refParser) parseUnaryExpr() (*Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &Expr{Kind: EFunc, Func: strings.ToUpper(t.text), Subs: args}, nil
+			return p.checkExpr(&Expr{Kind: EFunc, Func: strings.ToUpper(t.text), Subs: args})
 		}
 		return &Expr{Kind: EConst, Const: t.text}, nil
 	case t.kind == refTokKeyword && t.text == "NOT":
@@ -1366,7 +1439,7 @@ func (p *refParser) parseUnaryExpr() (*Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Expr{Kind: EFunc, Func: name, Subs: args}, nil
+		return p.checkExpr(&Expr{Kind: EFunc, Func: name, Subs: args})
 	}
 	return nil, p.errf("unexpected %q in expression", t.text)
 }

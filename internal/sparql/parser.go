@@ -17,7 +17,9 @@ import (
 // outside the fragment (or syntactically invalid ones — the logs of
 // Table 2 contain millions of those) return an error; the analysis
 // pipeline counts them as non-Valid. Groups, expressions and path atoms
-// nested deeper than textio.MaxDepth are a parse error.
+// nested deeper than textio.MaxDepth are a parse error, and so are path
+// and expression trees higher than that: a run of path modifiers or a
+// chain of operators adds one level per operator.
 func Parse(src string) (*Query, error) {
 	q, err := parseAll(src, (*parser).parseQuery)
 	if err == nil {
@@ -124,6 +126,7 @@ type parser struct {
 	n      int   // tokens consumed; names the [] blank nodes
 	lexErr error // the first lexical error; the scan ends there
 	depth  int   // nesting of groups, expressions and path atoms
+	h      int   // height of the path or expression tree last parsed
 
 	patNodes  slab[Pattern]
 	patLists  slab[*Pattern]
@@ -418,6 +421,16 @@ func (p *parser) enter() error {
 }
 
 func (p *parser) leave() { p.depth-- }
+
+// above sets p.h to the height of a node whose highest child has height
+// sub (-1 for a node without children), and fails past textio.MaxDepth:
+// the passes over a tree recurse once per level.
+func (p *parser) above(sub int) error {
+	if p.h = sub + 1; p.h > textio.MaxDepth {
+		return p.errf("nesting deeper than %d levels", textio.MaxDepth)
+	}
+	return nil
+}
 
 // isWord reports whether the current token is the keyword kw, given in
 // upper case. Keywords match ASCII-case-insensitively and only so: they
@@ -1048,6 +1061,15 @@ func (p *parser) parsePathList(sep string, inv bool) (*regex.Expr, error) {
 	}
 	var buf [8]*regex.Expr
 	items := append(buf[:0], first)
+	// the height of an item just parsed, as a child of the list: an item
+	// of the same kind is spliced in, its children one level up
+	childHeight := func(x *regex.Expr) int {
+		if x.Kind == kind {
+			return p.h - 1
+		}
+		return p.h
+	}
+	sub := childHeight(first)
 	for p.isPunct(sep) {
 		p.next()
 		next, err := p.parsePathItem(sep, inv)
@@ -1055,6 +1077,10 @@ func (p *parser) parsePathList(sep string, inv bool) (*regex.Expr, error) {
 			return nil, err
 		}
 		items = append(items, next)
+		sub = max(sub, childHeight(next))
+	}
+	if err := p.above(sub); err != nil {
+		return nil, err
 	}
 	if inv && kind == regex.Concat {
 		slices.Reverse(items)
@@ -1098,6 +1124,9 @@ func (p *parser) parsePathUnary(inv bool) (*regex.Expr, error) {
 		default:
 			return x, nil
 		}
+		if err := p.above(p.h); err != nil {
+			return nil, err
+		}
 		p.next()
 		x = p.path(regex.Expr{Kind: kind, Subs: p.paths(x)})
 	}
@@ -1114,6 +1143,7 @@ func (p *parser) parsePathAtom(inv bool) (*regex.Expr, error) {
 		if inv {
 			sym = "^" + sym
 		}
+		p.h = 0
 		return p.path(regex.Expr{Kind: regex.Symbol, Sym: sym}), nil
 	case p.isPunct("!"):
 		p.next()
@@ -1185,7 +1215,41 @@ func (p *parser) parseNegatedSet(inv bool) (*regex.Expr, error) {
 	slices.SortFunc(members, func(a, b string) int {
 		return cmp.Or(inverse(a)-inverse(b), strings.Compare(a, b))
 	})
+	p.h = 0
 	return p.path(regex.Expr{Kind: regex.Symbol, Sym: "!(" + strings.Join(members, "|") + ")"}), nil
+}
+
+// PathSymbol reads back a symbol of a path's 2RPQ expression, as the
+// parser writes it: an IRI, an inverse IRI "^iri", or a negated
+// property set "!(…)" of |-separated [^]IRIs. Reading allocates nothing.
+type PathSymbol struct {
+	Negated bool   // the symbol is a negated property set
+	rest    string // the members not yet read
+}
+
+// ReadPathSymbol starts reading sym. An IRI or inverse IRI is read as
+// one member, a negated set as its members in order.
+func ReadPathSymbol(sym string) PathSymbol {
+	if body, ok := strings.CutPrefix(sym, "!("); ok {
+		return PathSymbol{Negated: true, rest: strings.TrimSuffix(body, ")")}
+	}
+	return PathSymbol{rest: sym}
+}
+
+// Next returns the next member's IRI and whether it is inverse; ok is
+// false once every member has been read.
+func (s *PathSymbol) Next() (iri string, inverse, ok bool) {
+	if s.rest == "" {
+		return "", false, false
+	}
+	m := s.rest
+	if s.Negated {
+		m, s.rest, _ = strings.Cut(m, "|")
+	} else {
+		s.rest = ""
+	}
+	iri, inverse = strings.CutPrefix(m, "^")
+	return iri, inverse, true
 }
 
 func (p *parser) parseFilterConstraint() (*Expr, error) {
@@ -1203,6 +1267,7 @@ func (p *parser) parseExists(negated bool) (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.h = 0 // the group is not part of the expression tree
 	return p.expr(Expr{Kind: EExists, Pattern: g, Negated: negated}), nil
 }
 
@@ -1216,36 +1281,35 @@ func (p *parser) parseExpr() (*Expr, error) {
 	return p.parseOr()
 }
 
-func (p *parser) parseOr() (*Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.isPunct("||") {
-		p.next()
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = p.expr(Expr{Kind: EBool, Op: "||", Subs: p.exprs(left, right)})
-	}
-	return left, nil
+func (p *parser) parseOr() (*Expr, error)  { return p.parseChain(EBool, p.parseAnd, "||") }
+func (p *parser) parseAnd() (*Expr, error) { return p.parseChain(EBool, p.parseCompare, "&&") }
+func (p *parser) parseAdditive() (*Expr, error) {
+	return p.parseChain(EArith, p.parseUnaryExpr, "+", "-", "*", "/")
 }
 
-func (p *parser) parseAnd() (*Expr, error) {
-	left, err := p.parseCompare()
+// parseChain parses operands joined by any of the operators ops into a
+// left-deep chain of kind nodes, one level higher per operator.
+func (p *parser) parseChain(kind ExprKind, operand func() (*Expr, error), ops ...string) (*Expr, error) {
+	left, err := operand()
 	if err != nil {
 		return nil, err
 	}
-	for p.isPunct("&&") {
+	for {
+		t := p.tok
+		if t.kind != tokPunct || !slices.Contains(ops, t.text) {
+			return left, nil
+		}
+		sub := p.h
 		p.next()
-		right, err := p.parseCompare()
+		right, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		left = p.expr(Expr{Kind: EBool, Op: "&&", Subs: p.exprs(left, right)})
+		if err := p.above(max(sub, p.h)); err != nil {
+			return nil, err
+		}
+		left = p.expr(Expr{Kind: kind, Op: t.text, Subs: p.exprs(left, right)})
 	}
-	return left, nil
 }
 
 func (p *parser) parseCompare() (*Expr, error) {
@@ -1256,9 +1320,13 @@ func (p *parser) parseCompare() (*Expr, error) {
 	if t := p.tok; t.kind == tokPunct {
 		switch t.text {
 		case "=", "!=", "<", ">", "<=", ">=":
+			sub := p.h
 			p.next()
 			right, err := p.parseAdditive()
 			if err != nil {
+				return nil, err
+			}
+			if err := p.above(max(sub, p.h)); err != nil {
 				return nil, err
 			}
 			return p.expr(Expr{Kind: ECompare, Op: t.text, Subs: p.exprs(left, right)}), nil
@@ -1269,8 +1337,12 @@ func (p *parser) parseCompare() (*Expr, error) {
 		return nil, p.errf("NOT must be followed by IN")
 	}
 	if p.acceptKeyword("IN") {
-		args, err := p.parseArgList()
+		sub := p.h
+		args, err := p.parseArgList(false)
 		if err != nil {
+			return nil, err
+		}
+		if err := p.above(max(sub, p.h)); err != nil {
 			return nil, err
 		}
 		return p.expr(Expr{Kind: EIn, Negated: negated, Subs: p.exprs(append([]*Expr{left}, args...)...)}), nil
@@ -1278,27 +1350,9 @@ func (p *parser) parseCompare() (*Expr, error) {
 	return left, nil
 }
 
-func (p *parser) parseAdditive() (*Expr, error) {
-	left, err := p.parseUnaryExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.tok
-		if t.kind != tokPunct || (t.text != "+" && t.text != "-" && t.text != "*" && t.text != "/") {
-			return left, nil
-		}
-		p.next()
-		right, err := p.parseUnaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = p.expr(Expr{Kind: EArith, Op: t.text, Subs: p.exprs(left, right)})
-	}
-}
-
 func (p *parser) parseUnaryExpr() (*Expr, error) {
 	t := p.tok
+	p.h = 0 // a leaf, unless a case below builds higher
 	switch {
 	case p.isPunct("!"), p.isPunct("-"):
 		if err := p.enter(); err != nil {
@@ -1308,6 +1362,9 @@ func (p *parser) parseUnaryExpr() (*Expr, error) {
 		p.next()
 		sub, err := p.parseUnaryExpr()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.above(p.h); err != nil {
 			return nil, err
 		}
 		if t.text == "!" {
@@ -1340,8 +1397,11 @@ func (p *parser) parseUnaryExpr() (*Expr, error) {
 		p.next()
 		// IRI constant or IRI-function call iri(…)
 		if p.isPunct("(") {
-			args, err := p.parseArgList()
+			args, err := p.parseArgList(false)
 			if err != nil {
+				return nil, err
+			}
+			if err := p.above(p.h); err != nil {
 				return nil, err
 			}
 			return p.expr(Expr{Kind: EFunc, Func: strings.ToUpper(t.text), Subs: p.exprs(args...)}), nil
@@ -1363,8 +1423,11 @@ func (p *parser) parseUnaryExpr() (*Expr, error) {
 		if !p.isPunct("(") {
 			return nil, p.errf("unexpected keyword %q in expression", t.show())
 		}
-		args, err := p.parseAggArgList()
+		args, err := p.parseArgList(true)
 		if err != nil {
+			return nil, err
+		}
+		if err := p.above(p.h); err != nil {
 			return nil, err
 		}
 		return p.expr(Expr{Kind: EFunc, Func: upperWord(t.text), Subs: p.exprs(args...)}), nil
@@ -1372,42 +1435,20 @@ func (p *parser) parseUnaryExpr() (*Expr, error) {
 	return nil, p.errf("unexpected %q in expression", t.show())
 }
 
-func (p *parser) parseArgList() ([]*Expr, error) {
+// parseArgList parses a parenthesized argument list; under agg it also
+// takes an aggregate's DISTINCT, COUNT(*) and GROUP_CONCAT separator. It
+// leaves in p.h the height of the highest argument, or -1 when there is
+// none.
+func (p *parser) parseArgList(agg bool) ([]*Expr, error) {
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
+	if agg {
+		p.acceptKeyword("DISTINCT")
+	}
 	var args []*Expr
-	if p.isPunct(")") {
-		p.next()
-		return args, nil
-	}
-	for {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, e)
-		if p.isPunct(",") {
-			p.next()
-			continue
-		}
-		break
-	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	return args, nil
-}
-
-// parseAggArgList handles COUNT(*), DISTINCT inside aggregates, and
-// GROUP_CONCAT separators.
-func (p *parser) parseAggArgList() ([]*Expr, error) {
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	p.acceptKeyword("DISTINCT")
-	var args []*Expr
-	if p.isPunct("*") {
+	sub := -1
+	if agg && p.isPunct("*") {
 		p.next()
 	} else if !p.isPunct(")") {
 		for {
@@ -1416,11 +1457,12 @@ func (p *parser) parseAggArgList() ([]*Expr, error) {
 				return nil, err
 			}
 			args = append(args, e)
+			sub = max(sub, p.h)
 			if p.isPunct(",") {
 				p.next()
 				continue
 			}
-			if p.isPunct(";") { // GROUP_CONCAT(… ; SEPARATOR="…")
+			if agg && p.isPunct(";") { // GROUP_CONCAT(… ; SEPARATOR="…")
 				p.next()
 				p.acceptKeyword("SEPARATOR")
 				p.expectPunct("=")
@@ -1432,6 +1474,7 @@ func (p *parser) parseAggArgList() ([]*Expr, error) {
 	if err := p.expectPunct(")"); err != nil {
 		return nil, err
 	}
+	p.h = sub
 	return args, nil
 }
 

@@ -379,9 +379,45 @@ func TestNestingLimit(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "nesting deeper than 1000 levels") {
 			t.Errorf("%s: %d levels: err = %v", c.name, textio.MaxDepth+1, err)
 		}
+		if msg := diffRef(c.src(textio.MaxDepth + 1)); msg != "" {
+			t.Errorf("%s: %s", c.name, msg)
+		}
 	}
 	if _, err := ParsePath(strings.Repeat("(", 5000) + "ex:p" + strings.Repeat(")", 5000)); err == nil {
 		t.Error("ParsePath accepted 5000 nested parentheses")
+	}
+	// Trees as high as their operator runs: modifier runs, operator
+	// chains, runs stacked across parentheses, and a list above a
+	// full-height item, each at the limit and one level past it. The
+	// reference parser must agree on both.
+	const limit = textio.MaxDepth
+	stars := func(n int) string { return strings.Repeat("*", n) }
+	plus1 := func(n int) string { return strings.Repeat("+1", n) }
+	filter := func(e string) string { return "SELECT * WHERE { ?s ?p ?o FILTER(" + e + ") }" }
+	for _, c := range []struct {
+		name string
+		src  func(n int) string
+		cap  int // the highest n that parses
+	}{
+		{"modifier run", func(n int) string { return "SELECT * WHERE { ?x <http://x/p>" + stars(n) + " ?y }" }, limit},
+		{"stacked modifier runs", func(n int) string { return "SELECT * WHERE { ?x (ex:p" + stars(n) + ")" + stars(limit/2) + " ?y }" }, limit / 2},
+		{"sequence above a run", func(n int) string { return "SELECT * WHERE { ?x ex:p" + stars(n) + "/ex:q ?y }" }, limit - 1},
+		{"arithmetic chain", func(n int) string { return filter("?o" + plus1(n)) }, limit},
+		{"stacked arithmetic chains", func(n int) string { return filter("(?o" + plus1(n) + ")" + plus1(limit/2)) }, limit / 2},
+		{"|| chain", func(n int) string { return filter("?o" + strings.Repeat(" || ?o", n)) }, limit},
+		{"&& chain under a call", func(n int) string { return filter("BOUND(?o)" + strings.Repeat(" && STR(?o)", n)) }, limit - 1},
+		{"comparison above a chain", func(n int) string { return filter("?o" + plus1(n) + " = 1") }, limit - 1},
+	} {
+		for _, n := range []int{c.cap, c.cap + 1} {
+			src := c.src(n)
+			if msg := diffRef(src); msg != "" {
+				t.Errorf("%s: %d: %s", c.name, n, msg)
+			}
+			_, err := Parse(src)
+			if tooDeep := err != nil && strings.Contains(err.Error(), "nesting deeper than 1000 levels"); tooDeep != (n > c.cap) || !tooDeep && err != nil {
+				t.Errorf("%s: %d: err = %v", c.name, n, err)
+			}
+		}
 	}
 }
 
@@ -400,5 +436,49 @@ func TestParseAllocs(t *testing.T) {
 	t.Logf("%v allocations per Parse", allocs)
 	if allocs > 7 {
 		t.Errorf("%v allocations per Parse, want ≤ 7", allocs)
+	}
+}
+
+// TestReadPathSymbol reads back every symbol form the parser writes,
+// negated sets under ^ included, and pins that reading allocates
+// nothing.
+func TestReadPathSymbol(t *testing.T) {
+	read := func(sym string) string {
+		s := ReadPathSymbol(sym)
+		var b strings.Builder
+		if s.Negated {
+			b.WriteString("not ")
+		}
+		for iri, inverse, ok := s.Next(); ok; iri, inverse, ok = s.Next() {
+			if inverse {
+				b.WriteString("inv ")
+			}
+			b.WriteString(iri + ";")
+		}
+		return b.String()
+	}
+	for path, want := range map[string]string{
+		"ex:p":               "ex:p;",
+		"^<http://x/p>":      "inv <http://x/p>;",
+		"^ ^ex:p":            "ex:p;",
+		"!ex:p":              "not ex:p;",
+		"!(ex:q|^ex:r|ex:p)": "not ex:p;ex:q;inv ex:r;",
+		"^!(ex:p|^ex:q)":     "not ex:q;inv ex:p;",
+	} {
+		e := MustParsePath(path)
+		if got := read(e.Sym); got != want {
+			t.Errorf("%s: symbol %q reads as %q, want %q", path, e.Sym, got, want)
+		}
+	}
+	sym := MustParsePath("!(ex:p|^ex:q)").Sym
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		s := ReadPathSymbol(sym)
+		for _, _, ok := s.Next(); ok; _, _, ok = s.Next() {
+			n++
+		}
+	})
+	if allocs != 0 || n != 2*101 {
+		t.Errorf("%v allocations and %d members in 101 reads, want 0 and 202", allocs, n)
 	}
 }
